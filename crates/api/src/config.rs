@@ -97,9 +97,12 @@ impl RunConfig {
     /// subselection on, `k = 4`).
     ///
     /// # Panics
-    /// Panics if `epsilon <= 0`.
+    /// Panics if `epsilon` is not a positive finite number.
     pub fn new(epsilon: f64) -> Self {
-        assert!(epsilon > 0.0, "epsilon must be positive");
+        assert!(
+            epsilon.is_finite() && epsilon > 0.0,
+            "epsilon must be positive and finite, got {epsilon}"
+        );
         RunConfig {
             epsilon,
             seed: 0,
@@ -176,7 +179,14 @@ impl RunConfig {
     }
 
     /// Sets an explicit dominator-set distance threshold.
+    ///
+    /// # Panics
+    /// Panics if `threshold` is negative or not finite.
     pub fn with_threshold(mut self, threshold: f64) -> Self {
+        assert!(
+            threshold.is_finite() && threshold >= 0.0,
+            "threshold must be non-negative and finite, got {threshold}"
+        );
         self.threshold = Some(threshold);
         self
     }
@@ -290,6 +300,38 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_epsilon_rejected() {
         let _ = RunConfig::new(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn nan_epsilon_rejected() {
+        let _ = RunConfig::new(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn infinite_epsilon_rejected() {
+        let _ = RunConfig::new(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn nan_threshold_rejected() {
+        let _ = RunConfig::default().with_threshold(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn negative_threshold_rejected() {
+        let _ = RunConfig::default().with_threshold(-1.0);
+    }
+
+    #[test]
+    fn zero_threshold_accepted() {
+        assert_eq!(
+            RunConfig::default().with_threshold(0.0).threshold,
+            Some(0.0)
+        );
     }
 
     #[test]

@@ -121,10 +121,10 @@ OPTIONS:
                         Byte-identical at any thread count and backend;
                         ignored by the facility-location and dominator
                         solvers                          [default: off]
-    --eps <f>           Slack parameter epsilon > 0      [default: 0.1]
+    --eps <f>           Slack parameter, finite > 0      [default: 0.1]
     --seed <n>          RNG seed                         [default: 0]
     --k <n>             Centers for clustering solvers   [default: 8]
-    --threshold <f>     Dominator-set distance threshold [default: median]
+    --threshold <f>     Dominator-set threshold (>= 0)   [default: median]
     --policy <p>        seq | par | tuned:<grain>        [default: par]
     --threads <n>       Worker threads for the run (pool size);
                         results are identical at any count   [default: ambient]
@@ -268,8 +268,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 let eps: f64 = value("--eps")?
                     .parse()
                     .map_err(|_| "invalid --eps".to_string())?;
-                if eps <= 0.0 {
-                    return Err("--eps must be positive".to_string());
+                if !eps.is_finite() || eps <= 0.0 {
+                    return Err("--eps must be a positive finite number".to_string());
                 }
                 cfg.epsilon = eps;
             }
@@ -288,11 +288,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 cfg.k = k;
             }
             "--threshold" => {
-                cfg.threshold = Some(
-                    value("--threshold")?
-                        .parse()
-                        .map_err(|_| "invalid --threshold".to_string())?,
-                )
+                let threshold: f64 = value("--threshold")?
+                    .parse()
+                    .map_err(|_| "invalid --threshold".to_string())?;
+                if !threshold.is_finite() || threshold < 0.0 {
+                    return Err("--threshold must be a non-negative finite distance".to_string());
+                }
+                cfg.threshold = Some(threshold);
             }
             "--policy" => {
                 cfg.policy = match value("--policy")?.as_str() {
@@ -966,4 +968,40 @@ fn cmd_ablation(registry: &Registry, opts: Options) -> Result<(), String> {
     }
     emit(&runs, opts.json.as_deref(), opts.quiet)?;
     finish_trace(trace_session, &opts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_eps_is_a_usage_error() {
+        for eps in ["nan", "inf", "-inf", "0", "-1"] {
+            let err = dispatch(&args(&format!(
+                "run greedy --gen uniform:n=30,k=15 --eps {eps}"
+            )))
+            .expect_err(eps);
+            assert!(err.contains("--eps"), "--eps {eps}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_finite_or_negative_threshold_is_a_usage_error() {
+        for threshold in ["nan", "inf", "-1"] {
+            let err = dispatch(&args(&format!(
+                "run maxdom --gen uniform:n=30 --threshold {threshold}"
+            )))
+            .expect_err(threshold);
+            assert!(
+                err.contains("--threshold"),
+                "--threshold {threshold}: {err}"
+            );
+        }
+        let opts = parse_options(&args("--threshold 0")).expect("a zero threshold is valid");
+        assert_eq!(opts.cfg.threshold, Some(0.0));
+    }
 }

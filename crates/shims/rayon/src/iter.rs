@@ -918,6 +918,10 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 }
 
 /// Mirror of `rayon::slice::ParallelSliceMut` (chunking and sorting).
+///
+/// Unlike real rayon, the sorts require `T: Copy`: the parallel merge moves
+/// elements by value through a scratch buffer, which stays safe code only
+/// for `Copy` types.
 pub trait ParallelSliceMut<T> {
     /// Mutable chunked view of the slice.
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutSrc<'_, T>>
@@ -926,22 +930,22 @@ pub trait ParallelSliceMut<T> {
     /// Stable parallel sort by comparator.
     fn par_sort_by<F>(&mut self, compare: F)
     where
-        T: Send + Sync,
+        T: Copy + Send + Sync,
         F: Fn(&T, &T) -> std::cmp::Ordering + Sync;
     /// Unstable parallel sort by comparator (implemented as the stable sort;
     /// stability is a permitted strengthening and keeps output canonical).
     fn par_sort_unstable_by<F>(&mut self, compare: F)
     where
-        T: Send + Sync,
+        T: Copy + Send + Sync,
         F: Fn(&T, &T) -> std::cmp::Ordering + Sync;
     /// Stable natural-order parallel sort.
     fn par_sort(&mut self)
     where
-        T: Ord + Send + Sync;
+        T: Ord + Copy + Send + Sync;
     /// Unstable natural-order parallel sort.
     fn par_sort_unstable(&mut self)
     where
-        T: Ord + Send + Sync;
+        T: Ord + Copy + Send + Sync;
 }
 
 impl<T> ParallelSliceMut<T> for [T] {
@@ -960,7 +964,7 @@ impl<T> ParallelSliceMut<T> for [T] {
 
     fn par_sort_by<F>(&mut self, compare: F)
     where
-        T: Send + Sync,
+        T: Copy + Send + Sync,
         F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
     {
         crate::sort::par_merge_sort_by(self, compare);
@@ -968,7 +972,7 @@ impl<T> ParallelSliceMut<T> for [T] {
 
     fn par_sort_unstable_by<F>(&mut self, compare: F)
     where
-        T: Send + Sync,
+        T: Copy + Send + Sync,
         F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
     {
         crate::sort::par_merge_sort_by(self, compare);
@@ -976,14 +980,14 @@ impl<T> ParallelSliceMut<T> for [T] {
 
     fn par_sort(&mut self)
     where
-        T: Ord + Send + Sync,
+        T: Ord + Copy + Send + Sync,
     {
         crate::sort::par_merge_sort_by(self, T::cmp);
     }
 
     fn par_sort_unstable(&mut self)
     where
-        T: Ord + Send + Sync,
+        T: Ord + Copy + Send + Sync,
     {
         crate::sort::par_merge_sort_by(self, T::cmp);
     }

@@ -25,21 +25,25 @@
 //! per-chunk results strictly left-to-right. Threads only decide *who*
 //! executes a chunk. Results are therefore byte-identical at 1 thread and at
 //! N threads, including floating-point reductions, whose value depends on
-//! association order. Parallel sorts always produce the canonical *stable*
-//! permutation (ties resolve to original order), so they too are independent
-//! of the pool size. The `scope` task queue makes no ordering promises, as
-//! under real rayon.
+//! association order. Parallel sorts are merge sorts: one run per thread,
+//! sorted in place, then merged pairwise with every merge cut by co-rank
+//! (merge path) into one piece per thread. Merges take from the left run on
+//! ties, so the result is always the canonical *stable* order — the output
+//! of `slice::sort_by` — and independent of the pool size. The `scope` task
+//! queue makes no ordering promises, as under real rayon.
 //!
 //! Differences from real rayon worth knowing about: data-parallel regions
 //! run on a process-wide set of persistent workers (spawned lazily, parked
 //! on a condvar between regions) rather than a work-stealing deque pool,
 //! while `scope` and `join` spawn scoped threads per call; nested parallel
-//! calls inside a worker run inline instead of work-stealing; and
+//! calls inside a worker run inline instead of work-stealing;
 //! `into_par_iter()` is implemented for the owned sources the workspace
 //! actually uses (`Range<usize>`, `Vec<T: Clone>`) rather than every
-//! `IntoIterator`. Swapping the real `rayon` back in (via the root
-//! `Cargo.toml`, once a registry is reachable) additionally requires a home
-//! for [`deterministic_chunk_len`], which `parfaclo-matrixops` calls to
+//! `IntoIterator`; and the `par_sort*` family requires `T: Copy`, because
+//! the merge moves elements by value through a scratch buffer in safe code.
+//! Swapping the real `rayon` back in (via the root `Cargo.toml`, once a
+//! registry is reachable) additionally requires a home for
+//! [`deterministic_chunk_len`], which `parfaclo-matrixops` calls to
 //! mirror the parallel combine structure sequentially — and it forfeits the
 //! byte-identical-across-thread-counts guarantee, which real rayon's
 //! thread-count-dependent splits do not provide, so the thread-invariance

@@ -1,22 +1,29 @@
 //! Deterministic parallel merge sort.
 //!
-//! Strategy: compute the *stable sorting permutation* in parallel (sort index
-//! chunks, then merge pairs of sorted runs in parallel rounds, breaking
-//! comparator ties towards the smaller original index), then apply the
-//! permutation in place with cycle-following swaps. Because ties always
-//! resolve to original order, the resulting permutation is the canonical
-//! stable-sort permutation — identical to `slice::sort_by` and independent of
-//! both the chunking and the thread count.
+//! Strategy: split the slice into one contiguous run per effective thread,
+//! sort every run in place in parallel with std's stable sort, then merge
+//! adjacent runs pairwise, round by round, between the slice and one scratch
+//! buffer. Each pairwise merge is cut by *co-rank* (the merge-path split: the
+//! number of left-run elements among the first `d` outputs, found by binary
+//! search) into one independent piece per thread, so the last round — a
+//! single merge — keeps every thread busy too. Elements move by value
+//! (`T: Copy`) in sequential streams, with no index indirection.
 //!
-//! That canonicality is what allows free algorithm choice: the sequential
-//! fallback (std's stable sort) is used whenever it would win — small inputs,
-//! a 1-thread pool, or a machine without real hardware parallelism (index
-//! sorting pays an indirection tax that only multi-core execution can
-//! repay) — and the output is byte-identical either way.
+//! Merges take from the left run on comparator ties, so the result is the
+//! unique stable order: byte-identical to `slice::sort_by` for every run
+//! split and thread count. That canonicality is what allows free algorithm
+//! choice: the sequential fallback (std's stable sort) is used whenever it
+//! would win — small inputs, a 1-thread pool, or a machine without real
+//! hardware parallelism — and the output is the same either way.
 //! `par_sort_unstable_*` reuses the same routine: stability is a permitted
 //! strengthening of the unstable contract and keeps the output canonical.
+//!
+//! If `compare` panics, the panic propagates and the slice may hold
+//! duplicates of some elements in place of others; with `T: Copy` nothing
+//! is dropped twice.
 
-use crate::pool::{current_num_threads, hardware_threads, run_tasks};
+use crate::iter::{IntoParallelRefMutIterator, ParallelSliceMut};
+use crate::pool::{current_num_threads, hardware_threads};
 use std::cmp::Ordering;
 
 /// Below this length the std stable sort on the calling thread wins.
@@ -24,116 +31,140 @@ const SEQ_SORT_CUTOFF: usize = 1 << 14;
 
 pub(crate) fn par_merge_sort_by<T, F>(v: &mut [T], compare: F)
 where
-    T: Send + Sync,
+    T: Copy + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    let n = v.len();
-    // Only the effective *hardware* parallelism makes the index-based
-    // parallel sort profitable; an oversubscribed pool (threads > cores)
-    // would pay the indirection tax without the speedup. Output is the
-    // canonical stable permutation on every path, so this choice is
-    // unobservable in the results.
+    // Only the effective *hardware* parallelism makes the parallel sort
+    // profitable; an oversubscribed pool (threads > cores) would pay for the
+    // merge rounds without the speedup. Output is the canonical stable order
+    // on every path, so this choice is unobservable in the results.
     let threads = current_num_threads().min(hardware_threads());
-    if n <= SEQ_SORT_CUTOFF || threads <= 1 || n > u32::MAX as usize {
+    if v.len() <= SEQ_SORT_CUTOFF || threads <= 1 {
         v.sort_by(|a, b| compare(a, b));
         return;
     }
-    let perm = stable_sort_permutation(v, &compare, threads);
-    apply_permutation(v, perm);
+    merge_sort_runs(v, &compare, threads);
 }
 
-/// The permutation `perm` with `perm[dst] = src`: the element that belongs at
-/// position `dst` of the sorted slice currently sits at `src`. Indices are
-/// `u32` (guarded by the caller) to halve memory traffic in the merge rounds.
-fn stable_sort_permutation<T, F>(data: &[T], compare: &F, threads: usize) -> Vec<u32>
+/// Sorts `v` as `runs` contiguous runs (each by std's stable sort), merged
+/// pairwise in rounds with every merge split into `runs` pieces.
+fn merge_sort_runs<T, F>(v: &mut [T], compare: &F, runs: usize)
 where
-    T: Sync,
+    T: Copy + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    let n = data.len();
-    // Chunking here MAY depend on the thread count: the canonical stable
-    // permutation is unique, so the merge structure cannot affect the output.
-    let chunk = n.div_ceil(threads * 4).max(1);
-    let mut runs: Vec<Vec<u32>> = run_tasks(n.div_ceil(chunk), |c| {
-        let start = c * chunk;
-        let end = (start + chunk).min(n);
-        let mut idx: Vec<u32> = (start as u32..end as u32).collect();
-        idx.sort_unstable_by(|&a, &b| {
-            compare(&data[a as usize], &data[b as usize]).then(a.cmp(&b))
-        });
-        idx
-    });
-    while runs.len() > 1 {
-        let mut pairs: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(runs.len() / 2 + 1);
-        let mut leftover: Option<Vec<u32>> = None;
-        let mut iter = runs.into_iter();
-        while let Some(left) = iter.next() {
-            match iter.next() {
-                Some(right) => pairs.push((left, right)),
-                None => leftover = Some(left),
-            }
-        }
-        let mut merged: Vec<Vec<u32>> = run_tasks(pairs.len(), |i| {
-            let (left, right) = &pairs[i];
-            merge_runs(data, left, right, compare)
-        });
-        if let Some(run) = leftover {
-            merged.push(run);
-        }
-        runs = merged;
+    let n = v.len();
+    let run_len = n.div_ceil(runs).max(1);
+    // Run `i` spans `bounds[i]..bounds[i + 1]`.
+    let mut bounds: Vec<usize> = (0..n).step_by(run_len).chain([n]).collect();
+    // Each round moves the data to the other buffer, so the runs are sorted
+    // in whichever buffer is an even number of rounds away from `v`.
+    let rounds = (bounds.len() - 1).next_power_of_two().trailing_zeros();
+    let mut scratch = v.to_vec();
+    let mut in_scratch = rounds % 2 == 1;
+    let first: &mut [T] = if in_scratch { &mut scratch } else { v };
+    first
+        .par_chunks_mut(run_len)
+        .for_each(|run| run.sort_by(|a, b| compare(a, b)));
+    while bounds.len() > 2 {
+        bounds = if in_scratch {
+            merge_round(&scratch, v, &bounds, compare, runs)
+        } else {
+            merge_round(v, &mut scratch, &bounds, compare, runs)
+        };
+        in_scratch = !in_scratch;
     }
-    runs.pop().unwrap_or_default()
 }
 
-/// Stable merge of two sorted index runs; every index in `left` is smaller
-/// than every index in `right` (runs cover contiguous, ascending chunks), so
-/// taking from `left` on comparator ties preserves stability.
-fn merge_runs<T, F>(data: &[T], left: &[u32], right: &[u32], compare: &F) -> Vec<u32>
+/// Merges each pair of adjacent runs of `src` (run `i` spans
+/// `bounds[i]..bounds[i + 1]`) into the same positions of `dst`, in
+/// parallel, and returns the bounds of the merged runs. Each merge is cut by
+/// co-rank into `pieces` pieces of near-equal output length; an unpaired
+/// last run is copied through.
+fn merge_round<T, F>(
+    src: &[T],
+    dst: &mut [T],
+    bounds: &[usize],
+    compare: &F,
+    pieces: usize,
+) -> Vec<usize>
+where
+    T: Copy + Send + Sync,
+    F: Fn(&T, &T) -> Ordering + Sync,
+{
+    let mut tasks: Vec<(&[T], &[T], &mut [T])> = Vec::new();
+    let mut merged = vec![0];
+    let mut rest = dst;
+    for r in (0..bounds.len() - 1).step_by(2) {
+        let (lo, mid) = (bounds[r], bounds[r + 1]);
+        let hi = bounds.get(r + 2).copied().unwrap_or(mid);
+        let (left, right) = (&src[lo..mid], &src[mid..hi]);
+        let piece_len = (hi - lo).div_ceil(pieces).max(1);
+        let (mut i0, mut j0) = (0, 0);
+        for d in (piece_len..hi - lo).step_by(piece_len).chain([hi - lo]) {
+            let i = co_rank(d, left, right, compare);
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(d - i0 - j0);
+            tasks.push((&left[i0..i], &right[j0..d - i], out));
+            rest = tail;
+            (i0, j0) = (i, d - i);
+        }
+        merged.push(hi);
+    }
+    tasks
+        .par_iter_mut()
+        .for_each(|(left, right, out)| merge_into(left, right, out, compare));
+    merged
+}
+
+/// The co-rank of output position `d` in the stable merge of `a` and `b`:
+/// the number of elements of `a` among the first `d` outputs. `a[i]` comes
+/// before `b[j]` unless `b[j] < a[i]`, so `a[i]` is among the first `d`
+/// exactly when `b[d - 1 - i]` is not less than it — a predicate monotone in
+/// `i`, hence the binary search.
+fn co_rank<T, F>(d: usize, a: &[T], b: &[T], compare: &F) -> usize
 where
     F: Fn(&T, &T) -> Ordering,
 {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let (mut i, mut j) = (0, 0);
-    while i < left.len() && j < right.len() {
-        if compare(&data[left[i] as usize], &data[right[j] as usize]) == Ordering::Greater {
-            out.push(right[j]);
-            j += 1;
+    let (mut lo, mut hi) = (d.saturating_sub(b.len()), d.min(a.len()));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if compare(&a[mid], &b[d - 1 - mid]) == Ordering::Greater {
+            hi = mid;
         } else {
-            out.push(left[i]);
-            i += 1;
+            lo = mid + 1;
         }
     }
-    out.extend_from_slice(&left[i..]);
-    out.extend_from_slice(&right[j..]);
-    out
+    lo
 }
 
-/// Applies `perm` (with `perm[dst] = src`) to `v` in place by walking each
-/// cycle with swaps; `perm` entries are overwritten with a sentinel as they
-/// are consumed. O(n) moves, no `T: Clone` required.
-fn apply_permutation<T>(v: &mut [T], mut perm: Vec<u32>) {
-    const DONE: u32 = u32::MAX;
-    for start in 0..v.len() {
-        if perm[start] == DONE {
-            continue;
-        }
-        let mut dst = start;
-        loop {
-            let src = perm[dst] as usize;
-            perm[dst] = DONE;
-            if src == start {
-                break;
-            }
-            v.swap(dst, src);
-            dst = src;
-        }
+/// Stable sequential merge of the sorted runs `a` and `b` into `out`
+/// (`out.len() == a.len() + b.len()`); ties take from `a`.
+fn merge_into<T, F>(a: &[T], b: &[T], out: &mut [T], compare: &F)
+where
+    T: Copy,
+    F: Fn(&T, &T) -> Ordering,
+{
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        // Select rather than branch: on unsorted keys the comparison is a
+        // coin flip, and a mispredicted branch per element doubles the cost.
+        let take_b = compare(&a[i], &b[j]) == Ordering::Greater;
+        out[k] = if take_b { b[j] } else { a[i] };
+        j += usize::from(take_b);
+        i += usize::from(!take_b);
+        k += 1;
     }
+    let (from_a, from_b) = out[k..].split_at_mut(a.len() - i);
+    from_a.copy_from_slice(&a[i..]);
+    from_b.copy_from_slice(&b[j..]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `(key, original index)` pairs with only 64 distinct keys, so nearly
+    /// every comparison ties and any stability slip shows in the payloads.
     fn noise_keys(n: usize) -> Vec<(i64, usize)> {
         let mut state = 0x9E3779B97F4A7C15u64;
         (0..n)
@@ -146,34 +177,64 @@ mod tests {
             .collect()
     }
 
-    /// Drives the permutation machinery directly (the public entry point
-    /// falls back to std's sort on single-core machines, so CI boxes with
-    /// one CPU would otherwise never execute this path).
-    #[test]
-    fn permutation_path_matches_std_stable_sort() {
-        let base = noise_keys(100_000);
+    /// Sorts `base` through the merge path at each run count and checks it
+    /// element for element against `slice::sort_by`. The run count is passed
+    /// explicitly: the public entry point falls back to std's sort on
+    /// single-core machines, where this path would otherwise never run.
+    fn check_against_std(base: &[(i64, usize)], label: &str) {
         let cmp = |a: &(i64, usize), b: &(i64, usize)| a.0.cmp(&b.0);
-        let mut expected = base.clone();
+        let mut expected = base.to_vec();
         expected.sort_by(cmp);
-        for threads in [2usize, 4, 7] {
-            let mut v = base.clone();
-            let perm = stable_sort_permutation(&v, &cmp, threads);
-            apply_permutation(&mut v, perm);
-            assert_eq!(v, expected, "threads = {threads}");
+        for runs in [2usize, 3, 4, 7] {
+            let mut v = base.to_vec();
+            merge_sort_runs(&mut v, &cmp, runs);
+            assert_eq!(v, expected, "{label}, n = {}, runs = {runs}", base.len());
         }
     }
 
     #[test]
-    fn permutation_path_handles_degenerate_shapes() {
+    fn merge_path_matches_std_stable_sort_on_ties() {
+        check_against_std(&noise_keys(100_000), "tie-heavy");
+    }
+
+    #[test]
+    fn merge_path_handles_awkward_lengths() {
+        let lengths = [
+            0,
+            1,
+            2,
+            3,
+            17,
+            SEQ_SORT_CUTOFF - 1,
+            SEQ_SORT_CUTOFF,
+            SEQ_SORT_CUTOFF + 1,
+            // Not divisible by 3, 4 or 7: the last run is short.
+            2 * 3 * 4 * 7 * 100 + 5,
+        ];
+        for n in lengths {
+            check_against_std(&noise_keys(n), "noise");
+        }
+    }
+
+    #[test]
+    fn merge_path_handles_equal_sorted_and_reversed_input() {
+        let n = SEQ_SORT_CUTOFF + 1;
+        let all_equal: Vec<(i64, usize)> = (0..n).map(|i| (5, i)).collect();
+        check_against_std(&all_equal, "all-equal");
+        let sorted: Vec<(i64, usize)> = (0..n).map(|i| (i as i64 / 3, i)).collect();
+        check_against_std(&sorted, "sorted");
+        let reversed: Vec<(i64, usize)> = sorted.iter().rev().copied().collect();
+        check_against_std(&reversed, "reversed");
+    }
+
+    #[test]
+    fn co_rank_splits_ties_towards_the_left_run() {
         let cmp = |a: &i64, b: &i64| a.cmp(b);
-        for n in [0usize, 1, 2, 3, 17] {
-            let base: Vec<i64> = (0..n as i64).rev().collect();
-            let mut expected = base.clone();
-            expected.sort();
-            let mut v = base;
-            let perm = stable_sort_permutation(&v, &cmp, 4);
-            apply_permutation(&mut v, perm);
-            assert_eq!(v, expected, "n = {n}");
+        let (a, b) = ([1i64, 2, 2, 3], [2i64, 2, 4]);
+        // Stable merge: 1 2a 2a 2b 2b 3 4.
+        let expected = [0usize, 1, 2, 3, 3, 3, 4, 4];
+        for (d, &want) in expected.iter().enumerate() {
+            assert_eq!(co_rank(d, &a, &b, &cmp), want, "d = {d}");
         }
     }
 }
