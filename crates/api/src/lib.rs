@@ -86,11 +86,10 @@ pub use parfaclo_metric::{BuildError, Coreset};
 /// directly.
 pub use parfaclo_graph::GraphBackend;
 
-/// Re-exports of the event-engine and radius-deriver selectors so API
-/// consumers can configure [`RunConfig::engine`] and
+/// Re-export of the radius-deriver selector so API consumers can configure
 /// [`RunConfig::radius_deriver`] without depending on `parfaclo-bucket`
 /// directly.
-pub use parfaclo_bucket::{EventEngine, RadiusDeriver};
+pub use parfaclo_bucket::RadiusDeriver;
 
 /// Re-exports of the tracing subsystem so harnesses can install a
 /// [`Tracer`] (picked up by the registry wrapper and every instrumented

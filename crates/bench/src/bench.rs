@@ -114,7 +114,7 @@ pub struct BenchConfig {
     pub epsilon: f64,
     /// Centers for the clustering/dominator solvers.
     pub k: usize,
-    /// Execution policy label (`seq` / `par` / `tuned:<grain>`).
+    /// Execution policy label (`seq` / `par`).
     pub policy: String,
     /// Round-bounding preprocessing enabled.
     pub preprocess: bool,
@@ -122,11 +122,6 @@ pub struct BenchConfig {
     pub subselection: bool,
     /// Explicit dominator threshold (`None` derives from the instance).
     pub threshold: Option<f64>,
-    /// Event-engine label (`scan` / `bucket`). The engines are
-    /// byte-equivalent but charge work differently and have different
-    /// latency profiles, so artifacts measured under different engines are
-    /// never joined.
-    pub engine: String,
     /// k-center radius-deriver label (`exact` / `sketch`). The sketch
     /// probes different thresholds, so it is a measurement-relevant knob.
     pub radius_deriver: String,
@@ -142,12 +137,10 @@ impl BenchConfig {
             policy: match cfg.policy {
                 ExecPolicy::Sequential => "seq".to_string(),
                 ExecPolicy::Parallel => "par".to_string(),
-                ExecPolicy::Tuned { grain } => format!("tuned:{grain}"),
             },
             preprocess: cfg.preprocess,
             subselection: cfg.subselection,
             threshold: cfg.threshold,
-            engine: cfg.engine.as_str().to_string(),
             radius_deriver: cfg.radius_deriver.as_str().to_string(),
         }
     }
@@ -167,7 +160,6 @@ impl BenchConfig {
                     None => JsonValue::Null,
                 },
             )
-            .string("engine", &self.engine)
             .string("radius_deriver", &self.radius_deriver)
             .build()
     }
@@ -205,16 +197,9 @@ impl BenchConfig {
                 Some(JsonValue::Null) => None,
                 Some(v) => Some(v.as_f64().ok_or_else(|| missing("threshold"))?),
             },
-            // Optional on parse: artifacts written before the event-engine /
-            // radius-deriver knobs existed were all measured under the
-            // then-only scan/exact paths.
-            engine: match value.get("engine") {
-                None => "scan".to_string(),
-                Some(v) => v
-                    .as_str()
-                    .ok_or_else(|| "bench config field 'engine' must be a string".to_string())?
-                    .to_string(),
-            },
+            // Optional on parse: artifacts written before the radius-deriver
+            // knob existed were all measured under the then-only exact path.
+            // Older artifacts' `engine` key is ignored.
             radius_deriver: match value.get("radius_deriver") {
                 None => "exact".to_string(),
                 Some(v) => v
@@ -1368,11 +1353,11 @@ mod tests {
             &RunConfig::new(0.25)
                 .with_seed(3)
                 .with_k(5)
-                .with_policy(ExecPolicy::Tuned { grain: 64 })
+                .with_policy(ExecPolicy::Sequential)
                 .with_threshold(1.5)
                 .with_preprocess(false),
         );
-        assert_eq!(cfg.policy, "tuned:64");
+        assert_eq!(cfg.policy, "seq");
         let back = BenchConfig::from_json_value(
             &JsonValue::parse(&cfg.to_json_value().to_string()).unwrap(),
         )

@@ -91,14 +91,6 @@ OPTIONS:
                         representation that makes sparse million-vertex
                         graphs practical. Canonical results are
                         byte-identical either way      [default: dense]
-    --event-engine <e>  Round-loop event engine for the facility-location
-                        solvers: bucket serves greedy's sorted distance
-                        prefixes lazily from deterministic bucket queues
-                        and pops primal-dual's open/freeze events instead
-                        of rescanning; scan keeps the historical
-                        full-presort / per-iteration-rescan paths.
-                        Canonical output is byte-identical either way —
-                        only the work profile changes    [default: bucket]
     --radius-deriver <d>
                         k-center candidate-radius derivation: exact sorts
                         all n² pairwise distances (the paper's Theorem 6.1
@@ -125,7 +117,7 @@ OPTIONS:
     --seed <n>          RNG seed                         [default: 0]
     --k <n>             Centers for clustering solvers   [default: 8]
     --threshold <f>     Dominator-set threshold (>= 0)   [default: median]
-    --policy <p>        seq | par | tuned:<grain>        [default: par]
+    --policy <p>        seq | par                        [default: par]
     --threads <n>       Worker threads for the run (pool size);
                         results are identical at any count   [default: ambient]
     --no-preprocess     Disable round-bounding preprocessing (ablation)
@@ -300,12 +292,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 cfg.policy = match value("--policy")?.as_str() {
                     "seq" | "sequential" => ExecPolicy::Sequential,
                     "par" | "parallel" => ExecPolicy::Parallel,
-                    other => match other.strip_prefix("tuned:").map(str::parse::<usize>) {
-                        Some(Ok(grain)) if grain >= 1 => ExecPolicy::Tuned { grain },
-                        _ => {
-                            return Err(format!("unknown policy '{other}' (seq|par|tuned:<grain>)"))
-                        }
-                    },
+                    other => return Err(format!("unknown policy '{other}' (seq|par)")),
                 }
             }
             "--threads" => {
@@ -320,7 +307,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--backend" => cfg.backend = value("--backend")?.parse()?,
             "--graph" => cfg.graph = value("--graph")?.parse()?,
             "--coreset" => cfg.coreset = value("--coreset")?.parse()?,
-            "--event-engine" => cfg.engine = value("--event-engine")?.parse()?,
             "--radius-deriver" => cfg.radius_deriver = value("--radius-deriver")?.parse()?,
             "--no-preprocess" => cfg.preprocess = false,
             "--no-subselection" => cfg.subselection = false,

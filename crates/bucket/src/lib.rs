@@ -301,50 +301,6 @@ impl BucketQueue {
     }
 }
 
-/// Which event engine drives the facility-location round loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EventEngine {
-    /// The historical paths: greedy's full `O(m log m)` presort and
-    /// primal-dual's per-iteration rescans. Kept as the reference
-    /// implementation the bucket engine must byte-match.
-    Scan,
-    /// Bucket-queue event selection: greedy expands each facility's sorted
-    /// distance prefix lazily bucket-by-bucket; primal-dual pops freeze and
-    /// open events from bucket queues instead of rescanning.
-    #[default]
-    Bucket,
-}
-
-impl EventEngine {
-    /// Stable string form used by the CLI and bench artifacts.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EventEngine::Scan => "scan",
-            EventEngine::Bucket => "bucket",
-        }
-    }
-}
-
-impl std::fmt::Display for EventEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for EventEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scan" => Ok(EventEngine::Scan),
-            "bucket" => Ok(EventEngine::Bucket),
-            other => Err(format!(
-                "unknown event engine '{other}' (expected 'scan' or 'bucket')"
-            )),
-        }
-    }
-}
-
 /// How k-center derives its candidate radii.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RadiusDeriver {
@@ -600,14 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_deriver_parse_round_trip() {
-        assert_eq!("scan".parse::<EventEngine>().unwrap(), EventEngine::Scan);
-        assert_eq!(
-            "bucket".parse::<EventEngine>().unwrap(),
-            EventEngine::Bucket
-        );
-        assert!("julienne".parse::<EventEngine>().is_err());
-        assert_eq!(EventEngine::default(), EventEngine::Bucket);
+    fn radius_deriver_parses_round_trip() {
         assert_eq!(
             "exact".parse::<RadiusDeriver>().unwrap(),
             RadiusDeriver::Exact
@@ -618,9 +567,6 @@ mod tests {
         );
         assert!("quantile".parse::<RadiusDeriver>().is_err());
         assert_eq!(RadiusDeriver::default(), RadiusDeriver::Exact);
-        for e in [EventEngine::Scan, EventEngine::Bucket] {
-            assert_eq!(e.as_str().parse::<EventEngine>().unwrap(), e);
-        }
         for d in [RadiusDeriver::Exact, RadiusDeriver::Sketch] {
             assert_eq!(d.as_str().parse::<RadiusDeriver>().unwrap(), d);
         }

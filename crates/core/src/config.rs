@@ -1,6 +1,5 @@
 //! Shared configuration for the parallel facility-location algorithms.
 
-use parfaclo_bucket::EventEngine;
 use parfaclo_matrixops::ExecPolicy;
 
 /// Configuration shared by the parallel greedy, primal-dual and LP-rounding algorithms.
@@ -27,13 +26,6 @@ pub struct FlConfig {
     /// cap is orders of magnitude larger and only exists to turn a logic bug into a
     /// panic instead of an infinite loop).
     pub max_rounds: usize,
-    /// Which event engine drives the round loops: `Bucket` (the default)
-    /// serves greedy's sorted distance prefixes lazily from deterministic
-    /// bucket queues and pops primal-dual's freeze/open events from them;
-    /// `Scan` keeps the historical full-presort / per-iteration-rescan
-    /// paths. Output is byte-identical between the two engines — only the
-    /// work profile changes.
-    pub engine: EventEngine,
 }
 
 impl FlConfig {
@@ -51,7 +43,6 @@ impl FlConfig {
             preprocess: true,
             subselection: true,
             max_rounds: 100_000,
-            engine: EventEngine::default(),
         }
     }
 
@@ -78,12 +69,6 @@ impl FlConfig {
         self.subselection = subselection;
         self
     }
-
-    /// Replaces the event engine.
-    pub fn with_engine(mut self, engine: EventEngine) -> Self {
-        self.engine = engine;
-        self
-    }
 }
 
 impl Default for FlConfig {
@@ -102,14 +87,12 @@ mod tests {
             .with_seed(9)
             .with_policy(ExecPolicy::Sequential)
             .with_preprocess(false)
-            .with_subselection(false)
-            .with_engine(EventEngine::Scan);
+            .with_subselection(false);
         assert_eq!(cfg.epsilon, 0.25);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.policy, ExecPolicy::Sequential);
         assert!(!cfg.preprocess);
         assert!(!cfg.subselection);
-        assert_eq!(cfg.engine, EventEngine::Scan);
     }
 
     #[test]
@@ -118,7 +101,6 @@ mod tests {
         assert!(cfg.epsilon > 0.0);
         assert!(cfg.preprocess);
         assert!(cfg.subselection);
-        assert_eq!(cfg.engine, EventEngine::Bucket, "buckets by default");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::config::FlConfig;
 use crate::solution::FlSolution;
-use crate::stars::{self, StarOrders};
+use crate::stars::{self, LazyOrders};
 use parfaclo_lp::dual;
 use parfaclo_matrixops::CostMeter;
 use parfaclo_metric::{ClientId, DistanceOracle, FacilityId, FlInstance};
@@ -80,15 +80,12 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
     let meter = CostMeter::new();
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
-    // Engine-selected client orders: the scan engine presorts every
-    // facility's clients up front (`O(m log m)`); the bucket engine
-    // partitions them into geometric distance buckets (`O(m)`) and sorts
-    // each bucket only when a star scan actually reaches it. Both serve the
-    // scans bit-identical distance sequences, so everything downstream —
-    // stars, τ, the subselection RNG stream, the open set — is byte-equal.
+    // Client orders: every facility's clients are partitioned into
+    // geometric distance buckets (`O(m)`), and a bucket is sorted only when
+    // a star scan actually reaches it.
     let mut orders = {
         let _span = trace::span("orders-build", Some(&meter));
-        StarOrders::build(inst, cfg.engine, cfg.policy, &meter)
+        LazyOrders::build(inst, cfg.policy, &meter)
     };
     let mut remaining: Vec<bool> = vec![true; nc];
     let mut remaining_count = nc;
@@ -105,7 +102,7 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
         let _span = trace::span("preprocess", Some(&meter));
         let gamma = inst.gamma();
         let threshold = gamma / (inst.m() as f64 * inst.m() as f64);
-        let stars = stars::all_cheapest_stars_with(
+        let stars = stars::all_cheapest_stars_lazy(
             inst,
             &fcost,
             &mut orders,
@@ -145,7 +142,7 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
         );
 
         // Step 1: cheapest maximal star per facility.
-        let stars = stars::all_cheapest_stars_with(
+        let stars = stars::all_cheapest_stars_lazy(
             inst,
             &fcost,
             &mut orders,
@@ -564,64 +561,18 @@ mod tests {
 
     #[test]
     fn work_counters_are_populated() {
-        // Sort accounting is engine-defined: the scan engine charges one
-        // full presort up front; the bucket engine charges one sort per
-        // lazily expanded bucket prefix. Either way at least one sort is
-        // recorded (a star scan cannot produce a star without a sorted
-        // prefix), counters are deterministic, and `rounds` agrees with the
-        // solution's round count.
-        use parfaclo_bucket::EventEngine;
+        // One sort is charged per lazily expanded bucket prefix, so at least
+        // one sort is recorded (a star scan cannot produce a star without a
+        // sorted prefix), and `rounds` agrees with the solution's round
+        // count.
         let inst = gen::facility_location(GenParams::uniform_square(30, 15).with_seed(1));
-        for engine in [EventEngine::Scan, EventEngine::Bucket] {
-            let sol = parallel_greedy(&inst, &FlConfig::new(0.1).with_engine(engine));
-            assert!(sol.work.element_ops > 0, "{engine}");
-            assert!(sol.work.primitive_calls > 0, "{engine}");
-            assert!(
-                sol.work.sort_calls >= 1,
-                "{engine}: sorted-prefix work must be recorded"
-            );
-            assert_eq!(sol.work.rounds as usize, sol.rounds, "{engine}");
-        }
-    }
-
-    #[test]
-    fn scan_and_bucket_engines_agree_with_different_work_profiles() {
-        use parfaclo_bucket::EventEngine;
-        for seed in 0..4 {
-            let inst =
-                gen::facility_location(GenParams::gaussian_clusters(40, 12, 3).with_seed(seed));
-            let scan = parallel_greedy(
-                &inst,
-                &FlConfig::new(0.1)
-                    .with_seed(seed)
-                    .with_engine(EventEngine::Scan),
-            );
-            let bucket = parallel_greedy(
-                &inst,
-                &FlConfig::new(0.1)
-                    .with_seed(seed)
-                    .with_engine(EventEngine::Bucket),
-            );
-            // Results are byte-identical...
-            assert_eq!(scan.open, bucket.open, "seed {seed}");
-            assert_eq!(scan.cost.to_bits(), bucket.cost.to_bits(), "seed {seed}");
-            assert_eq!(
-                scan.lower_bound.to_bits(),
-                bucket.lower_bound.to_bits(),
-                "seed {seed}"
-            );
-            assert_eq!(scan.alpha, bucket.alpha, "seed {seed}");
-            assert_eq!(scan.assignment, bucket.assignment, "seed {seed}");
-            assert_eq!(scan.rounds, bucket.rounds, "seed {seed}");
-            assert_eq!(scan.inner_rounds, bucket.inner_rounds, "seed {seed}");
-            // ...while the sort profile legitimately differs: the scan
-            // engine's single presort covers every client, the bucket
-            // engine sorts at most what the scans consumed.
-            assert_eq!(scan.work.rounds, bucket.work.rounds, "seed {seed}");
-            assert_eq!(
-                scan.work.primitive_calls, bucket.work.primitive_calls,
-                "seed {seed}: both engines charge the paper's per-round primitives"
-            );
-        }
+        let sol = parallel_greedy(&inst, &FlConfig::new(0.1));
+        assert!(sol.work.element_ops > 0);
+        assert!(sol.work.primitive_calls > 0);
+        assert!(
+            sol.work.sort_calls >= 1,
+            "sorted-prefix work must be recorded"
+        );
+        assert_eq!(sol.work.rounds as usize, sol.rounds);
     }
 }

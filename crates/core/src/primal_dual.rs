@@ -20,7 +20,7 @@
 
 use crate::config::FlConfig;
 use crate::solution::FlSolution;
-use parfaclo_bucket::{BucketMapping, BucketQueue, EventEngine};
+use parfaclo_bucket::{BucketMapping, BucketQueue};
 use parfaclo_dominator::{max_u_dom, BipartiteGraph};
 use parfaclo_lp::dual;
 use parfaclo_matrixops::CostMeter;
@@ -58,182 +58,156 @@ pub fn parallel_primal_dual_detailed(inst: &FlInstance, cfg: &FlConfig) -> Prima
         nc > 0 && nf > 0,
         "instance must have clients and facilities"
     );
-    let eps = cfg.epsilon;
-    let slack = 1.0 + eps;
+    let slack = 1.0 + cfg.epsilon;
     let meter = CostMeter::new();
-    let m = inst.m() as f64;
-
-    let gamma = inst.gamma();
-    // Starting dual value. γ > 0 whenever some client has a positive distance or some
-    // facility a positive cost; if γ = 0 the whole instance is degenerate (every client
-    // sits on a free facility) and the loop below terminates immediately anyway.
-    let alpha0 = if cfg.preprocess {
-        gamma / (m * m)
-    } else {
-        // Without preprocessing start at the smallest scale present in the input so the
-        // guarantee still holds; only the round bound degrades.
-        let min_pos = inst
-            .distances()
-            .min_positive_entry()
-            .unwrap_or(1.0)
-            .min(gamma.max(f64::MIN_POSITIVE));
-        min_pos / (m * m)
-    };
-
-    let mut frozen: Vec<bool> = vec![false; nc];
-    let mut alpha: Vec<f64> = vec![0.0; nc];
-    let mut opened: Vec<bool> = vec![false; nf];
-    let mut free_facilities: Vec<FacilityId> = Vec::new();
-    let mut temporarily_open: Vec<FacilityId> = Vec::new();
-
-    // ---- Preprocessing: free facilities ------------------------------------------------
-    if cfg.preprocess && gamma > 0.0 {
-        let _span = trace::span("preprocess", Some(&meter));
-        meter.add_primitive(inst.m() as u64);
-        let threshold = gamma / (m * m);
-        let is_free = |i: usize| -> bool {
-            let paid: f64 = (0..nc)
-                .map(|j| (threshold - inst.dist(j, i)).max(0.0))
-                .sum();
-            paid >= inst.facility_cost(i)
-        };
-        let free: Vec<bool> = if cfg.policy.run_parallel(inst.m()) {
-            (0..nf).into_par_iter().map(is_free).collect()
-        } else {
-            (0..nf).map(is_free).collect()
-        };
-        for i in 0..nf {
-            if free[i] {
-                opened[i] = true;
-                free_facilities.push(i);
-            }
-        }
-        // Clients adjacent to a free facility at distance <= γ/m² are freely connected.
-        meter.add_primitive(inst.m() as u64);
-        for j in 0..nc {
-            if free_facilities
-                .iter()
-                .any(|&i| inst.dist(j, i) <= threshold)
-            {
-                frozen[j] = true;
-                alpha[j] = 0.0;
-            }
-        }
-    }
+    let (gamma, alpha0) = starting_level(inst, cfg);
+    let Ladder {
+        mut frozen,
+        mut alpha,
+        mut opened,
+        free_facilities,
+    } = preprocess(inst, cfg, gamma, &meter);
 
     // ---- Main iterations ---------------------------------------------------------------
     //
-    // Both engines execute the *same* iteration ladder `t = α₀·(1+ε)^ℓ` and produce
-    // byte-identical `(opened, frozen, α, temporarily_open, iterations)` — only the
-    // work profile differs. `Scan` re-evaluates every facility and client each
-    // iteration (the paper's data-parallel formulation); `Bucket` schedules each
-    // facility/client on a deterministic bucket queue and touches it only when its
-    // event level arrives.
+    // The iteration ladder `t = α₀·(1+ε)^ℓ`, one `t *= slack` per iteration, with the
+    // paper's exact open/freeze comparisons — but instead of rescanning all `m` entries
+    // per iteration, facilities and clients wait on two deterministic bucket queues and
+    // are touched only when their event level arrives:
+    //
+    // * an **open queue** keyed by the (integer) earliest iteration at which a
+    //   facility's payments could cover its cost; a popped facility gets the exact
+    //   `Σ_j max(0, (1+ε)·α_j − d(j,i))` check and is either opened or conservatively
+    //   rescheduled, and
+    // * a **freeze queue** keyed by each client's distance to its nearest opened
+    //   facility (`d_open_min`, an exact elementwise `min`); a client freezes in the
+    //   first iteration with `(1+ε)·t ≥ d_open_min[j]`, which is exactly the paper's
+    //   freeze predicate because every unfrozen dual equals `t`. Key decreases use lazy
+    //   deletion: stale (higher-keyed) entries pop later and are skipped via `frozen`.
+    //
+    // Within an iteration opens are processed before freezes (ascending facility id),
+    // so clients reached by a facility opened in the *same* iteration freeze in that
+    // iteration. The test-only `rescan_ladder` replays the data-parallel formulation and
+    // must agree bit for bit. Work-meter charges reflect the events actually evaluated.
     let ascent_span = trace::span("dual-ascent", Some(&meter));
-    let mut iterations = 0usize;
-    let mut t = alpha0;
-    match cfg.engine {
-        EventEngine::Scan => {
-            while frozen.iter().any(|&f| !f) && opened.iter().any(|&o| !o) {
-                iterations += 1;
-                meter.add_round();
-                // Frontier = unfrozen clients at the start of the iteration;
-                // identical to the bucket engine's `unfrozen_count` because
-                // the engines replay the same ladder state-for-state.
-                trace::round(
-                    iterations as u64,
-                    || frozen.iter().filter(|&&f| !f).count() as u64,
-                    &meter,
-                );
-                assert!(
-                    iterations <= cfg.max_rounds,
-                    "parallel primal-dual exceeded {} iterations — this indicates a bug",
-                    cfg.max_rounds
-                );
+    let nc_f = nc as f64;
+    let ln_slack = slack.ln();
+    let mut temporarily_open: Vec<FacilityId> = Vec::new();
+    let mut unfrozen_count = frozen.iter().filter(|&&f| !f).count();
+    let mut unopened_count = opened.iter().filter(|&&o| !o).count();
 
-                // Step 1: unfrozen clients raise their dual to the current level.
-                for j in 0..nc {
-                    if !frozen[j] {
-                        alpha[j] = t;
-                    }
-                }
-                meter.add_primitive(nc as u64);
-
-                // Step 2: open facilities whose slack-inflated payments cover their cost.
-                meter.add_primitive(inst.m() as u64);
-                let should_open = |i: usize| -> bool {
-                    if opened[i] {
-                        return false;
-                    }
-                    let paid: f64 = (0..nc)
-                        .map(|j| (slack * alpha[j] - inst.dist(j, i)).max(0.0))
-                        .sum();
-                    paid >= inst.facility_cost(i)
-                };
-                let newly: Vec<bool> = if cfg.policy.run_parallel(inst.m()) {
-                    (0..nf).into_par_iter().map(should_open).collect()
-                } else {
-                    (0..nf).map(should_open).collect()
-                };
-                for i in 0..nf {
-                    if newly[i] {
-                        opened[i] = true;
-                        temporarily_open.push(i);
-                    }
-                }
-
-                // Step 3: freeze clients that can reach an open facility within the slack.
-                meter.add_primitive(inst.m() as u64);
-                let should_freeze = |j: usize| -> bool {
-                    !frozen[j] && (0..nf).any(|i| opened[i] && slack * alpha[j] >= inst.dist(j, i))
-                };
-                let newly_frozen: Vec<bool> = if cfg.policy.run_parallel(inst.m()) {
-                    (0..nc).into_par_iter().map(should_freeze).collect()
-                } else {
-                    (0..nc).map(should_freeze).collect()
-                };
-                for j in 0..nc {
-                    if newly_frozen[j] {
-                        frozen[j] = true;
-                    }
-                }
-
-                // Step 4 (the graph H) is materialised once at the end from the final α
-                // values: edges only ever get added and the membership test is monotone
-                // in α.
-                t *= slack;
+    // d_open_min[j] = min distance from client j to any opened facility (exact f64 min,
+    // so the order of updates is immaterial). Seeded from the free facilities.
+    let mut d_open_min = vec![f64::INFINITY; nc];
+    let mut col = vec![0.0f64; nc];
+    for &i in &free_facilities {
+        inst.distances().col_range_into(i, 0, &mut col);
+        meter.add_primitive(nc as u64);
+        for (m, &d) in d_open_min.iter_mut().zip(col.iter()) {
+            if d < *m {
+                *m = d;
             }
         }
-        EventEngine::Bucket => {
-            bucket_event_loop(
-                inst,
-                cfg,
-                &meter,
-                slack,
-                alpha0,
-                &mut frozen,
-                &mut alpha,
-                &mut opened,
-                &free_facilities,
-                &mut temporarily_open,
-                &mut iterations,
-                &mut t,
-            );
+    }
+
+    let mut freeze_q = BucketQueue::new(BucketMapping::geometric_default());
+    for j in 0..nc {
+        if !frozen[j] && d_open_min[j].is_finite() {
+            freeze_q.insert(j as u32, d_open_min[j]);
         }
     }
 
-    // If every facility opened before every client froze, the remaining clients' duals
-    // rise just enough to reach their closest (now open) facility.
-    for j in 0..nc {
-        if !frozen[j] {
-            let d_min = (0..nf)
-                .filter(|&i| opened[i])
-                .map(|i| inst.dist(j, i))
-                .fold(f64::INFINITY, f64::min);
-            alpha[j] = alpha[j].max(d_min);
-            frozen[j] = true;
+    // Integer iteration indices are exact as f64, so a linear unit-width mapping gives
+    // one bucket per iteration and exact readiness tests.
+    let mut open_q = BucketQueue::new(BucketMapping::Linear {
+        origin: 0.0,
+        width: 1.0,
+    });
+    for (i, &is_open) in opened.iter().enumerate() {
+        if !is_open {
+            let step = earliest_open_step(inst.facility_cost(i), nc_f, slack, alpha0, ln_slack);
+            open_q.insert(i as u32, step as f64);
         }
     }
+
+    let mut iterations = 0usize;
+    let mut t = alpha0;
+    // Level of the last executed iteration: every still-unfrozen dual holds it (0.0 if
+    // no iteration ran).
+    let mut last_level = 0.0f64;
+    while unfrozen_count > 0 && unopened_count > 0 {
+        iterations += 1;
+        meter.add_round();
+        trace::round(iterations as u64, || unfrozen_count as u64, &meter);
+        assert!(
+            iterations <= cfg.max_rounds,
+            "parallel primal-dual exceeded {} iterations — this indicates a bug",
+            cfg.max_rounds
+        );
+        let step = (iterations - 1) as f64;
+        let level = t;
+        last_level = level;
+
+        // Step 2: exact payment check for every facility whose scheduled iteration has
+        // arrived, in ascending facility id. Unfrozen duals conceptually hold `t`; the
+        // write is deferred until they freeze.
+        let mut ready = open_q.extract_ready(step);
+        ready.sort_unstable_by_key(|&(i, _)| i);
+        for (iu, _) in ready {
+            let i = iu as usize;
+            let paid: f64 = (0..nc)
+                .map(|j| {
+                    let aj = if frozen[j] { alpha[j] } else { level };
+                    (slack * aj - inst.dist(j, i)).max(0.0)
+                })
+                .sum();
+            meter.add_primitive(nc as u64);
+            let fi = inst.facility_cost(i);
+            if paid >= fi {
+                opened[i] = true;
+                unopened_count -= 1;
+                temporarily_open.push(i);
+                // Fold the new facility's column into d_open_min and re-key clients
+                // whose nearest open facility got closer.
+                inst.distances().col_range_into(i, 0, &mut col);
+                meter.add_primitive(nc as u64);
+                for j in 0..nc {
+                    if col[j] < d_open_min[j] {
+                        d_open_min[j] = col[j];
+                        if !frozen[j] {
+                            freeze_q.insert(j as u32, col[j]);
+                        }
+                    }
+                }
+            } else {
+                let ahead = reschedule_ahead(fi - paid, nc_f, slack, level, ln_slack);
+                open_q.insert(iu, step + ahead as f64);
+            }
+        }
+
+        // Step 3: every unfrozen client with an opened facility within `(1+ε)·t`
+        // freezes now, at `α_j = t`.
+        let ready = freeze_q.extract_ready(slack * level);
+        meter.add_primitive(ready.len() as u64);
+        for (ju, _) in ready {
+            let j = ju as usize;
+            if !frozen[j] {
+                frozen[j] = true;
+                alpha[j] = level;
+                unfrozen_count -= 1;
+            }
+        }
+
+        // Step 4 (the graph H) is materialised once at the end from the final α values:
+        // edges only ever get added and the membership test is monotone in α.
+        t *= slack;
+    }
+    for j in 0..nc {
+        if !frozen[j] {
+            alpha[j] = last_level;
+        }
+    }
+    raise_unfrozen(inst, &frozen, &mut alpha, &opened);
     drop(ascent_span);
 
     // ---- Post-processing: MaxUDom over the tight-edge graph ----------------------------
@@ -290,6 +264,100 @@ pub fn parallel_primal_dual_detailed(inst: &FlInstance, cfg: &FlConfig) -> Prima
     }
 }
 
+/// `γ = max_j min_i (f_i + d(j,i))` and the ladder's starting dual level `α₀`.
+fn starting_level(inst: &FlInstance, cfg: &FlConfig) -> (f64, f64) {
+    let m = inst.m() as f64;
+    let gamma = inst.gamma();
+    // γ > 0 whenever some client has a positive distance or some facility a positive
+    // cost; if γ = 0 the whole instance is degenerate (every client sits on a free
+    // facility) and the ladder terminates immediately anyway.
+    let alpha0 = if cfg.preprocess {
+        gamma / (m * m)
+    } else {
+        // Without preprocessing start at the smallest scale present in the input so the
+        // guarantee still holds; only the round bound degrades.
+        let min_pos = inst
+            .distances()
+            .min_positive_entry()
+            .unwrap_or(1.0)
+            .min(gamma.max(f64::MIN_POSITIVE));
+        min_pos / (m * m)
+    };
+    (gamma, alpha0)
+}
+
+/// The dual-ascent state the ladder starts from.
+struct Ladder {
+    frozen: Vec<bool>,
+    alpha: Vec<f64>,
+    opened: Vec<bool>,
+    /// Facilities opened by preprocessing (`F_0`).
+    free_facilities: Vec<FacilityId>,
+}
+
+/// Preprocessing: opens the "free" facilities already paid for at the starting dual
+/// value `γ/m²` and freezes their co-located clients at `α = 0`. Everything starts
+/// unfrozen and closed without preprocessing or when `γ = 0`.
+fn preprocess(inst: &FlInstance, cfg: &FlConfig, gamma: f64, meter: &CostMeter) -> Ladder {
+    let nc = inst.num_clients();
+    let nf = inst.num_facilities();
+    let mut ladder = Ladder {
+        frozen: vec![false; nc],
+        alpha: vec![0.0; nc],
+        opened: vec![false; nf],
+        free_facilities: Vec::new(),
+    };
+    if !(cfg.preprocess && gamma > 0.0) {
+        return ladder;
+    }
+    let _span = trace::span("preprocess", Some(meter));
+    meter.add_primitive(inst.m() as u64);
+    let m = inst.m() as f64;
+    let threshold = gamma / (m * m);
+    let is_free = |i: usize| -> bool {
+        let paid: f64 = (0..nc)
+            .map(|j| (threshold - inst.dist(j, i)).max(0.0))
+            .sum();
+        paid >= inst.facility_cost(i)
+    };
+    let free: Vec<bool> = if cfg.policy.run_parallel(inst.m()) {
+        (0..nf).into_par_iter().map(is_free).collect()
+    } else {
+        (0..nf).map(is_free).collect()
+    };
+    ladder.free_facilities = (0..nf).filter(|&i| free[i]).collect();
+    for &i in &ladder.free_facilities {
+        ladder.opened[i] = true;
+    }
+    // Clients adjacent to a free facility at distance <= γ/m² are freely connected.
+    meter.add_primitive(inst.m() as u64);
+    for j in 0..nc {
+        if ladder
+            .free_facilities
+            .iter()
+            .any(|&i| inst.dist(j, i) <= threshold)
+        {
+            ladder.frozen[j] = true;
+            ladder.alpha[j] = 0.0;
+        }
+    }
+    ladder
+}
+
+/// If every facility opened before every client froze, the remaining clients' duals
+/// rise just enough to reach their closest (now open) facility.
+fn raise_unfrozen(inst: &FlInstance, frozen: &[bool], alpha: &mut [f64], opened: &[bool]) {
+    for j in 0..frozen.len() {
+        if !frozen[j] {
+            let d_min = (0..opened.len())
+                .filter(|&i| opened[i])
+                .map(|i| inst.dist(j, i))
+                .fold(f64::INFINITY, f64::min);
+            alpha[j] = alpha[j].max(d_min);
+        }
+    }
+}
+
 /// Earliest 0-based iteration at which facility `i` (cost `fi`) could possibly
 /// open: payments are bounded by `nc·(1+ε)·t` because every dual is at most the
 /// current level, so opening needs `t ≥ fi / (nc·(1+ε))`, i.e.
@@ -330,169 +398,52 @@ fn reschedule_ahead(deficit: f64, nc: f64, slack: f64, t: f64, ln_slack: f64) ->
     (k.min(1e12) as usize).saturating_sub(2).max(1)
 }
 
-/// The `EventEngine::Bucket` main loop of Algorithm 5.1.
-///
-/// Replays the scan engine's iteration ladder exactly — same `t` sequence (one
-/// `t *= slack` per iteration), same exact open/freeze comparisons in the same
-/// floating-point evaluation order — but instead of rescanning all `m` entries
-/// per iteration it pops events from two deterministic bucket queues:
-///
-/// * an **open queue** keyed by the (integer) earliest iteration at which a
-///   facility's payments could cover its cost; a popped facility gets the exact
-///   `Σ_j max(0, (1+ε)·α_j − d(j,i))` check (identical fold order to the scan
-///   engine) and is either opened or conservatively rescheduled, and
-/// * a **freeze queue** keyed by each client's distance to its nearest opened
-///   facility (`d_open_min`, an exact elementwise `min`); a client freezes in
-///   the first iteration with `(1+ε)·t ≥ d_open_min[j]`, which is exactly the
-///   scan engine's step-3 predicate because every unfrozen dual equals `t`.
-///   Key decreases use lazy deletion: stale (higher-keyed) entries pop later
-///   and are skipped via the `frozen` flag.
-///
-/// Within an iteration opens are processed before freezes (ascending facility
-/// id, as the scan engine appends them), so clients reached by a facility
-/// opened in the *same* iteration freeze in that iteration, matching step 2 →
-/// step 3 ordering. Work-meter charges reflect the events actually evaluated,
-/// so the work profile differs from the scan engine (by design); it is still a
-/// pure function of the instance and configuration.
-#[allow(clippy::too_many_arguments)]
-fn bucket_event_loop(
-    inst: &FlInstance,
-    cfg: &FlConfig,
-    meter: &CostMeter,
-    slack: f64,
-    alpha0: f64,
-    frozen: &mut [bool],
-    alpha: &mut [f64],
-    opened: &mut [bool],
-    free_facilities: &[FacilityId],
-    temporarily_open: &mut Vec<FacilityId>,
-    iterations: &mut usize,
-    t: &mut f64,
-) {
-    let nc = inst.num_clients();
-    let nc_f = nc as f64;
-    let ln_slack = slack.ln();
-
-    let mut unfrozen_count = frozen.iter().filter(|&&f| !f).count();
-    let mut unopened_count = opened.iter().filter(|&&o| !o).count();
-
-    // d_open_min[j] = min distance from client j to any opened facility (exact
-    // f64 min, so the order of updates is immaterial). Seeded from the
-    // preprocessing step's free facilities.
-    let mut d_open_min = vec![f64::INFINITY; nc];
-    let mut col = vec![0.0f64; nc];
-    for &i in free_facilities {
-        inst.distances().col_range_into(i, 0, &mut col);
-        meter.add_primitive(nc as u64);
-        for (m, &d) in d_open_min.iter_mut().zip(col.iter()) {
-            if d < *m {
-                *m = d;
-            }
+/// Reference ladder: the paper's data-parallel formulation, re-evaluating every
+/// facility and client each iteration. Returns the final α, the temporarily opened
+/// facilities in opening order, and the iteration count.
+#[cfg(test)]
+fn rescan_ladder(inst: &FlInstance, cfg: &FlConfig) -> (Vec<f64>, Vec<FacilityId>, usize) {
+    let (nc, nf) = (inst.num_clients(), inst.num_facilities());
+    let slack = 1.0 + cfg.epsilon;
+    let (gamma, mut t) = starting_level(inst, cfg);
+    let Ladder {
+        mut frozen,
+        mut alpha,
+        mut opened,
+        ..
+    } = preprocess(inst, cfg, gamma, &CostMeter::new());
+    let mut temporarily_open = Vec::new();
+    let mut iterations = 0usize;
+    while frozen.contains(&false) && opened.contains(&false) {
+        iterations += 1;
+        // Step 1: unfrozen clients raise their dual to the current level.
+        for j in (0..nc).filter(|&j| !frozen[j]) {
+            alpha[j] = t;
         }
-    }
-
-    let mut freeze_q = BucketQueue::new(BucketMapping::geometric_default());
-    for j in 0..nc {
-        if !frozen[j] && d_open_min[j].is_finite() {
-            freeze_q.insert(j as u32, d_open_min[j]);
+        // Step 2: open facilities whose slack-inflated payments cover their cost.
+        let newly: Vec<FacilityId> = (0..nf)
+            .filter(|&i| {
+                !opened[i]
+                    && (0..nc)
+                        .map(|j| (slack * alpha[j] - inst.dist(j, i)).max(0.0))
+                        .sum::<f64>()
+                        >= inst.facility_cost(i)
+            })
+            .collect();
+        for i in newly {
+            opened[i] = true;
+            temporarily_open.push(i);
         }
-    }
-
-    // Integer iteration indices are exact as f64, so a linear unit-width
-    // mapping gives one bucket per iteration and exact readiness tests.
-    let mut open_q = BucketQueue::new(BucketMapping::Linear {
-        origin: 0.0,
-        width: 1.0,
-    });
-    for (i, &is_open) in opened.iter().enumerate() {
-        if !is_open {
-            let step = earliest_open_step(inst.facility_cost(i), nc_f, slack, alpha0, ln_slack);
-            open_q.insert(i as u32, step as f64);
-        }
-    }
-
-    // Level of the last executed iteration: the scan engine's step 1 leaves
-    // every still-unfrozen dual at that value (0.0 if no iteration ran).
-    let mut last_level = 0.0f64;
-    while unfrozen_count > 0 && unopened_count > 0 {
-        *iterations += 1;
-        meter.add_round();
-        // Mirrors the scan engine's frontier exactly (same ladder state).
-        trace::round(*iterations as u64, || unfrozen_count as u64, meter);
-        assert!(
-            *iterations <= cfg.max_rounds,
-            "parallel primal-dual exceeded {} iterations — this indicates a bug",
-            cfg.max_rounds
-        );
-        let step = (*iterations - 1) as f64;
-        let level = *t;
-        last_level = level;
-
-        // Step 2 (event form): exact payment check for every facility whose
-        // scheduled iteration has arrived; ascending facility id so
-        // `temporarily_open` matches the scan engine's append order.
-        let mut ready = open_q.extract_ready(step);
-        ready.sort_unstable_by_key(|&(i, _)| i);
-        for (iu, _) in ready {
-            let i = iu as usize;
-            // Identical fold (order and operations) to the scan engine's
-            // `should_open`; unfrozen duals conceptually hold `t` (the scan
-            // engine's step 1 writes it, we defer the write until freeze).
-            let paid: f64 = (0..nc)
-                .map(|j| {
-                    let aj = if frozen[j] { alpha[j] } else { level };
-                    (slack * aj - inst.dist(j, i)).max(0.0)
-                })
-                .sum();
-            meter.add_primitive(nc as u64);
-            let fi = inst.facility_cost(i);
-            if paid >= fi {
-                opened[i] = true;
-                unopened_count -= 1;
-                temporarily_open.push(i);
-                // Fold the new facility's column into d_open_min and re-key
-                // clients whose nearest open facility got closer.
-                inst.distances().col_range_into(i, 0, &mut col);
-                meter.add_primitive(nc as u64);
-                for j in 0..nc {
-                    if col[j] < d_open_min[j] {
-                        d_open_min[j] = col[j];
-                        if !frozen[j] {
-                            freeze_q.insert(j as u32, col[j]);
-                        }
-                    }
-                }
-            } else {
-                let ahead = reschedule_ahead(fi - paid, nc_f, slack, level, ln_slack);
-                open_q.insert(iu, step + ahead as f64);
-            }
-        }
-
-        // Step 3 (event form): every unfrozen client with an opened facility
-        // within `(1+ε)·t` freezes now; `α_j = t` exactly as the scan engine's
-        // step 1 would have set before its step-3 test.
-        let threshold = slack * level;
-        let ready = freeze_q.extract_ready(threshold);
-        meter.add_primitive(ready.len() as u64);
-        for (ju, _) in ready {
-            let j = ju as usize;
-            if !frozen[j] {
+        // Step 3: freeze clients that can reach an open facility within the slack.
+        for j in 0..nc {
+            if (0..nf).any(|i| opened[i] && slack * alpha[j] >= inst.dist(j, i)) {
                 frozen[j] = true;
-                alpha[j] = level;
-                unfrozen_count -= 1;
             }
         }
-
-        *t *= slack;
+        t *= slack;
     }
-
-    // Mirror the scan engine's step-1 writes for clients that never froze, so
-    // the shared post-loop raise (`α_j = max(α_j, d_min)`) sees identical state.
-    for j in 0..nc {
-        if !frozen[j] {
-            alpha[j] = last_level;
-        }
-    }
+    raise_unfrozen(inst, &frozen, &mut alpha, &opened);
+    (alpha, temporarily_open, iterations)
 }
 
 #[cfg(test)]
@@ -673,43 +624,23 @@ mod tests {
 
     #[test]
     fn scan_and_bucket_engines_agree_bit_for_bit() {
-        // The bucket event engine must replay the scan engine's iteration
-        // ladder exactly: same opens (order included), same freeze levels,
-        // same α bits, same iteration count — only the work profile differs.
+        // The bucket event loop must replay the reference rescan ladder
+        // exactly: same opens (order included), same α bits, same
+        // iteration count.
         for seed in 0..4 {
             let inst = gen::facility_location(GenParams::uniform_square(24, 10).with_seed(seed));
             for preprocess in [true, false] {
-                let base = FlConfig::new(0.15)
+                let cfg = FlConfig::new(0.15)
                     .with_seed(seed)
                     .with_preprocess(preprocess);
-                let scan =
-                    parallel_primal_dual_detailed(&inst, &base.with_engine(EventEngine::Scan));
-                let bucket =
-                    parallel_primal_dual_detailed(&inst, &base.with_engine(EventEngine::Bucket));
-                assert_eq!(
-                    scan.temporarily_open, bucket.temporarily_open,
-                    "seed {seed}"
-                );
-                assert_eq!(scan.free_facilities, bucket.free_facilities, "seed {seed}");
-                assert_eq!(scan.solution.open, bucket.solution.open, "seed {seed}");
-                assert_eq!(scan.solution.rounds, bucket.solution.rounds, "seed {seed}");
-                assert_eq!(
-                    scan.solution.cost.to_bits(),
-                    bucket.solution.cost.to_bits(),
-                    "seed {seed}"
-                );
-                assert_eq!(
-                    scan.solution.lower_bound.to_bits(),
-                    bucket.solution.lower_bound.to_bits(),
-                    "seed {seed}"
-                );
-                for (a, b) in scan.solution.alpha.iter().zip(&bucket.solution.alpha) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}: α diverged");
+                let out = parallel_primal_dual_detailed(&inst, &cfg);
+                let (alpha, temporarily_open, iterations) = rescan_ladder(&inst, &cfg);
+                let label = format!("seed {seed}, preprocess {preprocess}");
+                assert_eq!(out.temporarily_open, temporarily_open, "{label}");
+                assert_eq!(out.solution.rounds, iterations, "{label}");
+                for (a, b) in out.solution.alpha.iter().zip(&alpha) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{label}: α diverged");
                 }
-                assert_eq!(
-                    scan.solution.work.rounds, bucket.solution.work.rounds,
-                    "seed {seed}: round charges must agree"
-                );
             }
         }
     }
@@ -720,11 +651,9 @@ mod tests {
         // loop must open it in iteration 1 at level t = 0 and freeze everyone.
         let dist0 = DistanceMatrix::from_rows(2, 2, vec![0.0, 5.0, 0.0, 5.0]);
         let inst0 = FlInstance::new(vec![0.0, 1.0], dist0);
-        for engine in [EventEngine::Scan, EventEngine::Bucket] {
-            let sol = parallel_primal_dual(&inst0, &FlConfig::new(0.1).with_engine(engine));
-            assert!(sol.open.contains(&0), "{engine}");
-            assert!((sol.cost - 0.0).abs() < 1e-9, "{engine}");
-        }
+        let sol = parallel_primal_dual(&inst0, &FlConfig::new(0.1));
+        assert!(sol.open.contains(&0));
+        assert!((sol.cost - 0.0).abs() < 1e-9);
     }
 
     #[test]

@@ -24,7 +24,6 @@ impl From<&RunConfig> for FlConfig {
             preprocess: cfg.preprocess,
             subselection: cfg.subselection,
             max_rounds: cfg.max_rounds,
-            engine: cfg.engine,
         }
     }
 }

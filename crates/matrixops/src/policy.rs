@@ -1,5 +1,4 @@
-//! Execution policy: sequential or fork-join-parallel, with optional
-//! grain-size tuning.
+//! Execution policy: sequential or fork-join-parallel.
 //!
 //! Every primitive in this crate takes an [`ExecPolicy`]. The sequential
 //! implementation is the reference (it is what the cost accounting models),
@@ -9,10 +8,9 @@
 //!
 //! The number of worker threads is *not* part of the policy — it is owned by
 //! the runtime (the rayon pool installed around the run; see
-//! `RunConfig::threads` in `parfaclo-api`), and [`ExecPolicy::threads`]
-//! merely reports the count the current policy will use. Determinism does
-//! not depend on it: every parallel primitive chunks its input independently
-//! of the thread count.
+//! `RunConfig::threads` in `parfaclo-api`). Determinism does not depend on
+//! it: every parallel primitive chunks its input independently of the
+//! thread count.
 
 /// Whether a primitive should run sequentially or on the fork-join pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,15 +22,6 @@ pub enum ExecPolicy {
     /// [`ExecPolicy::PAR_THRESHOLD`] grain.
     #[default]
     Parallel,
-    /// Parallel execution with an explicit grain: work items of at least
-    /// `grain` elements go parallel, smaller ones run sequentially. This is
-    /// the tuning knob for hot paths whose per-element work differs wildly
-    /// from the [`ExecPolicy::PAR_THRESHOLD`] assumption (e.g. a handful of
-    /// very expensive local-search move evaluations).
-    Tuned {
-        /// Minimum number of elements for which this policy goes parallel.
-        grain: usize,
-    },
 }
 
 impl ExecPolicy {
@@ -49,28 +38,6 @@ impl ExecPolicy {
         match self {
             ExecPolicy::Sequential => false,
             ExecPolicy::Parallel => len >= Self::PAR_THRESHOLD,
-            ExecPolicy::Tuned { grain } => len >= grain.max(1),
-        }
-    }
-
-    /// The parallelism threshold (grain) this policy applies.
-    #[inline]
-    pub fn grain(self) -> usize {
-        match self {
-            ExecPolicy::Sequential => usize::MAX,
-            ExecPolicy::Parallel => Self::PAR_THRESHOLD,
-            ExecPolicy::Tuned { grain } => grain.max(1),
-        }
-    }
-
-    /// Number of worker threads a parallel primitive will fan out over under
-    /// this policy: 1 for [`ExecPolicy::Sequential`], the current fork-join
-    /// pool size otherwise.
-    #[inline]
-    pub fn threads(self) -> usize {
-        match self {
-            ExecPolicy::Sequential => 1,
-            _ => rayon::current_num_threads(),
         }
     }
 }
@@ -87,31 +54,7 @@ mod tests {
     }
 
     #[test]
-    fn tuned_grain_overrides_threshold() {
-        let fine = ExecPolicy::Tuned { grain: 4 };
-        assert!(fine.run_parallel(4));
-        assert!(!fine.run_parallel(3));
-        assert_eq!(fine.grain(), 4);
-        // grain 0 is normalized to 1 rather than "always parallel on empty".
-        assert!(ExecPolicy::Tuned { grain: 0 }.run_parallel(1));
-        assert!(!ExecPolicy::Tuned { grain: 0 }.run_parallel(0));
-    }
-
-    #[test]
     fn default_is_parallel() {
         assert_eq!(ExecPolicy::default(), ExecPolicy::Parallel);
-    }
-
-    #[test]
-    fn threads_reflect_policy_and_pool() {
-        assert_eq!(ExecPolicy::Sequential.threads(), 1);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            assert_eq!(ExecPolicy::Parallel.threads(), 3);
-            assert_eq!(ExecPolicy::Tuned { grain: 10 }.threads(), 3);
-        });
     }
 }

@@ -1,11 +1,10 @@
 //! Trace-determinism conformance: the canonical projection of a traced run
 //! (span topology, per-span round deltas, round events) must be a pure
 //! function of the workload — byte-identical across distance backends,
-//! event engines, and thread counts. Wall-clock and work profiles may
-//! differ (the scan and bucket engines legitimately charge different
-//! element-op counts); none of that rides in the canonical trace.
+//! threshold-graph engines, and thread counts. Wall-clock profiles may
+//! differ; none of that rides in the canonical trace.
 
-use parfaclo_api::{Backend, EventEngine, RunConfig};
+use parfaclo_api::{Backend, GraphBackend, RunConfig};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
 use parfaclo_trace::{install, TraceDetail, Tracer};
@@ -46,11 +45,8 @@ fn variants(seed: u64) -> Vec<(String, RunConfig)> {
             ));
         }
     }
-    for engine in [EventEngine::Scan, EventEngine::Bucket] {
-        out.push((
-            format!("engine={engine:?}"),
-            base_cfg(seed).with_engine(engine),
-        ));
+    for graph in [GraphBackend::Dense, GraphBackend::Csr] {
+        out.push((format!("graph={graph:?}"), base_cfg(seed).with_graph(graph)));
     }
     out
 }
