@@ -258,7 +258,7 @@ pub trait DistanceOracle {
     ///
     /// The returned value anchors the primal-dual dual-level ladder when
     /// preprocessing is disabled (`α₀ = min_pos/m²`), and through it the
-    /// bucket event engine's geometric bucket keys, so it must be:
+    /// dual-ascent event loop's geometric bucket keys, so it must be:
     ///
     /// * **exact** — the bit-exact smallest entry satisfying `d > 0.0`, not
     ///   an approximation (`-0.0` and `+0.0` are both excluded; denormals
@@ -1269,7 +1269,7 @@ mod tests {
     #[test]
     fn min_positive_entry_is_exact_about_zero_and_denormals() {
         // Strictly positive: +0.0 and -0.0 are excluded, denormals included
-        // (they are positive numbers, and the event-engine bucket mapping
+        // (they are positive numbers, and the geometric bucket mapping
         // handles them).
         let tiny = f64::from_bits(1);
         let m = DistanceMatrix::from_rows(2, 2, vec![0.0, -0.0, tiny, 3.0]);
