@@ -22,9 +22,10 @@ pub struct FlConfig {
     /// Disabling it ("open every candidate") is an ablation knob for experiment E10 and
     /// voids the approximation guarantee.
     pub subselection: bool,
-    /// Defensive cap on outer rounds (the theory bounds rounds by `O(log_{1+ε} m)`; the
-    /// cap is orders of magnitude larger and only exists to turn a logic bug into a
-    /// panic instead of an infinite loop).
+    /// Cap on outer rounds (the theory bounds rounds by `O(log_{1+ε} m)`). Primal-dual
+    /// refuses up front when its derived bound exceeds the cap; elsewhere the cap is
+    /// orders of magnitude above the bound and turns a logic bug into a panic instead
+    /// of an infinite loop.
     pub max_rounds: usize,
 }
 

@@ -58,7 +58,7 @@
 //! let cfg = FlConfig::new(0.1).with_seed(7);
 //!
 //! let g = greedy::parallel_greedy(&inst, &cfg);
-//! let pd = primal_dual::parallel_primal_dual(&inst, &cfg);
+//! let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
 //!
 //! assert!(g.cost >= pd.lower_bound - 1e-9);
 //! ```
@@ -99,7 +99,10 @@ pub mod compat {
         since = "0.1.0",
         note = "use `solvers::PrimalDualSolver` via the registry"
     )]
-    pub fn parallel_primal_dual(inst: &FlInstance, cfg: &FlConfig) -> FlSolution {
+    pub fn parallel_primal_dual(
+        inst: &FlInstance,
+        cfg: &FlConfig,
+    ) -> Result<FlSolution, primal_dual::RoundBoundError> {
         primal_dual::parallel_primal_dual(inst, cfg)
     }
 }

@@ -41,17 +41,56 @@ pub struct PrimalDualOutput {
     pub postprocess_rounds: usize,
 }
 
+/// Refusal to run Algorithm 5.1 with an `ε` too small for the round cap.
+///
+/// Once the dual level `t` reaches `γ = max_j min_i (f_i + d(j,i))`, every unfrozen
+/// client pays for its cheapest facility on its own and freezes on it. The ladder
+/// therefore runs at most `⌈ln(γ/α₀) / ln(1+ε)⌉ + 2` iterations (the `+ 2` absorbs
+/// rounding); a run whose bound exceeds `max_rounds` is refused before it starts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoundBoundError {
+    /// The configured slack `ε`.
+    pub epsilon: f64,
+    /// The derived iteration bound; infinite when `1 + ε` rounds to `1` in `f64`.
+    pub bound: f64,
+    /// The configured iteration cap.
+    pub max_rounds: usize,
+}
+
+impl std::fmt::Display for RoundBoundError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "eps = {} needs up to {} dual-ascent iterations \
+             (ceil(ln(gamma/alpha0) / ln(1 + eps)) + 2), above max_rounds = {}; \
+             use a larger eps",
+            self.epsilon, self.bound, self.max_rounds
+        )
+    }
+}
+
+impl std::error::Error for RoundBoundError {}
+
 /// Runs Algorithm 5.1 and returns just the solution.
-pub fn parallel_primal_dual(inst: &FlInstance, cfg: &FlConfig) -> FlSolution {
-    parallel_primal_dual_detailed(inst, cfg).solution
+pub fn parallel_primal_dual(
+    inst: &FlInstance,
+    cfg: &FlConfig,
+) -> Result<FlSolution, RoundBoundError> {
+    parallel_primal_dual_detailed(inst, cfg).map(|out| out.solution)
 }
 
 /// Runs Algorithm 5.1, returning the solution plus the intermediate facility sets.
 ///
+/// # Errors
+/// Refuses with [`RoundBoundError`] when the paper's iteration bound exceeds
+/// `cfg.max_rounds`.
+///
 /// # Panics
-/// Panics if the instance has no clients or no facilities, or if the defensive
-/// `cfg.max_rounds` cap is exceeded.
-pub fn parallel_primal_dual_detailed(inst: &FlInstance, cfg: &FlConfig) -> PrimalDualOutput {
+/// Panics if the instance has no clients or no facilities.
+pub fn parallel_primal_dual_detailed(
+    inst: &FlInstance,
+    cfg: &FlConfig,
+) -> Result<PrimalDualOutput, RoundBoundError> {
     let nc = inst.num_clients();
     let nf = inst.num_facilities();
     assert!(
@@ -59,8 +98,23 @@ pub fn parallel_primal_dual_detailed(inst: &FlInstance, cfg: &FlConfig) -> Prima
         "instance must have clients and facilities"
     );
     let slack = 1.0 + cfg.epsilon;
+    let ln_slack = slack.ln();
     let meter = CostMeter::new();
     let (gamma, alpha0) = starting_level(inst, cfg);
+    if gamma > 0.0 {
+        let bound = if ln_slack > 0.0 {
+            ((gamma / alpha0).ln() / ln_slack).ceil() + 2.0
+        } else {
+            f64::INFINITY
+        };
+        if bound > cfg.max_rounds as f64 {
+            return Err(RoundBoundError {
+                epsilon: cfg.epsilon,
+                bound,
+                max_rounds: cfg.max_rounds,
+            });
+        }
+    }
     let Ladder {
         mut frozen,
         mut alpha,
@@ -91,7 +145,6 @@ pub fn parallel_primal_dual_detailed(inst: &FlInstance, cfg: &FlConfig) -> Prima
     // must agree bit for bit. Work-meter charges reflect the events actually evaluated.
     let ascent_span = trace::span("dual-ascent", Some(&meter));
     let nc_f = nc as f64;
-    let ln_slack = slack.ln();
     let mut temporarily_open: Vec<FacilityId> = Vec::new();
     let mut unfrozen_count = frozen.iter().filter(|&&f| !f).count();
     let mut unopened_count = opened.iter().filter(|&&o| !o).count();
@@ -256,12 +309,12 @@ pub fn parallel_primal_dual_detailed(inst: &FlInstance, cfg: &FlConfig) -> Prima
     drop(certify_span);
     solution.work = meter.report();
 
-    PrimalDualOutput {
+    Ok(PrimalDualOutput {
         solution,
         free_facilities,
         temporarily_open,
         postprocess_rounds: dom.rounds,
-    }
+    })
 }
 
 /// `γ = max_j min_i (f_i + d(j,i))` and the ladder's starting dual level `α₀`.
@@ -461,13 +514,13 @@ mod tests {
         // is opened as a "free" facility straight away (the paper assumes large m; for
         // m = 1 this costs nothing since the solution is forced anyway).
         let inst = FlInstance::new(vec![2.0], DistanceMatrix::from_rows(1, 1, vec![1.0]));
-        let sol = parallel_primal_dual(&inst, &FlConfig::new(0.1));
+        let sol = parallel_primal_dual(&inst, &FlConfig::new(0.1)).unwrap();
         assert_eq!(sol.open, vec![0]);
         assert!((sol.cost - 3.0).abs() < 1e-9);
         assert!(sol.alpha[0] <= 3.0 * 1.1 + 1e-9);
 
         // Without preprocessing the dual must rise to (roughly) the exact JV value 3.
-        let sol2 = parallel_primal_dual(&inst, &FlConfig::new(0.1).with_preprocess(false));
+        let sol2 = parallel_primal_dual(&inst, &FlConfig::new(0.1).with_preprocess(false)).unwrap();
         assert_eq!(sol2.open, vec![0]);
         assert!(sol2.alpha[0] <= 3.0 * 1.1 + 1e-9 && sol2.alpha[0] >= 3.0 / 1.1 - 1e-9);
     }
@@ -477,7 +530,7 @@ mod tests {
         // Theorem 5.4: (3 + ε')-approximation. Check against brute force.
         for seed in 0..10 {
             let inst = gen::facility_location(GenParams::uniform_square(12, 6).with_seed(seed));
-            let sol = parallel_primal_dual(&inst, &FlConfig::new(0.1).with_seed(seed));
+            let sol = parallel_primal_dual(&inst, &FlConfig::new(0.1).with_seed(seed)).unwrap();
             let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
             assert!(
                 sol.cost <= (3.0 + 3.0 * 0.1 + 0.05) * opt + 1e-6,
@@ -493,7 +546,7 @@ mod tests {
         for seed in 0..6 {
             let inst =
                 gen::facility_location(GenParams::gaussian_clusters(14, 7, 3).with_seed(seed));
-            let sol = parallel_primal_dual(&inst, &FlConfig::new(0.2).with_seed(seed));
+            let sol = parallel_primal_dual(&inst, &FlConfig::new(0.2).with_seed(seed)).unwrap();
             // Claim 5.1: α with canonical β is dual feasible (tolerate tiny fp slack).
             assert!(
                 dual::check_alpha_feasible(&inst, &sol.alpha, 1e-6).is_ok(),
@@ -510,7 +563,7 @@ mod tests {
         for seed in 0..6 {
             let inst = gen::facility_location(GenParams::uniform_square(25, 10).with_seed(seed));
             let seq = jain_vazirani(&inst);
-            let par = parallel_primal_dual(&inst, &FlConfig::new(0.05).with_seed(seed));
+            let par = parallel_primal_dual(&inst, &FlConfig::new(0.05).with_seed(seed)).unwrap();
             // Both are ≤ 3(1+O(ε))·opt; relative to each other they should be within a
             // small constant factor (and usually nearly identical).
             assert!(
@@ -526,7 +579,7 @@ mod tests {
     fn iteration_count_is_logarithmic() {
         let inst = gen::facility_location(GenParams::uniform_square(80, 40).with_seed(2));
         let cfg = FlConfig::new(0.1);
-        let out = parallel_primal_dual_detailed(&inst, &cfg);
+        let out = parallel_primal_dual_detailed(&inst, &cfg).unwrap();
         // Theory: at most ~3·log_{1+ε}(m) iterations with preprocessing.
         let m = inst.m() as f64;
         let bound = 3.0 * m.ln() / (1.1_f64).ln() + 10.0;
@@ -547,8 +600,8 @@ mod tests {
         let cfg_par = FlConfig::new(0.2)
             .with_seed(3)
             .with_policy(ExecPolicy::Parallel);
-        let a = parallel_primal_dual(&inst, &cfg_seq);
-        let b = parallel_primal_dual(&inst, &cfg_par);
+        let a = parallel_primal_dual(&inst, &cfg_seq).unwrap();
+        let b = parallel_primal_dual(&inst, &cfg_par).unwrap();
         assert_eq!(a.open, b.open);
         assert_eq!(a.cost, b.cost);
     }
@@ -559,7 +612,7 @@ mod tests {
         // by the preprocessing step (γ = 1 > 0 here because client 1 sits at distance 1).
         let dist = DistanceMatrix::from_rows(2, 2, vec![0.0, 5.0, 1.0, 5.0]);
         let inst = FlInstance::new(vec![0.0, 3.0], dist);
-        let out = parallel_primal_dual_detailed(&inst, &FlConfig::new(0.1));
+        let out = parallel_primal_dual_detailed(&inst, &FlConfig::new(0.1)).unwrap();
         assert!(out.free_facilities.contains(&0));
         assert!(out.solution.open.contains(&0));
         // Optimal cost is 1 (open the free facility; client 1 connects at distance 1).
@@ -571,7 +624,7 @@ mod tests {
         // the free facility in its first iteration at zero cost.
         let dist0 = DistanceMatrix::from_rows(2, 2, vec![0.0, 5.0, 0.0, 5.0]);
         let inst0 = FlInstance::new(vec![0.0, 1.0], dist0);
-        let sol0 = parallel_primal_dual(&inst0, &FlConfig::new(0.1));
+        let sol0 = parallel_primal_dual(&inst0, &FlConfig::new(0.1)).unwrap();
         assert!(sol0.open.contains(&0));
         assert!((sol0.cost - 0.0).abs() < 1e-9);
     }
@@ -582,7 +635,7 @@ mod tests {
         // opened (non-free) facility.
         let inst = gen::facility_location(GenParams::uniform_square(30, 12).with_seed(7));
         let cfg = FlConfig::new(0.25).with_seed(7);
-        let out = parallel_primal_dual_detailed(&inst, &cfg);
+        let out = parallel_primal_dual_detailed(&inst, &cfg).unwrap();
         let slack = 1.25;
         let non_free: Vec<_> = out
             .solution
@@ -607,7 +660,7 @@ mod tests {
                 .with_seed(5)
                 .with_cost_model(FacilityCostModel::Zero),
         );
-        let sol = parallel_primal_dual(&inst, &FlConfig::new(0.1));
+        let sol = parallel_primal_dual(&inst, &FlConfig::new(0.1)).unwrap();
         let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
         assert!(sol.cost <= (3.0 + 0.4) * opt + 1e-6);
     }
@@ -615,8 +668,9 @@ mod tests {
     #[test]
     fn preprocessing_ablation_still_meets_guarantee() {
         let inst = gen::facility_location(GenParams::uniform_square(12, 6).with_seed(11));
-        let without = parallel_primal_dual(&inst, &FlConfig::new(0.1).with_preprocess(false));
-        let with = parallel_primal_dual(&inst, &FlConfig::new(0.1));
+        let without =
+            parallel_primal_dual(&inst, &FlConfig::new(0.1).with_preprocess(false)).unwrap();
+        let with = parallel_primal_dual(&inst, &FlConfig::new(0.1)).unwrap();
         let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
         assert!(without.cost <= (3.0 + 0.4) * opt + 1e-6);
         assert!(with.cost <= (3.0 + 0.4) * opt + 1e-6);
@@ -633,7 +687,7 @@ mod tests {
                 let cfg = FlConfig::new(0.15)
                     .with_seed(seed)
                     .with_preprocess(preprocess);
-                let out = parallel_primal_dual_detailed(&inst, &cfg);
+                let out = parallel_primal_dual_detailed(&inst, &cfg).unwrap();
                 let (alpha, temporarily_open, iterations) = rescan_ladder(&inst, &cfg);
                 let label = format!("seed {seed}, preprocess {preprocess}");
                 assert_eq!(out.temporarily_open, temporarily_open, "{label}");
@@ -651,15 +705,55 @@ mod tests {
         // loop must open it in iteration 1 at level t = 0 and freeze everyone.
         let dist0 = DistanceMatrix::from_rows(2, 2, vec![0.0, 5.0, 0.0, 5.0]);
         let inst0 = FlInstance::new(vec![0.0, 1.0], dist0);
-        let sol = parallel_primal_dual(&inst0, &FlConfig::new(0.1));
+        let sol = parallel_primal_dual(&inst0, &FlConfig::new(0.1)).unwrap();
         assert!(sol.open.contains(&0));
         assert!((sol.cost - 0.0).abs() < 1e-9);
     }
 
     #[test]
+    fn tiny_epsilon_is_refused_with_the_round_bound() {
+        let inst = gen::facility_location(GenParams::uniform_square(50, 25).with_seed(0));
+        let err = parallel_primal_dual(&inst, &FlConfig::new(1e-12)).unwrap_err();
+        assert_eq!(err.epsilon, 1e-12);
+        assert_eq!(err.max_rounds, 100_000);
+        assert!(err.bound > 1e12, "{err}");
+        assert!(err.to_string().contains("max_rounds = 100000"), "{err}");
+        // 1 + ε rounds to 1: the ladder could never rise.
+        let err = parallel_primal_dual(&inst, &FlConfig::new(1e-17)).unwrap_err();
+        assert_eq!(err.bound, f64::INFINITY);
+    }
+
+    #[test]
+    fn measured_rounds_stay_within_the_derived_bound() {
+        for seed in 0..4 {
+            let inst = gen::facility_location(GenParams::uniform_square(40, 10).with_seed(seed));
+            for preprocess in [true, false] {
+                let cfg = FlConfig::new(0.1)
+                    .with_seed(seed)
+                    .with_preprocess(preprocess);
+                let rounds = parallel_primal_dual(&inst, &cfg).unwrap().rounds;
+                // A zero cap makes the run report its bound instead of solving.
+                let capped = FlConfig {
+                    max_rounds: 0,
+                    ..cfg
+                };
+                let bound = parallel_primal_dual(&inst, &capped).unwrap_err().bound;
+                assert!(
+                    rounds as f64 <= bound,
+                    "seed {seed}, preprocess {preprocess}: {rounds} rounds > bound {bound}"
+                );
+                if preprocess {
+                    // α₀ = γ/m² with m = 400: ⌈ln(160000) / ln(1.1)⌉ + 2.
+                    assert_eq!(bound, 128.0);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn work_counters_and_round_stats_populated() {
         let inst = gen::facility_location(GenParams::uniform_square(40, 20).with_seed(1));
-        let out = parallel_primal_dual_detailed(&inst, &FlConfig::new(0.1));
+        let out = parallel_primal_dual_detailed(&inst, &FlConfig::new(0.1)).unwrap();
         assert!(out.solution.work.element_ops > 0);
         assert!(out.solution.work.primitive_calls > 0);
         assert!(out.solution.rounds > 0);

@@ -113,7 +113,7 @@ impl Solver for PrimalDualSolver {
     }
 
     fn solve(&self, inst: &FlInstance, cfg: &FlConfig) -> Result<Run, String> {
-        let sol = primal_dual::parallel_primal_dual(inst, cfg);
+        let sol = primal_dual::parallel_primal_dual(inst, cfg).map_err(|e| e.to_string())?;
         Ok(echo(fl_envelope(self, inst, sol, cfg), cfg))
     }
 }

@@ -123,7 +123,7 @@ mod tests {
         let inst = gen::facility_location(GenParams::uniform_square(20, 10).with_seed(3));
         let cfg = FlConfig::new(0.1).with_seed(3);
         let g = greedy::parallel_greedy(&inst, &cfg);
-        let pd = primal_dual::parallel_primal_dual(&inst, &cfg);
+        let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         assert!(verify_solution(&inst, &g).is_ok());
         assert!(verify_solution(&inst, &pd).is_ok());
     }
@@ -159,7 +159,7 @@ mod tests {
     fn certified_ratio_uses_best_bound() {
         let inst = gen::facility_location(GenParams::uniform_square(8, 5).with_seed(5));
         let cfg = FlConfig::new(0.1).with_seed(5);
-        let sol = primal_dual::parallel_primal_dual(&inst, &cfg);
+        let sol = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         let lb = instance_lower_bound(&inst, 10_000);
         let ratio = certified_ratio(&inst, &sol, lb.best()).expect("certificate");
         assert!(ratio >= 1.0 - 1e-9);

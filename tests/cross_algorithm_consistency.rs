@@ -18,7 +18,7 @@ fn weak_duality_chain() {
         let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
         let jv = jain_vazirani(&inst);
         let jv_dual: f64 = jv.alpha.iter().sum();
-        let pd = primal_dual::parallel_primal_dual(&inst, &cfg);
+        let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         let g = greedy::parallel_greedy(&inst, &cfg);
 
         // Lower bounds below the optimum.
@@ -43,7 +43,8 @@ fn weak_duality_chain() {
 fn dual_certificates_are_consistent() {
     for seed in 0..4u64 {
         let inst = gen::facility_location(GenParams::gaussian_clusters(16, 8, 4).with_seed(seed));
-        let pd = primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.05).with_seed(seed));
+        let pd =
+            primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.05).with_seed(seed)).unwrap();
         let jv = jain_vazirani(&inst);
         assert!(dual::check_alpha_feasible(&inst, &pd.alpha, 1e-6).is_ok());
         assert!(dual::check_alpha_feasible(&inst, &jv.alpha, 1e-6).is_ok());
@@ -65,7 +66,7 @@ fn certified_ratios_respect_guarantees() {
     for seed in 0..4u64 {
         let inst = gen::facility_location(GenParams::uniform_square(14, 7).with_seed(seed));
         let cfg = FlConfig::new(0.1).with_seed(seed);
-        let pd = primal_dual::parallel_primal_dual(&inst, &cfg);
+        let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         let lb = verify::instance_lower_bound(&inst, 10_000);
         let ratio = verify::certified_ratio(&inst, &pd, lb.best()).expect("certificate");
         assert!(
@@ -91,7 +92,7 @@ fn gamma_bounds_bracket_algorithm_costs() {
         let inst = gen::facility_location(GenParams::line(20, 10).with_seed(seed));
         let bounds = lower_bounds::gamma_bounds(&inst);
         let cfg = FlConfig::new(0.1).with_seed(seed);
-        let pd = primal_dual::parallel_primal_dual(&inst, &cfg);
+        let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         assert!(bounds.lower <= pd.cost + 1e-9);
         assert!(pd.cost <= 3.5 * bounds.upper + 1e-6);
     }
@@ -105,7 +106,7 @@ fn gamma_bounds_bracket_algorithm_costs() {
 fn work_accounting_is_plausible() {
     let inst = gen::facility_location(GenParams::uniform_square(64, 32).with_seed(2));
     let cfg = FlConfig::new(0.1).with_seed(2);
-    let pd = primal_dual::parallel_primal_dual(&inst, &cfg);
+    let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
     let m = inst.m() as u64;
     let per_round_budget = 8 * m;
     assert!(

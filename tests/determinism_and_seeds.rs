@@ -19,8 +19,8 @@ fn facility_location_algorithms_are_deterministic() {
         assert_eq!(g1.cost, g2.cost);
         assert_eq!(g1.alpha, g2.alpha);
 
-        let p1 = primal_dual::parallel_primal_dual(&inst, &cfg);
-        let p2 = primal_dual::parallel_primal_dual(&inst, &cfg);
+        let p1 = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
+        let p2 = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         assert_eq!(p1.open, p2.open);
         assert_eq!(p1.rounds, p2.rounds);
     }
@@ -42,8 +42,12 @@ fn policy_does_not_change_results_anywhere() {
         greedy::parallel_greedy(&inst, &cfg_p).open
     );
     assert_eq!(
-        primal_dual::parallel_primal_dual(&inst, &cfg_s).open,
-        primal_dual::parallel_primal_dual(&inst, &cfg_p).open
+        primal_dual::parallel_primal_dual(&inst, &cfg_s)
+            .unwrap()
+            .open,
+        primal_dual::parallel_primal_dual(&inst, &cfg_p)
+            .unwrap()
+            .open
     );
 
     let kc_s = parallel_kcenter(&cinst, 4, 8, ExecPolicy::Sequential);
@@ -119,8 +123,8 @@ fn generator_reproducibility_is_end_to_end() {
     let b = gen::facility_location(params);
     let cfg = FlConfig::new(0.1).with_seed(1);
     assert_eq!(
-        primal_dual::parallel_primal_dual(&a, &cfg).open,
-        primal_dual::parallel_primal_dual(&b, &cfg).open
+        primal_dual::parallel_primal_dual(&a, &cfg).unwrap().open,
+        primal_dual::parallel_primal_dual(&b, &cfg).unwrap().open
     );
 }
 

@@ -81,7 +81,7 @@ fn prop_primal_dual_within_factor() {
         let inst = small_fl_instance(&mut rng);
         let seed = rng.gen_range(0..1000u64);
         let cfg = FlConfig::new(0.1).with_seed(seed);
-        let sol = primal_dual::parallel_primal_dual(&inst, &cfg);
+        let sol = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
         assert!(
             sol.cost <= (3.0 + 0.4) * opt + 1e-6,
@@ -213,7 +213,7 @@ fn prop_non_metric_inputs_do_not_break_structure() {
         let costs: Vec<f64> = (0..4).map(|_| rng.gen_range(0.1..50.0)).collect();
         let dist = DistanceMatrix::from_rows(3, 4, entries);
         let inst = FlInstance::new(costs, dist);
-        let sol = primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.2));
+        let sol = primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.2)).unwrap();
         assert!(!sol.open.is_empty(), "case {case}");
         assert_eq!(sol.assignment.len(), 3, "case {case}");
         assert!(sol.cost.is_finite(), "case {case}");

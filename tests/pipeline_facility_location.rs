@@ -17,7 +17,7 @@ fn all_algorithms_valid_on_standard_suite() {
         verify::verify_solution(&inst, &g)
             .unwrap_or_else(|e| panic!("greedy invalid on {}: {e}", wl.name));
 
-        let pd = primal_dual::parallel_primal_dual(&inst, &cfg);
+        let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         verify::verify_solution(&inst, &pd)
             .unwrap_or_else(|e| panic!("primal-dual invalid on {}: {e}", wl.name));
     }
@@ -53,7 +53,7 @@ fn parallel_and_sequential_agree_on_quality_scale() {
     let seq_g = jms_greedy(&inst);
     let seq_jv = jain_vazirani(&inst);
     let par_g = greedy::parallel_greedy(&inst, &cfg);
-    let par_pd = primal_dual::parallel_primal_dual(&inst, &cfg);
+    let par_pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
 
     // A common certified lower bound: the JV dual (exactly feasible).
     let dual: f64 = seq_jv.alpha.iter().sum();
@@ -82,8 +82,8 @@ fn io_round_trip_preserves_solution_costs() {
     let text = parfaclo_metric::io::write_fl_instance(&inst);
     let back = parfaclo_metric::io::read_fl_instance(&text).expect("parse");
     let cfg = FlConfig::new(0.2).with_seed(8);
-    let a = primal_dual::parallel_primal_dual(&inst, &cfg);
-    let b = primal_dual::parallel_primal_dual(&back, &cfg);
+    let a = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
+    let b = primal_dual::parallel_primal_dual(&back, &cfg).unwrap();
     assert_eq!(a.open, b.open);
     assert!((a.cost - b.cost).abs() < 1e-9);
 }
@@ -93,8 +93,9 @@ fn io_round_trip_preserves_solution_costs() {
 #[test]
 fn epsilon_controls_round_count() {
     let inst = gen::facility_location(GenParams::uniform_square(80, 32).with_seed(9));
-    let tight = primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.02).with_seed(1));
-    let loose = primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.5).with_seed(1));
+    let tight =
+        primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.02).with_seed(1)).unwrap();
+    let loose = primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.5).with_seed(1)).unwrap();
     assert!(loose.rounds < tight.rounds);
     // Both still valid.
     assert!(loose.cost >= loose.lower_bound - 1e-9);
