@@ -8,6 +8,7 @@ use parfaclo_api::{
     AnyInstance, Backend, BuildError, ProblemKind, Registry, Run, RunConfig, SolveError,
 };
 use parfaclo_metric::gen::{self, GenParams};
+use parfaclo_metric::SCRATCH_BYTES_CAP;
 
 /// A parsed `--gen` specification, e.g. `uniform:n=2000,k=40`.
 ///
@@ -165,7 +166,7 @@ impl GenSpec {
     /// Generates the instance variant the given problem family consumes,
     /// under the requested distance backend. The dense path reports
     /// overflowing matrix shapes as a typed error instead of aborting, and
-    /// refuses matrices past [`DENSE_BYTES_CAP`] with a pointer at the
+    /// refuses matrices past [`SCRATCH_BYTES_CAP`] with a pointer at the
     /// point-backed backends (the `xxlarge` preset under the default dense
     /// backend would otherwise attempt an unguarded 8 GB allocation and be
     /// OOM-killed instead of erroring helpfully).
@@ -181,11 +182,11 @@ impl GenSpec {
                 ProblemKind::KClustering | ProblemKind::DominatorSet => self.n,
             };
             let bytes = (self.n as u128) * (cols as u128) * 8;
-            if bytes > DENSE_BYTES_CAP as u128 {
+            if bytes > SCRATCH_BYTES_CAP as u128 {
                 return Err(BuildError::DenseBytesExceedCap {
                     rows: self.n,
                     cols,
-                    cap_bytes: DENSE_BYTES_CAP,
+                    cap_bytes: SCRATCH_BYTES_CAP,
                 });
             }
         }
@@ -203,13 +204,6 @@ impl GenSpec {
         }
     }
 }
-
-/// Largest dense distance matrix the CLI will materialise (4 GiB). The
-/// limit lives in the runner, not the metric library: programmatic callers
-/// of `try_facility_location` keep the overflow-only check, but a CLI
-/// invocation hitting this is virtually always a missing `--backend`
-/// choice, not a deliberate half-memory allocation.
-pub const DENSE_BYTES_CAP: u64 = 4 << 30;
 
 fn parse_usize(value: &str, key: &str) -> Result<usize, String> {
     value

@@ -128,7 +128,8 @@ impl Solver for PrimalDualSolver {
 /// If the simplex solver fails, the run is reported infeasible. The
 /// facility-location relaxation of a well-formed instance is always feasible
 /// (open everything) and bounded (costs are non-negative), so this only
-/// occurs on numerically degenerate inputs.
+/// occurs on numerically degenerate inputs — or, up front, when the dense
+/// tableau would exceed the scratch cap.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LpRoundingSolver;
 
@@ -155,8 +156,7 @@ impl Solver for LpRoundingSolver {
     fn solve(&self, inst: &FlInstance, cfg: &FlConfig) -> Result<Run, String> {
         let lp = {
             let _span = trace::span("lp-solve", None);
-            solve_facility_lp(inst)
-                .map_err(|e| format!("facility-location LP relaxation unsolvable: {e}"))?
+            solve_facility_lp(inst).map_err(|e| e.to_string())?
         };
         let sol = lp_rounding::parallel_lp_rounding(inst, &lp, cfg);
         Ok(echo(

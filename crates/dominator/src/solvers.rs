@@ -21,14 +21,8 @@ use crate::maxdom::max_dom;
 use crate::DominatorResult;
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
 use parfaclo_matrixops::{CostMeter, ExecPolicy};
-use parfaclo_metric::{ClusterInstance, DistanceOracle};
+use parfaclo_metric::{ClusterInstance, DistanceOracle, SCRATCH_BYTES_CAP};
 use parfaclo_trace as trace;
-
-/// Deriving the default threshold sorts all `n²` pairwise distances —
-/// `8n²` bytes of scratch. Past this bound (the same 4 GiB ceiling the
-/// dense structures use) the derivation is refused and the caller must
-/// pass an explicit threshold.
-const THRESHOLD_DERIVE_BYTES_CAP: u64 = 4 << 30;
 
 /// The distance threshold used to build the graph: explicit if configured,
 /// otherwise the median of the distinct pairwise distances (deterministic,
@@ -44,7 +38,7 @@ pub(crate) fn resolve_threshold(inst: &ClusterInstance, cfg: &RunConfig) -> Resu
     }
     let n = inst.n() as u64;
     let bytes = 8 * n * n;
-    if bytes > THRESHOLD_DERIVE_BYTES_CAP {
+    if bytes > SCRATCH_BYTES_CAP {
         return Err(format!(
             "deriving the default threshold sorts all n² pairwise distances \
              ({:.1} GiB of scratch for n = {}); pass an explicit --threshold \

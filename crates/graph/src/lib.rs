@@ -13,7 +13,7 @@
 //!   `DistanceOracle::cols_within` range queries);
 //! * the [`ThresholdGraph`] facade selecting between them per run via
 //!   [`GraphBackend`], with the dense side refusing allocations beyond
-//!   [`DENSE_GRAPH_BYTES_CAP`];
+//!   `parfaclo_metric::SCRATCH_BYTES_CAP`;
 //! * the frontier engine — [`VertexSubset`] (sparse id list / dense bitmap
 //!   with deterministic direction switching on a pure function of frontier
 //!   density, never thread count) and the [`edge_map`] / [`vertex_map`] /
@@ -37,4 +37,4 @@ pub use engine::{
     vertex_filter, vertex_map, BipartiteNeighbors, Neighbors,
 };
 pub use frontier::VertexSubset;
-pub use threshold::{GraphBackend, ThresholdGraph, DENSE_GRAPH_BYTES_CAP};
+pub use threshold::{GraphBackend, ThresholdGraph};

@@ -10,11 +10,7 @@
 
 use crate::engine::Neighbors;
 use crate::{CsrGraph, DenseGraph};
-
-/// Dense threshold graphs allocate `n²` adjacency bytes; beyond this cap the
-/// build is refused with a pointer at the CSR backend (mirroring the dense
-/// distance-matrix refusal in the runner).
-pub const DENSE_GRAPH_BYTES_CAP: u64 = 4 << 30;
+use parfaclo_metric::SCRATCH_BYTES_CAP;
 
 /// Which representation a threshold graph is built in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,7 +69,7 @@ impl ThresholdGraph {
     /// Builds `H_α` from a square distance oracle in the requested backend.
     ///
     /// The dense backend refuses instances whose `n²` adjacency bytes exceed
-    /// [`DENSE_GRAPH_BYTES_CAP`], pointing the caller at `--graph csr`
+    /// [`SCRATCH_BYTES_CAP`], pointing the caller at `--graph csr`
     /// instead of letting the allocator take the machine down.
     pub fn build(
         oracle: &parfaclo_metric::Oracle,
@@ -85,7 +81,7 @@ impl ThresholdGraph {
         match backend {
             GraphBackend::Dense => {
                 let bytes = (n as u64) * (n as u64);
-                if bytes > DENSE_GRAPH_BYTES_CAP {
+                if bytes > SCRATCH_BYTES_CAP {
                     return Err(format!(
                         "the dense graph backend would materialise a {:.1} GiB \
                          adjacency matrix for n = {}; use --graph csr, which stores \

@@ -13,7 +13,7 @@
 //! `(x, y)` is the input the parallel rounding algorithm of Section 6.2 expects.
 
 use crate::simplex::{self, Constraint, ConstraintOp, LinearProgram, SimplexOutcome};
-use parfaclo_metric::FlInstance;
+use parfaclo_metric::{FlInstance, SCRATCH_BYTES_CAP};
 
 /// An (optimal or at least feasible) fractional solution of the facility-location LP.
 #[derive(Debug, Clone)]
@@ -152,6 +152,14 @@ pub enum LpError {
     Infeasible,
     /// The LP was reported unbounded (cannot happen: the objective is non-negative).
     Unbounded,
+    /// The dense simplex tableau (`rows × cols` values of 8 bytes) would exceed
+    /// [`SCRATCH_BYTES_CAP`]; refused before allocating.
+    TableauTooLarge {
+        /// Constraint rows.
+        rows: usize,
+        /// Columns: variables, slacks, artificials and the right-hand side.
+        cols: usize,
+    },
 }
 
 impl std::fmt::Display for LpError {
@@ -159,6 +167,14 @@ impl std::fmt::Display for LpError {
         match self {
             LpError::Infeasible => write!(f, "facility-location LP reported infeasible"),
             LpError::Unbounded => write!(f, "facility-location LP reported unbounded"),
+            LpError::TableauTooLarge { rows, cols } => write!(
+                f,
+                "the dense simplex tableau for the LP relaxation needs {:.1} GiB \
+                 ({rows} rows x {cols} columns), above the {} GiB scratch cap; \
+                 use a smaller instance (n <= 50 solves in seconds)",
+                8.0 * *rows as f64 * *cols as f64 / (1u64 << 30) as f64,
+                SCRATCH_BYTES_CAP >> 30,
+            ),
         }
     }
 }
@@ -211,7 +227,7 @@ pub fn solve_facility_lp(inst: &FlInstance) -> Result<FlLpSolution, LpError> {
     let nc = inst.num_clients();
     let nf = inst.num_facilities();
     let lp = build_facility_lp(inst);
-    let sol = simplex::solve(&lp);
+    let sol = simplex::solve(&lp)?;
     match sol.outcome {
         SimplexOutcome::Infeasible => Err(LpError::Infeasible),
         SimplexOutcome::Unbounded => Err(LpError::Unbounded),
@@ -306,6 +322,26 @@ mod tests {
         let good = FlLpSolution::from_parts(&inst, vec![1.0, 0.0, 1.0, 0.0], vec![1.0, 0.0]);
         assert!(good.check_feasible(&inst, 1e-9).is_ok());
         assert!((good.value() - (1.0 + 2.0 + 1.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn oversized_tableau_is_refused_and_moderate_lp_still_solves() {
+        // nc = 300, nf = 150: 45,300 rows x 135,751 columns, ~46 GiB of tableau.
+        let inst = gen::facility_location(GenParams::uniform_square(300, 150).with_seed(1));
+        let err = solve_facility_lp(&inst).unwrap_err();
+        assert_eq!(
+            err,
+            LpError::TableauTooLarge {
+                rows: 45_300,
+                cols: 135_751
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("45.8 GiB"), "{msg}");
+        assert!(msg.contains("smaller instance"), "{msg}");
+        let inst = gen::facility_location(GenParams::uniform_square(40, 10).with_seed(1));
+        let lp = solve_facility_lp(&inst).expect("n = 40, nf = 10 fits the cap");
+        lp.check_feasible(&inst, 1e-6).expect("feasible");
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! row-major `Vec<f64>`, and each pivot is a rank-1 update over the full tableau,
 //! parallelised over rows with rayon when the tableau is large.
 
+use crate::faclp::LpError;
+use parfaclo_metric::SCRATCH_BYTES_CAP;
 use rayon::prelude::*;
 
 /// Relational operator of a constraint.
@@ -214,7 +216,11 @@ impl Tableau {
 type NormalisedRow = (Vec<(usize, f64)>, ConstraintOp, f64);
 
 /// Solves the program with the two-phase primal simplex method.
-pub fn solve(lp: &LinearProgram) -> SimplexSolution {
+///
+/// # Errors
+/// Refuses with [`LpError::TableauTooLarge`], before allocating, when the dense
+/// tableau would exceed [`SCRATCH_BYTES_CAP`].
+pub fn solve(lp: &LinearProgram) -> Result<SimplexSolution, LpError> {
     let n = lp.num_vars;
     let m = lp.constraints.len();
 
@@ -245,6 +251,10 @@ pub fn solve(lp: &LinearProgram) -> SimplexSolution {
         .count();
     let cols = n + num_slack + num_artificial + 1;
     let rhs_col = cols - 1;
+    let tableau_bytes = m.checked_mul(cols).and_then(|cells| cells.checked_mul(8));
+    if tableau_bytes.map_or(true, |bytes| bytes as u64 > SCRATCH_BYTES_CAP) {
+        return Err(LpError::TableauTooLarge { rows: m, cols });
+    }
 
     let mut data = vec![0.0; m * cols];
     let mut basis = vec![usize::MAX; m];
@@ -313,12 +323,12 @@ pub fn solve(lp: &LinearProgram) -> SimplexSolution {
         }
         let phase1_value = -tab.obj[rhs_col];
         if phase1_value > 1e-6 {
-            return SimplexSolution {
+            return Ok(SimplexSolution {
                 outcome: SimplexOutcome::Infeasible,
                 value: f64::NAN,
                 x: vec![],
                 pivots: tab.pivots,
-            };
+            });
         }
         // Drive any artificial variables still in the basis out of it (degenerate rows).
         for r in 0..m {
@@ -350,12 +360,12 @@ pub fn solve(lp: &LinearProgram) -> SimplexSolution {
     // Artificial columns are frozen in phase 2 by restricting the entering choice.
     let outcome = tab.run(n + num_slack, max_pivots);
     if outcome == SimplexOutcome::Unbounded {
-        return SimplexSolution {
+        return Ok(SimplexSolution {
             outcome,
             value: f64::NEG_INFINITY,
             x: vec![],
             pivots: tab.pivots,
-        };
+        });
     }
 
     // Extract the solution.
@@ -367,12 +377,12 @@ pub fn solve(lp: &LinearProgram) -> SimplexSolution {
         }
     }
     let value: f64 = lp.objective.iter().zip(x.iter()).map(|(c, v)| c * v).sum();
-    SimplexSolution {
+    Ok(SimplexSolution {
         outcome: SimplexOutcome::Optimal,
         value,
         x,
         pivots: tab.pivots,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -400,7 +410,7 @@ mod tests {
             ConstraintOp::Le,
             6.0,
         ));
-        let sol = solve(&lp);
+        let sol = solve(&lp).unwrap();
         assert_eq!(sol.outcome, SimplexOutcome::Optimal);
         assert_close(sol.value, -14.0 / 5.0);
         assert_close(sol.x[0], 8.0 / 5.0);
@@ -419,7 +429,7 @@ mod tests {
             4.0,
         ));
         lp.add_constraint(Constraint::new(vec![(0, 1.0)], ConstraintOp::Ge, 1.0));
-        let sol = solve(&lp);
+        let sol = solve(&lp).unwrap();
         assert_eq!(sol.outcome, SimplexOutcome::Optimal);
         assert_close(sol.value, 8.0);
         assert_close(sol.x[0], 4.0);
@@ -442,7 +452,7 @@ mod tests {
             ConstraintOp::Eq,
             1.0,
         ));
-        let sol = solve(&lp);
+        let sol = solve(&lp).unwrap();
         assert_eq!(sol.outcome, SimplexOutcome::Optimal);
         assert_close(sol.value, 3.0);
         assert_close(sol.x[0], 2.0);
@@ -456,7 +466,7 @@ mod tests {
         lp.set_objective(0, 1.0);
         lp.add_constraint(Constraint::new(vec![(0, 1.0)], ConstraintOp::Ge, 5.0));
         lp.add_constraint(Constraint::new(vec![(0, 1.0)], ConstraintOp::Le, 2.0));
-        let sol = solve(&lp);
+        let sol = solve(&lp).unwrap();
         assert_eq!(sol.outcome, SimplexOutcome::Infeasible);
     }
 
@@ -466,7 +476,7 @@ mod tests {
         let mut lp = LinearProgram::new(1);
         lp.set_objective(0, -1.0);
         lp.add_constraint(Constraint::new(vec![(0, 1.0)], ConstraintOp::Ge, 1.0));
-        let sol = solve(&lp);
+        let sol = solve(&lp).unwrap();
         assert_eq!(sol.outcome, SimplexOutcome::Unbounded);
     }
 
@@ -476,7 +486,7 @@ mod tests {
         let mut lp = LinearProgram::new(1);
         lp.set_objective(0, 1.0);
         lp.add_constraint(Constraint::new(vec![(0, -1.0)], ConstraintOp::Le, -2.0));
-        let sol = solve(&lp);
+        let sol = solve(&lp).unwrap();
         assert_eq!(sol.outcome, SimplexOutcome::Optimal);
         assert_close(sol.value, 2.0);
     }
@@ -494,7 +504,7 @@ mod tests {
             ConstraintOp::Le,
             2.0,
         ));
-        let sol = solve(&lp);
+        let sol = solve(&lp).unwrap();
         assert_eq!(sol.outcome, SimplexOutcome::Optimal);
         assert_close(sol.value, -2.0);
     }
@@ -515,7 +525,7 @@ mod tests {
             ConstraintOp::Eq,
             2.0,
         ));
-        let sol = solve(&lp);
+        let sol = solve(&lp).unwrap();
         assert_eq!(sol.outcome, SimplexOutcome::Optimal);
         assert_close(sol.value, 2.0);
         assert_close(sol.x[0], 2.0);
@@ -529,7 +539,7 @@ mod tests {
             ConstraintOp::Ge,
             1.0,
         ));
-        let sol = solve(&lp);
+        let sol = solve(&lp).unwrap();
         assert_eq!(sol.outcome, SimplexOutcome::Optimal);
         assert!(sol.x[0] + sol.x[1] >= 1.0 - 1e-9);
         assert_close(sol.value, 0.0);

@@ -392,7 +392,7 @@ mod tests {
         let cap = BuildError::DenseBytesExceedCap {
             rows: 10_000_000,
             cols: 100,
-            cap_bytes: 4 << 30,
+            cap_bytes: crate::SCRATCH_BYTES_CAP,
         };
         let msg = cap.to_string();
         assert!(msg.contains("GiB"), "{msg}");

@@ -65,6 +65,12 @@ pub use instance::{ClusterInstance, FlInstance};
 pub use oracle::{Backend, DistanceOracle, ImplicitMetric, Oracle, SpatialOracle};
 pub use point::Point;
 
+/// The ceiling on any single dense or transient allocation a run makes (4 GiB):
+/// dense distance matrices and threshold graphs, the all-pairs distance sorts
+/// behind threshold and radius derivation, and the LP simplex tableau. Past it
+/// the run is refused with a typed error instead of exhausting memory.
+pub const SCRATCH_BYTES_CAP: u64 = 4 << 30;
+
 /// Index of a facility within an [`FlInstance`] (column of the distance matrix).
 pub type FacilityId = usize;
 

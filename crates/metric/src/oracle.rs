@@ -87,12 +87,6 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Cap on the transient buffer [`DistanceOracle::sorted_distinct_values`]
-/// materialises (`8·rows·cols` bytes) — the same 4 GiB ceiling the dense
-/// structures use. [`DistanceOracle::try_sorted_distinct_values`] refuses
-/// past it instead of OOM-ing.
-pub const DISTINCT_VALUES_BYTES_CAP: u64 = 4 << 30;
-
 /// Flattens points into the coordinate array a [`SpatialIndex`] (or an
 /// [`SoaPoints`]) consumes.
 fn flatten(points: &[Point]) -> (Vec<f64>, usize) {
@@ -280,12 +274,12 @@ pub trait DistanceOracle {
 
     /// [`DistanceOracle::sorted_distinct_values`] behind a memory guard:
     /// refuses (instead of OOM-ing) when the `8·rows·cols`-byte transient
-    /// would exceed [`DISTINCT_VALUES_BYTES_CAP`] — the same 4 GiB ceiling
+    /// would exceed [`crate::SCRATCH_BYTES_CAP`] — the same 4 GiB ceiling
     /// (and refusal style) as the dense adjacency matrix and the dominator
     /// solvers' threshold derivation.
     fn try_sorted_distinct_values(&self) -> Result<Vec<f64>, String> {
         let bytes = (self.len() as u64).saturating_mul(8);
-        if bytes > DISTINCT_VALUES_BYTES_CAP {
+        if bytes > crate::SCRATCH_BYTES_CAP {
             return Err(format!(
                 "deriving the candidate radii sorts all {}×{} pairwise distances \
                  ({:.1} GiB of scratch); this query is refused past the 4 GiB cap — \

@@ -195,9 +195,9 @@ impl Solver for HochbaumShmoysSolver {
         // pairwise distances; refuse up front past the oracle's scratch cap
         // (same ceiling as `DistanceOracle::try_sorted_distinct_values`)
         // instead of exhausting memory inside the library call.
-        use parfaclo_metric::{oracle::DISTINCT_VALUES_BYTES_CAP, DistanceOracle};
+        use parfaclo_metric::{DistanceOracle, SCRATCH_BYTES_CAP};
         let bytes = (inst.distances().len() as u64).saturating_mul(8);
-        if bytes > DISTINCT_VALUES_BYTES_CAP {
+        if bytes > SCRATCH_BYTES_CAP {
             return Err(format!(
                 "hs-kcenter derives its candidate radii by sorting all {n}×{n} pairwise \
                  distances ({:.1} GiB of scratch); this run is refused past the 4 GiB cap — \
