@@ -27,10 +27,9 @@
 //! * [`maxudom::max_u_dom`] — `MaxUDom(H)` without constructing `H'`.
 //!
 //! All three run on the frontier engine of [`parfaclo_graph`] and are generic over its
-//! graph representations — the dense bit matrices ([`graph::DenseGraph`],
-//! [`graph::BipartiteGraph`], re-exported here for compatibility) or the CSR sparse
-//! forms ([`graph::CsrGraph`], [`graph::CsrBipartite`]) — with byte-identical output on
-//! either.
+//! graph representations — the dense bit matrices ([`DenseGraph`], [`BipartiteGraph`],
+//! re-exported here) or the CSR sparse forms ([`CsrGraph`], [`CsrBipartite`]) — with
+//! byte-identical output on either.
 //!
 //! All routines are deterministic given a seed, return the number of Luby rounds
 //! executed (so the experiments can check the `O(log n)` round bound), and record their
@@ -39,16 +38,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod graph;
 pub mod luby;
 pub mod maxdom;
 pub mod maxudom;
 pub mod solvers;
 
-pub use graph::{BipartiteGraph, CsrBipartite, CsrGraph, DenseGraph, ThresholdGraph};
 pub use luby::maximal_independent_set;
 pub use maxdom::max_dom;
 pub use maxudom::max_u_dom;
+pub use parfaclo_graph::{BipartiteGraph, CsrBipartite, CsrGraph, DenseGraph, ThresholdGraph};
 pub use solvers::{MaxDomSolver, MisSolver};
 
 /// Result of a dominator-set (or MIS) computation.

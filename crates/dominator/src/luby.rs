@@ -23,9 +23,8 @@
 //! is used as the reference implementation in tests (run it on an explicitly squared
 //! graph and compare invariants) and is exposed because it is useful in its own right.
 
-use crate::graph::DenseGraph;
 use crate::DominatorResult;
-use parfaclo_graph::{edge_map, edge_map_min, Neighbors, VertexSubset};
+use parfaclo_graph::{edge_map, edge_map_min, DenseGraph, Neighbors, VertexSubset};
 use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_trace as trace;
 use rand::prelude::*;

@@ -26,10 +26,9 @@
 //! still charges the paper's dense PRAM model (`O(n²)` per propagation) regardless —
 //! see [`crate::luby`] for why.
 
-use crate::graph::DenseGraph;
 use crate::luby::draw_priorities;
 use crate::DominatorResult;
-use parfaclo_graph::{edge_map, edge_map_min, Neighbors, VertexSubset};
+use parfaclo_graph::{edge_map, edge_map_min, DenseGraph, Neighbors, VertexSubset};
 use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_trace as trace;
 use rand::SeedableRng;

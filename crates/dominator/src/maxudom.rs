@@ -15,11 +15,11 @@
 //! neighbourhood skips only values nothing reads. The cost meter keeps charging the
 //! paper's dense `O(|U||V|)`-per-round model regardless of representation.
 
-use crate::graph::BipartiteGraph;
 use crate::luby::draw_priorities;
 use crate::DominatorResult;
 use parfaclo_graph::{
-    bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, BipartiteNeighbors, VertexSubset,
+    bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, BipartiteGraph, BipartiteNeighbors,
+    VertexSubset,
 };
 use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_trace as trace;

@@ -15,11 +15,11 @@
 //! the dominator family run on million-node sparse metrics. Canonical run
 //! output is byte-identical between the two wherever both can run.
 
-use crate::graph::ThresholdGraph;
 use crate::luby::maximal_independent_set;
 use crate::maxdom::max_dom;
 use crate::DominatorResult;
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
+use parfaclo_graph::ThresholdGraph;
 use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, SCRATCH_BYTES_CAP};
 use parfaclo_trace as trace;
@@ -146,8 +146,8 @@ impl Solver for MisSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::DenseGraph;
     use crate::maxdom::is_maximal_dominator_set;
+    use parfaclo_graph::DenseGraph;
     use parfaclo_graph::GraphBackend;
     use parfaclo_metric::gen::{self, GenParams};
 
