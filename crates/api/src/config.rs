@@ -69,8 +69,8 @@ pub struct RunConfig {
     /// probes a deterministic seeded distance sample coarse-to-fine through
     /// geometric buckets, lifting k-center to the sparse/xlarge presets.
     /// Unlike `backend` and `graph`, the sketch may probe different radii
-    /// than the exact path, so it changes results (while keeping the 2-approximation
-    /// structure) — which is why it is opt-in per run.
+    /// than the exact path, so it changes results (while keeping the
+    /// 2-approximation structure) — which is why it is opt-in per run.
     pub radius_deriver: RadiusDeriver,
     /// Coreset mode for the clustering solvers: `Off` (the default) solves
     /// on the full instance; `Eps(ε)` aggregates the points into a

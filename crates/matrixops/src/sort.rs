@@ -105,8 +105,8 @@ pub fn argsort_rows(
 /// [`argsort_rows`] — same tie-breaking (towards the smaller original index),
 /// same meter charge (one sort of `rows * cols` elements) — but the peak
 /// memory is one `cols`-length scratch row per in-flight row instead of the
-/// whole matrix. This is what lets the facility-location presort run against
-/// an implicit distance oracle without ever allocating the dense matrix.
+/// whole matrix, so a row sort can run against an implicit distance oracle
+/// without ever allocating the dense matrix.
 pub fn argsort_rows_by_key<F>(
     rows: usize,
     cols: usize,

@@ -146,7 +146,7 @@ pub trait DistanceOracle {
     }
 
     /// Writes `d(row, cols[j])` into `out[j]` — the irregular-subset batch
-    /// form (candidate scans over a presorted order, pruning sums over the
+    /// form (candidate scans over a sorted order, pruning sums over the
     /// live set). Bit-identical to the scalar loop at any subset.
     fn row_gather(&self, row: usize, cols: &[usize], out: &mut [f64]) {
         for (o, &c) in out.iter_mut().zip(cols) {
@@ -1234,8 +1234,8 @@ mod tests {
 
     #[test]
     fn min_positive_entry_agrees_bit_for_bit_across_all_backends() {
-        // The primal-dual dual-level ladder (and through it the bucket event
-        // engine's keys) anchors on this value, so the three backends must
+        // The primal-dual dual-level ladder (and through it the event loop's
+        // bucket keys) anchors on this value, so the three backends must
         // return identical bits, not just approximately equal values.
         let (dense, implicit, spatial) = triple();
         let d = dense.min_positive_entry().expect("positive entries exist");
