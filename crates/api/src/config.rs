@@ -2,13 +2,12 @@
 
 use parfaclo_bucket::RadiusDeriver;
 use parfaclo_graph::GraphBackend;
-use parfaclo_matrixops::ExecPolicy;
 use parfaclo_metric::{Backend, Coreset};
 
 /// Configuration accepted by every registered solver.
 ///
 /// `RunConfig` subsumes the per-family config structs (`FlConfig`,
-/// `LocalSearchConfig`, the loose `(k, seed, policy)` argument lists): each
+/// `LocalSearchConfig`, the loose `(k, seed)` argument lists): each
 /// solver projects out the fields it understands and ignores the rest. The
 /// concrete crates provide `From<&RunConfig>` conversions into their native
 /// config types so existing entry points keep working.
@@ -19,12 +18,11 @@ pub struct RunConfig {
     pub epsilon: f64,
     /// RNG seed; fixed seed ⇒ deterministic output for every solver.
     pub seed: u64,
-    /// Whether primitives run sequentially or on the fork-join pool.
-    pub policy: ExecPolicy,
     /// Number of worker threads for the run: `Some(n)` installs an
     /// `n`-thread pool around the solve, `None` inherits the ambient pool
     /// (the process default, `RAYON_NUM_THREADS`, or an enclosing
-    /// `install`). Thread count never changes results — the runtime
+    /// `install`). This is the only execution knob: `Some(1)` is the
+    /// sequential run. Thread count never changes results — the runtime
     /// guarantees byte-identical output at any pool size — so this is a
     /// performance knob, not a semantic one.
     pub threads: Option<usize>,
@@ -86,7 +84,7 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Creates a configuration with the given `ε` and defaults for
-    /// everything else (seed 0, parallel policy, preprocessing and
+    /// everything else (seed 0, the ambient thread pool, preprocessing and
     /// subselection on, `k = 4`).
     ///
     /// # Panics
@@ -99,7 +97,6 @@ impl RunConfig {
         RunConfig {
             epsilon,
             seed: 0,
-            policy: ExecPolicy::Parallel,
             threads: None,
             preprocess: true,
             subselection: true,
@@ -116,12 +113,6 @@ impl RunConfig {
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replaces the execution policy.
-    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -228,7 +219,6 @@ mod tests {
     fn builder_round_trip() {
         let cfg = RunConfig::new(0.25)
             .with_seed(9)
-            .with_policy(ExecPolicy::Sequential)
             .with_threads(2)
             .with_preprocess(false)
             .with_subselection(false)
@@ -241,7 +231,6 @@ mod tests {
             .with_coreset(Coreset::Eps(0.25));
         assert_eq!(cfg.epsilon, 0.25);
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.policy, ExecPolicy::Sequential);
         assert_eq!(cfg.threads, Some(2));
         assert_eq!(cfg.clone().with_ambient_threads().threads, None);
         assert!(!cfg.preprocess);

@@ -13,7 +13,7 @@
 //!   rounds, work report, wall time, solver-specific extras) with a stable
 //!   JSON schema shared by every experiment;
 //! * [`RunConfig`] — the builder-style configuration that subsumes the
-//!   per-family config structs (ε, seed, execution policy, ablation knobs,
+//!   per-family config structs (ε, seed, thread count, ablation knobs,
 //!   `k` for the clustering solvers);
 //! * [`Registry`] — a string-keyed collection of type-erased solvers so
 //!   benches, tests and the `parfaclo` CLI can enumerate and select solvers

@@ -75,7 +75,7 @@ pub struct Run {
     ///
     /// Part of [`Run::canonical_json`]: the counters are a pure function of
     /// the workload and configuration — invariant across backends, graph
-    /// representations, thread counts and policies — so every canonical
+    /// representations and thread counts — so every canonical
     /// byte comparison also pins the work profile.
     pub work: CostReport,
     /// Wall-clock milliseconds; stamped by the registry wrapper, excluded

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parfaclo_dominator::{max_dom, max_u_dom, BipartiteGraph, DenseGraph};
-use parfaclo_matrixops::{CostMeter, ExecPolicy};
+use parfaclo_matrixops::CostMeter;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -27,12 +27,12 @@ fn bench_dominator(c: &mut Criterion) {
         let g = random_graph(n, 0.02, 7);
         group.bench_with_input(BenchmarkId::new("max_dom", n), &g, |b, g| {
             let meter = CostMeter::new();
-            b.iter(|| max_dom(g, 1, ExecPolicy::Parallel, &meter))
+            b.iter(|| max_dom(g, 1, &meter))
         });
         let h = BipartiteGraph::from_predicate(n, n / 2, |u, v| (u * 31 + v * 17) % 29 == 0);
         group.bench_with_input(BenchmarkId::new("max_u_dom", n), &h, |b, h| {
             let meter = CostMeter::new();
-            b.iter(|| max_u_dom(h, 1, ExecPolicy::Parallel, &meter))
+            b.iter(|| max_u_dom(h, 1, &meter))
         });
     }
     group.finish();

@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parfaclo_kclustering::parallel_kcenter;
-use parfaclo_matrixops::ExecPolicy;
 use parfaclo_metric::gen::{self, GenParams};
 use parfaclo_seq_baselines::{gonzalez_kcenter, hochbaum_shmoys_kcenter};
 
@@ -14,7 +13,7 @@ fn bench_kcenter(c: &mut Criterion) {
     for &n in &[64usize, 128, 256] {
         let inst = gen::clustering(GenParams::uniform_square(n, n).with_seed(3));
         group.bench_with_input(BenchmarkId::new("parallel_hs", n), &inst, |b, inst| {
-            b.iter(|| parallel_kcenter(inst, k, 1, ExecPolicy::Parallel))
+            b.iter(|| parallel_kcenter(inst, k, 1))
         });
         group.bench_with_input(BenchmarkId::new("gonzalez", n), &inst, |b, inst| {
             b.iter(|| gonzalez_kcenter(inst, k))

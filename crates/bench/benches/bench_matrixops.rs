@@ -1,9 +1,9 @@
-//! Criterion bench for the PRAM-style substrate: sequential vs parallel reductions,
-//! scans and row sorts over dense matrices (the building blocks whose counts the paper's
-//! work bounds are expressed in).
+//! Criterion bench for the PRAM-style substrate: sequential vs parallel reductions
+//! and scans over dense vectors (building blocks whose counts the paper's work bounds
+//! are expressed in).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parfaclo_matrixops::{ops, scan, sort, CostMeter, ExecPolicy};
+use parfaclo_matrixops::{ops, scan, CostMeter, ExecPolicy};
 
 fn bench_matrixops(c: &mut Criterion) {
     let mut group = c.benchmark_group("matrixops");
@@ -24,20 +24,6 @@ fn bench_matrixops(c: &mut Criterion) {
                 |b, d| b.iter(|| scan::inclusive_scan(d, ops::AssocOp::Add, policy, &meter)),
             );
         }
-    }
-    // Row sort: a 256x1024 matrix (the greedy presort shape).
-    let rows = 256;
-    let cols = 1024;
-    let data: Vec<f64> = (0..rows * cols)
-        .map(|x| ((x * 48271) % 7919) as f64)
-        .collect();
-    let meter = CostMeter::new();
-    for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("argsort_rows_{policy:?}"), rows * cols),
-            &data,
-            |b, d| b.iter(|| sort::argsort_rows(d, rows, cols, policy, &meter)),
-        );
     }
     group.finish();
 }

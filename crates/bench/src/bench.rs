@@ -14,7 +14,7 @@
 use crate::runner::{run_solver_cached, GenSpec, InstanceCache};
 use parfaclo_api::json::{JsonObject, JsonValue};
 use parfaclo_api::{Backend, Coreset, GraphBackend, Registry, Run, RunConfig, TrialStats};
-use parfaclo_matrixops::{CostReport, ExecPolicy};
+use parfaclo_matrixops::CostReport;
 
 /// Schema tag of the matrix-benchmark artifact; bump on shape changes.
 /// (`parfaclo.bench.v1` was the speedup artifact of the removed
@@ -114,8 +114,6 @@ pub struct BenchConfig {
     pub epsilon: f64,
     /// Centers for the clustering/dominator solvers.
     pub k: usize,
-    /// Execution policy label (`seq` / `par`).
-    pub policy: String,
     /// Round-bounding preprocessing enabled.
     pub preprocess: bool,
     /// Greedy subselection vote enabled.
@@ -134,10 +132,6 @@ impl BenchConfig {
             seed: cfg.seed,
             epsilon: cfg.epsilon,
             k: cfg.k,
-            policy: match cfg.policy {
-                ExecPolicy::Sequential => "seq".to_string(),
-                ExecPolicy::Parallel => "par".to_string(),
-            },
             preprocess: cfg.preprocess,
             subselection: cfg.subselection,
             threshold: cfg.threshold,
@@ -150,7 +144,6 @@ impl BenchConfig {
             .uint("seed", self.seed)
             .number("epsilon", self.epsilon)
             .uint("k", self.k as u64)
-            .string("policy", &self.policy)
             .bool("preprocess", self.preprocess)
             .bool("subselection", self.subselection)
             .field(
@@ -179,11 +172,6 @@ impl BenchConfig {
                 .get("k")
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| missing("k"))? as usize,
-            policy: value
-                .get("policy")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| missing("policy"))?
-                .to_string(),
             preprocess: value
                 .get("preprocess")
                 .and_then(JsonValue::as_bool)
@@ -199,7 +187,7 @@ impl BenchConfig {
             },
             // Optional on parse: artifacts written before the radius-deriver
             // knob existed were all measured under the then-only exact path.
-            // Older artifacts' `engine` key is ignored.
+            // Older artifacts' `engine` and `policy` keys are ignored.
             radius_deriver: match value.get("radius_deriver") {
                 None => "exact".to_string(),
                 Some(v) => v
@@ -650,7 +638,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// Runs the full matrix under one base [`RunConfig`]: per cell, `warmup`
 /// untimed runs then `trials` timed runs, each trial byte-compared
 /// (canonical JSON) against the first. The base configuration supplies
-/// seed, ε, `k`, policy and the ablation knobs (recorded in the artifact's
+/// seed, ε, `k` and the ablation knobs (recorded in the artifact's
 /// `config` section); its backend/threads fields are overridden per cell by
 /// the sweep dimensions.
 ///
@@ -867,7 +855,7 @@ impl ComparisonReport {
 /// Joins two artifacts on cell identity and compares median wall-clocks.
 ///
 /// Errors when the artifacts were measured under different solver
-/// configurations (seed, ε, `k`, policy, ablation knobs): the cells would
+/// configurations (seed, ε, `k`, ablation knobs): the cells would
 /// join on identical keys while describing different instances and
 /// different work, so any ratio would be meaningless. Cells only on one
 /// side are reported (never silently dropped), not treated as regressions:
@@ -881,7 +869,7 @@ pub fn compare(
         return Err(format!(
             "artifacts were measured under different configurations and cannot be \
              compared: baseline {:?} vs current {:?} \
-             (re-run with matching --seed/--eps/--k/--policy/ablation flags, or \
+             (re-run with matching --seed/--eps/--k/ablation flags, or \
              regenerate the baseline)",
             baseline.config, current.config
         ));
@@ -1353,15 +1341,16 @@ mod tests {
             &RunConfig::new(0.25)
                 .with_seed(3)
                 .with_k(5)
-                .with_policy(ExecPolicy::Sequential)
                 .with_threshold(1.5)
                 .with_preprocess(false),
         );
-        assert_eq!(cfg.policy, "seq");
-        let back = BenchConfig::from_json_value(
-            &JsonValue::parse(&cfg.to_json_value().to_string()).unwrap(),
-        )
-        .unwrap();
+        let text = cfg.to_json_value().to_string();
+        let back = BenchConfig::from_json_value(&JsonValue::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, cfg);
+        // Older artifacts carry the removed `policy` and `engine` keys; they
+        // still parse (and so still join) unchanged.
+        let old = text.replacen('{', "{\"policy\":\"par\",\"engine\":\"bucket\",", 1);
+        let back = BenchConfig::from_json_value(&JsonValue::parse(&old).unwrap()).unwrap();
         assert_eq!(back, cfg);
         // An artifact without a config section is rejected at parse time.
         let art = artifact(vec![]);

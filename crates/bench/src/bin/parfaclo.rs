@@ -17,7 +17,6 @@ use parfaclo_bench::runner::{
     run_solver, run_solver_cached, runs_to_json, table_header, table_row, GenSpec, InstanceCache,
 };
 use parfaclo_bench::{reset_sigpipe, standard_registry, Table};
-use parfaclo_matrixops::ExecPolicy;
 use parfaclo_trace::{install, InstallGuard, TraceDetail, Tracer};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -117,9 +116,9 @@ OPTIONS:
     --seed <n>          RNG seed                         [default: 0]
     --k <n>             Centers for clustering solvers   [default: 8]
     --threshold <f>     Dominator-set threshold (>= 0)   [default: median]
-    --policy <p>        seq | par                        [default: par]
-    --threads <n>       Worker threads for the run (pool size);
-                        results are identical at any count   [default: ambient]
+    --threads <n>       Worker threads for the run (pool size); 1 is
+                        the sequential run, and results are identical
+                        at any count                     [default: ambient]
     --no-preprocess     Disable round-bounding preprocessing (ablation)
     --no-subselection   Disable greedy subselection vote (ablation)
     --size <n>          Suite/bench node count; overrides --gen's n,
@@ -287,13 +286,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     return Err("--threshold must be a non-negative finite distance".to_string());
                 }
                 cfg.threshold = Some(threshold);
-            }
-            "--policy" => {
-                cfg.policy = match value("--policy")?.as_str() {
-                    "seq" | "sequential" => ExecPolicy::Sequential,
-                    "par" | "parallel" => ExecPolicy::Parallel,
-                    other => return Err(format!("unknown policy '{other}' (seq|par)")),
-                }
             }
             "--threads" => {
                 let threads: usize = value("--threads")?

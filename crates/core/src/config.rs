@@ -1,7 +1,5 @@
 //! Shared configuration for the parallel facility-location algorithms.
 
-use parfaclo_matrixops::ExecPolicy;
-
 /// Configuration shared by the parallel greedy, primal-dual and LP-rounding algorithms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlConfig {
@@ -12,8 +10,6 @@ pub struct FlConfig {
     /// RNG seed for the randomized subselection / dominator-set steps. Fixed seed ⇒
     /// deterministic output.
     pub seed: u64,
-    /// Whether primitives run sequentially or on the rayon pool.
-    pub policy: ExecPolicy,
     /// Whether to run the `γ/m²` preprocessing step that bounds the number of rounds
     /// (Sections 4 and 5). Disabling it is an ablation knob for experiment E10; the
     /// guarantees still hold but the round bound becomes input-dependent.
@@ -30,8 +26,8 @@ pub struct FlConfig {
 }
 
 impl FlConfig {
-    /// Creates a configuration with the given `ε`, defaulting to parallel execution,
-    /// preprocessing on, subselection on, and seed 0.
+    /// Creates a configuration with the given `ε`, defaulting to preprocessing on,
+    /// subselection on, and seed 0.
     ///
     /// # Panics
     /// Panics if `epsilon <= 0`.
@@ -40,7 +36,6 @@ impl FlConfig {
         FlConfig {
             epsilon,
             seed: 0,
-            policy: ExecPolicy::Parallel,
             preprocess: true,
             subselection: true,
             max_rounds: 100_000,
@@ -50,12 +45,6 @@ impl FlConfig {
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replaces the execution policy.
-    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -86,12 +75,10 @@ mod tests {
     fn builder_round_trip() {
         let cfg = FlConfig::new(0.25)
             .with_seed(9)
-            .with_policy(ExecPolicy::Sequential)
             .with_preprocess(false)
             .with_subselection(false);
         assert_eq!(cfg.epsilon, 0.25);
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.policy, ExecPolicy::Sequential);
         assert!(!cfg.preprocess);
         assert!(!cfg.subselection);
     }

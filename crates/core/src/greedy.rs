@@ -25,7 +25,7 @@ use crate::config::FlConfig;
 use crate::solution::FlSolution;
 use crate::stars::{self, LazyOrders};
 use parfaclo_lp::dual;
-use parfaclo_matrixops::CostMeter;
+use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{ClientId, DistanceOracle, FacilityId, FlInstance};
 use parfaclo_trace as trace;
 use rand::seq::SliceRandom;
@@ -85,7 +85,7 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
     // a star scan actually reaches it.
     let mut orders = {
         let _span = trace::span("orders-build", Some(&meter));
-        LazyOrders::build(inst, cfg.policy, &meter)
+        LazyOrders::build(inst, &meter)
     };
     let mut remaining: Vec<bool> = vec![true; nc];
     let mut remaining_count = nc;
@@ -102,14 +102,7 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
         let _span = trace::span("preprocess", Some(&meter));
         let gamma = inst.gamma();
         let threshold = gamma / (inst.m() as f64 * inst.m() as f64);
-        let stars = stars::all_cheapest_stars_lazy(
-            inst,
-            &fcost,
-            &mut orders,
-            &remaining,
-            cfg.policy,
-            &meter,
-        );
+        let stars = stars::all_cheapest_stars_lazy(inst, &fcost, &mut orders, &remaining, &meter);
         for star in stars.into_iter().flatten() {
             if star.price <= threshold && remaining_count > 0 {
                 let i = star.facility;
@@ -142,14 +135,7 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
         );
 
         // Step 1: cheapest maximal star per facility.
-        let stars = stars::all_cheapest_stars_lazy(
-            inst,
-            &fcost,
-            &mut orders,
-            &remaining,
-            cfg.policy,
-            &meter,
-        );
+        let stars = stars::all_cheapest_stars_lazy(inst, &fcost, &mut orders, &remaining, &meter);
 
         // Step 2: τ and the candidate set I.
         let tau = stars
@@ -199,7 +185,7 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
                     .collect()
             }
         };
-        let mut adj: Vec<Vec<ClientId>> = if cfg.policy.run_parallel(num_candidates * nc) {
+        let mut adj: Vec<Vec<ClientId>> = if num_candidates * nc >= PAR_THRESHOLD {
             candidates.par_iter().map(build_adj).collect()
         } else {
             candidates.iter().map(build_adj).collect()
@@ -400,7 +386,6 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_matrixops::ExecPolicy;
     use parfaclo_metric::gen::{self, FacilityCostModel, GenParams};
     use parfaclo_metric::lower_bounds;
     use parfaclo_metric::DistanceMatrix;
@@ -484,19 +469,12 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_for_fixed_seed_and_policy_independent() {
+    fn deterministic_for_fixed_seed() {
         let inst = gen::facility_location(GenParams::grid(36, 18).with_seed(0));
-        let cfg_seq = FlConfig::new(0.3)
-            .with_seed(5)
-            .with_policy(ExecPolicy::Sequential);
-        let cfg_par = FlConfig::new(0.3)
-            .with_seed(5)
-            .with_policy(ExecPolicy::Parallel);
-        let a = parallel_greedy(&inst, &cfg_seq);
-        let b = parallel_greedy(&inst, &cfg_par);
-        let c = parallel_greedy(&inst, &cfg_seq);
-        assert_eq!(a.open, c.open, "same seed must give identical output");
-        assert_eq!(a.open, b.open, "policy must not change the result");
+        let cfg = FlConfig::new(0.3).with_seed(5);
+        let a = parallel_greedy(&inst, &cfg);
+        let b = parallel_greedy(&inst, &cfg);
+        assert_eq!(a.open, b.open, "same seed must give identical output");
         assert_eq!(a.cost, b.cost);
     }
 

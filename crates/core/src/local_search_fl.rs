@@ -17,7 +17,7 @@
 
 use crate::config::FlConfig;
 use crate::solution::FlSolution;
-use parfaclo_matrixops::CostMeter;
+use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{FacilityId, FlInstance};
 use parfaclo_trace as trace;
 use rayon::prelude::*;
@@ -152,7 +152,7 @@ pub fn parallel_local_search_fl(inst: &FlInstance, cfg: &FlConfig) -> FlSolution
             }
         }
         meter.add_primitive((moves.len() * nc) as u64);
-        let evaluated: Vec<(Move, f64)> = if cfg.policy.run_parallel(moves.len() * nc) {
+        let evaluated: Vec<(Move, f64)> = if moves.len() * nc >= PAR_THRESHOLD {
             moves
                 .par_iter()
                 .map(|&mv| (mv, move_cost(inst, opening_cost, &best, mv)))
@@ -197,7 +197,6 @@ pub fn parallel_local_search_fl(inst: &FlInstance, cfg: &FlConfig) -> FlSolution
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_matrixops::ExecPolicy;
     use parfaclo_metric::gen::{self, GenParams};
     use parfaclo_metric::lower_bounds;
 
@@ -228,14 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn policy_independent_and_deterministic() {
+    fn deterministic_for_fixed_seed() {
         let inst = gen::facility_location(GenParams::uniform_square(30, 12).with_seed(2));
-        let a = parallel_local_search_fl(
-            &inst,
-            &FlConfig::new(0.1).with_policy(ExecPolicy::Sequential),
-        );
-        let b =
-            parallel_local_search_fl(&inst, &FlConfig::new(0.1).with_policy(ExecPolicy::Parallel));
+        let a = parallel_local_search_fl(&inst, &FlConfig::new(0.1));
+        let b = parallel_local_search_fl(&inst, &FlConfig::new(0.1));
         assert_eq!(a.open, b.open);
         assert_eq!(a.cost, b.cost);
     }

@@ -22,7 +22,7 @@ use crate::config::FlConfig;
 use crate::solution::FlSolution;
 use parfaclo_dominator::{max_u_dom, BipartiteGraph};
 use parfaclo_lp::FlLpSolution;
-use parfaclo_matrixops::CostMeter;
+use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{ClientId, FacilityId, FlInstance};
 use parfaclo_trace as trace;
 use rayon::prelude::*;
@@ -82,7 +82,7 @@ pub fn parallel_lp_rounding_detailed(
     // ---- Filtering (Lemma 6.2) ---------------------------------------------------------
     let filter_span = trace::span("filtering", Some(&meter));
     meter.add_primitive(inst.m() as u64);
-    let delta: Vec<f64> = if cfg.policy.run_parallel(inst.m()) {
+    let delta: Vec<f64> = if inst.m() >= PAR_THRESHOLD {
         (0..nc).into_par_iter().map(|j| lp.delta(inst, j)).collect()
     } else {
         (0..nc).map(|j| lp.delta(inst, j)).collect()
@@ -95,7 +95,7 @@ pub fn parallel_lp_rounding_detailed(
             .filter(|&i| inst.dist(j, i) <= ball_radius[j] + 1e-12)
             .collect()
     };
-    let balls: Vec<Vec<FacilityId>> = if cfg.policy.run_parallel(inst.m()) {
+    let balls: Vec<Vec<FacilityId>> = if inst.m() >= PAR_THRESHOLD {
         (0..nc).into_par_iter().map(ball).collect()
     } else {
         (0..nc).map(ball).collect()
@@ -170,7 +170,7 @@ pub fn parallel_lp_rounding_detailed(
             facility_alive[i] && balls[s[u]].contains(&i)
         });
         meter.add_primitive((s.len() * nf) as u64);
-        let dom = max_u_dom(&h, cfg.seed ^ rounds as u64, cfg.policy, &meter);
+        let dom = max_u_dom(&h, cfg.seed ^ rounds as u64, &meter);
         inner_rounds += dom.rounds;
         let selected: Vec<ClientId> = dom.selected.iter().map(|&u| s[u]).collect();
 

@@ -23,7 +23,7 @@ use crate::solution::FlSolution;
 use parfaclo_bucket::{BucketMapping, BucketQueue};
 use parfaclo_dominator::{max_u_dom, BipartiteGraph};
 use parfaclo_lp::dual;
-use parfaclo_matrixops::CostMeter;
+use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{DistanceOracle, FacilityId, FlInstance};
 use parfaclo_trace as trace;
 use rayon::prelude::*;
@@ -276,7 +276,7 @@ pub fn parallel_primal_dual_detailed(
             rounds: 0,
         }
     } else {
-        max_u_dom(&h, cfg.seed, cfg.policy, &meter)
+        max_u_dom(&h, cfg.seed, &meter)
     };
     let mut open_set: Vec<FacilityId> = dom.selected.iter().map(|&u| ft[u]).collect();
     open_set.extend(free_facilities.iter().copied());
@@ -373,7 +373,7 @@ fn preprocess(inst: &FlInstance, cfg: &FlConfig, gamma: f64, meter: &CostMeter) 
             .sum();
         paid >= inst.facility_cost(i)
     };
-    let free: Vec<bool> = if cfg.policy.run_parallel(inst.m()) {
+    let free: Vec<bool> = if inst.m() >= PAR_THRESHOLD {
         (0..nf).into_par_iter().map(is_free).collect()
     } else {
         (0..nf).map(is_free).collect()
@@ -502,7 +502,6 @@ fn rescan_ladder(inst: &FlInstance, cfg: &FlConfig) -> (Vec<f64>, Vec<FacilityId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_matrixops::ExecPolicy;
     use parfaclo_metric::gen::{self, FacilityCostModel, GenParams};
     use parfaclo_metric::lower_bounds;
     use parfaclo_metric::DistanceMatrix;
@@ -592,16 +591,11 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_and_policy_independent() {
+    fn deterministic_for_fixed_seed() {
         let inst = gen::facility_location(GenParams::grid(30, 15).with_seed(0));
-        let cfg_seq = FlConfig::new(0.2)
-            .with_seed(3)
-            .with_policy(ExecPolicy::Sequential);
-        let cfg_par = FlConfig::new(0.2)
-            .with_seed(3)
-            .with_policy(ExecPolicy::Parallel);
-        let a = parallel_primal_dual(&inst, &cfg_seq).unwrap();
-        let b = parallel_primal_dual(&inst, &cfg_par).unwrap();
+        let cfg = FlConfig::new(0.2).with_seed(3);
+        let a = parallel_primal_dual(&inst, &cfg).unwrap();
+        let b = parallel_primal_dual(&inst, &cfg).unwrap();
         assert_eq!(a.open, b.open);
         assert_eq!(a.cost, b.cost);
     }

@@ -20,7 +20,6 @@ impl From<&RunConfig> for FlConfig {
         FlConfig {
             epsilon: cfg.epsilon,
             seed: cfg.seed,
-            policy: cfg.policy,
             preprocess: cfg.preprocess,
             subselection: cfg.subselection,
             max_rounds: cfg.max_rounds,

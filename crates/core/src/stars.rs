@@ -10,7 +10,7 @@
 //! when a star scan reaches it.
 
 use parfaclo_bucket::BucketMapping;
-use parfaclo_matrixops::{CostMeter, ExecPolicy};
+use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{ClientId, DistanceOracle, FacilityId, FlInstance};
 use rayon::prelude::*;
 
@@ -140,13 +140,13 @@ impl LazyOrders {
     /// Buckets every facility's client distances: one primitive pass over
     /// `m`, no sort. Sorting is deferred to
     /// [`cheapest_maximal_star_bucketed`]'s on-demand bucket expansions.
-    pub fn build(inst: &FlInstance, policy: ExecPolicy, meter: &CostMeter) -> Self {
+    pub fn build(inst: &FlInstance, meter: &CostMeter) -> Self {
         let nc = inst.num_clients();
         let nf = inst.num_facilities();
         meter.add_primitive((nc * nf) as u64);
         let mapping = BucketMapping::geometric_default();
         let build_one = |i: usize| LazyFacilityOrder::build(inst, i, mapping);
-        let facilities: Vec<LazyFacilityOrder> = if policy.run_parallel(inst.m()) {
+        let facilities: Vec<LazyFacilityOrder> = if inst.m() >= PAR_THRESHOLD {
             (0..nf).into_par_iter().map(build_one).collect()
         } else {
             (0..nf).map(build_one).collect()
@@ -273,7 +273,6 @@ pub fn all_cheapest_stars_lazy(
     fcosts: &[f64],
     orders: &mut LazyOrders,
     remaining: &[bool],
-    policy: ExecPolicy,
     meter: &CostMeter,
 ) -> Vec<Option<Star>> {
     let nf = inst.num_facilities();
@@ -282,7 +281,7 @@ pub fn all_cheapest_stars_lazy(
     let one = |(i, state): (usize, &mut LazyFacilityOrder)| {
         cheapest_maximal_star_bucketed(inst, i, fcosts[i], mapping, state, remaining, meter)
     };
-    if policy.run_parallel(inst.m()) {
+    if inst.m() >= PAR_THRESHOLD {
         orders
             .facilities
             .par_iter_mut()
@@ -297,30 +296,34 @@ pub fn all_cheapest_stars_lazy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_matrixops::sort;
     use parfaclo_metric::gen::{self, GenParams};
     use parfaclo_metric::DistanceMatrix;
 
     /// Reference: every facility's clients fully presorted by distance up
-    /// front (one `O(m log m)` row argsort), which the lazy bucket prefixes
-    /// must reproduce star for star.
+    /// front (ties towards the smaller client id), which the lazy bucket
+    /// prefixes must reproduce star for star.
     struct FacilityOrders {
         orders: Vec<Vec<u32>>,
     }
 
     impl FacilityOrders {
-        fn presort(inst: &FlInstance, meter: &CostMeter) -> Self {
-            let oracle = inst.distances();
-            let rows = sort::argsort_rows_filled(
-                inst.num_facilities(),
-                inst.num_clients(),
-                ExecPolicy::Sequential,
-                meter,
-                |i, row| oracle.col_range_into(i, 0, row),
-            );
-            FacilityOrders {
-                orders: rows.into_iter().map(|ro| ro.order).collect(),
-            }
+        fn presort(inst: &FlInstance) -> Self {
+            let nc = inst.num_clients();
+            let mut row = vec![0.0f64; nc];
+            let orders = (0..inst.num_facilities())
+                .map(|i| {
+                    inst.distances().col_range_into(i, 0, &mut row);
+                    let mut order: Vec<u32> = (0..nc as u32).collect();
+                    order.sort_by(|&a, &b| {
+                        row[a as usize]
+                            .partial_cmp(&row[b as usize])
+                            .unwrap()
+                            .then(a.cmp(&b))
+                    });
+                    order
+                })
+                .collect();
+            FacilityOrders { orders }
         }
 
         fn order(&self, i: FacilityId) -> &[u32] {
@@ -375,15 +378,8 @@ mod tests {
     /// orders.
     fn lazy_stars(inst: &FlInstance, fcosts: &[f64], remaining: &[bool]) -> Vec<Option<Star>> {
         let meter = CostMeter::new();
-        let mut orders = LazyOrders::build(inst, ExecPolicy::Sequential, &meter);
-        all_cheapest_stars_lazy(
-            inst,
-            fcosts,
-            &mut orders,
-            remaining,
-            ExecPolicy::Sequential,
-            &meter,
-        )
+        let mut orders = LazyOrders::build(inst, &meter);
+        all_cheapest_stars_lazy(inst, fcosts, &mut orders, remaining, &meter)
     }
 
     fn inst_one_facility() -> FlInstance {
@@ -418,7 +414,7 @@ mod tests {
     /// near-ties: a distance strictly above the best price never extends
     /// the star, even where a full scan's *rounded* next price would have
     /// dipped back to exactly the best price (real arithmetic says it is
-    /// strictly larger). Deterministic and backend/thread/policy-invariant
+    /// strictly larger). Deterministic and backend/thread-invariant
     /// either way; this test documents which semantics is canonical.
     #[test]
     fn sub_ulp_near_ties_resolve_by_real_arithmetic() {
@@ -485,20 +481,13 @@ mod tests {
         // element-equal) at every step.
         let inst = gen::facility_location(GenParams::gaussian_clusters(60, 9, 4).with_seed(11));
         let meter = CostMeter::new();
-        let presort = FacilityOrders::presort(&inst, &meter);
-        let mut lazy = LazyOrders::build(&inst, ExecPolicy::Sequential, &meter);
+        let presort = FacilityOrders::presort(&inst);
+        let mut lazy = LazyOrders::build(&inst, &meter);
         let mut remaining = vec![true; 60];
         let mut fcosts: Vec<f64> = (0..9).map(|i| inst.facility_cost(i)).collect();
         for round in 0..6 {
             let eager = all_cheapest_stars(&inst, &fcosts, &presort, &remaining);
-            let bucketed = all_cheapest_stars_lazy(
-                &inst,
-                &fcosts,
-                &mut lazy,
-                &remaining,
-                ExecPolicy::Sequential,
-                &meter,
-            );
+            let bucketed = all_cheapest_stars_lazy(&inst, &fcosts, &mut lazy, &remaining, &meter);
             assert_eq!(eager, bucketed, "round {round}");
             // Mimic a greedy round: open the cheapest star, zero its cost,
             // remove its clients.
@@ -519,31 +508,27 @@ mod tests {
     }
 
     #[test]
-    fn lazy_and_parallel_policies_agree() {
-        let inst = gen::facility_location(GenParams::uniform_square(50, 30).with_seed(4));
-        let meter = CostMeter::new();
-        let mut seq_orders = LazyOrders::build(&inst, ExecPolicy::Sequential, &meter);
-        let mut par_orders = LazyOrders::build(&inst, ExecPolicy::Parallel, &meter);
-        let remaining = vec![true; 50];
+    fn lazy_orders_are_thread_count_invariant() {
+        // m = 100 x 30 reaches the parallel grain, so both runs take the
+        // parallel path: once on a 1-thread pool, once on a 4-thread pool.
+        let inst = gen::facility_location(GenParams::uniform_square(100, 30).with_seed(4));
+        assert!(inst.m() >= PAR_THRESHOLD);
+        let remaining = vec![true; 100];
         let fcosts: Vec<f64> = (0..30).map(|i| inst.facility_cost(i)).collect();
-        let seq = all_cheapest_stars_lazy(
-            &inst,
-            &fcosts,
-            &mut seq_orders,
-            &remaining,
-            ExecPolicy::Sequential,
-            &meter,
-        );
-        let par = all_cheapest_stars_lazy(
-            &inst,
-            &fcosts,
-            &mut par_orders,
-            &remaining,
-            ExecPolicy::Parallel,
-            &meter,
-        );
-        assert_eq!(seq, par);
-        assert_eq!(seq_orders.expanded_clients(), par_orders.expanded_clients());
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let meter = CostMeter::new();
+                let mut orders = LazyOrders::build(&inst, &meter);
+                let stars =
+                    all_cheapest_stars_lazy(&inst, &fcosts, &mut orders, &remaining, &meter);
+                (stars, orders.expanded_clients(), meter.report())
+            })
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
@@ -556,20 +541,13 @@ mod tests {
         let nc = dists.len();
         let inst = FlInstance::new(vec![2.0], DistanceMatrix::from_rows(nc, 1, dists));
         let meter = CostMeter::new();
-        let mut lazy = LazyOrders::build(&inst, ExecPolicy::Sequential, &meter);
+        let mut lazy = LazyOrders::build(&inst, &meter);
         let remaining = vec![true; nc];
-        let star = all_cheapest_stars_lazy(
-            &inst,
-            &[2.0],
-            &mut lazy,
-            &remaining,
-            ExecPolicy::Sequential,
-            &meter,
-        )
-        .remove(0)
-        .expect("star exists");
+        let star = all_cheapest_stars_lazy(&inst, &[2.0], &mut lazy, &remaining, &meter)
+            .remove(0)
+            .expect("star exists");
         // Presort reference: the same star, computed eagerly.
-        let presort = FacilityOrders::presort(&inst, &meter);
+        let presort = FacilityOrders::presort(&inst);
         let eager = cheapest_maximal_star(&inst, 0, 2.0, presort.order(0), &remaining).unwrap();
         assert_eq!(star, eager);
         assert!(
@@ -583,7 +561,7 @@ mod tests {
     fn lazy_build_records_no_sort_but_expansion_does() {
         let inst = gen::facility_location(GenParams::uniform_square(20, 4).with_seed(2));
         let build_meter = CostMeter::new();
-        let mut lazy = LazyOrders::build(&inst, ExecPolicy::Sequential, &build_meter);
+        let mut lazy = LazyOrders::build(&inst, &build_meter);
         assert_eq!(
             build_meter.report().sort_calls,
             0,
@@ -593,14 +571,7 @@ mod tests {
         let remaining = vec![true; 20];
         let fcosts: Vec<f64> = (0..4).map(|i| inst.facility_cost(i)).collect();
         let scan_meter = CostMeter::new();
-        let stars = all_cheapest_stars_lazy(
-            &inst,
-            &fcosts,
-            &mut lazy,
-            &remaining,
-            ExecPolicy::Sequential,
-            &scan_meter,
-        );
+        let stars = all_cheapest_stars_lazy(&inst, &fcosts, &mut lazy, &remaining, &scan_meter);
         assert!(stars.iter().any(|s| s.is_some()));
         assert!(
             scan_meter.report().sort_calls >= 1,

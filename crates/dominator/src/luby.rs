@@ -52,7 +52,6 @@ pub(crate) fn draw_priorities(rng: &mut ChaCha8Rng, n: usize, alive: &[bool]) ->
 pub fn maximal_independent_set<G: Neighbors>(
     g: &G,
     seed: u64,
-    policy: ExecPolicy,
     meter: &CostMeter,
 ) -> DominatorResult {
     let n = g.n();
@@ -79,13 +78,13 @@ pub fn maximal_independent_set<G: Neighbors>(
         // hold priority +∞, so the unfiltered neighbour minimum the engine
         // computes equals the live-filtered minimum.
         meter.add_primitive((n * n) as u64);
-        let min_nb = edge_map_min(g, &alive_set, &pri, false, policy);
+        let min_nb = edge_map_min(g, &alive_set, &pri, false);
         let newly: Vec<bool> = (0..n).map(|i| alive[i] && pri[i] < min_nb[i]).collect();
 
         // Removal step: selected nodes and their neighbours leave the graph.
         meter.add_primitive((n * n) as u64);
         let newly_set = VertexSubset::from_mask(&newly);
-        let killed = newly_set.union(&edge_map(g, &newly_set, |_| true, policy));
+        let killed = newly_set.union(&edge_map(g, &newly_set, |_| true, ExecPolicy::Parallel));
         let kill_mask = killed.to_mask();
 
         for i in 0..n {
@@ -136,6 +135,7 @@ pub fn is_maximal_independent_set(g: &DenseGraph, set: &[usize]) -> bool {
 mod tests {
     use super::*;
     use parfaclo_graph::CsrGraph;
+    use parfaclo_matrixops::PAR_THRESHOLD;
 
     fn meter() -> CostMeter {
         CostMeter::new()
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn empty_graph_selects_everything() {
         let g = DenseGraph::new(5);
-        let r = maximal_independent_set(&g, 1, ExecPolicy::Sequential, &meter());
+        let r = maximal_independent_set(&g, 1, &meter());
         assert_eq!(r.selected, vec![0, 1, 2, 3, 4]);
         assert_eq!(r.rounds, 1);
     }
@@ -157,7 +157,7 @@ mod tests {
                 g.add_edge(a, b);
             }
         }
-        let r = maximal_independent_set(&g, 2, ExecPolicy::Sequential, &meter());
+        let r = maximal_independent_set(&g, 2, &meter());
         assert_eq!(r.selected.len(), 1);
         assert!(is_maximal_independent_set(&g, &r.selected));
     }
@@ -166,7 +166,7 @@ mod tests {
     fn path_graph_mis_is_valid() {
         let g = DenseGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         for seed in 0..10 {
-            let r = maximal_independent_set(&g, seed, ExecPolicy::Sequential, &meter());
+            let r = maximal_independent_set(&g, seed, &meter());
             assert!(is_maximal_independent_set(&g, &r.selected), "seed {seed}");
             // A maximal independent set of P6 has between 2 and 3 nodes.
             assert!(r.selected.len() >= 2 && r.selected.len() <= 3);
@@ -175,10 +175,31 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let g = DenseGraph::from_edges(8, &[(0, 1), (2, 3), (4, 5), (6, 7), (1, 2), (5, 6)]);
-        let a = maximal_independent_set(&g, 99, ExecPolicy::Sequential, &meter());
-        let b = maximal_independent_set(&g, 99, ExecPolicy::Parallel, &meter());
-        assert_eq!(a, b, "parallel and sequential must agree for the same seed");
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let n = 300;
+        let mut g = DenseGraph::new(n);
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if rng.gen_bool(0.05) {
+                    g.add_edge(a, b);
+                }
+            }
+        }
+        assert!(
+            n + g.num_edges() >= PAR_THRESHOLD,
+            "the rounds run on the pool"
+        );
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| maximal_independent_set(&g, 99, &meter()))
+        };
+        let a = run(1);
+        assert!(is_maximal_independent_set(&g, &a.selected));
+        assert_eq!(a, run(4), "1 and 4 threads must agree for the same seed");
     }
 
     #[test]
@@ -197,13 +218,11 @@ mod tests {
             }
             let d = DenseGraph::from_edges(n, &edges);
             let c = CsrGraph::from_edges(n, &edges);
-            for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel] {
-                assert_eq!(
-                    maximal_independent_set(&d, trial, policy, &meter()),
-                    maximal_independent_set(&c, trial, policy, &meter()),
-                    "trial {trial}"
-                );
-            }
+            assert_eq!(
+                maximal_independent_set(&d, trial, &meter()),
+                maximal_independent_set(&c, trial, &meter()),
+                "trial {trial}"
+            );
         }
     }
 
@@ -221,7 +240,7 @@ mod tests {
                     }
                 }
             }
-            let r = maximal_independent_set(&g, trial, ExecPolicy::Sequential, &meter());
+            let r = maximal_independent_set(&g, trial, &meter());
             assert!(is_maximal_independent_set(&g, &r.selected), "trial {trial}");
         }
     }
@@ -230,7 +249,7 @@ mod tests {
     fn round_count_is_recorded() {
         let g = DenseGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let m = meter();
-        let r = maximal_independent_set(&g, 3, ExecPolicy::Sequential, &m);
+        let r = maximal_independent_set(&g, 3, &m);
         assert!(r.rounds >= 1);
         assert_eq!(m.report().rounds as usize, r.rounds);
     }

@@ -40,12 +40,7 @@ use rand_chacha::ChaCha8Rng;
 /// Deterministic for a fixed `seed`. The returned [`DominatorResult`] carries the number
 /// of Luby rounds, which is `O(log n)` in expectation (Lemma 3.1 charges
 /// `O(|V|² log |V|)` work in total).
-pub fn max_dom<G: Neighbors>(
-    g: &G,
-    seed: u64,
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> DominatorResult {
+pub fn max_dom<G: Neighbors>(g: &G, seed: u64, meter: &CostMeter) -> DominatorResult {
     let n = g.n();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut alive = vec![true; n];
@@ -72,9 +67,9 @@ pub fn max_dom<G: Neighbors>(
         // The first targets N[alive] — live nodes plus the dead relays the
         // second propagation will read through; the second targets only the
         // live nodes whose minima step 3 inspects.
-        let relay = alive_set.union(&edge_map(g, &alive_set, |_| true, policy));
-        let m1 = edge_map_min(g, &relay, &pri, true, policy);
-        let m2 = edge_map_min(g, &alive_set, &m1, true, policy);
+        let relay = alive_set.union(&edge_map(g, &alive_set, |_| true, ExecPolicy::Parallel));
+        let m1 = edge_map_min(g, &relay, &pri, true);
+        let m2 = edge_map_min(g, &alive_set, &m1, true);
         meter.add_primitive((n * n) as u64);
         meter.add_primitive((n * n) as u64);
 
@@ -84,8 +79,8 @@ pub fn max_dom<G: Neighbors>(
 
         // Step 4: remove everything within radius 2 of a selected node.
         let newly_set = VertexSubset::from_mask(&newly);
-        let s1 = newly_set.union(&edge_map(g, &newly_set, |_| true, policy));
-        let s2 = s1.union(&edge_map(g, &s1, |_| true, policy));
+        let s1 = newly_set.union(&edge_map(g, &newly_set, |_| true, ExecPolicy::Parallel));
+        let s2 = s1.union(&edge_map(g, &s1, |_| true, ExecPolicy::Parallel));
         meter.add_primitive((n * n) as u64);
         meter.add_primitive((n * n) as u64);
         let s2_mask = s2.to_mask();
@@ -155,6 +150,7 @@ mod tests {
     use super::*;
     use crate::luby::{is_maximal_independent_set, maximal_independent_set};
     use parfaclo_graph::CsrGraph;
+    use parfaclo_matrixops::PAR_THRESHOLD;
     use rand::Rng;
 
     fn meter() -> CostMeter {
@@ -164,7 +160,7 @@ mod tests {
     #[test]
     fn empty_graph_selects_everything() {
         let g = DenseGraph::new(4);
-        let r = max_dom(&g, 0, ExecPolicy::Sequential, &meter());
+        let r = max_dom(&g, 0, &meter());
         assert_eq!(r.selected, vec![0, 1, 2, 3]);
     }
 
@@ -174,7 +170,7 @@ mod tests {
         // adjacent to 0, so the dominator set has exactly one node.
         let g = DenseGraph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
         for seed in 0..5 {
-            let r = max_dom(&g, seed, ExecPolicy::Sequential, &meter());
+            let r = max_dom(&g, seed, &meter());
             assert_eq!(r.selected.len(), 1, "seed {seed}");
             assert!(is_maximal_dominator_set(&g, &r.selected));
         }
@@ -186,7 +182,7 @@ mod tests {
         let edges: Vec<(usize, usize)> = (0..8).map(|i| (i, i + 1)).collect();
         let g = DenseGraph::from_edges(9, &edges);
         for seed in 0..10 {
-            let r = max_dom(&g, seed, ExecPolicy::Sequential, &meter());
+            let r = max_dom(&g, seed, &meter());
             assert!(is_maximal_dominator_set(&g, &r.selected), "seed {seed}");
             for w in r.selected.windows(2) {
                 assert!(w[1] - w[0] >= 3, "seed {seed}: {:?}", r.selected);
@@ -208,14 +204,14 @@ mod tests {
                 }
             }
             // In-place algorithm.
-            let r = max_dom(&g, trial, ExecPolicy::Sequential, &meter());
+            let r = max_dom(&g, trial, &meter());
             assert!(
                 is_maximal_dominator_set(&g, &r.selected),
                 "trial {trial}: in-place result invalid"
             );
             // Reference: plain MIS on the explicit square gives a valid MIS of G².
             let sq = explicit_square(&g);
-            let reference = maximal_independent_set(&sq, trial, ExecPolicy::Sequential, &meter());
+            let reference = maximal_independent_set(&sq, trial, &meter());
             assert!(is_maximal_independent_set(&sq, &reference.selected));
             // Our in-place result must also be a valid MIS of the explicit square.
             assert!(is_maximal_independent_set(&sq, &r.selected));
@@ -225,18 +221,29 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_for_same_seed() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let n = 40;
+        let n = 300;
         let mut g = DenseGraph::new(n);
         for a in 0..n {
             for b in (a + 1)..n {
-                if rng.gen_bool(0.1) {
+                if rng.gen_bool(0.05) {
                     g.add_edge(a, b);
                 }
             }
         }
-        let a = max_dom(&g, 77, ExecPolicy::Sequential, &meter());
-        let b = max_dom(&g, 77, ExecPolicy::Parallel, &meter());
-        assert_eq!(a, b);
+        assert!(
+            n + g.num_edges() >= PAR_THRESHOLD,
+            "the rounds run on the pool"
+        );
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| max_dom(&g, 77, &meter()))
+        };
+        let a = run(1);
+        assert!(is_maximal_dominator_set(&g, &a.selected));
+        assert_eq!(a, run(4));
     }
 
     #[test]
@@ -254,13 +261,11 @@ mod tests {
             }
             let d = DenseGraph::from_edges(n, &edges);
             let c = CsrGraph::from_edges(n, &edges);
-            for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel] {
-                assert_eq!(
-                    max_dom(&d, trial, policy, &meter()),
-                    max_dom(&c, trial, policy, &meter()),
-                    "trial {trial}"
-                );
-            }
+            assert_eq!(
+                max_dom(&d, trial, &meter()),
+                max_dom(&c, trial, &meter()),
+                "trial {trial}"
+            );
         }
     }
 
@@ -270,7 +275,7 @@ mod tests {
         let n = 400;
         let edges: Vec<(usize, usize)> = (0..200).map(|i| (2 * i, 2 * i + 1)).collect();
         let g = DenseGraph::from_edges(n, &edges);
-        let r = max_dom(&g, 1, ExecPolicy::Parallel, &meter());
+        let r = max_dom(&g, 1, &meter());
         assert_eq!(r.selected.len(), 200, "one endpoint of each isolated edge");
         assert!(r.rounds <= 20, "expected O(log n) rounds, got {}", r.rounds);
     }

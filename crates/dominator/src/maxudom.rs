@@ -21,7 +21,7 @@ use parfaclo_graph::{
     bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, BipartiteGraph, BipartiteNeighbors,
     VertexSubset,
 };
-use parfaclo_matrixops::{CostMeter, ExecPolicy};
+use parfaclo_matrixops::CostMeter;
 use parfaclo_trace as trace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -30,12 +30,7 @@ use rand_chacha::ChaCha8Rng;
 ///
 /// U-side nodes with no `V`-neighbours are always selected (they conflict with nothing,
 /// so maximality requires them). Deterministic for a fixed `seed`.
-pub fn max_u_dom<H: BipartiteNeighbors>(
-    h: &H,
-    seed: u64,
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> DominatorResult {
+pub fn max_u_dom<H: BipartiteNeighbors>(h: &H, seed: u64, meter: &CostMeter) -> DominatorResult {
     let nu = h.nu();
     let nv = h.nv();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -63,12 +58,12 @@ pub fn max_u_dom<H: BipartiteNeighbors>(
         // one; V-nodes outside the live set's neighbourhood get +∞ — the
         // same value the dense scan produced for them — and are never read.
         meter.add_primitive((nu * nv) as u64);
-        let touched_v = bi_edge_map_u(h, &alive_set, policy);
-        let mv = bi_min_into_v(h, &touched_v, &pri, policy);
+        let touched_v = bi_edge_map_u(h, &alive_set);
+        let mv = bi_min_into_v(h, &touched_v, &pri);
 
         // Back to U: closed H'-neighbourhood minimum of u.
         meter.add_primitive((nu * nv) as u64);
-        let mu = bi_min_into_u(h, &alive_set, &mv, &pri, policy);
+        let mu = bi_min_into_u(h, &alive_set, &mv, &pri);
 
         // Select live local minima of H' (distinct priorities ⇒ equality test works).
         let newly: Vec<bool> = (0..nu).map(|u| alive[u] && pri[u] == mu[u]).collect();
@@ -77,9 +72,9 @@ pub fn max_u_dom<H: BipartiteNeighbors>(
         // Removal: a V-node covered by a selected U-node blocks all its U-neighbours.
         let newly_set = VertexSubset::from_mask(&newly);
         meter.add_primitive((nu * nv) as u64);
-        let v_blocked = bi_edge_map_u(h, &newly_set, policy);
+        let v_blocked = bi_edge_map_u(h, &newly_set);
         meter.add_primitive((nu * nv) as u64);
-        let blocked_u = bi_edge_map_v(h, &v_blocked, policy);
+        let blocked_u = bi_edge_map_v(h, &v_blocked);
         let blocked_mask = blocked_u.to_mask();
 
         for u in 0..nu {
@@ -138,7 +133,7 @@ mod tests {
     #[test]
     fn empty_bipartite_graph_selects_all_u() {
         let h = BipartiteGraph::new(4, 3);
-        let r = max_u_dom(&h, 0, ExecPolicy::Sequential, &meter());
+        let r = max_u_dom(&h, 0, &meter());
         assert_eq!(r.selected, vec![0, 1, 2, 3]);
         assert_eq!(r.rounds, 1);
     }
@@ -148,7 +143,7 @@ mod tests {
         // All U-nodes attached to the single V-node: only one can be selected.
         let h = BipartiteGraph::from_edges(5, 1, &[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]);
         for seed in 0..5 {
-            let r = max_u_dom(&h, seed, ExecPolicy::Sequential, &meter());
+            let r = max_u_dom(&h, seed, &meter());
             assert_eq!(r.selected.len(), 1, "seed {seed}");
             assert!(is_maximal_u_dominator_set(&h, &r.selected));
         }
@@ -159,7 +154,7 @@ mod tests {
         // U {0,1} share V0; U {2,3} share V1.
         let h = BipartiteGraph::from_edges(4, 2, &[(0, 0), (1, 0), (2, 1), (3, 1)]);
         for seed in 0..5 {
-            let r = max_u_dom(&h, seed, ExecPolicy::Sequential, &meter());
+            let r = max_u_dom(&h, seed, &meter());
             assert_eq!(r.selected.len(), 2, "seed {seed}");
             assert!(is_maximal_u_dominator_set(&h, &r.selected));
         }
@@ -170,7 +165,7 @@ mod tests {
         // U-node 2 has no edges — it must be in every maximal U-dominator set.
         let h = BipartiteGraph::from_edges(3, 2, &[(0, 0), (1, 0), (0, 1), (1, 1)]);
         for seed in 0..5 {
-            let r = max_u_dom(&h, seed, ExecPolicy::Sequential, &meter());
+            let r = max_u_dom(&h, seed, &meter());
             assert!(r.selected.contains(&2), "seed {seed}: {:?}", r.selected);
             assert!(is_maximal_u_dominator_set(&h, &r.selected));
         }
@@ -190,7 +185,7 @@ mod tests {
                     }
                 }
             }
-            let r = max_u_dom(&h, trial, ExecPolicy::Sequential, &meter());
+            let r = max_u_dom(&h, trial, &meter());
             assert!(
                 is_maximal_u_dominator_set(&h, &r.selected),
                 "trial {trial} invalid: {:?}",
@@ -202,18 +197,29 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_for_same_seed() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let (nu, nv) = (60, 50);
+        let (nu, nv) = (150, 120);
         let mut h = BipartiteGraph::new(nu, nv);
         for u in 0..nu {
             for v in 0..nv {
-                if rng.gen_bool(0.08) {
+                if rng.gen_bool(0.15) {
                     h.add_edge(u, v);
                 }
             }
         }
-        let a = max_u_dom(&h, 123, ExecPolicy::Sequential, &meter());
-        let b = max_u_dom(&h, 123, ExecPolicy::Parallel, &meter());
-        assert_eq!(a, b);
+        assert!(
+            nv + h.num_edges() >= parfaclo_matrixops::PAR_THRESHOLD,
+            "the rounds run on the pool"
+        );
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| max_u_dom(&h, 123, &meter()))
+        };
+        let a = run(1);
+        assert!(is_maximal_u_dominator_set(&h, &a.selected));
+        assert_eq!(a, run(4));
     }
 
     #[test]
@@ -233,13 +239,11 @@ mod tests {
             }
             let d = BipartiteGraph::from_edges(nu, nv, &edges);
             let c = CsrBipartite::from_edges(nu, nv, &edges);
-            for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel] {
-                assert_eq!(
-                    max_u_dom(&d, trial, policy, &meter()),
-                    max_u_dom(&c, trial, policy, &meter()),
-                    "trial {trial}"
-                );
-            }
+            assert_eq!(
+                max_u_dom(&d, trial, &meter()),
+                max_u_dom(&c, trial, &meter()),
+                "trial {trial}"
+            );
         }
     }
 
@@ -264,7 +268,7 @@ mod tests {
                 }
             }
         }
-        let r = max_u_dom(&h, 5, ExecPolicy::Parallel, &meter());
+        let r = max_u_dom(&h, 5, &meter());
         assert!(is_maximal_u_dominator_set(&h, &r.selected));
         assert!(r.rounds <= 25, "expected few rounds, got {}", r.rounds);
     }

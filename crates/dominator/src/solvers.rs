@@ -20,7 +20,7 @@ use crate::maxdom::max_dom;
 use crate::DominatorResult;
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
 use parfaclo_graph::ThresholdGraph;
-use parfaclo_matrixops::{CostMeter, ExecPolicy};
+use parfaclo_matrixops::CostMeter;
 use parfaclo_metric::{ClusterInstance, DistanceOracle, SCRATCH_BYTES_CAP};
 use parfaclo_trace as trace;
 
@@ -65,7 +65,7 @@ fn dominator_run(
     solver: &(impl Solver + ?Sized),
     inst: &ClusterInstance,
     cfg: &RunConfig,
-    algorithm: impl Fn(&ThresholdGraph, u64, ExecPolicy, &CostMeter) -> DominatorResult,
+    algorithm: impl Fn(&ThresholdGraph, u64, &CostMeter) -> DominatorResult,
 ) -> Result<Run, String> {
     let meter = CostMeter::new();
     let threshold = {
@@ -78,7 +78,7 @@ fn dominator_run(
     };
     let result = {
         let _span = trace::span("luby-rounds", Some(&meter));
-        algorithm(&g, cfg.seed, cfg.policy, &meter)
+        algorithm(&g, cfg.seed, &meter)
     };
     Ok(Run::new(Solver::name(solver), ProblemKind::DominatorSet)
         .with_guarantee(Solver::guarantee(solver))

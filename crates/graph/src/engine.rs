@@ -1,15 +1,17 @@
-//! The Ligra-style frontier engine: `edge_map` / `vertex_map` /
-//! `vertex_filter` over any [`Neighbors`] graph.
+//! The Ligra-style frontier engine: `edge_map` and its `min`-combining and
+//! bipartite siblings over any [`Neighbors`] graph.
 //!
 //! Every primitive is deterministic by construction: direction switching
 //! (sparse *push* vs dense *pull*) is a pure function of frontier density and
 //! graph size — never of thread count — and every combine is either
 //! order-independent (set membership, `min`) or evaluated left-to-right over
-//! ascending neighbour ids, so results are byte-identical across
-//! [`ExecPolicy`] choices, thread counts and graph representations.
+//! ascending neighbour ids, so results are byte-identical across thread
+//! counts and graph representations. A dense pass goes parallel once
+//! `vertices + edges` reaches [`PAR_THRESHOLD`]; [`edge_map`] also takes an
+//! [`ExecPolicy`] whose `Sequential` branch is its tests' reference.
 
 use crate::frontier::VertexSubset;
-use parfaclo_matrixops::ExecPolicy;
+use parfaclo_matrixops::{ExecPolicy, PAR_THRESHOLD};
 use rayon::prelude::*;
 
 /// Adjacency access for the frontier engine. Implemented by the dense
@@ -153,7 +155,6 @@ pub fn edge_map_min<G: Neighbors>(
     targets: &VertexSubset,
     values: &[u64],
     include_self: bool,
-    policy: ExecPolicy,
 ) -> Vec<u64> {
     let n = g.n();
     debug_assert_eq!(values.len(), n);
@@ -165,14 +166,14 @@ pub fn edge_map_min<G: Neighbors>(
     if targets.len() * 2 >= n {
         let mask = targets.to_mask();
         let one = |v: usize| if mask[v] { gather(v) } else { values[v] };
-        if policy.run_parallel(n + g.num_edges()) {
+        if n + g.num_edges() >= PAR_THRESHOLD {
             (0..n).into_par_iter().with_min_len(256).map(one).collect()
         } else {
             (0..n).map(one).collect()
         }
     } else {
         let ids = targets.ids();
-        let gathered: Vec<u64> = if policy.run_parallel(n + g.num_edges()) {
+        let gathered: Vec<u64> = if n + g.num_edges() >= PAR_THRESHOLD {
             (0..ids.len())
                 .into_par_iter()
                 .with_min_len(64)
@@ -186,48 +187,6 @@ pub fn edge_map_min<G: Neighbors>(
             out[v as usize] = m;
         }
         out
-    }
-}
-
-/// Ligra `vertexMap`: applies `f` to every member in ascending order and
-/// returns the results in that order.
-pub fn vertex_map<T, F>(subset: &VertexSubset, f: F, policy: ExecPolicy) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let ids = subset.ids();
-    if policy.run_parallel(ids.len()) {
-        (0..ids.len())
-            .into_par_iter()
-            .with_min_len(64)
-            .map(|i| f(ids[i] as usize))
-            .collect()
-    } else {
-        ids.iter().map(|&v| f(v as usize)).collect()
-    }
-}
-
-/// Ligra `vertexFilter`: the members of `subset` satisfying `pred`, keeping
-/// the subset's representation kind.
-pub fn vertex_filter<F>(subset: &VertexSubset, pred: F, policy: ExecPolicy) -> VertexSubset
-where
-    F: Fn(usize) -> bool + Sync,
-{
-    let n = subset.universe();
-    if subset.is_sparse() {
-        let mut ids = subset.ids();
-        ids.retain(|&v| pred(v as usize));
-        VertexSubset::from_sorted_ids(n, ids)
-    } else {
-        let mask = subset.to_mask();
-        let one = |v: usize| mask[v] && pred(v);
-        let bits: Vec<bool> = if policy.run_parallel(n) {
-            (0..n).into_par_iter().with_min_len(256).map(one).collect()
-        } else {
-            (0..n).map(one).collect()
-        };
-        VertexSubset::from_mask_owned(bits)
     }
 }
 
@@ -331,11 +290,7 @@ impl BipartiteNeighbors for crate::BipartiteGraph {
 }
 
 /// Bipartite `edgeMap`, `U → V`: the V-side set adjacent to `u_frontier`.
-pub fn bi_edge_map_u<H: BipartiteNeighbors>(
-    h: &H,
-    u_frontier: &VertexSubset,
-    policy: ExecPolicy,
-) -> VertexSubset {
+pub fn bi_edge_map_u<H: BipartiteNeighbors>(h: &H, u_frontier: &VertexSubset) -> VertexSubset {
     let nv = h.nv();
     if u_frontier.is_empty() {
         return VertexSubset::empty(nv);
@@ -352,7 +307,7 @@ pub fn bi_edge_map_u<H: BipartiteNeighbors>(
     if heavy {
         let mask = u_frontier.to_mask();
         let one = |v: usize| h.any_neighbor_v(v, &|u| mask[u]);
-        let bits: Vec<bool> = if policy.run_parallel(nv + h.num_edges()) {
+        let bits: Vec<bool> = if nv + h.num_edges() >= PAR_THRESHOLD {
             (0..nv).into_par_iter().with_min_len(256).map(one).collect()
         } else {
             (0..nv).map(one).collect()
@@ -368,11 +323,7 @@ pub fn bi_edge_map_u<H: BipartiteNeighbors>(
 }
 
 /// Bipartite `edgeMap`, `V → U`: the U-side set adjacent to `v_frontier`.
-pub fn bi_edge_map_v<H: BipartiteNeighbors>(
-    h: &H,
-    v_frontier: &VertexSubset,
-    policy: ExecPolicy,
-) -> VertexSubset {
+pub fn bi_edge_map_v<H: BipartiteNeighbors>(h: &H, v_frontier: &VertexSubset) -> VertexSubset {
     let nu = h.nu();
     if v_frontier.is_empty() {
         return VertexSubset::empty(nu);
@@ -389,7 +340,7 @@ pub fn bi_edge_map_v<H: BipartiteNeighbors>(
     if heavy {
         let mask = v_frontier.to_mask();
         let one = |u: usize| h.any_neighbor_u(u, &|v| mask[v]);
-        let bits: Vec<bool> = if policy.run_parallel(nu + h.num_edges()) {
+        let bits: Vec<bool> = if nu + h.num_edges() >= PAR_THRESHOLD {
             (0..nu).into_par_iter().with_min_len(256).map(one).collect()
         } else {
             (0..nu).map(one).collect()
@@ -411,7 +362,6 @@ pub fn bi_min_into_v<H: BipartiteNeighbors>(
     h: &H,
     v_targets: &VertexSubset,
     u_values: &[u64],
-    policy: ExecPolicy,
 ) -> Vec<u64> {
     let nv = h.nv();
     let gather = |v: usize| -> u64 {
@@ -422,14 +372,14 @@ pub fn bi_min_into_v<H: BipartiteNeighbors>(
     if v_targets.len() * 2 >= nv {
         let mask = v_targets.to_mask();
         let one = |v: usize| if mask[v] { gather(v) } else { u64::MAX };
-        if policy.run_parallel(nv + h.num_edges()) {
+        if nv + h.num_edges() >= PAR_THRESHOLD {
             (0..nv).into_par_iter().with_min_len(256).map(one).collect()
         } else {
             (0..nv).map(one).collect()
         }
     } else {
         let ids = v_targets.ids();
-        let gathered: Vec<u64> = if policy.run_parallel(nv + h.num_edges()) {
+        let gathered: Vec<u64> = if nv + h.num_edges() >= PAR_THRESHOLD {
             (0..ids.len())
                 .into_par_iter()
                 .with_min_len(64)
@@ -454,7 +404,6 @@ pub fn bi_min_into_u<H: BipartiteNeighbors>(
     u_targets: &VertexSubset,
     v_values: &[u64],
     u_self: &[u64],
-    policy: ExecPolicy,
 ) -> Vec<u64> {
     let nu = h.nu();
     let gather = |u: usize| -> u64 {
@@ -465,14 +414,14 @@ pub fn bi_min_into_u<H: BipartiteNeighbors>(
     if u_targets.len() * 2 >= nu {
         let mask = u_targets.to_mask();
         let one = |u: usize| if mask[u] { gather(u) } else { u_self[u] };
-        if policy.run_parallel(nu + h.num_edges()) {
+        if nu + h.num_edges() >= PAR_THRESHOLD {
             (0..nu).into_par_iter().with_min_len(256).map(one).collect()
         } else {
             (0..nu).map(one).collect()
         }
     } else {
         let ids = u_targets.ids();
-        let gathered: Vec<u64> = if policy.run_parallel(nu + h.num_edges()) {
+        let gathered: Vec<u64> = if nu + h.num_edges() >= PAR_THRESHOLD {
             (0..ids.len())
                 .into_par_iter()
                 .with_min_len(64)
@@ -591,13 +540,16 @@ mod tests {
         assert_eq!(full.ids(), vec![0, 1, 2, 3, 4]);
     }
 
+    /// Seeds 1–4 build 30-node graphs, which run the sequential loops;
+    /// seeds 5–8 build 200-node graphs, which reach the parallel grain.
     #[test]
     fn edge_map_min_matches_reference() {
-        for seed in 1..5 {
-            let n = 30;
-            let edges = random_edges(n, 10, seed);
+        for seed in 1..9 {
+            let (n, percent) = if seed < 5 { (30, 10) } else { (200, 12) };
+            let edges = random_edges(n, percent, seed);
             let g = CsrGraph::from_edges(n, &edges);
             let d = DenseGraph::from_edges(n, &edges);
+            assert_eq!(n + edges.len() >= PAR_THRESHOLD, seed >= 5);
             let values: Vec<u64> = (0..n as u64).map(|i| (i * 2654435761) % 1000).collect();
             for density in [10, 80] {
                 let ids = random_subset(n, density, seed + density);
@@ -617,33 +569,19 @@ mod tests {
                         }
                         want[v] = m;
                     }
-                    for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel] {
-                        assert_eq!(
-                            edge_map_min(&g, &targets, &values, include_self, policy),
-                            want
-                        );
-                        assert_eq!(
-                            edge_map_min(&d, &targets, &values, include_self, policy),
-                            want
-                        );
+                    for threads in [1, 4] {
+                        let pool = rayon::ThreadPoolBuilder::new()
+                            .num_threads(threads)
+                            .build()
+                            .unwrap();
+                        pool.install(|| {
+                            assert_eq!(edge_map_min(&g, &targets, &values, include_self), want);
+                            assert_eq!(edge_map_min(&d, &targets, &values, include_self), want);
+                        });
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn vertex_map_and_filter_are_order_stable() {
-        let s = VertexSubset::from_sorted_ids(10, vec![1, 4, 7, 9]);
-        let doubled = vertex_map(&s, |v| v * 2, ExecPolicy::Parallel);
-        assert_eq!(doubled, vec![2, 8, 14, 18]);
-        let odd = vertex_filter(&s, |v| v % 2 == 1, ExecPolicy::Parallel);
-        assert!(odd.is_sparse());
-        assert_eq!(odd.ids(), vec![1, 7, 9]);
-        let dense = VertexSubset::from_mask(&[true; 10]);
-        let small = vertex_filter(&dense, |v| v < 3, ExecPolicy::Sequential);
-        assert!(!small.is_sparse());
-        assert_eq!(small.ids(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -666,20 +604,27 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Seeds 1–4 build 25 x 18 graphs, which run the sequential loops;
+    /// seeds 5–8 build 120 x 100 graphs, which reach the parallel grain.
     #[test]
     fn bipartite_edge_maps_match_brute_force() {
         use crate::{BipartiteGraph, CsrBipartite};
-        for seed in 1..5 {
-            let (nu, nv) = (25, 18);
+        for seed in 1..9 {
+            let ((nu, nv), percent) = if seed < 5 {
+                ((25, 18), 12)
+            } else {
+                ((120, 100), 20)
+            };
             let mut rng = XorShift(seed);
             let mut edges = Vec::new();
             for u in 0..nu {
                 for v in 0..nv {
-                    if rng.chance(12) {
+                    if rng.chance(percent) {
                         edges.push((u, v));
                     }
                 }
             }
+            assert_eq!(nu.min(nv) + edges.len() >= PAR_THRESHOLD, seed >= 5);
             let hc = CsrBipartite::from_edges(nu, nv, &edges);
             let hd = BipartiteGraph::from_edges(nu, nv, &edges);
             for density in [8, 70] {
@@ -692,10 +637,6 @@ mod tests {
                     .collect();
                 want.sort_unstable();
                 want.dedup();
-                for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel] {
-                    assert_eq!(bi_edge_map_u(&hc, &uf, policy).ids(), want);
-                    assert_eq!(bi_edge_map_u(&hd, &uf, policy).ids(), want);
-                }
                 // And the V → U direction on the transposed question.
                 let v_ids = random_subset(nv, density, seed * 5 + density);
                 let vf = VertexSubset::from_sorted_ids(nv, v_ids.clone());
@@ -706,8 +647,18 @@ mod tests {
                     .collect();
                 want_u.sort_unstable();
                 want_u.dedup();
-                assert_eq!(bi_edge_map_v(&hc, &vf, ExecPolicy::Parallel).ids(), want_u);
-                assert_eq!(bi_edge_map_v(&hd, &vf, ExecPolicy::Parallel).ids(), want_u);
+                for threads in [1, 4] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    pool.install(|| {
+                        assert_eq!(bi_edge_map_u(&hc, &uf).ids(), want);
+                        assert_eq!(bi_edge_map_u(&hd, &uf).ids(), want);
+                        assert_eq!(bi_edge_map_v(&hc, &vf).ids(), want_u);
+                        assert_eq!(bi_edge_map_v(&hd, &vf).ids(), want_u);
+                    });
+                }
             }
         }
     }
@@ -721,14 +672,14 @@ mod tests {
         let hd = BipartiteGraph::from_edges(nu, nv, &edges);
         let pri: Vec<u64> = (0..nu as u64).map(|u| 100 - u).collect();
         let all_v = VertexSubset::full(nv);
-        let mv_c = bi_min_into_v(&hc, &all_v, &pri, ExecPolicy::Parallel);
-        let mv_d = bi_min_into_v(&hd, &all_v, &pri, ExecPolicy::Sequential);
+        let mv_c = bi_min_into_v(&hc, &all_v, &pri);
+        let mv_d = bi_min_into_v(&hd, &all_v, &pri);
         assert_eq!(mv_c, mv_d);
         assert_eq!(mv_c[0], 100 - 11, "min over u ∈ {{0, 1, 11}}");
         assert_eq!(mv_c[1], u64::MAX, "no neighbours");
         let all_u = VertexSubset::full(nu);
-        let mu_c = bi_min_into_u(&hc, &all_u, &mv_c, &pri, ExecPolicy::Parallel);
-        let mu_d = bi_min_into_u(&hd, &all_u, &mv_d, &pri, ExecPolicy::Sequential);
+        let mu_c = bi_min_into_u(&hc, &all_u, &mv_c, &pri);
+        let mu_d = bi_min_into_u(&hd, &all_u, &mv_d, &pri);
         assert_eq!(mu_c, mu_d);
         assert_eq!(mu_c[0], 100 - 11, "u0 sees v0's min");
         assert_eq!(mu_c[3], pri[3], "isolated u keeps its own value");

@@ -73,12 +73,6 @@ impl VertexSubset {
         }
     }
 
-    /// The size of the universe this subset draws from.
-    #[inline]
-    pub fn universe(&self) -> usize {
-        self.n
-    }
-
     /// Number of members.
     pub fn len(&self) -> usize {
         match &self.repr {

@@ -16,10 +16,10 @@
 //!   `parfaclo_metric::SCRATCH_BYTES_CAP`;
 //! * the frontier engine — [`VertexSubset`] (sparse id list / dense bitmap
 //!   with deterministic direction switching on a pure function of frontier
-//!   density, never thread count) and the [`edge_map`] / [`vertex_map`] /
-//!   [`vertex_filter`] primitives, whose combines are order-independent or
-//!   left-to-right so canonical output stays byte-identical across thread
-//!   counts and graph backends.
+//!   density, never thread count) and the [`edge_map`] / [`edge_map_min`]
+//!   primitives with their bipartite siblings, whose combines are
+//!   order-independent or left-to-right so canonical output stays
+//!   byte-identical across thread counts and graph backends.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,7 +34,7 @@ pub use csr::{CsrBipartite, CsrGraph};
 pub use dense::{BipartiteGraph, DenseGraph};
 pub use engine::{
     bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, edge_map, edge_map_min,
-    vertex_filter, vertex_map, BipartiteNeighbors, Neighbors,
+    BipartiteNeighbors, Neighbors,
 };
 pub use frontier::VertexSubset;
 pub use threshold::{GraphBackend, ThresholdGraph};

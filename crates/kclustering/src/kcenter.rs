@@ -11,7 +11,7 @@
 use parfaclo_bucket::{BucketMapping, RadiusDeriver};
 use parfaclo_dominator::{max_dom, ThresholdGraph};
 use parfaclo_graph::GraphBackend;
-use parfaclo_matrixops::{CostMeter, CostReport, ExecPolicy};
+use parfaclo_matrixops::{CostMeter, CostReport};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, NodeId};
 use parfaclo_trace as trace;
 
@@ -53,13 +53,8 @@ pub struct KCenterSolution {
 /// Panics if `k == 0`, the instance is empty, or the instance exceeds the
 /// dense graph backend's size cap (use [`parallel_kcenter_with`] with
 /// [`GraphBackend::Csr`] for such instances).
-pub fn parallel_kcenter(
-    inst: &ClusterInstance,
-    k: usize,
-    seed: u64,
-    policy: ExecPolicy,
-) -> KCenterSolution {
-    parallel_kcenter_with(inst, k, seed, policy, GraphBackend::Dense)
+pub fn parallel_kcenter(inst: &ClusterInstance, k: usize, seed: u64) -> KCenterSolution {
+    parallel_kcenter_with(inst, k, seed, GraphBackend::Dense)
         .expect("dense k-center within size caps")
 }
 
@@ -86,7 +81,6 @@ pub fn parallel_kcenter_with(
     inst: &ClusterInstance,
     k: usize,
     seed: u64,
-    policy: ExecPolicy,
     graph: GraphBackend,
 ) -> Result<KCenterSolution, String> {
     let n = inst.n();
@@ -133,12 +127,7 @@ pub fn parallel_kcenter_with(
         trace::round(probes as u64, || (hi - lo + 1) as u64, &meter);
         let g = ThresholdGraph::build(inst.distances(), distances[mid], graph)?;
         meter.add_primitive((n * n) as u64);
-        let dom = max_dom(
-            &g,
-            seed ^ (mid as u64).wrapping_mul(0x9E37_79B9),
-            policy,
-            &meter,
-        );
+        let dom = max_dom(&g, seed ^ (mid as u64).wrapping_mul(0x9E37_79B9), &meter);
         luby_rounds += dom.rounds;
         if dom.selected.len() <= k {
             best = Some((mid, dom.selected));
@@ -157,7 +146,7 @@ pub fn parallel_kcenter_with(
             // The largest threshold makes the whole graph one clique-square, so the
             // dominator set is a single node — always feasible.
             let g = ThresholdGraph::build(inst.distances(), *distances.last().unwrap(), graph)?;
-            let dom = max_dom(&g, seed, policy, &meter);
+            let dom = max_dom(&g, seed, &meter);
             (distances.len() - 1, dom.selected)
         }
     };
@@ -192,13 +181,12 @@ pub fn parallel_kcenter_derived(
     inst: &ClusterInstance,
     k: usize,
     seed: u64,
-    policy: ExecPolicy,
     graph: GraphBackend,
     deriver: RadiusDeriver,
 ) -> Result<KCenterSolution, String> {
     match deriver {
-        RadiusDeriver::Exact => parallel_kcenter_with(inst, k, seed, policy, graph),
-        RadiusDeriver::Sketch => parallel_kcenter_sketched(inst, k, seed, policy, graph),
+        RadiusDeriver::Exact => parallel_kcenter_with(inst, k, seed, graph),
+        RadiusDeriver::Sketch => parallel_kcenter_sketched(inst, k, seed, graph),
     }
 }
 
@@ -239,7 +227,6 @@ pub fn parallel_kcenter_sketched(
     inst: &ClusterInstance,
     k: usize,
     seed: u64,
-    policy: ExecPolicy,
     graph: GraphBackend,
 ) -> Result<KCenterSolution, String> {
     let n = inst.n();
@@ -298,12 +285,7 @@ pub fn parallel_kcenter_sketched(
     let probe = |idx: usize, luby_rounds: &mut usize| -> Result<Option<Vec<NodeId>>, String> {
         let g = ThresholdGraph::build(inst.distances(), candidates[idx], graph)?;
         meter.add_primitive((n * n) as u64);
-        let dom = max_dom(
-            &g,
-            seed ^ (idx as u64).wrapping_mul(0x9E37_79B9),
-            policy,
-            &meter,
-        );
+        let dom = max_dom(&g, seed ^ (idx as u64).wrapping_mul(0x9E37_79B9), &meter);
         *luby_rounds += dom.rounds;
         Ok((dom.selected.len() <= k).then_some(dom.selected))
     };
@@ -389,7 +371,7 @@ pub fn parallel_kcenter_sketched(
             probes += 1;
             trace::round(probes as u64, || 1, &meter);
             let g = ThresholdGraph::build(inst.distances(), candidates[last], graph)?;
-            let dom = max_dom(&g, seed, policy, &meter);
+            let dom = max_dom(&g, seed, &meter);
             luby_rounds += dom.rounds;
             (last, dom.selected)
         }
@@ -422,7 +404,7 @@ mod tests {
     #[test]
     fn planted_clusters_are_recovered() {
         let inst = gen::clustering(GenParams::planted(48, 48, 6).with_seed(1));
-        let sol = parallel_kcenter(&inst, 6, 0, ExecPolicy::Sequential);
+        let sol = parallel_kcenter(&inst, 6, 0);
         assert!(sol.centers.len() <= 6);
         // Blobs have radius 1 and separation 50; any valid 2-approximation has radius
         // at most 2·2 = 4, and the dominator-set structure typically achieves ≤ 2.
@@ -436,7 +418,7 @@ mod tests {
             for k in 1..4 {
                 let (_, opt) =
                     lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-                let sol = parallel_kcenter(&inst, k, seed, ExecPolicy::Sequential);
+                let sol = parallel_kcenter(&inst, k, seed);
                 assert!(
                     sol.radius <= 2.0 * opt + 1e-9,
                     "seed {seed} k {k}: {} vs opt {opt}",
@@ -455,7 +437,7 @@ mod tests {
         // most twice the feasibility threshold found by the binary search.
         for seed in 0..5 {
             let inst = gen::clustering(GenParams::gaussian_clusters(30, 30, 4).with_seed(seed));
-            let sol = parallel_kcenter(&inst, 4, seed, ExecPolicy::Parallel);
+            let sol = parallel_kcenter(&inst, 4, seed);
             assert!(
                 sol.radius <= 2.0 * sol.threshold + 1e-9,
                 "seed {seed}: radius {} threshold {}",
@@ -470,7 +452,7 @@ mod tests {
         for seed in 0..5 {
             let inst = gen::clustering(GenParams::uniform_square(40, 40).with_seed(seed));
             let k = 5;
-            let par = parallel_kcenter(&inst, k, seed, ExecPolicy::Sequential);
+            let par = parallel_kcenter(&inst, k, seed);
             let gonz = gonzalez_kcenter(&inst, k);
             let hs = hochbaum_shmoys_kcenter(&inst, k);
             // All three are 2-approximations of the same optimum, so no one of them can
@@ -486,7 +468,7 @@ mod tests {
     #[test]
     fn probes_are_logarithmic_in_distance_count() {
         let inst = gen::clustering(GenParams::uniform_square(50, 50).with_seed(7));
-        let sol = parallel_kcenter(&inst, 4, 7, ExecPolicy::Parallel);
+        let sol = parallel_kcenter(&inst, 4, 7);
         let num_distances = inst.distances().sorted_distinct_values().len();
         let bound = (num_distances as f64).log2().ceil() as usize + 2;
         assert!(
@@ -500,16 +482,16 @@ mod tests {
     #[test]
     fn k_geq_n_selects_everything() {
         let inst = gen::clustering(GenParams::uniform_square(6, 6).with_seed(2));
-        let sol = parallel_kcenter(&inst, 10, 0, ExecPolicy::Sequential);
+        let sol = parallel_kcenter(&inst, 10, 0);
         assert_eq!(sol.centers.len(), 6);
         assert_eq!(sol.radius, 0.0);
     }
 
     #[test]
-    fn deterministic_for_fixed_seed_and_policy() {
+    fn deterministic_for_fixed_seed() {
         let inst = gen::clustering(GenParams::uniform_square(25, 25).with_seed(4));
-        let a = parallel_kcenter(&inst, 3, 11, ExecPolicy::Sequential);
-        let b = parallel_kcenter(&inst, 3, 11, ExecPolicy::Parallel);
+        let a = parallel_kcenter(&inst, 3, 11);
+        let b = parallel_kcenter(&inst, 3, 11);
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.radius, b.radius);
     }
@@ -519,11 +501,9 @@ mod tests {
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::uniform_square(22, 22).with_seed(seed));
             let dense =
-                parallel_kcenter_with(&inst, 3, seed, ExecPolicy::Parallel, GraphBackend::Dense)
-                    .expect("dense feasible");
+                parallel_kcenter_with(&inst, 3, seed, GraphBackend::Dense).expect("dense feasible");
             let csr =
-                parallel_kcenter_with(&inst, 3, seed, ExecPolicy::Parallel, GraphBackend::Csr)
-                    .expect("csr feasible");
+                parallel_kcenter_with(&inst, 3, seed, GraphBackend::Csr).expect("csr feasible");
             assert_eq!(dense.centers, csr.centers, "seed {seed}");
             assert_eq!(dense.radius, csr.radius, "seed {seed}");
             assert_eq!(dense.threshold, csr.threshold, "seed {seed}");
@@ -537,17 +517,10 @@ mod tests {
     fn sketch_deriver_is_deterministic_and_backend_invariant() {
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::uniform_square(60, 60).with_seed(seed));
-            let a = parallel_kcenter_sketched(
-                &inst,
-                4,
-                seed,
-                ExecPolicy::Sequential,
-                GraphBackend::Dense,
-            )
-            .expect("dense feasible");
+            let a = parallel_kcenter_sketched(&inst, 4, seed, GraphBackend::Dense)
+                .expect("dense feasible");
             let b =
-                parallel_kcenter_sketched(&inst, 4, seed, ExecPolicy::Parallel, GraphBackend::Csr)
-                    .expect("csr feasible");
+                parallel_kcenter_sketched(&inst, 4, seed, GraphBackend::Csr).expect("csr feasible");
             assert_eq!(a.centers, b.centers, "seed {seed}");
             assert_eq!(a.radius, b.radius, "seed {seed}");
             assert_eq!(a.threshold, b.threshold, "seed {seed}");
@@ -566,14 +539,8 @@ mod tests {
             for k in 1..4 {
                 let (_, opt) =
                     lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-                let sol = parallel_kcenter_sketched(
-                    &inst,
-                    k,
-                    seed,
-                    ExecPolicy::Sequential,
-                    GraphBackend::Dense,
-                )
-                .expect("feasible");
+                let sol = parallel_kcenter_sketched(&inst, k, seed, GraphBackend::Dense)
+                    .expect("feasible");
                 assert!(
                     sol.radius <= 2.0 * sol.threshold + 1e-9,
                     "seed {seed} k {k}: radius {} threshold {}",
@@ -601,16 +568,9 @@ mod tests {
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::gaussian_clusters(40, 40, 5).with_seed(seed));
             let exact =
-                parallel_kcenter_with(&inst, 5, seed, ExecPolicy::Parallel, GraphBackend::Dense)
-                    .expect("exact feasible");
-            let sketch = parallel_kcenter_sketched(
-                &inst,
-                5,
-                seed,
-                ExecPolicy::Parallel,
-                GraphBackend::Dense,
-            )
-            .expect("sketch feasible");
+                parallel_kcenter_with(&inst, 5, seed, GraphBackend::Dense).expect("exact feasible");
+            let sketch = parallel_kcenter_sketched(&inst, 5, seed, GraphBackend::Dense)
+                .expect("sketch feasible");
             assert!(
                 sketch.radius <= 2.0 * exact.radius + 1e-9,
                 "seed {seed}: sketch radius {} vs exact {}",
@@ -631,17 +591,10 @@ mod tests {
     fn derived_exact_is_bit_identical_to_historical_path() {
         for seed in 0..3 {
             let inst = gen::clustering(GenParams::uniform_square(25, 25).with_seed(seed));
-            let a = parallel_kcenter_with(&inst, 3, seed, ExecPolicy::Parallel, GraphBackend::Csr)
-                .expect("feasible");
-            let b = parallel_kcenter_derived(
-                &inst,
-                3,
-                seed,
-                ExecPolicy::Parallel,
-                GraphBackend::Csr,
-                RadiusDeriver::Exact,
-            )
-            .expect("feasible");
+            let a = parallel_kcenter_with(&inst, 3, seed, GraphBackend::Csr).expect("feasible");
+            let b =
+                parallel_kcenter_derived(&inst, 3, seed, GraphBackend::Csr, RadiusDeriver::Exact)
+                    .expect("feasible");
             assert_eq!(a.centers, b.centers);
             assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
             assert_eq!(a.lower_bound.to_bits(), b.lower_bound.to_bits());
@@ -656,7 +609,7 @@ mod tests {
         // positions (centers at 3 and 9 give radius 3 exactly); accept ≤ 2·opt.
         let inst = gen::clustering(GenParams::line(12, 12));
         let (_, opt) = lower_bounds::brute_force_kclustering(&inst, 2, ClusterObjective::KCenter);
-        let sol = parallel_kcenter(&inst, 2, 1, ExecPolicy::Sequential);
+        let sol = parallel_kcenter(&inst, 2, 1);
         assert!(sol.radius <= 2.0 * opt + 1e-9);
     }
 }

@@ -15,7 +15,7 @@
 //! for k-means (Arya et al. / Gupta–Tangwongsan).
 
 use crate::kcenter::parallel_kcenter;
-use parfaclo_matrixops::{CostMeter, CostReport, ExecPolicy};
+use parfaclo_matrixops::{CostMeter, CostReport, PAR_THRESHOLD};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, NodeId};
 use parfaclo_trace as trace;
 use rayon::prelude::*;
@@ -56,8 +56,6 @@ pub struct LocalSearchConfig {
     pub epsilon: f64,
     /// Seed for the k-center initialisation.
     pub seed: u64,
-    /// Execution policy for the swap evaluation and the initialisation.
-    pub policy: ExecPolicy,
     /// Defensive cap on the number of local-search rounds.
     pub max_rounds: usize,
 }
@@ -72,7 +70,6 @@ impl LocalSearchConfig {
         LocalSearchConfig {
             epsilon,
             seed: 0,
-            policy: ExecPolicy::Parallel,
             max_rounds: 1_000_000,
         }
     }
@@ -80,12 +77,6 @@ impl LocalSearchConfig {
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replaces the execution policy.
-    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
         self
     }
 }
@@ -114,11 +105,7 @@ pub struct KClusterSolution {
 
 /// For every node, its closest and second-closest center (indices into `centers`) and
 /// the corresponding distances.
-fn closest_two(
-    inst: &ClusterInstance,
-    centers: &[NodeId],
-    policy: ExecPolicy,
-) -> Vec<(usize, f64, f64)> {
+fn closest_two(inst: &ClusterInstance, centers: &[NodeId]) -> Vec<(usize, f64, f64)> {
     let n = inst.n();
     let oracle = inst.distances();
     // Each node's center distances are gathered in one blocked-kernel
@@ -145,7 +132,7 @@ fn closest_two(
             *slot = scan(buf);
         }
     };
-    if policy.run_parallel(n * centers.len()) {
+    if n * centers.len() >= PAR_THRESHOLD {
         let chunk = rayon::deterministic_chunk_len(n, 64);
         out.par_chunks_mut(chunk).enumerate().for_each(|(ci, seg)| {
             let mut buf = vec![0.0; centers.len()];
@@ -175,7 +162,7 @@ pub fn parallel_local_search(
     let k = k.min(n);
 
     // ---- Initial solution: the parallel k-center 2-approximation ----------------------
-    let kc = parallel_kcenter(inst, k, cfg.seed, cfg.policy);
+    let kc = parallel_kcenter(inst, k, cfg.seed);
     let mut centers: Vec<NodeId> = kc.centers;
     // k-center may return fewer than k centers when nodes coincide; pad with arbitrary
     // distinct nodes so exactly k centers are maintained (harmless: extra centers never
@@ -215,7 +202,7 @@ pub fn parallel_local_search(
         );
         // Precompute closest / second-closest centers for every node.
         meter.add_primitive((n * k) as u64);
-        let nearest = closest_two(inst, &centers, cfg.policy);
+        let nearest = closest_two(inst, &centers);
 
         // Evaluate every swap (drop centers[pos], add candidate) in parallel.
         meter.add_primitive((k * n * n) as u64);
@@ -248,8 +235,7 @@ pub fn parallel_local_search(
                 })
                 .collect()
         };
-        let swaps: Vec<(usize, NodeId, f64)> = if cfg.policy.run_parallel(k * candidates.len() * n)
-        {
+        let swaps: Vec<(usize, NodeId, f64)> = if k * candidates.len() * n >= PAR_THRESHOLD {
             candidates
                 .par_iter()
                 .flat_map_iter(|add| eval_add(add).into_iter())
@@ -404,22 +390,11 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_and_policy_independent() {
+    fn deterministic_for_fixed_seed() {
         let inst = gen::clustering(GenParams::uniform_square(22, 22).with_seed(5));
-        let a = parallel_kmedian(
-            &inst,
-            3,
-            &LocalSearchConfig::new(0.15)
-                .with_seed(9)
-                .with_policy(ExecPolicy::Sequential),
-        );
-        let b = parallel_kmedian(
-            &inst,
-            3,
-            &LocalSearchConfig::new(0.15)
-                .with_seed(9)
-                .with_policy(ExecPolicy::Parallel),
-        );
+        let cfg = LocalSearchConfig::new(0.15).with_seed(9);
+        let a = parallel_kmedian(&inst, 3, &cfg);
+        let b = parallel_kmedian(&inst, 3, &cfg);
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.cost, b.cost);
     }

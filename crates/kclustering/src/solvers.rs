@@ -49,7 +49,6 @@ impl From<&RunConfig> for LocalSearchConfig {
         LocalSearchConfig {
             epsilon: cfg.epsilon,
             seed: cfg.seed,
-            policy: cfg.policy,
             max_rounds: cfg.max_rounds,
         }
     }
@@ -94,14 +93,7 @@ impl Solver for KCenterSolver {
             };
             let sol = {
                 let _span = trace::span("sub-solve", None);
-                parallel_kcenter_derived(
-                    &sub,
-                    cfg.k,
-                    cfg.seed,
-                    cfg.policy,
-                    cfg.graph,
-                    cfg.radius_deriver,
-                )?
+                parallel_kcenter_derived(&sub, cfg.k, cfg.seed, cfg.graph, cfg.radius_deriver)?
             };
             let sweep_span = trace::span("full-sweep", None);
             // Coreset cell indices are assigned in ascending representative
@@ -138,14 +130,7 @@ impl Solver for KCenterSolver {
                 .with_extra("coreset_eps", eps)
                 .with_config_echo(cfg));
         }
-        let sol = parallel_kcenter_derived(
-            inst,
-            cfg.k,
-            cfg.seed,
-            cfg.policy,
-            cfg.graph,
-            cfg.radius_deriver,
-        )?;
+        let sol = parallel_kcenter_derived(inst, cfg.k, cfg.seed, cfg.graph, cfg.radius_deriver)?;
         let assignment = {
             let _span = trace::span("full-sweep", None);
             inst.center_assignment(&sol.centers)
@@ -333,7 +318,7 @@ mod tests {
     fn kcenter_adapter_matches_free_function() {
         let inst = tiny();
         let cfg = RunConfig::new(0.1).with_seed(6).with_k(4);
-        let direct = crate::kcenter::parallel_kcenter(&inst, 4, 6, cfg.policy);
+        let direct = crate::kcenter::parallel_kcenter(&inst, 4, 6);
         let run = KCenterSolver.solve(&inst, &cfg).expect("feasible");
         assert_eq!(run.cost, direct.radius);
         assert_eq!(run.selected, direct.centers);

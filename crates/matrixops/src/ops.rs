@@ -1,5 +1,5 @@
-//! Element-wise maps, reductions and distributions over dense vectors and row-major
-//! matrices — the non-scan, non-sort "basic matrix operations" of Section 2.
+//! Reduction over a dense vector — the non-scan, non-sort "basic matrix operation" of
+//! Section 2 — and the associative operators it and the scans combine with.
 
 use crate::meter::CostMeter;
 use crate::policy::ExecPolicy;
@@ -38,23 +38,6 @@ impl AssocOp {
     }
 }
 
-/// Grain for element-wise primitives whose per-element work is a few flops:
-/// below this many elements per task, scheduling overhead dominates. Only
-/// applied to 1:1 pipelines (map/filter/collect), whose values are
-/// independent of chunk boundaries — never to `reduce`, whose combine tree
-/// must stay in lockstep with the sequential mirror.
-const ELEMENTWISE_GRAIN: usize = 1024;
-
-#[inline]
-fn check_dims(data: &[f64], rows: usize, cols: usize) {
-    assert_eq!(
-        data.len(),
-        rows * cols,
-        "matrix data length {} does not match {rows}x{cols}",
-        data.len()
-    );
-}
-
 /// Reduction over an entire vector.
 ///
 /// Both policies fold the same fixed chunks (boundaries depend only on the
@@ -77,247 +60,9 @@ pub fn reduce(data: &[f64], op: AssocOp, policy: ExecPolicy, meter: &CostMeter) 
     }
 }
 
-/// Index and value of the minimum element of a vector (ties towards the smaller index).
-/// Returns `None` for an empty vector.
-pub fn argmin(data: &[f64], policy: ExecPolicy, meter: &CostMeter) -> Option<(usize, f64)> {
-    meter.add_primitive(data.len() as u64);
-    let pick = |a: (usize, f64), b: (usize, f64)| -> (usize, f64) {
-        if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-            b
-        } else {
-            a
-        }
-    };
-    if data.is_empty() {
-        return None;
-    }
-    if policy.run_parallel(data.len()) {
-        Some(
-            data.par_iter()
-                .copied()
-                .enumerate()
-                .reduce(|| (usize::MAX, f64::INFINITY), pick),
-        )
-    } else {
-        Some(
-            data.iter()
-                .copied()
-                .enumerate()
-                .fold((usize::MAX, f64::INFINITY), pick),
-        )
-    }
-}
-
-/// Element-wise map over a vector, producing a new vector.
-pub fn map<F>(data: &[f64], f: F, policy: ExecPolicy, meter: &CostMeter) -> Vec<f64>
-where
-    F: Fn(f64) -> f64 + Sync + Send,
-{
-    meter.add_primitive(data.len() as u64);
-    if policy.run_parallel(data.len()) {
-        data.par_iter()
-            .with_min_len(ELEMENTWISE_GRAIN)
-            .map(|&x| f(x))
-            .collect()
-    } else {
-        data.iter().map(|&x| f(x)).collect()
-    }
-}
-
-/// Indexed element-wise map over a vector.
-pub fn map_indexed<F>(data: &[f64], f: F, policy: ExecPolicy, meter: &CostMeter) -> Vec<f64>
-where
-    F: Fn(usize, f64) -> f64 + Sync + Send,
-{
-    meter.add_primitive(data.len() as u64);
-    if policy.run_parallel(data.len()) {
-        data.par_iter()
-            .with_min_len(ELEMENTWISE_GRAIN)
-            .enumerate()
-            .map(|(i, &x)| f(i, x))
-            .collect()
-    } else {
-        data.iter().enumerate().map(|(i, &x)| f(i, x)).collect()
-    }
-}
-
-/// Reduction across each **row** of a row-major `rows x cols` matrix, producing a vector
-/// of length `rows`.
-pub fn row_reduce(
-    data: &[f64],
-    rows: usize,
-    cols: usize,
-    op: AssocOp,
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> Vec<f64> {
-    check_dims(data, rows, cols);
-    meter.add_primitive(data.len() as u64);
-    let reduce_row = |r: usize| -> f64 {
-        data[r * cols..(r + 1) * cols]
-            .iter()
-            .copied()
-            .fold(op.identity(), |a, b| op.apply(a, b))
-    };
-    if policy.run_parallel(data.len()) {
-        (0..rows).into_par_iter().map(reduce_row).collect()
-    } else {
-        (0..rows).map(reduce_row).collect()
-    }
-}
-
-/// Reduction across each **column** of a row-major `rows x cols` matrix, producing a
-/// vector of length `cols`.
-pub fn col_reduce(
-    data: &[f64],
-    rows: usize,
-    cols: usize,
-    op: AssocOp,
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> Vec<f64> {
-    check_dims(data, rows, cols);
-    meter.add_primitive(data.len() as u64);
-    let reduce_col = |c: usize| -> f64 {
-        (0..rows)
-            .map(|r| data[r * cols + c])
-            .fold(op.identity(), |a, b| op.apply(a, b))
-    };
-    if policy.run_parallel(data.len()) {
-        (0..cols).into_par_iter().map(reduce_col).collect()
-    } else {
-        (0..cols).map(reduce_col).collect()
-    }
-}
-
-/// Per-row argmin of a row-major matrix: for each row, the column index and value of the
-/// smallest entry (ties towards the smaller column).
-pub fn row_argmin(
-    data: &[f64],
-    rows: usize,
-    cols: usize,
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> Vec<(usize, f64)> {
-    check_dims(data, rows, cols);
-    meter.add_primitive(data.len() as u64);
-    let arg_row = |r: usize| -> (usize, f64) {
-        let row = &data[r * cols..(r + 1) * cols];
-        let mut best = (usize::MAX, f64::INFINITY);
-        for (c, &v) in row.iter().enumerate() {
-            if v < best.1 {
-                best = (c, v);
-            }
-        }
-        best
-    };
-    if policy.run_parallel(data.len()) {
-        (0..rows).into_par_iter().map(arg_row).collect()
-    } else {
-        (0..rows).map(arg_row).collect()
-    }
-}
-
-/// "Distribution" primitive: builds the `rows x cols` matrix whose row `r` is the scalar
-/// `values[r]` replicated across the row (the paper uses this to broadcast per-facility
-/// or per-client values across the distance matrix).
-pub fn distribute_rows(
-    values: &[f64],
-    cols: usize,
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> Vec<f64> {
-    let rows = values.len();
-    meter.add_primitive((rows * cols) as u64);
-    if policy.run_parallel(rows * cols) {
-        values
-            .par_iter()
-            .with_min_len(ELEMENTWISE_GRAIN / cols.max(1) + 1)
-            .flat_map_iter(|&v| std::iter::repeat(v).take(cols))
-            .collect()
-    } else {
-        values
-            .iter()
-            .flat_map(|&v| std::iter::repeat(v).take(cols))
-            .collect()
-    }
-}
-
-/// Combines two equally-shaped matrices (or vectors) element-wise.
-pub fn zip_with<F>(a: &[f64], b: &[f64], f: F, policy: ExecPolicy, meter: &CostMeter) -> Vec<f64>
-where
-    F: Fn(f64, f64) -> f64 + Sync + Send,
-{
-    assert_eq!(a.len(), b.len(), "zip_with requires equal lengths");
-    meter.add_primitive(a.len() as u64);
-    if policy.run_parallel(a.len()) {
-        a.par_iter()
-            .with_min_len(ELEMENTWISE_GRAIN)
-            .zip(b.par_iter())
-            .map(|(&x, &y)| f(x, y))
-            .collect()
-    } else {
-        a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect()
-    }
-}
-
-/// Transposes a row-major `rows x cols` matrix into a `cols x rows` one.
-pub fn transpose(
-    data: &[f64],
-    rows: usize,
-    cols: usize,
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> Vec<f64> {
-    check_dims(data, rows, cols);
-    meter.add_primitive(data.len() as u64);
-    let make_row = |c: usize| -> Vec<f64> { (0..rows).map(|r| data[r * cols + c]).collect() };
-    if policy.run_parallel(data.len()) {
-        (0..cols).into_par_iter().flat_map_iter(make_row).collect()
-    } else {
-        (0..cols).flat_map(make_row).collect()
-    }
-}
-
-/// Counts the elements of a boolean mask that are set. Masks are how the paper's
-/// algorithms represent subsets of facilities/clients ("The subset I ⊂ F can be
-/// represented as a bit mask over F", Section 4).
-pub fn count_true(mask: &[bool], policy: ExecPolicy, meter: &CostMeter) -> usize {
-    meter.add_primitive(mask.len() as u64);
-    if policy.run_parallel(mask.len()) {
-        mask.par_iter()
-            .with_min_len(ELEMENTWISE_GRAIN)
-            .filter(|&&b| b)
-            .count()
-    } else {
-        mask.iter().filter(|&&b| b).count()
-    }
-}
-
-/// Returns the indices at which the mask is set ("pack" / filter primitive).
-pub fn pack_indices(mask: &[bool], policy: ExecPolicy, meter: &CostMeter) -> Vec<usize> {
-    meter.add_primitive(mask.len() as u64);
-    if policy.run_parallel(mask.len()) {
-        mask.par_iter()
-            .with_min_len(ELEMENTWISE_GRAIN)
-            .enumerate()
-            .filter_map(|(i, &b)| if b { Some(i) } else { None })
-            .collect()
-    } else {
-        mask.iter()
-            .enumerate()
-            .filter_map(|(i, &b)| if b { Some(i) } else { None })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn both_policies() -> [ExecPolicy; 2] {
-        [ExecPolicy::Sequential, ExecPolicy::Parallel]
-    }
 
     #[test]
     fn assoc_op_identities() {
@@ -330,7 +75,7 @@ mod tests {
     fn reduce_matches_std() {
         let data: Vec<f64> = (0..5000).map(|x| (x % 13) as f64).collect();
         let meter = CostMeter::new();
-        for p in both_policies() {
+        for p in [ExecPolicy::Sequential, ExecPolicy::Parallel] {
             assert_eq!(
                 reduce(&data, AssocOp::Add, p, &meter),
                 data.iter().sum::<f64>()
@@ -341,150 +86,11 @@ mod tests {
     }
 
     #[test]
-    fn argmin_finds_first_minimum() {
-        let meter = CostMeter::new();
-        let data = vec![3.0, 1.0, 4.0, 1.0, 5.0];
-        for p in both_policies() {
-            assert_eq!(argmin(&data, p, &meter), Some((1, 1.0)));
-        }
-        assert_eq!(argmin(&[], ExecPolicy::Sequential, &meter), None);
-        // Large input to exercise the parallel path.
-        let mut big = vec![10.0; 5000];
-        big[3777] = -1.0;
-        assert_eq!(
-            argmin(&big, ExecPolicy::Parallel, &meter),
-            Some((3777, -1.0))
-        );
-    }
-
-    #[test]
-    fn map_variants() {
-        let meter = CostMeter::new();
-        let data = vec![1.0, 2.0, 3.0];
-        for p in both_policies() {
-            assert_eq!(map(&data, |x| x * 2.0, p, &meter), vec![2.0, 4.0, 6.0]);
-            assert_eq!(
-                map_indexed(&data, |i, x| x + i as f64, p, &meter),
-                vec![1.0, 3.0, 5.0]
-            );
-        }
-    }
-
-    #[test]
-    fn row_and_col_reduce() {
-        let meter = CostMeter::new();
-        // 2x3 matrix [[1,2,3],[4,5,6]]
-        let data = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        for p in both_policies() {
-            assert_eq!(
-                row_reduce(&data, 2, 3, AssocOp::Add, p, &meter),
-                vec![6.0, 15.0]
-            );
-            assert_eq!(
-                col_reduce(&data, 2, 3, AssocOp::Add, p, &meter),
-                vec![5.0, 7.0, 9.0]
-            );
-            assert_eq!(
-                row_reduce(&data, 2, 3, AssocOp::Min, p, &meter),
-                vec![1.0, 4.0]
-            );
-            assert_eq!(
-                col_reduce(&data, 2, 3, AssocOp::Max, p, &meter),
-                vec![4.0, 5.0, 6.0]
-            );
-        }
-    }
-
-    #[test]
-    fn row_argmin_ties_towards_smaller_column() {
-        let meter = CostMeter::new();
-        let data = vec![2.0, 1.0, 1.0, 7.0, 7.0, 7.0];
-        for p in both_policies() {
-            assert_eq!(row_argmin(&data, 2, 3, p, &meter), vec![(1, 1.0), (0, 7.0)]);
-        }
-    }
-
-    #[test]
-    fn distribute_and_zip() {
-        let meter = CostMeter::new();
-        for p in both_policies() {
-            assert_eq!(
-                distribute_rows(&[1.0, 2.0], 3, p, &meter),
-                vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-            );
-            assert_eq!(
-                zip_with(&[1.0, 2.0], &[10.0, 20.0], |a, b| a + b, p, &meter),
-                vec![11.0, 22.0]
-            );
-        }
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let meter = CostMeter::new();
-        let data = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        for p in both_policies() {
-            let t = transpose(&data, 2, 3, p, &meter);
-            assert_eq!(t, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-            let back = transpose(&t, 3, 2, p, &meter);
-            assert_eq!(back, data);
-        }
-    }
-
-    #[test]
-    fn masks() {
-        let meter = CostMeter::new();
-        let mask = vec![true, false, true, true, false];
-        for p in both_policies() {
-            assert_eq!(count_true(&mask, p, &meter), 3);
-            assert_eq!(pack_indices(&mask, p, &meter), vec![0, 2, 3]);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_large_input() {
-        let meter = CostMeter::new();
-        let rows = 64;
-        let cols = 97;
-        let data: Vec<f64> = (0..rows * cols)
-            .map(|x| ((x * 31 + 7) % 101) as f64)
-            .collect();
-        for op in [AssocOp::Add, AssocOp::Min, AssocOp::Max] {
-            assert_eq!(
-                row_reduce(&data, rows, cols, op, ExecPolicy::Sequential, &meter),
-                row_reduce(&data, rows, cols, op, ExecPolicy::Parallel, &meter)
-            );
-            assert_eq!(
-                col_reduce(&data, rows, cols, op, ExecPolicy::Sequential, &meter),
-                col_reduce(&data, rows, cols, op, ExecPolicy::Parallel, &meter)
-            );
-        }
-        assert_eq!(
-            transpose(&data, rows, cols, ExecPolicy::Sequential, &meter),
-            transpose(&data, rows, cols, ExecPolicy::Parallel, &meter)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn dimension_mismatch_panics() {
-        let meter = CostMeter::new();
-        let _ = row_reduce(
-            &[1.0, 2.0, 3.0],
-            2,
-            2,
-            AssocOp::Add,
-            ExecPolicy::Sequential,
-            &meter,
-        );
-    }
-
-    #[test]
     fn meter_counts_primitives() {
         let meter = CostMeter::new();
         let data = vec![1.0; 10];
         let _ = reduce(&data, AssocOp::Add, ExecPolicy::Sequential, &meter);
-        let _ = map(&data, |x| x, ExecPolicy::Sequential, &meter);
+        let _ = reduce(&data, AssocOp::Max, ExecPolicy::Parallel, &meter);
         let r = meter.report();
         assert_eq!(r.primitive_calls, 2);
         assert_eq!(r.element_ops, 20);

@@ -1,9 +1,7 @@
 //! Prefix sums (scans).
 //!
 //! "A prefix sum returns to each element of a sequence the sum of previous elements"
-//! (Section 2). The paper uses prefix sums with `+`, `min` and `max`; Algorithm 4.1's
-//! maximal-star computation is the main consumer (a prefix sum over each facility's
-//! sorted client distances).
+//! (Section 2). The paper uses prefix sums with `+`, `min` and `max`.
 //!
 //! Both policies run the classical two-pass blocked scan: partition the input
 //! into chunks (boundaries a pure function of the length, never the thread
@@ -27,61 +25,7 @@ pub fn inclusive_scan(
     meter: &CostMeter,
 ) -> Vec<f64> {
     meter.add_primitive(data.len() as u64);
-    blocked_scan(data, op, true, policy.run_parallel(data.len()))
-}
-
-/// Exclusive scan: `out[i] = op(data[0], ..., data[i-1])`, `out[0] = identity`.
-pub fn exclusive_scan(
-    data: &[f64],
-    op: AssocOp,
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> Vec<f64> {
-    meter.add_primitive(data.len() as u64);
-    blocked_scan(data, op, false, policy.run_parallel(data.len()))
-}
-
-/// Per-row inclusive scan over a row-major `rows x cols` matrix.
-pub fn row_inclusive_scan(
-    data: &[f64],
-    rows: usize,
-    cols: usize,
-    op: AssocOp,
-    policy: ExecPolicy,
-    meter: &CostMeter,
-) -> Vec<f64> {
-    assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
-    meter.add_primitive(data.len() as u64);
-    let scan_row =
-        |r: usize| -> Vec<f64> { sequential_scan(&data[r * cols..(r + 1) * cols], op, true) };
-    if policy.run_parallel(data.len()) {
-        (0..rows).into_par_iter().flat_map_iter(scan_row).collect()
-    } else {
-        (0..rows).flat_map(scan_row).collect()
-    }
-}
-
-fn sequential_scan(data: &[f64], op: AssocOp, inclusive: bool) -> Vec<f64> {
-    let mut out = Vec::with_capacity(data.len());
-    let mut acc = op.identity();
-    for &x in data {
-        if inclusive {
-            acc = op.apply(acc, x);
-            out.push(acc);
-        } else {
-            out.push(acc);
-            acc = op.apply(acc, x);
-        }
-    }
-    out
-}
-
-/// The blocked two-pass scan, in one implementation for both policies so the
-/// floating-point association order — and hence the exact bytes — is
-/// identical under `Sequential`, `Parallel`, and any thread count. The chunk
-/// width is a pure function of `n` (never the thread count), and inputs that
-/// fit a single chunk degenerate to the plain accumulator scan exactly.
-fn blocked_scan(data: &[f64], op: AssocOp, inclusive: bool, parallel: bool) -> Vec<f64> {
+    let parallel = policy.run_parallel(data.len());
     let n = data.len();
     let chunk = rayon::deterministic_chunk_len(n, 1024);
     let fold_chunk =
@@ -89,13 +33,8 @@ fn blocked_scan(data: &[f64], op: AssocOp, inclusive: bool, parallel: bool) -> V
     let scan_chunk = |out_chunk: &mut [f64], in_chunk: &[f64], offset: f64| {
         let mut acc = offset;
         for (o, &x) in out_chunk.iter_mut().zip(in_chunk.iter()) {
-            if inclusive {
-                acc = op.apply(acc, x);
-                *o = acc;
-            } else {
-                *o = acc;
-                acc = op.apply(acc, x);
-            }
+            acc = op.apply(acc, x);
+            *o = acc;
         }
     };
     // Pass 1: per-chunk totals.
@@ -104,8 +43,18 @@ fn blocked_scan(data: &[f64], op: AssocOp, inclusive: bool, parallel: bool) -> V
     } else {
         data.chunks(chunk).map(fold_chunk).collect()
     };
-    // Sequential scan over the (few) chunk totals to get per-chunk offsets.
-    let offsets = sequential_scan(&totals, op, false);
+    // Sequential exclusive scan over the (few) chunk totals gives the
+    // per-chunk offsets; a single chunk degenerates to the plain accumulator
+    // scan exactly.
+    let mut acc = op.identity();
+    let offsets: Vec<f64> = totals
+        .iter()
+        .map(|&t| {
+            let offset = acc;
+            acc = op.apply(acc, t);
+            offset
+        })
+        .collect();
     // Pass 2: scan each chunk with its offset.
     let mut out = vec![0.0; n];
     if parallel {
@@ -140,16 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_scan_add() {
-        let meter = CostMeter::new();
-        let data = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(
-            exclusive_scan(&data, AssocOp::Add, ExecPolicy::Sequential, &meter),
-            vec![0.0, 1.0, 3.0, 6.0]
-        );
-    }
-
-    #[test]
     fn min_and_max_scans() {
         let meter = CostMeter::new();
         let data = vec![3.0, 1.0, 4.0, 1.0, 5.0];
@@ -168,10 +107,6 @@ mod tests {
         let meter = CostMeter::new();
         assert!(inclusive_scan(&[], AssocOp::Add, ExecPolicy::Sequential, &meter).is_empty());
         assert_eq!(
-            exclusive_scan(&[7.0], AssocOp::Add, ExecPolicy::Sequential, &meter),
-            vec![0.0]
-        );
-        assert_eq!(
             inclusive_scan(&[7.0], AssocOp::Add, ExecPolicy::Parallel, &meter),
             vec![7.0]
         );
@@ -186,13 +121,6 @@ mod tests {
             let par = inclusive_scan(&data, op, ExecPolicy::Parallel, &meter);
             for (a, b) in seq.iter().zip(par.iter()) {
                 assert!((a - b).abs() < 1e-9, "{op:?}: {a} vs {b}");
-            }
-            let seq_ex = exclusive_scan(&data, op, ExecPolicy::Sequential, &meter);
-            let par_ex = exclusive_scan(&data, op, ExecPolicy::Parallel, &meter);
-            for (a, b) in seq_ex.iter().zip(par_ex.iter()) {
-                // The first exclusive-scan entry is the identity, which may be ±∞ for
-                // Min/Max; compare exactly in that case.
-                assert!(a == b || (a - b).abs() < 1e-9);
             }
         }
     }
@@ -212,34 +140,10 @@ mod tests {
                 ((state >> 11) as f64 / (1u64 << 53) as f64) * 100.0 - 50.0
             })
             .collect();
-        for inclusive in [true, false] {
-            let scan = if inclusive {
-                inclusive_scan
-            } else {
-                exclusive_scan
-            };
-            let seq = scan(&data, AssocOp::Add, ExecPolicy::Sequential, &meter);
-            let par = scan(&data, AssocOp::Add, ExecPolicy::Parallel, &meter);
-            for (i, (a, b)) in seq.iter().zip(par.iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "inclusive={inclusive}, index {i}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn row_scan_scans_each_row_independently() {
-        let meter = CostMeter::new();
-        // 2x3: [[1,2,3],[10,20,30]]
-        let data = vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0];
-        for p in [ExecPolicy::Sequential, ExecPolicy::Parallel] {
-            assert_eq!(
-                row_inclusive_scan(&data, 2, 3, AssocOp::Add, p, &meter),
-                vec![1.0, 3.0, 6.0, 10.0, 30.0, 60.0]
-            );
+        let seq = inclusive_scan(&data, AssocOp::Add, ExecPolicy::Sequential, &meter);
+        let par = inclusive_scan(&data, AssocOp::Add, ExecPolicy::Parallel, &meter);
+        for (i, (a, b)) in seq.iter().zip(par.iter()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "index {i}: {a} vs {b}");
         }
     }
 }

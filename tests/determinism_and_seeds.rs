@@ -1,11 +1,8 @@
-//! Determinism guarantees: fixed seeds give identical results, execution policy never
+//! Determinism guarantees: fixed seeds give identical results, the thread count never
 //! changes results, and different seeds stay within the approximation envelope.
 
 use parfaclo_core::{greedy, lp_rounding, primal_dual, FlConfig};
-use parfaclo_dominator::{max_dom, max_u_dom, BipartiteGraph, DenseGraph};
-use parfaclo_kclustering::{parallel_kcenter, parallel_kmedian, LocalSearchConfig};
 use parfaclo_lp::solve_facility_lp;
-use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_metric::gen::{self, GenParams};
 
 #[test]
@@ -24,64 +21,6 @@ fn facility_location_algorithms_are_deterministic() {
         assert_eq!(p1.open, p2.open);
         assert_eq!(p1.rounds, p2.rounds);
     }
-}
-
-#[test]
-fn policy_does_not_change_results_anywhere() {
-    let inst = gen::facility_location(GenParams::uniform_square(40, 20).with_seed(17));
-    let cinst = gen::clustering(GenParams::uniform_square(30, 30).with_seed(17));
-
-    let cfg_s = FlConfig::new(0.1)
-        .with_seed(4)
-        .with_policy(ExecPolicy::Sequential);
-    let cfg_p = FlConfig::new(0.1)
-        .with_seed(4)
-        .with_policy(ExecPolicy::Parallel);
-    assert_eq!(
-        greedy::parallel_greedy(&inst, &cfg_s).open,
-        greedy::parallel_greedy(&inst, &cfg_p).open
-    );
-    assert_eq!(
-        primal_dual::parallel_primal_dual(&inst, &cfg_s)
-            .unwrap()
-            .open,
-        primal_dual::parallel_primal_dual(&inst, &cfg_p)
-            .unwrap()
-            .open
-    );
-
-    let kc_s = parallel_kcenter(&cinst, 4, 8, ExecPolicy::Sequential);
-    let kc_p = parallel_kcenter(&cinst, 4, 8, ExecPolicy::Parallel);
-    assert_eq!(kc_s.centers, kc_p.centers);
-
-    let km_s = parallel_kmedian(
-        &cinst,
-        4,
-        &LocalSearchConfig::new(0.1)
-            .with_seed(8)
-            .with_policy(ExecPolicy::Sequential),
-    );
-    let km_p = parallel_kmedian(
-        &cinst,
-        4,
-        &LocalSearchConfig::new(0.1)
-            .with_seed(8)
-            .with_policy(ExecPolicy::Parallel),
-    );
-    assert_eq!(km_s.centers, km_p.centers);
-
-    // Dominator-set substrates as well.
-    let g = DenseGraph::from_edges(20, &[(0, 1), (2, 3), (4, 5), (1, 2), (6, 7), (8, 9)]);
-    let meter = CostMeter::new();
-    assert_eq!(
-        max_dom(&g, 5, ExecPolicy::Sequential, &meter),
-        max_dom(&g, 5, ExecPolicy::Parallel, &meter)
-    );
-    let h = BipartiteGraph::from_predicate(15, 10, |u, v| (u * 7 + v * 3) % 4 == 0);
-    assert_eq!(
-        max_u_dom(&h, 5, ExecPolicy::Sequential, &meter),
-        max_u_dom(&h, 5, ExecPolicy::Parallel, &meter)
-    );
 }
 
 #[test]
@@ -297,36 +236,6 @@ mod registry_conformance {
                     }
                 }
             }
-        }
-    }
-
-    /// The execution policy must never change any solver's output, work
-    /// counters included.
-    #[test]
-    fn every_registered_solver_is_policy_invariant() {
-        use parfaclo_matrixops::ExecPolicy;
-        let registry = standard_registry();
-        let spec = tiny_spec();
-        for name in registry.names() {
-            let seq = run_solver(
-                &registry,
-                name,
-                &spec,
-                &tiny_cfg().with_policy(ExecPolicy::Sequential),
-            )
-            .expect(name);
-            let par = run_solver(
-                &registry,
-                name,
-                &spec,
-                &tiny_cfg().with_policy(ExecPolicy::Parallel),
-            )
-            .expect(name);
-            assert_eq!(
-                seq.canonical_json(),
-                par.canonical_json(),
-                "solver '{name}' policy-sensitive"
-            );
         }
     }
 

@@ -7,10 +7,9 @@
 //! * `pipeline_kclustering` — the same for k-center / k-median / k-means.
 //! * `cross_algorithm_consistency` — relationships that must hold *between* algorithms
 //!   (every cost ≥ every certified lower bound, parallel vs sequential factors, ...).
-//! * `determinism_and_seeds` — fixed seeds give identical output; execution policy
-//!   (sequential vs rayon) never changes results; plus the registry conformance
-//!   suite: every solver in `parfaclo_bench::standard_registry()` produces a
-//!   structurally valid `Run`, is byte-deterministic per seed, and respects the
-//!   other solvers' certified lower bounds.
+//! * `determinism_and_seeds` — fixed seeds give identical output; plus the registry
+//!   conformance suite: every solver in `parfaclo_bench::standard_registry()`
+//!   produces a structurally valid `Run`, is byte-deterministic per seed and at
+//!   any thread count, and respects the other solvers' certified lower bounds.
 //! * `lower_bound_certification` — seeded randomized tests asserting the
 //!   approximation guarantees against brute-force optima on random tiny instances.

@@ -104,7 +104,7 @@ fn prop_kcenter_two_approx() {
         let inst = small_cluster_instance(&mut rng);
         let k = rng.gen_range(1..4usize).min(inst.n());
         let seed = rng.gen_range(0..100u64);
-        let sol = parallel_kcenter(&inst, k, seed, ExecPolicy::Sequential);
+        let sol = parallel_kcenter(&inst, k, seed);
         let (_, opt) = lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
         assert!(
             sol.radius <= 2.0 * opt + 1e-9,
@@ -180,7 +180,7 @@ fn prop_maxdom_valid() {
         let seed = rng.gen_range(0..100u64);
         let g = DenseGraph::from_edges(12, &edges);
         let meter = CostMeter::new();
-        let r = max_dom(&g, seed, ExecPolicy::Sequential, &meter);
+        let r = max_dom(&g, seed, &meter);
         assert!(is_maximal_dominator_set(&g, &r.selected), "case {case}");
     }
 }
@@ -197,7 +197,7 @@ fn prop_maxudom_valid() {
         let seed = rng.gen_range(0..100u64);
         let h = BipartiteGraph::from_edges(10, 8, &edges);
         let meter = CostMeter::new();
-        let r = max_u_dom(&h, seed, ExecPolicy::Sequential, &meter);
+        let r = max_u_dom(&h, seed, &meter);
         assert!(is_maximal_u_dominator_set(&h, &r.selected), "case {case}");
     }
 }
