@@ -30,9 +30,12 @@ impl FlConfig {
     /// subselection on, and seed 0.
     ///
     /// # Panics
-    /// Panics if `epsilon <= 0`.
+    /// Panics if `epsilon` is not a positive finite number.
     pub fn new(epsilon: f64) -> Self {
-        assert!(epsilon > 0.0, "epsilon must be positive");
+        assert!(
+            epsilon.is_finite() && epsilon > 0.0,
+            "epsilon must be positive and finite, got {epsilon}"
+        );
         FlConfig {
             epsilon,
             seed: 0,
@@ -95,5 +98,11 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_epsilon_rejected() {
         let _ = FlConfig::new(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn infinite_epsilon_rejected() {
+        let _ = FlConfig::new(f64::INFINITY);
     }
 }

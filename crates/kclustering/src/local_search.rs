@@ -64,9 +64,12 @@ impl LocalSearchConfig {
     /// A configuration with the given ε and defaults for everything else.
     ///
     /// # Panics
-    /// Panics if `epsilon <= 0`.
+    /// Panics if `epsilon` is not a positive finite number.
     pub fn new(epsilon: f64) -> Self {
-        assert!(epsilon > 0.0, "epsilon must be positive");
+        assert!(
+            epsilon.is_finite() && epsilon > 0.0,
+            "epsilon must be positive and finite, got {epsilon}"
+        );
         LocalSearchConfig {
             epsilon,
             seed: 0,
@@ -397,6 +400,12 @@ mod tests {
         let b = parallel_kmedian(&inst, 3, &cfg);
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.cost, b.cost);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn infinite_epsilon_rejected() {
+        let _ = LocalSearchConfig::new(f64::INFINITY);
     }
 
     #[test]
