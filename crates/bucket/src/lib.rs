@@ -20,8 +20,7 @@
 //!
 //! 1. **Value-pure bucket ids.** [`BucketMapping::bucket_of`] is a pure
 //!    function of the value (and the mapping's fixed parameters). Two equal
-//!    values land in the same bucket in every run, at every thread count,
-//!    under every execution policy.
+//!    values land in the same bucket in every run and at every thread count.
 //! 2. **Monotone.** `a <= b` implies `bucket_of(a) <= bucket_of(b)` for
 //!    non-negative finite inputs. This is what lets [`BucketQueue::extract_ready`]
 //!    stop scanning at `bucket_of(threshold)` without missing a ready entry,
@@ -154,10 +153,9 @@ pub type Entry = (u32, f64);
 /// never change what is extracted — only how many buckets are touched while
 /// finding it.
 ///
-/// The queue does not deduplicate: callers that re-key elements either use
-/// [`BucketQueue::update`] (eager removal) or insert fresh entries and drop
-/// stale ones on extraction (lazy deletion) by checking a `current_key`
-/// array on their side.
+/// The queue does not deduplicate: callers that re-key elements insert
+/// fresh entries and drop stale ones on extraction (lazy deletion) by
+/// checking a `current_key` array on their side.
 #[derive(Debug, Clone)]
 pub struct BucketQueue {
     mapping: BucketMapping,
@@ -202,33 +200,6 @@ impl BucketQueue {
         self.buckets.keys().next().copied()
     }
 
-    /// A lower bound on every queued key (the left edge of the smallest
-    /// non-empty bucket for the geometric mapping), or `None` when empty.
-    pub fn min_key_bound(&self) -> Option<f64> {
-        self.next_bucket().map(|b| self.mapping.lower_bound(b))
-    }
-
-    /// Re-keys one entry: removes `(id, old_key)` from its bucket (if
-    /// present) and inserts `(id, new_key)`. Removal preserves the order of
-    /// the bucket's remaining entries; the re-keyed entry joins the right
-    /// edge of its new bucket.
-    pub fn update(&mut self, id: u32, old_key: f64, new_key: f64) {
-        let b = self.mapping.bucket_of(old_key);
-        if let Some(bucket) = self.buckets.get_mut(&b) {
-            if let Some(pos) = bucket
-                .iter()
-                .position(|&(eid, ekey)| eid == id && ekey.to_bits() == old_key.to_bits())
-            {
-                bucket.remove(pos);
-                self.len -= 1;
-                if bucket.is_empty() {
-                    self.buckets.remove(&b);
-                }
-            }
-        }
-        self.insert(id, new_key);
-    }
-
     /// Extracts every entry with exact key `<= threshold`, in canonical
     /// order: ascending bucket id, then left-to-right insertion order within
     /// each bucket. Entries above the threshold stay queued in order.
@@ -266,38 +237,6 @@ impl BucketQueue {
         }
         self.len -= out.len();
         out
-    }
-
-    /// Removes and returns the entire smallest non-empty bucket (id and its
-    /// entries in insertion order), or `None` when the queue is empty.
-    pub fn extract_next_bucket(&mut self) -> Option<(u32, Vec<Entry>)> {
-        let b = self.next_bucket()?;
-        let entries = self.buckets.remove(&b).unwrap_or_default();
-        self.len -= entries.len();
-        Some((b, entries))
-    }
-
-    /// Lazy-refill extraction: like [`BucketQueue::extract_ready`], but when
-    /// no entry is ready the `refill` hook is asked for more entries (e.g. a
-    /// lazily-expanded distance prefix). Refilled entries are inserted and
-    /// the extraction retried; an empty refill ends the loop.
-    pub fn extract_ready_or_refill<F>(&mut self, threshold: f64, mut refill: F) -> Vec<Entry>
-    where
-        F: FnMut() -> Vec<Entry>,
-    {
-        loop {
-            let ready = self.extract_ready(threshold);
-            if !ready.is_empty() {
-                return ready;
-            }
-            let fresh = refill();
-            if fresh.is_empty() {
-                return Vec::new();
-            }
-            for (id, key) in fresh {
-                self.insert(id, key);
-            }
-        }
     }
 }
 
@@ -492,46 +431,6 @@ mod tests {
         assert_eq!(q.extract_ready(1.0), vec![(1, 1.0)]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.extract_ready(1.05), vec![(0, 1.05)]);
-    }
-
-    #[test]
-    fn update_rekeys_and_preserves_order_of_the_rest() {
-        let mut q = BucketQueue::new(geo());
-        q.insert(0, 4.0);
-        q.insert(1, 4.0);
-        q.insert(2, 4.0);
-        q.update(1, 4.0, 0.5);
-        assert_eq!(q.len(), 3);
-        let all = q.extract_ready(f64::MAX);
-        assert_eq!(all, vec![(1, 0.5), (0, 4.0), (2, 4.0)]);
-    }
-
-    #[test]
-    fn refill_hook_feeds_lazy_expansion() {
-        let mut q = BucketQueue::new(geo());
-        let mut batches = vec![vec![(1, 0.25)], vec![(2, 9.0)]];
-        // Nothing queued: first refill delivers an unready entry, the second
-        // a ready one; the loop keeps pulling until something is ready.
-        let ready = q.extract_ready_or_refill(1.0, || batches.pop().unwrap_or_default());
-        assert_eq!(ready, vec![(1, 0.25)]);
-        assert_eq!(q.len(), 1, "the unready refill entry stays queued");
-        // Exhausted refill on an unready queue ends the loop empty-handed.
-        let none = q.extract_ready_or_refill(1.0, Vec::new);
-        assert!(none.is_empty());
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn extract_next_bucket_removes_whole_bucket_in_order() {
-        let mut q = BucketQueue::new(geo());
-        q.insert(5, 2.0);
-        q.insert(6, 2.01);
-        q.insert(7, 64.0);
-        let (b, entries) = q.extract_next_bucket().expect("non-empty");
-        assert_eq!(b, geo().bucket_of(2.0));
-        assert_eq!(entries, vec![(5, 2.0), (6, 2.01)]);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.min_key_bound(), Some(64.0));
     }
 
     #[test]

@@ -79,30 +79,3 @@ pub mod verify;
 pub use config::FlConfig;
 pub use solution::FlSolution;
 pub use solvers::{FlLocalSearchSolver, GreedySolver, LpRoundingSolver, PrimalDualSolver};
-
-/// Deprecated re-exports of the pre-registry entry points. The free
-/// functions themselves remain fully supported (the solver adapters call
-/// them); these aliases exist to steer new code toward [`solvers`] / the
-/// registry in `parfaclo-bench`.
-pub mod compat {
-    use super::*;
-    use parfaclo_metric::FlInstance;
-
-    /// Delegates to [`greedy::parallel_greedy`].
-    #[deprecated(since = "0.1.0", note = "use `solvers::GreedySolver` via the registry")]
-    pub fn parallel_greedy(inst: &FlInstance, cfg: &FlConfig) -> FlSolution {
-        greedy::parallel_greedy(inst, cfg)
-    }
-
-    /// Delegates to [`primal_dual::parallel_primal_dual`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solvers::PrimalDualSolver` via the registry"
-    )]
-    pub fn parallel_primal_dual(
-        inst: &FlInstance,
-        cfg: &FlConfig,
-    ) -> Result<FlSolution, primal_dual::RoundBoundError> {
-        primal_dual::parallel_primal_dual(inst, cfg)
-    }
-}

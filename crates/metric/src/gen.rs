@@ -236,12 +236,6 @@ impl GenParams {
         self.cost_model = cost_model;
         self
     }
-
-    /// Replaces the distance kind.
-    pub fn with_distance(mut self, distance: DistanceKind) -> Self {
-        self.distance = distance;
-        self
-    }
 }
 
 /// A named generator configuration, used by the experiment harness to sweep over a

@@ -104,7 +104,7 @@ fn flatten(points: &[Point]) -> (Vec<f64>, usize) {
 /// for clustering instances the oracle is square and symmetric. Every
 /// method must be deterministic — in particular independent of thread
 /// count — because solver output is compared byte-for-byte across
-/// backends, policies and pool sizes.
+/// backends and pool sizes.
 pub trait DistanceOracle {
     /// Number of rows (clients / nodes).
     fn rows(&self) -> usize;
@@ -1012,14 +1012,6 @@ pub enum Oracle {
 }
 
 impl Oracle {
-    /// The wrapped dense matrix, if this is the dense backend.
-    pub fn as_dense(&self) -> Option<&DistanceMatrix> {
-        match self {
-            Oracle::Dense(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// The implicit metric behind the oracle: the wrapped one for the
     /// implicit backend, the inner one for the spatial backend, `None` for
     /// dense.
