@@ -14,8 +14,9 @@
 //! synchronisation rounds to a [`CostMeter`], so the experiment harness can compare
 //! measured totals against the paper's `O(m log_{1+ε} m)`-style bounds. This crate owns
 //! that meter, the [`PAR_THRESHOLD`] grain the solvers' parallel loops gate on, and the
-//! reduce / scan / sort primitives the repository benchmark times, each with a
-//! sequential reference branch selected by an [`ExecPolicy`].
+//! four primitives the repository benchmark times (`ops::reduce`,
+//! `scan::inclusive_scan`, `sort::sort_values`, `sort::sorted_distinct`); their
+//! [`ExecPolicy`] argument picks the sequential branch their tests compare against.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
