@@ -66,6 +66,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(test)]
+mod certify_reference;
 pub mod config;
 pub mod greedy;
 pub mod local_search_fl;

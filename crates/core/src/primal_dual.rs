@@ -202,18 +202,25 @@ pub fn parallel_primal_dual_detailed(
         last_level = level;
 
         // Step 2: exact payment check for every facility whose scheduled iteration has
-        // arrived, in ascending facility id. Unfrozen duals conceptually hold `t`; the
-        // write is deferred until they freeze.
+        // arrived. Unfrozen duals conceptually hold `t`; the write is deferred until they
+        // freeze. Step 2 only reads `frozen`, `alpha` and the level and step 3 writes
+        // them, so every ready facility's payment is computed first, in parallel over
+        // facilities (each one left-to-right fold over its kernel column), and the
+        // results are applied in ascending facility id.
         let mut ready = open_q.extract_ready(step);
         ready.sort_unstable_by_key(|&(i, _)| i);
-        for (iu, _) in ready {
-            let i = iu as usize;
-            let paid: f64 = (0..nc)
-                .map(|j| {
+        let payments = dual::map_facilities(ready.len(), nc, |k| {
+            let mut paid = 0.0;
+            dual::for_each_column_tile(inst, ready[k].0 as usize, |start, tile| {
+                for (j, &d) in (start..).zip(tile) {
                     let aj = if frozen[j] { alpha[j] } else { level };
-                    (slack * aj - inst.dist(j, i)).max(0.0)
-                })
-                .sum();
+                    paid += (slack * aj - d).max(0.0);
+                }
+            });
+            paid
+        });
+        for ((iu, _), paid) in ready.into_iter().zip(payments) {
+            let i = iu as usize;
             meter.add_primitive(nc as u64);
             let fi = inst.facility_cost(i);
             if paid >= fi {
@@ -674,20 +681,30 @@ mod tests {
     fn scan_and_bucket_engines_agree_bit_for_bit() {
         // The bucket event loop must replay the reference rescan ladder
         // exactly: same opens (order included), same α bits, same
-        // iteration count.
-        for seed in 0..4 {
-            let inst = gen::facility_location(GenParams::uniform_square(24, 10).with_seed(seed));
+        // iteration count. The last instance is above the dispatch grain
+        // (600 clients put it at 4 facilities), so its payment map forks.
+        let instances = (0..4)
+            .map(|seed| (seed, GenParams::uniform_square(24, 10)))
+            .chain([(4, GenParams::uniform_square(600, 40))]);
+        for (seed, params) in instances {
+            let inst = gen::facility_location(params.with_seed(seed));
             for preprocess in [true, false] {
                 let cfg = FlConfig::new(0.15)
                     .with_seed(seed)
                     .with_preprocess(preprocess);
-                let out = parallel_primal_dual_detailed(&inst, &cfg).unwrap();
                 let (alpha, temporarily_open, iterations) = rescan_ladder(&inst, &cfg);
-                let label = format!("seed {seed}, preprocess {preprocess}");
-                assert_eq!(out.temporarily_open, temporarily_open, "{label}");
-                assert_eq!(out.solution.rounds, iterations, "{label}");
-                for (a, b) in out.solution.alpha.iter().zip(&alpha) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{label}: α diverged");
+                for threads in [1, 4] {
+                    let out = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap()
+                        .install(|| parallel_primal_dual_detailed(&inst, &cfg).unwrap());
+                    let label = format!("seed {seed}, preprocess {preprocess}, {threads} threads");
+                    assert_eq!(out.temporarily_open, temporarily_open, "{label}");
+                    assert_eq!(out.solution.rounds, iterations, "{label}");
+                    for (a, b) in out.solution.alpha.iter().zip(&alpha) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{label}: α diverged");
+                    }
                 }
             }
         }

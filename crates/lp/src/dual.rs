@@ -21,14 +21,116 @@
 //! approximation ratios.
 
 use parfaclo_metric::{DistanceOracle, FlInstance};
+use rayon::prelude::*;
 
-/// Canonical β choice for a given α: `β_ij = max(0, α_j − d(j,i))`.
-///
-/// This choice satisfies the `α_j − β_ij <= d(j,i)` constraints by construction and is
-/// the one the paper always uses, so dual feasibility of `(α, β)` reduces to the
-/// per-facility constraint checked by [`check_alpha_feasible`].
-pub fn canonical_beta(inst: &FlInstance, alpha: &[f64], i: usize, j: usize) -> f64 {
-    (alpha[j] - inst.dist(j, i)).max(0.0)
+/// Elements (facility × client pairs) each task of a per-facility map must
+/// cover before the map forks. It is `parfaclo_matrixops::PAR_THRESHOLD`,
+/// named again here because this crate does not depend on matrixops; a
+/// `parfaclo-core` test pins the two equal.
+pub const PAR_GRAIN: usize = 2048;
+
+/// Clients per stack tile of a column sweep.
+const COLUMN_TILE: usize = 256;
+
+/// Maps `f` over `0..len`, where each item sweeps the `nc` clients of one
+/// facility, and returns the results in input order. The map forks only
+/// when it has at least two tasks of at least [`PAR_GRAIN`] elements each.
+/// The calls of `f` are independent, so the output is the same at every
+/// thread count.
+pub fn map_facilities<T: Send>(len: usize, nc: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let grain = PAR_GRAIN.div_ceil(nc.max(1));
+    if len >= 2 * grain {
+        (0..len)
+            .into_par_iter()
+            .with_min_len(grain)
+            .map(f)
+            .collect()
+    } else {
+        (0..len).map(f).collect()
+    }
+}
+
+/// Streams facility `i`'s distance column in ascending client order, one
+/// stack tile at a time: `f(start, tile)` gets `d(start + k, i)` in
+/// `tile[k]`. The kernel column is bit-identical to `inst.dist`, so a fold
+/// over the tiles equals the scalar fold over `0..nc`.
+pub fn for_each_column_tile(inst: &FlInstance, i: usize, mut f: impl FnMut(usize, &[f64])) {
+    let nc = inst.num_clients();
+    let mut buf = [0.0f64; COLUMN_TILE];
+    for start in (0..nc).step_by(COLUMN_TILE) {
+        let tile = &mut buf[..COLUMN_TILE.min(nc - start)];
+        inst.distances().col_range_into(i, start, tile);
+        f(start, tile);
+    }
+}
+
+/// How one call finds each facility's contributing clients
+/// `P_i = {j : d(j,i) < α_j}`. Every other client adds an exact `+0.0` to
+/// facility `i`'s sum, which leaves a sum of non-negative terms unchanged.
+#[derive(Debug, Clone, Copy)]
+enum Gather {
+    /// A range query of radius `max_j α_j` on the client index, then a
+    /// distance gather over the candidates.
+    Index(f64),
+    /// A kernel sweep over the whole column.
+    Sweep,
+}
+
+impl Gather {
+    /// Chosen once per call, from the input alone: the index when the
+    /// oracle has one and a probe query at facility 0 returns at most half
+    /// the clients. One outlier `α_j` can make the radius cover almost
+    /// everything, and a range query that returns most clients costs more
+    /// than the sweep it replaces.
+    fn plan(inst: &FlInstance, alpha: &[f64]) -> Gather {
+        let oracle = inst.distances();
+        if inst.num_facilities() == 0 || !oracle.has_sublinear_queries() {
+            return Gather::Sweep;
+        }
+        let radius = alpha.iter().fold(0.0_f64, |m, &a| m.max(a));
+        if 2 * oracle.rows_within(0, radius).len() > inst.num_clients() {
+            Gather::Sweep
+        } else {
+            Gather::Index(radius)
+        }
+    }
+
+    /// Calls `f(α_j, d(j,i))` for every `j` in `P_i`, in ascending `j`.
+    fn for_each_contributor(
+        self,
+        inst: &FlInstance,
+        alpha: &[f64],
+        i: usize,
+        mut f: impl FnMut(f64, f64),
+    ) {
+        match self {
+            Gather::Sweep => for_each_column_tile(inst, i, |start, tile| {
+                for (&a, &d) in alpha[start..].iter().zip(tile) {
+                    if d < a {
+                        f(a, d);
+                    }
+                }
+            }),
+            Gather::Index(radius) => {
+                let mut buf = [0.0f64; COLUMN_TILE];
+                for rows in inst.distances().rows_within(i, radius).chunks(COLUMN_TILE) {
+                    let tile = &mut buf[..rows.len()];
+                    inst.distances().col_gather(i, rows, tile);
+                    for (&j, &d) in rows.iter().zip(tile.iter()) {
+                        if d < alpha[j] {
+                            f(alpha[j], d);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether facility `i`'s payments exceed its cost `fi` by more than the
+/// relative tolerance.
+fn violates(excess: f64, fi: f64, tol: f64) -> bool {
+    excess > tol * (1.0 + fi.abs())
 }
 
 /// The dual objective `Σ_j α_j`.
@@ -36,82 +138,92 @@ pub fn dual_value(alpha: &[f64]) -> f64 {
     alpha.iter().sum()
 }
 
-/// Checks that α (with the canonical β) is dual feasible up to tolerance `tol`:
-/// non-negative and, for every facility `i`, `Σ_j max(0, α_j − d(j,i)) <= f_i`.
+/// Checks that α (with the canonical `β_ij = max(0, α_j − d(j,i))`) is dual
+/// feasible up to tolerance `tol`: non-negative and, for every facility
+/// `i`, `Σ_j max(0, α_j − d(j,i)) <= f_i`.
 ///
-/// Returns the first violated facility and the violation amount on failure.
+/// Every facility's excess comes from one parallel map over facilities,
+/// each sum a left-to-right fold over `P_i` in ascending `j`. Returns the
+/// first violation by index (a negative client before any facility) and
+/// its amount on failure.
 pub fn check_alpha_feasible(
     inst: &FlInstance,
     alpha: &[f64],
     tol: f64,
 ) -> Result<(), (usize, f64)> {
     assert_eq!(alpha.len(), inst.num_clients(), "alpha length mismatch");
-    for (j, &a) in alpha.iter().enumerate() {
-        if a < -tol {
-            return Err((j, a));
-        }
+    if let Some((j, &a)) = alpha.iter().enumerate().find(|&(_, &a)| a < -tol) {
+        return Err((j, a));
     }
-    // Only clients with d(j, i) < α_j contribute to facility i's constraint
-    // (everything else adds an exact 0.0, which leaves an IEEE sum of
-    // non-negative terms unchanged). On an index-capable oracle the
-    // candidate clients come from one range query of radius max_j α_j per
-    // facility — summed in the same ascending-j order as the full scan, so
-    // the result is bit-identical while skipping the O(|C|·|F|) sweep that
-    // dominates the feasibility binary search at 1M+ clients. One outlier
-    // α_j (a client far from every facility) can make that radius cover
-    // almost everything, though, and a range query returning ~|C| ids costs
-    // more than the sweep it replaces — so the first dense result flips the
-    // remaining facilities back to the scan. The planner choice never
-    // changes the sums, only who computes them.
-    let alpha_max = alpha.iter().fold(0.0_f64, |m, &a| m.max(a));
-    let nc = inst.num_clients();
-    let mut use_index = inst.distances().has_sublinear_queries();
-    for i in 0..inst.num_facilities() {
-        let contribution: f64 = if use_index {
-            let candidates = inst.distances().rows_within(i, alpha_max);
-            if candidates.len() * 2 > nc {
-                use_index = false;
-            }
-            candidates
-                .into_iter()
-                .map(|j| canonical_beta(inst, alpha, i, j))
-                .sum()
-        } else {
-            (0..nc).map(|j| canonical_beta(inst, alpha, i, j)).sum()
-        };
-        let excess = contribution - inst.facility_cost(i);
-        if excess > tol * (1.0 + inst.facility_cost(i).abs()) {
-            return Err((i, excess));
-        }
+    let gather = Gather::plan(inst, alpha);
+    let excess = map_facilities(inst.num_facilities(), inst.num_clients(), |i| {
+        let mut paid = 0.0;
+        gather.for_each_contributor(inst, alpha, i, |a, d| paid += (a - d).max(0.0));
+        paid - inst.facility_cost(i)
+    });
+    match (0..excess.len()).find(|&i| violates(excess[i], inst.facility_cost(i), tol)) {
+        Some(i) => Err((i, excess[i])),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// Largest uniform scaling factor `s <= 1` such that `s·α` is dual feasible, found by
-/// checking the per-facility constraints exactly (binary search on the piecewise-linear
-/// constraint functions is unnecessary at the sizes we use — we simply evaluate the
-/// worst facility ratio).
-///
-/// Useful to turn an *infeasible* α (e.g. the raw greedy α before the Lemma 4.6 scaling)
-/// into a valid lower bound `s · Σ_j α_j`.
-pub fn max_feasible_scaling(inst: &FlInstance, alpha: &[f64], granularity: usize) -> f64 {
-    assert!(granularity >= 2);
-    if check_alpha_feasible(inst, alpha, 1e-9).is_ok() {
+/// Bisection on one constraint that holds for small scales: `1.0` if it
+/// holds at `s = 1`, else the largest point `lo` reached by `granularity`
+/// halving steps `mid = 0.5·(lo + hi)` from `[0, 1]` at which it holds
+/// (`0.0` if none).
+fn bisect(granularity: usize, mut holds: impl FnMut(f64) -> bool) -> f64 {
+    if holds(1.0) {
         return 1.0;
     }
-    // The constraint functions are increasing in s, so binary search works.
-    let mut lo = 0.0_f64;
-    let mut hi = 1.0_f64;
+    let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
     for _ in 0..granularity {
         let mid = 0.5 * (lo + hi);
-        let scaled: Vec<f64> = alpha.iter().map(|a| a * mid).collect();
-        if check_alpha_feasible(inst, &scaled, 1e-9).is_ok() {
+        if holds(mid) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     lo
+}
+
+/// Largest uniform scaling factor `s <= 1` such that `s·α` passes
+/// [`check_alpha_feasible`] at tolerance `1e-9`, found by `granularity`
+/// bisection steps.
+///
+/// Each constraint's floating-point violation test is monotone in `s`:
+/// rounded products, `max(0, ·)`, fixed-order sums of non-negative terms
+/// and the comparison all are. So a bisection over all constraints at once
+/// returns the largest grid point where every constraint passes, which is
+/// the minimum of the per-constraint bisections computed here: one for
+/// non-negativity and one per facility, in a parallel map over facilities.
+/// Facility `i` gathers its contributors `P_i` once and bisects on them
+/// alone.
+///
+/// Useful to turn an *infeasible* α (e.g. the raw greedy α before the
+/// Lemma 4.6 scaling) into a valid lower bound `s · Σ_j α_j`.
+pub fn max_feasible_scaling(inst: &FlInstance, alpha: &[f64], granularity: usize) -> f64 {
+    assert!(granularity >= 2);
+    assert_eq!(alpha.len(), inst.num_clients(), "alpha length mismatch");
+    const TOL: f64 = 1e-9;
+    let (nc, nf) = (inst.num_clients(), inst.num_facilities());
+    // fl(α_min·s) <= fl(α_j·s) for every j, so the most negative entry
+    // decides non-negativity.
+    let alpha_min = alpha.iter().fold(f64::INFINITY, |m, &a| m.min(a));
+    let nonneg = bisect(granularity, |s| alpha_min * s >= -TOL);
+    let gather = Gather::plan(inst, alpha);
+    let per_facility = map_facilities(nf, nc, |i| {
+        let mut contributors = Vec::new();
+        gather.for_each_contributor(inst, alpha, i, |a, d| contributors.push((a, d)));
+        let fi = inst.facility_cost(i);
+        bisect(granularity, |s| {
+            let paid = contributors
+                .iter()
+                .fold(0.0, |paid, &(a, d)| paid + (a * s - d).max(0.0));
+            !violates(paid - fi, fi, TOL)
+        })
+    });
+    per_facility.into_iter().fold(nonneg, f64::min)
 }
 
 #[cfg(test)]
@@ -155,17 +267,6 @@ mod tests {
         assert!(check_alpha_feasible(&inst, &[2.0], 1e-9).is_err());
         assert!(check_alpha_feasible(&inst, &[1.0], 1e-9).is_ok());
         assert!(check_alpha_feasible(&inst, &[-0.5], 1e-9).is_err());
-    }
-
-    #[test]
-    fn canonical_beta_matches_definition() {
-        let inst = FlInstance::new(
-            vec![1.0, 2.0],
-            DistanceMatrix::from_rows(1, 2, vec![3.0, 5.0]),
-        );
-        let alpha = vec![4.0];
-        assert_eq!(canonical_beta(&inst, &alpha, 0, 0), 1.0);
-        assert_eq!(canonical_beta(&inst, &alpha, 1, 0), 0.0);
     }
 
     #[test]
