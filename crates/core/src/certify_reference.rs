@@ -125,15 +125,18 @@ fn certification_matches_the_scalar_references_bit_for_bit() {
                 for a in [&alpha, &scaled] {
                     let want = global_bisection(dense, a, granularity);
                     let want_check = bits(scalar_check(dense, a, 1e-9));
+                    // The metered count is backend- and thread-invariant too.
+                    let want_evaluations = dual::max_feasible_scaling(dense, a, granularity).1;
                     for (inst, threads) in insts.iter().flat_map(|i| [(i, 1), (i, 4)]) {
                         let label = format!(
                             "{} seed {seed} {kind} granularity {granularity}, {threads} threads",
                             inst.backend()
                         );
-                        let got = at_threads(threads, || {
+                        let (got, evaluations) = at_threads(threads, || {
                             dual::max_feasible_scaling(inst, a, granularity)
                         });
                         assert_eq!(got.to_bits(), want.to_bits(), "{label}");
+                        assert_eq!(evaluations, want_evaluations, "{label}");
                         let got = at_threads(threads, || dual::check_alpha_feasible(inst, a, 1e-9));
                         assert_eq!(bits(got), want_check, "{label}");
                     }

@@ -368,7 +368,8 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
     // Certified lower bound: scale α down until it is exactly dual feasible. Lemma 4.6
     // guarantees a scaling of 1/1.861 always works, so the certified bound is at least
     // Σα / 1.861 up to the numerical search granularity.
-    let scale = dual::max_feasible_scaling(inst, &alpha, 40);
+    let (scale, evaluations) = dual::max_feasible_scaling(inst, &alpha, 40);
+    meter.add_primitive(evaluations);
     let scaled: Vec<f64> = alpha.iter().map(|a| a * scale).collect();
     solution.lower_bound = dual::dual_value(&scaled);
     solution.alpha = alpha;

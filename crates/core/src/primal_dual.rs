@@ -307,7 +307,8 @@ pub fn parallel_primal_dual_detailed(
     let mut solution = FlSolution::from_open_set(inst, open_set);
     // α is dual feasible by Claim 5.1; certify numerically (and fall back to scaling if
     // floating-point slack pushed it marginally over).
-    let scale = dual::max_feasible_scaling(inst, &alpha, 40);
+    let (scale, evaluations) = dual::max_feasible_scaling(inst, &alpha, 40);
+    meter.add_primitive(evaluations);
     let scaled: Vec<f64> = alpha.iter().map(|a| a * scale).collect();
     solution.lower_bound = dual::dual_value(&scaled);
     solution.alpha = alpha;

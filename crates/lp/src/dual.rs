@@ -189,7 +189,7 @@ fn bisect(granularity: usize, mut holds: impl FnMut(f64) -> bool) -> f64 {
 
 /// Largest uniform scaling factor `s <= 1` such that `s·α` passes
 /// [`check_alpha_feasible`] at tolerance `1e-9`, found by `granularity`
-/// bisection steps.
+/// bisection steps, together with the element evaluations it made.
 ///
 /// Each constraint's floating-point violation test is monotone in `s`:
 /// rounded products, `max(0, ·)`, fixed-order sums of non-negative terms
@@ -198,11 +198,13 @@ fn bisect(granularity: usize, mut holds: impl FnMut(f64) -> bool) -> f64 {
 /// the minimum of the per-constraint bisections computed here: one for
 /// non-negativity and one per facility, in a parallel map over facilities.
 /// Facility `i` gathers its contributors `P_i` once and bisects on them
-/// alone.
+/// alone. The evaluations are `nf·nc` for the gather (whatever an index
+/// saves) plus `|P_i|` per test facility `i` makes, so the count is the
+/// same on every backend and at every thread count.
 ///
 /// Useful to turn an *infeasible* α (e.g. the raw greedy α before the
 /// Lemma 4.6 scaling) into a valid lower bound `s · Σ_j α_j`.
-pub fn max_feasible_scaling(inst: &FlInstance, alpha: &[f64], granularity: usize) -> f64 {
+pub fn max_feasible_scaling(inst: &FlInstance, alpha: &[f64], granularity: usize) -> (f64, u64) {
     assert!(granularity >= 2);
     assert_eq!(alpha.len(), inst.num_clients(), "alpha length mismatch");
     const TOL: f64 = 1e-9;
@@ -216,14 +218,19 @@ pub fn max_feasible_scaling(inst: &FlInstance, alpha: &[f64], granularity: usize
         let mut contributors = Vec::new();
         gather.for_each_contributor(inst, alpha, i, |a, d| contributors.push((a, d)));
         let fi = inst.facility_cost(i);
-        bisect(granularity, |s| {
+        let mut tests = 0u64;
+        let s = bisect(granularity, |s| {
+            tests += 1;
             let paid = contributors
                 .iter()
                 .fold(0.0, |paid, &(a, d)| paid + (a * s - d).max(0.0));
             !violates(paid - fi, fi, TOL)
-        })
+        });
+        (s, tests * contributors.len() as u64)
     });
-    per_facility.into_iter().fold(nonneg, f64::min)
+    let scale = per_facility.iter().fold(nonneg, |m, &(s, _)| m.min(s));
+    let evaluations = per_facility.iter().map(|&(_, e)| e).sum::<u64>() + (nf * nc) as u64;
+    (scale, evaluations)
 }
 
 #[cfg(test)]
@@ -248,7 +255,7 @@ mod tests {
         for seed in 0..5 {
             let inst = gen::facility_location(GenParams::uniform_square(7, 4).with_seed(seed));
             let alpha: Vec<f64> = inst.gamma_per_client();
-            let s = max_feasible_scaling(&inst, &alpha, 40);
+            let (s, _) = max_feasible_scaling(&inst, &alpha, 40);
             let scaled: Vec<f64> = alpha.iter().map(|a| a * s).collect();
             assert!(check_alpha_feasible(&inst, &scaled, 1e-7).is_ok());
             let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
@@ -273,7 +280,7 @@ mod tests {
     fn scaling_of_feasible_alpha_is_one() {
         let inst = gen::facility_location(GenParams::uniform_square(5, 3).with_seed(2));
         let alpha = vec![0.0; 5];
-        assert_eq!(max_feasible_scaling(&inst, &alpha, 20), 1.0);
+        assert_eq!(max_feasible_scaling(&inst, &alpha, 20), (1.0, 15));
     }
 
     #[test]
@@ -285,7 +292,7 @@ mod tests {
             let lp = solve_facility_lp(&inst).expect("lp");
             // Any feasible dual value is at most the LP optimum.
             let alpha: Vec<f64> = inst.gamma_per_client();
-            let s = max_feasible_scaling(&inst, &alpha, 40);
+            let (s, _) = max_feasible_scaling(&inst, &alpha, 40);
             let scaled: Vec<f64> = alpha.iter().map(|a| a * s).collect();
             assert!(
                 dual_value(&scaled) <= lp.value() + 1e-6,
