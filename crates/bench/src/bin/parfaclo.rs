@@ -112,7 +112,7 @@ OPTIONS:
                         Byte-identical at any thread count and backend;
                         ignored by the facility-location and dominator
                         solvers                          [default: off]
-    --eps <f>           Slack parameter, finite > 0      [default: 0.1]
+    --eps <f>           Slack parameter, in (0, 1]       [default: 0.1]
     --seed <n>          RNG seed                         [default: 0]
     --k <n>             Centers for clustering solvers   [default: 8]
     --threshold <f>     Dominator-set threshold (>= 0)   [default: median]
@@ -259,8 +259,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 let eps: f64 = value("--eps")?
                     .parse()
                     .map_err(|_| "invalid --eps".to_string())?;
-                if !eps.is_finite() || eps <= 0.0 {
-                    return Err("--eps must be a positive finite number".to_string());
+                // Past 1 the guarantees (3 + ε, 3.722 + ε, …) certify nothing.
+                if !(eps > 0.0 && eps <= 1.0) {
+                    return Err("--eps must be a number in (0, 1]".to_string());
                 }
                 cfg.epsilon = eps;
             }
@@ -958,13 +959,16 @@ mod tests {
 
     #[test]
     fn non_finite_or_non_positive_eps_is_a_usage_error() {
-        for eps in ["nan", "inf", "-inf", "0", "-1"] {
+        for eps in ["nan", "inf", "-inf", "0", "-1", "1.0000001", "1e300"] {
             let err = dispatch(&args(&format!(
                 "run greedy --gen uniform:n=30,k=15 --eps {eps}"
             )))
             .expect_err(eps);
             assert!(err.contains("--eps"), "--eps {eps}: {err}");
+            assert!(err.contains("(0, 1]"), "--eps {eps}: {err}");
         }
+        let opts = parse_options(&args("--eps 1")).expect("eps = 1 is valid");
+        assert_eq!(opts.cfg.epsilon, 1.0);
     }
 
     #[test]

@@ -30,12 +30,14 @@ impl FlConfig {
     /// subselection on, and seed 0.
     ///
     /// # Panics
-    /// Panics if `epsilon` is not a positive finite number.
+    /// Panics if `epsilon` is not a positive finite number, or exceeds 1
+    /// (where the `+ ε` in every guarantee certifies nothing).
     pub fn new(epsilon: f64) -> Self {
         assert!(
             epsilon.is_finite() && epsilon > 0.0,
             "epsilon must be positive and finite, got {epsilon}"
         );
+        assert!(epsilon <= 1.0, "epsilon must be at most 1, got {epsilon}");
         FlConfig {
             epsilon,
             seed: 0,
@@ -104,5 +106,16 @@ mod tests {
     #[should_panic(expected = "positive and finite")]
     fn infinite_epsilon_rejected() {
         let _ = FlConfig::new(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 1, got 1.5")]
+    fn epsilon_above_one_rejected() {
+        let _ = FlConfig::new(1.5);
+    }
+
+    #[test]
+    fn epsilon_of_one_accepted() {
+        assert_eq!(FlConfig::new(1.0).epsilon, 1.0);
     }
 }
