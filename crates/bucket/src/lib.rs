@@ -173,11 +173,6 @@ impl BucketQueue {
         }
     }
 
-    /// The mapping this queue buckets by.
-    pub fn mapping(&self) -> BucketMapping {
-        self.mapping
-    }
-
     /// Number of queued entries.
     pub fn len(&self) -> usize {
         self.len
@@ -193,11 +188,6 @@ impl BucketQueue {
         let b = self.mapping.bucket_of(key);
         self.buckets.entry(b).or_default().push((id, key));
         self.len += 1;
-    }
-
-    /// The smallest non-empty bucket id, or `None` when empty.
-    pub fn next_bucket(&self) -> Option<u32> {
-        self.buckets.keys().next().copied()
     }
 
     /// Extracts every entry with exact key `<= threshold`, in canonical
@@ -397,7 +387,6 @@ mod tests {
         q.insert(0, 5.0);
         q.insert(1, 1.0);
         q.insert(2, 3.0);
-        assert_eq!(q.next_bucket(), Some(0));
         let ready = q.extract_ready(3.0);
         assert_eq!(ready, vec![(1, 1.0), (2, 3.0)], "exact keys, queue order");
         assert_eq!(q.len(), 1);

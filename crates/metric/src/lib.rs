@@ -28,7 +28,7 @@
 //! paper does not provide (each behind one backend-parameterized builder,
 //! [`gen::build_facility_location`] / [`gen::build_clustering`]), deterministic
 //! ε-grid [`coreset`]s for solving clustering at 10M-point scale, metric-axiom
-//! [`validate`]-ion, simple text [`io`], and the elementary [`lower_bounds`] from
+//! [`validate`]-ion, and the elementary [`lower_bounds`] from
 //! Equation (2) of the paper that the experiment harness uses to certify approximation
 //! ratios.
 //!
@@ -53,7 +53,6 @@ pub mod coreset;
 pub mod distmat;
 pub mod gen;
 pub mod instance;
-pub mod io;
 pub mod lower_bounds;
 pub mod oracle;
 pub mod point;

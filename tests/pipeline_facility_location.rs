@@ -75,19 +75,6 @@ fn parallel_and_sequential_agree_on_quality_scale() {
     }
 }
 
-/// Solutions survive a serialisation round trip of the instance (IO substrate).
-#[test]
-fn io_round_trip_preserves_solution_costs() {
-    let inst = gen::facility_location(GenParams::grid(30, 12).with_seed(0));
-    let text = parfaclo_metric::io::write_fl_instance(&inst);
-    let back = parfaclo_metric::io::read_fl_instance(&text).expect("parse");
-    let cfg = FlConfig::new(0.2).with_seed(8);
-    let a = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
-    let b = primal_dual::parallel_primal_dual(&back, &cfg).unwrap();
-    assert_eq!(a.open, b.open);
-    assert!((a.cost - b.cost).abs() < 1e-9);
-}
-
 /// The epsilon knob trades rounds for quality in the expected direction on a larger
 /// instance: larger ε ⇒ no more rounds than smaller ε.
 #[test]
