@@ -15,17 +15,19 @@
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-use parfaclo_core::{greedy, primal_dual, FlConfig};
+use parfaclo_api::{AnyInstance, ProblemKind, RunConfig};
+use parfaclo_bench::standard_registry;
+use parfaclo_core::{primal_dual, FlConfig};
 use parfaclo_dominator::maxdom::{is_maximal_dominator_set, max_dom};
 use parfaclo_dominator::maxudom::{is_maximal_u_dominator_set, max_u_dom};
 use parfaclo_dominator::{BipartiteGraph, DenseGraph};
-use parfaclo_kclustering::{parallel_kcenter, parallel_kmedian, LocalSearchConfig};
-use parfaclo_lp::dual;
 use parfaclo_matrixops::{ops, scan, CostMeter, ExecPolicy};
 use parfaclo_metric::lower_bounds::{self, ClusterObjective};
 use parfaclo_metric::{ClusterInstance, DistanceMatrix, FlInstance, Point};
 
 const CASES: u64 = 24;
+
+const EPS: f64 = 0.1;
 
 fn rng_for(case: u64, salt: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt)
@@ -53,84 +55,112 @@ fn small_cluster_instance(rng: &mut ChaCha8Rng) -> ClusterInstance {
     ClusterInstance::from_points(random_points(rng, n))
 }
 
-/// Parallel greedy stays within (3.722 + ε)·opt and its certificate is valid.
-#[test]
-fn prop_greedy_within_factor() {
+/// The objective a k-clustering solver's `Run.cost` reports.
+fn cluster_objective(solver: &str) -> ClusterObjective {
+    if solver.starts_with("kmeans") {
+        ClusterObjective::KMeans
+    } else if solver.starts_with("kmedian") {
+        ClusterObjective::KMedian
+    } else {
+        ClusterObjective::KCenter
+    }
+}
+
+/// Runs registered solver `name` through the registry on [`CASES`] seeded
+/// small instances of its problem and checks the run against the
+/// brute-force optimum: cost within the recorded guarantee (plus ε unless
+/// the guarantee is exact), and a certified lower bound that is really
+/// below the optimum.
+fn certify(name: &str) {
+    let registry = standard_registry();
+    let solver = registry.get(name).expect("registered solver");
+    let slack = if solver.guarantee_label().ends_with("+ eps") {
+        EPS
+    } else {
+        0.0
+    };
+    // Salts keep each solver on the instances its old hand-written test used.
+    let salt = match name {
+        "greedy" => 0x6D,
+        "primal-dual" => 0x1D,
+        "kcenter" => 0x2C,
+        "kmedian-ls" => 0x3E,
+        _ => name
+            .bytes()
+            .fold(0u64, |h, b| h.wrapping_mul(31) ^ u64::from(b)),
+    };
     for case in 0..CASES {
-        let mut rng = rng_for(case, 0x6D);
-        let inst = small_fl_instance(&mut rng);
+        let mut rng = rng_for(case, salt);
+        let (inst, opt, k) = match solver.problem() {
+            ProblemKind::FacilityLocation => {
+                let inst = small_fl_instance(&mut rng);
+                let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
+                (AnyInstance::Fl(inst), opt, 1)
+            }
+            ProblemKind::KClustering => {
+                let inst = small_cluster_instance(&mut rng);
+                let k = rng.gen_range(1..4usize).min(inst.n());
+                let (_, opt) =
+                    lower_bounds::brute_force_kclustering(&inst, k, cluster_objective(name));
+                (AnyInstance::Cluster(inst), opt, k)
+            }
+            ProblemKind::DominatorSet => unreachable!("dominator sets carry no guarantee"),
+        };
         let seed = rng.gen_range(0..1000u64);
-        let cfg = FlConfig::new(0.1).with_seed(seed);
-        let sol = greedy::parallel_greedy(&inst, &cfg);
-        let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
+        let cfg = RunConfig::new(EPS).with_seed(seed).with_k(k);
+        let run = registry.run(name, &inst, &cfg).expect(name);
+        let factor = run.guarantee + slack;
         assert!(
-            sol.cost <= (3.722 + 0.1) * opt + 1e-6,
-            "case {case}: cost {} vs opt {opt}",
-            sol.cost
+            run.cost <= factor * opt + 1e-6,
+            "{name} case {case}: cost {} above {factor} x opt {opt}",
+            run.cost
         );
-        assert!(sol.cost >= opt - 1e-9, "case {case}");
-        assert!(sol.lower_bound <= opt + 1e-6, "case {case}");
+        assert!(run.cost >= opt - 1e-9, "{name} case {case}");
+        assert!(run.lower_bound <= opt + 1e-6, "{name} case {case}");
     }
 }
 
-/// Parallel primal-dual stays within (3 + O(ε))·opt and its α is dual feasible.
-#[test]
-fn prop_primal_dual_within_factor() {
-    for case in 0..CASES {
-        let mut rng = rng_for(case, 0x1D);
-        let inst = small_fl_instance(&mut rng);
-        let seed = rng.gen_range(0..1000u64);
-        let cfg = FlConfig::new(0.1).with_seed(seed);
-        let sol = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
-        let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
-        assert!(
-            sol.cost <= (3.0 + 0.4) * opt + 1e-6,
-            "case {case}: cost {} vs opt {opt}",
-            sol.cost
-        );
-        assert!(
-            dual::check_alpha_feasible(&inst, &sol.alpha, 1e-6).is_ok(),
-            "case {case}"
-        );
-        assert!(dual::dual_value(&sol.alpha) <= opt + 1e-6, "case {case}");
-    }
+/// One test per registered solver that records a guarantee, so a failure
+/// names its solver; [`every_guaranteed_solver_is_certified`] keeps the
+/// list complete.
+macro_rules! certified {
+    ($($test:ident => $solver:literal,)*) => {
+        $(
+            #[test]
+            fn $test() {
+                certify($solver);
+            }
+        )*
+        const CERTIFIED: &[&str] = &[$($solver),*];
+    };
 }
 
-/// Parallel k-center is a 2-approximation on arbitrary point sets.
-#[test]
-fn prop_kcenter_two_approx() {
-    for case in 0..CASES {
-        let mut rng = rng_for(case, 0x2C);
-        let inst = small_cluster_instance(&mut rng);
-        let k = rng.gen_range(1..4usize).min(inst.n());
-        let seed = rng.gen_range(0..100u64);
-        let sol = parallel_kcenter(&inst, k, seed);
-        let (_, opt) = lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-        assert!(
-            sol.radius <= 2.0 * opt + 1e-9,
-            "case {case}: radius {} vs opt {opt}",
-            sol.radius
-        );
-    }
+certified! {
+    prop_greedy_within_factor => "greedy",
+    prop_primal_dual_within_factor => "primal-dual",
+    prop_lp_rounding_within_factor => "lp-rounding",
+    prop_local_search_fl_within_factor => "local-search-fl",
+    prop_jms_greedy_within_factor => "jms-greedy",
+    prop_jain_vazirani_within_factor => "jain-vazirani",
+    prop_kcenter_two_approx => "kcenter",
+    prop_gonzalez_two_approx => "gonzalez",
+    prop_hs_kcenter_two_approx => "hs-kcenter",
+    prop_kmedian_within_factor => "kmedian-ls",
+    prop_kmedian_seq_within_factor => "kmedian-seq",
+    prop_kmeans_within_factor => "kmeans-ls",
 }
 
-/// Parallel k-median local search is a (5 + ε)-approximation on arbitrary point sets.
 #[test]
-fn prop_kmedian_within_factor() {
-    for case in 0..CASES {
-        let mut rng = rng_for(case, 0x3E);
-        let inst = small_cluster_instance(&mut rng);
-        let seed = rng.gen_range(0..100u64);
-        let k = 2usize.min(inst.n());
-        let sol = parallel_kmedian(&inst, k, &LocalSearchConfig::new(0.1).with_seed(seed));
-        let (_, opt) = lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KMedian);
-        assert!(
-            sol.cost <= 5.1 * opt + 1e-6,
-            "case {case}: cost {} vs opt {opt}",
-            sol.cost
-        );
-        assert!(sol.cost >= opt - 1e-9, "case {case}");
-    }
+fn every_guaranteed_solver_is_certified() {
+    let registry = standard_registry();
+    let guaranteed: Vec<&str> = registry
+        .iter()
+        .filter(|s| s.guarantee() > 0.0)
+        .map(|s| s.name())
+        .collect();
+    let mut certified = CERTIFIED.to_vec();
+    certified.sort_unstable();
+    assert_eq!(guaranteed, certified);
 }
 
 /// Euclidean instances always satisfy the (bipartite) triangle inequality.
