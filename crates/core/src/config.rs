@@ -111,11 +111,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 1, got 1.5")]
     fn epsilon_above_one_rejected() {
-        let _ = FlConfig::new(1.5);
-    }
-
-    #[test]
-    fn epsilon_of_one_accepted() {
         assert_eq!(FlConfig::new(1.0).epsilon, 1.0);
+        let _ = FlConfig::new(1.5);
     }
 }
