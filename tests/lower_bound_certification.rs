@@ -21,6 +21,7 @@ use parfaclo_core::{primal_dual, FlConfig};
 use parfaclo_dominator::maxdom::{is_maximal_dominator_set, max_dom};
 use parfaclo_dominator::maxudom::{is_maximal_u_dominator_set, max_u_dom};
 use parfaclo_dominator::{BipartiteGraph, DenseGraph};
+use parfaclo_lp::dual;
 use parfaclo_matrixops::{ops, scan, CostMeter, ExecPolicy};
 use parfaclo_metric::lower_bounds::{self, ClusterObjective};
 use parfaclo_metric::{ClusterInstance, DistanceMatrix, FlInstance, Point};
@@ -66,18 +67,23 @@ fn cluster_objective(solver: &str) -> ClusterObjective {
     }
 }
 
+/// A further check on one case: the instance, the config the registry ran
+/// it with, the brute-force optimum and the case number.
+type ExtraCheck = fn(&AnyInstance, &RunConfig, f64, u64);
+
 /// Runs registered solver `name` through the registry on [`CASES`] seeded
 /// small instances of its problem and checks the run against the
 /// brute-force optimum: cost within the recorded guarantee (plus ε unless
-/// the guarantee is exact), and a certified lower bound that is really
-/// below the optimum.
-fn certify(name: &str) {
+/// the guarantee is exact, which also gets the tighter rounding tolerance),
+/// and a certified lower bound that is really below the optimum. Each
+/// `extra` check then runs on the same case.
+fn certify(name: &str, extra: &[ExtraCheck]) {
     let registry = standard_registry();
     let solver = registry.get(name).expect("registered solver");
-    let slack = if solver.guarantee_label().ends_with("+ eps") {
-        EPS
+    let (slack, tol) = if solver.guarantee_label().ends_with("+ eps") {
+        (EPS, 1e-6)
     } else {
-        0.0
+        (0.0, 1e-9)
     };
     // Salts keep each solver on the instances its old hand-written test used.
     let salt = match name {
@@ -111,24 +117,42 @@ fn certify(name: &str) {
         let run = registry.run(name, &inst, &cfg).expect(name);
         let factor = run.guarantee + slack;
         assert!(
-            run.cost <= factor * opt + 1e-6,
+            run.cost <= factor * opt + tol,
             "{name} case {case}: cost {} above {factor} x opt {opt}",
             run.cost
         );
         assert!(run.cost >= opt - 1e-9, "{name} case {case}");
         assert!(run.lower_bound <= opt + 1e-6, "{name} case {case}");
+        for check in extra {
+            check(&inst, &cfg, opt, case);
+        }
     }
+}
+
+/// Primal-dual's raw α, before the certification scales it, is dual feasible
+/// and its dual value is at most the optimum. `Run.lower_bound` cannot show
+/// this: the certification scales an infeasible α down first.
+fn raw_alpha_is_dual_feasible(inst: &AnyInstance, cfg: &RunConfig, opt: f64, case: u64) {
+    let AnyInstance::Fl(inst) = inst else {
+        unreachable!("primal-dual runs on facility-location instances")
+    };
+    let sol = primal_dual::parallel_primal_dual(inst, &FlConfig::from(cfg)).unwrap();
+    assert!(
+        dual::check_alpha_feasible(inst, &sol.alpha, 1e-6).is_ok(),
+        "case {case}"
+    );
+    assert!(dual::dual_value(&sol.alpha) <= opt + 1e-6, "case {case}");
 }
 
 /// One test per registered solver that records a guarantee, so a failure
 /// names its solver; [`every_guaranteed_solver_is_certified`] keeps the
-/// list complete.
+/// list complete. `+ check` adds an [`ExtraCheck`] to a solver's cases.
 macro_rules! certified {
-    ($($test:ident => $solver:literal,)*) => {
+    ($($test:ident => $solver:literal $(+ $extra:ident)?,)*) => {
         $(
             #[test]
             fn $test() {
-                certify($solver);
+                certify($solver, &[$($extra as ExtraCheck)?]);
             }
         )*
         const CERTIFIED: &[&str] = &[$($solver),*];
@@ -137,7 +161,7 @@ macro_rules! certified {
 
 certified! {
     prop_greedy_within_factor => "greedy",
-    prop_primal_dual_within_factor => "primal-dual",
+    prop_primal_dual_within_factor => "primal-dual" + raw_alpha_is_dual_feasible,
     prop_lp_rounding_within_factor => "lp-rounding",
     prop_local_search_fl_within_factor => "local-search-fl",
     prop_jms_greedy_within_factor => "jms-greedy",
