@@ -64,67 +64,18 @@ pub fn for_each_column_tile(inst: &FlInstance, i: usize, mut f: impl FnMut(usize
     }
 }
 
-/// How one call finds each facility's contributing clients
-/// `P_i = {j : d(j,i) < α_j}`. Every other client adds an exact `+0.0` to
-/// facility `i`'s sum, which leaves a sum of non-negative terms unchanged.
-#[derive(Debug, Clone, Copy)]
-enum Gather {
-    /// A range query of radius `max_j α_j` on the client index, then a
-    /// distance gather over the candidates.
-    Index(f64),
-    /// A kernel sweep over the whole column.
-    Sweep,
-}
-
-impl Gather {
-    /// Chosen once per call, from the input alone: the index when the
-    /// oracle has one and a probe query at facility 0 returns at most half
-    /// the clients. One outlier `α_j` can make the radius cover almost
-    /// everything, and a range query that returns most clients costs more
-    /// than the sweep it replaces.
-    fn plan(inst: &FlInstance, alpha: &[f64]) -> Gather {
-        let oracle = inst.distances();
-        if inst.num_facilities() == 0 || !oracle.has_sublinear_queries() {
-            return Gather::Sweep;
-        }
-        let radius = alpha.iter().fold(0.0_f64, |m, &a| m.max(a));
-        if 2 * oracle.rows_within(0, radius).len() > inst.num_clients() {
-            Gather::Sweep
-        } else {
-            Gather::Index(radius)
-        }
-    }
-
-    /// Calls `f(α_j, d(j,i))` for every `j` in `P_i`, in ascending `j`.
-    fn for_each_contributor(
-        self,
-        inst: &FlInstance,
-        alpha: &[f64],
-        i: usize,
-        mut f: impl FnMut(f64, f64),
-    ) {
-        match self {
-            Gather::Sweep => for_each_column_tile(inst, i, |start, tile| {
-                for (&a, &d) in alpha[start..].iter().zip(tile) {
-                    if d < a {
-                        f(a, d);
-                    }
-                }
-            }),
-            Gather::Index(radius) => {
-                let mut buf = [0.0f64; COLUMN_TILE];
-                for rows in inst.distances().rows_within(i, radius).chunks(COLUMN_TILE) {
-                    let tile = &mut buf[..rows.len()];
-                    inst.distances().col_gather(i, rows, tile);
-                    for (&j, &d) in rows.iter().zip(tile.iter()) {
-                        if d < alpha[j] {
-                            f(alpha[j], d);
-                        }
-                    }
-                }
+/// Calls `f(α_j, d(j,i))` for every client in facility `i`'s contributors
+/// `P_i = {j : d(j,i) < α_j}`, in ascending `j`, from a sweep over its
+/// kernel column. Every other client adds an exact `+0.0` to facility
+/// `i`'s sum, which leaves a sum of non-negative terms unchanged.
+fn for_each_contributor(inst: &FlInstance, alpha: &[f64], i: usize, mut f: impl FnMut(f64, f64)) {
+    for_each_column_tile(inst, i, |start, tile| {
+        for (&a, &d) in alpha[start..].iter().zip(tile) {
+            if d < a {
+                f(a, d);
             }
         }
-    }
+    });
 }
 
 /// Whether facility `i`'s payments exceed its cost `fi` by more than the
@@ -155,10 +106,9 @@ pub fn check_alpha_feasible(
     if let Some((j, &a)) = alpha.iter().enumerate().find(|&(_, &a)| a < -tol) {
         return Err((j, a));
     }
-    let gather = Gather::plan(inst, alpha);
     let excess = map_facilities(inst.num_facilities(), inst.num_clients(), |i| {
         let mut paid = 0.0;
-        gather.for_each_contributor(inst, alpha, i, |a, d| paid += (a - d).max(0.0));
+        for_each_contributor(inst, alpha, i, |a, d| paid += (a - d).max(0.0));
         paid - inst.facility_cost(i)
     });
     match (0..excess.len()).find(|&i| violates(excess[i], inst.facility_cost(i), tol)) {
@@ -198,9 +148,9 @@ fn bisect(granularity: usize, mut holds: impl FnMut(f64) -> bool) -> f64 {
 /// the minimum of the per-constraint bisections computed here: one for
 /// non-negativity and one per facility, in a parallel map over facilities.
 /// Facility `i` gathers its contributors `P_i` once and bisects on them
-/// alone. The evaluations are `nf·nc` for the gather (whatever an index
-/// saves) plus `|P_i|` per test facility `i` makes, so the count is the
-/// same on every backend and at every thread count.
+/// alone. The evaluations are `nf·nc` for the gather plus `|P_i|` per test
+/// facility `i` makes, so the count is the same on every backend and at
+/// every thread count.
 ///
 /// Useful to turn an *infeasible* α (e.g. the raw greedy α before the
 /// Lemma 4.6 scaling) into a valid lower bound `s · Σ_j α_j`.
@@ -213,10 +163,9 @@ pub fn max_feasible_scaling(inst: &FlInstance, alpha: &[f64], granularity: usize
     // decides non-negativity.
     let alpha_min = alpha.iter().fold(f64::INFINITY, |m, &a| m.min(a));
     let nonneg = bisect(granularity, |s| alpha_min * s >= -TOL);
-    let gather = Gather::plan(inst, alpha);
     let per_facility = map_facilities(nf, nc, |i| {
         let mut contributors = Vec::new();
-        gather.for_each_contributor(inst, alpha, i, |a, d| contributors.push((a, d)));
+        for_each_contributor(inst, alpha, i, |a, d| contributors.push((a, d)));
         let fi = inst.facility_cost(i);
         let mut tests = 0u64;
         let s = bisect(granularity, |s| {
