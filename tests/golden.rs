@@ -12,7 +12,10 @@
 //! and 2 (seed 1 on the dense backend, dense graphs and one thread; seed 2
 //! on the spatial backend, CSR graphs and four threads), plus greedy and
 //! primal-dual on a 200 × 48 instance whose `m` is above the parallel grain,
-//! once with defaults and once with preprocessing and subselection off.
+//! once with defaults and once with preprocessing and subselection off, and
+//! the clustering and dominator solvers on a 400-node instance in both seeded
+//! configurations, whose 79,800 half-matrix distance keys are above the
+//! parallel sort's sequential cutoff.
 //!
 //! Re-bless after an intended output change (and explain the diff in the
 //! commit message):
@@ -39,6 +42,10 @@ const WORKLOADS: &[&str] = &[
 
 /// `m = 9600`, above the 2048-element parallel grain.
 const PARALLEL_SIZED: &str = "uniform:n=200,nf=48";
+
+/// `n = 400`: 79,800 distinct-pair distances, above the 16,384-element
+/// cutoff below which the shim sorts sequentially.
+const CLUSTER_SIZED: &str = "uniform:n=400";
 
 struct Cell {
     id: String,
@@ -87,6 +94,19 @@ fn cells(solver: &str) -> Vec<Cell> {
             spec: PARALLEL_SIZED,
             cfg: cfg.with_preprocess(false).with_subselection(false),
         });
+    }
+    if matches!(
+        solver,
+        "kcenter" | "hs-kcenter" | "maxdom" | "mis" | "kmedian-ls" | "kmeans-ls"
+    ) {
+        for seed in [1, 2] {
+            let (label, cfg) = seeded(seed);
+            out.push(Cell {
+                id: format!("{CLUSTER_SIZED}/{label}"),
+                spec: CLUSTER_SIZED,
+                cfg,
+            });
+        }
     }
     out
 }
