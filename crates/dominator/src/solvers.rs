@@ -21,7 +21,7 @@ use crate::DominatorResult;
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
 use parfaclo_graph::ThresholdGraph;
 use parfaclo_matrixops::CostMeter;
-use parfaclo_metric::{ClusterInstance, DistanceOracle, SCRATCH_BYTES_CAP};
+use parfaclo_metric::{ClusterInstance, DistanceOracle};
 use parfaclo_trace as trace;
 
 /// The distance threshold used to build the graph: explicit if configured,
@@ -36,17 +36,12 @@ pub(crate) fn resolve_threshold(inst: &ClusterInstance, cfg: &RunConfig) -> Resu
     if let Some(t) = cfg.threshold {
         return Ok(t);
     }
-    let n = inst.n() as u64;
-    let bytes = 8 * n * n;
-    if bytes > SCRATCH_BYTES_CAP {
-        return Err(format!(
-            "deriving the default threshold sorts all n² pairwise distances \
-             ({:.1} GiB of scratch for n = {}); pass an explicit --threshold \
-             for instances this large",
-            bytes as f64 / (1u64 << 30) as f64,
-            n
-        ));
-    }
+    inst.distances().check_distance_sort_cap().map_err(|e| {
+        format!(
+            "deriving the default threshold: {e}; pass an explicit --threshold \
+             for instances this large"
+        )
+    })?;
     let distances = inst.distances().sorted_distinct_values();
     Ok(distances[distances.len() / 2])
 }

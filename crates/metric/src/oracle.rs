@@ -268,28 +268,37 @@ pub trait DistanceOracle {
 
     /// All distinct entry values, sorted ascending (the k-center binary
     /// search's distance set `D`). `O(rows·cols)` time *and* transient
-    /// memory under every backend — callers that need bounded memory must
-    /// go through [`DistanceOracle::try_sorted_distinct_values`] instead.
+    /// memory under every backend (half of it on a point-backed square
+    /// oracle, which sorts only the upper triangle) — callers that need
+    /// bounded memory must go through
+    /// [`DistanceOracle::try_sorted_distinct_values`] instead.
     fn sorted_distinct_values(&self) -> Vec<f64>;
 
-    /// [`DistanceOracle::sorted_distinct_values`] behind a memory guard:
-    /// refuses (instead of OOM-ing) when the `8·rows·cols`-byte transient
-    /// would exceed [`crate::SCRATCH_BYTES_CAP`] — the same 4 GiB ceiling
-    /// (and refusal style) as the dense adjacency matrix and the dominator
-    /// solvers' threshold derivation.
-    fn try_sorted_distinct_values(&self) -> Result<Vec<f64>, String> {
+    /// Refuses, with the reason, a sort of all `rows·cols` entries whose
+    /// `8·rows·cols`-byte key buffer would exceed
+    /// [`crate::SCRATCH_BYTES_CAP`] (n ≈ 23,170 on a square oracle) — the
+    /// same 4 GiB ceiling as the dense adjacency matrix. Every caller that
+    /// derives candidate radii or a threshold from the full distance set
+    /// asks here first, so this is the one place that knows the cap.
+    fn check_distance_sort_cap(&self) -> Result<(), String> {
         let bytes = (self.len() as u64).saturating_mul(8);
         if bytes > crate::SCRATCH_BYTES_CAP {
             return Err(format!(
-                "deriving the candidate radii sorts all {}×{} pairwise distances \
-                 ({:.1} GiB of scratch); this query is refused past the 4 GiB cap — \
-                 use a smaller instance, or a solver that does not binary-search \
-                 the full distance set",
+                "sorting all {}×{} pairwise distances needs {:.1} GiB of scratch, \
+                 past the 4 GiB cap",
                 self.rows(),
                 self.cols(),
                 bytes as f64 / (1u64 << 30) as f64,
             ));
         }
+        Ok(())
+    }
+
+    /// [`DistanceOracle::sorted_distinct_values`] behind
+    /// [`DistanceOracle::check_distance_sort_cap`]: refuses instead of
+    /// exhausting memory.
+    fn try_sorted_distinct_values(&self) -> Result<Vec<f64>, String> {
+        self.check_distance_sort_cap()?;
         Ok(self.sorted_distinct_values())
     }
 
@@ -681,22 +690,52 @@ impl DistanceOracle for ImplicitMetric {
     }
 
     fn sorted_distinct_values(&self) -> Vec<f64> {
-        let cols = self.cols();
-        if cols == 0 {
+        let (rows, cols) = (self.rows(), self.cols());
+        if rows == 0 || cols == 0 {
             return Vec::new();
         }
-        // Materialise the full value set (the query is inherently O(m)) one
-        // kernel-filled row per chunk, then sort + dedup exactly like the
-        // dense backend so the two produce identical vectors.
-        let mut v = vec![0.0; self.len()];
-        let chunk = rayon::deterministic_chunk_len(self.rows(), 64);
-        v.par_chunks_mut(cols)
-            .with_min_len(chunk)
+        // Sort `f64::to_bits` keys. Kernel distances are `+0.0`, positive
+        // finite or `+∞` (never `−0.0` or NaN), and on those the `u64` order
+        // of the bit patterns is the `f64` order, so sorting and deduping
+        // the keys equals sorting and deduping the values.
+        //
+        // When both sides are one point set, `d(i, j)` and `d(j, i)` are the
+        // same bits (`(a − b)` and `(b − a)` are exact negations) and every
+        // `d(i, i)` is `+0.0`, so the strict upper triangle plus one `+0.0`
+        // has the full matrix's distinct values: half the keys to fill and
+        // sort.
+        let mut keys: Vec<u64>;
+        let mut row_slices: Vec<(usize, &mut [u64])> = Vec::with_capacity(rows);
+        if self.sides_shared() {
+            keys = vec![0; rows * (rows - 1) / 2 + 1];
+            // keys[0] stays the diagonal's `+0.0`; row `r` fills `d(r, r + 1..)`.
+            let mut rest = &mut keys[1..];
+            for r in 0..rows {
+                let (row, tail) = std::mem::take(&mut rest).split_at_mut(rows - 1 - r);
+                row_slices.push((r + 1, row));
+                rest = tail;
+            }
+        } else {
+            keys = vec![0; rows * cols];
+            row_slices.extend(keys.chunks_mut(cols).map(|row| (0, row)));
+        }
+        row_slices
+            .par_iter_mut()
             .enumerate()
-            .for_each(|(r, out)| self.row_range_into(r, 0, out));
-        v.par_sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        v.dedup();
-        v
+            .with_min_len(64)
+            .for_each(|(r, (col_start, out))| {
+                let mut buf = [0.0f64; block::TILE];
+                for (k, keys) in out.chunks_mut(block::TILE).enumerate() {
+                    let tile = &mut buf[..keys.len()];
+                    self.row_range_into(r, *col_start + k * block::TILE, tile);
+                    for (key, d) in keys.iter_mut().zip(tile.iter()) {
+                        *key = d.to_bits();
+                    }
+                }
+            });
+        keys.par_sort_unstable();
+        keys.dedup();
+        keys.into_iter().map(f64::from_bits).collect()
     }
 
     fn memory_bytes(&self) -> u64 {
@@ -1523,5 +1562,134 @@ mod tests {
         // Index overhead is O(points), far under the dense matrix for any
         // instance where the matrix dominates.
         assert!(spatial.memory_bytes() < dense.memory_bytes() + implicit.memory_bytes() * 8);
+    }
+
+    /// The full-matrix sort the half-matrix keys replaced: every entry,
+    /// sorted with `partial_cmp`, then deduped.
+    fn full_matrix_sorted_distinct(oracle: &Oracle) -> Vec<f64> {
+        let cols = oracle.cols();
+        let mut v = vec![0.0; oracle.len()];
+        for (r, row) in v.chunks_mut(cols.max(1)).enumerate() {
+            oracle.row_range_into(r, 0, row);
+        }
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.dedup();
+        v
+    }
+
+    fn at_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+            .install(f)
+    }
+
+    /// Point sets for the distinct-value references: n = 0, 1 and 2, a small
+    /// set with duplicate points, 200 points in 3-d (19,901 half-matrix
+    /// keys, above the sort's 16,384-element sequential cutoff), and
+    /// coordinates near 1e300 and 1.7e308 whose distances overflow to `+∞`.
+    fn distinct_value_point_sets() -> Vec<(&'static str, Vec<Point>)> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let mut dupes: Vec<Point> = (0..9)
+            .map(|i| Point::xy((i % 4) as f64, (i % 3) as f64 * 0.5))
+            .collect();
+        dupes.push(dupes[2].clone());
+        let large: Vec<Point> = (0..200)
+            .map(|_| Point::new((0..3).map(|_| rng.gen_range(-50.0..50.0)).collect()))
+            .collect();
+        let huge: Vec<Point> = [1e300, -1e300, 1.7e308, -1.7e308, 0.0, 3.0, 1e300]
+            .iter()
+            .map(|&x| Point::xy(x, -x * 0.5))
+            .collect();
+        vec![
+            ("empty", Vec::new()),
+            ("one", vec![Point::xy(1.0, 2.0)]),
+            ("two", vec![Point::xy(0.0, 0.0), Point::xy(3.0, 4.0)]),
+            ("duplicates", dupes),
+            ("above-cutoff", large),
+            ("overflow", huge),
+        ]
+    }
+
+    #[test]
+    fn half_matrix_keys_match_the_full_matrix_sort() {
+        let kinds = [
+            DistanceKind::Euclidean,
+            DistanceKind::SquaredEuclidean,
+            DistanceKind::Manhattan,
+            DistanceKind::Chebyshev,
+        ];
+        for (name, points) in distinct_value_point_sets() {
+            for kind in kinds {
+                let oracles = [
+                    Oracle::Dense(DistanceMatrix::pairwise(&points, kind)),
+                    Oracle::Implicit(ImplicitMetric::symmetric(points.clone(), kind)),
+                    Oracle::Spatial(SpatialOracle::symmetric(points.clone(), kind)),
+                ];
+                let want: Vec<u64> = full_matrix_sorted_distinct(&oracles[0])
+                    .iter()
+                    .map(|d| d.to_bits())
+                    .collect();
+                if name == "overflow" {
+                    assert_eq!(want.last(), Some(&f64::INFINITY.to_bits()), "{kind:?}");
+                }
+                for oracle in &oracles {
+                    let n = oracle.rows();
+                    // The two facts the half-matrix keys rest on.
+                    let mut row = vec![0.0; n];
+                    for i in 0..n {
+                        oracle.row_range_into(i, 0, &mut row);
+                        assert_eq!(row[i].to_bits(), 0, "{name} {kind:?}: d({i}, {i})");
+                        for (j, d) in row.iter().enumerate() {
+                            assert_eq!(d.to_bits(), oracle.dist(j, i).to_bits());
+                            assert!(d.to_bits() == 0 || *d > 0.0, "{name} {kind:?}");
+                        }
+                    }
+                    for threads in [1, 4] {
+                        let got: Vec<u64> = at_threads(threads, || oracle.sorted_distinct_values())
+                            .iter()
+                            .map(|d| d.to_bits())
+                            .collect();
+                        assert_eq!(
+                            got,
+                            want,
+                            "{name} {kind:?} {:?} at {threads} threads",
+                            oracle.backend()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rectangular_implicit_oracles_still_sort_every_entry() {
+        let (dense, implicit, spatial) = triple();
+        let want = full_matrix_sorted_distinct(&dense);
+        assert!(!want.contains(&0.0), "no shared points, so no zero entry");
+        for oracle in [&dense, &implicit, &spatial] {
+            for threads in [1, 4] {
+                assert_eq!(
+                    at_threads(threads, || oracle.sorted_distinct_values()),
+                    want
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn distance_sort_cap_refuses_past_4_gib() {
+        // 23,170² · 8 bytes is just under 4 GiB and 23,171² · 8 just over;
+        // the check reads only the shape, so nothing n² is allocated.
+        let line = |n: usize| {
+            let points: Vec<Point> = (0..n).map(|i| Point::xy(i as f64, 0.0)).collect();
+            ImplicitMetric::symmetric(points, DistanceKind::Euclidean)
+        };
+        assert!(line(23_170).check_distance_sort_cap().is_ok());
+        let err = line(23_171).check_distance_sort_cap().unwrap_err();
+        assert!(err.contains("23171×23171") && err.contains("GiB"), "{err}");
+        assert!(line(23_171).try_sorted_distinct_values().is_err());
     }
 }

@@ -193,19 +193,14 @@ impl Solver for HochbaumShmoysSolver {
     fn solve(&self, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
         // The baseline derives its candidate radii by sorting all n²
         // pairwise distances; refuse up front past the oracle's scratch cap
-        // (same ceiling as `DistanceOracle::try_sorted_distinct_values`)
         // instead of exhausting memory inside the library call.
-        use parfaclo_metric::{DistanceOracle, SCRATCH_BYTES_CAP};
-        let bytes = (inst.distances().len() as u64).saturating_mul(8);
-        if bytes > SCRATCH_BYTES_CAP {
-            return Err(format!(
-                "hs-kcenter derives its candidate radii by sorting all {n}×{n} pairwise \
-                 distances ({:.1} GiB of scratch); this run is refused past the 4 GiB cap — \
-                 use a smaller instance, or the parallel kcenter solver",
-                bytes as f64 / (1u64 << 30) as f64,
-                n = inst.n(),
-            ));
-        }
+        use parfaclo_metric::DistanceOracle;
+        inst.distances().check_distance_sort_cap().map_err(|e| {
+            format!(
+                "hs-kcenter derives its candidate radii: {e}; use a smaller instance, \
+                 or the parallel kcenter solver"
+            )
+        })?;
         Ok(kcenter_envelope(
             self,
             inst,
