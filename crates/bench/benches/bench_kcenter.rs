@@ -13,7 +13,7 @@ fn bench_kcenter(c: &mut Criterion) {
     for &n in &[64usize, 128, 256] {
         let inst = gen::clustering(GenParams::uniform_square(n, n).with_seed(3));
         group.bench_with_input(BenchmarkId::new("parallel_hs", n), &inst, |b, inst| {
-            b.iter(|| parallel_kcenter(inst, k, 1))
+            b.iter(|| parallel_kcenter(inst, k, 1).expect("within the sort cap"))
         });
         group.bench_with_input(BenchmarkId::new("gonzalez", n), &inst, |b, inst| {
             b.iter(|| gonzalez_kcenter(inst, k))

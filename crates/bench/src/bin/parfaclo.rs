@@ -82,13 +82,15 @@ OPTIONS:
                         clustering/dominator probes still need O(n²)
                         transients at any backend).
                         Results are byte-identical in all cases [default: dense]
-    --graph <g>         Threshold-graph representation for the round-based
-                        solvers (maxdom, mis, kcenter): dense materialises
+    --graph <g>         Threshold-graph representation for maxdom, mis and
+                        the sketch k-center deriver: dense materialises
                         the n x n adjacency matrix (refused above 4 GiB);
                         csr builds a compressed-sparse-row graph holding
                         only the edges within the threshold — the
                         representation that makes sparse million-vertex
-                        graphs practical. Canonical results are
+                        graphs practical. The exact k-center search (and
+                        the kmedian-ls/kmeans-ls seed) always probes
+                        nested CSR graphs. Canonical results are
                         byte-identical either way      [default: dense]
     --radius-deriver <d>
                         k-center candidate-radius derivation: exact sorts

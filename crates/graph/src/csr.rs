@@ -97,6 +97,48 @@ impl CsrGraph {
         Self::from_rows(n, rows)
     }
 
+    /// The subgraph of `self` that keeps neighbour `b` of `a` iff
+    /// `d(a, b) <= alpha` — the packing step GBBS applies between rounds.
+    ///
+    /// Each row's distances come from `row_gather` over its neighbour ids
+    /// in stack tiles, with rows in parallel, and rows stay ascending. So
+    /// when `self` is `H_t` built from the same oracle and `alpha <= t`, the
+    /// result equals [`CsrGraph::from_threshold_oracle`]`(oracle, alpha)`
+    /// array for array, at a cost of `O(m)` distances instead of a full
+    /// threshold build.
+    ///
+    /// # Panics
+    /// Panics if the oracle has fewer rows than the graph has nodes.
+    pub fn filter_within(&self, oracle: &Oracle, alpha: f64) -> Self {
+        const TILE: usize = 256;
+        assert!(oracle.rows() >= self.n, "oracle smaller than the graph");
+        let rows: Vec<Vec<u32>> = (0..self.n)
+            .into_par_iter()
+            .with_min_len(16)
+            .map(|a| {
+                let mut ids = [0usize; TILE];
+                let mut dists = [0.0f64; TILE];
+                let mut row = Vec::new();
+                for chunk in self.neighbors(a).chunks(TILE) {
+                    let (ids, dists) = (&mut ids[..chunk.len()], &mut dists[..chunk.len()]);
+                    for (id, &b) in ids.iter_mut().zip(chunk) {
+                        *id = b as usize;
+                    }
+                    oracle.row_gather(a, ids, dists);
+                    row.extend(
+                        chunk
+                            .iter()
+                            .zip(dists.iter())
+                            .filter(|&(_, &d)| d <= alpha)
+                            .map(|(&b, _)| b),
+                    );
+                }
+                row
+            })
+            .collect();
+        Self::from_rows(self.n, rows)
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
@@ -317,6 +359,38 @@ mod tests {
         let g2 = CsrGraph::from_threshold_oracle(&oracle, 2.0);
         assert!(g2.has_edge(1, 2));
         assert_eq!(g2.num_edges(), 2);
+    }
+
+    #[test]
+    fn filtering_a_threshold_graph_equals_building_at_the_lower_threshold() {
+        use parfaclo_metric::gen::{self, GenParams};
+        use parfaclo_metric::{Backend, DistanceOracle};
+        for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
+            let inst =
+                gen::build_clustering(GenParams::uniform_square(300, 300).with_seed(5), backend)
+                    .expect("instance");
+            let oracle = inst.distances();
+            let values = oracle.sorted_distinct_values();
+            // 300 nodes put the longest rows above one 256-id tile.
+            let top = values[values.len() * 3 / 4];
+            let h = CsrGraph::from_threshold_oracle(oracle, top);
+            assert!((0..300).any(|a| h.degree(a) > 256), "{backend:?}");
+            for q in [
+                0,
+                1,
+                values.len() / 7,
+                values.len() / 3,
+                values.len() * 3 / 4,
+            ] {
+                let alpha = values[q];
+                let want = CsrGraph::from_threshold_oracle(oracle, alpha);
+                assert_eq!(h.filter_within(oracle, alpha), want, "{backend:?} q {q}");
+                // Filtering twice is filtering once at the smaller threshold.
+                let mid =
+                    CsrGraph::from_threshold_oracle(oracle, values[(q + values.len() * 3 / 4) / 2]);
+                assert_eq!(mid.filter_within(oracle, alpha), want, "{backend:?} q {q}");
+            }
+        }
     }
 
     #[test]

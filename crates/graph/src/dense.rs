@@ -86,8 +86,9 @@ impl DenseGraph {
     /// [`DistanceOracle`]: bit-identical to
     /// [`DenseGraph::from_threshold_fn`] over `oracle.dist`, but the spatial
     /// backend serves each node's neighbourhood with one index range query
-    /// instead of an O(n) distance sweep — turning the O(n²) distance
-    /// evaluations of every k-center probe into O(n · query).
+    /// instead of an O(n) distance sweep on sparse thresholds — turning the
+    /// O(n²) distance evaluations of a maxdom, mis or sketch k-center graph
+    /// build into O(n · query).
     ///
     /// [`DistanceOracle`]: parfaclo_metric::DistanceOracle
     ///
@@ -101,7 +102,7 @@ impl DenseGraph {
             return Self::from_threshold_rows(oracle, n, alpha);
         }
         // Density probe: on near-complete thresholds (the upper half of
-        // every k-center binary search) a range query returns ~n ids per
+        // the candidate radii) a range query returns ~n ids per
         // node and pays an extra sort on top of the same n distance
         // evaluations — strictly worse than the flat scan. One probe row
         // decides for the whole graph; the choice never changes the bits,

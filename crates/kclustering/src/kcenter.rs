@@ -10,7 +10,7 @@
 
 use parfaclo_bucket::{BucketMapping, RadiusDeriver};
 use parfaclo_dominator::{max_dom, ThresholdGraph};
-use parfaclo_graph::GraphBackend;
+use parfaclo_graph::{CsrGraph, GraphBackend};
 use parfaclo_matrixops::{CostMeter, CostReport};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, NodeId};
 use parfaclo_trace as trace;
@@ -42,74 +42,67 @@ pub struct KCenterSolution {
     pub work: CostReport,
 }
 
-/// Runs the parallel Hochbaum–Shmoys k-center algorithm on the dense graph
-/// backend (the paper's native representation).
-///
-/// Deterministic for a fixed `seed`. Equivalent to
-/// [`parallel_kcenter_with`] with [`GraphBackend::Dense`]; kept as the
-/// historical entry point for callers that never leave the dense regime.
-///
-/// # Panics
-/// Panics if `k == 0`, the instance is empty, or the instance exceeds the
-/// dense graph backend's size cap (use [`parallel_kcenter_with`] with
-/// [`GraphBackend::Csr`] for such instances).
-pub fn parallel_kcenter(inst: &ClusterInstance, k: usize, seed: u64) -> KCenterSolution {
-    parallel_kcenter_with(inst, k, seed, GraphBackend::Dense)
-        .expect("dense k-center within size caps")
+/// The solution when every node can be a center: all of them, radius 0.
+fn every_node(n: usize, meter: &CostMeter) -> KCenterSolution {
+    KCenterSolution {
+        centers: (0..n).collect(),
+        radius: 0.0,
+        threshold: 0.0,
+        lower_bound: 0.0,
+        probes: 0,
+        luby_rounds: 0,
+        work: meter.report(),
+    }
 }
 
-/// Runs the parallel Hochbaum–Shmoys k-center algorithm with an explicit
-/// threshold-graph representation for the feasibility probes.
+/// Runs the parallel Hochbaum–Shmoys k-center algorithm (Theorem 6.1): a
+/// binary search over the complete sorted set of distinct pairwise
+/// distances, one `MaxDom` probe per step.
 ///
-/// Each binary-search probe builds the threshold graph `H_α` in the
-/// requested representation and runs `MaxDom` on it; the selected backend
-/// never changes the result — centers, radius, probes and work counters are
-/// identical across backends — it only changes the memory the probes touch
-/// (`n²` bits dense vs `O(n + m)` CSR).
+/// The probes run on CSR threshold graphs, and they nest: once a probe at
+/// threshold `t` is feasible, every later probe has a smaller threshold, so
+/// its graph is the last feasible probe's graph packed with
+/// [`CsrGraph::filter_within`] instead of a fresh build over all `n²` pairs.
+/// Until the first feasible probe each graph is built from the oracle. The
+/// graph representation never changes the result (dense and CSR probes give
+/// identical centers, radius, probes and work counters), and the meter
+/// charges `n²` per probe either way, the paper's cost model.
 ///
 /// Deterministic for a fixed `seed`.
 ///
 /// # Errors
-/// Returns `Err` when the requested representation cannot be built — the
-/// dense backend refuses adjacency matrices beyond its 4 GiB cap and points
-/// at `--graph csr` — or when deriving the candidate radii (a sort of all
-/// n² pairwise distances) would exceed the oracle's 4 GiB scratch cap.
+/// Returns `Err` when deriving the candidate radii (a sort of all pairwise
+/// distances) would exceed the oracle's 4 GiB scratch cap.
 ///
 /// # Panics
 /// Panics if `k == 0` or the instance is empty.
-pub fn parallel_kcenter_with(
+pub fn parallel_kcenter(
     inst: &ClusterInstance,
     k: usize,
     seed: u64,
-    graph: GraphBackend,
 ) -> Result<KCenterSolution, String> {
     let n = inst.n();
     assert!(k >= 1, "k must be at least 1");
     assert!(n >= 1, "instance must be non-empty");
     let meter = CostMeter::new();
-
     if n <= k {
-        return Ok(KCenterSolution {
-            centers: (0..n).collect(),
-            radius: 0.0,
-            threshold: 0.0,
-            lower_bound: 0.0,
-            probes: 0,
-            luby_rounds: 0,
-            work: meter.report(),
-        });
+        return Ok(every_node(n, &meter));
     }
 
     // The candidate radii are the distinct pairwise distances, sorted.
-    // Deriving them materialises all n² distances, so past the oracle's
-    // 4 GiB scratch cap the run is refused with an explanation instead of
-    // exhausting memory.
+    // Deriving them materialises the pairwise distances, so past the
+    // oracle's 4 GiB scratch cap the run is refused with an explanation
+    // instead of exhausting memory.
+    let oracle = inst.distances();
     let distances = {
         let _span = trace::span("derive-radii", Some(&meter));
-        let distances = inst.distances().try_sorted_distinct_values().map_err(|e| {
-            format!("{e} — or sample the candidate radii with --radius-deriver sketch")
+        let distances = oracle.try_sorted_distinct_values().map_err(|e| {
+            format!(
+                "deriving the candidate radii: {e}; use a smaller instance, or sample \
+                 the candidate radii with --radius-deriver sketch"
+            )
         })?;
-        meter.add_sort(inst.distances().len() as u64);
+        meter.add_sort(oracle.len() as u64);
         distances
     };
 
@@ -119,18 +112,22 @@ pub fn parallel_kcenter_with(
     let mut hi = distances.len() - 1;
     let mut probes = 0usize;
     let mut luby_rounds = 0usize;
-    let mut best: Option<(usize, Vec<NodeId>)> = None;
+    // The last feasible probe: its index, dominator set and graph.
+    let mut best: Option<(usize, Vec<NodeId>, CsrGraph)> = None;
     while lo <= hi {
         let mid = (lo + hi) / 2;
         probes += 1;
         // Probe frontier = candidate radii still in the search range.
         trace::round(probes as u64, || (hi - lo + 1) as u64, &meter);
-        let g = ThresholdGraph::build(inst.distances(), distances[mid], graph)?;
+        let g = match &best {
+            Some((_, _, feasible)) => feasible.filter_within(oracle, distances[mid]),
+            None => CsrGraph::from_threshold_oracle(oracle, distances[mid]),
+        };
         meter.add_primitive((n * n) as u64);
         let dom = max_dom(&g, seed ^ (mid as u64).wrapping_mul(0x9E37_79B9), &meter);
         luby_rounds += dom.rounds;
         if dom.selected.len() <= k {
-            best = Some((mid, dom.selected));
+            best = Some((mid, dom.selected, g));
             if mid == 0 {
                 break;
             }
@@ -141,11 +138,11 @@ pub fn parallel_kcenter_with(
     }
 
     let (t_idx, centers) = match best {
-        Some(found) => found,
+        Some((t_idx, centers, _)) => (t_idx, centers),
         None => {
             // The largest threshold makes the whole graph one clique-square, so the
             // dominator set is a single node — always feasible.
-            let g = ThresholdGraph::build(inst.distances(), *distances.last().unwrap(), graph)?;
+            let g = CsrGraph::from_threshold_oracle(oracle, *distances.last().unwrap());
             let dom = max_dom(&g, seed, &meter);
             (distances.len() - 1, dom.selected)
         }
@@ -168,7 +165,7 @@ pub fn parallel_kcenter_with(
 
 /// Runs the parallel k-center algorithm with an explicit radius deriver.
 ///
-/// [`RadiusDeriver::Exact`] is [`parallel_kcenter_with`] verbatim — the binary
+/// [`RadiusDeriver::Exact`] is [`parallel_kcenter`] verbatim — the binary
 /// search runs over the complete sorted distinct distance set, the exact
 /// 2-approximation of Theorem 6.1, and the run is refused past the oracle's
 /// 4 GiB scratch cap. [`RadiusDeriver::Sketch`] derives candidate radii from a
@@ -176,7 +173,8 @@ pub fn parallel_kcenter_with(
 /// lifting k-center to instances whose full distance set cannot be
 /// materialised; the guarantee weakens to `radius ≤ 2·t` for a settled
 /// threshold `t` within one geometric sub-bucket (a few percent) of the
-/// smallest sampled feasible candidate.
+/// smallest sampled feasible candidate. `graph` picks the sketch deriver's
+/// probe graphs; the exact search always probes nested CSR graphs.
 pub fn parallel_kcenter_derived(
     inst: &ClusterInstance,
     k: usize,
@@ -185,7 +183,7 @@ pub fn parallel_kcenter_derived(
     deriver: RadiusDeriver,
 ) -> Result<KCenterSolution, String> {
     match deriver {
-        RadiusDeriver::Exact => parallel_kcenter_with(inst, k, seed, graph),
+        RadiusDeriver::Exact => parallel_kcenter(inst, k, seed),
         RadiusDeriver::Sketch => parallel_kcenter_sketched(inst, k, seed, graph),
     }
 }
@@ -233,17 +231,8 @@ pub fn parallel_kcenter_sketched(
     assert!(k >= 1, "k must be at least 1");
     assert!(n >= 1, "instance must be non-empty");
     let meter = CostMeter::new();
-
     if n <= k {
-        return Ok(KCenterSolution {
-            centers: (0..n).collect(),
-            radius: 0.0,
-            threshold: 0.0,
-            lower_bound: 0.0,
-            probes: 0,
-            luby_rounds: 0,
-            work: meter.report(),
-        });
+        return Ok(every_node(n, &meter));
     }
 
     // Evenly spaced sample (the full node set when it fits): value-independent,
@@ -404,7 +393,7 @@ mod tests {
     #[test]
     fn planted_clusters_are_recovered() {
         let inst = gen::clustering(GenParams::planted(48, 48, 6).with_seed(1));
-        let sol = parallel_kcenter(&inst, 6, 0);
+        let sol = parallel_kcenter(&inst, 6, 0).expect("within the sort cap");
         assert!(sol.centers.len() <= 6);
         // Blobs have radius 1 and separation 50; any valid 2-approximation has radius
         // at most 2·2 = 4, and the dominator-set structure typically achieves ≤ 2.
@@ -418,7 +407,7 @@ mod tests {
             for k in 1..4 {
                 let (_, opt) =
                     lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-                let sol = parallel_kcenter(&inst, k, seed);
+                let sol = parallel_kcenter(&inst, k, seed).expect("within the sort cap");
                 assert!(
                     sol.radius <= 2.0 * opt + 1e-9,
                     "seed {seed} k {k}: {} vs opt {opt}",
@@ -437,7 +426,7 @@ mod tests {
         // most twice the feasibility threshold found by the binary search.
         for seed in 0..5 {
             let inst = gen::clustering(GenParams::gaussian_clusters(30, 30, 4).with_seed(seed));
-            let sol = parallel_kcenter(&inst, 4, seed);
+            let sol = parallel_kcenter(&inst, 4, seed).expect("within the sort cap");
             assert!(
                 sol.radius <= 2.0 * sol.threshold + 1e-9,
                 "seed {seed}: radius {} threshold {}",
@@ -452,7 +441,7 @@ mod tests {
         for seed in 0..5 {
             let inst = gen::clustering(GenParams::uniform_square(40, 40).with_seed(seed));
             let k = 5;
-            let par = parallel_kcenter(&inst, k, seed);
+            let par = parallel_kcenter(&inst, k, seed).expect("within the sort cap");
             let gonz = gonzalez_kcenter(&inst, k);
             let hs = hochbaum_shmoys_kcenter(&inst, k);
             // All three are 2-approximations of the same optimum, so no one of them can
@@ -468,7 +457,7 @@ mod tests {
     #[test]
     fn probes_are_logarithmic_in_distance_count() {
         let inst = gen::clustering(GenParams::uniform_square(50, 50).with_seed(7));
-        let sol = parallel_kcenter(&inst, 4, 7);
+        let sol = parallel_kcenter(&inst, 4, 7).expect("within the sort cap");
         let num_distances = inst.distances().sorted_distinct_values().len();
         let bound = (num_distances as f64).log2().ceil() as usize + 2;
         assert!(
@@ -482,7 +471,7 @@ mod tests {
     #[test]
     fn k_geq_n_selects_everything() {
         let inst = gen::clustering(GenParams::uniform_square(6, 6).with_seed(2));
-        let sol = parallel_kcenter(&inst, 10, 0);
+        let sol = parallel_kcenter(&inst, 10, 0).expect("within the sort cap");
         assert_eq!(sol.centers.len(), 6);
         assert_eq!(sol.radius, 0.0);
     }
@@ -490,26 +479,121 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = gen::clustering(GenParams::uniform_square(25, 25).with_seed(4));
-        let a = parallel_kcenter(&inst, 3, 11);
-        let b = parallel_kcenter(&inst, 3, 11);
+        let a = parallel_kcenter(&inst, 3, 11).expect("within the sort cap");
+        let b = parallel_kcenter(&inst, 3, 11).expect("within the sort cap");
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.radius, b.radius);
+    }
+
+    /// The per-probe search the nested probes replaced: every probe builds
+    /// `H_α` from the oracle in the requested representation.
+    fn per_probe_reference(
+        inst: &ClusterInstance,
+        k: usize,
+        seed: u64,
+        graph: GraphBackend,
+    ) -> KCenterSolution {
+        let n = inst.n();
+        let meter = CostMeter::new();
+        if n <= k {
+            return every_node(n, &meter);
+        }
+        let distances = inst.distances().sorted_distinct_values();
+        meter.add_sort(inst.distances().len() as u64);
+        let (mut lo, mut hi) = (0usize, distances.len() - 1);
+        let (mut probes, mut luby_rounds) = (0usize, 0usize);
+        let mut best = None;
+        while lo <= hi {
+            let mid = (lo + hi) / 2;
+            probes += 1;
+            let g = ThresholdGraph::build(inst.distances(), distances[mid], graph).unwrap();
+            meter.add_primitive((n * n) as u64);
+            let dom = max_dom(&g, seed ^ (mid as u64).wrapping_mul(0x9E37_79B9), &meter);
+            luby_rounds += dom.rounds;
+            if dom.selected.len() <= k {
+                best = Some((mid, dom.selected));
+                if mid == 0 {
+                    break;
+                }
+                hi = mid - 1;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let (t_idx, centers) = best.expect("the largest threshold is feasible");
+        KCenterSolution {
+            radius: inst.kcenter_cost(&centers),
+            centers,
+            threshold: distances[t_idx],
+            lower_bound: distances[t_idx],
+            probes,
+            luby_rounds,
+            work: meter.report(),
+        }
+    }
+
+    fn assert_same(a: &KCenterSolution, b: &KCenterSolution, what: &str) {
+        assert_eq!(a.centers, b.centers, "{what}");
+        assert_eq!(a.radius.to_bits(), b.radius.to_bits(), "{what}");
+        assert_eq!(a.threshold.to_bits(), b.threshold.to_bits(), "{what}");
+        assert_eq!(a.lower_bound.to_bits(), b.lower_bound.to_bits(), "{what}");
+        assert_eq!(a.probes, b.probes, "{what}");
+        assert_eq!(a.luby_rounds, b.luby_rounds, "{what}");
+        assert_eq!(a.work, b.work, "{what}: work counters diverge");
+    }
+
+    fn at_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+            .install(f)
     }
 
     #[test]
     fn dense_and_csr_probes_agree() {
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::uniform_square(22, 22).with_seed(seed));
-            let dense =
-                parallel_kcenter_with(&inst, 3, seed, GraphBackend::Dense).expect("dense feasible");
-            let csr =
-                parallel_kcenter_with(&inst, 3, seed, GraphBackend::Csr).expect("csr feasible");
-            assert_eq!(dense.centers, csr.centers, "seed {seed}");
-            assert_eq!(dense.radius, csr.radius, "seed {seed}");
-            assert_eq!(dense.threshold, csr.threshold, "seed {seed}");
-            assert_eq!(dense.probes, csr.probes, "seed {seed}");
-            assert_eq!(dense.luby_rounds, csr.luby_rounds, "seed {seed}");
-            assert_eq!(dense.work, csr.work, "seed {seed}: work counters diverge");
+            let dense = per_probe_reference(&inst, 3, seed, GraphBackend::Dense);
+            let csr = per_probe_reference(&inst, 3, seed, GraphBackend::Csr);
+            assert_same(&dense, &csr, &format!("seed {seed}"));
+            let nested = parallel_kcenter(&inst, 3, seed).expect("within the sort cap");
+            assert_same(&nested, &csr, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn nested_probes_match_the_per_probe_reference() {
+        use parfaclo_metric::{gen::build_clustering, Backend};
+        let workloads = [
+            (GenParams::uniform_square(90, 90), 4),
+            (GenParams::gaussian_clusters(120, 120, 5), 5),
+            (GenParams::planted(64, 64, 8), 8),
+            // Equal distances everywhere: many ties in the threshold graphs.
+            (GenParams::line(70, 70), 3),
+        ];
+        for (w, (params, k)) in workloads.into_iter().enumerate() {
+            for seed in 0..2u64 {
+                let params = params.with_seed(seed);
+                let dense_inst = build_clustering(params, Backend::Dense).expect("instance");
+                let want = per_probe_reference(&dense_inst, k, seed, GraphBackend::Dense);
+                let csr = per_probe_reference(&dense_inst, k, seed, GraphBackend::Csr);
+                assert_same(
+                    &csr,
+                    &want,
+                    &format!("workload {w} seed {seed}: csr reference"),
+                );
+                assert!(want.probes >= 5, "workload {w}: too few probes to nest");
+                for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
+                    let inst = build_clustering(params, backend).expect("instance");
+                    for threads in [1, 4] {
+                        let got = at_threads(threads, || parallel_kcenter(&inst, k, seed))
+                            .expect("within the sort cap");
+                        let what = format!("workload {w} seed {seed} {backend} {threads} threads");
+                        assert_same(&got, &want, &what);
+                    }
+                }
+            }
         }
     }
 
@@ -567,8 +651,7 @@ mod tests {
         // constant-factor regime.
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::gaussian_clusters(40, 40, 5).with_seed(seed));
-            let exact =
-                parallel_kcenter_with(&inst, 5, seed, GraphBackend::Dense).expect("exact feasible");
+            let exact = parallel_kcenter(&inst, 5, seed).expect("exact feasible");
             let sketch = parallel_kcenter_sketched(&inst, 5, seed, GraphBackend::Dense)
                 .expect("sketch feasible");
             assert!(
@@ -591,15 +674,12 @@ mod tests {
     fn derived_exact_is_bit_identical_to_historical_path() {
         for seed in 0..3 {
             let inst = gen::clustering(GenParams::uniform_square(25, 25).with_seed(seed));
-            let a = parallel_kcenter_with(&inst, 3, seed, GraphBackend::Csr).expect("feasible");
-            let b =
-                parallel_kcenter_derived(&inst, 3, seed, GraphBackend::Csr, RadiusDeriver::Exact)
+            let a = parallel_kcenter(&inst, 3, seed).expect("feasible");
+            for graph in [GraphBackend::Dense, GraphBackend::Csr] {
+                let b = parallel_kcenter_derived(&inst, 3, seed, graph, RadiusDeriver::Exact)
                     .expect("feasible");
-            assert_eq!(a.centers, b.centers);
-            assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
-            assert_eq!(a.lower_bound.to_bits(), b.lower_bound.to_bits());
-            assert_eq!(a.probes, b.probes);
-            assert_eq!(a.work, b.work);
+                assert_same(&a, &b, &format!("seed {seed} {graph}"));
+            }
         }
     }
 
@@ -609,7 +689,7 @@ mod tests {
         // positions (centers at 3 and 9 give radius 3 exactly); accept ≤ 2·opt.
         let inst = gen::clustering(GenParams::line(12, 12));
         let (_, opt) = lower_bounds::brute_force_kclustering(&inst, 2, ClusterObjective::KCenter);
-        let sol = parallel_kcenter(&inst, 2, 1);
+        let sol = parallel_kcenter(&inst, 2, 1).expect("within the sort cap");
         assert!(sol.radius <= 2.0 * opt + 1e-9);
     }
 }

@@ -23,8 +23,7 @@ pub mod local_search;
 pub mod solvers;
 
 pub use kcenter::{
-    parallel_kcenter, parallel_kcenter_derived, parallel_kcenter_sketched, parallel_kcenter_with,
-    KCenterSolution,
+    parallel_kcenter, parallel_kcenter_derived, parallel_kcenter_sketched, KCenterSolution,
 };
 pub use local_search::{
     parallel_kmeans, parallel_kmedian, ClusterObjective, KClusterSolution, LocalSearchConfig,

@@ -153,7 +153,10 @@ fn closest_two(inst: &ClusterInstance, centers: &[NodeId]) -> Vec<(usize, f64, f
 /// Runs the parallel local search for the given objective.
 ///
 /// # Panics
-/// Panics if `k == 0` or the instance is empty.
+/// Panics if `k == 0`, the instance is empty, or the k-center seed's sort
+/// of all pairwise distances would exceed the 4 GiB scratch cap
+/// (`DistanceOracle::check_distance_sort_cap`, n ≈ 23,170); the
+/// `kmedian-ls` and `kmeans-ls` solvers refuse such instances up front.
 pub fn parallel_local_search(
     inst: &ClusterInstance,
     k: usize,
@@ -167,7 +170,8 @@ pub fn parallel_local_search(
     let k = k.min(n);
 
     // ---- Initial solution: the parallel k-center 2-approximation ----------------------
-    let kc = parallel_kcenter(inst, k, cfg.seed);
+    let kc = parallel_kcenter(inst, k, cfg.seed)
+        .expect("the k-center seed's candidate radii fit the scratch cap");
     let mut centers: Vec<NodeId> = kc.centers;
     // k-center may return fewer than k centers when nodes coincide; pad with arbitrary
     // distinct nodes so exactly k centers are maintained (harmless: extra centers never

@@ -318,7 +318,7 @@ mod tests {
     fn kcenter_adapter_matches_free_function() {
         let inst = tiny();
         let cfg = RunConfig::new(0.1).with_seed(6).with_k(4);
-        let direct = crate::kcenter::parallel_kcenter(&inst, 4, 6);
+        let direct = crate::kcenter::parallel_kcenter(&inst, 4, 6).expect("within the sort cap");
         let run = KCenterSolver.solve(&inst, &cfg).expect("feasible");
         assert_eq!(run.cost, direct.radius);
         assert_eq!(run.selected, direct.centers);
