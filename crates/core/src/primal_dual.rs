@@ -211,12 +211,13 @@ pub fn parallel_primal_dual_detailed(
         ready.sort_unstable_by_key(|&(i, _)| i);
         let payments = dual::map_facilities(ready.len(), nc, |k| {
             let mut paid = 0.0;
-            dual::for_each_column_tile(inst, ready[k].0 as usize, |start, tile| {
-                for (j, &d) in (start..).zip(tile) {
-                    let aj = if frozen[j] { alpha[j] } else { level };
-                    paid += (slack * aj - d).max(0.0);
-                }
-            });
+            inst.distances()
+                .for_each_column_tile(ready[k].0 as usize, |start, tile| {
+                    for (j, &d) in (start..).zip(tile) {
+                        let aj = if frozen[j] { alpha[j] } else { level };
+                        paid += (slack * aj - d).max(0.0);
+                    }
+                });
             paid
         });
         for ((iu, _), paid) in ready.into_iter().zip(payments) {

@@ -150,6 +150,51 @@ fn closest_two(inst: &ClusterInstance, centers: &[NodeId]) -> Vec<(usize, f64, f
     out
 }
 
+/// Scores every swap that drops a center position (`0..k`) and adds one of
+/// `candidates`: `(pos, add, cost after the swap)`, candidate-major.
+///
+/// One candidate's distance column serves all `k` of its swaps and is
+/// streamed once, in stack tiles. Node `j` adds
+/// `b = w_j·cost(min(d2_j, d_j))` to the accumulator of its nearest
+/// center's position and `a = w_j·cost(min(d1_j, d_j))` to the other
+/// `k − 1`. So every accumulator adds the same terms in the same ascending
+/// `j` order as a per-position loop — the same bits — and `k` independent
+/// additions replace one latency-bound chain. The best-swap comparator is
+/// total on `(cost, pos, add)`, so the enumeration order cannot change the
+/// chosen swap.
+fn swap_scores(
+    inst: &ClusterInstance,
+    objective: ClusterObjective,
+    k: usize,
+    nearest: &[(usize, f64, f64)],
+    candidates: &[NodeId],
+) -> Vec<(usize, NodeId, f64)> {
+    let score = |&add: &NodeId| -> Vec<(usize, NodeId, f64)> {
+        let mut sums = vec![0.0; k];
+        inst.distances().for_each_column_tile(add, |start, tile| {
+            for (j, (&(ci, d1, d2), &d)) in (start..).zip(nearest[start..].iter().zip(tile)) {
+                let a = inst.weight(j) * objective.cost_of(d1.min(d));
+                let b = inst.weight(j) * objective.cost_of(d2.min(d));
+                for (pos, sum) in sums.iter_mut().enumerate() {
+                    *sum += if pos == ci { b } else { a };
+                }
+            }
+        });
+        sums.into_iter()
+            .enumerate()
+            .map(|(pos, sum)| (pos, add, sum))
+            .collect()
+    };
+    if k * candidates.len() * nearest.len() >= PAR_THRESHOLD {
+        candidates
+            .par_iter()
+            .flat_map_iter(|add| score(add).into_iter())
+            .collect()
+    } else {
+        candidates.iter().flat_map(score).collect()
+    }
+}
+
 /// Runs the parallel local search for the given objective.
 ///
 /// # Panics
@@ -223,35 +268,7 @@ pub fn parallel_local_search(
             v
         };
         let candidates: Vec<NodeId> = (0..n).filter(|&v| !in_centers[v]).collect();
-        // One candidate's distance column serves all k of its swaps: the
-        // column is filled once through the oracle's blocked kernels
-        // (instead of k redundant per-element passes), then each dropped
-        // position sums the same `keep.min(d)` terms in the same ascending
-        // node order as a per-pair loop would — identical values, and the
-        // best-swap comparator below is total on (cost, pos, add), so the
-        // changed enumeration order cannot change the chosen swap.
-        let eval_add = |&add: &NodeId| -> Vec<(usize, NodeId, f64)> {
-            let col = inst.distances().col_to_vec(add);
-            (0..centers.len())
-                .map(|pos| {
-                    let mut sum = 0.0;
-                    for (j, &dj) in col.iter().enumerate() {
-                        let (ci, d1, d2) = nearest[j];
-                        let keep = if ci == pos { d2 } else { d1 };
-                        sum += inst.weight(j) * objective.cost_of(keep.min(dj));
-                    }
-                    (pos, add, sum)
-                })
-                .collect()
-        };
-        let swaps: Vec<(usize, NodeId, f64)> = if k * candidates.len() * n >= PAR_THRESHOLD {
-            candidates
-                .par_iter()
-                .flat_map_iter(|add| eval_add(add).into_iter())
-                .collect()
-        } else {
-            candidates.iter().flat_map(eval_add).collect()
-        };
+        let swaps = swap_scores(inst, objective, centers.len(), &nearest, &candidates);
 
         // Best swap, deterministic tie-breaking.
         let best = swaps.iter().min_by(|a, b| {
@@ -476,6 +493,109 @@ mod tests {
             .map(|&c| base.dist(7, c))
             .fold(f64::INFINITY, f64::min);
         assert!(d7 <= 1.0, "heavy node left uncovered at distance {d7}");
+    }
+
+    /// The per-position loop the fused scores replaced: one heap column per
+    /// candidate, one pass over it per dropped position.
+    fn per_position_reference(
+        inst: &ClusterInstance,
+        objective: ClusterObjective,
+        k: usize,
+        nearest: &[(usize, f64, f64)],
+        candidates: &[NodeId],
+    ) -> Vec<(usize, NodeId, f64)> {
+        let mut out = Vec::new();
+        for &add in candidates {
+            let col = inst.distances().col_to_vec(add);
+            for pos in 0..k {
+                let mut sum = 0.0;
+                for (j, &dj) in col.iter().enumerate() {
+                    let (ci, d1, d2) = nearest[j];
+                    let keep = if ci == pos { d2 } else { d1 };
+                    sum += inst.weight(j) * objective.cost_of(keep.min(dj));
+                }
+                out.push((pos, add, sum));
+            }
+        }
+        out
+    }
+
+    fn at_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+            .install(f)
+    }
+
+    #[test]
+    fn fused_swap_scores_match_the_per_position_loop() {
+        use parfaclo_metric::coreset::build_coreset;
+        use parfaclo_metric::point::DistanceKind;
+        use parfaclo_metric::{gen::build_clustering, Backend};
+        let bits = |v: Vec<(usize, NodeId, f64)>| -> Vec<(usize, NodeId, u64)> {
+            v.into_iter().map(|(p, a, c)| (p, a, c.to_bits())).collect()
+        };
+        // 300 nodes: 300-node columns span two 256-row tiles, and every
+        // k ≥ 1 puts the candidate map above the parallel grain.
+        let params = GenParams::gaussian_clusters(300, 300, 6).with_seed(3);
+        let geometric = build_clustering(params, Backend::Implicit).expect("instance");
+        let points = geometric.points().expect("point geometry").to_vec();
+        let coreset = build_coreset(&points, 0.02);
+        let reps: Vec<_> = coreset
+            .representatives()
+            .iter()
+            .map(|&r| points[r].clone())
+            .collect();
+        assert!(reps.len() > 100, "coreset too small: {}", reps.len());
+        assert!(
+            coreset.weights().iter().any(|&w| w > 1.0),
+            "no merged cells"
+        );
+        for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
+            let plain = build_clustering(params, backend).expect("instance");
+            let cases = [
+                ("unweighted", plain.clone()),
+                ("unit", plain.clone().with_weights(vec![1.0; 300])),
+                (
+                    "coreset",
+                    ClusterInstance::build(reps.clone(), DistanceKind::Euclidean, backend)
+                        .expect("instance")
+                        .with_weights(coreset.weights().to_vec()),
+                ),
+            ];
+            for (name, inst) in &cases {
+                let n = inst.n();
+                for centers in [
+                    vec![n / 2],
+                    vec![3, 90, n - 1],
+                    (0..7).map(|i| i * 13).collect(),
+                ] {
+                    let nearest = closest_two(inst, &centers);
+                    let candidates: Vec<NodeId> = (0..n).filter(|v| !centers.contains(v)).collect();
+                    for objective in [ClusterObjective::KMedian, ClusterObjective::KMeans] {
+                        let k = centers.len();
+                        let want = bits(per_position_reference(
+                            inst,
+                            objective,
+                            k,
+                            &nearest,
+                            &candidates,
+                        ));
+                        for threads in [1, 4] {
+                            let got = at_threads(threads, || {
+                                swap_scores(inst, objective, k, &nearest, &candidates)
+                            });
+                            assert_eq!(
+                                bits(got),
+                                want,
+                                "{backend} {name} k {k} {objective:?} {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

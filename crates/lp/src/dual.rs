@@ -20,7 +20,7 @@
 //! The experiment harness uses these α vectors (and the LP value) to certify measured
 //! approximation ratios.
 
-use parfaclo_metric::{DistanceOracle, FlInstance};
+use parfaclo_metric::FlInstance;
 use rayon::prelude::*;
 
 /// Elements (facility × client pairs) each task of a per-facility map must
@@ -28,9 +28,6 @@ use rayon::prelude::*;
 /// named again here because this crate does not depend on matrixops; a
 /// `parfaclo-core` test pins the two equal.
 pub const PAR_GRAIN: usize = 2048;
-
-/// Clients per stack tile of a column sweep.
-const COLUMN_TILE: usize = 256;
 
 /// Maps `f` over `0..len`, where each item sweeps the `nc` clients of one
 /// facility, and returns the results in input order. The map forks only
@@ -50,26 +47,12 @@ pub fn map_facilities<T: Send>(len: usize, nc: usize, f: impl Fn(usize) -> T + S
     }
 }
 
-/// Streams facility `i`'s distance column in ascending client order, one
-/// stack tile at a time: `f(start, tile)` gets `d(start + k, i)` in
-/// `tile[k]`. The kernel column is bit-identical to `inst.dist`, so a fold
-/// over the tiles equals the scalar fold over `0..nc`.
-pub fn for_each_column_tile(inst: &FlInstance, i: usize, mut f: impl FnMut(usize, &[f64])) {
-    let nc = inst.num_clients();
-    let mut buf = [0.0f64; COLUMN_TILE];
-    for start in (0..nc).step_by(COLUMN_TILE) {
-        let tile = &mut buf[..COLUMN_TILE.min(nc - start)];
-        inst.distances().col_range_into(i, start, tile);
-        f(start, tile);
-    }
-}
-
 /// Calls `f(α_j, d(j,i))` for every client in facility `i`'s contributors
 /// `P_i = {j : d(j,i) < α_j}`, in ascending `j`, from a sweep over its
 /// kernel column. Every other client adds an exact `+0.0` to facility
 /// `i`'s sum, which leaves a sum of non-negative terms unchanged.
 fn for_each_contributor(inst: &FlInstance, alpha: &[f64], i: usize, mut f: impl FnMut(f64, f64)) {
-    for_each_column_tile(inst, i, |start, tile| {
+    inst.distances().for_each_column_tile(i, |start, tile| {
         for (&a, &d) in alpha[start..].iter().zip(tile) {
             if d < a {
                 f(a, d);

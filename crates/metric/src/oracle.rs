@@ -1070,6 +1070,21 @@ impl Oracle {
         }
     }
 
+    /// Streams column `col` in ascending row order, one stack tile at a
+    /// time: `f(start, tile)` gets `d(start + k, col)` in `tile[k]`. The
+    /// kernel column is bit-identical to [`DistanceOracle::dist`], so a fold
+    /// over the tiles equals the scalar fold over `0..rows`.
+    pub fn for_each_column_tile(&self, col: usize, mut f: impl FnMut(usize, &[f64])) {
+        const TILE: usize = 256;
+        let rows = self.rows();
+        let mut buf = [0.0f64; TILE];
+        for start in (0..rows).step_by(TILE) {
+            let tile = &mut buf[..TILE.min(rows - start)];
+            self.col_range_into(col, start, tile);
+            f(start, tile);
+        }
+    }
+
     /// Checks symmetry of a square oracle up to `tol` (O(n²) queries).
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.rows() != self.cols() {
