@@ -9,13 +9,8 @@ use crate::kcenter::parallel_kcenter_derived;
 use crate::local_search::{parallel_local_search, ClusterObjective, LocalSearchConfig};
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
 use parfaclo_metric::coreset::{build_coreset, coreset_instance, Coreset, GridCoreset};
-use parfaclo_metric::ClusterInstance;
+use parfaclo_metric::{ClusterInstance, DistanceOracle, SCRATCH_BYTES_CAP};
 use parfaclo_trace as trace;
-
-/// Largest instance the direct (non-coreset) local search accepts: the swap
-/// sweep is `O(n² k)` per round, so past this point the run would take hours
-/// — the hierarchical `--coreset eps:<f64>` path is the supported route.
-const DIRECT_LOCAL_SEARCH_LIMIT: usize = 32_768;
 
 /// Builds the ε-grid coreset and its weighted sub-instance for a hierarchical
 /// solve, or explains why it cannot.
@@ -33,6 +28,16 @@ fn coreset_for(
         )
     })?;
     let cs = build_coreset(points, eps);
+    // The sub-instance is a dense `cells × cells` matrix.
+    let bytes = (cs.len() as u64).pow(2).saturating_mul(8);
+    if bytes > SCRATCH_BYTES_CAP {
+        return Err(format!(
+            "coreset eps:{eps} keeps {} cells, whose dense sub-instance needs {:.1} GiB, \
+             past the 4 GiB cap; use a larger epsilon (fewer grid cells)",
+            cs.len(),
+            bytes as f64 / (1u64 << 30) as f64
+        ));
+    }
     if cs.len() < k {
         return Err(format!(
             "coreset eps:{eps} collapses the instance to {} cells, fewer than k = {k}; \
@@ -215,14 +220,16 @@ fn local_search_run(
             .with_extra("coreset_eps", eps)
             .with_config_echo(cfg));
     }
-    if inst.n() > DIRECT_LOCAL_SEARCH_LIMIT {
-        return Err(format!(
-            "n = {} exceeds the direct local-search limit of {DIRECT_LOCAL_SEARCH_LIMIT} \
-             nodes (the swap sweep is O(n^2 k) per round); rerun with --coreset eps:<f64> \
-             (e.g. --coreset eps:0.1) for the hierarchical coreset solve",
+    // The direct search seeds with exact k-center, which sorts all pairwise
+    // distances; refuse before any n² work rather than panic inside it.
+    inst.distances().check_distance_sort_cap().map_err(|e| {
+        format!(
+            "n = {}: the direct local search seeds with exact k-center, and {e}; \
+             rerun with --coreset eps:<f64> (e.g. --coreset eps:0.1) for the \
+             hierarchical coreset solve",
             inst.n()
-        ));
-    }
+        )
+    })?;
     let ls_cfg = LocalSearchConfig::from(cfg);
     let sol = {
         let _span = trace::span("swap-search", None);
@@ -413,6 +420,21 @@ mod tests {
     }
 
     #[test]
+    fn coreset_past_the_dense_cap_is_refused() {
+        use parfaclo_metric::{gen::build_clustering, Backend};
+        // 24,000 spread points at eps:1e-6 keep one cell each.
+        let params = GenParams::uniform_square(24_000, 1).with_seed(3);
+        let inst = build_clustering(params, Backend::Implicit).expect("O(n) memory");
+        let cfg = RunConfig::new(0.2)
+            .with_k(4)
+            .with_coreset(Coreset::Eps(1e-6));
+        let err = KMedianLocalSearchSolver.solve(&inst, &cfg).unwrap_err();
+        assert!(err.contains("larger epsilon"), "{err}");
+        let err = KCenterSolver.solve(&inst, &cfg).unwrap_err();
+        assert!(err.contains("larger epsilon"), "{err}");
+    }
+
+    #[test]
     fn coreset_smaller_than_k_is_refused() {
         let inst = tiny();
         // eps:10 puts every point in one grid cell: 1 cell < k = 3.
@@ -426,11 +448,16 @@ mod tests {
     #[test]
     fn oversized_direct_local_search_is_refused_with_a_coreset_pointer() {
         use parfaclo_metric::{gen::build_clustering, Backend};
-        let params = GenParams::uniform_square(DIRECT_LOCAL_SEARCH_LIMIT + 1, 1).with_seed(3);
+        // Past n ≈ 23,170 the k-center seed's distance sort exceeds the
+        // 4 GiB cap; both searches refuse before any n² work.
+        let params = GenParams::uniform_square(24_000, 1).with_seed(3);
         let inst = build_clustering(params, Backend::Implicit).expect("O(n) memory");
         let cfg = RunConfig::new(0.2).with_k(4);
+        let err = KMeansLocalSearchSolver.solve(&inst, &cfg).unwrap_err();
+        assert!(err.contains("--coreset eps:<f64>"), "{err}");
         let err = KMedianLocalSearchSolver.solve(&inst, &cfg).unwrap_err();
         assert!(err.contains("--coreset eps:<f64>"), "{err}");
+        assert!(!err.contains("--radius-deriver"), "{err}");
         // The same instance is accepted once a coreset is configured.
         let run = KMedianLocalSearchSolver
             .solve(&inst, &cfg.with_coreset(Coreset::Eps(0.1)))

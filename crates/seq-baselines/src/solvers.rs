@@ -197,7 +197,7 @@ impl Solver for HochbaumShmoysSolver {
         use parfaclo_metric::DistanceOracle;
         inst.distances().check_distance_sort_cap().map_err(|e| {
             format!(
-                "hs-kcenter derives its candidate radii: {e}; use a smaller instance, \
+                "deriving the candidate radii: {e}; use a smaller instance, \
                  or the parallel kcenter solver"
             )
         })?;
