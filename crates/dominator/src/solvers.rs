@@ -63,13 +63,23 @@ fn dominator_run(
     algorithm: impl Fn(&ThresholdGraph, u64, &CostMeter) -> DominatorResult,
 ) -> Result<Run, String> {
     let meter = CostMeter::new();
+    let n = inst.n() as u64;
+    // Both phases are charged as k-center charges the same steps: one sort
+    // of all n² distances when the threshold is derived, and n² for the
+    // graph build.
     let threshold = {
         let _span = trace::span("derive-threshold", Some(&meter));
-        resolve_threshold(inst, cfg)?
+        let threshold = resolve_threshold(inst, cfg)?;
+        if cfg.threshold.is_none() {
+            meter.add_sort(n * n);
+        }
+        threshold
     };
     let g = {
         let _span = trace::span("threshold-graph", Some(&meter));
-        threshold_graph(inst, threshold, cfg)?
+        let g = threshold_graph(inst, threshold, cfg)?;
+        meter.add_primitive(n * n);
+        g
     };
     let result = {
         let _span = trace::span("luby-rounds", Some(&meter));
@@ -188,6 +198,34 @@ mod tests {
             for &b in &run.selected[idx + 1..] {
                 assert!(!g.has_edge(a, b), "selected nodes {a},{b} adjacent");
             }
+        }
+    }
+
+    #[test]
+    fn threshold_derivation_and_graph_build_are_metered() {
+        let inst = tiny();
+        let n2 = (inst.n() * inst.n()) as u64;
+        for cfg in [
+            RunConfig::new(0.1).with_seed(4),
+            RunConfig::new(0.1).with_seed(4).with_threshold(5.0),
+        ] {
+            let run = MaxDomSolver.solve(&inst, &cfg).expect("feasible");
+            // What the Luby rounds alone charge on the same graph.
+            let rounds = CostMeter::new();
+            let g = dense_graph(&inst, resolve_threshold(&inst, &cfg).unwrap());
+            max_dom(&g, cfg.seed, &rounds);
+            let mut want = rounds.report();
+            // The graph build charges n²; deriving the threshold charges one
+            // sort of the n² distances.
+            want.primitive_calls += 1;
+            want.element_ops += n2;
+            if cfg.threshold.is_none() {
+                let sorts = CostMeter::new();
+                sorts.add_sort(n2);
+                want.sort_calls += 1;
+                want.element_ops += sorts.report().element_ops;
+            }
+            assert_eq!(run.work, want, "threshold {:?}", cfg.threshold);
         }
     }
 
