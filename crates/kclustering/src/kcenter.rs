@@ -96,14 +96,14 @@ pub fn parallel_kcenter(
     let oracle = inst.distances();
     let distances = {
         let _span = trace::span("derive-radii", Some(&meter));
-        let distances = oracle.try_sorted_distinct_values().map_err(|e| {
+        oracle.check_distance_sort_cap().map_err(|e| {
             format!(
                 "deriving the candidate radii: {e}; use a smaller instance, or sample \
                  the candidate radii with --radius-deriver sketch"
             )
         })?;
         meter.add_sort(oracle.len() as u64);
-        distances
+        oracle.sorted_distinct_values()
     };
 
     // Binary search for the smallest threshold whose dominator set has at most k nodes.

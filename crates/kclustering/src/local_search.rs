@@ -506,7 +506,8 @@ mod tests {
     ) -> Vec<(usize, NodeId, f64)> {
         let mut out = Vec::new();
         for &add in candidates {
-            let col = inst.distances().col_to_vec(add);
+            let mut col = vec![0.0; inst.n()];
+            inst.distances().col_range_into(add, 0, &mut col);
             for pos in 0..k {
                 let mut sum = 0.0;
                 for (j, &dj) in col.iter().enumerate() {

@@ -171,13 +171,6 @@ pub trait DistanceOracle {
         v
     }
 
-    /// Column `col` collected into a vector (`O(rows)` work).
-    fn col_to_vec(&self, col: usize) -> Vec<f64> {
-        let mut v = vec![0.0; self.rows()];
-        self.col_range_into(col, 0, &mut v);
-        v
-    }
-
     /// `min_{c in set} d(row, c)` with the argmin. `None` if `set` is empty.
     ///
     /// **Tie-breaking is part of the contract**: among equidistant columns
@@ -270,8 +263,8 @@ pub trait DistanceOracle {
     /// search's distance set `D`). `O(rows·cols)` time *and* transient
     /// memory under every backend (half of it on a point-backed square
     /// oracle, which sorts only the upper triangle) — callers that need
-    /// bounded memory must go through
-    /// [`DistanceOracle::try_sorted_distinct_values`] instead.
+    /// bounded memory must ask [`DistanceOracle::check_distance_sort_cap`]
+    /// first.
     fn sorted_distinct_values(&self) -> Vec<f64>;
 
     /// Refuses, with the reason, a sort of all `rows·cols` entries whose
@@ -279,7 +272,8 @@ pub trait DistanceOracle {
     /// [`crate::SCRATCH_BYTES_CAP`] (n ≈ 23,170 on a square oracle) — the
     /// same 4 GiB ceiling as the dense adjacency matrix. Every caller that
     /// derives candidate radii or a threshold from the full distance set
-    /// asks here first, so this is the one place that knows the cap.
+    /// asks here before [`DistanceOracle::sorted_distinct_values`], so this
+    /// is the one place that knows the cap.
     fn check_distance_sort_cap(&self) -> Result<(), String> {
         let bytes = (self.len() as u64).saturating_mul(8);
         if bytes > crate::SCRATCH_BYTES_CAP {
@@ -292,14 +286,6 @@ pub trait DistanceOracle {
             ));
         }
         Ok(())
-    }
-
-    /// [`DistanceOracle::sorted_distinct_values`] behind
-    /// [`DistanceOracle::check_distance_sort_cap`]: refuses instead of
-    /// exhausting memory.
-    fn try_sorted_distinct_values(&self) -> Result<Vec<f64>, String> {
-        self.check_distance_sort_cap()?;
-        Ok(self.sorted_distinct_values())
     }
 
     /// Estimated resident bytes of the backend's distance storage:
@@ -998,10 +984,6 @@ impl DistanceOracle for DistanceMatrix {
         self.row(row).to_vec()
     }
 
-    fn col_to_vec(&self, col: usize) -> Vec<f64> {
-        DistanceMatrix::col_to_vec(self, col)
-    }
-
     fn row_range_into(&self, row: usize, col_start: usize, out: &mut [f64]) {
         out.copy_from_slice(&self.row(row)[col_start..col_start + out.len()]);
     }
@@ -1133,10 +1115,6 @@ impl DistanceOracle for Oracle {
         delegate!(self, row_to_vec(row))
     }
 
-    fn col_to_vec(&self, col: usize) -> Vec<f64> {
-        delegate!(self, col_to_vec(col))
-    }
-
     fn row_range_into(&self, row: usize, col_start: usize, out: &mut [f64]) {
         delegate!(self, row_range_into(row, col_start, out))
     }
@@ -1183,10 +1161,6 @@ impl DistanceOracle for Oracle {
 
     fn sorted_distinct_values(&self) -> Vec<f64> {
         delegate!(self, sorted_distinct_values())
-    }
-
-    fn try_sorted_distinct_values(&self) -> Result<Vec<f64>, String> {
-        delegate!(self, try_sorted_distinct_values())
     }
 
     fn memory_bytes(&self) -> u64 {
@@ -1273,8 +1247,13 @@ mod tests {
                 implicit.nearest_in_set(r, &[4, 1, 2])
             );
         }
+        let column = |oracle: &Oracle, c: usize| {
+            let mut col = vec![0.0; oracle.rows()];
+            oracle.col_range_into(c, 0, &mut col);
+            col
+        };
         for c in 0..dense.cols() {
-            assert_eq!(dense.col_to_vec(c), implicit.col_to_vec(c));
+            assert_eq!(column(&dense, c), column(&implicit, c));
         }
     }
 
@@ -1705,6 +1684,5 @@ mod tests {
         assert!(line(23_170).check_distance_sort_cap().is_ok());
         let err = line(23_171).check_distance_sort_cap().unwrap_err();
         assert!(err.contains("23171×23171") && err.contains("GiB"), "{err}");
-        assert!(line(23_171).try_sorted_distinct_values().is_err());
     }
 }
