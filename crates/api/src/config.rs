@@ -53,7 +53,8 @@ pub struct RunConfig {
     /// is a memory/latency knob, not a semantic one.
     pub backend: Backend,
     /// Which representation the graph-touching solvers (dominator family,
-    /// k-center's threshold probes) build their threshold graphs in:
+    /// the sketch k-center deriver's probes; the exact k-center search
+    /// always probes nested CSR graphs) build their threshold graphs in:
     /// `Dense` materialises the `n × n` bit matrix (the paper's native cost
     /// model, refused beyond 4 GiB); `Csr` stores offsets plus sorted
     /// neighbour lists (`O(n + m)` memory — required for million-node
