@@ -155,25 +155,20 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutp
 
         // Step 3: bipartite graph H between candidates and nearby remaining clients.
         // adj[c] = remaining clients within distance τ(1+ε) of candidates[c].
-        // An index-capable oracle answers the threshold neighbourhood with a
-        // range query (sublinear in |C|); scan oracles keep the cheap
-        // remaining-first short circuit. Batch-kernel oracles take the same
-        // branch: their `rows_within` is a blocked vectorised sweep, which
-        // beats the per-element scalar loop in the same regimes an index
-        // does. The one regime where either query loses is a near-diameter
-        // τ(1+ε) paired with a *very* sparse
+        // The oracle's `rows_within` answers the threshold neighbourhood
+        // (a range query or a blocked sweep, whichever the oracle picks).
+        // It loses only when a near-diameter τ(1+ε) meets a *very* sparse
         // remaining set — enumerating ~|C| ids only to discard nearly all
-        // of them — so the query branch stands down below ~1.6% remaining
-        // (any less sparse, and a dense neighbourhood means the subselection
-        // work on it dominates the query cost anyway). Both paths produce
-        // the same ascending client list, and the meter charge is the
-        // paper's |I|·|C| work bound either way.
+        // of them — so below ~1.6% remaining the scan filters `remaining`
+        // before computing any distance (any less sparse, and a dense
+        // neighbourhood means the subselection work on it dominates the
+        // query cost anyway). Both paths produce the same ascending client
+        // list, and the meter charge is the paper's |I|·|C| work bound
+        // either way.
         meter.add_primitive((num_candidates * nc) as u64);
-        let use_index = (inst.distances().has_sublinear_queries()
-            || inst.distances().has_batch_distance_kernels())
-            && remaining_count * 64 >= nc;
+        let use_query = remaining_count * 64 >= nc;
         let build_adj = |&i: &FacilityId| -> Vec<ClientId> {
-            if use_index {
+            if use_query {
                 inst.distances()
                     .rows_within(i, threshold)
                     .into_iter()

@@ -82,13 +82,11 @@ impl DenseGraph {
         DenseGraph { n, adj, edges }
     }
 
-    /// Builds the threshold graph `H_α` directly from a square
-    /// [`DistanceOracle`]: bit-identical to
-    /// [`DenseGraph::from_threshold_fn`] over `oracle.dist`, but the spatial
-    /// backend serves each node's neighbourhood with one index range query
-    /// instead of an O(n) distance sweep on sparse thresholds — turning the
-    /// O(n²) distance evaluations of a maxdom, mis or sketch k-center graph
-    /// build into O(n · query).
+    /// Builds the threshold graph `H_α` from a square [`DistanceOracle`]:
+    /// nodes `a ≠ b` are adjacent iff `d(a, b) <= alpha`. One
+    /// `cols_within(a, alpha)` query per node, like
+    /// [`crate::CsrGraph::from_threshold_oracle`], written straight into
+    /// that node's adjacency row in parallel.
     ///
     /// [`DistanceOracle`]: parfaclo_metric::DistanceOracle
     ///
@@ -98,49 +96,14 @@ impl DenseGraph {
         use parfaclo_metric::DistanceOracle;
         let n = oracle.rows();
         assert_eq!(n, oracle.cols(), "threshold graphs need a square oracle");
-        if !oracle.has_sublinear_queries() {
-            return Self::from_threshold_rows(oracle, n, alpha);
-        }
-        // Density probe: on near-complete thresholds (the upper half of
-        // the candidate radii) a range query returns ~n ids per
-        // node and pays an extra sort on top of the same n distance
-        // evaluations — strictly worse than the flat scan. One probe row
-        // decides for the whole graph; the choice never changes the bits,
-        // only who computes them.
-        if n > 0 && oracle.cols_within(0, alpha).len() * 2 > n {
-            return Self::from_threshold_rows(oracle, n, alpha);
-        }
-        // One range query per node (ascending neighbour ids, inclusive <=),
-        // written straight into that node's adjacency row in parallel — no
-        // intermediate neighbour-list vectors, whose total size approaches
-        // 8·n² bytes on near-complete thresholds.
-        let mut adj = vec![false; n * n];
-        adj.par_chunks_mut(n).enumerate().for_each(|(a, row)| {
-            for b in oracle.cols_within(a, alpha) {
-                if a != b {
-                    row[b] = true;
-                }
-            }
-        });
-        let edges = count_true(&adj, n) / 2;
-        DenseGraph { n, adj, edges }
-    }
-
-    /// Flat-scan oracle build: fills each node's distance row through the
-    /// oracle's batch entry point (the blocked SoA kernels on geometric
-    /// backends, a row copy on a materialised matrix) and thresholds it.
-    /// Bit-identical to `from_threshold_fn` over `oracle.dist` — the batch
-    /// path returns bitwise-equal distances and the predicate is unchanged.
-    fn from_threshold_rows(oracle: &parfaclo_metric::Oracle, n: usize, alpha: f64) -> Self {
-        use parfaclo_metric::DistanceOracle;
         let mut adj = vec![false; n * n];
         adj.par_chunks_mut(n.max(1))
             .enumerate()
             .for_each(|(a, row)| {
-                let mut dists = vec![0.0f64; n];
-                oracle.row_range_into(a, 0, &mut dists);
-                for (b, (slot, &d)) in row.iter_mut().zip(dists.iter()).enumerate() {
-                    *slot = a != b && d <= alpha;
+                for b in oracle.cols_within(a, alpha) {
+                    if a != b {
+                        row[b] = true;
+                    }
                 }
             });
         let edges = count_true(&adj, n) / 2;

@@ -204,20 +204,27 @@ impl UniformGrid {
         id
     }
 
-    /// Runs `visit` over every cell in the axis-aligned window
-    /// `[win_lo, win_hi]` (inclusive, already clamped to the grid) — the
-    /// candidate enumeration for range queries.
-    fn for_cells_in_window(
+    /// Runs `visit(first, last)` over every row of the axis-aligned window
+    /// `[win_lo, win_hi]` (inclusive, already clamped to the grid) along the
+    /// last axis: the linear cell ids `first..=last`, whose points are the
+    /// one slot run `starts[first]..starts[last + 1]`. Stops when `visit`
+    /// returns `false`.
+    fn for_rows_in_window(
         &self,
         win_lo: &[usize],
         win_hi: &[usize],
-        mut visit: impl FnMut(usize),
+        mut visit: impl FnMut(usize, usize) -> bool,
     ) {
+        let last_axis = self.dim - 1;
+        let width = win_hi[last_axis] - win_lo[last_axis];
         let mut cell = win_lo.to_vec();
         loop {
-            visit(self.linear(&cell));
-            // Odometer increment over the window.
-            let mut a = self.dim;
+            let first = self.linear(&cell);
+            if !visit(first, first + width) {
+                return;
+            }
+            // Odometer increment over the other axes.
+            let mut a = last_axis;
             loop {
                 if a == 0 {
                     return;
@@ -394,10 +401,20 @@ impl UniformGrid {
     /// Caller ids of every indexed point within `radius` of `q`
     /// (inclusive, `d <= radius`), ascending.
     pub fn range(&self, q: &[f64], radius: f64) -> Vec<usize> {
+        self.range_capped(q, radius, usize::MAX)
+            .expect("an uncapped range query always answers")
+    }
+
+    /// [`UniformGrid::range`], or `None` when the query window holds more
+    /// than `max_points` points. The window's rows are contiguous slot runs,
+    /// so the count reads two bucket offsets per row, visits no cell and
+    /// computes no distance; the rows it gathers are the ones the query
+    /// then scans.
+    pub fn range_capped(&self, q: &[f64], radius: f64, max_points: usize) -> Option<Vec<usize>> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         let mut out = Vec::new();
         if self.is_empty() || radius < 0.0 {
-            return out;
+            return Some(out);
         }
         // Per-axis displacement of an in-range point: `radius` for the
         // distance metrics, `sqrt(radius)` for squared Euclidean. One extra
@@ -417,28 +434,40 @@ impl UniformGrid {
                     .min(self.counts[a] - 1)
             })
             .collect();
-        self.for_cells_in_window(&win_lo, &win_hi, |c| {
-            let (s0, s1) = self.cell_slots(c);
-            if s0 == s1 {
-                return;
-            }
-            let (blo, bhi) = self.cell_box(c);
-            if self.metric.box_lower_bound(q, blo, bhi) > radius {
-                return;
-            }
-            collect_slots(
-                self.metric,
-                q,
-                &self.soa,
-                s0,
-                s1,
-                &self.slot_ids,
-                radius,
-                &mut out,
-            );
+        let mut rows = Vec::new();
+        let mut held = 0usize;
+        self.for_rows_in_window(&win_lo, &win_hi, |first, last| {
+            held += (self.starts[last + 1] - self.starts[first]) as usize;
+            rows.push((first, last));
+            held <= max_points
         });
+        if held > max_points {
+            return None;
+        }
+        for (first, last) in rows {
+            for c in first..=last {
+                let (s0, s1) = self.cell_slots(c);
+                if s0 == s1 {
+                    continue;
+                }
+                let (blo, bhi) = self.cell_box(c);
+                if self.metric.box_lower_bound(q, blo, bhi) > radius {
+                    continue;
+                }
+                collect_slots(
+                    self.metric,
+                    q,
+                    &self.soa,
+                    s0,
+                    s1,
+                    &self.slot_ids,
+                    radius,
+                    &mut out,
+                );
+            }
+        }
         crate::query::sort_ids_ascending(&mut out, self.slot_ids.len());
-        out
+        Some(out)
     }
 
     /// Estimated resident bytes of the index structure (slot-ordered

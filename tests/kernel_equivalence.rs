@@ -173,7 +173,6 @@ fn oracle_batch_entry_points_bit_equal_scalar_dist() {
     };
     for kind in ALL_KINDS {
         let oracle = ImplicitMetric::between(mk(nf, &mut rng), mk(nc, &mut rng), kind);
-        assert!(oracle.has_batch_distance_kernels());
         let scalar: Vec<Vec<f64>> = (0..nf)
             .map(|i| (0..nc).map(|j| oracle.dist(i, j)).collect())
             .collect();
