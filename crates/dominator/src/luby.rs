@@ -128,7 +128,7 @@ pub fn is_maximal_independent_set(g: &DenseGraph, set: &[usize]) -> bool {
         }
         v
     };
-    (0..g.n()).all(|i| in_set[i] || g.neighbors(i).iter().any(|&j| in_set[j]))
+    (0..g.n()).all(|i| in_set[i] || g.any_neighbor(i, &|j| in_set[j]))
 }
 
 #[cfg(test)]

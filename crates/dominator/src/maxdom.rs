@@ -101,12 +101,18 @@ pub fn max_dom<G: Neighbors>(g: &G, seed: u64, meter: &CostMeter) -> DominatorRe
     }
 }
 
+/// Whether `a ≠ b` are adjacent in `G²`: adjacent in `G` or sharing a
+/// neighbour.
+fn adjacent_in_square(g: &DenseGraph, a: usize, b: usize) -> bool {
+    a != b && (g.has_edge(a, b) || g.any_neighbor(a, &|z| g.has_edge(z, b)))
+}
+
 /// Checks that `set` is a valid **dominator set** of `g`: no two members are adjacent in
 /// `G²` (i.e. adjacent in `G` or sharing a common neighbour).
 pub fn is_dominator_independent(g: &DenseGraph, set: &[usize]) -> bool {
     for (idx, &a) in set.iter().enumerate() {
         for &b in &set[idx + 1..] {
-            if g.adjacent_in_square(a, b) {
+            if adjacent_in_square(g, a, b) {
                 return false;
             }
         }
@@ -127,7 +133,7 @@ pub fn is_maximal_dominator_set(g: &DenseGraph, set: &[usize]) -> bool {
         }
         v
     };
-    (0..g.n()).all(|i| in_set[i] || set.iter().any(|&s| g.adjacent_in_square(i, s)))
+    (0..g.n()).all(|i| in_set[i] || set.iter().any(|&s| adjacent_in_square(g, i, s)))
 }
 
 /// Builds `G²` explicitly (quadratic work per node pair). Only used by tests to compare
@@ -137,7 +143,7 @@ pub fn explicit_square(g: &DenseGraph) -> DenseGraph {
     let mut sq = DenseGraph::new(n);
     for a in 0..n {
         for b in (a + 1)..n {
-            if g.adjacent_in_square(a, b) {
+            if adjacent_in_square(g, a, b) {
                 sq.add_edge(a, b);
             }
         }

@@ -93,11 +93,16 @@ pub fn max_u_dom<H: BipartiteNeighbors>(h: &H, seed: u64, meter: &CostMeter) -> 
     }
 }
 
+/// Whether `u1 ≠ u2` share a `V`-side neighbour (adjacency in `H'`).
+fn share_v_neighbor(h: &BipartiteGraph, u1: usize, u2: usize) -> bool {
+    u1 != u2 && h.any_neighbor_u(u1, &|v| h.has_edge(u2, v))
+}
+
 /// Checks that no two members of `set` share a `V`-side neighbour.
 pub fn is_u_dominator_independent(h: &BipartiteGraph, set: &[usize]) -> bool {
     for (idx, &a) in set.iter().enumerate() {
         for &b in &set[idx + 1..] {
-            if h.share_v_neighbor(a, b) {
+            if share_v_neighbor(h, a, b) {
                 return false;
             }
         }
@@ -118,7 +123,7 @@ pub fn is_maximal_u_dominator_set(h: &BipartiteGraph, set: &[usize]) -> bool {
         }
         v
     };
-    (0..h.nu()).all(|u| in_set[u] || set.iter().any(|&s| h.share_v_neighbor(u, s)))
+    (0..h.nu()).all(|u| in_set[u] || set.iter().any(|&s| share_v_neighbor(h, u, s)))
 }
 
 #[cfg(test)]

@@ -55,33 +55,6 @@ impl DenseGraph {
         g
     }
 
-    /// Builds the threshold graph `H_α` over `n` nodes from a symmetric distance matrix
-    /// given as a row-major slice: nodes `a ≠ b` are adjacent iff `dist[a*n+b] <= alpha`.
-    pub fn from_distance_threshold(dist: &[f64], n: usize, alpha: f64) -> Self {
-        assert_eq!(dist.len(), n * n, "distance matrix shape mismatch");
-        Self::from_threshold_fn(n, alpha, |a, b| dist[a * n + b])
-    }
-
-    /// Builds the threshold graph `H_α` from a distance *function* evaluated on demand
-    /// (in parallel): nodes `a ≠ b` are adjacent iff `dist(a, b) <= alpha`. This is the
-    /// oracle-friendly constructor — it works identically against a dense matrix or an
-    /// implicit geometric backend without requiring a materialised `n x n` slice.
-    pub fn from_threshold_fn<F>(n: usize, alpha: f64, dist: F) -> Self
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        let adj: Vec<bool> = (0..n * n)
-            .into_par_iter()
-            .with_min_len(4096)
-            .map(|idx| {
-                let (a, b) = (idx / n, idx % n);
-                a != b && dist(a, b) <= alpha
-            })
-            .collect();
-        let edges = count_true(&adj, n) / 2;
-        DenseGraph { n, adj, edges }
-    }
-
     /// Builds the threshold graph `H_α` from a square [`DistanceOracle`]:
     /// nodes `a ≠ b` are adjacent iff `d(a, b) <= alpha`. One
     /// `cols_within(a, alpha)` query per node, like
@@ -141,15 +114,6 @@ impl DenseGraph {
         self.row(v).iter().filter(|&&b| b).count()
     }
 
-    /// The neighbours of `v` as a vector of node indices.
-    pub fn neighbors(&self, v: usize) -> Vec<usize> {
-        self.row(v)
-            .iter()
-            .enumerate()
-            .filter_map(|(u, &b)| if b { Some(u) } else { None })
-            .collect()
-    }
-
     /// Number of undirected edges (`O(1)` — cached at construction).
     #[inline]
     pub fn num_edges(&self) -> usize {
@@ -162,17 +126,6 @@ impl DenseGraph {
         &self.adj[v * self.n..(v + 1) * self.n]
     }
 
-    /// Whether two nodes are adjacent in `G²`, i.e. adjacent in `G` or sharing a common
-    /// neighbour. Quadratic per query; used by tests and verification only.
-    pub fn adjacent_in_square(&self, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        if self.has_edge(a, b) {
-            return true;
-        }
-        (0..self.n).any(|z| self.has_edge(a, z) && self.has_edge(z, b))
-    }
 }
 
 /// A bipartite graph `H = (U, V, E)` stored as a dense `|U| × |V|` boolean matrix.
@@ -257,20 +210,6 @@ impl BipartiteGraph {
         (0..self.nu).filter(|&u| self.has_edge(u, v)).count()
     }
 
-    /// The V-side neighbours of U-node `u`.
-    pub fn neighbors_u(&self, u: usize) -> Vec<usize> {
-        self.row_u(u)
-            .iter()
-            .enumerate()
-            .filter_map(|(v, &b)| if b { Some(v) } else { None })
-            .collect()
-    }
-
-    /// The U-side neighbours of V-node `v`.
-    pub fn neighbors_v(&self, v: usize) -> Vec<usize> {
-        (0..self.nu).filter(|&u| self.has_edge(u, v)).collect()
-    }
-
     /// Number of edges (`O(1)` — cached at construction).
     #[inline]
     pub fn num_edges(&self) -> usize {
@@ -283,17 +222,6 @@ impl BipartiteGraph {
         &self.adj[u * self.nv..(u + 1) * self.nv]
     }
 
-    /// Whether two U-side nodes share at least one V-side neighbour (adjacency in the
-    /// implicit graph `H'`). Used by tests and verification only.
-    pub fn share_v_neighbor(&self, u1: usize, u2: usize) -> bool {
-        if u1 == u2 {
-            return false;
-        }
-        self.row_u(u1)
-            .iter()
-            .zip(self.row_u(u2).iter())
-            .any(|(&a, &b)| a && b)
-    }
 }
 
 #[cfg(test)]
@@ -308,35 +236,8 @@ mod tests {
         assert!(g.has_edge(0, 1) && g.has_edge(1, 0));
         assert!(!g.has_edge(0, 2));
         assert_eq!(g.degree(1), 2);
-        assert_eq!(g.neighbors(1), vec![0, 2]);
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.n(), 4);
-    }
-
-    #[test]
-    fn square_adjacency() {
-        // Path 0-1-2-3: in G², 0~2 (via 1), 1~3 (via 2), but 0 !~ 3.
-        let g = DenseGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        assert!(g.adjacent_in_square(0, 1));
-        assert!(g.adjacent_in_square(0, 2));
-        assert!(!g.adjacent_in_square(0, 3));
-        assert!(g.adjacent_in_square(1, 3));
-        assert!(!g.adjacent_in_square(2, 2));
-    }
-
-    #[test]
-    fn threshold_graph_construction() {
-        // 3 nodes on a line at 0, 1, 3.
-        let dist = vec![0.0, 1.0, 3.0, 1.0, 0.0, 2.0, 3.0, 2.0, 0.0];
-        let g = DenseGraph::from_distance_threshold(&dist, 3, 1.5);
-        assert!(g.has_edge(0, 1));
-        assert!(!g.has_edge(0, 2));
-        assert!(!g.has_edge(1, 2));
-        assert!(!g.has_edge(0, 0), "no self loops from zero diagonal");
-        assert_eq!(g.num_edges(), 1, "cached count matches the bits");
-        let g2 = DenseGraph::from_distance_threshold(&dist, 3, 2.0);
-        assert!(g2.has_edge(1, 2));
-        assert_eq!(g2.num_edges(), 2);
     }
 
     #[test]
@@ -369,11 +270,7 @@ mod tests {
         assert!(!h.has_edge(1, 0));
         assert_eq!(h.degree_u(0), 2);
         assert_eq!(h.degree_v(2), 2);
-        assert_eq!(h.neighbors_u(0), vec![0, 2]);
-        assert_eq!(h.neighbors_v(2), vec![0, 1]);
         assert_eq!(h.num_edges(), 3);
-        assert!(h.share_v_neighbor(0, 1));
-        assert!(!h.share_v_neighbor(0, 0));
     }
 
     #[test]
@@ -385,13 +282,5 @@ mod tests {
             }
         }
         assert_eq!(h.num_edges(), 6);
-    }
-
-    #[test]
-    fn bipartite_share_neighbor_requires_common_v() {
-        let h = BipartiteGraph::from_edges(3, 2, &[(0, 0), (1, 1), (2, 0)]);
-        assert!(h.share_v_neighbor(0, 2));
-        assert!(!h.share_v_neighbor(0, 1));
-        assert!(!h.share_v_neighbor(1, 2));
     }
 }
