@@ -195,7 +195,11 @@ fn swap_scores(
     }
 }
 
-/// Runs the parallel local search for the given objective.
+/// Runs the parallel local search for the given objective, charging the
+/// swap scoring to `meter`: the caller owns it, so the trace span it opens
+/// around the call counts that work (as `max_dom`'s callers do).
+/// The returned `work` is this call's share of the meter plus the k-center
+/// seed's own.
 ///
 /// # Panics
 /// Panics if `k == 0`, the instance is empty, or the k-center seed's sort
@@ -207,11 +211,12 @@ pub fn parallel_local_search(
     k: usize,
     objective: ClusterObjective,
     cfg: &LocalSearchConfig,
+    meter: &CostMeter,
 ) -> KClusterSolution {
     let n = inst.n();
     assert!(k >= 1, "k must be at least 1");
     assert!(n >= 1, "instance must be non-empty");
-    let meter = CostMeter::new();
+    let start = meter.report();
     let k = k.min(n);
 
     // ---- Initial solution: the parallel k-center 2-approximation ----------------------
@@ -284,14 +289,14 @@ pub fn parallel_local_search(
                 rounds += 1;
                 meter.add_round();
                 // Swap-round frontier = candidate nodes the sweep evaluated.
-                trace::round(rounds as u64, || candidates.len() as u64, &meter);
+                trace::round(rounds as u64, || candidates.len() as u64, meter);
             }
             _ => break,
         }
     }
 
     centers.sort_unstable();
-    let mut work = meter.report();
+    let mut work = meter.delta_since(&start);
     // Fold in the k-center initialisation work.
     work.element_ops += kc.work.element_ops;
     work.primitive_calls += kc.work.primitive_calls;
@@ -313,7 +318,7 @@ pub fn parallel_kmedian(
     k: usize,
     cfg: &LocalSearchConfig,
 ) -> KClusterSolution {
-    parallel_local_search(inst, k, ClusterObjective::KMedian, cfg)
+    parallel_local_search(inst, k, ClusterObjective::KMedian, cfg, &CostMeter::new())
 }
 
 /// Parallel local search for **k-means** (`81 + ε`-approximation in general metrics).
@@ -322,7 +327,7 @@ pub fn parallel_kmeans(
     k: usize,
     cfg: &LocalSearchConfig,
 ) -> KClusterSolution {
-    parallel_local_search(inst, k, ClusterObjective::KMeans, cfg)
+    parallel_local_search(inst, k, ClusterObjective::KMeans, cfg, &CostMeter::new())
 }
 
 #[cfg(test)]
@@ -469,8 +474,8 @@ mod tests {
         let unit = base.clone().with_weights(vec![1.0; 20]);
         let cfg = LocalSearchConfig::new(0.1).with_seed(4);
         for objective in [ClusterObjective::KMedian, ClusterObjective::KMeans] {
-            let a = parallel_local_search(&base, 3, objective, &cfg);
-            let b = parallel_local_search(&unit, 3, objective, &cfg);
+            let a = parallel_local_search(&base, 3, objective, &cfg, &CostMeter::new());
+            let b = parallel_local_search(&unit, 3, objective, &cfg, &CostMeter::new());
             assert_eq!(a.centers, b.centers);
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
             assert_eq!(a.rounds, b.rounds);

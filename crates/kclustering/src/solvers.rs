@@ -8,6 +8,7 @@
 use crate::kcenter::parallel_kcenter_derived;
 use crate::local_search::{parallel_local_search, ClusterObjective, LocalSearchConfig};
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
+use parfaclo_matrixops::CostMeter;
 use parfaclo_metric::coreset::{build_coreset, coreset_instance, Coreset, GridCoreset};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, SCRATCH_BYTES_CAP};
 use parfaclo_trace as trace;
@@ -179,9 +180,10 @@ fn local_search_run(
             coreset_for(Solver::name(solver), inst, eps, cfg.k)?
         };
         let ls_cfg = LocalSearchConfig::from(cfg);
+        let meter = CostMeter::new();
         let sol = {
-            let _span = trace::span("sub-solve", None);
-            parallel_local_search(&sub, cfg.k, objective, &ls_cfg)
+            let _span = trace::span("sub-solve", Some(&meter));
+            parallel_local_search(&sub, cfg.k, objective, &ls_cfg, &meter)
         };
         let sweep_span = trace::span("full-sweep", None);
         // Coreset cell indices are assigned in ascending representative
@@ -231,9 +233,10 @@ fn local_search_run(
         )
     })?;
     let ls_cfg = LocalSearchConfig::from(cfg);
+    let meter = CostMeter::new();
     let sol = {
-        let _span = trace::span("swap-search", None);
-        parallel_local_search(inst, cfg.k, objective, &ls_cfg)
+        let _span = trace::span("swap-search", Some(&meter));
+        parallel_local_search(inst, cfg.k, objective, &ls_cfg, &meter)
     };
     let assignment = {
         let _span = trace::span("full-sweep", None);
@@ -463,6 +466,33 @@ mod tests {
             .solve(&inst, &cfg.with_coreset(Coreset::Eps(0.1)))
             .expect("hierarchical solve succeeds");
         assert_eq!(run.assignment.len(), inst.n());
+    }
+
+    #[test]
+    fn swap_search_and_sub_solve_spans_are_metered() {
+        use std::sync::Arc;
+        let inst = gen::clustering(GenParams::uniform_square(60, 60).with_seed(3));
+        for (cfg, phase) in [
+            (RunConfig::new(0.1).with_seed(3).with_k(4), "swap-search"),
+            (
+                RunConfig::new(0.1)
+                    .with_seed(3)
+                    .with_k(4)
+                    .with_coreset(Coreset::Eps(0.25)),
+                "sub-solve",
+            ),
+        ] {
+            let tracer = Arc::new(trace::Tracer::new(trace::TraceDetail::Phases));
+            let guard = trace::install(Arc::clone(&tracer));
+            KMedianLocalSearchSolver.solve(&inst, &cfg).expect("feasible");
+            drop(guard);
+            let row = tracer
+                .phase_summary()
+                .into_iter()
+                .find(|row| row.name == phase)
+                .expect("phase traced");
+            assert!(row.element_ops > 0, "{phase} reads as zero work");
+        }
     }
 
     #[test]
