@@ -790,7 +790,7 @@ fn cmd_bench(registry: &Registry, opts: Options) -> Result<(), String> {
             matrix.threads.len(),
             matrix.graphs.len(),
             matrix.coresets.len(),
-            matrix.cells(),
+            matrix.cells(&opts.cfg),
             matrix.warmup,
             matrix.trials,
             matrix.n,
