@@ -104,7 +104,10 @@ fn xxlarge_spatial_run_completes() {
 
 /// Spatial clustering instances serve the threshold-graph and center
 /// queries identically to the dense backend at a few thousand nodes (the
-/// scale the k-center binary search actually probes).
+/// scale the k-center binary search actually probes). The radii straddle
+/// the spatial oracle's range-query-or-sweep rule: 5% of the diameter keeps
+/// the grid's window small, node 0's median distance and the diameter send
+/// the query to the blocked sweep.
 #[test]
 fn clustering_spatial_queries_match_dense_at_scale() {
     let params = GenParams::gaussian_clusters(3000, 3000, 12).with_seed(5);
@@ -112,13 +115,17 @@ fn clustering_spatial_queries_match_dense_at_scale() {
     let spatial = gen::build_clustering(params, Backend::Spatial).expect("O(n) construction");
     let d_oracle = dense.distances();
     let s_oracle = spatial.distances();
-    let radius = d_oracle.max_entry() * 0.05;
+    let max = d_oracle.max_entry();
+    for radius in [max * 0.05, median_distance(d_oracle.row_to_vec(0)), max] {
+        for node in [0usize, 777, 1500, 2999] {
+            assert_eq!(
+                d_oracle.cols_within(node, radius),
+                s_oracle.cols_within(node, radius),
+                "node {node} radius {radius}"
+            );
+        }
+    }
     for node in [0usize, 777, 1500, 2999] {
-        assert_eq!(
-            d_oracle.cols_within(node, radius),
-            s_oracle.cols_within(node, radius),
-            "node {node}"
-        );
         assert_eq!(d_oracle.row_min(node), s_oracle.row_min(node));
     }
     let centers: Vec<usize> = (0..3000).step_by(250).collect();
@@ -130,4 +137,41 @@ fn clustering_spatial_queries_match_dense_at_scale() {
         dense.kmedian_cost(&centers).to_bits(),
         spatial.kmedian_cost(&centers).to_bits()
     );
+}
+
+/// The same rule on a rectangular facility-location instance: both point
+/// sides exceed the flat-scan cutoff (64), so `rows_within` queries the
+/// client grid and `cols_within` the facility grid, on both sides of the
+/// range-query-or-sweep rule.
+#[test]
+fn facility_location_range_queries_match_dense_at_scale() {
+    let params = GenParams::gaussian_clusters(2000, 150, 6).with_seed(11);
+    let dense = gen::facility_location(params);
+    let spatial = gen::build_facility_location(params, Backend::Spatial).expect("construction");
+    let d_oracle = dense.distances();
+    let s_oracle = spatial.distances();
+    let max = d_oracle.max_entry();
+    let mut column = vec![0.0; d_oracle.rows()];
+    d_oracle.col_range_into(0, 0, &mut column);
+    for radius in [max * 0.05, median_distance(column), max] {
+        for facility in [0usize, 71, 149] {
+            assert_eq!(
+                d_oracle.rows_within(facility, radius),
+                s_oracle.rows_within(facility, radius),
+                "facility {facility} radius {radius}"
+            );
+        }
+        for client in [0usize, 999, 1999] {
+            assert_eq!(
+                d_oracle.cols_within(client, radius),
+                s_oracle.cols_within(client, radius),
+                "client {client} radius {radius}"
+            );
+        }
+    }
+}
+
+fn median_distance(mut distances: Vec<f64>) -> f64 {
+    distances.sort_by(f64::total_cmp);
+    distances[distances.len() / 2]
 }
