@@ -125,7 +125,6 @@ impl DenseGraph {
     pub fn row(&self, v: usize) -> &[bool] {
         &self.adj[v * self.n..(v + 1) * self.n]
     }
-
 }
 
 /// A bipartite graph `H = (U, V, E)` stored as a dense `|U| × |V|` boolean matrix.
@@ -221,7 +220,6 @@ impl BipartiteGraph {
     pub fn row_u(&self, u: usize) -> &[bool] {
         &self.adj[u * self.nv..(u + 1) * self.nv]
     }
-
 }
 
 #[cfg(test)]

@@ -484,7 +484,9 @@ mod tests {
         ] {
             let tracer = Arc::new(trace::Tracer::new(trace::TraceDetail::Phases));
             let guard = trace::install(Arc::clone(&tracer));
-            KMedianLocalSearchSolver.solve(&inst, &cfg).expect("feasible");
+            KMedianLocalSearchSolver
+                .solve(&inst, &cfg)
+                .expect("feasible");
             drop(guard);
             let row = tracer
                 .phase_summary()
