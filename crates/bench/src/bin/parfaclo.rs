@@ -76,8 +76,11 @@ OPTIONS:
                         the points and computes distances on demand
                         (O(|C|+|F|) memory, but every structured query is an
                         O(n) sweep); spatial adds deterministic exact
-                        kd-tree/grid indexes over the points so nearest/range
-                        queries run sublinearly (O(|C|+|F|) memory — the
+                        kd-tree/grid indexes over the points so nearest
+                        queries run sublinearly, and range queries too
+                        unless the grid's query window holds more than
+                        1/8 of the points, where the O(n) kernel sweep
+                        answers instead (O(|C|+|F|) memory — the
                         backend that makes xxlarge practical; the
                         clustering/dominator probes still need O(n²)
                         transients at any backend).
@@ -150,8 +153,9 @@ BENCH OPTIONS (parfaclo bench only):
     --backends <a,b>    Backend subset (dense,implicit,spatial)
                         [default: dense,implicit,spatial]
     --graphs <a,b>      Threshold-graph representations to sweep for the
-                        graph-backed solvers (dense,csr); non-graph
-                        solvers always run once   [default: dense,csr]
+                        solvers that read --graph (dense,csr): maxdom,
+                        mis, and kcenter under --radius-deriver sketch;
+                        the rest run once          [default: dense,csr]
     --coresets <a,b>    Coreset settings to sweep for the k-clustering
                         solvers (off and/or eps:<f64> entries);
                         non-clustering solvers always run once
