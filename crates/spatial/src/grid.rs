@@ -410,7 +410,12 @@ impl UniformGrid {
     /// so the count reads two bucket offsets per row, visits no cell and
     /// computes no distance; the rows it gathers are the ones the query
     /// then scans.
-    pub fn range_capped(&self, q: &[f64], radius: f64, max_points: usize) -> Option<Vec<usize>> {
+    pub(crate) fn range_capped(
+        &self,
+        q: &[f64],
+        radius: f64,
+        max_points: usize,
+    ) -> Option<Vec<usize>> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         let mut out = Vec::new();
         if self.is_empty() || radius < 0.0 {

@@ -234,9 +234,8 @@ impl SpatialIndex {
     }
 
     /// [`SpatialIndex::range`], or `None` when the grid's query window
-    /// holds more than `max_points` points (see
-    /// [`UniformGrid::range_capped`]). The flat index and the kd-tree
-    /// always answer.
+    /// holds more than `max_points` points, counted before any distance is
+    /// computed. The flat index and the kd-tree always answer.
     pub fn range_capped(&self, q: &[f64], radius: f64, max_points: usize) -> Option<Vec<usize>> {
         match self {
             SpatialIndex::Grid(g) => g.range_capped(q, radius, max_points),
