@@ -17,13 +17,17 @@
 //! configurations, whose 79,800 half-matrix distance keys are above the
 //! parallel sort's sequential cutoff.
 //!
-//! Re-bless after an intended output change (and explain the diff in the
-//! commit message):
+//! A mismatch names each differing cell, whether its trace hash moved, and
+//! every Run-JSON field whose value changed (object fields such as `work`
+//! one level deep), so the test output is the diff to explain. Re-bless
+//! after an intended output change (and explain the diff in the commit
+//! message):
 //!
 //! ```text
 //! cargo test -p parfaclo-tests --test golden -- --ignored bless_golden_corpus
 //! ```
 
+use parfaclo_api::json::JsonValue;
 use parfaclo_api::{Backend, GraphBackend, RunConfig};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
@@ -174,6 +178,77 @@ fn committed_corpus() -> BTreeMap<String, Vec<(String, String)>> {
     corpus
 }
 
+/// The trace hash and Run-JSON object fields of one golden line
+/// (`<cell id> <hash> <json>`), or `None` if the JSON does not parse.
+fn parse_line(line: &str) -> Option<(&str, Vec<(String, JsonValue)>)> {
+    let mut parts = line.splitn(3, ' ');
+    parts.next()?;
+    let hash = parts.next()?;
+    match JsonValue::parse(parts.next()?).ok()? {
+        JsonValue::Object(fields) => Some((hash, fields)),
+        _ => None,
+    }
+}
+
+/// The value of `key` among an object's fields.
+fn field<'a>(fields: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// A field value for a mismatch report, cut to 72 characters.
+fn show(value: Option<&JsonValue>) -> String {
+    let text = value.map_or("(absent)".to_string(), ToString::to_string);
+    match text.char_indices().nth(72) {
+        Some((cut, _)) => format!("{}…", &text[..cut]),
+        None => text,
+    }
+}
+
+/// Appends `path: old -> new` for every field of `want` or `got` whose value
+/// differs, in `want`'s field order and then `got`'s new fields. Fields that
+/// are objects on both sides are compared one level deeper when `descend`.
+fn diff_fields(
+    prefix: &str,
+    want: &[(String, JsonValue)],
+    got: &[(String, JsonValue)],
+    descend: bool,
+    out: &mut Vec<String>,
+) {
+    let added = got.iter().filter(|(k, _)| field(want, k).is_none());
+    for (key, _) in want.iter().chain(added) {
+        let (w, g) = (field(want, key), field(got, key));
+        if w.map(ToString::to_string) == g.map(ToString::to_string) {
+            continue;
+        }
+        match (w, g) {
+            (Some(JsonValue::Object(wf)), Some(JsonValue::Object(gf))) if descend => {
+                diff_fields(&format!("{prefix}{key}."), wf, gf, false, out);
+            }
+            _ => out.push(format!("{prefix}{key}: {} -> {}", show(w), show(g))),
+        }
+    }
+}
+
+/// Explains a differing cell: whether the trace hash moved and which fields
+/// changed. Falls back to both raw lines if either JSON does not parse.
+fn explain(want: &str, got: &str) -> String {
+    let (Some((want_hash, want_fields)), Some((got_hash, got_fields))) =
+        (parse_line(want), parse_line(got))
+    else {
+        return format!("  expected: {want}\n  actual:   {got}");
+    };
+    let mut out = vec![if want_hash == got_hash {
+        "trace hash unchanged".to_string()
+    } else {
+        format!("trace hash: {want_hash} -> {got_hash}")
+    }];
+    diff_fields("", &want_fields, &got_fields, true, &mut out);
+    out.iter()
+        .map(|l| format!("  {l}"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 #[test]
 fn golden_corpus_matches() {
     let actual = actual_corpus();
@@ -186,9 +261,9 @@ fn golden_corpus_matches() {
                 .and_then(|l| l.iter().find(|(i, _)| i == id))
             {
                 Some((_, want)) if want == line => {}
-                Some((_, want)) => problems.push(format!(
-                    "differs: {solver} {id}\n  expected: {want}\n  actual:   {line}"
-                )),
+                Some((_, want)) => {
+                    problems.push(format!("differs: {solver} {id}\n{}", explain(want, line)))
+                }
                 None => problems.push(format!("missing: {solver} {id}\n  actual:   {line}")),
             }
         }
