@@ -21,7 +21,7 @@
 use crate::config::FlConfig;
 use crate::solution::FlSolution;
 use parfaclo_bucket::{BucketMapping, BucketQueue};
-use parfaclo_dominator::{max_u_dom, BipartiteGraph};
+use parfaclo_dominator::{max_u_dom, CsrBipartite};
 use parfaclo_lp::dual;
 use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{DistanceOracle, FacilityId, FlInstance};
@@ -272,11 +272,22 @@ pub fn parallel_primal_dual_detailed(
     drop(ascent_span);
 
     // ---- Post-processing: MaxUDom over the tight-edge graph ----------------------------
-    // H = (F_T, C, E) with ij ∈ E iff (1+ε)·α_j > d(j, i).
+    // H = (F_T, C, E) with ij ∈ E iff (1+ε)·α_j > d(j, i): each facility's row is one
+    // sweep over its kernel column, in parallel over facilities.
     let postprocess_span = trace::span("postprocess-maxudom", Some(&meter));
     let ft: Vec<FacilityId> = temporarily_open.clone();
-    let h =
-        BipartiteGraph::from_predicate(ft.len(), nc, |u, j| slack * alpha[j] > inst.dist(j, ft[u]));
+    let rows = dual::map_facilities(ft.len(), nc, |u| {
+        let mut row = Vec::new();
+        inst.distances().for_each_column_tile(ft[u], |start, tile| {
+            for (j, &d) in (start..).zip(tile) {
+                if slack * alpha[j] > d {
+                    row.push(j as u32);
+                }
+            }
+        });
+        row
+    });
+    let h = CsrBipartite::from_u_rows(ft.len(), nc, rows);
     meter.add_primitive((ft.len() * nc) as u64);
     let dom = if ft.is_empty() {
         parfaclo_dominator::DominatorResult {
@@ -377,9 +388,12 @@ fn preprocess(inst: &FlInstance, cfg: &FlConfig, gamma: f64, meter: &CostMeter) 
     let m = inst.m() as f64;
     let threshold = gamma / (m * m);
     let is_free = |i: usize| -> bool {
-        let paid: f64 = (0..nc)
-            .map(|j| (threshold - inst.dist(j, i)).max(0.0))
-            .sum();
+        let mut paid = 0.0;
+        inst.distances().for_each_column_tile(i, |_, tile| {
+            for &d in tile {
+                paid += (threshold - d).max(0.0);
+            }
+        });
         paid >= inst.facility_cost(i)
     };
     let free: Vec<bool> = if inst.m() >= PAR_THRESHOLD {

@@ -222,11 +222,17 @@ impl CsrBipartite {
         Self::from_u_rows(nu, nv, u_rows)
     }
 
-    /// Assembles both CSR sides from ascending per-`u` rows. The `v`-side is
+    /// Assembles both CSR sides from ascending, duplicate-free per-`u` rows
+    /// (`u_rows[u]` lists the `v`-neighbours of `u`). The `v`-side is
     /// derived with a counting sort: scanning `u` in ascending order fills
     /// each `v`-row in ascending `u` order, keeping both sides sorted and
     /// positionally deterministic.
-    fn from_u_rows(nu: usize, nv: usize, u_rows: Vec<Vec<u32>>) -> Self {
+    ///
+    /// # Panics
+    /// Panics if `u_rows.len() != nu` or a neighbour is out of range.
+    pub fn from_u_rows(nu: usize, nv: usize, u_rows: Vec<Vec<u32>>) -> Self {
+        assert_eq!(u_rows.len(), nu, "one row per U-side node");
+        debug_assert!(u_rows.iter().all(|row| row.windows(2).all(|w| w[0] < w[1])));
         let mut u_offsets = Vec::with_capacity(nu + 1);
         let mut total = 0usize;
         u_offsets.push(0);
