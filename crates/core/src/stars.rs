@@ -25,11 +25,6 @@ pub struct Star {
     pub clients: Vec<ClientId>,
 }
 
-/// Number of distinct bucket keys under the default geometric mapping
-/// (4 refinement bits: 12 exponent+mantissa bits survive the shift, and the
-/// sign bit of a non-negative finite `f64` is always 0).
-const LAZY_KEYS: usize = 1 << 16;
-
 /// Per-facility lazily-sorted client order, bucketed by distance.
 ///
 /// The clients are partitioned once into geometric distance buckets
@@ -59,24 +54,28 @@ pub struct LazyFacilityOrder {
 
 impl LazyFacilityOrder {
     /// Buckets facility `i`'s client distances. One oracle column fill plus
-    /// a counting pass — `O(|C| + K)` work, no sort.
+    /// a counting pass — `O(|C| + K)` work, no sort, where `K` is the
+    /// column's bucket-key range (`hi − lo + 1`): the counting array spans
+    /// only the keys the column uses, not the mapping's whole key space,
+    /// so a small column does not pay for a large histogram.
     fn build(inst: &FlInstance, i: FacilityId, mapping: BucketMapping) -> Self {
         let nc = inst.num_clients();
         let mut row = vec![0.0f64; nc];
         inst.distances().col_range_into(i, 0, &mut row);
-        let mut starts = vec![0u32; LAZY_KEYS];
-        for &d in &row {
-            let key = mapping.bucket_of(d) as usize;
-            debug_assert!(key < LAZY_KEYS);
-            starts[key] += 1;
+        let keys: Vec<u32> = row.iter().map(|&d| mapping.bucket_of(d)).collect();
+        let lo = keys.iter().copied().min().unwrap_or(0);
+        let hi = keys.iter().copied().max().unwrap_or(lo);
+        let mut starts = vec![0u32; (hi - lo) as usize + 1];
+        for &key in &keys {
+            starts[(key - lo) as usize] += 1;
         }
         let mut bucket_keys = Vec::new();
         let mut bucket_offsets = Vec::new();
         let mut total = 0u32;
-        for (key, slot) in starts.iter_mut().enumerate() {
+        for (key, slot) in (lo..).zip(starts.iter_mut()) {
             let count = *slot;
             if count > 0 {
-                bucket_keys.push(key as u32);
+                bucket_keys.push(key);
                 bucket_offsets.push(total);
             }
             *slot = total;
@@ -84,10 +83,10 @@ impl LazyFacilityOrder {
         }
         bucket_offsets.push(total);
         let mut bucket_ids = vec![0u32; nc];
-        for (j, &d) in row.iter().enumerate() {
-            let key = mapping.bucket_of(d) as usize;
-            bucket_ids[starts[key] as usize] = j as u32;
-            starts[key] += 1;
+        for (j, &key) in keys.iter().enumerate() {
+            let slot = &mut starts[(key - lo) as usize];
+            bucket_ids[*slot as usize] = j as u32;
+            *slot += 1;
         }
         LazyFacilityOrder {
             bucket_keys,
@@ -478,31 +477,62 @@ mod tests {
         // sequence of rounds with shrinking remaining sets and zeroed
         // facility costs — the exact access pattern of the greedy loop —
         // and demand identical stars (prices bit-equal, client lists
-        // element-equal) at every step.
-        let inst = gen::facility_location(GenParams::gaussian_clusters(60, 9, 4).with_seed(11));
-        let meter = CostMeter::new();
-        let presort = FacilityOrders::presort(&inst);
-        let mut lazy = LazyOrders::build(&inst, &meter);
-        let mut remaining = vec![true; 60];
-        let mut fcosts: Vec<f64> = (0..9).map(|i| inst.facility_cost(i)).collect();
-        for round in 0..6 {
-            let eager = all_cheapest_stars(&inst, &fcosts, &presort, &remaining);
-            let bucketed = all_cheapest_stars_lazy(&inst, &fcosts, &mut lazy, &remaining, &meter);
-            assert_eq!(eager, bucketed, "round {round}");
-            // Mimic a greedy round: open the cheapest star, zero its cost,
-            // remove its clients.
-            let best = eager
-                .iter()
-                .flatten()
-                .min_by(|a, b| a.price.partial_cmp(&b.price).unwrap())
-                .cloned();
-            let Some(star) = best else { break };
-            fcosts[star.facility] = 0.0;
-            for &j in &star.clients {
-                remaining[j] = false;
-            }
-            if !remaining.iter().any(|&r| r) {
-                break;
+        // element-equal) at every step. Besides the clustered instance,
+        // the hand-written columns pin the edges of the range-sized
+        // counting pass: co-located clients (key 0 next to higher keys),
+        // all-equal distances (one bucket, lowest key = highest key) and
+        // a single client.
+        let columns = FlInstance::new(
+            vec![1.0, 2.0, 0.5],
+            DistanceMatrix::from_rows(
+                5,
+                3,
+                vec![
+                    0.0, 3.0, 0.001, //
+                    0.0, 3.0, 1000.0, //
+                    2.5, 3.0, 0.0, //
+                    0.0, 3.0, 7.0, //
+                    9.0, 3.0, 0.5,
+                ],
+            ),
+        );
+        let single = FlInstance::new(
+            vec![4.0, 0.0],
+            DistanceMatrix::from_rows(1, 2, vec![1.5, 0.0]),
+        );
+        let clustered =
+            gen::facility_location(GenParams::gaussian_clusters(60, 9, 4).with_seed(11));
+        for (label, inst) in [
+            ("clustered", clustered),
+            ("columns", columns),
+            ("single", single),
+        ] {
+            let (nc, nf) = (inst.num_clients(), inst.num_facilities());
+            let meter = CostMeter::new();
+            let presort = FacilityOrders::presort(&inst);
+            let mut lazy = LazyOrders::build(&inst, &meter);
+            let mut remaining = vec![true; nc];
+            let mut fcosts: Vec<f64> = (0..nf).map(|i| inst.facility_cost(i)).collect();
+            for round in 0..6 {
+                let eager = all_cheapest_stars(&inst, &fcosts, &presort, &remaining);
+                let bucketed =
+                    all_cheapest_stars_lazy(&inst, &fcosts, &mut lazy, &remaining, &meter);
+                assert_eq!(eager, bucketed, "{label}, round {round}");
+                // Mimic a greedy round: open the cheapest star, zero its
+                // cost, remove its clients.
+                let best = eager
+                    .iter()
+                    .flatten()
+                    .min_by(|a, b| a.price.partial_cmp(&b.price).unwrap())
+                    .cloned();
+                let Some(star) = best else { break };
+                fcosts[star.facility] = 0.0;
+                for &j in &star.clients {
+                    remaining[j] = false;
+                }
+                if !remaining.iter().any(|&r| r) {
+                    break;
+                }
             }
         }
     }
