@@ -20,6 +20,7 @@
 
 use crate::config::FlConfig;
 use crate::solution::FlSolution;
+use crate::stars::{self, LazyOrders};
 use parfaclo_bucket::{BucketMapping, BucketQueue};
 use parfaclo_dominator::{max_u_dom, CsrBipartite};
 use parfaclo_lp::dual;
@@ -130,7 +131,9 @@ pub fn parallel_primal_dual_detailed(
     // are touched only when their event level arrives:
     //
     // * an **open queue** keyed by the (integer) earliest iteration at which a
-    //   facility's payments could cover its cost; a popped facility gets the exact
+    //   facility's payments could cover its cost — first its cheapest-star step
+    //   ([`star_step`]), then, after a failed check, a Lipschitz bound
+    //   ([`reschedule_ahead`]); a popped facility gets the exact
     //   `Σ_j max(0, (1+ε)·α_j − d(j,i))` check and is either opened or conservatively
     //   rescheduled, and
     // * a **freeze queue** keyed by each client's distance to its nearest opened
@@ -144,6 +147,17 @@ pub fn parallel_primal_dual_detailed(
     // iteration. The test-only `rescan_ladder` replays the data-parallel formulation and
     // must agree bit for bit. Work-meter charges reflect the events actually evaluated.
     let ascent_span = trace::span("dual-ascent", Some(&meter));
+    // Each facility's cheapest-star price over the clients still unfrozen, from the
+    // lazily sorted star orders (dropped once the open queue is seeded).
+    let prices: Vec<Option<f64>> = {
+        let mut orders = LazyOrders::build(inst, &meter);
+        let unfrozen: Vec<bool> = frozen.iter().map(|&f| !f).collect();
+        let costs: Vec<f64> = (0..nf).map(|i| inst.facility_cost(i)).collect();
+        stars::all_cheapest_stars_lazy(inst, &costs, &mut orders, &unfrozen, &meter)
+            .into_iter()
+            .map(|star| star.map(|s| s.price))
+            .collect()
+    };
     let nc_f = nc as f64;
     let mut temporarily_open: Vec<FacilityId> = Vec::new();
     let mut unfrozen_count = frozen.iter().filter(|&&f| !f).count();
@@ -178,7 +192,7 @@ pub fn parallel_primal_dual_detailed(
     });
     for (i, &is_open) in opened.iter().enumerate() {
         if !is_open {
-            let step = earliest_open_step(inst.facility_cost(i), nc_f, slack, alpha0, ln_slack);
+            let step = star_step(inst.facility_cost(i), prices[i], slack, alpha0, ln_slack);
             open_q.insert(i as u32, step as f64);
         }
     }
@@ -434,17 +448,26 @@ fn raise_unfrozen(inst: &FlInstance, frozen: &[bool], alpha: &mut [f64], opened:
     }
 }
 
-/// Earliest 0-based iteration at which facility `i` (cost `fi`) could possibly
-/// open: payments are bounded by `nc·(1+ε)·t` because every dual is at most the
-/// current level, so opening needs `t ≥ fi / (nc·(1+ε))`, i.e.
-/// `(1+ε)^step ≥ fi / (nc·(1+ε)·α₀)`. The estimate is shifted two iterations
-/// earlier so floating-point error in the logarithms can only cause a harmless
-/// early (exact) re-check, never a late one.
-fn earliest_open_step(fi: f64, nc: f64, slack: f64, alpha0: f64, ln_slack: f64) -> usize {
-    if alpha0 <= 0.0 || fi <= nc * slack * alpha0 {
+/// Earliest 0-based iteration at which a facility of cost `fi` could open, given
+/// its cheapest-star `price` over the clients unfrozen when the ladder starts
+/// (`None` if there are none; the ladder then never runs).
+///
+/// No dual ever exceeds the current level `t`: unfrozen duals hold it, frozen ones
+/// stopped rising below it, and clients frozen by preprocessing sit at 0 and pay
+/// nothing. So the facility's payment at level `t` is at most
+/// `Σ_{j unfrozen} max(0, (1+ε)·t − d(j,i))`, and for `fi > 0` that sum reaches `fi`
+/// exactly when `(1+ε)·t` reaches the price (Fact 4.2). The facility therefore cannot
+/// open before the first step with `(1+ε)·α₀·(1+ε)^step ≥ price`, and opens exactly
+/// there if no client freezes first. The step is shifted two iterations earlier so
+/// floating-point error in the logarithms and the price can only cause a harmless
+/// early (exact) re-check, never a late one. A facility with `fi ≤ 0` can open at
+/// any level, so it goes in at step 0.
+fn star_step(fi: f64, price: Option<f64>, slack: f64, alpha0: f64, ln_slack: f64) -> usize {
+    let Some(price) = price else { return 0 };
+    if fi <= 0.0 || alpha0 <= 0.0 || price <= slack * alpha0 {
         return 0;
     }
-    let est = ((fi / (nc * slack * alpha0)).ln() / ln_slack).ceil();
+    let est = ((price / (slack * alpha0)).ln() / ln_slack).ceil();
     if !est.is_finite() || est <= 2.0 {
         0
     } else {
@@ -457,9 +480,9 @@ fn earliest_open_step(fi: f64, nc: f64, slack: f64, alpha0: f64, ln_slack: f64) 
 /// `deficit` can safely be rescheduled. Payments grow by at most
 /// `nc·(1+ε)·(t′ − t)` between levels `t` and `t′` (each of the `nc` duals rises
 /// by at most `t′ − t` and `max(0, ·)` is 1-Lipschitz), so the facility cannot
-/// open before `(1+ε)^k ≥ 1 + deficit/(nc·(1+ε)·t)`. As with
-/// [`earliest_open_step`] the bound is shrunk by two iterations to absorb
-/// floating-point error; re-checking early is always safe.
+/// open before `(1+ε)^k ≥ 1 + deficit/(nc·(1+ε)·t)`. As with [`star_step`]
+/// the bound is shrunk by two iterations to absorb floating-point error;
+/// re-checking early is always safe.
 fn reschedule_ahead(deficit: f64, nc: f64, slack: f64, t: f64, ln_slack: f64) -> usize {
     // Degenerate levels (t = 0) or non-positive deficits make the ratio
     // non-finite or non-positive: just re-check next iteration.
