@@ -720,17 +720,73 @@ mod tests {
     fn scan_and_bucket_engines_agree_bit_for_bit() {
         // The bucket event loop must replay the reference rescan ladder
         // exactly: same opens (order included), same α bits, same
-        // iteration count. The last instance is above the dispatch grain
-        // (600 clients put it at 4 facilities), so its payment map forks.
-        let instances = (0..4)
-            .map(|seed| (seed, GenParams::uniform_square(24, 10)))
-            .chain([(4, GenParams::uniform_square(600, 40))]);
-        for (seed, params) in instances {
-            let inst = gen::facility_location(params.with_seed(seed));
+        // iteration count. The 600-client instance is above the dispatch
+        // grain (600 clients put it at 4 facilities), so its payment map
+        // forks. The rest cover the schedule's edges: zero, mixed zero and
+        // positive, tiny and huge facility costs; tied distances (grid,
+        // line); clustered layouts; and ε from 0.001 to 1.
+        let layouts = [
+            GenParams::uniform_square(24, 10),
+            GenParams::grid(24, 10),
+            GenParams::line(24, 10),
+            GenParams::gaussian_clusters(24, 10, 3),
+            GenParams::planted(24, 10, 3),
+        ];
+        let costs = [
+            None,
+            Some(FacilityCostModel::Zero),
+            Some(FacilityCostModel::UniformRange { lo: 0.0, hi: 2.0 }),
+            Some(FacilityCostModel::Uniform(1e-9)),
+            Some(FacilityCostModel::Uniform(1e6)),
+        ];
+        let mut generated: Vec<(u64, GenParams, f64)> = (0..4)
+            .map(|seed| (seed, GenParams::uniform_square(24, 10), 0.15))
+            .chain([(4, GenParams::uniform_square(600, 40), 0.15)])
+            .collect();
+        for (l, layout) in layouts.into_iter().enumerate() {
+            for (c, cost) in costs.into_iter().enumerate() {
+                let seed = (10 + 5 * l + c) as u64;
+                let params = cost.map_or(layout, |model| layout.with_cost_model(model));
+                generated.push((seed, params, 0.1));
+                generated.push((seed, params, 1.0));
+                // ε = 0.001 runs thousands of rescan iterations: two cost
+                // models per layout, rotating, so each model meets two layouts.
+                if (c + costs.len() - l) % costs.len() < 2 {
+                    generated.push((seed, params, 0.001));
+                }
+            }
+        }
+        let mut cases: Vec<(String, FlInstance, f64)> = generated
+            .into_iter()
+            .map(|(seed, params, eps)| {
+                let inst = gen::facility_location(params.with_seed(seed));
+                let label = format!("seed {seed}, {:?}, {:?}", params.spatial, params.cost_model);
+                if !matches!(params.cost_model, FacilityCostModel::UniformRange { lo, .. } if lo == 0.0)
+                {
+                    return (label, inst, eps);
+                }
+                // Zero every other cost, so zero and positive costs mix.
+                let mixed = (0..inst.num_facilities())
+                    .map(|i| if i % 2 == 0 { 0.0 } else { inst.facility_cost(i) })
+                    .collect();
+                (label, FlInstance::with_oracle(mixed, inst.distances().clone()), eps)
+            })
+            .collect();
+        // A price exactly on a ladder level. Without preprocessing α₀ = 1 and
+        // ε = 1, so the levels are the powers of two and the star price 2^30
+        // equals (1+ε)·t at step 29; the rounded ratio ln(2^29)/ln(2) lies
+        // above 29, so only the two-step guard keeps the first check on time.
+        cases.push((
+            "price on ladder step 29".to_string(),
+            FlInstance::new(
+                vec![(1u64 << 30) as f64 - 1.0],
+                DistanceMatrix::from_rows(1, 1, vec![1.0]),
+            ),
+            1.0,
+        ));
+        for (name, inst, eps) in cases {
             for preprocess in [true, false] {
-                let cfg = FlConfig::new(0.15)
-                    .with_seed(seed)
-                    .with_preprocess(preprocess);
+                let cfg = FlConfig::new(eps).with_preprocess(preprocess);
                 let (alpha, temporarily_open, iterations) = rescan_ladder(&inst, &cfg);
                 for threads in [1, 4] {
                     let out = rayon::ThreadPoolBuilder::new()
@@ -738,7 +794,8 @@ mod tests {
                         .build()
                         .unwrap()
                         .install(|| parallel_primal_dual_detailed(&inst, &cfg).unwrap());
-                    let label = format!("seed {seed}, preprocess {preprocess}, {threads} threads");
+                    let label =
+                        format!("{name}, eps {eps}, preprocess {preprocess}, {threads} threads");
                     assert_eq!(out.temporarily_open, temporarily_open, "{label}");
                     assert_eq!(out.solution.rounds, iterations, "{label}");
                     for (a, b) in out.solution.alpha.iter().zip(&alpha) {
