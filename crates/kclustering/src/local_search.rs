@@ -298,10 +298,7 @@ pub fn parallel_local_search(
     centers.sort_unstable();
     let mut work = meter.delta_since(&start);
     // Fold in the k-center initialisation work.
-    work.element_ops += kc.work.element_ops;
-    work.primitive_calls += kc.work.primitive_calls;
-    work.sort_calls += kc.work.sort_calls;
-    work.rounds += kc.work.rounds;
+    work += kc.work;
 
     KClusterSolution {
         centers,

@@ -14,12 +14,14 @@ use parfaclo_metric::{ClusterInstance, DistanceOracle, SCRATCH_BYTES_CAP};
 use parfaclo_trace as trace;
 
 /// Builds the ε-grid coreset and its weighted sub-instance for a hierarchical
-/// solve, or explains why it cannot.
+/// solve, or explains why it cannot. Charges `meter` with the grid pass over
+/// the `n` points and the sub-instance's `cells²` distances.
 fn coreset_for(
     solver_name: &str,
     inst: &ClusterInstance,
     eps: f64,
     k: usize,
+    meter: &CostMeter,
 ) -> Result<(GridCoreset, ClusterInstance), String> {
     let points = inst.points().ok_or_else(|| {
         format!(
@@ -29,6 +31,7 @@ fn coreset_for(
         )
     })?;
     let cs = build_coreset(points, eps);
+    meter.add_primitive(inst.n() as u64);
     // The sub-instance is a dense `cells × cells` matrix.
     let bytes = (cs.len() as u64).pow(2).saturating_mul(8);
     if bytes > SCRATCH_BYTES_CAP {
@@ -47,6 +50,7 @@ fn coreset_for(
         ));
     }
     let sub = coreset_instance(inst, &cs);
+    meter.add_primitive((cs.len() * cs.len()) as u64);
     Ok((cs, sub))
 }
 
@@ -93,15 +97,19 @@ impl Solver for KCenterSolver {
 
     fn solve(&self, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
         if let Coreset::Eps(eps) = cfg.coreset {
+            // Meters the coreset build and the full-set sweep; the sub-solve's
+            // work comes back in `sol.work`.
+            let meter = CostMeter::new();
             let (cs, sub) = {
-                let _span = trace::span("coreset-build", None);
-                coreset_for(Solver::name(self), inst, eps, cfg.k)?
+                let _span = trace::span("coreset-build", Some(&meter));
+                coreset_for(Solver::name(self), inst, eps, cfg.k, &meter)?
             };
             let sol = {
                 let _span = trace::span("sub-solve", None);
                 parallel_kcenter_derived(&sub, cfg.k, cfg.seed, cfg.graph, cfg.radius_deriver)?
             };
-            let sweep_span = trace::span("full-sweep", None);
+            let sweep_span = trace::span("full-sweep", Some(&meter));
+            meter.add_primitive((inst.n() * sol.centers.len()) as u64);
             // Coreset cell indices are assigned in ascending representative
             // order, so this mapping preserves the sorted-centers invariant.
             let centers: Vec<usize> = sol
@@ -118,6 +126,8 @@ impl Solver for KCenterSolver {
                 assignment.push(ctr);
             }
             drop(sweep_span);
+            let mut work = sol.work;
+            work += meter.report();
             // No `with_lower_bound`: the sub-instance's certified threshold
             // bounds the coreset optimum, not the full-set optimum.
             return Ok(Run::new(Solver::name(self), ProblemKind::KClustering)
@@ -127,7 +137,7 @@ impl Solver for KCenterSolver {
                 .with_selected(centers)
                 .with_assignment(assignment)
                 .with_rounds(sol.probes, sol.luby_rounds)
-                .with_work(sol.work)
+                .with_work(work)
                 .with_extra("threshold", sol.threshold)
                 .with_extra("probes", sol.probes as f64)
                 .with_extra("k", cfg.k as f64)
@@ -175,9 +185,13 @@ fn local_search_run(
     cfg: &RunConfig,
 ) -> Result<Run, String> {
     if let Coreset::Eps(eps) = cfg.coreset {
+        // `outer` meters the coreset build and the full-set sweep; the
+        // sub-solve's work (its k-center seed included) comes back in
+        // `sol.work`.
+        let outer = CostMeter::new();
         let (cs, sub) = {
-            let _span = trace::span("coreset-build", None);
-            coreset_for(Solver::name(solver), inst, eps, cfg.k)?
+            let _span = trace::span("coreset-build", Some(&outer));
+            coreset_for(Solver::name(solver), inst, eps, cfg.k, &outer)?
         };
         let ls_cfg = LocalSearchConfig::from(cfg);
         let meter = CostMeter::new();
@@ -185,7 +199,8 @@ fn local_search_run(
             let _span = trace::span("sub-solve", Some(&meter));
             parallel_local_search(&sub, cfg.k, objective, &ls_cfg, &meter)
         };
-        let sweep_span = trace::span("full-sweep", None);
+        let sweep_span = trace::span("full-sweep", Some(&outer));
+        outer.add_primitive((inst.n() * sol.centers.len()) as u64);
         // Coreset cell indices are assigned in ascending representative
         // order, so this mapping preserves the sorted-centers invariant.
         let centers: Vec<usize> = sol
@@ -207,6 +222,8 @@ fn local_search_run(
             assignment.push(ctr);
         }
         drop(sweep_span);
+        let mut work = sol.work;
+        work += outer.report();
         return Ok(Run::new(Solver::name(solver), ProblemKind::KClustering)
             .with_guarantee(Solver::guarantee(solver))
             .with_instance_size(inst.n(), inst.n() * inst.n())
@@ -214,7 +231,7 @@ fn local_search_run(
             .with_selected(centers)
             .with_assignment(assignment)
             .with_rounds(sol.rounds, 0)
-            .with_work(sol.work)
+            .with_work(work)
             .with_extra("initial_cost", sol.initial_cost)
             .with_extra("k", cfg.k as f64)
             .with_extra("coreset_cost", sol.cost)
@@ -472,28 +489,41 @@ mod tests {
     fn swap_search_and_sub_solve_spans_are_metered() {
         use std::sync::Arc;
         let inst = gen::clustering(GenParams::uniform_square(60, 60).with_seed(3));
-        for (cfg, phase) in [
-            (RunConfig::new(0.1).with_seed(3).with_k(4), "swap-search"),
+        let direct = RunConfig::new(0.1).with_seed(3).with_k(4);
+        let coreset = direct.clone().with_coreset(Coreset::Eps(0.25));
+        type Solve = fn(&ClusterInstance, &RunConfig) -> Result<Run, String>;
+        let local: Solve = |inst, cfg| KMedianLocalSearchSolver.solve(inst, cfg);
+        let kcenter: Solve = |inst, cfg| KCenterSolver.solve(inst, cfg);
+        for (solver, cfg, phases) in [
+            (local, &direct, &["swap-search"][..]),
             (
-                RunConfig::new(0.1)
-                    .with_seed(3)
-                    .with_k(4)
-                    .with_coreset(Coreset::Eps(0.25)),
-                "sub-solve",
+                local,
+                &coreset,
+                &["coreset-build", "sub-solve", "full-sweep"][..],
             ),
+            (kcenter, &coreset, &["coreset-build", "full-sweep"][..]),
         ] {
             let tracer = Arc::new(trace::Tracer::new(trace::TraceDetail::Phases));
             let guard = trace::install(Arc::clone(&tracer));
-            KMedianLocalSearchSolver
-                .solve(&inst, &cfg)
-                .expect("feasible");
+            let run = solver(&inst, cfg).expect("feasible");
             drop(guard);
-            let row = tracer
-                .phase_summary()
-                .into_iter()
-                .find(|row| row.name == phase)
-                .expect("phase traced");
-            assert!(row.element_ops > 0, "{phase} reads as zero work");
+            let summary = tracer.phase_summary();
+            for &phase in phases {
+                let row = summary
+                    .iter()
+                    .find(|row| row.name == phase)
+                    .expect("phase traced");
+                assert!(
+                    row.element_ops > 0,
+                    "{} {phase} reads as zero work",
+                    run.solver
+                );
+                assert!(
+                    row.element_ops <= run.work.element_ops,
+                    "{} {phase}",
+                    run.solver
+                );
+            }
         }
     }
 

@@ -106,6 +106,17 @@ impl CostMeter {
     }
 }
 
+impl std::ops::AddAssign for CostReport {
+    /// Adds another report's counters, e.g. the work of a sub-call that ran
+    /// on its own meter.
+    fn add_assign(&mut self, other: CostReport) {
+        self.element_ops += other.element_ops;
+        self.primitive_calls += other.primitive_calls;
+        self.sort_calls += other.sort_calls;
+        self.rounds += other.rounds;
+    }
+}
+
 impl CostReport {
     /// Difference between two snapshots (`self` taken after `earlier`).
     pub fn since(&self, earlier: &CostReport) -> CostReport {
@@ -144,9 +155,11 @@ mod tests {
         let first = m.report();
         m.add_primitive(50);
         let second = m.report();
-        let delta = second.since(&first);
+        let mut delta = second.since(&first);
         assert_eq!(delta.primitive_calls, 1);
         assert_eq!(delta.element_ops, 50);
+        delta += first;
+        assert_eq!(delta, second);
         m.reset();
         assert_eq!(m.report(), CostReport::default());
     }
