@@ -296,16 +296,13 @@ pub fn parallel_local_search(
     }
 
     centers.sort_unstable();
-    let mut work = meter.delta_since(&start);
-    // Fold in the k-center initialisation work.
-    work += kc.work;
-
     KClusterSolution {
         centers,
         cost,
         initial_cost,
         rounds,
-        work,
+        // This call's share of the meter plus the k-center initialisation.
+        work: meter.delta_since(&start) + kc.work,
     }
 }
 

@@ -126,8 +126,6 @@ impl Solver for KCenterSolver {
                 assignment.push(ctr);
             }
             drop(sweep_span);
-            let mut work = sol.work;
-            work += meter.report();
             // No `with_lower_bound`: the sub-instance's certified threshold
             // bounds the coreset optimum, not the full-set optimum.
             return Ok(Run::new(Solver::name(self), ProblemKind::KClustering)
@@ -137,7 +135,7 @@ impl Solver for KCenterSolver {
                 .with_selected(centers)
                 .with_assignment(assignment)
                 .with_rounds(sol.probes, sol.luby_rounds)
-                .with_work(work)
+                .with_work(sol.work + meter.report())
                 .with_extra("threshold", sol.threshold)
                 .with_extra("probes", sol.probes as f64)
                 .with_extra("k", cfg.k as f64)
@@ -222,8 +220,6 @@ fn local_search_run(
             assignment.push(ctr);
         }
         drop(sweep_span);
-        let mut work = sol.work;
-        work += outer.report();
         return Ok(Run::new(Solver::name(solver), ProblemKind::KClustering)
             .with_guarantee(Solver::guarantee(solver))
             .with_instance_size(inst.n(), inst.n() * inst.n())
@@ -231,7 +227,7 @@ fn local_search_run(
             .with_selected(centers)
             .with_assignment(assignment)
             .with_rounds(sol.rounds, 0)
-            .with_work(work)
+            .with_work(sol.work + outer.report())
             .with_extra("initial_cost", sol.initial_cost)
             .with_extra("k", cfg.k as f64)
             .with_extra("coreset_cost", sol.cost)

@@ -106,14 +106,18 @@ impl CostMeter {
     }
 }
 
-impl std::ops::AddAssign for CostReport {
-    /// Adds another report's counters, e.g. the work of a sub-call that ran
-    /// on its own meter.
-    fn add_assign(&mut self, other: CostReport) {
-        self.element_ops += other.element_ops;
-        self.primitive_calls += other.primitive_calls;
-        self.sort_calls += other.sort_calls;
-        self.rounds += other.rounds;
+impl std::ops::Add for CostReport {
+    type Output = CostReport;
+
+    /// Counter-wise sum, e.g. a run's own work plus that of a sub-call that
+    /// ran on its own meter.
+    fn add(self, other: CostReport) -> CostReport {
+        CostReport {
+            element_ops: self.element_ops + other.element_ops,
+            primitive_calls: self.primitive_calls + other.primitive_calls,
+            sort_calls: self.sort_calls + other.sort_calls,
+            rounds: self.rounds + other.rounds,
+        }
     }
 }
 
@@ -155,11 +159,10 @@ mod tests {
         let first = m.report();
         m.add_primitive(50);
         let second = m.report();
-        let mut delta = second.since(&first);
+        let delta = second.since(&first);
         assert_eq!(delta.primitive_calls, 1);
         assert_eq!(delta.element_ops, 50);
-        delta += first;
-        assert_eq!(delta, second);
+        assert_eq!(delta + first, second);
         m.reset();
         assert_eq!(m.report(), CostReport::default());
     }
