@@ -152,8 +152,7 @@ pub fn parallel_primal_dual_detailed(
     let prices: Vec<Option<f64>> = {
         let mut orders = LazyOrders::build(inst, &meter);
         let unfrozen: Vec<bool> = frozen.iter().map(|&f| !f).collect();
-        let costs: Vec<f64> = (0..nf).map(|i| inst.facility_cost(i)).collect();
-        stars::all_cheapest_stars_lazy(inst, &costs, &mut orders, &unfrozen, &meter)
+        stars::all_cheapest_stars_lazy(inst, inst.facility_costs(), &mut orders, &unfrozen, &meter)
             .into_iter()
             .map(|star| star.map(|s| s.price))
             .collect()
