@@ -204,9 +204,10 @@ fn show(value: Option<&JsonValue>) -> String {
     }
 }
 
-/// Appends `path: old -> new` for every field of `want` or `got` whose value
-/// differs, in `want`'s field order and then `got`'s new fields. Fields that
-/// are objects on both sides are compared one level deeper when `descend`.
+/// Appends an indented `path: old -> new` line for every field of `want` or
+/// `got` whose value differs, in `want`'s field order and then `got`'s new
+/// fields. Fields that are objects on both sides are compared one level
+/// deeper when `descend`.
 fn diff_fields(
     prefix: &str,
     want: &[(String, JsonValue)],
@@ -224,7 +225,7 @@ fn diff_fields(
             (Some(JsonValue::Object(wf)), Some(JsonValue::Object(gf))) if descend => {
                 diff_fields(&format!("{prefix}{key}."), wf, gf, false, out);
             }
-            _ => out.push(format!("{prefix}{key}: {} -> {}", show(w), show(g))),
+            _ => out.push(format!("  {prefix}{key}: {} -> {}", show(w), show(g))),
         }
     }
 }
@@ -238,15 +239,12 @@ fn explain(want: &str, got: &str) -> String {
         return format!("  expected: {want}\n  actual:   {got}");
     };
     let mut out = vec![if want_hash == got_hash {
-        "trace hash unchanged".to_string()
+        "  trace hash unchanged".to_string()
     } else {
-        format!("trace hash: {want_hash} -> {got_hash}")
+        format!("  trace hash: {want_hash} -> {got_hash}")
     }];
     diff_fields("", &want_fields, &got_fields, true, &mut out);
-    out.iter()
-        .map(|l| format!("  {l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
+    out.join("\n")
 }
 
 #[test]
