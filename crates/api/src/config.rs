@@ -6,11 +6,9 @@ use parfaclo_metric::{Backend, Coreset};
 
 /// Configuration accepted by every registered solver.
 ///
-/// `RunConfig` subsumes the per-family config structs (`FlConfig`,
-/// `LocalSearchConfig`, the loose `(k, seed)` argument lists): each
-/// solver projects out the fields it understands and ignores the rest. The
-/// concrete crates provide `From<&RunConfig>` conversions into their native
-/// config types so existing entry points keep working.
+/// One struct for every solver, and for the facility-location and
+/// local-search free functions too: each reads the fields it understands
+/// and ignores the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// The slack parameter `ε > 0` of the paper: every round admits all
@@ -205,12 +203,6 @@ impl RunConfig {
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig::new(0.1)
-    }
-}
-
-impl From<&RunConfig> for RunConfig {
-    fn from(cfg: &RunConfig) -> Self {
-        cfg.clone()
     }
 }
 

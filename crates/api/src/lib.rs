@@ -7,14 +7,14 @@
 //! algorithms, the dominator-set routines and the sequential baselines — is
 //! exposed behind one seam:
 //!
-//! * [`Solver`] — the typed trait: an instance type, a config type, and
-//!   `solve(&inst, &cfg) -> Result<Run, String>`;
+//! * [`Solver`] — the typed trait: an instance type and
+//!   `solve(&inst, &RunConfig) -> Result<Run, String>`;
 //! * [`Run`] — the common result envelope (cost, certified lower bound,
 //!   rounds, work report, wall time, solver-specific extras) with a stable
 //!   JSON schema shared by every experiment;
-//! * [`RunConfig`] — the builder-style configuration that subsumes the
-//!   per-family config structs (ε, seed, thread count, ablation knobs,
-//!   `k` for the clustering solvers);
+//! * [`RunConfig`] — the one builder-style configuration every solver reads
+//!   (ε, seed, thread count, ablation knobs, `k` for the clustering
+//!   solvers);
 //! * [`Registry`] — a string-keyed collection of type-erased solvers so
 //!   benches, tests and the `parfaclo` CLI can enumerate and select solvers
 //!   by name.
@@ -34,7 +34,6 @@
 //!
 //! impl Solver for OpenAll {
 //!     type Instance = FlInstance;
-//!     type Config = RunConfig;
 //!
 //!     fn name(&self) -> &str { "open-all" }
 //!     fn problem(&self) -> ProblemKind { ProblemKind::FacilityLocation }

@@ -84,7 +84,6 @@ mod tests {
 
     impl Solver for Dummy {
         type Instance = FlInstance;
-        type Config = RunConfig;
 
         fn name(&self) -> &str {
             self.0

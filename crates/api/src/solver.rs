@@ -7,19 +7,18 @@ use parfaclo_trace as trace;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A solver for one problem family, with its native instance and config
-/// types.
+/// A solver for one problem family, with its native instance type.
 ///
 /// This is the seam every algorithm in the workspace plugs into: the
 /// historical free functions (`greedy::parallel_greedy`,
 /// `kcenter::parallel_kcenter`, …) remain as the implementations, and the
 /// `Solver` impls are thin adapters that call them and repackage the result
-/// into the common [`Run`] envelope.
+/// into the common [`Run`] envelope. Every solver reads the same
+/// [`RunConfig`], and so do the facility-location and local-search free
+/// functions.
 pub trait Solver {
     /// The instance type consumed (`FlInstance`, `ClusterInstance`, …).
     type Instance;
-    /// The native configuration type.
-    type Config;
 
     /// Stable registry name (kebab-case, e.g. `"primal-dual"`).
     fn name(&self) -> &str;
@@ -50,7 +49,7 @@ pub trait Solver {
     /// as configured — for example a dense graph backend refusing an
     /// allocation beyond its size cap — rather than panicking. The registry
     /// surfaces this as [`SolveError::Infeasible`].
-    fn solve(&self, inst: &Self::Instance, cfg: &Self::Config) -> Result<Run, String>;
+    fn solve(&self, inst: &Self::Instance, cfg: &RunConfig) -> Result<Run, String>;
 }
 
 /// An instance of any problem family the registry can route.
@@ -184,8 +183,8 @@ impl std::error::Error for SolveError {}
 /// Object-safe view of a solver, as stored in the registry.
 ///
 /// Blanket-implemented for every [`Solver`] whose instance type can be
-/// projected out of [`AnyInstance`] and whose config can be derived from a
-/// [`RunConfig`]; `run` stamps wall time into the envelope.
+/// projected out of [`AnyInstance`]; `run` stamps wall time into the
+/// envelope.
 pub trait DynSolver {
     /// Stable registry name.
     fn name(&self) -> &str;
@@ -205,7 +204,6 @@ impl<S> DynSolver for S
 where
     S: Solver,
     S::Instance: FromAnyInstance,
-    for<'a> S::Config: From<&'a RunConfig>,
 {
     fn name(&self) -> &str {
         Solver::name(self)
@@ -239,7 +237,6 @@ where
             solver: Solver::name(self).to_string(),
             got: inst.describes(),
         })?;
-        let native_cfg = S::Config::from(cfg);
         // Every run executes under a tracer: the harness's, when one is
         // installed (`--trace` / `--progress` / the conformance tests),
         // else an ephemeral phase-level tracer, so `Run.phase_wall_ms` is
@@ -269,11 +266,11 @@ where
                     .build()
                     .expect("thread pool construction is infallible");
                 (
-                    pool.install(|| self.solve(typed, &native_cfg)),
+                    pool.install(|| self.solve(typed, cfg)),
                     pool.current_num_threads(),
                 )
             }
-            None => (self.solve(typed, &native_cfg), rayon::current_num_threads()),
+            None => (self.solve(typed, cfg), rayon::current_num_threads()),
         };
         drop(root);
         let mut run = solved.map_err(|reason| SolveError::Infeasible {
@@ -300,7 +297,6 @@ mod tests {
 
     impl Solver for OpenAll {
         type Instance = FlInstance;
-        type Config = RunConfig;
 
         fn name(&self) -> &str {
             "open-all"

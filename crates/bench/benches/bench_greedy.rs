@@ -2,7 +2,8 @@
 //! algorithm (Algorithm 4.1) vs the sequential JMS greedy across instance sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parfaclo_core::{greedy, FlConfig};
+use parfaclo_api::RunConfig;
+use parfaclo_core::greedy;
 use parfaclo_metric::gen::{self, GenParams};
 use parfaclo_seq_baselines::jms_greedy;
 
@@ -11,7 +12,7 @@ fn bench_greedy(c: &mut Criterion) {
     group.sample_size(10);
     for &size in &[32usize, 64, 128] {
         let inst = gen::facility_location(GenParams::uniform_square(size, size).with_seed(1));
-        let cfg = FlConfig::new(0.1).with_seed(1);
+        let cfg = RunConfig::new(0.1).with_seed(1);
         group.bench_with_input(
             BenchmarkId::new("parallel_alg41", size),
             &inst,

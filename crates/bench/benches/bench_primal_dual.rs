@@ -2,7 +2,8 @@
 //! algorithm (Algorithm 5.1) vs the sequential Jain–Vazirani simulation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parfaclo_core::{primal_dual, FlConfig};
+use parfaclo_api::RunConfig;
+use parfaclo_core::primal_dual;
 use parfaclo_metric::gen::{self, GenParams};
 use parfaclo_seq_baselines::jain_vazirani;
 
@@ -11,7 +12,7 @@ fn bench_primal_dual(c: &mut Criterion) {
     group.sample_size(10);
     for &size in &[32usize, 64, 128] {
         let inst = gen::facility_location(GenParams::uniform_square(size, size).with_seed(2));
-        let cfg = FlConfig::new(0.1).with_seed(2);
+        let cfg = RunConfig::new(0.1).with_seed(2);
         group.bench_with_input(
             BenchmarkId::new("parallel_alg51", size),
             &inst,

@@ -3,7 +3,8 @@
 //! optimal LP solution is given).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parfaclo_core::{lp_rounding, FlConfig};
+use parfaclo_api::RunConfig;
+use parfaclo_core::lp_rounding;
 use parfaclo_lp::solve_facility_lp;
 use parfaclo_metric::gen::{self, GenParams};
 
@@ -13,7 +14,7 @@ fn bench_rounding(c: &mut Criterion) {
     for &(nc, nf) in &[(12usize, 6usize), (20, 10)] {
         let inst = gen::facility_location(GenParams::uniform_square(nc, nf).with_seed(5));
         let lp = solve_facility_lp(&inst).expect("lp");
-        let cfg = FlConfig::new(0.1).with_seed(5);
+        let cfg = RunConfig::new(0.1).with_seed(5);
         group.bench_with_input(
             BenchmarkId::new("parallel_rounding", format!("{nc}x{nf}")),
             &(inst, lp),

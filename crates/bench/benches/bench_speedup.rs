@@ -2,7 +2,8 @@
 //! instance under rayon pools of different sizes (self-relative speedup / depth proxy).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parfaclo_core::{primal_dual, FlConfig};
+use parfaclo_api::RunConfig;
+use parfaclo_core::primal_dual;
 use parfaclo_metric::gen::{self, GenParams};
 
 fn bench_speedup(c: &mut Criterion) {
@@ -14,7 +15,7 @@ fn bench_speedup(c: &mut Criterion) {
     let mut group = c.benchmark_group("speedup_primal_dual_256x256");
     group.sample_size(10);
     let inst = gen::facility_location(GenParams::uniform_square(256, 256).with_seed(6));
-    let cfg = FlConfig::new(0.1).with_seed(6);
+    let cfg = RunConfig::new(0.1).with_seed(6);
     let max_threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let mut threads = vec![1usize, 2, 4];
     if !threads.contains(&max_threads) {

@@ -8,7 +8,7 @@
 //! crate because greedy's raw α is one of the inputs.
 
 use crate::greedy;
-use crate::FlConfig;
+use parfaclo_api::RunConfig;
 use parfaclo_lp::dual;
 use parfaclo_metric::gen::{self, GenParams};
 use parfaclo_metric::{Backend, DistanceOracle, FlInstance};
@@ -72,7 +72,7 @@ fn at_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 fn alpha_kinds(inst: &FlInstance, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
     let nc = inst.num_clients();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let greedy_alpha = greedy::parallel_greedy(inst, &FlConfig::new(0.1).with_seed(seed)).alpha;
+    let greedy_alpha = greedy::parallel_greedy(inst, &RunConfig::new(0.1).with_seed(seed)).alpha;
     let gamma_scaled: Vec<f64> = inst
         .gamma_per_client()
         .iter()

@@ -21,9 +21,9 @@
 //! lower bound numerically by scaling `α` down until it passes the exact dual
 //! feasibility check, which is at least as strong as either lemma.
 
-use crate::config::FlConfig;
 use crate::solution::FlSolution;
 use crate::stars::{self, LazyOrders};
+use parfaclo_api::RunConfig;
 use parfaclo_lp::dual;
 use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{ClientId, DistanceOracle, FacilityId, FlInstance};
@@ -59,7 +59,7 @@ pub struct GreedyOutput {
 
 /// Runs Algorithm 4.1 and returns just the solution. See [`parallel_greedy_detailed`]
 /// for per-round diagnostics.
-pub fn parallel_greedy(inst: &FlInstance, cfg: &FlConfig) -> FlSolution {
+pub fn parallel_greedy(inst: &FlInstance, cfg: &RunConfig) -> FlSolution {
     parallel_greedy_detailed(inst, cfg).solution
 }
 
@@ -68,7 +68,7 @@ pub fn parallel_greedy(inst: &FlInstance, cfg: &FlConfig) -> FlSolution {
 /// # Panics
 /// Panics if the instance has no clients or no facilities, or if the defensive
 /// `cfg.max_rounds` cap is exceeded (which would indicate a bug, not an input problem).
-pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &FlConfig) -> GreedyOutput {
+pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &RunConfig) -> GreedyOutput {
     let nc = inst.num_clients();
     let nf = inst.num_facilities();
     assert!(
@@ -393,7 +393,7 @@ mod tests {
             vec![2.0],
             DistanceMatrix::from_rows(3, 1, vec![1.0, 1.0, 2.0]),
         );
-        let out = parallel_greedy_detailed(&inst, &FlConfig::new(0.1));
+        let out = parallel_greedy_detailed(&inst, &RunConfig::new(0.1));
         assert_eq!(out.solution.open, vec![0]);
         assert_eq!(out.solution.cost, 6.0);
         assert!(out.solution.rounds >= 1);
@@ -405,7 +405,7 @@ mod tests {
         // analysis). Check the *stronger* bound against brute force on small instances.
         for seed in 0..10 {
             let inst = gen::facility_location(GenParams::uniform_square(12, 6).with_seed(seed));
-            let cfg = FlConfig::new(0.1).with_seed(seed);
+            let cfg = RunConfig::new(0.1).with_seed(seed);
             let sol = parallel_greedy(&inst, &cfg);
             let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
             assert!(
@@ -422,7 +422,7 @@ mod tests {
         for seed in 0..6 {
             let inst =
                 gen::facility_location(GenParams::gaussian_clusters(10, 6, 3).with_seed(seed));
-            let sol = parallel_greedy(&inst, &FlConfig::new(0.2).with_seed(seed));
+            let sol = parallel_greedy(&inst, &RunConfig::new(0.2).with_seed(seed));
             let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
             assert!(sol.lower_bound <= opt + 1e-6, "seed {seed}");
             assert!(sol.lower_bound > 0.0, "seed {seed}: certificate missing");
@@ -438,7 +438,7 @@ mod tests {
         for seed in 0..6 {
             let inst = gen::facility_location(GenParams::uniform_square(30, 12).with_seed(seed));
             let seq = jms_greedy(&inst);
-            let par = parallel_greedy(&inst, &FlConfig::new(0.1).with_seed(seed));
+            let par = parallel_greedy(&inst, &RunConfig::new(0.1).with_seed(seed));
             assert!(
                 par.cost <= 2.0 * (1.1_f64).powi(2) * seq.cost + 1e-6,
                 "seed {seed}: parallel {} vs sequential {}",
@@ -451,8 +451,8 @@ mod tests {
     #[test]
     fn rounds_grow_logarithmically_with_epsilon_slack() {
         let inst = gen::facility_location(GenParams::uniform_square(60, 30).with_seed(3));
-        let tight = parallel_greedy_detailed(&inst, &FlConfig::new(0.05).with_seed(1));
-        let loose = parallel_greedy_detailed(&inst, &FlConfig::new(1.0).with_seed(1));
+        let tight = parallel_greedy_detailed(&inst, &RunConfig::new(0.05).with_seed(1));
+        let loose = parallel_greedy_detailed(&inst, &RunConfig::new(1.0).with_seed(1));
         // A larger slack admits more facilities per round, so it needs at most as many
         // outer rounds (typically far fewer).
         assert!(loose.solution.rounds <= tight.solution.rounds);
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = gen::facility_location(GenParams::grid(36, 18).with_seed(0));
-        let cfg = FlConfig::new(0.3).with_seed(5);
+        let cfg = RunConfig::new(0.3).with_seed(5);
         let a = parallel_greedy(&inst, &cfg);
         let b = parallel_greedy(&inst, &cfg);
         assert_eq!(a.open, b.open, "same seed must give identical output");
@@ -481,7 +481,7 @@ mod tests {
                 .with_seed(2)
                 .with_cost_model(FacilityCostModel::Zero),
         );
-        let sol = parallel_greedy(&inst, &FlConfig::new(0.1));
+        let sol = parallel_greedy(&inst, &RunConfig::new(0.1));
         // With free facilities the optimum is the sum of nearest-facility distances.
         let opt: f64 = (0..20)
             .map(|j| {
@@ -496,20 +496,20 @@ mod tests {
     #[test]
     fn ablation_disabling_subselection_still_terminates() {
         let inst = gen::facility_location(GenParams::uniform_square(20, 10).with_seed(4));
-        let cfg = FlConfig::new(0.2).with_subselection(false);
+        let cfg = RunConfig::new(0.2).with_subselection(false);
         let sol = parallel_greedy(&inst, &cfg);
         assert!(!sol.open.is_empty());
         // Without the vote threshold more facilities open, so the opening cost can only
         // be larger or equal compared to the guarded version with the same seed.
-        let guarded = parallel_greedy(&inst, &FlConfig::new(0.2));
+        let guarded = parallel_greedy(&inst, &RunConfig::new(0.2));
         assert!(sol.open.len() >= guarded.open.len());
     }
 
     #[test]
     fn ablation_disabling_preprocess_still_correct() {
         let inst = gen::facility_location(GenParams::uniform_square(15, 8).with_seed(6));
-        let sol = parallel_greedy(&inst, &FlConfig::new(0.1).with_preprocess(false));
-        let with = parallel_greedy(&inst, &FlConfig::new(0.1));
+        let sol = parallel_greedy(&inst, &RunConfig::new(0.1).with_preprocess(false));
+        let with = parallel_greedy(&inst, &RunConfig::new(0.1));
         let (_, opt) = lower_bounds::brute_force_facility_location(&gen::facility_location(
             GenParams::uniform_square(15, 8).with_seed(6),
         ));
@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn alpha_values_match_round_taus() {
         let inst = gen::facility_location(GenParams::uniform_square(25, 10).with_seed(9));
-        let out = parallel_greedy_detailed(&inst, &FlConfig::new(0.15).with_seed(9));
+        let out = parallel_greedy_detailed(&inst, &RunConfig::new(0.15).with_seed(9));
         let taus: Vec<f64> = out.round_stats.iter().map(|r| r.tau).collect();
         for (j, &a) in out.solution.alpha.iter().enumerate() {
             // Every client's α is either a preprocessing star price (tiny) or one of the
@@ -540,7 +540,7 @@ mod tests {
         // sorted prefix), and `rounds` agrees with the solution's round
         // count.
         let inst = gen::facility_location(GenParams::uniform_square(30, 15).with_seed(1));
-        let sol = parallel_greedy(&inst, &FlConfig::new(0.1));
+        let sol = parallel_greedy(&inst, &RunConfig::new(0.1));
         assert!(sol.work.element_ops > 0);
         assert!(sol.work.primitive_calls > 0);
         assert!(

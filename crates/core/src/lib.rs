@@ -7,10 +7,11 @@
 //! Three algorithms are implemented, each with the preprocessing steps the paper uses to
 //! bound its round count and each instrumented with the work/round accounting of
 //! [`parfaclo_matrixops::CostMeter`]; a fourth (the Section 7 local-search extension)
-//! rides along. Every algorithm is exposed twice:
+//! rides along. Every algorithm is exposed twice, and both forms read the same
+//! [`parfaclo_api::RunConfig`]:
 //!
 //! * as a free function (`greedy::parallel_greedy(&inst, &cfg)`, …) returning the rich
-//!   [`FlSolution`] record — the historical entry points, kept stable;
+//!   [`FlSolution`] record;
 //! * as a [`parfaclo_api::Solver`] implementation ([`solvers::GreedySolver`], …)
 //!   returning the unified [`parfaclo_api::Run`] envelope, which is what the solver
 //!   registry, the `parfaclo` CLI and the cross-solver tests consume.
@@ -33,11 +34,10 @@
 //! ```
 //! use parfaclo_api::{RunConfig, Solver};
 //! use parfaclo_core::solvers::{GreedySolver, PrimalDualSolver};
-//! use parfaclo_core::FlConfig;
 //! use parfaclo_metric::gen::{self, GenParams};
 //!
 //! let inst = gen::facility_location(GenParams::uniform_square(40, 20).with_seed(1));
-//! let cfg = FlConfig::from(&RunConfig::new(0.1).with_seed(7));
+//! let cfg = RunConfig::new(0.1).with_seed(7);
 //!
 //! let g = GreedySolver.solve(&inst, &cfg).unwrap();
 //! let pd = PrimalDualSolver.solve(&inst, &cfg).unwrap();
@@ -48,14 +48,15 @@
 //! assert!(pd.cost <= (3.0 + 0.1 + 0.2) * pd.lower_bound + 1e-9);
 //! ```
 //!
-//! ## Quick example — historical free functions
+//! ## Quick example — free functions
 //!
 //! ```
+//! use parfaclo_api::RunConfig;
 //! use parfaclo_metric::gen::{self, GenParams};
-//! use parfaclo_core::{greedy, primal_dual, FlConfig};
+//! use parfaclo_core::{greedy, primal_dual};
 //!
 //! let inst = gen::facility_location(GenParams::uniform_square(40, 20).with_seed(1));
-//! let cfg = FlConfig::new(0.1).with_seed(7);
+//! let cfg = RunConfig::new(0.1).with_seed(7);
 //!
 //! let g = greedy::parallel_greedy(&inst, &cfg);
 //! let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
@@ -68,7 +69,6 @@
 
 #[cfg(test)]
 mod certify_reference;
-pub mod config;
 pub mod greedy;
 pub mod local_search_fl;
 pub mod lp_rounding;
@@ -78,6 +78,5 @@ pub mod solvers;
 pub mod stars;
 pub mod verify;
 
-pub use config::FlConfig;
 pub use solution::FlSolution;
 pub use solvers::{FlLocalSearchSolver, GreedySolver, LpRoundingSolver, PrimalDualSolver};

@@ -15,8 +15,8 @@
 //! E10 ablation can chart it. The `(1 − β)` improvement-threshold trick still bounds the
 //! rounds by `O(log(initial/opt)/β)` for a `(3 + ε)`-style guarantee in practice.
 
-use crate::config::FlConfig;
 use crate::solution::FlSolution;
+use parfaclo_api::RunConfig;
 use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{FacilityId, FlInstance};
 use parfaclo_trace as trace;
@@ -83,7 +83,7 @@ fn move_cost(
 /// # Panics
 /// Panics if the instance has no clients or facilities, or if `cfg.max_rounds` is
 /// exceeded (the paper gives no worst-case round bound for this algorithm).
-pub fn parallel_local_search_fl(inst: &FlInstance, cfg: &FlConfig) -> FlSolution {
+pub fn parallel_local_search_fl(inst: &FlInstance, cfg: &RunConfig) -> FlSolution {
     let nc = inst.num_clients();
     let nf = inst.num_facilities();
     assert!(
@@ -206,7 +206,7 @@ mod tests {
         // threshold slack); verify against brute force.
         for seed in 0..8 {
             let inst = gen::facility_location(GenParams::uniform_square(12, 6).with_seed(seed));
-            let sol = parallel_local_search_fl(&inst, &FlConfig::new(0.1).with_seed(seed));
+            let sol = parallel_local_search_fl(&inst, &RunConfig::new(0.1).with_seed(seed));
             let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
             assert!(
                 sol.cost <= 3.0 * (1.0 + 0.1) * opt + 1e-6,
@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn often_matches_optimum_on_clustered_instances() {
         let inst = gen::facility_location(GenParams::gaussian_clusters(16, 6, 3).with_seed(5));
-        let sol = parallel_local_search_fl(&inst, &FlConfig::new(0.05));
+        let sol = parallel_local_search_fl(&inst, &RunConfig::new(0.05));
         let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
         // Local search is typically near-optimal on well-clustered inputs.
         assert!(sol.cost <= 1.5 * opt + 1e-6, "{} vs {opt}", sol.cost);
@@ -229,8 +229,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = gen::facility_location(GenParams::uniform_square(30, 12).with_seed(2));
-        let a = parallel_local_search_fl(&inst, &FlConfig::new(0.1));
-        let b = parallel_local_search_fl(&inst, &FlConfig::new(0.1));
+        let a = parallel_local_search_fl(&inst, &RunConfig::new(0.1));
+        let b = parallel_local_search_fl(&inst, &RunConfig::new(0.1));
         assert_eq!(a.open, b.open);
         assert_eq!(a.cost, b.cost);
     }
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn improves_monotonically_from_single_facility_start() {
         let inst = gen::facility_location(GenParams::line(24, 12).with_seed(1));
-        let sol = parallel_local_search_fl(&inst, &FlConfig::new(0.2));
+        let sol = parallel_local_search_fl(&inst, &RunConfig::new(0.2));
         let single_best = (0..12)
             .map(|i| inst.solution_cost(&[i]))
             .fold(f64::INFINITY, f64::min);
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn single_facility_instance_trivial() {
         let inst = gen::facility_location(GenParams::uniform_square(5, 1).with_seed(0));
-        let sol = parallel_local_search_fl(&inst, &FlConfig::new(0.1));
+        let sol = parallel_local_search_fl(&inst, &RunConfig::new(0.1));
         assert_eq!(sol.open, vec![0]);
         assert_eq!(sol.rounds, 0);
     }

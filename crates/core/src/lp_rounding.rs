@@ -18,8 +18,8 @@
 //! With `α = 1/3` the result is a `(4 + ε)`-approximation relative to the LP value
 //! (which itself lower-bounds `opt`).
 
-use crate::config::FlConfig;
 use crate::solution::FlSolution;
+use parfaclo_api::RunConfig;
 use parfaclo_dominator::{max_u_dom, BipartiteGraph};
 use parfaclo_lp::FlLpSolution;
 use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
@@ -42,7 +42,7 @@ pub struct RoundingOutput {
 
 /// Runs the parallel rounding with the default filter parameter `α = 1/3` (the value
 /// that balances facility and connection blow-ups into the `4 + ε` guarantee).
-pub fn parallel_lp_rounding(inst: &FlInstance, lp: &FlLpSolution, cfg: &FlConfig) -> FlSolution {
+pub fn parallel_lp_rounding(inst: &FlInstance, lp: &FlLpSolution, cfg: &RunConfig) -> FlSolution {
     parallel_lp_rounding_detailed(inst, lp, cfg, 1.0 / 3.0).solution
 }
 
@@ -54,7 +54,7 @@ pub fn parallel_lp_rounding(inst: &FlInstance, lp: &FlLpSolution, cfg: &FlConfig
 pub fn parallel_lp_rounding_detailed(
     inst: &FlInstance,
     lp: &FlLpSolution,
-    cfg: &FlConfig,
+    cfg: &RunConfig,
     filter_alpha: f64,
 ) -> RoundingOutput {
     let nc = inst.num_clients();
@@ -253,7 +253,7 @@ mod tests {
     fn run(seed: u64, nc: usize, nf: usize, eps: f64) -> (FlInstance, RoundingOutput) {
         let inst = gen::facility_location(GenParams::uniform_square(nc, nf).with_seed(seed));
         let lp = solve_facility_lp(&inst).expect("lp solve");
-        let cfg = FlConfig::new(eps).with_seed(seed);
+        let cfg = RunConfig::new(eps).with_seed(seed);
         let out = parallel_lp_rounding_detailed(&inst, &lp, &cfg, 1.0 / 3.0);
         (inst, out)
     }
@@ -289,7 +289,7 @@ mod tests {
         for seed in 0..5 {
             let inst = gen::facility_location(GenParams::uniform_square(12, 7).with_seed(seed));
             let lp = solve_facility_lp(&inst).expect("lp");
-            let cfg = FlConfig::new(0.15).with_seed(seed);
+            let cfg = RunConfig::new(0.15).with_seed(seed);
             let alpha = 1.0 / 3.0;
             let out = parallel_lp_rounding_detailed(&inst, &lp, &cfg, alpha);
             for j in 0..inst.num_clients() {
@@ -328,7 +328,7 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let inst = gen::facility_location(GenParams::uniform_square(10, 6).with_seed(2));
         let lp = solve_facility_lp(&inst).expect("lp");
-        let cfg = FlConfig::new(0.1).with_seed(42);
+        let cfg = RunConfig::new(0.1).with_seed(42);
         let a = parallel_lp_rounding(&inst, &lp, &cfg);
         let b = parallel_lp_rounding(&inst, &lp, &cfg);
         assert_eq!(a.open, b.open);
@@ -340,14 +340,14 @@ mod tests {
     fn invalid_filter_alpha_rejected() {
         let inst = gen::facility_location(GenParams::uniform_square(4, 3).with_seed(1));
         let lp = solve_facility_lp(&inst).expect("lp");
-        let _ = parallel_lp_rounding_detailed(&inst, &lp, &FlConfig::new(0.1), 1.5);
+        let _ = parallel_lp_rounding_detailed(&inst, &lp, &RunConfig::new(0.1), 1.5);
     }
 
     #[test]
     fn larger_filter_alpha_trades_facility_for_connection_cost() {
         let inst = gen::facility_location(GenParams::gaussian_clusters(14, 8, 3).with_seed(4));
         let lp = solve_facility_lp(&inst).expect("lp");
-        let cfg = FlConfig::new(0.1).with_seed(4);
+        let cfg = RunConfig::new(0.1).with_seed(4);
         let small = parallel_lp_rounding_detailed(&inst, &lp, &cfg, 0.1);
         let large = parallel_lp_rounding_detailed(&inst, &lp, &cfg, 0.9);
         // Both must still be valid solutions with every client served.

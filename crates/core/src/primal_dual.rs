@@ -18,9 +18,9 @@
 //! α vector is dual feasible (Claim 5.1), so `Σ_j α_j` is a certified lower bound on
 //! `opt`, and the solution cost is at most `(3 + O(ε))` times it (Lemmas 5.2, 5.3).
 
-use crate::config::FlConfig;
 use crate::solution::FlSolution;
 use crate::stars::{self, LazyOrders};
+use parfaclo_api::RunConfig;
 use parfaclo_bucket::{BucketMapping, BucketQueue};
 use parfaclo_dominator::{max_u_dom, CsrBipartite};
 use parfaclo_lp::dual;
@@ -75,7 +75,7 @@ impl std::error::Error for RoundBoundError {}
 /// Runs Algorithm 5.1 and returns just the solution.
 pub fn parallel_primal_dual(
     inst: &FlInstance,
-    cfg: &FlConfig,
+    cfg: &RunConfig,
 ) -> Result<FlSolution, RoundBoundError> {
     parallel_primal_dual_detailed(inst, cfg).map(|out| out.solution)
 }
@@ -90,7 +90,7 @@ pub fn parallel_primal_dual(
 /// Panics if the instance has no clients or no facilities.
 pub fn parallel_primal_dual_detailed(
     inst: &FlInstance,
-    cfg: &FlConfig,
+    cfg: &RunConfig,
 ) -> Result<PrimalDualOutput, RoundBoundError> {
     let nc = inst.num_clients();
     let nf = inst.num_facilities();
@@ -351,7 +351,7 @@ pub fn parallel_primal_dual_detailed(
 }
 
 /// `γ = max_j min_i (f_i + d(j,i))` and the ladder's starting dual level `α₀`.
-fn starting_level(inst: &FlInstance, cfg: &FlConfig) -> (f64, f64) {
+fn starting_level(inst: &FlInstance, cfg: &RunConfig) -> (f64, f64) {
     let m = inst.m() as f64;
     let gamma = inst.gamma();
     // γ > 0 whenever some client has a positive distance or some facility a positive
@@ -384,7 +384,7 @@ struct Ladder {
 /// Preprocessing: opens the "free" facilities already paid for at the starting dual
 /// value `γ/m²` and freezes their co-located clients at `α = 0`. Everything starts
 /// unfrozen and closed without preprocessing or when `γ = 0`.
-fn preprocess(inst: &FlInstance, cfg: &FlConfig, gamma: f64, meter: &CostMeter) -> Ladder {
+fn preprocess(inst: &FlInstance, cfg: &RunConfig, gamma: f64, meter: &CostMeter) -> Ladder {
     let nc = inst.num_clients();
     let nf = inst.num_facilities();
     let mut ladder = Ladder {
@@ -500,7 +500,7 @@ fn reschedule_ahead(deficit: f64, nc: f64, slack: f64, t: f64, ln_slack: f64) ->
 /// facility and client each iteration. Returns the final α, the temporarily opened
 /// facilities in opening order, and the iteration count.
 #[cfg(test)]
-fn rescan_ladder(inst: &FlInstance, cfg: &FlConfig) -> (Vec<f64>, Vec<FacilityId>, usize) {
+fn rescan_ladder(inst: &FlInstance, cfg: &RunConfig) -> (Vec<f64>, Vec<FacilityId>, usize) {
     let (nc, nf) = (inst.num_clients(), inst.num_facilities());
     let slack = 1.0 + cfg.epsilon;
     let (gamma, mut t) = starting_level(inst, cfg);
@@ -558,13 +558,14 @@ mod tests {
         // is opened as a "free" facility straight away (the paper assumes large m; for
         // m = 1 this costs nothing since the solution is forced anyway).
         let inst = FlInstance::new(vec![2.0], DistanceMatrix::from_rows(1, 1, vec![1.0]));
-        let sol = parallel_primal_dual(&inst, &FlConfig::new(0.1)).unwrap();
+        let sol = parallel_primal_dual(&inst, &RunConfig::new(0.1)).unwrap();
         assert_eq!(sol.open, vec![0]);
         assert!((sol.cost - 3.0).abs() < 1e-9);
         assert!(sol.alpha[0] <= 3.0 * 1.1 + 1e-9);
 
         // Without preprocessing the dual must rise to (roughly) the exact JV value 3.
-        let sol2 = parallel_primal_dual(&inst, &FlConfig::new(0.1).with_preprocess(false)).unwrap();
+        let sol2 =
+            parallel_primal_dual(&inst, &RunConfig::new(0.1).with_preprocess(false)).unwrap();
         assert_eq!(sol2.open, vec![0]);
         assert!(sol2.alpha[0] <= 3.0 * 1.1 + 1e-9 && sol2.alpha[0] >= 3.0 / 1.1 - 1e-9);
     }
@@ -574,7 +575,7 @@ mod tests {
         // Theorem 5.4: (3 + ε')-approximation. Check against brute force.
         for seed in 0..10 {
             let inst = gen::facility_location(GenParams::uniform_square(12, 6).with_seed(seed));
-            let sol = parallel_primal_dual(&inst, &FlConfig::new(0.1).with_seed(seed)).unwrap();
+            let sol = parallel_primal_dual(&inst, &RunConfig::new(0.1).with_seed(seed)).unwrap();
             let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
             assert!(
                 sol.cost <= (3.0 + 3.0 * 0.1 + 0.05) * opt + 1e-6,
@@ -590,7 +591,7 @@ mod tests {
         for seed in 0..6 {
             let inst =
                 gen::facility_location(GenParams::gaussian_clusters(14, 7, 3).with_seed(seed));
-            let sol = parallel_primal_dual(&inst, &FlConfig::new(0.2).with_seed(seed)).unwrap();
+            let sol = parallel_primal_dual(&inst, &RunConfig::new(0.2).with_seed(seed)).unwrap();
             // Claim 5.1: α with canonical β is dual feasible (tolerate tiny fp slack).
             assert!(
                 dual::check_alpha_feasible(&inst, &sol.alpha, 1e-6).is_ok(),
@@ -607,7 +608,7 @@ mod tests {
         for seed in 0..6 {
             let inst = gen::facility_location(GenParams::uniform_square(25, 10).with_seed(seed));
             let seq = jain_vazirani(&inst);
-            let par = parallel_primal_dual(&inst, &FlConfig::new(0.05).with_seed(seed)).unwrap();
+            let par = parallel_primal_dual(&inst, &RunConfig::new(0.05).with_seed(seed)).unwrap();
             // Both are ≤ 3(1+O(ε))·opt; relative to each other they should be within a
             // small constant factor (and usually nearly identical).
             assert!(
@@ -622,7 +623,7 @@ mod tests {
     #[test]
     fn iteration_count_is_logarithmic() {
         let inst = gen::facility_location(GenParams::uniform_square(80, 40).with_seed(2));
-        let cfg = FlConfig::new(0.1);
+        let cfg = RunConfig::new(0.1);
         let out = parallel_primal_dual_detailed(&inst, &cfg).unwrap();
         // Theory: at most ~3·log_{1+ε}(m) iterations with preprocessing.
         let m = inst.m() as f64;
@@ -638,7 +639,7 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = gen::facility_location(GenParams::grid(30, 15).with_seed(0));
-        let cfg = FlConfig::new(0.2).with_seed(3);
+        let cfg = RunConfig::new(0.2).with_seed(3);
         let a = parallel_primal_dual(&inst, &cfg).unwrap();
         let b = parallel_primal_dual(&inst, &cfg).unwrap();
         assert_eq!(a.open, b.open);
@@ -651,7 +652,7 @@ mod tests {
         // by the preprocessing step (γ = 1 > 0 here because client 1 sits at distance 1).
         let dist = DistanceMatrix::from_rows(2, 2, vec![0.0, 5.0, 1.0, 5.0]);
         let inst = FlInstance::new(vec![0.0, 3.0], dist);
-        let out = parallel_primal_dual_detailed(&inst, &FlConfig::new(0.1)).unwrap();
+        let out = parallel_primal_dual_detailed(&inst, &RunConfig::new(0.1)).unwrap();
         assert!(out.free_facilities.contains(&0));
         assert!(out.solution.open.contains(&0));
         // Optimal cost is 1 (open the free facility; client 1 connects at distance 1).
@@ -663,7 +664,7 @@ mod tests {
         // the free facility in its first iteration at zero cost.
         let dist0 = DistanceMatrix::from_rows(2, 2, vec![0.0, 5.0, 0.0, 5.0]);
         let inst0 = FlInstance::new(vec![0.0, 1.0], dist0);
-        let sol0 = parallel_primal_dual(&inst0, &FlConfig::new(0.1)).unwrap();
+        let sol0 = parallel_primal_dual(&inst0, &RunConfig::new(0.1)).unwrap();
         assert!(sol0.open.contains(&0));
         assert!((sol0.cost - 0.0).abs() < 1e-9);
     }
@@ -673,7 +674,7 @@ mod tests {
         // The MaxUDom post-processing guarantees each client contributes to at most one
         // opened (non-free) facility.
         let inst = gen::facility_location(GenParams::uniform_square(30, 12).with_seed(7));
-        let cfg = FlConfig::new(0.25).with_seed(7);
+        let cfg = RunConfig::new(0.25).with_seed(7);
         let out = parallel_primal_dual_detailed(&inst, &cfg).unwrap();
         let slack = 1.25;
         let non_free: Vec<_> = out
@@ -699,7 +700,7 @@ mod tests {
                 .with_seed(5)
                 .with_cost_model(FacilityCostModel::Zero),
         );
-        let sol = parallel_primal_dual(&inst, &FlConfig::new(0.1)).unwrap();
+        let sol = parallel_primal_dual(&inst, &RunConfig::new(0.1)).unwrap();
         let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
         assert!(sol.cost <= (3.0 + 0.4) * opt + 1e-6);
     }
@@ -708,8 +709,8 @@ mod tests {
     fn preprocessing_ablation_still_meets_guarantee() {
         let inst = gen::facility_location(GenParams::uniform_square(12, 6).with_seed(11));
         let without =
-            parallel_primal_dual(&inst, &FlConfig::new(0.1).with_preprocess(false)).unwrap();
-        let with = parallel_primal_dual(&inst, &FlConfig::new(0.1)).unwrap();
+            parallel_primal_dual(&inst, &RunConfig::new(0.1).with_preprocess(false)).unwrap();
+        let with = parallel_primal_dual(&inst, &RunConfig::new(0.1)).unwrap();
         let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
         assert!(without.cost <= (3.0 + 0.4) * opt + 1e-6);
         assert!(with.cost <= (3.0 + 0.4) * opt + 1e-6);
@@ -785,7 +786,7 @@ mod tests {
         ));
         for (name, inst, eps) in cases {
             for preprocess in [true, false] {
-                let cfg = FlConfig::new(eps).with_preprocess(preprocess);
+                let cfg = RunConfig::new(eps).with_preprocess(preprocess);
                 let (alpha, temporarily_open, iterations) = rescan_ladder(&inst, &cfg);
                 for threads in [1, 4] {
                     let out = rayon::ThreadPoolBuilder::new()
@@ -811,7 +812,7 @@ mod tests {
         // loop must open it in iteration 1 at level t = 0 and freeze everyone.
         let dist0 = DistanceMatrix::from_rows(2, 2, vec![0.0, 5.0, 0.0, 5.0]);
         let inst0 = FlInstance::new(vec![0.0, 1.0], dist0);
-        let sol = parallel_primal_dual(&inst0, &FlConfig::new(0.1)).unwrap();
+        let sol = parallel_primal_dual(&inst0, &RunConfig::new(0.1)).unwrap();
         assert!(sol.open.contains(&0));
         assert!((sol.cost - 0.0).abs() < 1e-9);
     }
@@ -819,13 +820,13 @@ mod tests {
     #[test]
     fn tiny_epsilon_is_refused_with_the_round_bound() {
         let inst = gen::facility_location(GenParams::uniform_square(50, 25).with_seed(0));
-        let err = parallel_primal_dual(&inst, &FlConfig::new(1e-12)).unwrap_err();
+        let err = parallel_primal_dual(&inst, &RunConfig::new(1e-12)).unwrap_err();
         assert_eq!(err.epsilon, 1e-12);
         assert_eq!(err.max_rounds, 100_000);
         assert!(err.bound > 1e12, "{err}");
         assert!(err.to_string().contains("max_rounds = 100000"), "{err}");
         // 1 + ε rounds to 1: the ladder could never rise.
-        let err = parallel_primal_dual(&inst, &FlConfig::new(1e-17)).unwrap_err();
+        let err = parallel_primal_dual(&inst, &RunConfig::new(1e-17)).unwrap_err();
         assert_eq!(err.bound, f64::INFINITY);
     }
 
@@ -834,15 +835,12 @@ mod tests {
         for seed in 0..4 {
             let inst = gen::facility_location(GenParams::uniform_square(40, 10).with_seed(seed));
             for preprocess in [true, false] {
-                let cfg = FlConfig::new(0.1)
+                let cfg = RunConfig::new(0.1)
                     .with_seed(seed)
                     .with_preprocess(preprocess);
                 let rounds = parallel_primal_dual(&inst, &cfg).unwrap().rounds;
                 // A zero cap makes the run report its bound instead of solving.
-                let capped = FlConfig {
-                    max_rounds: 0,
-                    ..cfg
-                };
+                let capped = cfg.clone().with_max_rounds(0);
                 let bound = parallel_primal_dual(&inst, &capped).unwrap_err().bound;
                 assert!(
                     rounds as f64 <= bound,
@@ -859,7 +857,7 @@ mod tests {
     #[test]
     fn work_counters_and_round_stats_populated() {
         let inst = gen::facility_location(GenParams::uniform_square(40, 20).with_seed(1));
-        let out = parallel_primal_dual_detailed(&inst, &FlConfig::new(0.1)).unwrap();
+        let out = parallel_primal_dual_detailed(&inst, &RunConfig::new(0.1)).unwrap();
         assert!(out.solution.work.element_ops > 0);
         assert!(out.solution.work.primitive_calls > 0);
         assert!(out.solution.rounds > 0);

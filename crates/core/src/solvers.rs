@@ -1,13 +1,11 @@
 //! [`Solver`] adapters for the parallel facility-location algorithms.
 //!
 //! The free functions (`greedy::parallel_greedy`, …) remain the
-//! implementations; the types here are thin adapters that project a
-//! [`RunConfig`] into an [`FlConfig`], call the algorithm, and repackage the
-//! [`FlSolution`] into the unified [`Run`] envelope so the registry, the
-//! `parfaclo` CLI and the conformance tests can drive every algorithm
-//! uniformly.
+//! implementations and read the same [`RunConfig`]; the types here are thin
+//! adapters that call the algorithm and repackage the [`FlSolution`] into
+//! the unified [`Run`] envelope so the registry, the `parfaclo` CLI and the
+//! conformance tests can drive every algorithm uniformly.
 
-use crate::config::FlConfig;
 use crate::solution::FlSolution;
 use crate::{greedy, local_search_fl, lp_rounding, primal_dual};
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
@@ -15,24 +13,12 @@ use parfaclo_lp::solve_facility_lp;
 use parfaclo_metric::FlInstance;
 use parfaclo_trace as trace;
 
-impl From<&RunConfig> for FlConfig {
-    fn from(cfg: &RunConfig) -> Self {
-        FlConfig {
-            epsilon: cfg.epsilon,
-            seed: cfg.seed,
-            preprocess: cfg.preprocess,
-            subselection: cfg.subselection,
-            max_rounds: cfg.max_rounds,
-        }
-    }
-}
-
 /// Repackages an [`FlSolution`] into the unified envelope.
 fn fl_envelope(
     solver: &(impl Solver + ?Sized),
     inst: &FlInstance,
     sol: FlSolution,
-    cfg: &FlConfig,
+    cfg: &RunConfig,
 ) -> Run {
     Run::new(Solver::name(solver), Solver::problem(solver))
         .with_guarantee(Solver::guarantee(solver))
@@ -47,14 +33,7 @@ fn fl_envelope(
         .with_extra("connection_cost", sol.connection_cost)
         .with_extra("preprocess", cfg.preprocess as u8 as f64)
         .with_extra("subselection", cfg.subselection as u8 as f64)
-}
-
-/// Stamps the ε/seed echo (the typed entry point receives `FlConfig`, which
-/// carries both).
-fn echo(mut run: Run, cfg: &FlConfig) -> Run {
-    run.epsilon = cfg.epsilon;
-    run.seed = cfg.seed;
-    run
+        .with_config_echo(cfg)
 }
 
 /// The parallel greedy algorithm (Algorithm 4.1) behind the unified API.
@@ -63,7 +42,6 @@ pub struct GreedySolver;
 
 impl Solver for GreedySolver {
     type Instance = FlInstance;
-    type Config = FlConfig;
 
     fn name(&self) -> &str {
         "greedy"
@@ -81,9 +59,9 @@ impl Solver for GreedySolver {
         "Algorithm 4.1, Theorem 4.9"
     }
 
-    fn solve(&self, inst: &FlInstance, cfg: &FlConfig) -> Result<Run, String> {
+    fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
         let sol = greedy::parallel_greedy(inst, cfg);
-        Ok(echo(fl_envelope(self, inst, sol, cfg), cfg))
+        Ok(fl_envelope(self, inst, sol, cfg))
     }
 }
 
@@ -93,7 +71,6 @@ pub struct PrimalDualSolver;
 
 impl Solver for PrimalDualSolver {
     type Instance = FlInstance;
-    type Config = FlConfig;
 
     fn name(&self) -> &str {
         "primal-dual"
@@ -111,9 +88,9 @@ impl Solver for PrimalDualSolver {
         "Algorithm 5.1, Theorem 5.4"
     }
 
-    fn solve(&self, inst: &FlInstance, cfg: &FlConfig) -> Result<Run, String> {
+    fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
         let sol = primal_dual::parallel_primal_dual(inst, cfg).map_err(|e| e.to_string())?;
-        Ok(echo(fl_envelope(self, inst, sol, cfg), cfg))
+        Ok(fl_envelope(self, inst, sol, cfg))
     }
 }
 
@@ -134,7 +111,6 @@ pub struct LpRoundingSolver;
 
 impl Solver for LpRoundingSolver {
     type Instance = FlInstance;
-    type Config = FlConfig;
 
     fn name(&self) -> &str {
         "lp-rounding"
@@ -152,16 +128,13 @@ impl Solver for LpRoundingSolver {
         "Section 6.2, Theorem 6.5"
     }
 
-    fn solve(&self, inst: &FlInstance, cfg: &FlConfig) -> Result<Run, String> {
+    fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
         let lp = {
             let _span = trace::span("lp-solve", None);
             solve_facility_lp(inst).map_err(|e| e.to_string())?
         };
         let sol = lp_rounding::parallel_lp_rounding(inst, &lp, cfg);
-        Ok(echo(
-            fl_envelope(self, inst, sol, cfg).with_extra("lp_value", lp.value()),
-            cfg,
-        ))
+        Ok(fl_envelope(self, inst, sol, cfg).with_extra("lp_value", lp.value()))
     }
 }
 
@@ -172,7 +145,6 @@ pub struct FlLocalSearchSolver;
 
 impl Solver for FlLocalSearchSolver {
     type Instance = FlInstance;
-    type Config = FlConfig;
 
     fn name(&self) -> &str {
         "local-search-fl"
@@ -190,9 +162,9 @@ impl Solver for FlLocalSearchSolver {
         "Section 7 (closing remark)"
     }
 
-    fn solve(&self, inst: &FlInstance, cfg: &FlConfig) -> Result<Run, String> {
+    fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
         let sol = local_search_fl::parallel_local_search_fl(inst, cfg);
-        Ok(echo(fl_envelope(self, inst, sol, cfg), cfg))
+        Ok(fl_envelope(self, inst, sol, cfg))
     }
 }
 
@@ -208,8 +180,7 @@ mod tests {
     #[test]
     fn greedy_adapter_matches_free_function() {
         let inst = tiny();
-        let rc = RunConfig::new(0.1).with_seed(5);
-        let cfg = FlConfig::from(&rc);
+        let cfg = RunConfig::new(0.1).with_seed(5);
         let direct = greedy::parallel_greedy(&inst, &cfg);
         let run = GreedySolver.solve(&inst, &cfg).expect("feasible");
         assert_eq!(run.cost, direct.cost);
@@ -221,23 +192,9 @@ mod tests {
     }
 
     #[test]
-    fn runconfig_projection_preserves_ablation_knobs() {
-        let rc = RunConfig::new(0.3)
-            .with_seed(9)
-            .with_preprocess(false)
-            .with_subselection(false);
-        let cfg = FlConfig::from(&rc);
-        assert_eq!(cfg.epsilon, 0.3);
-        assert_eq!(cfg.seed, 9);
-        assert!(!cfg.preprocess);
-        assert!(!cfg.subselection);
-        assert_eq!(cfg.max_rounds, rc.max_rounds);
-    }
-
-    #[test]
     fn all_fl_adapters_produce_valid_runs() {
         let inst = tiny();
-        let cfg = FlConfig::from(&RunConfig::new(0.2).with_seed(1));
+        let cfg = RunConfig::new(0.2).with_seed(1);
         for run in [
             GreedySolver.solve(&inst, &cfg).expect("feasible"),
             PrimalDualSolver.solve(&inst, &cfg).expect("feasible"),
@@ -255,7 +212,7 @@ mod tests {
     #[test]
     fn primal_dual_run_carries_certificate() {
         let inst = tiny();
-        let cfg = FlConfig::from(&RunConfig::new(0.1));
+        let cfg = RunConfig::new(0.1);
         let run = PrimalDualSolver.solve(&inst, &cfg).expect("feasible");
         let ratio = run.certified_ratio().expect("primal-dual certifies");
         assert!(ratio >= 1.0 - 1e-9);

@@ -114,14 +114,14 @@ pub fn certified_ratio(inst: &FlInstance, sol: &FlSolution, extra_lower_bound: f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FlConfig;
     use crate::{greedy, primal_dual};
+    use parfaclo_api::RunConfig;
     use parfaclo_metric::gen::{self, GenParams};
 
     #[test]
     fn verify_accepts_algorithm_outputs() {
         let inst = gen::facility_location(GenParams::uniform_square(20, 10).with_seed(3));
-        let cfg = FlConfig::new(0.1).with_seed(3);
+        let cfg = RunConfig::new(0.1).with_seed(3);
         let g = greedy::parallel_greedy(&inst, &cfg);
         let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         assert!(verify_solution(&inst, &g).is_ok());
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn verify_rejects_tampered_solutions() {
         let inst = gen::facility_location(GenParams::uniform_square(10, 5).with_seed(1));
-        let cfg = FlConfig::new(0.1);
+        let cfg = RunConfig::new(0.1);
         let mut sol = greedy::parallel_greedy(&inst, &cfg);
         sol.cost += 5.0;
         assert!(verify_solution(&inst, &sol).is_err());
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn certified_ratio_uses_best_bound() {
         let inst = gen::facility_location(GenParams::uniform_square(8, 5).with_seed(5));
-        let cfg = FlConfig::new(0.1).with_seed(5);
+        let cfg = RunConfig::new(0.1).with_seed(5);
         let sol = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         let lb = instance_lower_bound(&inst, 10_000);
         let ratio = certified_ratio(&inst, &sol, lb.best()).expect("certificate");

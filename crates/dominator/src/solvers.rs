@@ -103,7 +103,6 @@ pub struct MaxDomSolver;
 
 impl Solver for MaxDomSolver {
     type Instance = ClusterInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "maxdom"
@@ -129,7 +128,6 @@ pub struct MisSolver;
 
 impl Solver for MisSolver {
     type Instance = ClusterInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "mis"

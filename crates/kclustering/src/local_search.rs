@@ -15,6 +15,7 @@
 //! for k-means (Arya et al. / Gupta–Tangwongsan).
 
 use crate::kcenter::parallel_kcenter;
+use parfaclo_api::RunConfig;
 use parfaclo_matrixops::{CostMeter, CostReport, PAR_THRESHOLD};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, NodeId};
 use parfaclo_trace as trace;
@@ -46,49 +47,6 @@ impl ClusterObjective {
             ClusterObjective::KMedian => 5.0,
             ClusterObjective::KMeans => 81.0,
         }
-    }
-}
-
-/// Configuration for the parallel local search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalSearchConfig {
-    /// The ε of the `(1 − β/k)` improvement threshold and of the `5 + ε` guarantee.
-    pub epsilon: f64,
-    /// Seed for the k-center initialisation.
-    pub seed: u64,
-    /// Defensive cap on the number of local-search rounds.
-    pub max_rounds: usize,
-}
-
-impl LocalSearchConfig {
-    /// A configuration with the given ε and defaults for everything else.
-    ///
-    /// # Panics
-    /// Panics if `epsilon` is not a positive finite number, or exceeds 1
-    /// (where the `+ ε` in every guarantee certifies nothing).
-    pub fn new(epsilon: f64) -> Self {
-        assert!(
-            epsilon.is_finite() && epsilon > 0.0,
-            "epsilon must be positive and finite, got {epsilon}"
-        );
-        assert!(epsilon <= 1.0, "epsilon must be at most 1, got {epsilon}");
-        LocalSearchConfig {
-            epsilon,
-            seed: 0,
-            max_rounds: 1_000_000,
-        }
-    }
-
-    /// Replaces the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-impl Default for LocalSearchConfig {
-    fn default() -> Self {
-        LocalSearchConfig::new(0.1)
     }
 }
 
@@ -195,29 +153,28 @@ fn swap_scores(
     }
 }
 
-/// Runs the parallel local search for the given objective, charging the
-/// swap scoring to `meter`: the caller owns it, so the trace span it opens
-/// around the call counts that work (as `max_dom`'s callers do).
-/// The returned `work` is this call's share of the meter plus the k-center
-/// seed's own.
+/// Runs the parallel local search for the given objective with
+/// `k = cfg.k` centers, charging the swap scoring to `meter`: the caller
+/// owns it, so the trace span it opens around the call counts that work (as
+/// `max_dom`'s callers do). The returned `work` is this call's share of the
+/// meter plus the k-center seed's own.
 ///
 /// # Panics
-/// Panics if `k == 0`, the instance is empty, or the k-center seed's sort
+/// Panics if `cfg.k == 0`, the instance is empty, or the k-center seed's sort
 /// of all pairwise distances would exceed the 4 GiB scratch cap
 /// (`DistanceOracle::check_distance_sort_cap`, n ≈ 23,170); the
 /// `kmedian-ls` and `kmeans-ls` solvers refuse such instances up front.
 pub fn parallel_local_search(
     inst: &ClusterInstance,
-    k: usize,
     objective: ClusterObjective,
-    cfg: &LocalSearchConfig,
+    cfg: &RunConfig,
     meter: &CostMeter,
 ) -> KClusterSolution {
     let n = inst.n();
-    assert!(k >= 1, "k must be at least 1");
+    assert!(cfg.k >= 1, "k must be at least 1");
     assert!(n >= 1, "instance must be non-empty");
     let start = meter.report();
-    let k = k.min(n);
+    let k = cfg.k.min(n);
 
     // ---- Initial solution: the parallel k-center 2-approximation ----------------------
     let kc = parallel_kcenter(inst, k, cfg.seed)
@@ -307,21 +264,13 @@ pub fn parallel_local_search(
 }
 
 /// Parallel local search for **k-median** (`5 + ε`-approximation).
-pub fn parallel_kmedian(
-    inst: &ClusterInstance,
-    k: usize,
-    cfg: &LocalSearchConfig,
-) -> KClusterSolution {
-    parallel_local_search(inst, k, ClusterObjective::KMedian, cfg, &CostMeter::new())
+pub fn parallel_kmedian(inst: &ClusterInstance, cfg: &RunConfig) -> KClusterSolution {
+    parallel_local_search(inst, ClusterObjective::KMedian, cfg, &CostMeter::new())
 }
 
 /// Parallel local search for **k-means** (`81 + ε`-approximation in general metrics).
-pub fn parallel_kmeans(
-    inst: &ClusterInstance,
-    k: usize,
-    cfg: &LocalSearchConfig,
-) -> KClusterSolution {
-    parallel_local_search(inst, k, ClusterObjective::KMeans, cfg, &CostMeter::new())
+pub fn parallel_kmeans(inst: &ClusterInstance, cfg: &RunConfig) -> KClusterSolution {
+    parallel_local_search(inst, ClusterObjective::KMeans, cfg, &CostMeter::new())
 }
 
 #[cfg(test)]
@@ -336,7 +285,8 @@ mod tests {
         for seed in 0..6 {
             let inst = gen::clustering(GenParams::uniform_square(11, 11).with_seed(seed));
             for k in 1..4 {
-                let sol = parallel_kmedian(&inst, k, &LocalSearchConfig::new(0.1).with_seed(seed));
+                let cfg = RunConfig::new(0.1).with_k(k).with_seed(seed);
+                let sol = parallel_kmedian(&inst, &cfg);
                 let (_, opt) =
                     lower_bounds::brute_force_kclustering(&inst, k, BfObjective::KMedian);
                 assert!(
@@ -354,7 +304,7 @@ mod tests {
     fn kmeans_within_guarantee_on_small_instances() {
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::uniform_square(10, 10).with_seed(seed));
-            let sol = parallel_kmeans(&inst, 2, &LocalSearchConfig::new(0.2).with_seed(seed));
+            let sol = parallel_kmeans(&inst, &RunConfig::new(0.2).with_k(2).with_seed(seed));
             let (_, opt) = lower_bounds::brute_force_kclustering(&inst, 2, BfObjective::KMeans);
             assert!(
                 sol.cost <= (81.0 + 0.2) * opt + 1e-6,
@@ -368,7 +318,7 @@ mod tests {
     #[test]
     fn planted_clusters_are_found() {
         let inst = gen::clustering(GenParams::planted(36, 36, 4).with_seed(8));
-        let sol = parallel_kmedian(&inst, 4, &LocalSearchConfig::new(0.1));
+        let sol = parallel_kmedian(&inst, &RunConfig::new(0.1).with_k(4));
         // Every node is within distance 2 of its blob's members, so a correct clustering
         // costs at most 2n = 72; a wrong clustering pays ≥ 48 for a whole missed blob.
         assert!(sol.cost <= 72.0, "cost {}", sol.cost);
@@ -378,7 +328,7 @@ mod tests {
     fn local_search_never_worse_than_initialisation() {
         for seed in 0..5 {
             let inst = gen::clustering(GenParams::gaussian_clusters(30, 30, 5).with_seed(seed));
-            let sol = parallel_kmedian(&inst, 5, &LocalSearchConfig::new(0.1).with_seed(seed));
+            let sol = parallel_kmedian(&inst, &RunConfig::new(0.1).with_k(5).with_seed(seed));
             assert!(sol.cost <= sol.initial_cost + 1e-9, "seed {seed}");
         }
     }
@@ -388,7 +338,7 @@ mod tests {
         let inst = gen::clustering(GenParams::uniform_square(40, 40).with_seed(3));
         let eps = 0.2;
         let k = 4;
-        let sol = parallel_kmedian(&inst, k, &LocalSearchConfig::new(eps).with_seed(3));
+        let sol = parallel_kmedian(&inst, &RunConfig::new(eps).with_k(k).with_seed(3));
         // Theorem 7.1 / Arya et al.: O(log_{1/(1-β/k)}(initial/opt)) rounds; bound the
         // ratio crudely by initial/final (final ≥ opt).
         let beta = eps / (1.0 + eps);
@@ -405,7 +355,7 @@ mod tests {
     fn comparable_to_sequential_local_search() {
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::uniform_square(18, 18).with_seed(seed));
-            let par = parallel_kmedian(&inst, 3, &LocalSearchConfig::new(0.1).with_seed(seed));
+            let par = parallel_kmedian(&inst, &RunConfig::new(0.1).with_k(3).with_seed(seed));
             let seq = local_search_kmedian(&inst, 3, 0.1);
             // Both are (5+ε)-approximations; they should be within that factor of each
             // other (and typically nearly equal).
@@ -417,30 +367,17 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = gen::clustering(GenParams::uniform_square(22, 22).with_seed(5));
-        let cfg = LocalSearchConfig::new(0.15).with_seed(9);
-        let a = parallel_kmedian(&inst, 3, &cfg);
-        let b = parallel_kmedian(&inst, 3, &cfg);
+        let cfg = RunConfig::new(0.15).with_k(3).with_seed(9);
+        let a = parallel_kmedian(&inst, &cfg);
+        let b = parallel_kmedian(&inst, &cfg);
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.cost, b.cost);
     }
 
     #[test]
-    #[should_panic(expected = "positive and finite")]
-    fn infinite_epsilon_rejected() {
-        let _ = LocalSearchConfig::new(f64::INFINITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 1, got 1.5")]
-    fn epsilon_above_one_rejected() {
-        assert_eq!(LocalSearchConfig::new(1.0).epsilon, 1.0);
-        let _ = LocalSearchConfig::new(1.5);
-    }
-
-    #[test]
     fn k_geq_n_gives_zero_cost() {
         let inst = gen::clustering(GenParams::uniform_square(5, 5).with_seed(1));
-        let sol = parallel_kmedian(&inst, 8, &LocalSearchConfig::new(0.1));
+        let sol = parallel_kmedian(&inst, &RunConfig::new(0.1).with_k(8));
         assert_eq!(sol.centers.len(), 5);
         assert_eq!(sol.cost, 0.0);
     }
@@ -448,7 +385,7 @@ mod tests {
     #[test]
     fn k_of_one() {
         let inst = gen::clustering(GenParams::line(9, 9));
-        let sol = parallel_kmedian(&inst, 1, &LocalSearchConfig::new(0.05));
+        let sol = parallel_kmedian(&inst, &RunConfig::new(0.05).with_k(1));
         let (_, opt) = lower_bounds::brute_force_kclustering(&inst, 1, BfObjective::KMedian);
         assert!(sol.cost <= 5.05 * opt + 1e-9);
         assert_eq!(sol.centers.len(), 1);
@@ -457,7 +394,7 @@ mod tests {
     #[test]
     fn work_counters_populated() {
         let inst = gen::clustering(GenParams::uniform_square(20, 20).with_seed(2));
-        let sol = parallel_kmedian(&inst, 3, &LocalSearchConfig::new(0.1));
+        let sol = parallel_kmedian(&inst, &RunConfig::new(0.1).with_k(3));
         assert!(sol.work.element_ops > 0);
         assert!(sol.work.primitive_calls > 0);
     }
@@ -466,10 +403,10 @@ mod tests {
     fn unit_weights_are_bitwise_identical_to_unweighted() {
         let base = gen::clustering(GenParams::uniform_square(20, 20).with_seed(4));
         let unit = base.clone().with_weights(vec![1.0; 20]);
-        let cfg = LocalSearchConfig::new(0.1).with_seed(4);
+        let cfg = RunConfig::new(0.1).with_k(3).with_seed(4);
         for objective in [ClusterObjective::KMedian, ClusterObjective::KMeans] {
-            let a = parallel_local_search(&base, 3, objective, &cfg, &CostMeter::new());
-            let b = parallel_local_search(&unit, 3, objective, &cfg, &CostMeter::new());
+            let a = parallel_local_search(&base, objective, &cfg, &CostMeter::new());
+            let b = parallel_local_search(&unit, objective, &cfg, &CostMeter::new());
             assert_eq!(a.centers, b.centers);
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
             assert_eq!(a.rounds, b.rounds);
@@ -483,8 +420,7 @@ mod tests {
         w[7] = 1e6;
         let heavy = parallel_kmedian(
             &base.clone().with_weights(w),
-            3,
-            &LocalSearchConfig::new(0.1).with_seed(4),
+            &RunConfig::new(0.1).with_k(3).with_seed(4),
         );
         let d7 = heavy
             .centers

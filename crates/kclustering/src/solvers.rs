@@ -1,12 +1,12 @@
 //! [`Solver`] adapters for the parallel k-clustering algorithms.
 //!
 //! As in `parfaclo-core`, the free functions remain the implementations;
-//! these types project the unified [`RunConfig`] (which carries `k`) into
-//! the native argument lists and repackage the solutions into [`Run`]
-//! envelopes.
+//! these types pass them the unified [`RunConfig`] (which carries `k`), or
+//! the fields of it k-center takes, and repackage the solutions into
+//! [`Run`] envelopes.
 
 use crate::kcenter::parallel_kcenter_derived;
-use crate::local_search::{parallel_local_search, ClusterObjective, LocalSearchConfig};
+use crate::local_search::{parallel_local_search, ClusterObjective};
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
 use parfaclo_matrixops::CostMeter;
 use parfaclo_metric::coreset::{build_coreset, coreset_instance, Coreset, GridCoreset};
@@ -54,16 +54,6 @@ fn coreset_for(
     Ok((cs, sub))
 }
 
-impl From<&RunConfig> for LocalSearchConfig {
-    fn from(cfg: &RunConfig) -> Self {
-        LocalSearchConfig {
-            epsilon: cfg.epsilon,
-            seed: cfg.seed,
-            max_rounds: cfg.max_rounds,
-        }
-    }
-}
-
 /// The parallel Hochbaum–Shmoys k-center algorithm (Section 6.1) behind the
 /// unified API.
 #[derive(Debug, Clone, Copy, Default)]
@@ -71,7 +61,6 @@ pub struct KCenterSolver;
 
 impl Solver for KCenterSolver {
     type Instance = ClusterInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "kcenter"
@@ -191,11 +180,10 @@ fn local_search_run(
             let _span = trace::span("coreset-build", Some(&outer));
             coreset_for(Solver::name(solver), inst, eps, cfg.k, &outer)?
         };
-        let ls_cfg = LocalSearchConfig::from(cfg);
         let meter = CostMeter::new();
         let sol = {
             let _span = trace::span("sub-solve", Some(&meter));
-            parallel_local_search(&sub, cfg.k, objective, &ls_cfg, &meter)
+            parallel_local_search(&sub, objective, cfg, &meter)
         };
         let sweep_span = trace::span("full-sweep", Some(&outer));
         outer.add_primitive((inst.n() * sol.centers.len()) as u64);
@@ -245,11 +233,10 @@ fn local_search_run(
             inst.n()
         )
     })?;
-    let ls_cfg = LocalSearchConfig::from(cfg);
     let meter = CostMeter::new();
     let sol = {
         let _span = trace::span("swap-search", Some(&meter));
-        parallel_local_search(inst, cfg.k, objective, &ls_cfg, &meter)
+        parallel_local_search(inst, objective, cfg, &meter)
     };
     let assignment = {
         let _span = trace::span("full-sweep", None);
@@ -275,7 +262,6 @@ pub struct KMedianLocalSearchSolver;
 
 impl Solver for KMedianLocalSearchSolver {
     type Instance = ClusterInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "kmedian-ls"
@@ -305,7 +291,6 @@ pub struct KMeansLocalSearchSolver;
 
 impl Solver for KMeansLocalSearchSolver {
     type Instance = ClusterInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "kmeans-ls"
@@ -521,14 +506,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn local_search_config_projection() {
-        let rc = RunConfig::new(0.4).with_seed(11).with_max_rounds(77);
-        let ls = LocalSearchConfig::from(&rc);
-        assert_eq!(ls.epsilon, 0.4);
-        assert_eq!(ls.seed, 11);
-        assert_eq!(ls.max_rounds, 77);
     }
 }

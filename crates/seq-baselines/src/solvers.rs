@@ -23,7 +23,6 @@ pub struct JmsGreedySolver;
 
 impl Solver for JmsGreedySolver {
     type Instance = FlInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "jms-greedy"
@@ -67,7 +66,6 @@ pub struct JainVaziraniSolver;
 
 impl Solver for JainVaziraniSolver {
     type Instance = FlInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "jain-vazirani"
@@ -130,7 +128,6 @@ pub struct GonzalezSolver;
 
 impl Solver for GonzalezSolver {
     type Instance = ClusterInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "gonzalez"
@@ -168,7 +165,6 @@ pub struct HochbaumShmoysSolver;
 
 impl Solver for HochbaumShmoysSolver {
     type Instance = ClusterInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "hs-kcenter"
@@ -216,7 +212,6 @@ pub struct SeqKMedianSolver;
 
 impl Solver for SeqKMedianSolver {
     type Instance = ClusterInstance;
-    type Config = RunConfig;
 
     fn name(&self) -> &str {
         "kmedian-seq"

@@ -1,6 +1,7 @@
 //! Relationships that must hold *between* algorithms and substrates.
 
-use parfaclo_core::{greedy, primal_dual, verify, FlConfig};
+use parfaclo_api::RunConfig;
+use parfaclo_core::{greedy, primal_dual, verify};
 use parfaclo_lp::{dual, solve_facility_lp};
 use parfaclo_metric::gen::{self, GenParams};
 use parfaclo_metric::lower_bounds;
@@ -12,7 +13,7 @@ use parfaclo_seq_baselines::{jain_vazirani, jms_greedy};
 fn weak_duality_chain() {
     for seed in 0..4u64 {
         let inst = gen::facility_location(GenParams::uniform_square(9, 5).with_seed(seed));
-        let cfg = FlConfig::new(0.1).with_seed(seed);
+        let cfg = RunConfig::new(0.1).with_seed(seed);
 
         let lp = solve_facility_lp(&inst).expect("lp");
         let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
@@ -43,8 +44,8 @@ fn weak_duality_chain() {
 fn dual_certificates_are_consistent() {
     for seed in 0..4u64 {
         let inst = gen::facility_location(GenParams::gaussian_clusters(16, 8, 4).with_seed(seed));
-        let pd =
-            primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.05).with_seed(seed)).unwrap();
+        let pd = primal_dual::parallel_primal_dual(&inst, &RunConfig::new(0.05).with_seed(seed))
+            .unwrap();
         let jv = jain_vazirani(&inst);
         assert!(dual::check_alpha_feasible(&inst, &pd.alpha, 1e-6).is_ok());
         assert!(dual::check_alpha_feasible(&inst, &jv.alpha, 1e-6).is_ok());
@@ -65,7 +66,7 @@ fn dual_certificates_are_consistent() {
 fn certified_ratios_respect_guarantees() {
     for seed in 0..4u64 {
         let inst = gen::facility_location(GenParams::uniform_square(14, 7).with_seed(seed));
-        let cfg = FlConfig::new(0.1).with_seed(seed);
+        let cfg = RunConfig::new(0.1).with_seed(seed);
         let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         let lb = verify::instance_lower_bound(&inst, 10_000);
         let ratio = verify::certified_ratio(&inst, &pd, lb.best()).expect("certificate");
@@ -91,7 +92,7 @@ fn gamma_bounds_bracket_algorithm_costs() {
     for seed in 0..4u64 {
         let inst = gen::facility_location(GenParams::line(20, 10).with_seed(seed));
         let bounds = lower_bounds::gamma_bounds(&inst);
-        let cfg = FlConfig::new(0.1).with_seed(seed);
+        let cfg = RunConfig::new(0.1).with_seed(seed);
         let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
         assert!(bounds.lower <= pd.cost + 1e-9);
         assert!(pd.cost <= 3.5 * bounds.upper + 1e-6);
@@ -105,7 +106,7 @@ fn gamma_bounds_bracket_algorithm_costs() {
 #[test]
 fn work_accounting_is_plausible() {
     let inst = gen::facility_location(GenParams::uniform_square(64, 32).with_seed(2));
-    let cfg = FlConfig::new(0.1).with_seed(2);
+    let cfg = RunConfig::new(0.1).with_seed(2);
     let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
     let m = inst.m() as u64;
     let per_round_budget = 8 * m;

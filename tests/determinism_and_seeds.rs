@@ -1,7 +1,8 @@
 //! Determinism guarantees: fixed seeds give identical results, the thread count never
 //! changes results, and different seeds stay within the approximation envelope.
 
-use parfaclo_core::{greedy, lp_rounding, primal_dual, FlConfig};
+use parfaclo_api::RunConfig;
+use parfaclo_core::{greedy, lp_rounding, primal_dual};
 use parfaclo_lp::solve_facility_lp;
 use parfaclo_metric::gen::{self, GenParams};
 
@@ -9,7 +10,7 @@ use parfaclo_metric::gen::{self, GenParams};
 fn facility_location_algorithms_are_deterministic() {
     let inst = gen::facility_location(GenParams::gaussian_clusters(48, 20, 6).with_seed(13));
     for eps in [0.05, 0.3] {
-        let cfg = FlConfig::new(eps).with_seed(99);
+        let cfg = RunConfig::new(eps).with_seed(99);
         let g1 = greedy::parallel_greedy(&inst, &cfg);
         let g2 = greedy::parallel_greedy(&inst, &cfg);
         assert_eq!(g1.open, g2.open);
@@ -28,7 +29,7 @@ fn different_seeds_stay_within_guarantees() {
     let inst = gen::facility_location(GenParams::uniform_square(30, 12).with_seed(23));
     let mut costs = Vec::new();
     for seed in 0..8u64 {
-        let sol = greedy::parallel_greedy(&inst, &FlConfig::new(0.2).with_seed(seed));
+        let sol = greedy::parallel_greedy(&inst, &RunConfig::new(0.2).with_seed(seed));
         assert!(sol.cost >= sol.lower_bound - 1e-9);
         costs.push(sol.cost);
     }
@@ -46,7 +47,7 @@ fn different_seeds_stay_within_guarantees() {
 fn lp_rounding_determinism_with_shared_lp_solution() {
     let inst = gen::facility_location(GenParams::uniform_square(10, 6).with_seed(29));
     let lp = solve_facility_lp(&inst).expect("lp");
-    let cfg = FlConfig::new(0.15).with_seed(31);
+    let cfg = RunConfig::new(0.15).with_seed(31);
     let a = lp_rounding::parallel_lp_rounding(&inst, &lp, &cfg);
     let b = lp_rounding::parallel_lp_rounding(&inst, &lp, &cfg);
     assert_eq!(a.open, b.open);
@@ -60,7 +61,7 @@ fn generator_reproducibility_is_end_to_end() {
     let params = GenParams::gaussian_clusters(25, 10, 3).with_seed(777);
     let a = gen::facility_location(params);
     let b = gen::facility_location(params);
-    let cfg = FlConfig::new(0.1).with_seed(1);
+    let cfg = RunConfig::new(0.1).with_seed(1);
     assert_eq!(
         primal_dual::parallel_primal_dual(&a, &cfg).unwrap().open,
         primal_dual::parallel_primal_dual(&b, &cfg).unwrap().open

@@ -17,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 
 use parfaclo_api::{AnyInstance, ProblemKind, RunConfig};
 use parfaclo_bench::standard_registry;
-use parfaclo_core::{primal_dual, FlConfig};
+use parfaclo_core::primal_dual;
 use parfaclo_dominator::maxdom::{is_maximal_dominator_set, max_dom};
 use parfaclo_dominator::maxudom::{is_maximal_u_dominator_set, max_u_dom};
 use parfaclo_dominator::{BipartiteGraph, DenseGraph};
@@ -136,7 +136,7 @@ fn raw_alpha_is_dual_feasible(inst: &AnyInstance, cfg: &RunConfig, opt: f64, cas
     let AnyInstance::Fl(inst) = inst else {
         unreachable!("primal-dual runs on facility-location instances")
     };
-    let sol = primal_dual::parallel_primal_dual(inst, &FlConfig::from(cfg)).unwrap();
+    let sol = primal_dual::parallel_primal_dual(inst, cfg).unwrap();
     assert!(
         dual::check_alpha_feasible(inst, &sol.alpha, 1e-6).is_ok(),
         "case {case}"
@@ -267,7 +267,7 @@ fn prop_non_metric_inputs_do_not_break_structure() {
         let costs: Vec<f64> = (0..4).map(|_| rng.gen_range(0.1..50.0)).collect();
         let dist = DistanceMatrix::from_rows(3, 4, entries);
         let inst = FlInstance::new(costs, dist);
-        let sol = primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.2)).unwrap();
+        let sol = primal_dual::parallel_primal_dual(&inst, &RunConfig::new(0.2)).unwrap();
         assert!(!sol.open.is_empty(), "case {case}");
         assert_eq!(sol.assignment.len(), 3, "case {case}");
         assert!(sol.cost.is_finite(), "case {case}");

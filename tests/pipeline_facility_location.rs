@@ -1,6 +1,7 @@
 //! End-to-end facility-location pipelines across the whole workspace.
 
-use parfaclo_core::{greedy, lp_rounding, primal_dual, verify, FlConfig};
+use parfaclo_api::RunConfig;
+use parfaclo_core::{greedy, lp_rounding, primal_dual, verify};
 use parfaclo_lp::solve_facility_lp;
 use parfaclo_metric::gen::{self, standard_suite, GenParams};
 use parfaclo_seq_baselines::{jain_vazirani, jms_greedy};
@@ -11,7 +12,7 @@ use parfaclo_seq_baselines::{jain_vazirani, jms_greedy};
 fn all_algorithms_valid_on_standard_suite() {
     for wl in standard_suite(40, 16, 11) {
         let inst = gen::facility_location(wl.params);
-        let cfg = FlConfig::new(0.1).with_seed(3);
+        let cfg = RunConfig::new(0.1).with_seed(3);
 
         let g = greedy::parallel_greedy(&inst, &cfg);
         verify::verify_solution(&inst, &g)
@@ -31,7 +32,7 @@ fn lp_rounding_pipeline() {
         let inst = gen::facility_location(GenParams::gaussian_clusters(12, 7, 3).with_seed(seed));
         let lp = solve_facility_lp(&inst).expect("LP solve");
         lp.check_feasible(&inst, 1e-6).expect("LP feasibility");
-        let cfg = FlConfig::new(0.1).with_seed(seed);
+        let cfg = RunConfig::new(0.1).with_seed(seed);
         let sol = lp_rounding::parallel_lp_rounding(&inst, &lp, &cfg);
         verify::verify_solution(&inst, &sol).expect("rounding produces a valid solution");
         assert!(
@@ -48,7 +49,7 @@ fn lp_rounding_pipeline() {
 #[test]
 fn parallel_and_sequential_agree_on_quality_scale() {
     let inst = gen::facility_location(GenParams::uniform_square(60, 24).with_seed(5));
-    let cfg = FlConfig::new(0.1).with_seed(5);
+    let cfg = RunConfig::new(0.1).with_seed(5);
 
     let seq_g = jms_greedy(&inst);
     let seq_jv = jain_vazirani(&inst);
@@ -81,8 +82,9 @@ fn parallel_and_sequential_agree_on_quality_scale() {
 fn epsilon_controls_round_count() {
     let inst = gen::facility_location(GenParams::uniform_square(80, 32).with_seed(9));
     let tight =
-        primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.02).with_seed(1)).unwrap();
-    let loose = primal_dual::parallel_primal_dual(&inst, &FlConfig::new(0.5).with_seed(1)).unwrap();
+        primal_dual::parallel_primal_dual(&inst, &RunConfig::new(0.02).with_seed(1)).unwrap();
+    let loose =
+        primal_dual::parallel_primal_dual(&inst, &RunConfig::new(0.5).with_seed(1)).unwrap();
     assert!(loose.rounds < tight.rounds);
     // Both still valid.
     assert!(loose.cost >= loose.lower_bound - 1e-9);

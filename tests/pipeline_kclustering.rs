@@ -1,8 +1,7 @@
 //! End-to-end k-clustering pipelines across the whole workspace.
 
-use parfaclo_kclustering::{
-    parallel_kcenter, parallel_kmeans, parallel_kmedian, LocalSearchConfig,
-};
+use parfaclo_api::RunConfig;
+use parfaclo_kclustering::{parallel_kcenter, parallel_kmeans, parallel_kmedian};
 use parfaclo_metric::gen::{self, standard_suite, GenParams};
 use parfaclo_metric::lower_bounds::{kcenter_lower_bound, kmedian_lower_bound};
 use parfaclo_seq_baselines::{gonzalez_kcenter, local_search_kmedian};
@@ -35,7 +34,7 @@ fn kcenter_two_approximation_across_suite() {
 fn kmedian_pipeline_across_suite() {
     for wl in standard_suite(36, 36, 33) {
         let inst = gen::clustering(wl.params);
-        let sol = parallel_kmedian(&inst, 4, &LocalSearchConfig::new(0.1).with_seed(2));
+        let sol = parallel_kmedian(&inst, &RunConfig::new(0.1).with_k(4).with_seed(2));
         assert_eq!(sol.centers.len(), 4, "{}", wl.name);
         let mut dedup = sol.centers.clone();
         dedup.dedup();
@@ -53,9 +52,9 @@ fn kmedian_pipeline_across_suite() {
 #[test]
 fn kmeans_and_kmedian_consistency() {
     let inst = gen::clustering(GenParams::gaussian_clusters(50, 50, 5).with_seed(4));
-    let cfg = LocalSearchConfig::new(0.1).with_seed(4);
-    let med = parallel_kmedian(&inst, 5, &cfg);
-    let means = parallel_kmeans(&inst, 5, &cfg);
+    let cfg = RunConfig::new(0.1).with_k(5).with_seed(4);
+    let med = parallel_kmedian(&inst, &cfg);
+    let means = parallel_kmeans(&inst, &cfg);
     assert!((inst.kmeans_cost(&means.centers) - means.cost).abs() < 1e-6);
     assert!((inst.kmedian_cost(&med.centers) - med.cost).abs() < 1e-6);
     // On this clustered instance both should find solutions that beat one-cluster
@@ -74,7 +73,7 @@ fn parallel_vs_sequential_clustering_quality() {
     assert!(par_c.radius <= 2.0 * seq_c.radius + 1e-9);
     assert!(seq_c.radius <= 2.0 * par_c.radius + 1e-9);
 
-    let par_m = parallel_kmedian(&inst, k, &LocalSearchConfig::new(0.1).with_seed(9));
+    let par_m = parallel_kmedian(&inst, &RunConfig::new(0.1).with_k(k).with_seed(9));
     let seq_m = local_search_kmedian(&inst, k, 0.1);
     assert!(par_m.cost <= 5.1 * seq_m.cost + 1e-6);
     assert!(seq_m.cost <= 5.1 * par_m.cost + 1e-6);
