@@ -43,7 +43,7 @@ pub struct KCenterSolution {
 }
 
 /// The solution when every node can be a center: all of them, radius 0.
-fn every_node(n: usize, meter: &CostMeter) -> KCenterSolution {
+fn every_node(n: usize) -> KCenterSolution {
     KCenterSolution {
         centers: (0..n).collect(),
         radius: 0.0,
@@ -51,7 +51,7 @@ fn every_node(n: usize, meter: &CostMeter) -> KCenterSolution {
         lower_bound: 0.0,
         probes: 0,
         luby_rounds: 0,
-        work: meter.report(),
+        work: CostReport::default(),
     }
 }
 
@@ -68,6 +68,10 @@ fn every_node(n: usize, meter: &CostMeter) -> KCenterSolution {
 /// identical centers, radius, probes and work counters), and the meter
 /// charges `n²` per probe either way, the paper's cost model.
 ///
+/// The search charges `meter`, which the caller owns, so a trace span the
+/// caller opens around the call counts that work; the returned `work` is
+/// this call's share of the meter.
+///
 /// Deterministic for a fixed `seed`.
 ///
 /// # Errors
@@ -80,14 +84,15 @@ pub fn parallel_kcenter(
     inst: &ClusterInstance,
     k: usize,
     seed: u64,
+    meter: &CostMeter,
 ) -> Result<KCenterSolution, String> {
     let n = inst.n();
     assert!(k >= 1, "k must be at least 1");
     assert!(n >= 1, "instance must be non-empty");
-    let meter = CostMeter::new();
     if n <= k {
-        return Ok(every_node(n, &meter));
+        return Ok(every_node(n));
     }
+    let start = meter.report();
 
     // The candidate radii are the distinct pairwise distances, sorted.
     // Deriving them materialises the pairwise distances, so past the
@@ -95,7 +100,7 @@ pub fn parallel_kcenter(
     // instead of exhausting memory.
     let oracle = inst.distances();
     let distances = {
-        let _span = trace::span("derive-radii", Some(&meter));
+        let _span = trace::span("derive-radii", Some(meter));
         oracle.check_distance_sort_cap().map_err(|e| {
             format!(
                 "deriving the candidate radii: {e}; use a smaller instance, or sample \
@@ -107,7 +112,7 @@ pub fn parallel_kcenter(
     };
 
     // Binary search for the smallest threshold whose dominator set has at most k nodes.
-    let probe_span = trace::span("probe-search", Some(&meter));
+    let probe_span = trace::span("probe-search", Some(meter));
     let mut lo = 0usize;
     let mut hi = distances.len() - 1;
     let mut probes = 0usize;
@@ -118,13 +123,13 @@ pub fn parallel_kcenter(
         let mid = (lo + hi) / 2;
         probes += 1;
         // Probe frontier = candidate radii still in the search range.
-        trace::round(probes as u64, || (hi - lo + 1) as u64, &meter);
+        trace::round(probes as u64, || (hi - lo + 1) as u64, meter);
         let g = match &best {
             Some((_, _, feasible)) => feasible.filter_within(oracle, distances[mid]),
             None => CsrGraph::from_threshold_oracle(oracle, distances[mid]),
         };
         meter.add_primitive((n * n) as u64);
-        let dom = max_dom(&g, seed ^ (mid as u64).wrapping_mul(0x9E37_79B9), &meter);
+        let dom = max_dom(&g, seed ^ (mid as u64).wrapping_mul(0x9E37_79B9), meter);
         luby_rounds += dom.rounds;
         if dom.selected.len() <= k {
             best = Some((mid, dom.selected, g));
@@ -143,7 +148,7 @@ pub fn parallel_kcenter(
             // The largest threshold makes the whole graph one clique-square, so the
             // dominator set is a single node — always feasible.
             let g = CsrGraph::from_threshold_oracle(oracle, *distances.last().unwrap());
-            let dom = max_dom(&g, seed, &meter);
+            let dom = max_dom(&g, seed, meter);
             (distances.len() - 1, dom.selected)
         }
     };
@@ -159,7 +164,7 @@ pub fn parallel_kcenter(
         lower_bound: distances[t_idx],
         probes,
         luby_rounds,
-        work: meter.report(),
+        work: meter.delta_since(&start),
     })
 }
 
@@ -174,17 +179,19 @@ pub fn parallel_kcenter(
 /// materialised; the guarantee weakens to `radius ≤ 2·t` for a settled
 /// threshold `t` within one geometric sub-bucket (a few percent) of the
 /// smallest sampled feasible candidate. `graph` picks the sketch deriver's
-/// probe graphs; the exact search always probes nested CSR graphs.
+/// probe graphs; the exact search always probes nested CSR graphs. Either
+/// search charges `meter` as [`parallel_kcenter`] does.
 pub fn parallel_kcenter_derived(
     inst: &ClusterInstance,
     k: usize,
     seed: u64,
     graph: GraphBackend,
     deriver: RadiusDeriver,
+    meter: &CostMeter,
 ) -> Result<KCenterSolution, String> {
     match deriver {
-        RadiusDeriver::Exact => parallel_kcenter(inst, k, seed),
-        RadiusDeriver::Sketch => parallel_kcenter_sketched(inst, k, seed, graph),
+        RadiusDeriver::Exact => parallel_kcenter(inst, k, seed, meter),
+        RadiusDeriver::Sketch => parallel_kcenter_sketched(inst, k, seed, graph, meter),
     }
 }
 
@@ -215,6 +222,7 @@ const SKETCH_SAMPLE: usize = 1024;
 /// Deterministic for a fixed `seed` at any thread count and backend: the
 /// sample is value-independent, candidates are sorted, and each probe mixes
 /// the candidate index into the `MaxDom` seed exactly like the exact path.
+/// It charges `meter` as [`parallel_kcenter`] does.
 ///
 /// # Errors
 /// Returns `Err` when the requested graph representation cannot be built.
@@ -226,18 +234,19 @@ pub fn parallel_kcenter_sketched(
     k: usize,
     seed: u64,
     graph: GraphBackend,
+    meter: &CostMeter,
 ) -> Result<KCenterSolution, String> {
     let n = inst.n();
     assert!(k >= 1, "k must be at least 1");
     assert!(n >= 1, "instance must be non-empty");
-    let meter = CostMeter::new();
     if n <= k {
-        return Ok(every_node(n, &meter));
+        return Ok(every_node(n));
     }
+    let start = meter.report();
 
     // Evenly spaced sample (the full node set when it fits): value-independent,
     // so deterministic under every backend.
-    let derive_span = trace::span("derive-radii", Some(&meter));
+    let derive_span = trace::span("derive-radii", Some(meter));
     let s = n.min(SKETCH_SAMPLE);
     let sample: Vec<usize> = if s == n {
         (0..n).collect()
@@ -266,7 +275,7 @@ pub fn parallel_kcenter_sketched(
     meter.add_sort(candidates.len() as u64);
     drop(derive_span);
 
-    let probe_span = trace::span("probe-search", Some(&meter));
+    let probe_span = trace::span("probe-search", Some(meter));
     let mut probes = 0usize;
     let mut luby_rounds = 0usize;
     let mut infeasible_below = 0.0f64;
@@ -274,7 +283,7 @@ pub fn parallel_kcenter_sketched(
     let probe = |idx: usize, luby_rounds: &mut usize| -> Result<Option<Vec<NodeId>>, String> {
         let g = ThresholdGraph::build(inst.distances(), candidates[idx], graph)?;
         meter.add_primitive((n * n) as u64);
-        let dom = max_dom(&g, seed ^ (idx as u64).wrapping_mul(0x9E37_79B9), &meter);
+        let dom = max_dom(&g, seed ^ (idx as u64).wrapping_mul(0x9E37_79B9), meter);
         *luby_rounds += dom.rounds;
         Ok((dom.selected.len() <= k).then_some(dom.selected))
     };
@@ -296,7 +305,7 @@ pub fn parallel_kcenter_sketched(
         }
         probes += 1;
         // Probe frontier = candidates not yet ruled out by the coarse pass.
-        trace::round(probes as u64, || (candidates.len() - idx) as u64, &meter);
+        trace::round(probes as u64, || (candidates.len() - idx) as u64, meter);
         match probe(last, &mut luby_rounds)? {
             Some(centers) => {
                 best = Some((last, centers));
@@ -337,7 +346,7 @@ pub fn parallel_kcenter_sketched(
             let mid = (blo + bhi) / 2;
             probes += 1;
             // Probe frontier = sub-bucket maxima still in the bisection range.
-            trace::round(probes as u64, || (bhi - blo + 1) as u64, &meter);
+            trace::round(probes as u64, || (bhi - blo + 1) as u64, meter);
             match probe(maxima[mid], &mut luby_rounds)? {
                 Some(centers) => {
                     best = Some((maxima[mid], centers));
@@ -358,9 +367,9 @@ pub fn parallel_kcenter_sketched(
             // path's defensive fallback: the largest candidate is feasible.
             let last = candidates.len() - 1;
             probes += 1;
-            trace::round(probes as u64, || 1, &meter);
+            trace::round(probes as u64, || 1, meter);
             let g = ThresholdGraph::build(inst.distances(), candidates[last], graph)?;
-            let dom = max_dom(&g, seed, &meter);
+            let dom = max_dom(&g, seed, meter);
             luby_rounds += dom.rounds;
             (last, dom.selected)
         }
@@ -379,7 +388,7 @@ pub fn parallel_kcenter_sketched(
         lower_bound: infeasible_below,
         probes,
         luby_rounds,
-        work: meter.report(),
+        work: meter.delta_since(&start),
     })
 }
 
@@ -393,7 +402,7 @@ mod tests {
     #[test]
     fn planted_clusters_are_recovered() {
         let inst = gen::clustering(GenParams::planted(48, 48, 6).with_seed(1));
-        let sol = parallel_kcenter(&inst, 6, 0).expect("within the sort cap");
+        let sol = parallel_kcenter(&inst, 6, 0, &CostMeter::new()).expect("within the sort cap");
         assert!(sol.centers.len() <= 6);
         // Blobs have radius 1 and separation 50; any valid 2-approximation has radius
         // at most 2·2 = 4, and the dominator-set structure typically achieves ≤ 2.
@@ -407,7 +416,8 @@ mod tests {
             for k in 1..4 {
                 let (_, opt) =
                     lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-                let sol = parallel_kcenter(&inst, k, seed).expect("within the sort cap");
+                let sol = parallel_kcenter(&inst, k, seed, &CostMeter::new())
+                    .expect("within the sort cap");
                 assert!(
                     sol.radius <= 2.0 * opt + 1e-9,
                     "seed {seed} k {k}: {} vs opt {opt}",
@@ -426,7 +436,8 @@ mod tests {
         // most twice the feasibility threshold found by the binary search.
         for seed in 0..5 {
             let inst = gen::clustering(GenParams::gaussian_clusters(30, 30, 4).with_seed(seed));
-            let sol = parallel_kcenter(&inst, 4, seed).expect("within the sort cap");
+            let sol =
+                parallel_kcenter(&inst, 4, seed, &CostMeter::new()).expect("within the sort cap");
             assert!(
                 sol.radius <= 2.0 * sol.threshold + 1e-9,
                 "seed {seed}: radius {} threshold {}",
@@ -441,7 +452,8 @@ mod tests {
         for seed in 0..5 {
             let inst = gen::clustering(GenParams::uniform_square(40, 40).with_seed(seed));
             let k = 5;
-            let par = parallel_kcenter(&inst, k, seed).expect("within the sort cap");
+            let par =
+                parallel_kcenter(&inst, k, seed, &CostMeter::new()).expect("within the sort cap");
             let gonz = gonzalez_kcenter(&inst, k);
             let hs = hochbaum_shmoys_kcenter(&inst, k);
             // All three are 2-approximations of the same optimum, so no one of them can
@@ -457,7 +469,7 @@ mod tests {
     #[test]
     fn probes_are_logarithmic_in_distance_count() {
         let inst = gen::clustering(GenParams::uniform_square(50, 50).with_seed(7));
-        let sol = parallel_kcenter(&inst, 4, 7).expect("within the sort cap");
+        let sol = parallel_kcenter(&inst, 4, 7, &CostMeter::new()).expect("within the sort cap");
         let num_distances = inst.distances().sorted_distinct_values().len();
         let bound = (num_distances as f64).log2().ceil() as usize + 2;
         assert!(
@@ -471,7 +483,7 @@ mod tests {
     #[test]
     fn k_geq_n_selects_everything() {
         let inst = gen::clustering(GenParams::uniform_square(6, 6).with_seed(2));
-        let sol = parallel_kcenter(&inst, 10, 0).expect("within the sort cap");
+        let sol = parallel_kcenter(&inst, 10, 0, &CostMeter::new()).expect("within the sort cap");
         assert_eq!(sol.centers.len(), 6);
         assert_eq!(sol.radius, 0.0);
     }
@@ -479,8 +491,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = gen::clustering(GenParams::uniform_square(25, 25).with_seed(4));
-        let a = parallel_kcenter(&inst, 3, 11).expect("within the sort cap");
-        let b = parallel_kcenter(&inst, 3, 11).expect("within the sort cap");
+        let a = parallel_kcenter(&inst, 3, 11, &CostMeter::new()).expect("within the sort cap");
+        let b = parallel_kcenter(&inst, 3, 11, &CostMeter::new()).expect("within the sort cap");
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.radius, b.radius);
     }
@@ -496,7 +508,7 @@ mod tests {
         let n = inst.n();
         let meter = CostMeter::new();
         if n <= k {
-            return every_node(n, &meter);
+            return every_node(n);
         }
         let distances = inst.distances().sorted_distinct_values();
         meter.add_sort(inst.distances().len() as u64);
@@ -557,7 +569,8 @@ mod tests {
             let dense = per_probe_reference(&inst, 3, seed, GraphBackend::Dense);
             let csr = per_probe_reference(&inst, 3, seed, GraphBackend::Csr);
             assert_same(&dense, &csr, &format!("seed {seed}"));
-            let nested = parallel_kcenter(&inst, 3, seed).expect("within the sort cap");
+            let nested =
+                parallel_kcenter(&inst, 3, seed, &CostMeter::new()).expect("within the sort cap");
             assert_same(&nested, &csr, &format!("seed {seed}"));
         }
     }
@@ -587,8 +600,10 @@ mod tests {
                 for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
                     let inst = build_clustering(params, backend).expect("instance");
                     for threads in [1, 4] {
-                        let got = at_threads(threads, || parallel_kcenter(&inst, k, seed))
-                            .expect("within the sort cap");
+                        let got = at_threads(threads, || {
+                            parallel_kcenter(&inst, k, seed, &CostMeter::new())
+                        })
+                        .expect("within the sort cap");
                         let what = format!("workload {w} seed {seed} {backend} {threads} threads");
                         assert_same(&got, &want, &what);
                     }
@@ -601,10 +616,11 @@ mod tests {
     fn sketch_deriver_is_deterministic_and_backend_invariant() {
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::uniform_square(60, 60).with_seed(seed));
-            let a = parallel_kcenter_sketched(&inst, 4, seed, GraphBackend::Dense)
-                .expect("dense feasible");
-            let b =
-                parallel_kcenter_sketched(&inst, 4, seed, GraphBackend::Csr).expect("csr feasible");
+            let a =
+                parallel_kcenter_sketched(&inst, 4, seed, GraphBackend::Dense, &CostMeter::new())
+                    .expect("dense feasible");
+            let b = parallel_kcenter_sketched(&inst, 4, seed, GraphBackend::Csr, &CostMeter::new())
+                .expect("csr feasible");
             assert_eq!(a.centers, b.centers, "seed {seed}");
             assert_eq!(a.radius, b.radius, "seed {seed}");
             assert_eq!(a.threshold, b.threshold, "seed {seed}");
@@ -623,8 +639,14 @@ mod tests {
             for k in 1..4 {
                 let (_, opt) =
                     lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-                let sol = parallel_kcenter_sketched(&inst, k, seed, GraphBackend::Dense)
-                    .expect("feasible");
+                let sol = parallel_kcenter_sketched(
+                    &inst,
+                    k,
+                    seed,
+                    GraphBackend::Dense,
+                    &CostMeter::new(),
+                )
+                .expect("feasible");
                 assert!(
                     sol.radius <= 2.0 * sol.threshold + 1e-9,
                     "seed {seed} k {k}: radius {} threshold {}",
@@ -651,9 +673,11 @@ mod tests {
         // constant-factor regime.
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::gaussian_clusters(40, 40, 5).with_seed(seed));
-            let exact = parallel_kcenter(&inst, 5, seed).expect("exact feasible");
-            let sketch = parallel_kcenter_sketched(&inst, 5, seed, GraphBackend::Dense)
-                .expect("sketch feasible");
+            let exact =
+                parallel_kcenter(&inst, 5, seed, &CostMeter::new()).expect("exact feasible");
+            let sketch =
+                parallel_kcenter_sketched(&inst, 5, seed, GraphBackend::Dense, &CostMeter::new())
+                    .expect("sketch feasible");
             assert!(
                 sketch.radius <= 2.0 * exact.radius + 1e-9,
                 "seed {seed}: sketch radius {} vs exact {}",
@@ -674,10 +698,17 @@ mod tests {
     fn derived_exact_is_bit_identical_to_historical_path() {
         for seed in 0..3 {
             let inst = gen::clustering(GenParams::uniform_square(25, 25).with_seed(seed));
-            let a = parallel_kcenter(&inst, 3, seed).expect("feasible");
+            let a = parallel_kcenter(&inst, 3, seed, &CostMeter::new()).expect("feasible");
             for graph in [GraphBackend::Dense, GraphBackend::Csr] {
-                let b = parallel_kcenter_derived(&inst, 3, seed, graph, RadiusDeriver::Exact)
-                    .expect("feasible");
+                let b = parallel_kcenter_derived(
+                    &inst,
+                    3,
+                    seed,
+                    graph,
+                    RadiusDeriver::Exact,
+                    &CostMeter::new(),
+                )
+                .expect("feasible");
                 assert_same(&a, &b, &format!("seed {seed} {graph}"));
             }
         }
@@ -689,7 +720,7 @@ mod tests {
         // positions (centers at 3 and 9 give radius 3 exactly); accept ≤ 2·opt.
         let inst = gen::clustering(GenParams::line(12, 12));
         let (_, opt) = lower_bounds::brute_force_kclustering(&inst, 2, ClusterObjective::KCenter);
-        let sol = parallel_kcenter(&inst, 2, 1).expect("within the sort cap");
+        let sol = parallel_kcenter(&inst, 2, 1, &CostMeter::new()).expect("within the sort cap");
         assert!(sol.radius <= 2.0 * opt + 1e-9);
     }
 }

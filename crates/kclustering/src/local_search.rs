@@ -177,7 +177,9 @@ pub fn parallel_local_search(
     let k = cfg.k.min(n);
 
     // ---- Initial solution: the parallel k-center 2-approximation ----------------------
-    let kc = parallel_kcenter(inst, k, cfg.seed)
+    // The seed charges a meter of its own, so the caller's span counts the
+    // swap rounds only; its work joins `work` below.
+    let kc = parallel_kcenter(inst, k, cfg.seed, &CostMeter::new())
         .expect("the k-center seed's candidate radii fit the scratch cap");
     let mut centers: Vec<NodeId> = kc.centers;
     // k-center may return fewer than k centers when nodes coincide; pad with arbitrary

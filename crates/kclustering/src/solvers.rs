@@ -86,19 +86,27 @@ impl Solver for KCenterSolver {
 
     fn solve(&self, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
         if let Coreset::Eps(eps) = cfg.coreset {
-            // Meters the coreset build and the full-set sweep; the sub-solve's
-            // work comes back in `sol.work`.
-            let meter = CostMeter::new();
+            // `outer` meters the coreset build and the full-set sweep; the
+            // sub-solve's work comes back in `sol.work`.
+            let outer = CostMeter::new();
             let (cs, sub) = {
-                let _span = trace::span("coreset-build", Some(&meter));
-                coreset_for(Solver::name(self), inst, eps, cfg.k, &meter)?
+                let _span = trace::span("coreset-build", Some(&outer));
+                coreset_for(Solver::name(self), inst, eps, cfg.k, &outer)?
             };
+            let meter = CostMeter::new();
             let sol = {
-                let _span = trace::span("sub-solve", None);
-                parallel_kcenter_derived(&sub, cfg.k, cfg.seed, cfg.graph, cfg.radius_deriver)?
+                let _span = trace::span("sub-solve", Some(&meter));
+                parallel_kcenter_derived(
+                    &sub,
+                    cfg.k,
+                    cfg.seed,
+                    cfg.graph,
+                    cfg.radius_deriver,
+                    &meter,
+                )?
             };
-            let sweep_span = trace::span("full-sweep", Some(&meter));
-            meter.add_primitive((inst.n() * sol.centers.len()) as u64);
+            let sweep_span = trace::span("full-sweep", Some(&outer));
+            outer.add_primitive((inst.n() * sol.centers.len()) as u64);
             // Coreset cell indices are assigned in ascending representative
             // order, so this mapping preserves the sorted-centers invariant.
             let centers: Vec<usize> = sol
@@ -124,7 +132,7 @@ impl Solver for KCenterSolver {
                 .with_selected(centers)
                 .with_assignment(assignment)
                 .with_rounds(sol.probes, sol.luby_rounds)
-                .with_work(sol.work + meter.report())
+                .with_work(sol.work + outer.report())
                 .with_extra("threshold", sol.threshold)
                 .with_extra("probes", sol.probes as f64)
                 .with_extra("k", cfg.k as f64)
@@ -133,7 +141,14 @@ impl Solver for KCenterSolver {
                 .with_extra("coreset_eps", eps)
                 .with_config_echo(cfg));
         }
-        let sol = parallel_kcenter_derived(inst, cfg.k, cfg.seed, cfg.graph, cfg.radius_deriver)?;
+        let sol = parallel_kcenter_derived(
+            inst,
+            cfg.k,
+            cfg.seed,
+            cfg.graph,
+            cfg.radius_deriver,
+            &CostMeter::new(),
+        )?;
         let assignment = {
             let _span = trace::span("full-sweep", None);
             inst.center_assignment(&sol.centers)
@@ -326,7 +341,8 @@ mod tests {
     fn kcenter_adapter_matches_free_function() {
         let inst = tiny();
         let cfg = RunConfig::new(0.1).with_seed(6).with_k(4);
-        let direct = crate::kcenter::parallel_kcenter(&inst, 4, 6).expect("within the sort cap");
+        let direct = crate::kcenter::parallel_kcenter(&inst, 4, 6, &CostMeter::new())
+            .expect("within the sort cap");
         let run = KCenterSolver.solve(&inst, &cfg).expect("feasible");
         assert_eq!(run.cost, direct.radius);
         assert_eq!(run.selected, direct.centers);
@@ -482,7 +498,11 @@ mod tests {
                 &coreset,
                 &["coreset-build", "sub-solve", "full-sweep"][..],
             ),
-            (kcenter, &coreset, &["coreset-build", "full-sweep"][..]),
+            (
+                kcenter,
+                &coreset,
+                &["coreset-build", "sub-solve", "full-sweep"][..],
+            ),
         ] {
             let tracer = Arc::new(trace::Tracer::new(trace::TraceDetail::Phases));
             let guard = trace::install(Arc::clone(&tracer));

@@ -2,6 +2,7 @@
 
 use parfaclo_api::RunConfig;
 use parfaclo_kclustering::{parallel_kcenter, parallel_kmeans, parallel_kmedian};
+use parfaclo_matrixops::CostMeter;
 use parfaclo_metric::gen::{self, standard_suite, GenParams};
 use parfaclo_metric::lower_bounds::{kcenter_lower_bound, kmedian_lower_bound};
 use parfaclo_seq_baselines::{gonzalez_kcenter, local_search_kmedian};
@@ -13,7 +14,8 @@ fn kcenter_two_approximation_across_suite() {
     for wl in standard_suite(40, 40, 21) {
         let inst = gen::clustering(wl.params);
         for k in [2usize, 5] {
-            let sol = parallel_kcenter(&inst, k, 1).expect("within the sort cap");
+            let sol =
+                parallel_kcenter(&inst, k, 1, &CostMeter::new()).expect("within the sort cap");
             let lb = kcenter_lower_bound(&inst, k);
             assert!(
                 sol.radius <= 2.0 * (2.0 * lb) + 1e-9 || lb == 0.0,
@@ -68,7 +70,7 @@ fn kmeans_and_kmedian_consistency() {
 fn parallel_vs_sequential_clustering_quality() {
     let inst = gen::clustering(GenParams::uniform_square(30, 30).with_seed(6));
     let k = 4;
-    let par_c = parallel_kcenter(&inst, k, 9).expect("within the sort cap");
+    let par_c = parallel_kcenter(&inst, k, 9, &CostMeter::new()).expect("within the sort cap");
     let seq_c = gonzalez_kcenter(&inst, k);
     assert!(par_c.radius <= 2.0 * seq_c.radius + 1e-9);
     assert!(seq_c.radius <= 2.0 * par_c.radius + 1e-9);
