@@ -20,7 +20,7 @@
 
 use crate::solution::FlSolution;
 use parfaclo_api::RunConfig;
-use parfaclo_dominator::{max_u_dom, BipartiteGraph};
+use parfaclo_dominator::{max_u_dom, CsrBipartite};
 use parfaclo_lp::FlLpSolution;
 use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{ClientId, FacilityId, FlInstance};
@@ -165,10 +165,20 @@ pub fn parallel_lp_rounding_detailed(
             .collect();
         debug_assert!(!s.is_empty());
 
-        // MaxUDom over the bipartite graph (S, alive facilities, ball membership).
-        let h = BipartiteGraph::from_predicate(s.len(), nf, |u, i| {
-            facility_alive[i] && balls[s[u]].contains(&i)
-        });
+        // MaxUDom over the bipartite graph (S, alive facilities, ball
+        // membership). Each ball is ascending and duplicate-free, so its
+        // alive facilities are the client's CSR row as they stand.
+        let rows: Vec<Vec<u32>> = s
+            .iter()
+            .map(|&j| {
+                balls[j]
+                    .iter()
+                    .filter(|&&i| facility_alive[i])
+                    .map(|&i| i as u32)
+                    .collect()
+            })
+            .collect();
+        let h = CsrBipartite::from_u_rows(s.len(), nf, rows);
         meter.add_primitive((s.len() * nf) as u64);
         let dom = max_u_dom(&h, cfg.seed ^ rounds as u64, &meter);
         inner_rounds += dom.rounds;
