@@ -24,7 +24,7 @@
 //! graph and compare invariants) and is exposed because it is useful in its own right.
 
 use crate::DominatorResult;
-use parfaclo_graph::{edge_map, edge_map_min, DenseGraph, Neighbors, VertexSubset};
+use parfaclo_graph::{edge_map, edge_map_min, Neighbors, VertexSubset};
 use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_trace as trace;
 use rand::prelude::*;
@@ -104,10 +104,10 @@ pub fn maximal_independent_set<G: Neighbors>(
 }
 
 /// Checks that `set` is an independent set of `g` (no two members adjacent).
-pub fn is_independent_set(g: &DenseGraph, set: &[usize]) -> bool {
+pub fn is_independent_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
     for (idx, &a) in set.iter().enumerate() {
         for &b in &set[idx + 1..] {
-            if g.has_edge(a, b) {
+            if g.any_neighbor(a, &|z| z == b) {
                 return false;
             }
         }
@@ -117,7 +117,7 @@ pub fn is_independent_set(g: &DenseGraph, set: &[usize]) -> bool {
 
 /// Checks that `set` is a *maximal* independent set of `g`: independent, and every
 /// non-member has a neighbour in the set.
-pub fn is_maximal_independent_set(g: &DenseGraph, set: &[usize]) -> bool {
+pub fn is_maximal_independent_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
     if !is_independent_set(g, set) {
         return false;
     }
@@ -134,7 +134,7 @@ pub fn is_maximal_independent_set(g: &DenseGraph, set: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_graph::CsrGraph;
+    use parfaclo_graph::{CsrGraph, DenseGraph};
     use parfaclo_matrixops::PAR_THRESHOLD;
 
     fn meter() -> CostMeter {

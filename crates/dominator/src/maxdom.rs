@@ -101,15 +101,15 @@ pub fn max_dom<G: Neighbors>(g: &G, seed: u64, meter: &CostMeter) -> DominatorRe
     }
 }
 
-/// Whether `a ≠ b` are adjacent in `G²`: adjacent in `G` or sharing a
-/// neighbour.
-fn adjacent_in_square(g: &DenseGraph, a: usize, b: usize) -> bool {
-    a != b && (g.has_edge(a, b) || g.any_neighbor(a, &|z| g.has_edge(z, b)))
+/// Whether `a ≠ b` are adjacent in `G²`: some neighbour `z` of `a` is `b`
+/// itself or a neighbour of `b`.
+fn adjacent_in_square<G: Neighbors>(g: &G, a: usize, b: usize) -> bool {
+    a != b && g.any_neighbor(a, &|z| z == b || g.any_neighbor(z, &|w| w == b))
 }
 
 /// Checks that `set` is a valid **dominator set** of `g`: no two members are adjacent in
 /// `G²` (i.e. adjacent in `G` or sharing a common neighbour).
-pub fn is_dominator_independent(g: &DenseGraph, set: &[usize]) -> bool {
+pub fn is_dominator_independent<G: Neighbors>(g: &G, set: &[usize]) -> bool {
     for (idx, &a) in set.iter().enumerate() {
         for &b in &set[idx + 1..] {
             if adjacent_in_square(g, a, b) {
@@ -122,7 +122,7 @@ pub fn is_dominator_independent(g: &DenseGraph, set: &[usize]) -> bool {
 
 /// Checks that `set` is a **maximal** dominator set of `g`: valid, and no node outside
 /// the set could be added (every outside node is adjacent in `G²` to some member).
-pub fn is_maximal_dominator_set(g: &DenseGraph, set: &[usize]) -> bool {
+pub fn is_maximal_dominator_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
     if !is_dominator_independent(g, set) {
         return false;
     }

@@ -18,8 +18,7 @@
 use crate::luby::draw_priorities;
 use crate::DominatorResult;
 use parfaclo_graph::{
-    bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, BipartiteGraph, BipartiteNeighbors,
-    VertexSubset,
+    bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, BipartiteNeighbors, VertexSubset,
 };
 use parfaclo_matrixops::CostMeter;
 use parfaclo_trace as trace;
@@ -94,12 +93,12 @@ pub fn max_u_dom<H: BipartiteNeighbors>(h: &H, seed: u64, meter: &CostMeter) -> 
 }
 
 /// Whether `u1 ≠ u2` share a `V`-side neighbour (adjacency in `H'`).
-fn share_v_neighbor(h: &BipartiteGraph, u1: usize, u2: usize) -> bool {
-    u1 != u2 && h.any_neighbor_u(u1, &|v| h.has_edge(u2, v))
+fn share_v_neighbor<H: BipartiteNeighbors>(h: &H, u1: usize, u2: usize) -> bool {
+    u1 != u2 && h.any_neighbor_u(u1, &|v| h.any_neighbor_v(v, &|u| u == u2))
 }
 
 /// Checks that no two members of `set` share a `V`-side neighbour.
-pub fn is_u_dominator_independent(h: &BipartiteGraph, set: &[usize]) -> bool {
+pub fn is_u_dominator_independent<H: BipartiteNeighbors>(h: &H, set: &[usize]) -> bool {
     for (idx, &a) in set.iter().enumerate() {
         for &b in &set[idx + 1..] {
             if share_v_neighbor(h, a, b) {
@@ -112,7 +111,7 @@ pub fn is_u_dominator_independent(h: &BipartiteGraph, set: &[usize]) -> bool {
 
 /// Checks that `set` is a **maximal** U-dominator set: valid, and every U-node outside
 /// the set shares a `V`-neighbour with some member (so nothing can be added).
-pub fn is_maximal_u_dominator_set(h: &BipartiteGraph, set: &[usize]) -> bool {
+pub fn is_maximal_u_dominator_set<H: BipartiteNeighbors>(h: &H, set: &[usize]) -> bool {
     if !is_u_dominator_independent(h, set) {
         return false;
     }
@@ -129,6 +128,7 @@ pub fn is_maximal_u_dominator_set(h: &BipartiteGraph, set: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parfaclo_graph::BipartiteGraph;
     use rand::Rng;
 
     fn meter() -> CostMeter {

@@ -149,8 +149,8 @@ impl Solver for MisSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::luby::is_maximal_independent_set;
     use crate::maxdom::is_maximal_dominator_set;
-    use parfaclo_graph::DenseGraph;
     use parfaclo_graph::GraphBackend;
     use parfaclo_metric::gen::{self, GenParams};
 
@@ -158,19 +158,23 @@ mod tests {
         gen::clustering(GenParams::uniform_square(20, 20).with_seed(8))
     }
 
-    fn dense_graph(inst: &ClusterInstance, threshold: f64) -> DenseGraph {
-        DenseGraph::from_threshold_oracle(inst.distances(), threshold)
+    /// The threshold graph the solver runs on under `cfg`.
+    fn solver_graph(inst: &ClusterInstance, cfg: &RunConfig) -> ThresholdGraph {
+        threshold_graph(inst, resolve_threshold(inst, cfg).unwrap(), cfg).unwrap()
     }
 
     #[test]
     fn maxdom_run_is_a_valid_dominator_set() {
         let inst = tiny();
-        let cfg = RunConfig::new(0.1).with_seed(4);
+        let cfg = RunConfig::new(0.1)
+            .with_seed(4)
+            .with_graph(GraphBackend::Csr);
         let run = MaxDomSolver.solve(&inst, &cfg).expect("feasible");
         run.validate().expect("valid envelope");
-        let threshold = resolve_threshold(&inst, &cfg).unwrap();
-        let g = dense_graph(&inst, threshold);
-        assert!(is_maximal_dominator_set(&g, &run.selected));
+        assert!(is_maximal_dominator_set(
+            &solver_graph(&inst, &cfg),
+            &run.selected
+        ));
         assert_eq!(run.cost, run.selected.len() as f64);
     }
 
@@ -188,15 +192,15 @@ mod tests {
     #[test]
     fn mis_is_independent_in_threshold_graph() {
         let inst = tiny();
-        let cfg = RunConfig::new(0.1).with_seed(2);
+        let cfg = RunConfig::new(0.1)
+            .with_seed(2)
+            .with_graph(GraphBackend::Csr);
         let run = MisSolver.solve(&inst, &cfg).expect("feasible");
         run.validate().expect("valid envelope");
-        let g = dense_graph(&inst, resolve_threshold(&inst, &cfg).unwrap());
-        for (idx, &a) in run.selected.iter().enumerate() {
-            for &b in &run.selected[idx + 1..] {
-                assert!(!g.has_edge(a, b), "selected nodes {a},{b} adjacent");
-            }
-        }
+        assert!(is_maximal_independent_set(
+            &solver_graph(&inst, &cfg),
+            &run.selected
+        ));
     }
 
     #[test]
@@ -210,8 +214,7 @@ mod tests {
             let run = MaxDomSolver.solve(&inst, &cfg).expect("feasible");
             // What the Luby rounds alone charge on the same graph.
             let rounds = CostMeter::new();
-            let g = dense_graph(&inst, resolve_threshold(&inst, &cfg).unwrap());
-            max_dom(&g, cfg.seed, &rounds);
+            max_dom(&solver_graph(&inst, &cfg), cfg.seed, &rounds);
             let mut want = rounds.report();
             // The graph build charges n²; deriving the threshold charges one
             // sort of the n² distances.
