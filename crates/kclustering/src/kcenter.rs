@@ -8,6 +8,7 @@
 //! `MaxDom` algorithm of Section 3 and keeps the binary search over the `O(n²)` distinct
 //! distances, giving `O((n log n)²)` work overall.
 
+use parfaclo_api::RunConfig;
 use parfaclo_bucket::{BucketMapping, RadiusDeriver};
 use parfaclo_dominator::{max_dom, ThresholdGraph};
 use parfaclo_graph::{CsrGraph, GraphBackend};
@@ -168,7 +169,8 @@ pub fn parallel_kcenter(
     })
 }
 
-/// Runs the parallel k-center algorithm with an explicit radius deriver.
+/// Runs the parallel k-center algorithm for `cfg.k` centers and `cfg.seed`
+/// with the radius deriver `cfg.radius_deriver`.
 ///
 /// [`RadiusDeriver::Exact`] is [`parallel_kcenter`] verbatim — the binary
 /// search runs over the complete sorted distinct distance set, the exact
@@ -178,20 +180,17 @@ pub fn parallel_kcenter(
 /// lifting k-center to instances whose full distance set cannot be
 /// materialised; the guarantee weakens to `radius ≤ 2·t` for a settled
 /// threshold `t` within one geometric sub-bucket (a few percent) of the
-/// smallest sampled feasible candidate. `graph` picks the sketch deriver's
-/// probe graphs; the exact search always probes nested CSR graphs. Either
-/// search charges `meter` as [`parallel_kcenter`] does.
+/// smallest sampled feasible candidate. `cfg.graph` picks the sketch
+/// deriver's probe graphs; the exact search always probes nested CSR graphs.
+/// Either search charges `meter` as [`parallel_kcenter`] does.
 pub fn parallel_kcenter_derived(
     inst: &ClusterInstance,
-    k: usize,
-    seed: u64,
-    graph: GraphBackend,
-    deriver: RadiusDeriver,
+    cfg: &RunConfig,
     meter: &CostMeter,
 ) -> Result<KCenterSolution, String> {
-    match deriver {
-        RadiusDeriver::Exact => parallel_kcenter(inst, k, seed, meter),
-        RadiusDeriver::Sketch => parallel_kcenter_sketched(inst, k, seed, graph, meter),
+    match cfg.radius_deriver {
+        RadiusDeriver::Exact => parallel_kcenter(inst, cfg.k, cfg.seed, meter),
+        RadiusDeriver::Sketch => parallel_kcenter_sketched(inst, cfg.k, cfg.seed, cfg.graph, meter),
     }
 }
 
@@ -399,10 +398,15 @@ mod tests {
     use parfaclo_metric::lower_bounds::{self, ClusterObjective};
     use parfaclo_seq_baselines::{gonzalez_kcenter, hochbaum_shmoys_kcenter};
 
+    /// The exact search on a fresh meter.
+    fn exact_kcenter(inst: &ClusterInstance, k: usize, seed: u64) -> KCenterSolution {
+        parallel_kcenter(inst, k, seed, &CostMeter::new()).expect("within the sort cap")
+    }
+
     #[test]
     fn planted_clusters_are_recovered() {
         let inst = gen::clustering(GenParams::planted(48, 48, 6).with_seed(1));
-        let sol = parallel_kcenter(&inst, 6, 0, &CostMeter::new()).expect("within the sort cap");
+        let sol = exact_kcenter(&inst, 6, 0);
         assert!(sol.centers.len() <= 6);
         // Blobs have radius 1 and separation 50; any valid 2-approximation has radius
         // at most 2·2 = 4, and the dominator-set structure typically achieves ≤ 2.
@@ -416,8 +420,7 @@ mod tests {
             for k in 1..4 {
                 let (_, opt) =
                     lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-                let sol = parallel_kcenter(&inst, k, seed, &CostMeter::new())
-                    .expect("within the sort cap");
+                let sol = exact_kcenter(&inst, k, seed);
                 assert!(
                     sol.radius <= 2.0 * opt + 1e-9,
                     "seed {seed} k {k}: {} vs opt {opt}",
@@ -436,8 +439,7 @@ mod tests {
         // most twice the feasibility threshold found by the binary search.
         for seed in 0..5 {
             let inst = gen::clustering(GenParams::gaussian_clusters(30, 30, 4).with_seed(seed));
-            let sol =
-                parallel_kcenter(&inst, 4, seed, &CostMeter::new()).expect("within the sort cap");
+            let sol = exact_kcenter(&inst, 4, seed);
             assert!(
                 sol.radius <= 2.0 * sol.threshold + 1e-9,
                 "seed {seed}: radius {} threshold {}",
@@ -452,8 +454,7 @@ mod tests {
         for seed in 0..5 {
             let inst = gen::clustering(GenParams::uniform_square(40, 40).with_seed(seed));
             let k = 5;
-            let par =
-                parallel_kcenter(&inst, k, seed, &CostMeter::new()).expect("within the sort cap");
+            let par = exact_kcenter(&inst, k, seed);
             let gonz = gonzalez_kcenter(&inst, k);
             let hs = hochbaum_shmoys_kcenter(&inst, k);
             // All three are 2-approximations of the same optimum, so no one of them can
@@ -469,7 +470,7 @@ mod tests {
     #[test]
     fn probes_are_logarithmic_in_distance_count() {
         let inst = gen::clustering(GenParams::uniform_square(50, 50).with_seed(7));
-        let sol = parallel_kcenter(&inst, 4, 7, &CostMeter::new()).expect("within the sort cap");
+        let sol = exact_kcenter(&inst, 4, 7);
         let num_distances = inst.distances().sorted_distinct_values().len();
         let bound = (num_distances as f64).log2().ceil() as usize + 2;
         assert!(
@@ -483,7 +484,7 @@ mod tests {
     #[test]
     fn k_geq_n_selects_everything() {
         let inst = gen::clustering(GenParams::uniform_square(6, 6).with_seed(2));
-        let sol = parallel_kcenter(&inst, 10, 0, &CostMeter::new()).expect("within the sort cap");
+        let sol = exact_kcenter(&inst, 10, 0);
         assert_eq!(sol.centers.len(), 6);
         assert_eq!(sol.radius, 0.0);
     }
@@ -491,8 +492,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = gen::clustering(GenParams::uniform_square(25, 25).with_seed(4));
-        let a = parallel_kcenter(&inst, 3, 11, &CostMeter::new()).expect("within the sort cap");
-        let b = parallel_kcenter(&inst, 3, 11, &CostMeter::new()).expect("within the sort cap");
+        let a = exact_kcenter(&inst, 3, 11);
+        let b = exact_kcenter(&inst, 3, 11);
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.radius, b.radius);
     }
@@ -569,8 +570,7 @@ mod tests {
             let dense = per_probe_reference(&inst, 3, seed, GraphBackend::Dense);
             let csr = per_probe_reference(&inst, 3, seed, GraphBackend::Csr);
             assert_same(&dense, &csr, &format!("seed {seed}"));
-            let nested =
-                parallel_kcenter(&inst, 3, seed, &CostMeter::new()).expect("within the sort cap");
+            let nested = exact_kcenter(&inst, 3, seed);
             assert_same(&nested, &csr, &format!("seed {seed}"));
         }
     }
@@ -600,10 +600,7 @@ mod tests {
                 for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
                     let inst = build_clustering(params, backend).expect("instance");
                     for threads in [1, 4] {
-                        let got = at_threads(threads, || {
-                            parallel_kcenter(&inst, k, seed, &CostMeter::new())
-                        })
-                        .expect("within the sort cap");
+                        let got = at_threads(threads, || exact_kcenter(&inst, k, seed));
                         let what = format!("workload {w} seed {seed} {backend} {threads} threads");
                         assert_same(&got, &want, &what);
                     }
@@ -673,8 +670,7 @@ mod tests {
         // constant-factor regime.
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::gaussian_clusters(40, 40, 5).with_seed(seed));
-            let exact =
-                parallel_kcenter(&inst, 5, seed, &CostMeter::new()).expect("exact feasible");
+            let exact = exact_kcenter(&inst, 5, seed);
             let sketch =
                 parallel_kcenter_sketched(&inst, 5, seed, GraphBackend::Dense, &CostMeter::new())
                     .expect("sketch feasible");
@@ -698,17 +694,13 @@ mod tests {
     fn derived_exact_is_bit_identical_to_historical_path() {
         for seed in 0..3 {
             let inst = gen::clustering(GenParams::uniform_square(25, 25).with_seed(seed));
-            let a = parallel_kcenter(&inst, 3, seed, &CostMeter::new()).expect("feasible");
+            let a = exact_kcenter(&inst, 3, seed);
             for graph in [GraphBackend::Dense, GraphBackend::Csr] {
-                let b = parallel_kcenter_derived(
-                    &inst,
-                    3,
-                    seed,
-                    graph,
-                    RadiusDeriver::Exact,
-                    &CostMeter::new(),
-                )
-                .expect("feasible");
+                let cfg = RunConfig::new(0.1)
+                    .with_k(3)
+                    .with_seed(seed)
+                    .with_graph(graph);
+                let b = parallel_kcenter_derived(&inst, &cfg, &CostMeter::new()).expect("feasible");
                 assert_same(&a, &b, &format!("seed {seed} {graph}"));
             }
         }
@@ -720,7 +712,7 @@ mod tests {
         // positions (centers at 3 and 9 give radius 3 exactly); accept ≤ 2·opt.
         let inst = gen::clustering(GenParams::line(12, 12));
         let (_, opt) = lower_bounds::brute_force_kclustering(&inst, 2, ClusterObjective::KCenter);
-        let sol = parallel_kcenter(&inst, 2, 1, &CostMeter::new()).expect("within the sort cap");
+        let sol = exact_kcenter(&inst, 2, 1);
         assert!(sol.radius <= 2.0 * opt + 1e-9);
     }
 }

@@ -96,14 +96,7 @@ impl Solver for KCenterSolver {
             let meter = CostMeter::new();
             let sol = {
                 let _span = trace::span("sub-solve", Some(&meter));
-                parallel_kcenter_derived(
-                    &sub,
-                    cfg.k,
-                    cfg.seed,
-                    cfg.graph,
-                    cfg.radius_deriver,
-                    &meter,
-                )?
+                parallel_kcenter_derived(&sub, cfg, &meter)?
             };
             let sweep_span = trace::span("full-sweep", Some(&outer));
             outer.add_primitive((inst.n() * sol.centers.len()) as u64);
@@ -141,14 +134,7 @@ impl Solver for KCenterSolver {
                 .with_extra("coreset_eps", eps)
                 .with_config_echo(cfg));
         }
-        let sol = parallel_kcenter_derived(
-            inst,
-            cfg.k,
-            cfg.seed,
-            cfg.graph,
-            cfg.radius_deriver,
-            &CostMeter::new(),
-        )?;
+        let sol = parallel_kcenter_derived(inst, cfg, &CostMeter::new())?;
         let assignment = {
             let _span = trace::span("full-sweep", None);
             inst.center_assignment(&sol.centers)
