@@ -1,9 +1,8 @@
 //! [`Solver`] adapters for the parallel k-clustering algorithms.
 //!
 //! As in `parfaclo-core`, the free functions remain the implementations;
-//! these types pass them the unified [`RunConfig`] (which carries `k`), or
-//! the fields of it k-center takes, and repackage the solutions into
-//! [`Run`] envelopes.
+//! these types pass them the unified [`RunConfig`] (which carries `k`) and
+//! repackage the solutions into [`Run`] envelopes.
 
 use crate::kcenter::parallel_kcenter_derived;
 use crate::local_search::{parallel_local_search, ClusterObjective};
