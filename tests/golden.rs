@@ -17,6 +17,11 @@
 //! configurations, whose 79,800 half-matrix distance keys are above the
 //! parallel sort's sequential cutoff.
 //!
+//! k-center also runs the three workloads and the 400-node instance under the
+//! sketch radius deriver, and k-center and the two local searches solve the
+//! 400-node instance through an ε = 0.1 coreset, each in both seeded
+//! configurations.
+//!
 //! A mismatch names each differing cell, whether its trace hash moved, and
 //! every Run-JSON field whose value changed (object fields such as `work`
 //! one level deep), so the test output is the diff to explain. Re-bless
@@ -29,6 +34,7 @@
 
 use parfaclo_api::json::JsonValue;
 use parfaclo_api::{Backend, GraphBackend, RunConfig};
+use parfaclo_api::{Coreset, RadiusDeriver};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
 use parfaclo_trace::{install, TraceDetail, Tracer};
@@ -109,6 +115,28 @@ fn cells(solver: &str) -> Vec<Cell> {
                 id: format!("{CLUSTER_SIZED}/{label}"),
                 spec: CLUSTER_SIZED,
                 cfg,
+            });
+        }
+    }
+    if solver == "kcenter" {
+        for &spec in WORKLOADS.iter().chain(&[CLUSTER_SIZED]) {
+            for seed in [1, 2] {
+                let (label, cfg) = seeded(seed);
+                out.push(Cell {
+                    id: format!("{spec}/{label},radius-deriver=sketch"),
+                    spec,
+                    cfg: cfg.with_radius_deriver(RadiusDeriver::Sketch),
+                });
+            }
+        }
+    }
+    if matches!(solver, "kcenter" | "kmedian-ls" | "kmeans-ls") {
+        for seed in [1, 2] {
+            let (label, cfg) = seeded(seed);
+            out.push(Cell {
+                id: format!("{CLUSTER_SIZED}/{label},coreset=eps:0.1"),
+                spec: CLUSTER_SIZED,
+                cfg: cfg.with_coreset(Coreset::Eps(0.1)),
             });
         }
     }
