@@ -13,9 +13,7 @@
 
 use crate::runner::{run_solver_cached, GenSpec, InstanceCache};
 use parfaclo_api::json::{JsonObject, JsonValue};
-use parfaclo_api::{
-    Backend, Coreset, GraphBackend, RadiusDeriver, Registry, Run, RunConfig, TrialStats,
-};
+use parfaclo_api::{Backend, Coreset, GraphBackend, Registry, Run, RunConfig, TrialStats};
 use parfaclo_matrixops::CostReport;
 
 /// Schema tag of the matrix-benchmark artifact; bump on shape changes.
@@ -242,13 +240,13 @@ pub struct BenchMatrix {
 impl Default for BenchMatrix {
     /// The committed-baseline matrix: one solver per problem family plus the
     /// second facility-location algorithm, two workloads, all three distance
-    /// backends, both graph backends (swept on `maxdom`, and on `kcenter`
-    /// under the sketch radius deriver), threads {1, 4} — small enough to run
-    /// in seconds, wide enough to touch every layer (solver families,
-    /// generator presets, every oracle backend, both threshold-graph
-    /// representations, pool sizes). `n = 128` deliberately exceeds the
-    /// spatial planner's flat-scan cutoff (64), so the spatial cells
-    /// exercise — and byte-certify — the real grid index, not the fallback.
+    /// backends, both graph backends (swept on `maxdom`), threads {1, 4} —
+    /// small enough to run in seconds, wide enough to touch every layer
+    /// (solver families, generator presets, every oracle backend, both
+    /// threshold-graph representations, pool sizes). `n = 128` deliberately
+    /// exceeds the spatial planner's flat-scan cutoff (64), so the spatial
+    /// cells exercise — and byte-certify — the real grid index, not the
+    /// fallback.
     fn default() -> Self {
         BenchMatrix {
             solvers: ["greedy", "primal-dual", "kcenter", "maxdom"]
@@ -267,19 +265,13 @@ impl Default for BenchMatrix {
     }
 }
 
-/// Whether a registry solver reads [`RunConfig::graph`] under the base
-/// configuration — and therefore whether the bench matrix's graph axis
-/// applies to it. The dominator family thresholds the instance directly;
-/// k-center reads the knob only through the sketch radius deriver (the
-/// exact search always probes nested CSR graphs). Everything else never
-/// builds a graph from it, so sweeping graph backends over it would
-/// measure identical cells twice.
-pub fn solver_uses_graph(name: &str, base: &RunConfig) -> bool {
-    match name {
-        "maxdom" | "mis" => true,
-        "kcenter" => base.radius_deriver == RadiusDeriver::Sketch,
-        _ => false,
-    }
+/// Whether a registry solver reads [`RunConfig::graph`] — and therefore
+/// whether the bench matrix's graph axis applies to it. Only the dominator
+/// family thresholds the instance in the requested representation
+/// (k-center's searches always probe nested CSR graphs); sweeping graph
+/// backends over any other solver would measure identical cells twice.
+pub fn solver_uses_graph(name: &str) -> bool {
+    matches!(name, "maxdom" | "mis")
 }
 
 /// Whether a registry solver consults the [`RunConfig::coreset`] knob — and
@@ -292,16 +284,16 @@ pub fn solver_uses_coreset(name: &str) -> bool {
 }
 
 impl BenchMatrix {
-    /// Number of cells the matrix will measure under `base`: solvers that
-    /// read the graph knob fan out over the graph axis, coreset-aware
-    /// solvers over the coreset axis; the rest contribute one cell per
-    /// (workload, backend, thread) combination.
-    pub fn cells(&self, base: &RunConfig) -> usize {
+    /// Number of cells the matrix will measure: solvers that read the graph
+    /// knob fan out over the graph axis, coreset-aware solvers over the
+    /// coreset axis; the rest contribute one cell per (workload, backend,
+    /// thread) combination.
+    pub fn cells(&self) -> usize {
         let solver_cells: usize = self
             .solvers
             .iter()
             .map(|s| {
-                let graphs = if solver_uses_graph(s, base) {
+                let graphs = if solver_uses_graph(s) {
                     self.graphs.len()
                 } else {
                     1
@@ -661,14 +653,14 @@ pub fn run_matrix(
 ) -> Result<(BenchArtifact, Vec<Run>), String> {
     matrix.validate()?;
     let specs = resolve_workloads(matrix)?;
-    let mut records = Vec::with_capacity(matrix.cells(base));
-    let mut runs = Vec::with_capacity(matrix.cells(base));
+    let mut records = Vec::with_capacity(matrix.cells());
+    let mut runs = Vec::with_capacity(matrix.cells());
     for spec in &specs {
         let workload = &spec.workload;
         for &backend in &matrix.backends {
             let mut cache = InstanceCache::new(spec, base.seed, backend);
             for solver in &matrix.solvers {
-                let graphs: &[GraphBackend] = if solver_uses_graph(solver, base) {
+                let graphs: &[GraphBackend] = if solver_uses_graph(solver) {
                     &matrix.graphs
                 } else {
                     &[GraphBackend::Dense]
@@ -1176,8 +1168,8 @@ mod tests {
         };
         let base = RunConfig::new(0.1).with_seed(5).with_k(3);
         let (artifact, runs) = run_matrix(&registry, &matrix, &base).unwrap();
-        assert_eq!(artifact.records.len(), matrix.cells(&base));
-        assert_eq!(runs.len(), matrix.cells(&base));
+        assert_eq!(artifact.records.len(), matrix.cells());
+        assert_eq!(runs.len(), matrix.cells());
         for rec in &artifact.records {
             assert!(rec.deterministic, "{} not byte-deterministic", rec.key());
             assert_eq!(rec.stats.trials, 3);
@@ -1190,7 +1182,7 @@ mod tests {
         // Self-comparison: same artifact on both sides has no regressions
         // at any threshold, ratio exactly 1 per cell.
         let report = compare(&artifact, &artifact).unwrap();
-        assert_eq!(report.rows.len(), matrix.cells(&base));
+        assert_eq!(report.rows.len(), matrix.cells());
         assert!(report.regressions(0.0).is_empty());
         assert!(report.rows.iter().all(|r| r.ratio() == 1.0));
         // And the serialised artifact round-trips.
@@ -1230,13 +1222,9 @@ mod tests {
     #[test]
     fn default_matrix_spans_the_layers() {
         let m = BenchMatrix::default();
-        // greedy, primal-dual and exact kcenter contribute one cell each;
-        // maxdom fans out over both graph backends: (3·1 + 1·2) combos.
-        let base = RunConfig::default();
-        assert_eq!(m.cells(&base), (3 + 2) * 2 * 3 * 2);
-        // Under the sketch deriver kcenter reads the graph knob too.
-        let sketch = base.with_radius_deriver(RadiusDeriver::Sketch);
-        assert_eq!(m.cells(&sketch), (2 + 2 * 2) * 2 * 3 * 2);
+        // greedy, primal-dual and kcenter contribute one cell each; maxdom
+        // fans out over both graph backends: (3·1 + 1·2) combos.
+        assert_eq!(m.cells(), (3 + 2) * 2 * 3 * 2);
         assert!(m.backends.contains(&Backend::Implicit));
         assert!(m.backends.contains(&Backend::Spatial));
         assert!(m.graphs.contains(&GraphBackend::Csr));
@@ -1263,8 +1251,8 @@ mod tests {
         };
         let base = RunConfig::new(0.1).with_seed(5).with_k(3);
         let (artifact, _) = run_matrix(&registry, &matrix, &base).unwrap();
-        assert_eq!(artifact.records.len(), matrix.cells(&base));
-        assert_eq!(matrix.cells(&base), 3, "greedy x1 + kmedian-ls x2 coresets");
+        assert_eq!(artifact.records.len(), matrix.cells());
+        assert_eq!(matrix.cells(), 3, "greedy x1 + kmedian-ls x2 coresets");
         let greedy: Vec<_> = artifact
             .records
             .iter()
@@ -1308,8 +1296,8 @@ mod tests {
         };
         let base = RunConfig::new(0.1).with_seed(5).with_k(3);
         let (artifact, _) = run_matrix(&registry, &matrix, &base).unwrap();
-        assert_eq!(artifact.records.len(), matrix.cells(&base));
-        assert_eq!(matrix.cells(&base), 3, "greedy x1 + maxdom x2 graphs");
+        assert_eq!(artifact.records.len(), matrix.cells());
+        assert_eq!(matrix.cells(), 3, "greedy x1 + maxdom x2 graphs");
         let greedy: Vec<_> = artifact
             .records
             .iter()

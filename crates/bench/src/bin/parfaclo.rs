@@ -794,7 +794,7 @@ fn cmd_bench(registry: &Registry, opts: Options) -> Result<(), String> {
             matrix.threads.len(),
             matrix.graphs.len(),
             matrix.coresets.len(),
-            matrix.cells(&opts.cfg),
+            matrix.cells(),
             matrix.warmup,
             matrix.trials,
             matrix.n,

@@ -10,8 +10,8 @@
 
 use parfaclo_api::RunConfig;
 use parfaclo_bucket::{BucketMapping, RadiusDeriver};
-use parfaclo_dominator::{max_dom, ThresholdGraph};
-use parfaclo_graph::{CsrGraph, GraphBackend};
+use parfaclo_dominator::max_dom;
+use parfaclo_graph::CsrGraph;
 use parfaclo_matrixops::{CostMeter, CostReport};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, NodeId};
 use parfaclo_trace as trace;
@@ -56,18 +56,117 @@ fn every_node(n: usize) -> KCenterSolution {
     }
 }
 
+/// The feasibility probe both searches share: one `MaxDom` run per
+/// candidate radius on its CSR threshold graph, charged `n²` (the paper's
+/// cost model) and seeded by the candidate's index.
+///
+/// The probe graphs nest. Once a probe at threshold `t` is feasible, each
+/// search probes only below `t`, so every later graph is the last feasible
+/// probe's graph packed with [`CsrGraph::filter_within`] instead of a fresh
+/// build over all `n²` pairs (GBBS's pack-between-rounds step). Until the
+/// first feasible probe each graph is built from the oracle.
+struct Prober<'a> {
+    inst: &'a ClusterInstance,
+    /// The candidate radii, ascending.
+    candidates: &'a [f64],
+    k: usize,
+    seed: u64,
+    meter: &'a CostMeter,
+    probes: usize,
+    luby_rounds: usize,
+    /// The largest probed threshold whose dominator set had more than `k`
+    /// nodes, or 0.0.
+    infeasible_below: f64,
+    /// The last feasible probe: its candidate index, dominator set and graph.
+    feasible: Option<(usize, Vec<NodeId>, CsrGraph)>,
+}
+
+impl<'a> Prober<'a> {
+    fn new(
+        inst: &'a ClusterInstance,
+        candidates: &'a [f64],
+        k: usize,
+        seed: u64,
+        meter: &'a CostMeter,
+    ) -> Self {
+        Prober {
+            inst,
+            candidates,
+            k,
+            seed,
+            meter,
+            probes: 0,
+            luby_rounds: 0,
+            infeasible_below: 0.0,
+            feasible: None,
+        }
+    }
+
+    /// Runs `MaxDom` on the threshold graph of candidate `idx`, recorded as
+    /// one trace round whose frontier is the number of candidates the search
+    /// still holds open. Returns the dominator set and the graph.
+    fn max_dom_at(&mut self, idx: usize, frontier: usize) -> (Vec<NodeId>, CsrGraph) {
+        self.probes += 1;
+        trace::round(self.probes as u64, || frontier as u64, self.meter);
+        let oracle = self.inst.distances();
+        let t = self.candidates[idx];
+        let g = match &self.feasible {
+            Some((_, _, nested)) => nested.filter_within(oracle, t),
+            None => CsrGraph::from_threshold_oracle(oracle, t),
+        };
+        let n = self.inst.n();
+        self.meter.add_primitive((n * n) as u64);
+        let seed = self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9);
+        let dom = max_dom(&g, seed, self.meter);
+        self.luby_rounds += dom.rounds;
+        (dom.selected, g)
+    }
+
+    /// Probes candidate `idx`: whether its dominator set has at most `k`
+    /// nodes. A feasible probe's graph is the one later probes filter.
+    fn probe(&mut self, idx: usize, frontier: usize) -> bool {
+        let (selected, g) = self.max_dom_at(idx, frontier);
+        let feasible = selected.len() <= self.k;
+        if feasible {
+            self.feasible = Some((idx, selected, g));
+        } else {
+            self.infeasible_below = self.infeasible_below.max(self.candidates[idx]);
+        }
+        feasible
+    }
+
+    /// Settles on the last feasible probe. Its lower bound is the largest
+    /// infeasible threshold: a threshold with more than `k` dominators
+    /// witnesses `k + 1` points pairwise further apart than it, so it
+    /// strictly lower-bounds the optimal radius.
+    fn finish(mut self, start: &CostReport) -> KCenterSolution {
+        let (t_idx, centers) = match self.feasible.take() {
+            Some((t_idx, centers, _)) => (t_idx, centers),
+            None => {
+                // Unreachable: both searches end by probing the largest
+                // candidate if nothing below it is feasible, and its graph
+                // is complete, so MaxDom selects one node. Keep that
+                // probe's set regardless.
+                let last = self.candidates.len() - 1;
+                (last, self.max_dom_at(last, 1).0)
+            }
+        };
+        KCenterSolution {
+            radius: self.inst.kcenter_cost(&centers),
+            centers,
+            threshold: self.candidates[t_idx],
+            lower_bound: self.infeasible_below,
+            probes: self.probes,
+            luby_rounds: self.luby_rounds,
+            work: self.meter.delta_since(start),
+        }
+    }
+}
+
 /// Runs the parallel Hochbaum–Shmoys k-center algorithm (Theorem 6.1): a
 /// binary search over the complete sorted set of distinct pairwise
-/// distances, one `MaxDom` probe per step.
-///
-/// The probes run on CSR threshold graphs, and they nest: once a probe at
-/// threshold `t` is feasible, every later probe has a smaller threshold, so
-/// its graph is the last feasible probe's graph packed with
-/// [`CsrGraph::filter_within`] instead of a fresh build over all `n²` pairs.
-/// Until the first feasible probe each graph is built from the oracle. The
-/// graph representation never changes the result (dense and CSR probes give
-/// identical centers, radius, probes and work counters), and the meter
-/// charges `n²` per probe either way, the paper's cost model.
+/// distances, one `MaxDom` probe per step on nested CSR threshold graphs
+/// (see [`CsrGraph::filter_within`]).
 ///
 /// The search charges `meter`, which the caller owns, so a trace span the
 /// caller opens around the call counts that work; the returned `work` is
@@ -114,26 +213,12 @@ pub fn parallel_kcenter(
 
     // Binary search for the smallest threshold whose dominator set has at most k nodes.
     let probe_span = trace::span("probe-search", Some(meter));
-    let mut lo = 0usize;
-    let mut hi = distances.len() - 1;
-    let mut probes = 0usize;
-    let mut luby_rounds = 0usize;
-    // The last feasible probe: its index, dominator set and graph.
-    let mut best: Option<(usize, Vec<NodeId>, CsrGraph)> = None;
+    let mut prober = Prober::new(inst, &distances, k, seed, meter);
+    let (mut lo, mut hi) = (0usize, distances.len() - 1);
     while lo <= hi {
         let mid = (lo + hi) / 2;
-        probes += 1;
         // Probe frontier = candidate radii still in the search range.
-        trace::round(probes as u64, || (hi - lo + 1) as u64, meter);
-        let g = match &best {
-            Some((_, _, feasible)) => feasible.filter_within(oracle, distances[mid]),
-            None => CsrGraph::from_threshold_oracle(oracle, distances[mid]),
-        };
-        meter.add_primitive((n * n) as u64);
-        let dom = max_dom(&g, seed ^ (mid as u64).wrapping_mul(0x9E37_79B9), meter);
-        luby_rounds += dom.rounds;
-        if dom.selected.len() <= k {
-            best = Some((mid, dom.selected, g));
+        if prober.probe(mid, hi - lo + 1) {
             if mid == 0 {
                 break;
             }
@@ -142,30 +227,13 @@ pub fn parallel_kcenter(
             lo = mid + 1;
         }
     }
-
-    let (t_idx, centers) = match best {
-        Some((t_idx, centers, _)) => (t_idx, centers),
-        None => {
-            // The largest threshold makes the whole graph one clique-square, so the
-            // dominator set is a single node — always feasible.
-            let g = CsrGraph::from_threshold_oracle(oracle, *distances.last().unwrap());
-            let dom = max_dom(&g, seed, meter);
-            (distances.len() - 1, dom.selected)
-        }
-    };
+    let sol = prober.finish(&start);
     drop(probe_span);
-
-    let radius = inst.kcenter_cost(&centers);
     Ok(KCenterSolution {
-        centers,
-        radius,
-        threshold: distances[t_idx],
         // The smallest feasible member of the complete distance set is at
         // most the optimal radius (which is itself a feasible member).
-        lower_bound: distances[t_idx],
-        probes,
-        luby_rounds,
-        work: meter.delta_since(&start),
+        lower_bound: sol.threshold,
+        ..sol
     })
 }
 
@@ -180,9 +248,9 @@ pub fn parallel_kcenter(
 /// lifting k-center to instances whose full distance set cannot be
 /// materialised; the guarantee weakens to `radius ≤ 2·t` for a settled
 /// threshold `t` within one geometric sub-bucket (a few percent) of the
-/// smallest sampled feasible candidate. `cfg.graph` picks the sketch
-/// deriver's probe graphs; the exact search always probes nested CSR graphs.
-/// Either search charges `meter` as [`parallel_kcenter`] does.
+/// smallest sampled feasible candidate. Both searches share one probe
+/// routine on nested CSR threshold graphs, so `cfg.graph` is not read, and
+/// both charge `meter` as [`parallel_kcenter`] does.
 pub fn parallel_kcenter_derived(
     inst: &ClusterInstance,
     cfg: &RunConfig,
@@ -190,12 +258,24 @@ pub fn parallel_kcenter_derived(
 ) -> Result<KCenterSolution, String> {
     match cfg.radius_deriver {
         RadiusDeriver::Exact => parallel_kcenter(inst, cfg.k, cfg.seed, meter),
-        RadiusDeriver::Sketch => parallel_kcenter_sketched(inst, cfg.k, cfg.seed, cfg.graph, meter),
+        RadiusDeriver::Sketch => Ok(parallel_kcenter_sketched(inst, cfg.k, cfg.seed, meter)),
     }
 }
 
 /// Number of sample nodes the sketch deriver draws candidate radii from.
 const SKETCH_SAMPLE: usize = 1024;
+
+/// The index of the largest of the ascending `candidates` in each bucket of
+/// `mapping`, ascending.
+fn bucket_maxima(candidates: &[f64], mapping: BucketMapping) -> Vec<usize> {
+    (0..candidates.len())
+        .filter(|&i| {
+            candidates.get(i + 1).map_or(true, |&next| {
+                mapping.bucket_of(next) != mapping.bucket_of(candidates[i])
+            })
+        })
+        .collect()
+}
 
 /// Runs the parallel k-center algorithm with sampled candidate radii.
 ///
@@ -211,20 +291,19 @@ const SKETCH_SAMPLE: usize = 1024;
 /// binary search over the mantissa-refined sub-bucket maxima inside that
 /// octave settles the threshold to within one sub-bucket (a few percent) of
 /// the infeasible frontier. Probing ascending keeps every threshold graph the
-/// search builds within a constant factor of the settled one — on sparse CSR
-/// backends a probe's cost is its graph's edge count, so the classic midpoint
-/// binary search (whose first probe is the median candidate) would
-/// materialise enormous graphs on large instances — and stopping at
-/// sub-bucket granularity caps the number of expensive near-frontier probes
-/// at `log₂` of the per-octave refinement, instead of `log₂(candidates)`.
+/// search builds within a constant factor of the settled one — a probe's cost
+/// is its graph's edge count, so the classic midpoint binary search (whose
+/// first probe is the median candidate) would materialise enormous graphs on
+/// large instances — and stopping at sub-bucket granularity caps the number
+/// of expensive near-frontier probes at `log₂` of the per-octave refinement,
+/// instead of `log₂(candidates)`. Every refinement probe lies below the
+/// octave's feasible probe, so the refinement filters nested CSR graphs as
+/// the exact search does.
 ///
 /// Deterministic for a fixed `seed` at any thread count and backend: the
 /// sample is value-independent, candidates are sorted, and each probe mixes
 /// the candidate index into the `MaxDom` seed exactly like the exact path.
 /// It charges `meter` as [`parallel_kcenter`] does.
-///
-/// # Errors
-/// Returns `Err` when the requested graph representation cannot be built.
 ///
 /// # Panics
 /// Panics if `k == 0` or the instance is empty.
@@ -232,14 +311,13 @@ pub fn parallel_kcenter_sketched(
     inst: &ClusterInstance,
     k: usize,
     seed: u64,
-    graph: GraphBackend,
     meter: &CostMeter,
-) -> Result<KCenterSolution, String> {
+) -> KCenterSolution {
     let n = inst.n();
     assert!(k >= 1, "k must be at least 1");
     assert!(n >= 1, "instance must be non-empty");
     if n <= k {
-        return Ok(every_node(n));
+        return every_node(n);
     }
     let start = meter.report();
 
@@ -275,125 +353,59 @@ pub fn parallel_kcenter_sketched(
     drop(derive_span);
 
     let probe_span = trace::span("probe-search", Some(meter));
-    let mut probes = 0usize;
-    let mut luby_rounds = 0usize;
-    let mut infeasible_below = 0.0f64;
-    let mut best: Option<(usize, Vec<NodeId>)> = None;
-    let probe = |idx: usize, luby_rounds: &mut usize| -> Result<Option<Vec<NodeId>>, String> {
-        let g = ThresholdGraph::build(inst.distances(), candidates[idx], graph)?;
-        meter.add_primitive((n * n) as u64);
-        let dom = max_dom(&g, seed ^ (idx as u64).wrapping_mul(0x9E37_79B9), meter);
-        *luby_rounds += dom.rounds;
-        Ok((dom.selected.len() <= k).then_some(dom.selected))
-    };
+    let mut prober = Prober::new(inst, &candidates, k, seed, meter);
 
     // Coarse pass: probe each octave bucket's largest candidate ascending
     // until one is feasible; everything in earlier octaves is then known
     // infeasible, so the refinement below only searches inside the winning
     // octave (every remaining probe stays within 2× the settled threshold,
     // which is what bounds the probe graphs' edge counts).
-    let coarse = BucketMapping::Geometric { mantissa_bits: 0 };
-    let mut lo = 0usize;
-    let mut hi = candidates.len() - 1;
-    let mut idx = 0usize;
-    while idx < candidates.len() {
-        let bucket = coarse.bucket_of(candidates[idx]);
-        let mut last = idx;
-        while last + 1 < candidates.len() && coarse.bucket_of(candidates[last + 1]) == bucket {
-            last += 1;
-        }
-        probes += 1;
+    let mut octave = None;
+    let mut first = 0usize;
+    for last in bucket_maxima(&candidates, BucketMapping::Geometric { mantissa_bits: 0 }) {
         // Probe frontier = candidates not yet ruled out by the coarse pass.
-        trace::round(probes as u64, || (candidates.len() - idx) as u64, meter);
-        match probe(last, &mut luby_rounds)? {
-            Some(centers) => {
-                best = Some((last, centers));
-                lo = idx;
-                hi = last;
-                break;
-            }
-            None => {
-                infeasible_below = candidates[last];
-                idx = last + 1;
-            }
+        if prober.probe(last, candidates.len() - first) {
+            octave = Some(first..=last);
+            break;
         }
+        first = last + 1;
     }
 
     // Refinement pass: bisect over the maxima of the mantissa-refined
     // sub-buckets inside the winning octave (the coarse pass already
-    // certified `hi` feasible). Stopping at sub-bucket granularity — a few
-    // percent of the threshold value — caps the count of expensive
-    // near-frontier probes at log₂ of the refinement factor; descending to
-    // per-candidate bisection would pay that near-frontier graph cost
-    // log₂(candidates-in-octave) times for no meaningful precision gain.
-    if best.is_some() && lo < hi {
-        let fine = BucketMapping::geometric_default();
-        let mut maxima: Vec<usize> = Vec::new();
-        let mut i = lo;
-        while i <= hi {
-            let bucket = fine.bucket_of(candidates[i]);
-            let mut last = i;
-            while last < hi && fine.bucket_of(candidates[last + 1]) == bucket {
-                last += 1;
-            }
-            maxima.push(last);
-            i = last + 1;
-        }
+    // certified its largest candidate feasible). Stopping at sub-bucket
+    // granularity — a few percent of the threshold value — caps the count
+    // of expensive near-frontier probes at log₂ of the refinement factor;
+    // descending to per-candidate bisection would pay that near-frontier
+    // graph cost log₂(candidates-in-octave) times for no meaningful
+    // precision gain.
+    if let Some(octave) = octave {
+        let offset = *octave.start();
+        let maxima = bucket_maxima(&candidates[octave], BucketMapping::geometric_default());
         let (mut blo, mut bhi) = (0usize, maxima.len() - 1);
-        // maxima[bhi] == hi, the octave probe already certified feasible.
+        // maxima[bhi] is the octave's largest candidate, already feasible.
         while blo < bhi {
             let mid = (blo + bhi) / 2;
-            probes += 1;
             // Probe frontier = sub-bucket maxima still in the bisection range.
-            trace::round(probes as u64, || (bhi - blo + 1) as u64, meter);
-            match probe(maxima[mid], &mut luby_rounds)? {
-                Some(centers) => {
-                    best = Some((maxima[mid], centers));
-                    bhi = mid;
-                }
-                None => {
-                    infeasible_below = infeasible_below.max(candidates[maxima[mid]]);
-                    blo = mid + 1;
-                }
+            if prober.probe(offset + maxima[mid], bhi - blo + 1) {
+                bhi = mid;
+            } else {
+                blo = mid + 1;
             }
         }
     }
-
-    let (t_idx, centers) = match best {
-        Some(found) => found,
-        None => {
-            // Unreachable thanks to the diameter cap, but keep the exact
-            // path's defensive fallback: the largest candidate is feasible.
-            let last = candidates.len() - 1;
-            probes += 1;
-            trace::round(probes as u64, || 1, meter);
-            let g = ThresholdGraph::build(inst.distances(), candidates[last], graph)?;
-            let dom = max_dom(&g, seed, meter);
-            luby_rounds += dom.rounds;
-            (last, dom.selected)
-        }
-    };
+    // The sampled feasible threshold may overshoot the optimum, so the
+    // certificate is the prober's largest infeasible threshold.
+    let sol = prober.finish(&start);
     drop(probe_span);
-
-    let radius = inst.kcenter_cost(&centers);
-    Ok(KCenterSolution {
-        centers,
-        radius,
-        threshold: candidates[t_idx],
-        // A threshold with more than k dominators witnesses k + 1 points
-        // pairwise further apart than it, so it strictly lower-bounds the
-        // optimal radius; the sampled feasible threshold itself may overshoot
-        // the optimum and is NOT a valid certificate.
-        lower_bound: infeasible_below,
-        probes,
-        luby_rounds,
-        work: meter.delta_since(&start),
-    })
+    sol
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parfaclo_dominator::ThresholdGraph;
+    use parfaclo_graph::GraphBackend;
     use parfaclo_metric::gen::{self, GenParams};
     use parfaclo_metric::lower_bounds::{self, ClusterObjective};
     use parfaclo_seq_baselines::{gonzalez_kcenter, hochbaum_shmoys_kcenter};
@@ -611,18 +623,20 @@ mod tests {
 
     #[test]
     fn sketch_deriver_is_deterministic_and_backend_invariant() {
+        use parfaclo_metric::{gen::build_clustering, Backend};
         for seed in 0..4 {
-            let inst = gen::clustering(GenParams::uniform_square(60, 60).with_seed(seed));
-            let a =
-                parallel_kcenter_sketched(&inst, 4, seed, GraphBackend::Dense, &CostMeter::new())
-                    .expect("dense feasible");
-            let b = parallel_kcenter_sketched(&inst, 4, seed, GraphBackend::Csr, &CostMeter::new())
-                .expect("csr feasible");
-            assert_eq!(a.centers, b.centers, "seed {seed}");
-            assert_eq!(a.radius, b.radius, "seed {seed}");
-            assert_eq!(a.threshold, b.threshold, "seed {seed}");
-            assert_eq!(a.lower_bound, b.lower_bound, "seed {seed}");
-            assert_eq!(a.probes, b.probes, "seed {seed}");
+            let params = GenParams::uniform_square(60, 60).with_seed(seed);
+            let sketch = |backend, threads| {
+                let inst = build_clustering(params, backend).expect("instance");
+                at_threads(threads, || {
+                    parallel_kcenter_sketched(&inst, 4, seed, &CostMeter::new())
+                })
+            };
+            let want = sketch(Backend::Dense, 1);
+            for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
+                let got = sketch(backend, 4);
+                assert_same(&got, &want, &format!("seed {seed} {backend} 4 threads"));
+            }
         }
     }
 
@@ -636,14 +650,7 @@ mod tests {
             for k in 1..4 {
                 let (_, opt) =
                     lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-                let sol = parallel_kcenter_sketched(
-                    &inst,
-                    k,
-                    seed,
-                    GraphBackend::Dense,
-                    &CostMeter::new(),
-                )
-                .expect("feasible");
+                let sol = parallel_kcenter_sketched(&inst, k, seed, &CostMeter::new());
                 assert!(
                     sol.radius <= 2.0 * sol.threshold + 1e-9,
                     "seed {seed} k {k}: radius {} threshold {}",
@@ -671,9 +678,7 @@ mod tests {
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::gaussian_clusters(40, 40, 5).with_seed(seed));
             let exact = exact_kcenter(&inst, 5, seed);
-            let sketch =
-                parallel_kcenter_sketched(&inst, 5, seed, GraphBackend::Dense, &CostMeter::new())
-                    .expect("sketch feasible");
+            let sketch = parallel_kcenter_sketched(&inst, 5, seed, &CostMeter::new());
             assert!(
                 sketch.radius <= 2.0 * exact.radius + 1e-9,
                 "seed {seed}: sketch radius {} vs exact {}",
