@@ -207,21 +207,6 @@ impl CsrBipartite {
         Self::from_u_rows(nu, nv, u_rows)
     }
 
-    /// Builds a bipartite graph from a predicate evaluated on every `(u, v)`
-    /// pair in parallel (the same interface as the dense
-    /// [`crate::BipartiteGraph::from_predicate`]).
-    pub fn from_predicate<F>(nu: usize, nv: usize, pred: F) -> Self
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-    {
-        let u_rows: Vec<Vec<u32>> = (0..nu)
-            .into_par_iter()
-            .with_min_len(16)
-            .map(|u| (0..nv).filter(|&v| pred(u, v)).map(|v| v as u32).collect())
-            .collect();
-        Self::from_u_rows(nu, nv, u_rows)
-    }
-
     /// Assembles both CSR sides from ascending, duplicate-free per-`u` rows
     /// (`u_rows[u]` lists the `v`-neighbours of `u`). The `v`-side is
     /// derived with a counting sort: scanning `u` in ascending order fills
@@ -416,15 +401,5 @@ mod tests {
         assert_eq!(h.degree_v(1), 2);
         assert!(h.has_edge(2, 1));
         assert!(!h.has_edge(2, 0));
-    }
-
-    #[test]
-    fn bipartite_predicate_matches_dense_semantics() {
-        let h = CsrBipartite::from_predicate(3, 4, |u, v| (u + v) % 2 == 0);
-        for u in 0..3 {
-            for v in 0..4 {
-                assert_eq!(h.has_edge(u, v), (u + v) % 2 == 0);
-            }
-        }
     }
 }

@@ -244,27 +244,6 @@ pub fn collect_within(
     }
 }
 
-/// Number of positions in `pts[start .. start + len]` within `radius` of `q`.
-pub fn count_within(
-    kind: DistanceKind,
-    q: &[f64],
-    pts: &SoaPoints,
-    start: usize,
-    len: usize,
-    radius: f64,
-) -> usize {
-    let mut buf = [0.0f64; TILE];
-    let mut count = 0;
-    let (mut pos, end) = (start, start + len);
-    while pos < end {
-        let w = TILE.min(end - pos);
-        dist_range(kind, q, pts, pos, &mut buf[..w]);
-        count += buf[..w].iter().filter(|&&d| d <= radius).count();
-        pos += w;
-    }
-    count
-}
-
 /// Largest distance from `q` to `pts[start .. start + len]`
 /// (`-∞` for an empty range). `max` is an exact reduction, so the blocked
 /// scan equals any scalar fold over the same values.
@@ -478,7 +457,6 @@ mod tests {
                 let mut got = Vec::new();
                 collect_within(kind, &q, &pts, 0, n, radius, &mut got);
                 assert_eq!(got, expect, "{kind:?} n {n}");
-                assert_eq!(count_within(kind, &q, &pts, 0, n, radius), expect.len());
             }
         }
     }

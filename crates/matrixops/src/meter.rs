@@ -72,12 +72,6 @@ impl CostMeter {
         self.rounds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` algorithm-level rounds at once.
-    #[inline]
-    pub fn add_rounds(&self, n: u64) {
-        self.rounds.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Snapshot of all counters.
     pub fn report(&self) -> CostReport {
         CostReport {
@@ -95,14 +89,6 @@ impl CostMeter {
     /// double-counted however deeply spans nest.
     pub fn delta_since(&self, earlier: &CostReport) -> CostReport {
         self.report().since(earlier)
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.element_ops.store(0, Ordering::Relaxed);
-        self.primitive_calls.store(0, Ordering::Relaxed);
-        self.sort_calls.store(0, Ordering::Relaxed);
-        self.rounds.store(0, Ordering::Relaxed);
     }
 }
 
@@ -143,7 +129,8 @@ mod tests {
         m.add_work(10);
         m.add_primitive(5);
         m.add_round();
-        m.add_rounds(2);
+        m.add_round();
+        m.add_round();
         m.add_sort(8);
         let r = m.report();
         assert_eq!(r.element_ops, 10 + 5 + 8 * 3); // log2(8)=3
@@ -163,8 +150,6 @@ mod tests {
         assert_eq!(delta.primitive_calls, 1);
         assert_eq!(delta.element_ops, 50);
         assert_eq!(delta + first, second);
-        m.reset();
-        assert_eq!(m.report(), CostReport::default());
     }
 
     #[test]

@@ -160,13 +160,6 @@ impl DistanceMatrix {
         self.data[row * self.cols + col]
     }
 
-    /// Mutable access to the entry at `(row, col)`.
-    #[inline]
-    pub fn get_mut(&mut self, row: usize, col: usize) -> &mut f64 {
-        debug_assert!(row < self.rows && col < self.cols);
-        &mut self.data[row * self.cols + col]
-    }
-
     /// Sets the entry at `(row, col)`.
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: f64) {
@@ -185,11 +178,6 @@ impl DistanceMatrix {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Column `col` collected into a vector (O(rows)).
-    pub fn col_to_vec(&self, col: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self.get(r, col)).collect()
     }
 
     /// The transpose of the matrix, built in parallel over the output rows.
@@ -271,7 +259,6 @@ mod tests {
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(1, 2), 6.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col_to_vec(1), vec![2.0, 5.0]);
     }
 
     #[test]

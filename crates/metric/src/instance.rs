@@ -195,12 +195,6 @@ impl FlInstance {
         self.oracle.memory_bytes()
     }
 
-    /// Distances from client `j` to every facility, collected into a vector
-    /// (`O(|F|)` work under either backend).
-    pub fn client_row(&self, j: ClientId) -> Vec<f64> {
-        self.oracle.row_to_vec(j)
-    }
-
     /// The client points, if the instance carries geometry (always for the
     /// implicit and spatial backends).
     pub fn client_points(&self) -> Option<&[Point]> {

@@ -92,12 +92,6 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * 1.0_f64.max(a.abs()).max(b.abs())
 }
 
-/// Convenience: `a <= b` up to relative tolerance.
-#[inline]
-pub fn approx_le(a: f64, b: f64, tol: f64) -> bool {
-    a <= b + tol * 1.0_f64.max(a.abs()).max(b.abs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,13 +102,5 @@ mod tests {
         assert!(!approx_eq(1.0, 1.1, 1e-9));
         assert!(approx_eq(0.0, 0.0, 1e-9));
         assert!(approx_eq(1e12, 1e12 + 1.0, 1e-9));
-    }
-
-    #[test]
-    fn approx_le_basic() {
-        assert!(approx_le(1.0, 1.0, 1e-9));
-        assert!(approx_le(1.0, 2.0, 1e-9));
-        assert!(approx_le(1.0 + 1e-12, 1.0, 1e-9));
-        assert!(!approx_le(1.1, 1.0, 1e-9));
     }
 }
