@@ -4,6 +4,11 @@ use parfaclo_bucket::RadiusDeriver;
 use parfaclo_graph::GraphBackend;
 use parfaclo_metric::{Backend, Coreset};
 
+/// Defensive cap on the outer rounds of every round-based solver. A run
+/// that would exceed it indicates a bug, except primal-dual's dual ascent,
+/// which refuses up front when its derived iteration bound passes it.
+pub const MAX_ROUNDS: usize = 100_000;
+
 /// Configuration accepted by every registered solver.
 ///
 /// One struct for every solver, and for the facility-location and
@@ -30,8 +35,6 @@ pub struct RunConfig {
     /// Ablation knob: the greedy subselection vote threshold
     /// (facility-location greedy only).
     pub subselection: bool,
-    /// Defensive cap on outer rounds.
-    pub max_rounds: usize,
     /// Number of centers for the k-clustering and dominator solvers;
     /// ignored by the facility-location solvers.
     pub k: usize,
@@ -101,7 +104,6 @@ impl RunConfig {
             threads: None,
             preprocess: true,
             subselection: true,
-            max_rounds: 100_000,
             k: 4,
             threshold: None,
             backend: Backend::Dense,
@@ -143,12 +145,6 @@ impl RunConfig {
     /// Enables or disables the greedy subselection vote threshold (ablation).
     pub fn with_subselection(mut self, subselection: bool) -> Self {
         self.subselection = subselection;
-        self
-    }
-
-    /// Replaces the defensive round cap.
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
         self
     }
 
@@ -217,7 +213,6 @@ mod tests {
             .with_threads(2)
             .with_preprocess(false)
             .with_subselection(false)
-            .with_max_rounds(10)
             .with_k(7)
             .with_threshold(3.5)
             .with_backend(Backend::Implicit)
@@ -230,7 +225,6 @@ mod tests {
         assert_eq!(cfg.clone().with_ambient_threads().threads, None);
         assert!(!cfg.preprocess);
         assert!(!cfg.subselection);
-        assert_eq!(cfg.max_rounds, 10);
         assert_eq!(cfg.k, 7);
         assert_eq!(cfg.threshold, Some(3.5));
         assert_eq!(cfg.backend, Backend::Implicit);

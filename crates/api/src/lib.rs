@@ -64,7 +64,7 @@ pub mod run;
 pub mod solver;
 pub mod trial;
 
-pub use config::RunConfig;
+pub use config::{RunConfig, MAX_ROUNDS};
 pub use registry::Registry;
 pub use run::{ProblemKind, Run, RUN_SCHEMA};
 pub use solver::{AnyInstance, DynSolver, FromAnyInstance, SolveError, Solver};

@@ -23,7 +23,7 @@
 
 use crate::solution::FlSolution;
 use crate::stars::{self, LazyOrders};
-use parfaclo_api::RunConfig;
+use parfaclo_api::{RunConfig, MAX_ROUNDS};
 use parfaclo_lp::dual;
 use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{ClientId, DistanceOracle, FacilityId, FlInstance};
@@ -67,7 +67,7 @@ pub fn parallel_greedy(inst: &FlInstance, cfg: &RunConfig) -> FlSolution {
 ///
 /// # Panics
 /// Panics if the instance has no clients or no facilities, or if the defensive
-/// `cfg.max_rounds` cap is exceeded (which would indicate a bug, not an input problem).
+/// [`MAX_ROUNDS`] cap is exceeded (which would indicate a bug, not an input problem).
 pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &RunConfig) -> GreedyOutput {
     let nc = inst.num_clients();
     let nf = inst.num_facilities();
@@ -129,9 +129,9 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &RunConfig) -> GreedyOut
         meter.add_round();
         trace::round(outer_rounds as u64, || remaining_count as u64, &meter);
         assert!(
-            outer_rounds <= cfg.max_rounds,
+            outer_rounds <= MAX_ROUNDS,
             "parallel greedy exceeded {} rounds — this indicates a bug",
-            cfg.max_rounds
+            MAX_ROUNDS
         );
 
         // Step 1: cheapest maximal star per facility.
@@ -194,9 +194,9 @@ pub fn parallel_greedy_detailed(inst: &FlInstance, cfg: &RunConfig) -> GreedyOut
             subselection_iters += 1;
             inner_rounds_total += 1;
             assert!(
-                subselection_iters <= cfg.max_rounds,
+                subselection_iters <= MAX_ROUNDS,
                 "facility subselection exceeded {} iterations — this indicates a bug",
-                cfg.max_rounds
+                MAX_ROUNDS
             );
 
             // Refresh adjacency against the current remaining set and drop candidates

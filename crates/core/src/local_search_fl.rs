@@ -11,12 +11,12 @@
 //! parallelises the k-median swap step (precompute each client's closest and
 //! second-closest open facility, then every candidate move's Δ is an independent `O(n_c)`
 //! reduction). As the paper notes, the number of rounds is not bounded by the theory;
-//! we expose an explicit `max_rounds` knob and report the number of rounds taken so the
+//! we cap them at [`MAX_ROUNDS`] and report the number of rounds taken so the
 //! E10 ablation can chart it. The `(1 − β)` improvement-threshold trick still bounds the
 //! rounds by `O(log(initial/opt)/β)` for a `(3 + ε)`-style guarantee in practice.
 
 use crate::solution::FlSolution;
-use parfaclo_api::RunConfig;
+use parfaclo_api::{RunConfig, MAX_ROUNDS};
 use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
 use parfaclo_metric::{FacilityId, FlInstance};
 use parfaclo_trace as trace;
@@ -81,7 +81,7 @@ fn move_cost(
 /// guarantee).
 ///
 /// # Panics
-/// Panics if the instance has no clients or facilities, or if `cfg.max_rounds` is
+/// Panics if the instance has no clients or facilities, or if [`MAX_ROUNDS`] is
 /// exceeded (the paper gives no worst-case round bound for this algorithm).
 pub fn parallel_local_search_fl(inst: &FlInstance, cfg: &RunConfig) -> FlSolution {
     let nc = inst.num_clients();
@@ -113,9 +113,9 @@ pub fn parallel_local_search_fl(inst: &FlInstance, cfg: &RunConfig) -> FlSolutio
     let search_span = trace::span("swap-search", Some(&meter));
     loop {
         assert!(
-            rounds <= cfg.max_rounds,
+            rounds <= MAX_ROUNDS,
             "facility-location local search exceeded {} rounds",
-            cfg.max_rounds
+            MAX_ROUNDS
         );
         let opened: Vec<FacilityId> = open_set(&open);
         let opening_cost: f64 = opened.iter().map(|&i| inst.facility_cost(i)).sum();

@@ -19,7 +19,7 @@
 //! (which itself lower-bounds `opt`).
 
 use crate::solution::FlSolution;
-use parfaclo_api::RunConfig;
+use parfaclo_api::{RunConfig, MAX_ROUNDS};
 use parfaclo_dominator::{max_u_dom, CsrBipartite};
 use parfaclo_lp::FlLpSolution;
 use parfaclo_matrixops::{CostMeter, PAR_THRESHOLD};
@@ -149,9 +149,9 @@ pub fn parallel_lp_rounding_detailed(
             &meter,
         );
         assert!(
-            rounds <= cfg.max_rounds,
+            rounds <= MAX_ROUNDS,
             "LP rounding exceeded {} rounds — this indicates a bug",
-            cfg.max_rounds
+            MAX_ROUNDS
         );
 
         // τ = smallest remaining δ; S = remaining clients within the (1+ε) slack.

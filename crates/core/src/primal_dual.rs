@@ -20,7 +20,7 @@
 
 use crate::solution::FlSolution;
 use crate::stars::{self, LazyOrders};
-use parfaclo_api::RunConfig;
+use parfaclo_api::{RunConfig, MAX_ROUNDS};
 use parfaclo_bucket::{BucketMapping, BucketQueue};
 use parfaclo_dominator::{max_u_dom, CsrBipartite};
 use parfaclo_lp::dual;
@@ -47,14 +47,14 @@ pub struct PrimalDualOutput {
 /// Once the dual level `t` reaches `γ = max_j min_i (f_i + d(j,i))`, every unfrozen
 /// client pays for its cheapest facility on its own and freezes on it. The ladder
 /// therefore runs at most `⌈ln(γ/α₀) / ln(1+ε)⌉ + 2` iterations (the `+ 2` absorbs
-/// rounding); a run whose bound exceeds `max_rounds` is refused before it starts.
+/// rounding); a run whose bound exceeds [`MAX_ROUNDS`] is refused before it starts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundBoundError {
     /// The configured slack `ε`.
     pub epsilon: f64,
     /// The derived iteration bound; infinite when `1 + ε` rounds to `1` in `f64`.
     pub bound: f64,
-    /// The configured iteration cap.
+    /// The iteration cap, [`MAX_ROUNDS`].
     pub max_rounds: usize,
 }
 
@@ -84,7 +84,7 @@ pub fn parallel_primal_dual(
 ///
 /// # Errors
 /// Refuses with [`RoundBoundError`] when the paper's iteration bound exceeds
-/// `cfg.max_rounds`.
+/// [`MAX_ROUNDS`].
 ///
 /// # Panics
 /// Panics if the instance has no clients or no facilities.
@@ -102,19 +102,13 @@ pub fn parallel_primal_dual_detailed(
     let ln_slack = slack.ln();
     let meter = CostMeter::new();
     let (gamma, alpha0) = starting_level(inst, cfg);
-    if gamma > 0.0 {
-        let bound = if ln_slack > 0.0 {
-            ((gamma / alpha0).ln() / ln_slack).ceil() + 2.0
-        } else {
-            f64::INFINITY
-        };
-        if bound > cfg.max_rounds as f64 {
-            return Err(RoundBoundError {
-                epsilon: cfg.epsilon,
-                bound,
-                max_rounds: cfg.max_rounds,
-            });
-        }
+    let bound = iteration_bound(gamma, alpha0, ln_slack);
+    if bound > MAX_ROUNDS as f64 {
+        return Err(RoundBoundError {
+            epsilon: cfg.epsilon,
+            bound,
+            max_rounds: MAX_ROUNDS,
+        });
     }
     let Ladder {
         mut frozen,
@@ -206,9 +200,9 @@ pub fn parallel_primal_dual_detailed(
         meter.add_round();
         trace::round(iterations as u64, || unfrozen_count as u64, &meter);
         assert!(
-            iterations <= cfg.max_rounds,
+            iterations <= MAX_ROUNDS,
             "parallel primal-dual exceeded {} iterations — this indicates a bug",
-            cfg.max_rounds
+            MAX_ROUNDS
         );
         let step = (iterations - 1) as f64;
         let level = t;
@@ -372,6 +366,19 @@ fn starting_level(inst: &FlInstance, cfg: &RunConfig) -> (f64, f64) {
     (gamma, alpha0)
 }
 
+/// The iteration bound `⌈ln(γ/α₀) / ln(1+ε)⌉ + 2` of [`RoundBoundError`] for
+/// a ladder from `alpha0` that rises by `ln_slack = ln(1 + ε)` per iteration;
+/// 0 when `γ = 0` (nothing to climb), infinite when `1 + ε` rounds to `1`.
+fn iteration_bound(gamma: f64, alpha0: f64, ln_slack: f64) -> f64 {
+    if gamma <= 0.0 {
+        0.0
+    } else if ln_slack > 0.0 {
+        ((gamma / alpha0).ln() / ln_slack).ceil() + 2.0
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// The dual-ascent state the ladder starts from.
 struct Ladder {
     frozen: Vec<bool>,
@@ -470,7 +477,7 @@ fn star_step(fi: f64, price: Option<f64>, slack: f64, alpha0: f64, ln_slack: f64
     if !est.is_finite() || est <= 2.0 {
         0
     } else {
-        // Cap far above any real iteration count (max_rounds is 100k by default).
+        // Cap far above any real iteration count (MAX_ROUNDS is 100k).
         (est.min(1e12) as usize).saturating_sub(2)
     }
 }
@@ -839,9 +846,8 @@ mod tests {
                     .with_seed(seed)
                     .with_preprocess(preprocess);
                 let rounds = parallel_primal_dual(&inst, &cfg).unwrap().rounds;
-                // A zero cap makes the run report its bound instead of solving.
-                let capped = cfg.clone().with_max_rounds(0);
-                let bound = parallel_primal_dual(&inst, &capped).unwrap_err().bound;
+                let (gamma, alpha0) = starting_level(&inst, &cfg);
+                let bound = iteration_bound(gamma, alpha0, (1.0 + cfg.epsilon).ln());
                 assert!(
                     rounds as f64 <= bound,
                     "seed {seed}, preprocess {preprocess}: {rounds} rounds > bound {bound}"

@@ -15,7 +15,7 @@
 //! for k-means (Arya et al. / Gupta–Tangwongsan).
 
 use crate::kcenter::parallel_kcenter;
-use parfaclo_api::RunConfig;
+use parfaclo_api::{RunConfig, MAX_ROUNDS};
 use parfaclo_matrixops::{CostMeter, CostReport, PAR_THRESHOLD};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, NodeId};
 use parfaclo_trace as trace;
@@ -214,9 +214,9 @@ pub fn parallel_local_search(
 
     loop {
         assert!(
-            rounds <= cfg.max_rounds,
+            rounds <= MAX_ROUNDS,
             "parallel local search exceeded {} rounds",
-            cfg.max_rounds
+            MAX_ROUNDS
         );
         // Precompute closest / second-closest centers for every node.
         meter.add_primitive((n * k) as u64);
