@@ -58,13 +58,14 @@ fn every_node(n: usize) -> KCenterSolution {
 
 /// The feasibility probe both searches share: one `MaxDom` run per
 /// candidate radius on its CSR threshold graph, charged `n²` (the paper's
-/// cost model) and seeded by the candidate's index.
+/// cost model) and seeded by the candidate's index. The graphs nest: once a
+/// probe at `t` is feasible, each search probes only below `t`, so every
+/// later graph is that probe's graph packed with [`CsrGraph::filter_within`]
+/// (GBBS's pack-between-rounds step) instead of a fresh build over all `n²`
+/// pairs. Until the first feasible probe each graph is built from the oracle.
 ///
-/// The probe graphs nest. Once a probe at threshold `t` is feasible, each
-/// search probes only below `t`, so every later graph is the last feasible
-/// probe's graph packed with [`CsrGraph::filter_within`] instead of a fresh
-/// build over all `n²` pairs (GBBS's pack-between-rounds step). Until the
-/// first feasible probe each graph is built from the oracle.
+/// A prober is the search's `probe-search` phase: [`Prober::new`] opens the
+/// trace span and [`Prober::finish`] closes it before evaluating the radius.
 struct Prober<'a> {
     inst: &'a ClusterInstance,
     /// The candidate radii, ascending.
@@ -74,11 +75,11 @@ struct Prober<'a> {
     meter: &'a CostMeter,
     probes: usize,
     luby_rounds: usize,
-    /// The largest probed threshold whose dominator set had more than `k`
-    /// nodes, or 0.0.
+    /// The largest infeasible threshold probed so far, or 0.0.
     infeasible_below: f64,
     /// The last feasible probe: its candidate index, dominator set and graph.
     feasible: Option<(usize, Vec<NodeId>, CsrGraph)>,
+    span: trace::Span<'a>,
 }
 
 impl<'a> Prober<'a> {
@@ -99,12 +100,12 @@ impl<'a> Prober<'a> {
             luby_rounds: 0,
             infeasible_below: 0.0,
             feasible: None,
+            span: trace::span("probe-search", Some(meter)),
         }
     }
 
-    /// Runs `MaxDom` on the threshold graph of candidate `idx`, recorded as
-    /// one trace round whose frontier is the number of candidates the search
-    /// still holds open. Returns the dominator set and the graph.
+    /// Runs `MaxDom` on candidate `idx`'s threshold graph as one trace round
+    /// (`frontier`: candidates still open). Returns the dominator set and graph.
     fn max_dom_at(&mut self, idx: usize, frontier: usize) -> (Vec<NodeId>, CsrGraph) {
         self.probes += 1;
         trace::round(self.probes as u64, || frontier as u64, self.meter);
@@ -135,22 +136,21 @@ impl<'a> Prober<'a> {
         feasible
     }
 
-    /// Settles on the last feasible probe. Its lower bound is the largest
-    /// infeasible threshold: a threshold with more than `k` dominators
-    /// witnesses `k + 1` points pairwise further apart than it, so it
-    /// strictly lower-bounds the optimal radius.
+    /// Settles on the last feasible probe. The lower bound is the largest
+    /// infeasible threshold: more than `k` dominators witness `k + 1` points
+    /// pairwise further apart than it, so it lower-bounds the optimal radius.
     fn finish(mut self, start: &CostReport) -> KCenterSolution {
         let (t_idx, centers) = match self.feasible.take() {
             Some((t_idx, centers, _)) => (t_idx, centers),
             None => {
-                // Unreachable: both searches end by probing the largest
-                // candidate if nothing below it is feasible, and its graph
-                // is complete, so MaxDom selects one node. Keep that
-                // probe's set regardless.
+                // Unreachable: a search with nothing feasible below the
+                // largest candidate probes it, and its complete graph has a
+                // one-node dominator set. Keep that probe's set regardless.
                 let last = self.candidates.len() - 1;
                 (last, self.max_dom_at(last, 1).0)
             }
         };
+        drop(self.span);
         KCenterSolution {
             radius: self.inst.kcenter_cost(&centers),
             centers,
@@ -212,7 +212,6 @@ pub fn parallel_kcenter(
     };
 
     // Binary search for the smallest threshold whose dominator set has at most k nodes.
-    let probe_span = trace::span("probe-search", Some(meter));
     let mut prober = Prober::new(inst, &distances, k, seed, meter);
     let (mut lo, mut hi) = (0usize, distances.len() - 1);
     while lo <= hi {
@@ -228,7 +227,6 @@ pub fn parallel_kcenter(
         }
     }
     let sol = prober.finish(&start);
-    drop(probe_span);
     Ok(KCenterSolution {
         // The smallest feasible member of the complete distance set is at
         // most the optimal radius (which is itself a feasible member).
@@ -238,17 +236,13 @@ pub fn parallel_kcenter(
 }
 
 /// Runs the parallel k-center algorithm for `cfg.k` centers and `cfg.seed`
-/// with the radius deriver `cfg.radius_deriver`.
-///
-/// [`RadiusDeriver::Exact`] is [`parallel_kcenter`] verbatim — the binary
-/// search runs over the complete sorted distinct distance set, the exact
-/// 2-approximation of Theorem 6.1, and the run is refused past the oracle's
-/// 4 GiB scratch cap. [`RadiusDeriver::Sketch`] derives candidate radii from a
-/// deterministic O(√m)-ish sample instead (see [`parallel_kcenter_sketched`]),
-/// lifting k-center to instances whose full distance set cannot be
-/// materialised; the guarantee weakens to `radius ≤ 2·t` for a settled
-/// threshold `t` within one geometric sub-bucket (a few percent) of the
-/// smallest sampled feasible candidate. Both searches share one probe
+/// with the radius deriver `cfg.radius_deriver`: [`RadiusDeriver::Exact`] is
+/// [`parallel_kcenter`] (the exact 2-approximation of Theorem 6.1, refused
+/// past the oracle's 4 GiB scratch cap) and [`RadiusDeriver::Sketch`] is
+/// [`parallel_kcenter_sketched`] (sampled candidate radii for instances whose
+/// full distance set cannot be materialised; the guarantee weakens to
+/// `radius ≤ 2·t` for a settled threshold `t` within one geometric sub-bucket
+/// of the smallest sampled feasible candidate). Both searches share one probe
 /// routine on nested CSR threshold graphs, so `cfg.graph` is not read, and
 /// both charge `meter` as [`parallel_kcenter`] does.
 pub fn parallel_kcenter_derived(
@@ -352,7 +346,6 @@ pub fn parallel_kcenter_sketched(
     meter.add_sort(candidates.len() as u64);
     drop(derive_span);
 
-    let probe_span = trace::span("probe-search", Some(meter));
     let mut prober = Prober::new(inst, &candidates, k, seed, meter);
 
     // Coarse pass: probe each octave bucket's largest candidate ascending
@@ -396,9 +389,7 @@ pub fn parallel_kcenter_sketched(
     }
     // The sampled feasible threshold may overshoot the optimum, so the
     // certificate is the prober's largest infeasible threshold.
-    let sol = prober.finish(&start);
-    drop(probe_span);
-    sol
+    prober.finish(&start)
 }
 
 #[cfg(test)]
