@@ -85,13 +85,13 @@ OPTIONS:
                         clustering/dominator probes still need O(n²)
                         transients at any backend).
                         Results are byte-identical in all cases [default: dense]
-    --graph <g>         Threshold-graph representation for maxdom, mis and
-                        the sketch k-center deriver: dense materialises
-                        the n x n adjacency matrix (refused above 4 GiB);
-                        csr builds a compressed-sparse-row graph holding
-                        only the edges within the threshold — the
-                        representation that makes sparse million-vertex
-                        graphs practical. The exact k-center search (and
+    --graph <g>         Threshold-graph representation for maxdom and
+                        mis: dense materialises the n x n adjacency
+                        matrix (refused above 4 GiB); csr builds a
+                        compressed-sparse-row graph holding only the
+                        edges within the threshold — the representation
+                        that makes sparse million-vertex graphs
+                        practical. k-center (either radius deriver, and
                         the kmedian-ls/kmeans-ls seed) always probes
                         nested CSR graphs. Canonical results are
                         byte-identical either way      [default: dense]
@@ -153,9 +153,8 @@ BENCH OPTIONS (parfaclo bench only):
     --backends <a,b>    Backend subset (dense,implicit,spatial)
                         [default: dense,implicit,spatial]
     --graphs <a,b>      Threshold-graph representations to sweep for the
-                        solvers that read --graph (dense,csr): maxdom,
-                        mis, and kcenter under --radius-deriver sketch;
-                        the rest run once          [default: dense,csr]
+                        solvers that read --graph (dense,csr): maxdom
+                        and mis; the rest run once [default: dense,csr]
     --coresets <a,b>    Coreset settings to sweep for the k-clustering
                         solvers (off and/or eps:<f64> entries);
                         non-clustering solvers always run once
