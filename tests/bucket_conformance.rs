@@ -64,8 +64,7 @@ fn sparse_xlarge_kcenter_sketch_completes_and_exact_refuses() {
     let cfg = RunConfig::new(0.1)
         .with_seed(1)
         .with_k(64)
-        .with_backend(Backend::Spatial)
-        .with_graph(GraphBackend::Csr);
+        .with_backend(Backend::Spatial);
     let exact = run_solver(
         &registry,
         "kcenter",

@@ -33,12 +33,12 @@
 //! ```
 
 use parfaclo_api::json::JsonValue;
-use parfaclo_api::{Backend, GraphBackend, RunConfig};
-use parfaclo_api::{Coreset, RadiusDeriver};
+use parfaclo_api::{Backend, Coreset, GraphBackend, RadiusDeriver, RunConfig};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
 use parfaclo_trace::{install, TraceDetail, Tracer};
 use std::collections::BTreeMap;
+use std::convert::identity;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -80,65 +80,48 @@ fn seeded(seed: u64) -> (String, RunConfig) {
     (label, cfg)
 }
 
+/// The cell of `spec` in seed `seed`'s configuration; a non-empty `variant`
+/// labels the change `tweak` makes to that configuration.
+fn cell(
+    spec: &'static str,
+    seed: u64,
+    variant: &str,
+    tweak: impl FnOnce(RunConfig) -> RunConfig,
+) -> Cell {
+    let (label, cfg) = seeded(seed);
+    Cell {
+        id: format!("{spec}/{label}{variant}"),
+        spec,
+        cfg: tweak(cfg),
+    }
+}
+
 fn cells(solver: &str) -> Vec<Cell> {
     let mut out = Vec::new();
     for &spec in WORKLOADS {
-        for seed in [1, 2] {
-            let (label, cfg) = seeded(seed);
-            out.push(Cell {
-                id: format!("{spec}/{label}"),
-                spec,
-                cfg,
-            });
-        }
+        out.extend([1, 2].map(|seed| cell(spec, seed, "", identity)));
     }
     if matches!(solver, "greedy" | "primal-dual") {
-        let (label, cfg) = seeded(2);
-        out.push(Cell {
-            id: format!("{PARALLEL_SIZED}/{label}"),
-            spec: PARALLEL_SIZED,
-            cfg: cfg.clone(),
-        });
-        out.push(Cell {
-            id: format!("{PARALLEL_SIZED}/{label},preprocess=off,subselection=off"),
-            spec: PARALLEL_SIZED,
-            cfg: cfg.with_preprocess(false).with_subselection(false),
-        });
+        out.push(cell(PARALLEL_SIZED, 2, "", identity));
+        let ablated = |cfg: RunConfig| cfg.with_preprocess(false).with_subselection(false);
+        let variant = ",preprocess=off,subselection=off";
+        out.push(cell(PARALLEL_SIZED, 2, variant, ablated));
     }
     if matches!(
         solver,
         "kcenter" | "hs-kcenter" | "maxdom" | "mis" | "kmedian-ls" | "kmeans-ls"
     ) {
-        for seed in [1, 2] {
-            let (label, cfg) = seeded(seed);
-            out.push(Cell {
-                id: format!("{CLUSTER_SIZED}/{label}"),
-                spec: CLUSTER_SIZED,
-                cfg,
-            });
-        }
+        out.extend([1, 2].map(|seed| cell(CLUSTER_SIZED, seed, "", identity)));
     }
     if solver == "kcenter" {
+        let sketch = |cfg: RunConfig| cfg.with_radius_deriver(RadiusDeriver::Sketch);
         for &spec in WORKLOADS.iter().chain(&[CLUSTER_SIZED]) {
-            for seed in [1, 2] {
-                let (label, cfg) = seeded(seed);
-                out.push(Cell {
-                    id: format!("{spec}/{label},radius-deriver=sketch"),
-                    spec,
-                    cfg: cfg.with_radius_deriver(RadiusDeriver::Sketch),
-                });
-            }
+            out.extend([1, 2].map(|seed| cell(spec, seed, ",radius-deriver=sketch", sketch)));
         }
     }
     if matches!(solver, "kcenter" | "kmedian-ls" | "kmeans-ls") {
-        for seed in [1, 2] {
-            let (label, cfg) = seeded(seed);
-            out.push(Cell {
-                id: format!("{CLUSTER_SIZED}/{label},coreset=eps:0.1"),
-                spec: CLUSTER_SIZED,
-                cfg: cfg.with_coreset(Coreset::Eps(0.1)),
-            });
-        }
+        let coreset = |cfg: RunConfig| cfg.with_coreset(Coreset::Eps(0.1));
+        out.extend([1, 2].map(|seed| cell(CLUSTER_SIZED, seed, ",coreset=eps:0.1", coreset)));
     }
     out
 }

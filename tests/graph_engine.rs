@@ -12,45 +12,42 @@
 //! cargo test --release -p parfaclo-tests --test graph_engine -- --ignored
 //! ```
 
-use parfaclo_api::{Backend, GraphBackend, RunConfig};
+use parfaclo_api::{Backend, GraphBackend, Run, RunConfig};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
 
 /// Every solver the bench matrix fans out over the graph axis.
 const GRAPH_SOLVERS: &[&str] = &["maxdom", "mis"];
 
+/// Runs `solver` on dense and on CSR threshold graphs, asserts that the
+/// canonical JSON is byte-identical, and returns the CSR run.
+fn dense_matches_csr(solver: &str, spec: &GenSpec, cfg: &RunConfig, what: &str) -> Run {
+    let registry = standard_registry();
+    let [dense, csr] = [GraphBackend::Dense, GraphBackend::Csr].map(|graph| {
+        run_solver(&registry, solver, spec, &cfg.clone().with_graph(graph))
+            .unwrap_or_else(|e| panic!("'{solver}' {what}, graph {graph}: {e}"))
+    });
+    assert_eq!(
+        dense.canonical_json(),
+        csr.canonical_json(),
+        "'{solver}' diverged across graph backends {what}"
+    );
+    csr
+}
+
 /// The core conformance sweep: (2 solvers × 2 sizes × 2 seeds) dense-vs-CSR
 /// canonical JSON byte-equality on the clustered workload (the one whose
 /// threshold graphs have non-trivial component structure).
 #[test]
 fn graph_solvers_dense_and_csr_byte_identical() {
-    let registry = standard_registry();
     for &solver in GRAPH_SOLVERS {
         for n in [48usize, 96] {
             for seed in [3u64, 11] {
                 let spec =
                     GenSpec::parse(&format!("clustered:n={n},nf={n},c=4")).expect("valid spec");
                 let cfg = RunConfig::new(0.1).with_seed(seed).with_k(4);
-                let dense = run_solver(
-                    &registry,
-                    solver,
-                    &spec,
-                    &cfg.clone().with_graph(GraphBackend::Dense),
-                )
-                .expect("dense-graph run");
-                let csr = run_solver(
-                    &registry,
-                    solver,
-                    &spec,
-                    &cfg.clone().with_graph(GraphBackend::Csr),
-                )
-                .expect("csr-graph run");
+                let csr = dense_matches_csr(solver, &spec, &cfg, &format!("at n={n}, seed={seed}"));
                 csr.validate().expect("structurally valid run");
-                assert_eq!(
-                    dense.canonical_json(),
-                    csr.canonical_json(),
-                    "'{solver}' diverged across graph backends at n={n}, seed={seed}"
-                );
             }
         }
     }
@@ -60,32 +57,13 @@ fn graph_solvers_dense_and_csr_byte_identical() {
 /// backend-agnostic: power-law hubs and road grids, dense vs CSR.
 #[test]
 fn sparse_workloads_dense_and_csr_byte_identical() {
-    let registry = standard_registry();
     for workload in ["powerlaw", "road"] {
         let spec = GenSpec::parse(&format!("{workload}:n=120,nf=120")).expect("valid spec");
         // Thresholds inside a power-law cluster stay below the 50-unit
         // grid separation; road blocks are 1.0 apart.
         let cfg = RunConfig::new(0.1).with_seed(9).with_threshold(3.0);
-        for &solver in &["maxdom", "mis"] {
-            let dense = run_solver(
-                &registry,
-                solver,
-                &spec,
-                &cfg.clone().with_graph(GraphBackend::Dense),
-            )
-            .expect("dense-graph run");
-            let csr = run_solver(
-                &registry,
-                solver,
-                &spec,
-                &cfg.clone().with_graph(GraphBackend::Csr),
-            )
-            .expect("csr-graph run");
-            assert_eq!(
-                dense.canonical_json(),
-                csr.canonical_json(),
-                "'{solver}' diverged across graph backends on '{workload}'"
-            );
+        for &solver in GRAPH_SOLVERS {
+            dense_matches_csr(solver, &spec, &cfg, &format!("on '{workload}'"));
         }
     }
 }
