@@ -53,15 +53,15 @@ pub struct RunConfig {
     /// byte-identical solver output for the same workload and seed, so this
     /// is a memory/latency knob, not a semantic one.
     pub backend: Backend,
-    /// Which representation the graph-touching solvers (dominator family,
-    /// the sketch k-center deriver's probes; the exact k-center search
-    /// always probes nested CSR graphs) build their threshold graphs in:
-    /// `Dense` materialises the `n × n` bit matrix (the paper's native cost
-    /// model, refused beyond 4 GiB); `Csr` stores offsets plus sorted
-    /// neighbour lists (`O(n + m)` memory — required for million-node
-    /// sparse metrics). Both produce byte-identical canonical output
-    /// wherever both can run, so like `backend` this is a memory/latency
-    /// knob, not a semantic one.
+    /// Which representation the dominator-family solvers (`maxdom` and
+    /// `mis`, the only readers) build their threshold graphs in: `Dense`
+    /// materialises the `n × n` bit matrix (the paper's native cost model,
+    /// refused beyond 4 GiB); `Csr` stores offsets plus sorted neighbour
+    /// lists (`O(n + m)` memory — required for million-node sparse
+    /// metrics). k-center probes nested CSR graphs under either radius
+    /// deriver. Both produce byte-identical canonical output wherever both
+    /// can run, so like `backend` this is a memory/latency knob, not a
+    /// semantic one.
     pub graph: GraphBackend,
     /// How the k-center solver derives its candidate radii: `Exact` (the
     /// default) sorts all `O(n²)` distinct pairwise distances and preserves
