@@ -7,7 +7,7 @@
 use crate::kcenter::parallel_kcenter_derived;
 use crate::local_search::{parallel_local_search, ClusterObjective};
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
-use parfaclo_matrixops::CostMeter;
+use parfaclo_matrixops::{CostMeter, CostReport};
 use parfaclo_metric::coreset::{build_coreset, coreset_instance, Coreset, GridCoreset};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, SCRATCH_BYTES_CAP};
 use parfaclo_trace as trace;
@@ -53,6 +53,73 @@ fn coreset_for(
     Ok((cs, sub))
 }
 
+/// A hierarchical solve carried back to the full instance.
+struct Hierarchical<S> {
+    /// The sub-instance solution.
+    sub: S,
+    /// Coreset cells the sub-instance holds.
+    coreset_size: usize,
+    /// The sub-solution's centers as full-set node ids, ascending.
+    centers: Vec<usize>,
+    /// Each full-set node's nearest center.
+    assignment: Vec<usize>,
+    /// The full-set objective: the cost fold over every node's distance to
+    /// its nearest center.
+    cost: f64,
+    /// The coreset build and the full-set sweep; the sub-solve's work is
+    /// the sub-solution's own.
+    outer_work: CostReport,
+}
+
+/// The hierarchical solve all three coreset paths share: build the ε-grid
+/// coreset, solve the weighted sub-instance with `sub_solve` inside a metered
+/// `sub-solve` span, map its centers (`centers_of`) back to their
+/// representatives, and make one batched full-set sweep that assigns every
+/// node and folds `cost(acc, node, distance)` from 0 in node order.
+fn hierarchical_solve<S>(
+    solver_name: &str,
+    inst: &ClusterInstance,
+    eps: f64,
+    k: usize,
+    sub_solve: impl FnOnce(&ClusterInstance, &CostMeter) -> Result<S, String>,
+    centers_of: impl Fn(&S) -> &[usize],
+    cost: impl Fn(f64, usize, f64) -> f64,
+) -> Result<Hierarchical<S>, String> {
+    let outer = CostMeter::new();
+    let (cs, sub_inst) = {
+        let _span = trace::span("coreset-build", Some(&outer));
+        coreset_for(solver_name, inst, eps, k, &outer)?
+    };
+    let meter = CostMeter::new();
+    let sub = {
+        let _span = trace::span("sub-solve", Some(&meter));
+        sub_solve(&sub_inst, &meter)?
+    };
+    let _sweep = trace::span("full-sweep", Some(&outer));
+    // Coreset cell indices are assigned in ascending representative order,
+    // so this mapping preserves the sorted-centers invariant.
+    let centers: Vec<usize> = centers_of(&sub)
+        .iter()
+        .map(|&c| cs.representatives()[c])
+        .collect();
+    outer.add_primitive((inst.n() * centers.len()) as u64);
+    let mut total = 0.0_f64;
+    let mut assignment = Vec::with_capacity(inst.n());
+    for (j, c) in inst.closest_center_all(&centers).into_iter().enumerate() {
+        let (ctr, d) = c.expect("k >= 1 keeps the center set non-empty");
+        total = cost(total, j, d);
+        assignment.push(ctr);
+    }
+    Ok(Hierarchical {
+        sub,
+        coreset_size: cs.len(),
+        centers,
+        assignment,
+        cost: total,
+        outer_work: outer.report(),
+    })
+}
+
 /// The parallel Hochbaum–Shmoys k-center algorithm (Section 6.1) behind the
 /// unified API.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,51 +152,31 @@ impl Solver for KCenterSolver {
 
     fn solve(&self, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
         if let Coreset::Eps(eps) = cfg.coreset {
-            // `outer` meters the coreset build and the full-set sweep; the
-            // sub-solve's work comes back in `sol.work`.
-            let outer = CostMeter::new();
-            let (cs, sub) = {
-                let _span = trace::span("coreset-build", Some(&outer));
-                coreset_for(Solver::name(self), inst, eps, cfg.k, &outer)?
-            };
-            let meter = CostMeter::new();
-            let sol = {
-                let _span = trace::span("sub-solve", Some(&meter));
-                parallel_kcenter_derived(&sub, cfg, &meter)?
-            };
-            let sweep_span = trace::span("full-sweep", Some(&outer));
-            outer.add_primitive((inst.n() * sol.centers.len()) as u64);
-            // Coreset cell indices are assigned in ascending representative
-            // order, so this mapping preserves the sorted-centers invariant.
-            let centers: Vec<usize> = sol
-                .centers
-                .iter()
-                .map(|&c| cs.representatives()[c])
-                .collect();
-            // One full-set sweep: assignment plus the true (full-set) radius.
-            let mut radius = 0.0_f64;
-            let mut assignment = Vec::with_capacity(inst.n());
-            for c in inst.closest_center_all(&centers) {
-                let (ctr, d) = c.expect("k >= 1 keeps the center set non-empty");
-                radius = radius.max(d);
-                assignment.push(ctr);
-            }
-            drop(sweep_span);
+            let h = hierarchical_solve(
+                Solver::name(self),
+                inst,
+                eps,
+                cfg.k,
+                |sub, meter| parallel_kcenter_derived(sub, cfg, meter),
+                |sol| &sol.centers,
+                |radius, _, d| radius.max(d),
+            )?;
+            let sol = h.sub;
             // No `with_lower_bound`: the sub-instance's certified threshold
             // bounds the coreset optimum, not the full-set optimum.
             return Ok(Run::new(Solver::name(self), ProblemKind::KClustering)
                 .with_guarantee(Solver::guarantee(self))
                 .with_instance_size(inst.n(), inst.n() * inst.n())
-                .with_cost(radius)
-                .with_selected(centers)
-                .with_assignment(assignment)
+                .with_cost(h.cost)
+                .with_selected(h.centers)
+                .with_assignment(h.assignment)
                 .with_rounds(sol.probes, sol.luby_rounds)
-                .with_work(sol.work + outer.report())
+                .with_work(sol.work + h.outer_work)
                 .with_extra("threshold", sol.threshold)
                 .with_extra("probes", sol.probes as f64)
                 .with_extra("k", cfg.k as f64)
                 .with_extra("coreset_cost", sol.radius)
-                .with_extra("coreset_size", cs.len() as f64)
+                .with_extra("coreset_size", h.coreset_size as f64)
                 .with_extra("coreset_eps", eps)
                 .with_config_echo(cfg));
         }
@@ -172,54 +219,34 @@ fn local_search_run(
     cfg: &RunConfig,
 ) -> Result<Run, String> {
     if let Coreset::Eps(eps) = cfg.coreset {
-        // `outer` meters the coreset build and the full-set sweep; the
-        // sub-solve's work (its k-center seed included) comes back in
-        // `sol.work`.
-        let outer = CostMeter::new();
-        let (cs, sub) = {
-            let _span = trace::span("coreset-build", Some(&outer));
-            coreset_for(Solver::name(solver), inst, eps, cfg.k, &outer)?
-        };
-        let meter = CostMeter::new();
-        let sol = {
-            let _span = trace::span("sub-solve", Some(&meter));
-            parallel_local_search(&sub, objective, cfg, &meter)
-        };
-        let sweep_span = trace::span("full-sweep", Some(&outer));
-        outer.add_primitive((inst.n() * sol.centers.len()) as u64);
-        // Coreset cell indices are assigned in ascending representative
-        // order, so this mapping preserves the sorted-centers invariant.
-        let centers: Vec<usize> = sol
-            .centers
-            .iter()
-            .map(|&c| cs.representatives()[c])
-            .collect();
-        // One full-set sweep via the batched oracle query: assignment plus
-        // the true (full-set) objective value.
-        let mut cost = 0.0_f64;
-        let mut assignment = Vec::with_capacity(inst.n());
-        for (j, c) in inst.closest_center_all(&centers).into_iter().enumerate() {
-            let (ctr, d) = c.expect("k >= 1 keeps the center set non-empty");
-            cost += inst.weight(j)
-                * match objective {
-                    ClusterObjective::KMedian => d,
-                    ClusterObjective::KMeans => d * d,
-                };
-            assignment.push(ctr);
-        }
-        drop(sweep_span);
+        let h = hierarchical_solve(
+            Solver::name(solver),
+            inst,
+            eps,
+            cfg.k,
+            |sub, meter| Ok(parallel_local_search(sub, objective, cfg, meter)),
+            |sol| &sol.centers,
+            |cost, j, d| {
+                cost + inst.weight(j)
+                    * match objective {
+                        ClusterObjective::KMedian => d,
+                        ClusterObjective::KMeans => d * d,
+                    }
+            },
+        )?;
+        let sol = h.sub;
         return Ok(Run::new(Solver::name(solver), ProblemKind::KClustering)
             .with_guarantee(Solver::guarantee(solver))
             .with_instance_size(inst.n(), inst.n() * inst.n())
-            .with_cost(cost)
-            .with_selected(centers)
-            .with_assignment(assignment)
+            .with_cost(h.cost)
+            .with_selected(h.centers)
+            .with_assignment(h.assignment)
             .with_rounds(sol.rounds, 0)
-            .with_work(sol.work + outer.report())
+            .with_work(sol.work + h.outer_work)
             .with_extra("initial_cost", sol.initial_cost)
             .with_extra("k", cfg.k as f64)
             .with_extra("coreset_cost", sol.cost)
-            .with_extra("coreset_size", cs.len() as f64)
+            .with_extra("coreset_size", h.coreset_size as f64)
             .with_extra("coreset_eps", eps)
             .with_config_echo(cfg));
     }
