@@ -1,13 +1,22 @@
 //! The unified run configuration.
 
 use parfaclo_bucket::RadiusDeriver;
-use parfaclo_graph::GraphBackend;
 use parfaclo_metric::{Backend, Coreset};
 
 /// Defensive cap on the outer rounds of every round-based solver. A run
 /// that would exceed it indicates a bug, except primal-dual's dual ascent,
 /// which refuses up front when its derived iteration bound passes it.
 pub const MAX_ROUNDS: usize = 100_000;
+
+/// The one threshold-graph representation: compressed sparse row. An inert
+/// stub kept, with [`RunConfig::with_graph`], only because the frozen
+/// benchmark harness (`perfbench/src/ops.rs`) names it; the next change to
+/// the benchmark deletes both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GraphBackend {
+    /// Compressed sparse row: offsets plus sorted neighbour ids.
+    Csr,
+}
 
 /// Configuration accepted by every registered solver.
 ///
@@ -53,22 +62,12 @@ pub struct RunConfig {
     /// byte-identical solver output for the same workload and seed, so this
     /// is a memory/latency knob, not a semantic one.
     pub backend: Backend,
-    /// Which representation the dominator-family solvers (`maxdom` and
-    /// `mis`, the only readers) build their threshold graphs in: `Dense`
-    /// materialises the `n × n` bit matrix (the paper's native cost model,
-    /// refused beyond 4 GiB); `Csr` stores offsets plus sorted neighbour
-    /// lists (`O(n + m)` memory — required for million-node sparse
-    /// metrics). k-center probes nested CSR graphs under either radius
-    /// deriver. Both produce byte-identical canonical output wherever both
-    /// can run, so like `backend` this is a memory/latency knob, not a
-    /// semantic one.
-    pub graph: GraphBackend,
     /// How the k-center solver derives its candidate radii: `Exact` (the
     /// default) sorts all `O(n²)` distinct pairwise distances and preserves
     /// today's bytes (refused past the oracle's scratch cap); `Sketch`
     /// probes a deterministic seeded distance sample coarse-to-fine through
     /// geometric buckets, lifting k-center to the sparse/xlarge presets.
-    /// Unlike `backend` and `graph`, the sketch may probe different radii
+    /// Unlike `backend`, the sketch may probe different radii
     /// than the exact path, so it changes results (while keeping the
     /// 2-approximation structure) — which is why it is opt-in per run.
     pub radius_deriver: RadiusDeriver,
@@ -107,7 +106,6 @@ impl RunConfig {
             k: 4,
             threshold: None,
             backend: Backend::Dense,
-            graph: GraphBackend::Dense,
             radius_deriver: RadiusDeriver::default(),
             coreset: Coreset::Off,
         }
@@ -177,9 +175,11 @@ impl RunConfig {
         self
     }
 
-    /// Replaces the threshold-graph representation.
-    pub fn with_graph(mut self, graph: GraphBackend) -> Self {
-        self.graph = graph;
+    /// Does nothing: every threshold graph is CSR. Kept, with
+    /// [`GraphBackend`], only because the frozen benchmark harness
+    /// (`perfbench/src/ops.rs`) calls it; the next change to the benchmark
+    /// deletes both.
+    pub fn with_graph(self, _graph: GraphBackend) -> Self {
         self
     }
 
@@ -216,7 +216,6 @@ mod tests {
             .with_k(7)
             .with_threshold(3.5)
             .with_backend(Backend::Implicit)
-            .with_graph(GraphBackend::Csr)
             .with_radius_deriver(RadiusDeriver::Sketch)
             .with_coreset(Coreset::Eps(0.25));
         assert_eq!(cfg.epsilon, 0.25);
@@ -228,7 +227,6 @@ mod tests {
         assert_eq!(cfg.k, 7);
         assert_eq!(cfg.threshold, Some(3.5));
         assert_eq!(cfg.backend, Backend::Implicit);
-        assert_eq!(cfg.graph, GraphBackend::Csr);
         assert_eq!(cfg.radius_deriver, RadiusDeriver::Sketch);
         assert_eq!(cfg.coreset, Coreset::Eps(0.25));
     }
@@ -242,7 +240,6 @@ mod tests {
         assert!(cfg.threshold.is_none());
         assert!(cfg.threads.is_none(), "default inherits the ambient pool");
         assert_eq!(cfg.backend, Backend::Dense, "dense is the default backend");
-        assert_eq!(cfg.graph, GraphBackend::Dense, "dense graph by default");
         assert_eq!(
             cfg.radius_deriver,
             RadiusDeriver::Exact,

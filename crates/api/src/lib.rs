@@ -64,7 +64,7 @@ pub mod run;
 pub mod solver;
 pub mod trial;
 
-pub use config::{RunConfig, MAX_ROUNDS};
+pub use config::{GraphBackend, RunConfig, MAX_ROUNDS};
 pub use registry::Registry;
 pub use run::{ProblemKind, Run, RUN_SCHEMA};
 pub use solver::{AnyInstance, DynSolver, FromAnyInstance, SolveError, Solver};
@@ -79,11 +79,6 @@ pub use parfaclo_metric::Backend;
 /// error so API consumers can configure [`RunConfig::coreset`] and handle
 /// [`SolveError::Build`] without depending on `parfaclo-metric` directly.
 pub use parfaclo_metric::{BuildError, Coreset};
-
-/// Re-export of the threshold-graph representation selector so API consumers
-/// can configure [`RunConfig::graph`] without depending on `parfaclo-graph`
-/// directly.
-pub use parfaclo_graph::GraphBackend;
 
 /// Re-export of the radius-deriver selector so API consumers can configure
 /// [`RunConfig::radius_deriver`] without depending on `parfaclo-bucket`

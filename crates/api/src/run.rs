@@ -74,9 +74,9 @@ pub struct Run {
     /// Work / primitive-call / round counters accumulated during the run.
     ///
     /// Part of [`Run::canonical_json`]: the counters are a pure function of
-    /// the workload and configuration — invariant across backends, graph
-    /// representations and thread counts — so every canonical
-    /// byte comparison also pins the work profile.
+    /// the workload and configuration — invariant across backends and
+    /// thread counts — so every canonical byte comparison also pins the
+    /// work profile.
     pub work: CostReport,
     /// Wall-clock milliseconds; stamped by the registry wrapper, excluded
     /// from [`Run::canonical_json`] so determinism comparisons stay exact.
@@ -348,9 +348,9 @@ impl Run {
     }
 
     /// JSON record with timing metadata omitted: byte-identical across
-    /// repeat runs with the same seed and across backends, graph
-    /// representations and thread counts, which is what the determinism
-    /// tests and the golden corpus compare.
+    /// repeat runs with the same seed and across backends and thread
+    /// counts, which is what the determinism tests and the golden corpus
+    /// compare.
     pub fn canonical_json(&self) -> String {
         self.json_fields(false).to_string()
     }

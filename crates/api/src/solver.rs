@@ -46,7 +46,7 @@ pub trait Solver {
     /// Runs the solver.
     ///
     /// Returns `Err` with a human-readable reason when the run is infeasible
-    /// as configured — for example a dense graph backend refusing an
+    /// as configured — for example a threshold graph refusing an
     /// allocation beyond its size cap — rather than panicking. The registry
     /// surfaces this as [`SolveError::Infeasible`].
     fn solve(&self, inst: &Self::Instance, cfg: &RunConfig) -> Result<Run, String>;

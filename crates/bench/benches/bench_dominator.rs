@@ -2,22 +2,22 @@
 //! algorithms (MaxDom / MaxUDom) on random graphs of growing size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parfaclo_dominator::{max_dom, max_u_dom, BipartiteGraph, DenseGraph};
+use parfaclo_dominator::{max_dom, max_u_dom, CsrBipartite, CsrGraph};
 use parfaclo_matrixops::CostMeter;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-fn random_graph(n: usize, p: f64, seed: u64) -> DenseGraph {
+fn random_graph(n: usize, p: f64, seed: u64) -> CsrGraph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = DenseGraph::new(n);
+    let mut edges = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
             if rng.gen_bool(p) {
-                g.add_edge(a, b);
+                edges.push((a, b));
             }
         }
     }
-    g
+    CsrGraph::from_edges(n, &edges)
 }
 
 fn bench_dominator(c: &mut Criterion) {
@@ -29,7 +29,11 @@ fn bench_dominator(c: &mut Criterion) {
             let meter = CostMeter::new();
             b.iter(|| max_dom(g, 1, &meter))
         });
-        let h = BipartiteGraph::from_predicate(n, n / 2, |u, v| (u * 31 + v * 17) % 29 == 0);
+        let edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| (0..n / 2).map(move |v| (u, v)))
+            .filter(|&(u, v)| (u * 31 + v * 17) % 29 == 0)
+            .collect();
+        let h = CsrBipartite::from_edges(n, n / 2, &edges);
         group.bench_with_input(BenchmarkId::new("max_u_dom", n), &h, |b, h| {
             let meter = CostMeter::new();
             b.iter(|| max_u_dom(h, 1, &meter))

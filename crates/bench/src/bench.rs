@@ -13,13 +13,13 @@
 
 use crate::runner::{run_solver_cached, GenSpec, InstanceCache};
 use parfaclo_api::json::{JsonObject, JsonValue};
-use parfaclo_api::{Backend, Coreset, GraphBackend, Registry, Run, RunConfig, TrialStats};
+use parfaclo_api::{Backend, Coreset, Registry, Run, RunConfig, TrialStats};
 use parfaclo_matrixops::CostReport;
 
 /// Schema tag of the matrix-benchmark artifact; bump on shape changes.
-/// (`parfaclo.bench.v1` was the speedup artifact of the removed
-/// `suite --emit-bench` path: one-shot threads=1 vs threads=N wall-clocks
-/// with no trial statistics. Parsing rejects it with a pointer here.)
+/// (`parfaclo.bench.v1` was the speedup artifact of a removed `suite`
+/// option: one-shot threads=1 vs threads=N wall-clocks with no trial
+/// statistics. Parsing rejects it with a pointer here.)
 pub const BENCH_V2_SCHEMA: &str = "parfaclo.bench.v2";
 
 /// Where the measurements were taken: enough to judge whether two artifacts
@@ -218,11 +218,6 @@ pub struct BenchMatrix {
     pub nf: usize,
     /// Distance backends to sweep.
     pub backends: Vec<Backend>,
-    /// Threshold-graph representations to sweep. Only the solvers that
-    /// read the knob (see [`solver_uses_graph`]) fan out over this axis —
-    /// the rest never build a threshold graph from it, so sweeping them
-    /// over graph backends would duplicate identical cells.
-    pub graphs: Vec<GraphBackend>,
     /// Coreset settings to sweep. Only the clustering solvers (see
     /// [`solver_uses_coreset`]) fan out over this axis — the
     /// facility-location and dominator solvers ignore the knob, so sweeping
@@ -240,13 +235,12 @@ pub struct BenchMatrix {
 impl Default for BenchMatrix {
     /// The committed-baseline matrix: one solver per problem family plus the
     /// second facility-location algorithm, two workloads, all three distance
-    /// backends, both graph backends (swept on `maxdom`), threads {1, 4} —
-    /// small enough to run in seconds, wide enough to touch every layer
-    /// (solver families, generator presets, every oracle backend, both
-    /// threshold-graph representations, pool sizes). `n = 128` deliberately
-    /// exceeds the spatial planner's flat-scan cutoff (64), so the spatial
-    /// cells exercise — and byte-certify — the real grid index, not the
-    /// fallback.
+    /// backends, threads {1, 4} — small enough to run in seconds, wide
+    /// enough to touch every layer (solver families, generator presets,
+    /// every oracle backend, threshold graphs, pool sizes). `n = 128`
+    /// deliberately exceeds the spatial planner's flat-scan cutoff (64), so
+    /// the spatial cells exercise — and byte-certify — the real grid index,
+    /// not the fallback.
     fn default() -> Self {
         BenchMatrix {
             solvers: ["greedy", "primal-dual", "kcenter", "maxdom"]
@@ -256,22 +250,12 @@ impl Default for BenchMatrix {
             n: 128,
             nf: 64,
             backends: vec![Backend::Dense, Backend::Implicit, Backend::Spatial],
-            graphs: vec![GraphBackend::Dense, GraphBackend::Csr],
             coresets: vec![Coreset::Off],
             threads: vec![1, 4],
             warmup: 1,
             trials: 3,
         }
     }
-}
-
-/// Whether a registry solver reads [`RunConfig::graph`] — and therefore
-/// whether the bench matrix's graph axis applies to it. Only the dominator
-/// family thresholds the instance in the requested representation
-/// (k-center's searches always probe nested CSR graphs); sweeping graph
-/// backends over any other solver would measure identical cells twice.
-pub fn solver_uses_graph(name: &str) -> bool {
-    matches!(name, "maxdom" | "mis")
 }
 
 /// Whether a registry solver consults the [`RunConfig::coreset`] knob — and
@@ -284,26 +268,19 @@ pub fn solver_uses_coreset(name: &str) -> bool {
 }
 
 impl BenchMatrix {
-    /// Number of cells the matrix will measure: solvers that read the graph
-    /// knob fan out over the graph axis, coreset-aware solvers over the
-    /// coreset axis; the rest contribute one cell per (workload, backend,
-    /// thread) combination.
+    /// Number of cells the matrix will measure: coreset-aware solvers fan
+    /// out over the coreset axis; the rest contribute one cell per
+    /// (workload, backend, thread) combination.
     pub fn cells(&self) -> usize {
         let solver_cells: usize = self
             .solvers
             .iter()
             .map(|s| {
-                let graphs = if solver_uses_graph(s) {
-                    self.graphs.len()
-                } else {
-                    1
-                };
-                let coresets = if solver_uses_coreset(s) {
+                if solver_uses_coreset(s) {
                     self.coresets.len()
                 } else {
                     1
-                };
-                graphs * coresets
+                }
             })
             .sum();
         solver_cells * self.workloads.len() * self.backends.len() * self.threads.len()
@@ -313,7 +290,6 @@ impl BenchMatrix {
         if self.solvers.is_empty()
             || self.workloads.is_empty()
             || self.backends.is_empty()
-            || self.graphs.is_empty()
             || self.coresets.is_empty()
             || self.threads.is_empty()
         {
@@ -342,9 +318,6 @@ pub struct BenchRecord {
     pub clusters: usize,
     /// Distance backend the instance was served by.
     pub backend: Backend,
-    /// Threshold-graph representation the cell ran under (always `Dense`
-    /// for solvers that never build a threshold graph).
-    pub graph: GraphBackend,
     /// Coreset setting the cell ran under (always `Off` for solvers that
     /// ignore the knob).
     pub coreset: Coreset,
@@ -364,8 +337,7 @@ pub struct BenchRecord {
     /// (from each trial `Run`'s `phase_wall_ms` timing metadata), in
     /// first-encounter order. Lets the comparator say *which phase* of a
     /// regressed cell slowed down. Empty for artifacts written before
-    /// phase attribution existed — optional on parse, like `graph` and
-    /// `coreset`.
+    /// phase attribution existed — optional on parse, like `coreset`.
     pub phases: Vec<(String, f64)>,
 }
 
@@ -376,7 +348,7 @@ impl BenchRecord {
     /// if they were the same workload.
     pub fn key(&self) -> String {
         let mut key = format!(
-            "{}/{}:n={},nf={},c={}/{}:t={}/g={}",
+            "{}/{}:n={},nf={},c={}/{}:t={}",
             self.solver,
             self.workload,
             self.n,
@@ -384,11 +356,9 @@ impl BenchRecord {
             self.clusters,
             self.backend.as_str(),
             self.threads,
-            self.graph.as_str()
         );
         // Appended only when set, so the keys of every cell measured before
-        // the coreset axis existed — including all committed baselines —
-        // stay byte-identical and keep joining.
+        // the coreset axis existed keep joining.
         if self.coreset != Coreset::Off {
             key.push_str(&format!("/cs={}", self.coreset));
         }
@@ -403,7 +373,6 @@ impl BenchRecord {
             .uint("nf", self.nf as u64)
             .uint("clusters", self.clusters as u64)
             .string("backend", self.backend.as_str())
-            .string("graph", self.graph.as_str())
             .string("coreset", &self.coreset.as_string())
             .uint("threads", self.threads as u64)
             .field("wall_ms", self.stats.to_json_value())
@@ -458,17 +427,9 @@ impl BenchRecord {
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| "bench record missing field 'backend'".to_string())?
                 .parse()?,
-            // Optional on parse: artifacts written before the graph axis
-            // existed measured under the then-only dense representation.
-            graph: match value.get("graph") {
-                None => GraphBackend::Dense,
-                Some(v) => v
-                    .as_str()
-                    .ok_or_else(|| "bench record field 'graph' must be a string".to_string())?
-                    .parse()?,
-            },
             // Optional on parse: artifacts written before the coreset axis
-            // existed all measured the full-instance path.
+            // existed all measured the full-instance path. Older artifacts'
+            // `graph` key is ignored.
             coreset: match value.get("coreset") {
                 None => Coreset::Off,
                 Some(v) => v
@@ -660,81 +621,71 @@ pub fn run_matrix(
         for &backend in &matrix.backends {
             let mut cache = InstanceCache::new(spec, base.seed, backend);
             for solver in &matrix.solvers {
-                let graphs: &[GraphBackend] = if solver_uses_graph(solver) {
-                    &matrix.graphs
-                } else {
-                    &[GraphBackend::Dense]
-                };
                 let coresets: &[Coreset] = if solver_uses_coreset(solver) {
                     &matrix.coresets
                 } else {
                     &[Coreset::Off]
                 };
-                for &graph in graphs {
-                    for &coreset in coresets {
-                        for &threads in &matrix.threads {
-                            let cfg = base
-                                .clone()
-                                .with_backend(backend)
-                                .with_graph(graph)
-                                .with_coreset(coreset)
-                                .with_threads(threads);
-                            for _ in 0..matrix.warmup {
-                                run_solver_cached(registry, solver, &mut cache, &cfg)?;
-                            }
-                            let mut samples = Vec::with_capacity(matrix.trials);
-                            let mut phase_samples: Vec<(String, Vec<f64>)> = Vec::new();
-                            let mut first: Option<Run> = None;
-                            let mut deterministic = true;
-                            for _ in 0..matrix.trials {
-                                let run = run_solver_cached(registry, solver, &mut cache, &cfg)?;
-                                samples.push(run.wall_ms);
-                                for (name, ms) in &run.phase_wall_ms {
-                                    match phase_samples.iter_mut().find(|(n, _)| n == name) {
-                                        Some((_, v)) => v.push(*ms),
-                                        None => phase_samples.push((name.clone(), vec![*ms])),
-                                    }
-                                }
-                                match &first {
-                                    None => first = Some(run),
-                                    Some(f) => {
-                                        deterministic &= f.canonical_json() == run.canonical_json();
-                                    }
-                                }
-                            }
-                            let first = first.expect("trials >= 1 checked in validate");
-                            if !deterministic {
-                                return Err(format!(
-                                    "solver '{solver}' on workload '{workload}' \
-                                     (backend {}, graph {}, coreset {coreset}, threads \
-                                     {threads}) produced different canonical JSON across \
-                                     trials — determinism contract violated",
-                                    backend.as_str(),
-                                    graph.as_str()
-                                ));
-                            }
-                            let stats = TrialStats::from_samples(&samples);
-                            records.push(BenchRecord {
-                                solver: solver.clone(),
-                                workload: workload.clone(),
-                                n: spec.n,
-                                nf: spec.nf,
-                                clusters: spec.clusters,
-                                backend,
-                                graph,
-                                coreset,
-                                threads: first.threads,
-                                stats: stats.clone(),
-                                memory_bytes: first.memory_bytes,
-                                work: first.work,
-                                deterministic,
-                                phases: phase_samples
-                                    .into_iter()
-                                    .map(|(name, walls)| (name, median(walls)))
-                                    .collect(),
-                            });
-                            runs.push(first.with_trials(stats));
+                for &coreset in coresets {
+                    for &threads in &matrix.threads {
+                        let cfg = base
+                            .clone()
+                            .with_backend(backend)
+                            .with_coreset(coreset)
+                            .with_threads(threads);
+                        for _ in 0..matrix.warmup {
+                            run_solver_cached(registry, solver, &mut cache, &cfg)?;
                         }
+                        let mut samples = Vec::with_capacity(matrix.trials);
+                        let mut phase_samples: Vec<(String, Vec<f64>)> = Vec::new();
+                        let mut first: Option<Run> = None;
+                        let mut deterministic = true;
+                        for _ in 0..matrix.trials {
+                            let run = run_solver_cached(registry, solver, &mut cache, &cfg)?;
+                            samples.push(run.wall_ms);
+                            for (name, ms) in &run.phase_wall_ms {
+                                match phase_samples.iter_mut().find(|(n, _)| n == name) {
+                                    Some((_, v)) => v.push(*ms),
+                                    None => phase_samples.push((name.clone(), vec![*ms])),
+                                }
+                            }
+                            match &first {
+                                None => first = Some(run),
+                                Some(f) => {
+                                    deterministic &= f.canonical_json() == run.canonical_json();
+                                }
+                            }
+                        }
+                        let first = first.expect("trials >= 1 checked in validate");
+                        if !deterministic {
+                            return Err(format!(
+                                "solver '{solver}' on workload '{workload}' \
+                                 (backend {}, coreset {coreset}, threads {threads}) \
+                                 produced different canonical JSON across trials — \
+                                 determinism contract violated",
+                                backend.as_str(),
+                            ));
+                        }
+                        let stats = TrialStats::from_samples(&samples);
+                        records.push(BenchRecord {
+                            solver: solver.clone(),
+                            workload: workload.clone(),
+                            n: spec.n,
+                            nf: spec.nf,
+                            clusters: spec.clusters,
+                            backend,
+                            coreset,
+                            threads: first.threads,
+                            stats: stats.clone(),
+                            memory_bytes: first.memory_bytes,
+                            work: first.work,
+                            deterministic,
+                            phases: phase_samples
+                                .into_iter()
+                                .map(|(name, walls)| (name, median(walls)))
+                                .collect(),
+                        });
+                        runs.push(first.with_trials(stats));
                     }
                 }
             }
@@ -922,7 +873,6 @@ mod tests {
             nf: 32,
             clusters: 8,
             backend: Backend::Dense,
-            graph: GraphBackend::Dense,
             coreset: Coreset::Off,
             threads: 1,
             stats: TrialStats {
@@ -970,6 +920,13 @@ mod tests {
         assert!(text.contains("\"element_ops\":1000"));
         let back = BenchArtifact::parse(&text).unwrap();
         assert_eq!(back, art);
+        // Older records carry the removed `graph` key; it is ignored.
+        let old = text.replace(
+            "\"backend\":\"dense\",",
+            "\"backend\":\"dense\",\"graph\":\"csr\",",
+        );
+        assert_ne!(old, text);
+        assert_eq!(BenchArtifact::parse(&old).unwrap(), art);
     }
 
     #[test]
@@ -1083,7 +1040,6 @@ mod tests {
             n: 24,
             nf: 12,
             backends: vec![Backend::Dense],
-            graphs: vec![GraphBackend::Dense],
             coresets: vec![Coreset::Off],
             threads: vec![1],
             warmup: 0,
@@ -1160,7 +1116,6 @@ mod tests {
             n: 24,
             nf: 12,
             backends: vec![Backend::Dense],
-            graphs: vec![GraphBackend::Dense],
             coresets: vec![Coreset::Off],
             threads: vec![1, 2],
             warmup: 1,
@@ -1222,12 +1177,10 @@ mod tests {
     #[test]
     fn default_matrix_spans_the_layers() {
         let m = BenchMatrix::default();
-        // greedy, primal-dual and kcenter contribute one cell each; maxdom
-        // fans out over both graph backends: (3·1 + 1·2) combos.
-        assert_eq!(m.cells(), (3 + 2) * 2 * 3 * 2);
+        // greedy, primal-dual, kcenter and maxdom contribute one cell each.
+        assert_eq!(m.cells(), 4 * 2 * 3 * 2);
         assert!(m.backends.contains(&Backend::Implicit));
         assert!(m.backends.contains(&Backend::Spatial));
-        assert!(m.graphs.contains(&GraphBackend::Csr));
         // Coresets are opt-in: the default axis is the full-instance path
         // only, so committed baselines keep their historical cell count.
         assert_eq!(m.coresets, vec![Coreset::Off]);
@@ -1243,7 +1196,6 @@ mod tests {
             n: 48,
             nf: 24,
             backends: vec![Backend::Dense],
-            graphs: vec![GraphBackend::Dense],
             coresets: vec![Coreset::Off, Coreset::Eps(0.25)],
             threads: vec![1],
             warmup: 0,
@@ -1277,45 +1229,6 @@ mod tests {
         // And the artifact with coreset cells round-trips.
         let back = BenchArtifact::parse(&artifact.to_json()).unwrap();
         assert_eq!(back, artifact);
-    }
-
-    #[test]
-    fn graph_axis_sweeps_only_graph_solvers() {
-        let registry = standard_registry();
-        let matrix = BenchMatrix {
-            solvers: vec!["greedy".to_string(), "maxdom".to_string()],
-            workloads: vec!["uniform".to_string()],
-            n: 24,
-            nf: 12,
-            backends: vec![Backend::Dense],
-            graphs: vec![GraphBackend::Dense, GraphBackend::Csr],
-            coresets: vec![Coreset::Off],
-            threads: vec![1],
-            warmup: 0,
-            trials: 1,
-        };
-        let base = RunConfig::new(0.1).with_seed(5).with_k(3);
-        let (artifact, _) = run_matrix(&registry, &matrix, &base).unwrap();
-        assert_eq!(artifact.records.len(), matrix.cells());
-        assert_eq!(matrix.cells(), 3, "greedy x1 + maxdom x2 graphs");
-        let greedy: Vec<_> = artifact
-            .records
-            .iter()
-            .filter(|r| r.solver == "greedy")
-            .collect();
-        assert_eq!(greedy.len(), 1, "non-graph solver must not fan out");
-        assert_eq!(greedy[0].graph, GraphBackend::Dense);
-        let maxdom: Vec<_> = artifact
-            .records
-            .iter()
-            .filter(|r| r.solver == "maxdom")
-            .collect();
-        assert_eq!(maxdom.len(), 2);
-        assert_ne!(maxdom[0].key(), maxdom[1].key());
-        assert!(maxdom.iter().any(|r| r.graph == GraphBackend::Csr));
-        // The representations do identical algorithmic work — only wall
-        // clock and memory may differ.
-        assert_eq!(maxdom[0].work, maxdom[1].work);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! parfaclo ablation --gen uniform:n=128,nf=64 --json ablation.json
 //! ```
 
-use parfaclo_api::{Backend, Coreset, GraphBackend, ProblemKind, Registry, Run, RunConfig};
+use parfaclo_api::{Backend, Coreset, ProblemKind, Registry, Run, RunConfig};
 use parfaclo_bench::bench::{compare, run_matrix, BenchArtifact, BenchMatrix};
 use parfaclo_bench::runner::{
     run_solver, run_solver_cached, runs_to_json, table_header, table_row, GenSpec, InstanceCache,
@@ -40,8 +40,6 @@ USAGE:
         Run a set of solvers (default: all) over the standard workload
         suite. Always sweeps all five workloads; --gen contributes only
         its dimensions (n, nf, c) and seed, not its workload name.
-        (The old --emit-bench speedup artifact has been removed; use
-        `parfaclo bench --thread-list 1,N --out <path>` instead.)
 
     parfaclo bench [options]
         The measurement subsystem: run a (solver x workload x backend x
@@ -85,16 +83,6 @@ OPTIONS:
                         clustering/dominator probes still need O(n²)
                         transients at any backend).
                         Results are byte-identical in all cases [default: dense]
-    --graph <g>         Threshold-graph representation for maxdom and
-                        mis: dense materialises the n x n adjacency
-                        matrix (refused above 4 GiB); csr builds a
-                        compressed-sparse-row graph holding only the
-                        edges within the threshold — the representation
-                        that makes sparse million-vertex graphs
-                        practical. k-center (either radius deriver, and
-                        the kmedian-ls/kmeans-ls seed) always probes
-                        nested CSR graphs. Canonical results are
-                        byte-identical either way      [default: dense]
     --radius-deriver <d>
                         k-center candidate-radius derivation: exact sorts
                         all n² pairwise distances (the paper's Theorem 6.1
@@ -120,7 +108,9 @@ OPTIONS:
     --eps <f>           Slack parameter, in (0, 1]       [default: 0.1]
     --seed <n>          RNG seed                         [default: 0]
     --k <n>             Centers for clustering solvers   [default: 8]
-    --threshold <f>     Dominator-set threshold (>= 0)   [default: median]
+    --threshold <f>     Dominator-set threshold (>= 0); maxdom and mis
+                        build its compressed-sparse-row graph, refused
+                        when the build would pass 4 GiB [default: median]
     --threads <n>       Worker threads for the run (pool size); 1 is
                         the sequential run, and results are identical
                         at any count                     [default: ambient]
@@ -152,9 +142,6 @@ BENCH OPTIONS (parfaclo bench only):
                         [default: uniform,clustered]
     --backends <a,b>    Backend subset (dense,implicit,spatial)
                         [default: dense,implicit,spatial]
-    --graphs <a,b>      Threshold-graph representations to sweep for the
-                        solvers that read --graph (dense,csr): maxdom
-                        and mis; the rest run once [default: dense,csr]
     --coresets <a,b>    Coreset settings to sweep for the k-clustering
                         solvers (off and/or eps:<f64> entries);
                         non-clustering solvers always run once
@@ -206,8 +193,6 @@ struct Options {
     workloads: Option<Vec<String>>,
     /// bench: backend subset.
     backends: Option<Vec<Backend>>,
-    /// bench: threshold-graph representation subset.
-    graphs: Option<Vec<GraphBackend>>,
     /// bench: coreset settings to sweep.
     coresets: Option<Vec<Coreset>>,
     /// bench: thread counts to sweep.
@@ -241,7 +226,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut force = false;
     let mut workloads = None;
     let mut backends = None;
-    let mut graphs = None;
     let mut coresets = None;
     let mut thread_list = None;
     let mut warmup = 1usize;
@@ -303,7 +287,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 cfg.threads = Some(threads);
             }
             "--backend" => cfg.backend = value("--backend")?.parse()?,
-            "--graph" => cfg.graph = value("--graph")?.parse()?,
             "--coreset" => cfg.coreset = value("--coreset")?.parse()?,
             "--radius-deriver" => cfg.radius_deriver = value("--radius-deriver")?.parse()?,
             "--no-preprocess" => cfg.preprocess = false,
@@ -330,18 +313,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--json" => json = Some(value("--json")?.clone()),
             "--trace" => trace = Some(value("--trace")?.clone()),
             "--progress" => progress = true,
-            // Removed in favour of `parfaclo bench` (which measures the same
-            // threads=1-vs-N comparison with warmup, repeated trials and a
-            // baseline comparator). A hard error beats silently ignoring a
-            // flag that used to write artifacts.
-            "--emit-bench" => {
-                return Err(
-                    "--emit-bench has been removed; use `parfaclo bench --thread-list 1,N \
-                     --out <path>` for the speedup matrix (it adds warmup, repeated trials \
-                     and baseline comparison)"
-                        .to_string(),
-                )
-            }
             "--quiet" => quiet = true,
             "--force" => force = true,
             "--workloads" => {
@@ -358,14 +329,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     value("--backends")?
                         .split(',')
                         .map(|s| s.trim().parse::<Backend>())
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
-            }
-            "--graphs" => {
-                graphs = Some(
-                    value("--graphs")?
-                        .split(',')
-                        .map(|s| s.trim().parse::<GraphBackend>())
                         .collect::<Result<Vec<_>, _>>()?,
                 )
             }
@@ -434,7 +397,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         force,
         workloads,
         backends,
-        graphs,
         coresets,
         thread_list,
         warmup,
@@ -648,10 +610,11 @@ fn cmd_suite(registry: &Registry, opts: Options) -> Result<(), String> {
         );
     }
     // The clustering / dominator solvers need O(n²) transient memory even on
-    // the implicit backend (sorted distinct distance sets, n x n threshold
-    // graphs), so at implicit-preset scales the default sweep keeps to the
-    // facility-location family instead of aborting mid-suite on a multi-GB
-    // allocation. Never dropped silently, and an explicit --solvers list
+    // the implicit backend (sorted distinct distance sets, and CSR threshold
+    // graphs holding about half of all pairs at the median threshold), so at
+    // implicit-preset scales the default sweep keeps to the
+    // facility-location family instead of refusing or spending minutes
+    // mid-suite. Never dropped silently, and an explicit --solvers list
     // always wins.
     const CLUSTER_SWEEP_LIMIT: usize = 4096;
     let before = names.len();
@@ -732,9 +695,6 @@ fn cmd_bench(registry: &Registry, opts: Options) -> Result<(), String> {
     if let Some(backends) = &opts.backends {
         matrix.backends = backends.clone();
     }
-    if let Some(graphs) = &opts.graphs {
-        matrix.graphs = graphs.clone();
-    }
     if let Some(coresets) = &opts.coresets {
         matrix.coresets = coresets.clone();
     }
@@ -785,13 +745,12 @@ fn cmd_bench(registry: &Registry, opts: Options) -> Result<(), String> {
     if !opts.quiet {
         println!(
             "bench: {} solvers x {} workloads x {} backends x {} thread counts \
-             (graph solvers x {} graphs, clustering solvers x {} coresets) = \
-             {} cells, {} warmup + {} trials each, n = {}, nf = {}\n",
+             (clustering solvers x {} coresets) = {} cells, {} warmup + {} trials \
+             each, n = {}, nf = {}\n",
             matrix.solvers.len(),
             matrix.workloads.len(),
             matrix.backends.len(),
             matrix.threads.len(),
-            matrix.graphs.len(),
             matrix.coresets.len(),
             matrix.cells(),
             matrix.warmup,
@@ -806,7 +765,6 @@ fn cmd_bench(registry: &Registry, opts: Options) -> Result<(), String> {
             "solver",
             "workload",
             "backend",
-            "graph",
             "coreset",
             "thr",
             "min_ms",
@@ -821,7 +779,6 @@ fn cmd_bench(registry: &Registry, opts: Options) -> Result<(), String> {
                 rec.solver.clone(),
                 rec.workload.clone(),
                 rec.backend.as_str().to_string(),
-                rec.graph.as_str().to_string(),
                 rec.coreset.as_string(),
                 rec.threads.to_string(),
                 format!("{:.3}", rec.stats.min_ms),
@@ -990,5 +947,19 @@ mod tests {
         }
         let opts = parse_options(&args("--threshold 0")).expect("a zero threshold is valid");
         assert_eq!(opts.cfg.threshold, Some(0.0));
+    }
+
+    #[test]
+    fn deleted_flags_are_unknown_options() {
+        for flag in ["--graph", "--graphs", "--emit-bench"] {
+            for command in ["run maxdom --gen uniform:n=30", "bench", "suite"] {
+                let err = dispatch(&args(&format!("{command} {flag} csr"))).expect_err(flag);
+                assert!(
+                    err.starts_with(&format!("unknown option '{flag}'")),
+                    "{command} {flag}: {err}"
+                );
+            }
+        }
+        assert!(!USAGE.contains("--graph") && !USAGE.contains("--emit-bench"));
     }
 }

@@ -26,9 +26,9 @@ use parfaclo_metric::SCRATCH_BYTES_CAP;
 /// only the spatial backend makes practical (the implicit backend's O(n)
 /// sweeps put every structured query at 10M distance evaluations), and the
 /// sparse presets `sparse-large` (road, n=100000) and `sparse-xlarge`
-/// (powerlaw, n=1000000) — the workloads whose threshold graphs the CSR
-/// graph backend (`--graph csr`) handles at scales the dense bit matrix
-/// cannot represent — and keys
+/// (powerlaw, n=1000000) — the workloads whose threshold graphs stay sparse
+/// enough for the CSR graph at scales no `n × n` matrix can represent — and
+/// keys
 ///
 /// * `n` — number of clients / nodes (default 200),
 /// * `nf` (alias `k`) — number of candidate facilities for facility-location

@@ -27,9 +27,8 @@
 //! * [`maxudom::max_u_dom`] — `MaxUDom(H)` without constructing `H'`.
 //!
 //! All three run on the frontier engine of [`parfaclo_graph`] and are generic over its
-//! graph representations — the dense bit matrices ([`DenseGraph`], [`BipartiteGraph`],
-//! re-exported here) or the CSR sparse forms ([`CsrGraph`], [`CsrBipartite`]) — with
-//! byte-identical output on either.
+//! [`parfaclo_graph::Neighbors`] / [`parfaclo_graph::BipartiteNeighbors`] traits,
+//! implemented by the CSR graphs [`CsrGraph`] and [`CsrBipartite`] (re-exported here).
 //!
 //! All routines are deterministic given a seed, return the number of Luby rounds
 //! executed (so the experiments can check the `O(log n)` round bound), and record their
@@ -46,7 +45,7 @@ pub mod solvers;
 pub use luby::maximal_independent_set;
 pub use maxdom::max_dom;
 pub use maxudom::max_u_dom;
-pub use parfaclo_graph::{BipartiteGraph, CsrBipartite, CsrGraph, DenseGraph, ThresholdGraph};
+pub use parfaclo_graph::{CsrBipartite, CsrGraph};
 pub use solvers::{MaxDomSolver, MisSolver};
 
 /// Result of a dominator-set (or MIS) computation.

@@ -7,16 +7,13 @@
 //!
 //! The round body runs on the frontier engine of [`parfaclo_graph`]: the set of live
 //! nodes is a [`VertexSubset`], the neighbour minimum is one [`edge_map_min`], and the
-//! removal wave is one [`edge_map`]. The algorithm is therefore generic over any
-//! [`Neighbors`] representation — dense bit matrix or CSR — and produces identical
-//! output on either, because dead nodes carry priority `+∞` (an unfiltered neighbour
-//! minimum equals the live-filtered one) and `min` / set-union combines are
-//! order-independent.
+//! removal wave is one [`edge_map`]. The algorithm is generic over [`Neighbors`], and
+//! dead nodes carry priority `+∞` (an unfiltered neighbour minimum equals the
+//! live-filtered one) while `min` / set-union combines are order-independent, so the
+//! output does not depend on the schedule.
 //!
-//! The cost meter still charges the paper's dense PRAM model (`O(n²)` per round)
-//! whatever the representation: the model prices the *algorithm*, not the container,
-//! and keeping the charge representation-independent is what lets canonical run JSON
-//! stay byte-identical across graph backends.
+//! The cost meter charges the paper's dense PRAM model (`O(n²)` per round) although
+//! the graph is CSR: the model prices the *algorithm*, not the container.
 //!
 //! The dominator-set variants in [`crate::maxdom`] and [`crate::maxudom`] simulate this
 //! algorithm on the *square* of a graph without materialising it; this explicit version
@@ -134,16 +131,30 @@ pub fn is_maximal_independent_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_graph::{CsrGraph, DenseGraph};
+    use parfaclo_graph::CsrGraph;
     use parfaclo_matrixops::PAR_THRESHOLD;
 
     fn meter() -> CostMeter {
         CostMeter::new()
     }
 
+    /// Each pair `a < b` of `n` nodes, kept with probability `p`.
+    fn random_edges(rng: &mut ChaCha8Rng, n: usize, p: f64) -> Vec<(usize, usize)> {
+        use rand::Rng;
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if rng.gen_bool(p) {
+                    edges.push((a, b));
+                }
+            }
+        }
+        edges
+    }
+
     #[test]
     fn empty_graph_selects_everything() {
-        let g = DenseGraph::new(5);
+        let g = CsrGraph::from_edges(5, &[]);
         let r = maximal_independent_set(&g, 1, &meter());
         assert_eq!(r.selected, vec![0, 1, 2, 3, 4]);
         assert_eq!(r.rounds, 1);
@@ -151,12 +162,10 @@ mod tests {
 
     #[test]
     fn complete_graph_selects_one() {
-        let mut g = DenseGraph::new(6);
-        for a in 0..6 {
-            for b in (a + 1)..6 {
-                g.add_edge(a, b);
-            }
-        }
+        let edges: Vec<(usize, usize)> = (0..6)
+            .flat_map(|a| ((a + 1)..6).map(move |b| (a, b)))
+            .collect();
+        let g = CsrGraph::from_edges(6, &edges);
         let r = maximal_independent_set(&g, 2, &meter());
         assert_eq!(r.selected.len(), 1);
         assert!(is_maximal_independent_set(&g, &r.selected));
@@ -164,7 +173,7 @@ mod tests {
 
     #[test]
     fn path_graph_mis_is_valid() {
-        let g = DenseGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         for seed in 0..10 {
             let r = maximal_independent_set(&g, seed, &meter());
             assert!(is_maximal_independent_set(&g, &r.selected), "seed {seed}");
@@ -175,17 +184,9 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        use rand::Rng;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let n = 300;
-        let mut g = DenseGraph::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if rng.gen_bool(0.05) {
-                    g.add_edge(a, b);
-                }
-            }
-        }
+        let g = CsrGraph::from_edges(n, &random_edges(&mut rng, n, 0.05));
         assert!(
             n + g.num_edges() >= PAR_THRESHOLD,
             "the rounds run on the pool"
@@ -203,43 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_csr_representations_agree() {
-        use rand::Rng;
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        for trial in 0..10 {
-            let n = rng.gen_range(2..40);
-            let mut edges = Vec::new();
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if rng.gen_bool(0.25) {
-                        edges.push((a, b));
-                    }
-                }
-            }
-            let d = DenseGraph::from_edges(n, &edges);
-            let c = CsrGraph::from_edges(n, &edges);
-            assert_eq!(
-                maximal_independent_set(&d, trial, &meter()),
-                maximal_independent_set(&c, trial, &meter()),
-                "trial {trial}"
-            );
-        }
-    }
-
-    #[test]
     fn random_graphs_produce_valid_mis() {
         use rand::Rng;
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         for trial in 0..20 {
             let n = rng.gen_range(2..30);
-            let mut g = DenseGraph::new(n);
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if rng.gen_bool(0.3) {
-                        g.add_edge(a, b);
-                    }
-                }
-            }
+            let g = CsrGraph::from_edges(n, &random_edges(&mut rng, n, 0.3));
             let r = maximal_independent_set(&g, trial, &meter());
             assert!(is_maximal_independent_set(&g, &r.selected), "trial {trial}");
         }
@@ -247,7 +217,7 @@ mod tests {
 
     #[test]
     fn round_count_is_recorded() {
-        let g = DenseGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let m = meter();
         let r = maximal_independent_set(&g, 3, &m);
         assert!(r.rounds >= 1);
@@ -256,7 +226,7 @@ mod tests {
 
     #[test]
     fn independence_checkers() {
-        let g = DenseGraph::from_edges(4, &[(0, 1), (2, 3)]);
+        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
         assert!(is_independent_set(&g, &[0, 2]));
         assert!(!is_independent_set(&g, &[0, 1]));
         assert!(is_maximal_independent_set(&g, &[0, 2]));

@@ -22,13 +22,12 @@
 //! the only values the second propagation reads. Values outside that set are never read,
 //! so skipping them changes no output byte.
 //!
-//! The round body is generic over any [`Neighbors`] representation and the cost meter
-//! still charges the paper's dense PRAM model (`O(n²)` per propagation) regardless —
-//! see [`crate::luby`] for why.
+//! The round body is generic over [`Neighbors`], and the cost meter charges the paper's
+//! dense PRAM model (`O(n²)` per propagation) on the CSR graph — see [`crate::luby`].
 
 use crate::luby::draw_priorities;
 use crate::DominatorResult;
-use parfaclo_graph::{edge_map, edge_map_min, DenseGraph, Neighbors, VertexSubset};
+use parfaclo_graph::{edge_map, edge_map_min, CsrGraph, Neighbors, VertexSubset};
 use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_trace as trace;
 use rand::SeedableRng;
@@ -138,24 +137,23 @@ pub fn is_maximal_dominator_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
 
 /// Builds `G²` explicitly (quadratic work per node pair). Only used by tests to compare
 /// the in-place algorithm against running plain MIS on the materialised square.
-pub fn explicit_square(g: &DenseGraph) -> DenseGraph {
+pub fn explicit_square<G: Neighbors>(g: &G) -> CsrGraph {
     let n = g.n();
-    let mut sq = DenseGraph::new(n);
+    let mut edges = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
             if adjacent_in_square(g, a, b) {
-                sq.add_edge(a, b);
+                edges.push((a, b));
             }
         }
     }
-    sq
+    CsrGraph::from_edges(n, &edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::luby::{is_maximal_independent_set, maximal_independent_set};
-    use parfaclo_graph::CsrGraph;
     use parfaclo_matrixops::PAR_THRESHOLD;
     use rand::Rng;
 
@@ -163,9 +161,22 @@ mod tests {
         CostMeter::new()
     }
 
+    /// Each pair `a < b` of `n` nodes, kept with probability `p`.
+    fn random_graph(rng: &mut ChaCha8Rng, n: usize, p: f64) -> CsrGraph {
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if rng.gen_bool(p) {
+                    edges.push((a, b));
+                }
+            }
+        }
+        CsrGraph::from_edges(n, &edges)
+    }
+
     #[test]
     fn empty_graph_selects_everything() {
-        let g = DenseGraph::new(4);
+        let g = CsrGraph::from_edges(4, &[]);
         let r = max_dom(&g, 0, &meter());
         assert_eq!(r.selected, vec![0, 1, 2, 3]);
     }
@@ -174,7 +185,7 @@ mod tests {
     fn star_graph_selects_single_node() {
         // Star centred at 0: every pair of leaves shares neighbour 0, and every leaf is
         // adjacent to 0, so the dominator set has exactly one node.
-        let g = DenseGraph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
+        let g = CsrGraph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
         for seed in 0..5 {
             let r = max_dom(&g, seed, &meter());
             assert_eq!(r.selected.len(), 1, "seed {seed}");
@@ -186,7 +197,7 @@ mod tests {
     fn path_graph_dominators_are_spaced() {
         // P9: nodes selected in MaxDom must be at distance >= 3 apart.
         let edges: Vec<(usize, usize)> = (0..8).map(|i| (i, i + 1)).collect();
-        let g = DenseGraph::from_edges(9, &edges);
+        let g = CsrGraph::from_edges(9, &edges);
         for seed in 0..10 {
             let r = max_dom(&g, seed, &meter());
             assert!(is_maximal_dominator_set(&g, &r.selected), "seed {seed}");
@@ -201,14 +212,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         for trial in 0..15 {
             let n = rng.gen_range(3..25);
-            let mut g = DenseGraph::new(n);
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if rng.gen_bool(0.25) {
-                        g.add_edge(a, b);
-                    }
-                }
-            }
+            let g = random_graph(&mut rng, n, 0.25);
             // In-place algorithm.
             let r = max_dom(&g, trial, &meter());
             assert!(
@@ -228,14 +232,7 @@ mod tests {
     fn parallel_matches_sequential_for_same_seed() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let n = 300;
-        let mut g = DenseGraph::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if rng.gen_bool(0.05) {
-                    g.add_edge(a, b);
-                }
-            }
-        }
+        let g = random_graph(&mut rng, n, 0.05);
         assert!(
             n + g.num_edges() >= PAR_THRESHOLD,
             "the rounds run on the pool"
@@ -253,34 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_csr_representations_agree() {
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        for trial in 0..10 {
-            let n = rng.gen_range(3..35);
-            let mut edges = Vec::new();
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if rng.gen_bool(0.2) {
-                        edges.push((a, b));
-                    }
-                }
-            }
-            let d = DenseGraph::from_edges(n, &edges);
-            let c = CsrGraph::from_edges(n, &edges);
-            assert_eq!(
-                max_dom(&d, trial, &meter()),
-                max_dom(&c, trial, &meter()),
-                "trial {trial}"
-            );
-        }
-    }
-
-    #[test]
     fn rounds_grow_slowly() {
         // A graph with 200 isolated edges finishes in very few rounds.
         let n = 400;
         let edges: Vec<(usize, usize)> = (0..200).map(|i| (2 * i, 2 * i + 1)).collect();
-        let g = DenseGraph::from_edges(n, &edges);
+        let g = CsrGraph::from_edges(n, &edges);
         let r = max_dom(&g, 1, &meter());
         assert_eq!(r.selected.len(), 200, "one endpoint of each isolated edge");
         assert!(r.rounds <= 20, "expected O(log n) rounds, got {}", r.rounds);
@@ -288,7 +262,7 @@ mod tests {
 
     #[test]
     fn dominator_checkers_reject_bad_sets() {
-        let g = DenseGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         // 0 and 2 share neighbour 1 → not a valid dominator set.
         assert!(!is_dominator_independent(&g, &[0, 2]));
         // {0, 3}: distance 3 apart → valid and maximal.

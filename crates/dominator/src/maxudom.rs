@@ -9,11 +9,10 @@
 //!
 //! As with [`crate::maxdom`], Luby's select step is simulated with two min-propagation
 //! passes — U → V and back V → U — so `H'` is never materialised. The passes run on the
-//! bipartite frontier primitives of [`parfaclo_graph`], generic over the dense matrix or
-//! CSR representation: dead U-nodes carry priority `+∞`, so the unfiltered V-side
-//! minimum equals the live-filtered one, and restricting each gather to the frontier's
-//! neighbourhood skips only values nothing reads. The cost meter keeps charging the
-//! paper's dense `O(|U||V|)`-per-round model regardless of representation.
+//! bipartite frontier primitives of [`parfaclo_graph`]: dead U-nodes carry priority
+//! `+∞`, so the unfiltered V-side minimum equals the live-filtered one, and restricting
+//! each gather to the frontier's neighbourhood skips only values nothing reads. The cost
+//! meter charges the paper's dense `O(|U||V|)`-per-round model on the CSR graph.
 
 use crate::luby::draw_priorities;
 use crate::DominatorResult;
@@ -128,16 +127,29 @@ pub fn is_maximal_u_dominator_set<H: BipartiteNeighbors>(h: &H, set: &[usize]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_graph::BipartiteGraph;
+    use parfaclo_graph::CsrBipartite;
     use rand::Rng;
 
     fn meter() -> CostMeter {
         CostMeter::new()
     }
 
+    /// Each pair `(u, v)` of `nu × nv` nodes, kept with probability `p`.
+    fn random_bipartite(rng: &mut ChaCha8Rng, nu: usize, nv: usize, p: f64) -> CsrBipartite {
+        let mut edges = Vec::new();
+        for u in 0..nu {
+            for v in 0..nv {
+                if rng.gen_bool(p) {
+                    edges.push((u, v));
+                }
+            }
+        }
+        CsrBipartite::from_edges(nu, nv, &edges)
+    }
+
     #[test]
     fn empty_bipartite_graph_selects_all_u() {
-        let h = BipartiteGraph::new(4, 3);
+        let h = CsrBipartite::from_edges(4, 3, &[]);
         let r = max_u_dom(&h, 0, &meter());
         assert_eq!(r.selected, vec![0, 1, 2, 3]);
         assert_eq!(r.rounds, 1);
@@ -146,7 +158,7 @@ mod tests {
     #[test]
     fn single_shared_v_node_selects_one_u() {
         // All U-nodes attached to the single V-node: only one can be selected.
-        let h = BipartiteGraph::from_edges(5, 1, &[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]);
+        let h = CsrBipartite::from_edges(5, 1, &[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]);
         for seed in 0..5 {
             let r = max_u_dom(&h, seed, &meter());
             assert_eq!(r.selected.len(), 1, "seed {seed}");
@@ -157,7 +169,7 @@ mod tests {
     #[test]
     fn disjoint_stars_select_one_each() {
         // U {0,1} share V0; U {2,3} share V1.
-        let h = BipartiteGraph::from_edges(4, 2, &[(0, 0), (1, 0), (2, 1), (3, 1)]);
+        let h = CsrBipartite::from_edges(4, 2, &[(0, 0), (1, 0), (2, 1), (3, 1)]);
         for seed in 0..5 {
             let r = max_u_dom(&h, seed, &meter());
             assert_eq!(r.selected.len(), 2, "seed {seed}");
@@ -168,7 +180,7 @@ mod tests {
     #[test]
     fn isolated_u_nodes_are_always_selected() {
         // U-node 2 has no edges — it must be in every maximal U-dominator set.
-        let h = BipartiteGraph::from_edges(3, 2, &[(0, 0), (1, 0), (0, 1), (1, 1)]);
+        let h = CsrBipartite::from_edges(3, 2, &[(0, 0), (1, 0), (0, 1), (1, 1)]);
         for seed in 0..5 {
             let r = max_u_dom(&h, seed, &meter());
             assert!(r.selected.contains(&2), "seed {seed}: {:?}", r.selected);
@@ -182,14 +194,7 @@ mod tests {
         for trial in 0..20 {
             let nu = rng.gen_range(1..20);
             let nv = rng.gen_range(1..20);
-            let mut h = BipartiteGraph::new(nu, nv);
-            for u in 0..nu {
-                for v in 0..nv {
-                    if rng.gen_bool(0.2) {
-                        h.add_edge(u, v);
-                    }
-                }
-            }
+            let h = random_bipartite(&mut rng, nu, nv, 0.2);
             let r = max_u_dom(&h, trial, &meter());
             assert!(
                 is_maximal_u_dominator_set(&h, &r.selected),
@@ -203,14 +208,7 @@ mod tests {
     fn parallel_matches_sequential_for_same_seed() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let (nu, nv) = (150, 120);
-        let mut h = BipartiteGraph::new(nu, nv);
-        for u in 0..nu {
-            for v in 0..nv {
-                if rng.gen_bool(0.15) {
-                    h.add_edge(u, v);
-                }
-            }
-        }
+        let h = random_bipartite(&mut rng, nu, nv, 0.15);
         assert!(
             nv + h.num_edges() >= parfaclo_matrixops::PAR_THRESHOLD,
             "the rounds run on the pool"
@@ -228,33 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_csr_representations_agree() {
-        use parfaclo_graph::CsrBipartite;
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        for trial in 0..10 {
-            let nu = rng.gen_range(1..25);
-            let nv = rng.gen_range(1..25);
-            let mut edges = Vec::new();
-            for u in 0..nu {
-                for v in 0..nv {
-                    if rng.gen_bool(0.15) {
-                        edges.push((u, v));
-                    }
-                }
-            }
-            let d = BipartiteGraph::from_edges(nu, nv, &edges);
-            let c = CsrBipartite::from_edges(nu, nv, &edges);
-            assert_eq!(
-                max_u_dom(&d, trial, &meter()),
-                max_u_dom(&c, trial, &meter()),
-                "trial {trial}"
-            );
-        }
-    }
-
-    #[test]
     fn checkers_reject_bad_sets() {
-        let h = BipartiteGraph::from_edges(3, 1, &[(0, 0), (1, 0)]);
+        let h = CsrBipartite::from_edges(3, 1, &[(0, 0), (1, 0)]);
         assert!(!is_u_dominator_independent(&h, &[0, 1]));
         assert!(is_u_dominator_independent(&h, &[0, 2]));
         assert!(is_maximal_u_dominator_set(&h, &[0, 2]));
@@ -265,14 +238,7 @@ mod tests {
     fn rounds_are_logarithmic_in_practice() {
         let mut rng = ChaCha8Rng::seed_from_u64(44);
         let (nu, nv) = (300, 200);
-        let mut h = BipartiteGraph::new(nu, nv);
-        for u in 0..nu {
-            for v in 0..nv {
-                if rng.gen_bool(0.02) {
-                    h.add_edge(u, v);
-                }
-            }
-        }
+        let h = random_bipartite(&mut rng, nu, nv, 0.02);
         let r = max_u_dom(&h, 5, &meter());
         assert!(is_maximal_u_dominator_set(&h, &r.selected));
         assert!(r.rounds <= 25, "expected few rounds, got {}", r.rounds);

@@ -3,23 +3,21 @@
 //! The dominator-set algorithms operate on graphs, while the unified runner
 //! deals in metric instances; following the way the paper's own callers use
 //! them (k-center's feasibility probe, primal-dual's conflict resolution),
-//! these adapters *threshold* a [`ClusterInstance`] into a [`ThresholdGraph`]
+//! these adapters *threshold* a [`ClusterInstance`] into a CSR graph
 //! (nodes adjacent when within distance `t`) and run the set computation on
 //! that. The threshold comes from [`RunConfig::threshold`], defaulting to
 //! the median distinct pairwise distance, and the reported "cost" is the
 //! selected-set size (the natural objective for maximal-set outputs).
 //!
-//! The graph representation comes from [`RunConfig::graph`]: `Dense` keeps
-//! the paper's bit matrix (and errors past its 4 GiB cap, pointing at
-//! `--graph csr`); `Csr` stores only the edges present, which is what lets
-//! the dominator family run on million-node sparse metrics. Canonical run
-//! output is byte-identical between the two wherever both can run.
+//! The CSR graph stores only the edges present, which is what lets the
+//! dominator family run on million-node sparse metrics; a threshold whose
+//! graph would pass the 4 GiB scratch cap is refused before the build.
 
 use crate::luby::maximal_independent_set;
 use crate::maxdom::max_dom;
 use crate::DominatorResult;
 use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
-use parfaclo_graph::ThresholdGraph;
+use parfaclo_graph::CsrGraph;
 use parfaclo_matrixops::CostMeter;
 use parfaclo_metric::{ClusterInstance, DistanceOracle};
 use parfaclo_trace as trace;
@@ -30,7 +28,7 @@ use parfaclo_trace as trace;
 ///
 /// Deriving the median materialises and sorts all pairwise distances, so on
 /// instances where that scratch would exceed 4 GiB an explicit
-/// `--threshold` is required (the whole point of the CSR backend at that
+/// `--threshold` is required (the whole point of the CSR graph at that
 /// scale is *not* to touch all `n²` pairs).
 pub(crate) fn resolve_threshold(inst: &ClusterInstance, cfg: &RunConfig) -> Result<f64, String> {
     if let Some(t) = cfg.threshold {
@@ -46,21 +44,13 @@ pub(crate) fn resolve_threshold(inst: &ClusterInstance, cfg: &RunConfig) -> Resu
     Ok(distances[distances.len() / 2])
 }
 
-pub(crate) fn threshold_graph(
-    inst: &ClusterInstance,
-    threshold: f64,
-    cfg: &RunConfig,
-) -> Result<ThresholdGraph, String> {
-    ThresholdGraph::build(inst.distances(), threshold, cfg.graph)
-}
-
 /// Shared envelope for the set computations: threshold the instance into a
 /// graph, run `algorithm`, report the selected-set size as the cost.
 fn dominator_run(
     solver: &(impl Solver + ?Sized),
     inst: &ClusterInstance,
     cfg: &RunConfig,
-    algorithm: impl Fn(&ThresholdGraph, u64, &CostMeter) -> DominatorResult,
+    algorithm: impl Fn(&CsrGraph, u64, &CostMeter) -> DominatorResult,
 ) -> Result<Run, String> {
     let meter = CostMeter::new();
     let n = inst.n() as u64;
@@ -77,7 +67,9 @@ fn dominator_run(
     };
     let g = {
         let _span = trace::span("threshold-graph", Some(&meter));
-        let g = threshold_graph(inst, threshold, cfg)?;
+        CsrGraph::check_threshold_cap(inst.distances(), threshold)
+            .map_err(|e| format!("{e}; pass a smaller --threshold"))?;
+        let g = CsrGraph::from_threshold_oracle(inst.distances(), threshold);
         meter.add_primitive(n * n);
         g
     };
@@ -151,7 +143,6 @@ mod tests {
     use super::*;
     use crate::luby::is_maximal_independent_set;
     use crate::maxdom::is_maximal_dominator_set;
-    use parfaclo_graph::GraphBackend;
     use parfaclo_metric::gen::{self, GenParams};
 
     fn tiny() -> ClusterInstance {
@@ -159,16 +150,14 @@ mod tests {
     }
 
     /// The threshold graph the solver runs on under `cfg`.
-    fn solver_graph(inst: &ClusterInstance, cfg: &RunConfig) -> ThresholdGraph {
-        threshold_graph(inst, resolve_threshold(inst, cfg).unwrap(), cfg).unwrap()
+    fn solver_graph(inst: &ClusterInstance, cfg: &RunConfig) -> CsrGraph {
+        CsrGraph::from_threshold_oracle(inst.distances(), resolve_threshold(inst, cfg).unwrap())
     }
 
     #[test]
     fn maxdom_run_is_a_valid_dominator_set() {
         let inst = tiny();
-        let cfg = RunConfig::new(0.1)
-            .with_seed(4)
-            .with_graph(GraphBackend::Csr);
+        let cfg = RunConfig::new(0.1).with_seed(4);
         let run = MaxDomSolver.solve(&inst, &cfg).expect("feasible");
         run.validate().expect("valid envelope");
         assert!(is_maximal_dominator_set(
@@ -192,9 +181,7 @@ mod tests {
     #[test]
     fn mis_is_independent_in_threshold_graph() {
         let inst = tiny();
-        let cfg = RunConfig::new(0.1)
-            .with_seed(2)
-            .with_graph(GraphBackend::Csr);
+        let cfg = RunConfig::new(0.1).with_seed(2);
         let run = MisSolver.solve(&inst, &cfg).expect("feasible");
         run.validate().expect("valid envelope");
         assert!(is_maximal_independent_set(
@@ -227,25 +214,6 @@ mod tests {
                 want.element_ops += sorts.report().element_ops;
             }
             assert_eq!(run.work, want, "threshold {:?}", cfg.threshold);
-        }
-    }
-
-    #[test]
-    fn csr_and_dense_graph_backends_agree_on_canonical_json() {
-        let inst = tiny();
-        for seed in [2, 9] {
-            let base = RunConfig::new(0.1).with_seed(seed);
-            let dense = MaxDomSolver
-                .solve(&inst, &base.clone().with_graph(GraphBackend::Dense))
-                .expect("dense feasible");
-            let csr = MaxDomSolver
-                .solve(&inst, &base.clone().with_graph(GraphBackend::Csr))
-                .expect("csr feasible");
-            assert_eq!(
-                dense.canonical_json(),
-                csr.canonical_json(),
-                "seed {seed}: graph backend leaked into canonical output"
-            );
         }
     }
 }

@@ -1,23 +1,60 @@
-//! Compressed sparse row (CSR) adjacency — the scale representation.
+//! Compressed sparse row (CSR) adjacency — the workspace's one graph
+//! representation.
 //!
 //! A [`CsrGraph`] stores one offsets array and one concatenated neighbour
-//! array, `O(n + m)` words total, against the `O(n²)` bits of
-//! [`crate::DenseGraph`]. Construction from a [`DistanceOracle`] issues one
-//! `cols_within` range query per node — the queries run in parallel, and
-//! because every backend returns its hits in ascending column order (the
-//! contract `cols_within` documents and tests), the assembled arrays are
-//! byte-identical at any thread count.
+//! array, `O(n + m)` words total. Construction from a [`DistanceOracle`]
+//! issues one `cols_within` range query per node — the queries run in
+//! parallel, and because every backend returns its hits in ascending column
+//! order (the contract `cols_within` documents and tests), the assembled
+//! arrays are byte-identical at any thread count.
 //!
 //! [`DistanceOracle`]: parfaclo_metric::DistanceOracle
 
-use parfaclo_metric::{DistanceOracle, Oracle};
+use parfaclo_metric::{DistanceOracle, Oracle, SCRATCH_BYTES_CAP};
 use rayon::prelude::*;
+
+/// Peak bytes a threshold build holds per directed edge: the per-row `u32`
+/// vectors and the flattened `u32` neighbour array coexist until the rows
+/// are dropped.
+const BUILD_BYTES_PER_EDGE: u64 = 8;
+
+/// A threshold-graph build refused before it started, because its CSR
+/// arrays would pass the scratch cap.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GraphTooLarge {
+    /// Nodes in the graph.
+    pub n: usize,
+    /// The threshold `α` of the refused build.
+    pub alpha: f64,
+    /// Directed edges counted when the count stopped: at least this many.
+    pub directed_edges: u64,
+    /// The cap the build would pass, in bytes.
+    pub cap_bytes: u64,
+}
+
+impl std::fmt::Display for GraphTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let gib = |bytes: u64| bytes as f64 / (1u64 << 30) as f64;
+        write!(
+            f,
+            "the threshold graph at {} on {} nodes holds at least {} directed edges, \
+             whose CSR build needs more than {:.1} GiB, past the {:.1} GiB cap",
+            self.alpha,
+            self.n,
+            self.directed_edges,
+            gib(self.directed_edges.saturating_mul(BUILD_BYTES_PER_EDGE)),
+            gib(self.cap_bytes),
+        )
+    }
+}
+
+impl std::error::Error for GraphTooLarge {}
 
 /// A simple undirected graph in CSR form: `neighbors[offsets[v]..offsets[v+1]]`
 /// are the neighbours of `v`, strictly ascending, with no self-loops.
 ///
 /// Node ids are stored as `u32`, so the representation supports up to
-/// `u32::MAX` nodes — far beyond what the dense bit-matrix can reach.
+/// `u32::MAX` nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     n: usize,
@@ -74,7 +111,10 @@ impl CsrGraph {
     /// One `cols_within(a, alpha)` range query per node, issued in parallel.
     /// The ascending-order contract of `cols_within` means each row arrives
     /// already sorted; on the spatial backend each query is sublinear, so the
-    /// whole build is `O(n·query + m)` instead of the dense `O(n²)`.
+    /// whole build is `O(n·query + m)` instead of `O(n²)`. The build holds
+    /// 8 bytes per directed edge at its peak and refuses nothing; callers
+    /// that take `alpha` from their input ask
+    /// [`CsrGraph::check_threshold_cap`] first.
     ///
     /// # Panics
     /// Panics if the oracle is not square or has `u32::MAX` or more rows.
@@ -95,6 +135,19 @@ impl CsrGraph {
             })
             .collect();
         Self::from_rows(n, rows)
+    }
+
+    /// Refuses, before any allocation that grows with the edges, a
+    /// [`CsrGraph::from_threshold_oracle`] build whose peak would pass
+    /// [`SCRATCH_BYTES_CAP`].
+    ///
+    /// When even the complete graph fits (`n·(n−1)·8` bytes within the cap,
+    /// so `n ≤ 23,170`) nothing is counted. Otherwise the row lengths are
+    /// counted in blocks of range queries, and the count stops as soon as
+    /// the running total passes the cap, so a refusal costs at most one
+    /// block of queries past the cap's worth of edges.
+    pub fn check_threshold_cap(oracle: &Oracle, alpha: f64) -> Result<(), GraphTooLarge> {
+        check_threshold_cap_at(oracle, alpha, SCRATCH_BYTES_CAP)
     }
 
     /// The subgraph of `self` that keeps neighbour `b` of `a` iff
@@ -173,6 +226,45 @@ impl CsrGraph {
         (self.offsets.len() * std::mem::size_of::<usize>()
             + self.neighbors.len() * std::mem::size_of::<u32>()) as u64
     }
+}
+
+/// [`CsrGraph::check_threshold_cap`] against an explicit cap.
+fn check_threshold_cap_at(
+    oracle: &Oracle,
+    alpha: f64,
+    cap_bytes: u64,
+) -> Result<(), GraphTooLarge> {
+    const BLOCK: usize = 1024;
+    let n = oracle.rows();
+    let complete = (n as u64)
+        .saturating_mul(n.saturating_sub(1) as u64)
+        .saturating_mul(BUILD_BYTES_PER_EDGE);
+    if complete <= cap_bytes {
+        return Ok(());
+    }
+    let mut directed_edges = 0u64;
+    for start in (0..n).step_by(BLOCK) {
+        let degrees: Vec<u64> = (start..n.min(start + BLOCK))
+            .into_par_iter()
+            .map(|a| {
+                oracle
+                    .cols_within(a, alpha)
+                    .iter()
+                    .filter(|&&b| b != a)
+                    .count() as u64
+            })
+            .collect();
+        directed_edges += degrees.iter().sum::<u64>();
+        if directed_edges.saturating_mul(BUILD_BYTES_PER_EDGE) > cap_bytes {
+            return Err(GraphTooLarge {
+                n,
+                alpha,
+                directed_edges,
+                cap_bytes,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// A bipartite graph `H = (U, V, E)` in CSR form, stored from both sides so
@@ -382,6 +474,42 @@ mod tests {
                 assert_eq!(mid.filter_within(oracle, alpha), want, "{backend:?} q {q}");
             }
         }
+    }
+
+    fn line_oracle(n: usize) -> Oracle {
+        let mut dist = vec![0.0; n * n];
+        for a in 0..n {
+            for b in 0..n {
+                dist[a * n + b] = (a as f64 - b as f64).abs();
+            }
+        }
+        Oracle::Dense(DistanceMatrix::from_rows(n, n, dist))
+    }
+
+    #[test]
+    fn csr_memory_is_sublinear_in_n_squared() {
+        let c = CsrGraph::from_threshold_oracle(&line_oracle(64), 1.0);
+        assert!(c.memory_bytes() < 64 * 64, "path graph: O(n) not O(n²)");
+    }
+
+    #[test]
+    fn threshold_builds_past_the_cap_are_refused() {
+        // 40 nodes on a line: the complete graph's 1,560 directed edges
+        // need 12,480 bytes, past a 4,000-byte cap, so the rows get counted.
+        let o = line_oracle(40);
+        // α = 1 is the path graph: 78 directed edges, 624 bytes.
+        assert_eq!(check_threshold_cap_at(&o, 1.0, 4_000), Ok(()));
+        // α = 20 holds 1,180 directed edges (9,440 bytes). The count stops
+        // after the first block of rows, having seen all of them.
+        let err = check_threshold_cap_at(&o, 20.0, 4_000).unwrap_err();
+        assert_eq!(
+            (err.n, err.directed_edges, err.cap_bytes),
+            (40, 1_180, 4_000)
+        );
+        assert!(err.to_string().contains("past the"), "{err}");
+        // A cap that holds the complete graph skips the count.
+        assert_eq!(check_threshold_cap_at(&o, 1e9, 12_480), Ok(()));
+        assert_eq!(CsrGraph::check_threshold_cap(&o, 1e9), Ok(()));
     }
 
     #[test]

@@ -6,23 +6,21 @@
 //! graph size — never of thread count — and every combine is either
 //! order-independent (set membership, `min`) or evaluated left-to-right over
 //! ascending neighbour ids, so results are byte-identical across thread
-//! counts and graph representations. A dense pass goes parallel once
-//! `vertices + edges` reaches [`PAR_THRESHOLD`]; [`edge_map`] also takes an
-//! [`ExecPolicy`] whose `Sequential` branch is its tests' reference.
+//! counts. A dense pass goes parallel once `vertices + edges` reaches
+//! [`PAR_THRESHOLD`]; [`edge_map`] also takes an [`ExecPolicy`] whose
+//! `Sequential` branch is its tests' reference.
 
 use crate::frontier::VertexSubset;
 use parfaclo_matrixops::{ExecPolicy, PAR_THRESHOLD};
 use rayon::prelude::*;
 
-/// Adjacency access for the frontier engine. Implemented by the dense
-/// bit-matrix, the CSR representation, and the [`crate::ThresholdGraph`]
-/// facade, so every round-based solver can be written once and run on any of
-/// them with identical output.
+/// Adjacency access for the frontier engine, implemented by
+/// [`crate::CsrGraph`]. The round-based solvers are written against this
+/// trait, and their checkers take any implementation.
 pub trait Neighbors: Sync {
     /// Number of nodes.
     fn n(&self) -> usize;
-    /// Number of undirected edges (`O(1)` — cached where the representation
-    /// cannot count cheaply).
+    /// Number of undirected edges, in `O(1)`.
     fn num_edges(&self) -> usize;
     /// Degree of node `v`.
     fn degree(&self, v: usize) -> usize;
@@ -60,31 +58,6 @@ trait CsrGraphExt {
 impl CsrGraphExt for crate::CsrGraph {
     fn n(&self) -> usize {
         crate::CsrGraph::n(self)
-    }
-}
-
-impl Neighbors for crate::DenseGraph {
-    fn n(&self) -> usize {
-        crate::DenseGraph::n(self)
-    }
-    fn num_edges(&self) -> usize {
-        crate::DenseGraph::num_edges(self)
-    }
-    fn degree(&self, v: usize) -> usize {
-        crate::DenseGraph::degree(self, v)
-    }
-    fn for_each_neighbor(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        for (w, &adj) in self.row(v).iter().enumerate() {
-            if adj {
-                f(w);
-            }
-        }
-    }
-    fn any_neighbor(&self, v: usize, pred: &dyn Fn(usize) -> bool) -> bool {
-        self.row(v)
-            .iter()
-            .enumerate()
-            .any(|(w, &adj)| adj && pred(w))
     }
 }
 
@@ -191,8 +164,7 @@ pub fn edge_map_min<G: Neighbors>(
 }
 
 /// Bipartite adjacency access for the frontier engine, with both directions
-/// of traversal. Implemented by the dense [`crate::BipartiteGraph`] and the
-/// CSR [`crate::CsrBipartite`].
+/// of traversal, implemented by [`crate::CsrBipartite`].
 pub trait BipartiteNeighbors: Sync {
     /// Number of U-side nodes.
     fn nu(&self) -> usize;
@@ -245,47 +217,6 @@ impl BipartiteNeighbors for crate::CsrBipartite {
     }
     fn any_neighbor_v(&self, v: usize, pred: &dyn Fn(usize) -> bool) -> bool {
         self.neighbors_v(v).iter().any(|&u| pred(u as usize))
-    }
-}
-
-impl BipartiteNeighbors for crate::BipartiteGraph {
-    fn nu(&self) -> usize {
-        crate::BipartiteGraph::nu(self)
-    }
-    fn nv(&self) -> usize {
-        crate::BipartiteGraph::nv(self)
-    }
-    fn num_edges(&self) -> usize {
-        crate::BipartiteGraph::num_edges(self)
-    }
-    fn degree_u(&self, u: usize) -> usize {
-        crate::BipartiteGraph::degree_u(self, u)
-    }
-    fn degree_v(&self, v: usize) -> usize {
-        crate::BipartiteGraph::degree_v(self, v)
-    }
-    fn for_each_neighbor_u(&self, u: usize, f: &mut dyn FnMut(usize)) {
-        for (v, &adj) in self.row_u(u).iter().enumerate() {
-            if adj {
-                f(v);
-            }
-        }
-    }
-    fn for_each_neighbor_v(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        for u in 0..crate::BipartiteGraph::nu(self) {
-            if self.has_edge(u, v) {
-                f(u);
-            }
-        }
-    }
-    fn any_neighbor_u(&self, u: usize, pred: &dyn Fn(usize) -> bool) -> bool {
-        self.row_u(u)
-            .iter()
-            .enumerate()
-            .any(|(v, &adj)| adj && pred(v))
-    }
-    fn any_neighbor_v(&self, v: usize, pred: &dyn Fn(usize) -> bool) -> bool {
-        (0..crate::BipartiteGraph::nu(self)).any(|u| self.has_edge(u, v) && pred(u))
     }
 }
 
@@ -441,7 +372,7 @@ pub fn bi_min_into_u<H: BipartiteNeighbors>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CsrGraph, DenseGraph};
+    use crate::CsrGraph;
 
     /// Deterministic xorshift so the tests need no RNG dependency.
     struct XorShift(u64);
@@ -508,7 +439,6 @@ mod tests {
             let n = 40;
             let edges = random_edges(n, 8, seed);
             let g = CsrGraph::from_edges(n, &edges);
-            let d = DenseGraph::from_edges(n, &edges);
             for density in [5, 40, 90] {
                 let ids = random_subset(n, density, seed * 7 + density);
                 let want = edge_map_reference(n, &edges, &ids, |v| v % 3 != 0);
@@ -521,9 +451,7 @@ mod tests {
                 for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel] {
                     for f in [&sparse_in, &dense_in] {
                         let got = edge_map(&g, f, |v| v % 3 != 0, policy);
-                        assert_eq!(got.ids(), want, "csr seed {seed} density {density}");
-                        let got_dense = edge_map(&d, f, |v| v % 3 != 0, policy);
-                        assert_eq!(got_dense.ids(), want, "dense seed {seed}");
+                        assert_eq!(got.ids(), want, "seed {seed} density {density}");
                     }
                 }
             }
@@ -548,7 +476,6 @@ mod tests {
             let (n, percent) = if seed < 5 { (30, 10) } else { (200, 12) };
             let edges = random_edges(n, percent, seed);
             let g = CsrGraph::from_edges(n, &edges);
-            let d = DenseGraph::from_edges(n, &edges);
             assert_eq!(n + edges.len() >= PAR_THRESHOLD, seed >= 5);
             let values: Vec<u64> = (0..n as u64).map(|i| (i * 2654435761) % 1000).collect();
             for density in [10, 80] {
@@ -576,7 +503,6 @@ mod tests {
                             .unwrap();
                         pool.install(|| {
                             assert_eq!(edge_map_min(&g, &targets, &values, include_self), want);
-                            assert_eq!(edge_map_min(&d, &targets, &values, include_self), want);
                         });
                     }
                 }
@@ -608,7 +534,7 @@ mod tests {
     /// seeds 5–8 build 120 x 100 graphs, which reach the parallel grain.
     #[test]
     fn bipartite_edge_maps_match_brute_force() {
-        use crate::{BipartiteGraph, CsrBipartite};
+        use crate::CsrBipartite;
         for seed in 1..9 {
             let ((nu, nv), percent) = if seed < 5 {
                 ((25, 18), 12)
@@ -626,7 +552,6 @@ mod tests {
             }
             assert_eq!(nu.min(nv) + edges.len() >= PAR_THRESHOLD, seed >= 5);
             let hc = CsrBipartite::from_edges(nu, nv, &edges);
-            let hd = BipartiteGraph::from_edges(nu, nv, &edges);
             for density in [8, 70] {
                 let u_ids = random_subset(nu, density, seed * 3 + density);
                 let uf = VertexSubset::from_sorted_ids(nu, u_ids.clone());
@@ -654,34 +579,49 @@ mod tests {
                         .unwrap();
                     pool.install(|| {
                         assert_eq!(bi_edge_map_u(&hc, &uf).ids(), want);
-                        assert_eq!(bi_edge_map_u(&hd, &uf).ids(), want);
                         assert_eq!(bi_edge_map_v(&hc, &vf).ids(), want_u);
-                        assert_eq!(bi_edge_map_v(&hd, &vf).ids(), want_u);
                     });
                 }
             }
         }
     }
 
+    /// The CSR gathers against a brute-force pass over the dense `U × V`
+    /// adjacency matrix of the same edges.
     #[test]
     fn bipartite_min_gathers_match_dense_and_csr() {
-        use crate::{BipartiteGraph, CsrBipartite};
+        use crate::CsrBipartite;
         let (nu, nv) = (12, 9);
         let edges = vec![(0, 0), (1, 0), (2, 3), (5, 8), (7, 3), (11, 0)];
-        let hc = CsrBipartite::from_edges(nu, nv, &edges);
-        let hd = BipartiteGraph::from_edges(nu, nv, &edges);
+        let h = CsrBipartite::from_edges(nu, nv, &edges);
+        let mut adj = vec![vec![false; nv]; nu];
+        for &(u, v) in &edges {
+            adj[u][v] = true;
+        }
         let pri: Vec<u64> = (0..nu as u64).map(|u| 100 - u).collect();
-        let all_v = VertexSubset::full(nv);
-        let mv_c = bi_min_into_v(&hc, &all_v, &pri);
-        let mv_d = bi_min_into_v(&hd, &all_v, &pri);
-        assert_eq!(mv_c, mv_d);
-        assert_eq!(mv_c[0], 100 - 11, "min over u ∈ {{0, 1, 11}}");
-        assert_eq!(mv_c[1], u64::MAX, "no neighbours");
-        let all_u = VertexSubset::full(nu);
-        let mu_c = bi_min_into_u(&hc, &all_u, &mv_c, &pri);
-        let mu_d = bi_min_into_u(&hd, &all_u, &mv_d, &pri);
-        assert_eq!(mu_c, mu_d);
-        assert_eq!(mu_c[0], 100 - 11, "u0 sees v0's min");
-        assert_eq!(mu_c[3], pri[3], "isolated u keeps its own value");
+        let want_v: Vec<u64> = (0..nv)
+            .map(|v| {
+                (0..nu)
+                    .filter(|&u| adj[u][v])
+                    .map(|u| pri[u])
+                    .fold(u64::MAX, u64::min)
+            })
+            .collect();
+        let mv = bi_min_into_v(&h, &VertexSubset::full(nv), &pri);
+        assert_eq!(mv, want_v);
+        assert_eq!(mv[0], 100 - 11, "min over u ∈ {{0, 1, 11}}");
+        assert_eq!(mv[1], u64::MAX, "no neighbours");
+        let want_u: Vec<u64> = (0..nu)
+            .map(|u| {
+                (0..nv)
+                    .filter(|&v| adj[u][v])
+                    .map(|v| mv[v])
+                    .fold(pri[u], u64::min)
+            })
+            .collect();
+        let mu = bi_min_into_u(&h, &VertexSubset::full(nu), &mv, &pri);
+        assert_eq!(mu, want_u);
+        assert_eq!(mu[0], 100 - 11, "u0 sees v0's min");
+        assert_eq!(mu[3], pri[3], "isolated u keeps its own value");
     }
 }

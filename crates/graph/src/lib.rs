@@ -6,35 +6,28 @@
 //! threshold probes) all operate on threshold graphs `H_α` of a metric
 //! instance. This crate provides:
 //!
-//! * the graph representations — [`DenseGraph`] / [`BipartiteGraph`] (the
-//!   paper's native dense bit matrices, moved here from the dominator crate)
-//!   and [`CsrGraph`] / [`CsrBipartite`] (compressed sparse row, `O(n + m)`
-//!   bytes, built deterministically in parallel from
-//!   `DistanceOracle::cols_within` range queries);
-//! * the [`ThresholdGraph`] facade selecting between them per run via
-//!   [`GraphBackend`], with the dense side refusing allocations beyond
-//!   `parfaclo_metric::SCRATCH_BYTES_CAP`;
+//! * the one graph representation — [`CsrGraph`] / [`CsrBipartite`]
+//!   (compressed sparse row, `O(n + m)` bytes, built deterministically in
+//!   parallel from `DistanceOracle::cols_within` range queries), with
+//!   [`CsrGraph::check_threshold_cap`] refusing a threshold build whose
+//!   arrays would pass `parfaclo_metric::SCRATCH_BYTES_CAP`;
 //! * the frontier engine — [`VertexSubset`] (sparse id list / dense bitmap
 //!   with deterministic direction switching on a pure function of frontier
 //!   density, never thread count) and the [`edge_map`] / [`edge_map_min`]
 //!   primitives with their bipartite siblings, whose combines are
 //!   order-independent or left-to-right so canonical output stays
-//!   byte-identical across thread counts and graph backends.
+//!   byte-identical across thread counts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod csr;
-pub mod dense;
 pub mod engine;
 pub mod frontier;
-pub mod threshold;
 
-pub use csr::{CsrBipartite, CsrGraph};
-pub use dense::{BipartiteGraph, DenseGraph};
+pub use csr::{CsrBipartite, CsrGraph, GraphTooLarge};
 pub use engine::{
     bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, edge_map, edge_map_min,
     BipartiteNeighbors, Neighbors,
 };
 pub use frontier::VertexSubset;
-pub use threshold::{GraphBackend, ThresholdGraph};

@@ -62,7 +62,9 @@ fn every_node(n: usize) -> KCenterSolution {
 /// probe at `t` is feasible, each search probes only below `t`, so every
 /// later graph is that probe's graph packed with [`CsrGraph::filter_within`]
 /// (GBBS's pack-between-rounds step) instead of a fresh build over all `n²`
-/// pairs. Until the first feasible probe each graph is built from the oracle.
+/// pairs. Until the first feasible probe each graph is built from the oracle,
+/// after [`CsrGraph::check_threshold_cap`] has let it through; a filtered
+/// graph is never larger than the one it filters.
 ///
 /// A prober is the search's `probe-search` phase: [`Prober::new`] opens the
 /// trace span and [`Prober::finish`] closes it before evaluating the radius.
@@ -105,41 +107,54 @@ impl<'a> Prober<'a> {
     }
 
     /// Runs `MaxDom` on candidate `idx`'s threshold graph as one trace round
-    /// (`frontier`: candidates still open). Returns the dominator set and graph.
-    fn max_dom_at(&mut self, idx: usize, frontier: usize) -> (Vec<NodeId>, CsrGraph) {
+    /// (`frontier`: candidates still open). Returns the dominator set and
+    /// graph, or why the graph cannot be built.
+    fn max_dom_at(
+        &mut self,
+        idx: usize,
+        frontier: usize,
+    ) -> Result<(Vec<NodeId>, CsrGraph), String> {
         self.probes += 1;
         trace::round(self.probes as u64, || frontier as u64, self.meter);
         let oracle = self.inst.distances();
         let t = self.candidates[idx];
         let g = match &self.feasible {
             Some((_, _, nested)) => nested.filter_within(oracle, t),
-            None => CsrGraph::from_threshold_oracle(oracle, t),
+            None => {
+                CsrGraph::check_threshold_cap(oracle, t).map_err(|e| {
+                    format!(
+                        "probing radius {t}: {e}; solve on a coreset (--coreset eps:0.1) \
+                         or with a larger k"
+                    )
+                })?;
+                CsrGraph::from_threshold_oracle(oracle, t)
+            }
         };
         let n = self.inst.n();
         self.meter.add_primitive((n * n) as u64);
         let seed = self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9);
         let dom = max_dom(&g, seed, self.meter);
         self.luby_rounds += dom.rounds;
-        (dom.selected, g)
+        Ok((dom.selected, g))
     }
 
     /// Probes candidate `idx`: whether its dominator set has at most `k`
     /// nodes. A feasible probe's graph is the one later probes filter.
-    fn probe(&mut self, idx: usize, frontier: usize) -> bool {
-        let (selected, g) = self.max_dom_at(idx, frontier);
+    fn probe(&mut self, idx: usize, frontier: usize) -> Result<bool, String> {
+        let (selected, g) = self.max_dom_at(idx, frontier)?;
         let feasible = selected.len() <= self.k;
         if feasible {
             self.feasible = Some((idx, selected, g));
         } else {
             self.infeasible_below = self.infeasible_below.max(self.candidates[idx]);
         }
-        feasible
+        Ok(feasible)
     }
 
     /// Settles on the last feasible probe. The lower bound is the largest
     /// infeasible threshold: more than `k` dominators witness `k + 1` points
     /// pairwise further apart than it, so it lower-bounds the optimal radius.
-    fn finish(mut self, start: &CostReport) -> KCenterSolution {
+    fn finish(mut self, start: &CostReport) -> Result<KCenterSolution, String> {
         let (t_idx, centers) = match self.feasible.take() {
             Some((t_idx, centers, _)) => (t_idx, centers),
             None => {
@@ -147,11 +162,11 @@ impl<'a> Prober<'a> {
                 // largest candidate probes it, and its complete graph has a
                 // one-node dominator set. Keep that probe's set regardless.
                 let last = self.candidates.len() - 1;
-                (last, self.max_dom_at(last, 1).0)
+                (last, self.max_dom_at(last, 1)?.0)
             }
         };
         drop(self.span);
-        KCenterSolution {
+        Ok(KCenterSolution {
             radius: self.inst.kcenter_cost(&centers),
             centers,
             threshold: self.candidates[t_idx],
@@ -159,7 +174,7 @@ impl<'a> Prober<'a> {
             probes: self.probes,
             luby_rounds: self.luby_rounds,
             work: self.meter.delta_since(start),
-        }
+        })
     }
 }
 
@@ -217,7 +232,7 @@ pub fn parallel_kcenter(
     while lo <= hi {
         let mid = (lo + hi) / 2;
         // Probe frontier = candidate radii still in the search range.
-        if prober.probe(mid, hi - lo + 1) {
+        if prober.probe(mid, hi - lo + 1)? {
             if mid == 0 {
                 break;
             }
@@ -226,7 +241,7 @@ pub fn parallel_kcenter(
             lo = mid + 1;
         }
     }
-    let sol = prober.finish(&start);
+    let sol = prober.finish(&start)?;
     Ok(KCenterSolution {
         // The smallest feasible member of the complete distance set is at
         // most the optimal radius (which is itself a feasible member).
@@ -243,8 +258,8 @@ pub fn parallel_kcenter(
 /// full distance set cannot be materialised; the guarantee weakens to
 /// `radius ≤ 2·t` for a settled threshold `t` within one geometric sub-bucket
 /// of the smallest sampled feasible candidate). Both searches share one probe
-/// routine on nested CSR threshold graphs, so `cfg.graph` is not read, and
-/// both charge `meter` as [`parallel_kcenter`] does.
+/// routine on nested CSR threshold graphs, and both charge `meter` as
+/// [`parallel_kcenter`] does.
 pub fn parallel_kcenter_derived(
     inst: &ClusterInstance,
     cfg: &RunConfig,
@@ -252,7 +267,7 @@ pub fn parallel_kcenter_derived(
 ) -> Result<KCenterSolution, String> {
     match cfg.radius_deriver {
         RadiusDeriver::Exact => parallel_kcenter(inst, cfg.k, cfg.seed, meter),
-        RadiusDeriver::Sketch => Ok(parallel_kcenter_sketched(inst, cfg.k, cfg.seed, meter)),
+        RadiusDeriver::Sketch => parallel_kcenter_sketched(inst, cfg.k, cfg.seed, meter),
     }
 }
 
@@ -299,6 +314,10 @@ fn bucket_maxima(candidates: &[f64], mapping: BucketMapping) -> Vec<usize> {
 /// the candidate index into the `MaxDom` seed exactly like the exact path.
 /// It charges `meter` as [`parallel_kcenter`] does.
 ///
+/// # Errors
+/// Returns `Err` when a probe graph built from the oracle would pass the
+/// 4 GiB scratch cap (see [`CsrGraph::check_threshold_cap`]).
+///
 /// # Panics
 /// Panics if `k == 0` or the instance is empty.
 pub fn parallel_kcenter_sketched(
@@ -306,12 +325,12 @@ pub fn parallel_kcenter_sketched(
     k: usize,
     seed: u64,
     meter: &CostMeter,
-) -> KCenterSolution {
+) -> Result<KCenterSolution, String> {
     let n = inst.n();
     assert!(k >= 1, "k must be at least 1");
     assert!(n >= 1, "instance must be non-empty");
     if n <= k {
-        return every_node(n);
+        return Ok(every_node(n));
     }
     let start = meter.report();
 
@@ -357,7 +376,7 @@ pub fn parallel_kcenter_sketched(
     let mut first = 0usize;
     for last in bucket_maxima(&candidates, BucketMapping::Geometric { mantissa_bits: 0 }) {
         // Probe frontier = candidates not yet ruled out by the coarse pass.
-        if prober.probe(last, candidates.len() - first) {
+        if prober.probe(last, candidates.len() - first)? {
             octave = Some(first..=last);
             break;
         }
@@ -380,7 +399,7 @@ pub fn parallel_kcenter_sketched(
         while blo < bhi {
             let mid = (blo + bhi) / 2;
             // Probe frontier = sub-bucket maxima still in the bisection range.
-            if prober.probe(offset + maxima[mid], bhi - blo + 1) {
+            if prober.probe(offset + maxima[mid], bhi - blo + 1)? {
                 bhi = mid;
             } else {
                 blo = mid + 1;
@@ -395,8 +414,6 @@ pub fn parallel_kcenter_sketched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_dominator::ThresholdGraph;
-    use parfaclo_graph::GraphBackend;
     use parfaclo_metric::gen::{self, GenParams};
     use parfaclo_metric::lower_bounds::{self, ClusterObjective};
     use parfaclo_seq_baselines::{gonzalez_kcenter, hochbaum_shmoys_kcenter};
@@ -502,13 +519,8 @@ mod tests {
     }
 
     /// The per-probe search the nested probes replaced: every probe builds
-    /// `H_α` from the oracle in the requested representation.
-    fn per_probe_reference(
-        inst: &ClusterInstance,
-        k: usize,
-        seed: u64,
-        graph: GraphBackend,
-    ) -> KCenterSolution {
+    /// `H_α` from the oracle.
+    fn per_probe_reference(inst: &ClusterInstance, k: usize, seed: u64) -> KCenterSolution {
         let n = inst.n();
         let meter = CostMeter::new();
         if n <= k {
@@ -522,7 +534,7 @@ mod tests {
         while lo <= hi {
             let mid = (lo + hi) / 2;
             probes += 1;
-            let g = ThresholdGraph::build(inst.distances(), distances[mid], graph).unwrap();
+            let g = CsrGraph::from_threshold_oracle(inst.distances(), distances[mid]);
             meter.add_primitive((n * n) as u64);
             let dom = max_dom(&g, seed ^ (mid as u64).wrapping_mul(0x9E37_79B9), &meter);
             luby_rounds += dom.rounds;
@@ -567,18 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_csr_probes_agree() {
-        for seed in 0..4 {
-            let inst = gen::clustering(GenParams::uniform_square(22, 22).with_seed(seed));
-            let dense = per_probe_reference(&inst, 3, seed, GraphBackend::Dense);
-            let csr = per_probe_reference(&inst, 3, seed, GraphBackend::Csr);
-            assert_same(&dense, &csr, &format!("seed {seed}"));
-            let nested = exact_kcenter(&inst, 3, seed);
-            assert_same(&nested, &csr, &format!("seed {seed}"));
-        }
-    }
-
-    #[test]
     fn nested_probes_match_the_per_probe_reference() {
         use parfaclo_metric::{gen::build_clustering, Backend};
         let workloads = [
@@ -592,13 +592,7 @@ mod tests {
             for seed in 0..2u64 {
                 let params = params.with_seed(seed);
                 let dense_inst = build_clustering(params, Backend::Dense).expect("instance");
-                let want = per_probe_reference(&dense_inst, k, seed, GraphBackend::Dense);
-                let csr = per_probe_reference(&dense_inst, k, seed, GraphBackend::Csr);
-                assert_same(
-                    &csr,
-                    &want,
-                    &format!("workload {w} seed {seed}: csr reference"),
-                );
+                let want = per_probe_reference(&dense_inst, k, seed);
                 assert!(want.probes >= 5, "workload {w}: too few probes to nest");
                 for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
                     let inst = build_clustering(params, backend).expect("instance");
@@ -621,6 +615,7 @@ mod tests {
                 let inst = build_clustering(params, backend).expect("instance");
                 at_threads(threads, || {
                     parallel_kcenter_sketched(&inst, 4, seed, &CostMeter::new())
+                        .expect("within the cap")
                 })
             };
             let want = sketch(Backend::Dense, 1);
@@ -641,7 +636,8 @@ mod tests {
             for k in 1..4 {
                 let (_, opt) =
                     lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-                let sol = parallel_kcenter_sketched(&inst, k, seed, &CostMeter::new());
+                let sol = parallel_kcenter_sketched(&inst, k, seed, &CostMeter::new())
+                    .expect("within the cap");
                 assert!(
                     sol.radius <= 2.0 * sol.threshold + 1e-9,
                     "seed {seed} k {k}: radius {} threshold {}",
@@ -669,7 +665,8 @@ mod tests {
         for seed in 0..4 {
             let inst = gen::clustering(GenParams::gaussian_clusters(40, 40, 5).with_seed(seed));
             let exact = exact_kcenter(&inst, 5, seed);
-            let sketch = parallel_kcenter_sketched(&inst, 5, seed, &CostMeter::new());
+            let sketch = parallel_kcenter_sketched(&inst, 5, seed, &CostMeter::new())
+                .expect("within the cap");
             assert!(
                 sketch.radius <= 2.0 * exact.radius + 1e-9,
                 "seed {seed}: sketch radius {} vs exact {}",
@@ -691,14 +688,9 @@ mod tests {
         for seed in 0..3 {
             let inst = gen::clustering(GenParams::uniform_square(25, 25).with_seed(seed));
             let a = exact_kcenter(&inst, 3, seed);
-            for graph in [GraphBackend::Dense, GraphBackend::Csr] {
-                let cfg = RunConfig::new(0.1)
-                    .with_k(3)
-                    .with_seed(seed)
-                    .with_graph(graph);
-                let b = parallel_kcenter_derived(&inst, &cfg, &CostMeter::new()).expect("feasible");
-                assert_same(&a, &b, &format!("seed {seed} {graph}"));
-            }
+            let cfg = RunConfig::new(0.1).with_k(3).with_seed(seed);
+            let b = parallel_kcenter_derived(&inst, &cfg, &CostMeter::new()).expect("feasible");
+            assert_same(&a, &b, &format!("seed {seed}"));
         }
     }
 

@@ -77,7 +77,7 @@ pub enum SpatialModel {
     /// cliques whose sizes follow the power law — a handful of heavy hubs, a
     /// long tail of singletons, and (for `exponent > 1`) only `O(count)`
     /// edges in total, no matter how large `count` grows. This is the sparse
-    /// regime a dense `n²` bit matrix cannot represent at scale.
+    /// regime only a sparse (CSR) threshold graph reaches at scale.
     PowerLawClusters {
         /// Decay exponent of the cluster sizes (`> 1` keeps total edges
         /// linear in the point count).

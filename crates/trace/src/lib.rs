@@ -6,9 +6,9 @@
 //!
 //! - **canonical** — span topology, per-span *round* deltas, and round
 //!   events `{round, frontier}`. These are a pure function of the workload:
-//!   byte-identical across distance backends (dense/implicit/spatial),
-//!   threshold-graph representations, and thread counts, which is what the
-//!   trace-conformance tests and the golden corpus compare. Only the
+//!   byte-identical across distance backends (dense/implicit/spatial) and
+//!   thread counts, which is what the trace-conformance tests and the
+//!   golden corpus compare. Only the
 //!   `rounds` counter rides here; a run's total work is in its canonical
 //!   `Run` record.
 //! - **timing metadata** — wall-clock timestamps, the full
@@ -361,9 +361,9 @@ impl Tracer {
     /// events `{round, frontier}`, all timestamps/work/memory stripped.
     /// Timing-only spans ([`timing_span`]) are filtered out (parents are
     /// remapped to the nearest canonical ancestor, events under them are
-    /// dropped). Byte-identical across backends, graph representations,
-    /// and thread counts for the same workload and configuration — what
-    /// the determinism tests and the CI smoke step compare.
+    /// dropped). Byte-identical across backends and thread counts for the
+    /// same workload and configuration — what the determinism tests and the
+    /// CI smoke step compare.
     pub fn canonical_json(&self) -> String {
         let st = self.state.lock().expect("trace state poisoned");
         // Map original span indices to canonical-only indices; timing-only

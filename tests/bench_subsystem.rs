@@ -3,9 +3,11 @@
 //! code path the CI `perf-smoke` job drives through the `parfaclo bench`
 //! CLI.
 
-use parfaclo_api::{Backend, Coreset, GraphBackend, RunConfig};
+use parfaclo_api::{Backend, Coreset, RunConfig};
 use parfaclo_bench::bench::{compare, run_matrix, BenchArtifact, BenchMatrix, BENCH_V2_SCHEMA};
 use parfaclo_bench::standard_registry;
+use std::collections::BTreeSet;
+use std::path::Path;
 
 fn smoke_matrix() -> BenchMatrix {
     BenchMatrix {
@@ -14,12 +16,9 @@ fn smoke_matrix() -> BenchMatrix {
         n: 32,
         nf: 16,
         backends: vec![Backend::Dense, Backend::Implicit],
-        // One graph representation keeps the cell pairing below exact;
-        // the graph axis has its own dedicated coverage in the bench crate
-        // and in graph_engine.rs.
-        graphs: vec![GraphBackend::Dense],
-        // Likewise for the coreset axis: its dedicated coverage lives in the
-        // bench crate and in coreset_conformance.rs.
+        // One coreset setting keeps the cell pairing below exact; the
+        // coreset axis has its own coverage in the bench crate and in
+        // coreset_conformance.rs.
         coresets: vec![Coreset::Off],
         threads: vec![1, 4],
         warmup: 1,
@@ -141,4 +140,35 @@ fn repeated_matrices_agree_on_everything_but_wall_clock() {
         // While the full records carry the trial statistics block.
         assert!(ra.to_json().contains("\"trials\""));
     }
+}
+
+/// Every committed `BENCH_*.json` at the repository root parses, and no two
+/// of its records share a cell key, so the comparator joins each baseline
+/// cell exactly once.
+#[test]
+fn committed_baselines_parse_with_unique_cell_keys() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&root).expect("repository root") {
+        let path = entry.expect("directory entry").path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable baseline");
+        let artifact = BenchArtifact::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut keys = BTreeSet::new();
+        for rec in &artifact.records {
+            assert!(
+                keys.insert(rec.key()),
+                "{name}: duplicate cell {}",
+                rec.key()
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked > 0, "no BENCH_*.json under {}", root.display());
 }

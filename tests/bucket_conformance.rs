@@ -1,5 +1,5 @@
 //! Conformance tests for the bucket-driven k-center sketch radius deriver:
-//! deterministic across thread counts and threshold-graph representations.
+//! deterministic across thread counts.
 //! (Greedy's lazy bucket orders and primal-dual's bucket event loop are
 //! pinned by the golden corpus in `tests/golden.rs` and by the reference
 //! tests in `parfaclo-core`.)
@@ -11,44 +11,37 @@
 //! cargo test --release -p parfaclo-tests --test bucket_conformance -- --ignored
 //! ```
 
-use parfaclo_api::{Backend, GraphBackend, RadiusDeriver, RunConfig};
+use parfaclo_api::{Backend, RadiusDeriver, RunConfig};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
 
 /// The k-center sketch radius deriver must be deterministic across thread
-/// counts and graph representations (its candidate sample is
-/// value-independent and each probe mixes the candidate index into the
-/// seed), even though it probes different thresholds than the exact path.
+/// counts (its candidate sample is value-independent and each probe mixes
+/// the candidate index into the seed), even though it probes different
+/// thresholds than the exact path.
 #[test]
-fn kcenter_sketch_deterministic_across_threads_and_graphs() {
+fn kcenter_sketch_deterministic_across_threads() {
     let registry = standard_registry();
     let spec = GenSpec::parse("clustered:n=90,nf=90,c=5").expect("valid spec");
     let cfg = RunConfig::new(0.1)
         .with_seed(7)
         .with_k(5)
         .with_radius_deriver(RadiusDeriver::Sketch);
-    let reference = run_solver(
-        &registry,
-        "kcenter",
-        &spec,
-        &cfg.clone().with_threads(1).with_graph(GraphBackend::Dense),
-    )
-    .expect("sketch run");
+    let reference =
+        run_solver(&registry, "kcenter", &spec, &cfg.clone().with_threads(1)).expect("sketch run");
     for threads in [1usize, 4] {
-        for graph in [GraphBackend::Dense, GraphBackend::Csr] {
-            let run = run_solver(
-                &registry,
-                "kcenter",
-                &spec,
-                &cfg.clone().with_threads(threads).with_graph(graph),
-            )
-            .expect("sketch run");
-            assert_eq!(
-                reference.canonical_json(),
-                run.canonical_json(),
-                "kcenter sketch diverged at {threads} thread(s), graph {graph:?}"
-            );
-        }
+        let run = run_solver(
+            &registry,
+            "kcenter",
+            &spec,
+            &cfg.clone().with_threads(threads),
+        )
+        .expect("sketch run");
+        assert_eq!(
+            reference.canonical_json(),
+            run.canonical_json(),
+            "kcenter sketch diverged at {threads} thread(s)"
+        );
     }
 }
 

@@ -9,8 +9,8 @@
 //! names the cell.
 //!
 //! Cells: every registered solver on three 40-client workloads at seeds 1
-//! and 2 (seed 1 on the dense backend, dense graphs and one thread; seed 2
-//! on the spatial backend, CSR graphs and four threads), plus greedy and
+//! and 2 (seed 1 on the dense backend and one thread; seed 2 on the spatial
+//! backend and four threads), plus greedy and
 //! primal-dual on a 200 × 48 instance whose `m` is above the parallel grain,
 //! once with defaults and once with preprocessing and subselection off, and
 //! the clustering and dominator solvers on a 400-node instance in both seeded
@@ -33,7 +33,7 @@
 //! ```
 
 use parfaclo_api::json::JsonValue;
-use parfaclo_api::{Backend, Coreset, GraphBackend, RadiusDeriver, RunConfig};
+use parfaclo_api::{Backend, Coreset, RadiusDeriver, RunConfig};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
 use parfaclo_trace::{install, TraceDetail, Tracer};
@@ -63,20 +63,19 @@ struct Cell {
     cfg: RunConfig,
 }
 
-/// Seed 1 pins the dense/dense/1-thread configuration, seed 2 the
-/// benchmark's spatial/CSR/4-thread one.
+/// Seed 1 pins the dense/1-thread configuration, seed 2 the benchmark's
+/// spatial/4-thread one.
 fn seeded(seed: u64) -> (String, RunConfig) {
-    let (backend, graph, threads) = match seed {
-        1 => (Backend::Dense, GraphBackend::Dense, 1),
-        _ => (Backend::Spatial, GraphBackend::Csr, 4),
+    let (backend, threads) = match seed {
+        1 => (Backend::Dense, 1),
+        _ => (Backend::Spatial, 4),
     };
     let cfg = RunConfig::new(0.1)
         .with_seed(seed)
         .with_k(4)
         .with_backend(backend)
-        .with_graph(graph)
         .with_threads(threads);
-    let label = format!("seed={seed},backend={backend},graph={graph},threads={threads}");
+    let label = format!("seed={seed},backend={backend},threads={threads}");
     (label, cfg)
 }
 

@@ -20,7 +20,7 @@ use parfaclo_bench::standard_registry;
 use parfaclo_core::primal_dual;
 use parfaclo_dominator::maxdom::{is_maximal_dominator_set, max_dom};
 use parfaclo_dominator::maxudom::{is_maximal_u_dominator_set, max_u_dom};
-use parfaclo_dominator::{BipartiteGraph, DenseGraph};
+use parfaclo_dominator::{CsrBipartite, CsrGraph};
 use parfaclo_lp::dual;
 use parfaclo_matrixops::{ops, scan, CostMeter, ExecPolicy};
 use parfaclo_metric::lower_bounds::{self, ClusterObjective};
@@ -232,7 +232,7 @@ fn prop_maxdom_valid() {
             .filter(|(a, b)| a != b)
             .collect();
         let seed = rng.gen_range(0..100u64);
-        let g = DenseGraph::from_edges(12, &edges);
+        let g = CsrGraph::from_edges(12, &edges);
         let meter = CostMeter::new();
         let r = max_dom(&g, seed, &meter);
         assert!(is_maximal_dominator_set(&g, &r.selected), "case {case}");
@@ -249,7 +249,7 @@ fn prop_maxudom_valid() {
             .map(|_| (rng.gen_range(0..10usize), rng.gen_range(0..8usize)))
             .collect();
         let seed = rng.gen_range(0..100u64);
-        let h = BipartiteGraph::from_edges(10, 8, &edges);
+        let h = CsrBipartite::from_edges(10, 8, &edges);
         let meter = CostMeter::new();
         let r = max_u_dom(&h, seed, &meter);
         assert!(is_maximal_u_dominator_set(&h, &r.selected), "case {case}");

@@ -1,10 +1,10 @@
 //! Trace-determinism conformance: the canonical projection of a traced run
 //! (span topology, per-span round deltas, round events) must be a pure
-//! function of the workload — byte-identical across distance backends,
-//! threshold-graph engines, and thread counts. Wall-clock profiles may
-//! differ; none of that rides in the canonical trace.
+//! function of the workload — byte-identical across distance backends and
+//! thread counts. Wall-clock profiles may differ; none of that rides in the
+//! canonical trace.
 
-use parfaclo_api::{Backend, GraphBackend, RunConfig};
+use parfaclo_api::{Backend, RunConfig};
 use parfaclo_bench::runner::{run_solver, GenSpec};
 use parfaclo_bench::standard_registry;
 use parfaclo_trace::{install, TraceDetail, Tracer};
@@ -44,9 +44,6 @@ fn variants(seed: u64) -> Vec<(String, RunConfig)> {
                 base_cfg(seed).with_backend(backend).with_threads(threads),
             ));
         }
-    }
-    for graph in [GraphBackend::Dense, GraphBackend::Csr] {
-        out.push((format!("graph={graph:?}"), base_cfg(seed).with_graph(graph)));
     }
     out
 }
