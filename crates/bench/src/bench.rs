@@ -920,13 +920,6 @@ mod tests {
         assert!(text.contains("\"element_ops\":1000"));
         let back = BenchArtifact::parse(&text).unwrap();
         assert_eq!(back, art);
-        // Older records carry the removed `graph` key; it is ignored.
-        let old = text.replace(
-            "\"backend\":\"dense\",",
-            "\"backend\":\"dense\",\"graph\":\"csr\",",
-        );
-        assert_ne!(old, text);
-        assert_eq!(BenchArtifact::parse(&old).unwrap(), art);
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub fn is_maximal_dominator_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
 
 /// Builds `G²` explicitly (quadratic work per node pair). Only used by tests to compare
 /// the in-place algorithm against running plain MIS on the materialised square.
-pub fn explicit_square<G: Neighbors>(g: &G) -> CsrGraph {
+pub fn explicit_square(g: &CsrGraph) -> CsrGraph {
     let n = g.n();
     let mut edges = Vec::new();
     for a in 0..n {

@@ -22,14 +22,11 @@ const BUILD_BYTES_PER_EDGE: u64 = 8;
 /// arrays would pass the scratch cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphTooLarge {
-    /// Nodes in the graph.
-    pub n: usize,
-    /// The threshold `α` of the refused build.
-    pub alpha: f64,
+    n: usize,
+    alpha: f64,
     /// Directed edges counted when the count stopped: at least this many.
-    pub directed_edges: u64,
-    /// The cap the build would pass, in bytes.
-    pub cap_bytes: u64,
+    directed_edges: u64,
+    cap_bytes: u64,
 }
 
 impl std::fmt::Display for GraphTooLarge {
@@ -37,8 +34,8 @@ impl std::fmt::Display for GraphTooLarge {
         let gib = |bytes: u64| bytes as f64 / (1u64 << 30) as f64;
         write!(
             f,
-            "the threshold graph at {} on {} nodes holds at least {} directed edges, \
-             whose CSR build needs more than {:.1} GiB, past the {:.1} GiB cap",
+            "the threshold graph H_α at α = {} on {} nodes holds at least {} directed \
+             edges, whose CSR build needs more than {:.1} GiB, past the {:.1} GiB cap",
             self.alpha,
             self.n,
             self.directed_edges,
