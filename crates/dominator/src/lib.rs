@@ -26,9 +26,8 @@
 //! * [`maxdom::max_dom`] — `MaxDom(G)` without constructing `G²`;
 //! * [`maxudom::max_u_dom`] — `MaxUDom(H)` without constructing `H'`.
 //!
-//! All three run on the frontier engine of [`parfaclo_graph`] and are generic over its
-//! [`parfaclo_graph::Neighbors`] / [`parfaclo_graph::BipartiteNeighbors`] traits,
-//! implemented by the CSR graphs [`CsrGraph`] and [`CsrBipartite`] (re-exported here).
+//! All three run on the frontier engine of [`parfaclo_graph`] over its CSR graphs
+//! [`CsrGraph`] and [`CsrBipartite`] (re-exported here).
 //!
 //! All routines are deterministic given a seed, return the number of Luby rounds
 //! executed (so the experiments can check the `O(log n)` round bound), and record their

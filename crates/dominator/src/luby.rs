@@ -7,10 +7,9 @@
 //!
 //! The round body runs on the frontier engine of [`parfaclo_graph`]: the set of live
 //! nodes is a [`VertexSubset`], the neighbour minimum is one [`edge_map_min`], and the
-//! removal wave is one [`edge_map`]. The algorithm is generic over [`Neighbors`], and
-//! dead nodes carry priority `+∞` (an unfiltered neighbour minimum equals the
-//! live-filtered one) while `min` / set-union combines are order-independent, so the
-//! output does not depend on the schedule.
+//! removal wave is one [`edge_map`]. Dead nodes carry priority `+∞` (an unfiltered
+//! neighbour minimum equals the live-filtered one) and `min` / set-union combines are
+//! order-independent, so the output does not depend on the schedule.
 //!
 //! The cost meter charges the paper's dense PRAM model (`O(n²)` per round) although
 //! the graph is CSR: the model prices the *algorithm*, not the container.
@@ -21,7 +20,7 @@
 //! graph and compare invariants) and is exposed because it is useful in its own right.
 
 use crate::DominatorResult;
-use parfaclo_graph::{edge_map, edge_map_min, Neighbors, VertexSubset};
+use parfaclo_graph::{edge_map, edge_map_min, CsrGraph, VertexSubset};
 use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_trace as trace;
 use rand::prelude::*;
@@ -46,11 +45,7 @@ pub(crate) fn draw_priorities(rng: &mut ChaCha8Rng, n: usize, alive: &[bool]) ->
 ///
 /// Deterministic for a fixed `seed`. Returns the selected nodes (sorted) and the number
 /// of rounds executed.
-pub fn maximal_independent_set<G: Neighbors>(
-    g: &G,
-    seed: u64,
-    meter: &CostMeter,
-) -> DominatorResult {
+pub fn maximal_independent_set(g: &CsrGraph, seed: u64, meter: &CostMeter) -> DominatorResult {
     let n = g.n();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut alive = vec![true; n];
@@ -101,10 +96,10 @@ pub fn maximal_independent_set<G: Neighbors>(
 }
 
 /// Checks that `set` is an independent set of `g` (no two members adjacent).
-pub fn is_independent_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
+pub fn is_independent_set(g: &CsrGraph, set: &[usize]) -> bool {
     for (idx, &a) in set.iter().enumerate() {
         for &b in &set[idx + 1..] {
-            if g.any_neighbor(a, &|z| z == b) {
+            if g.has_edge(a, b) {
                 return false;
             }
         }
@@ -114,7 +109,7 @@ pub fn is_independent_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
 
 /// Checks that `set` is a *maximal* independent set of `g`: independent, and every
 /// non-member has a neighbour in the set.
-pub fn is_maximal_independent_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
+pub fn is_maximal_independent_set(g: &CsrGraph, set: &[usize]) -> bool {
     if !is_independent_set(g, set) {
         return false;
     }
@@ -125,13 +120,12 @@ pub fn is_maximal_independent_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
         }
         v
     };
-    (0..g.n()).all(|i| in_set[i] || g.any_neighbor(i, &|j| in_set[j]))
+    (0..g.n()).all(|i| in_set[i] || g.neighbors(i).iter().any(|&j| in_set[j as usize]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_graph::CsrGraph;
     use parfaclo_matrixops::PAR_THRESHOLD;
 
     fn meter() -> CostMeter {

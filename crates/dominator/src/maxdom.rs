@@ -22,12 +22,12 @@
 //! the only values the second propagation reads. Values outside that set are never read,
 //! so skipping them changes no output byte.
 //!
-//! The round body is generic over [`Neighbors`], and the cost meter charges the paper's
-//! dense PRAM model (`O(n²)` per propagation) on the CSR graph — see [`crate::luby`].
+//! The cost meter charges the paper's dense PRAM model (`O(n²)` per propagation) on the
+//! CSR graph — see [`crate::luby`].
 
 use crate::luby::draw_priorities;
 use crate::DominatorResult;
-use parfaclo_graph::{edge_map, edge_map_min, CsrGraph, Neighbors, VertexSubset};
+use parfaclo_graph::{edge_map, edge_map_min, CsrGraph, VertexSubset};
 use parfaclo_matrixops::{CostMeter, ExecPolicy};
 use parfaclo_trace as trace;
 use rand::SeedableRng;
@@ -39,7 +39,7 @@ use rand_chacha::ChaCha8Rng;
 /// Deterministic for a fixed `seed`. The returned [`DominatorResult`] carries the number
 /// of Luby rounds, which is `O(log n)` in expectation (Lemma 3.1 charges
 /// `O(|V|² log |V|)` work in total).
-pub fn max_dom<G: Neighbors>(g: &G, seed: u64, meter: &CostMeter) -> DominatorResult {
+pub fn max_dom(g: &CsrGraph, seed: u64, meter: &CostMeter) -> DominatorResult {
     let n = g.n();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut alive = vec![true; n];
@@ -102,13 +102,16 @@ pub fn max_dom<G: Neighbors>(g: &G, seed: u64, meter: &CostMeter) -> DominatorRe
 
 /// Whether `a ≠ b` are adjacent in `G²`: some neighbour `z` of `a` is `b`
 /// itself or a neighbour of `b`.
-fn adjacent_in_square<G: Neighbors>(g: &G, a: usize, b: usize) -> bool {
-    a != b && g.any_neighbor(a, &|z| z == b || g.any_neighbor(z, &|w| w == b))
+fn adjacent_in_square(g: &CsrGraph, a: usize, b: usize) -> bool {
+    a != b
+        && g.neighbors(a)
+            .iter()
+            .any(|&z| z as usize == b || g.has_edge(z as usize, b))
 }
 
 /// Checks that `set` is a valid **dominator set** of `g`: no two members are adjacent in
 /// `G²` (i.e. adjacent in `G` or sharing a common neighbour).
-pub fn is_dominator_independent<G: Neighbors>(g: &G, set: &[usize]) -> bool {
+pub fn is_dominator_independent(g: &CsrGraph, set: &[usize]) -> bool {
     for (idx, &a) in set.iter().enumerate() {
         for &b in &set[idx + 1..] {
             if adjacent_in_square(g, a, b) {
@@ -121,7 +124,7 @@ pub fn is_dominator_independent<G: Neighbors>(g: &G, set: &[usize]) -> bool {
 
 /// Checks that `set` is a **maximal** dominator set of `g`: valid, and no node outside
 /// the set could be added (every outside node is adjacent in `G²` to some member).
-pub fn is_maximal_dominator_set<G: Neighbors>(g: &G, set: &[usize]) -> bool {
+pub fn is_maximal_dominator_set(g: &CsrGraph, set: &[usize]) -> bool {
     if !is_dominator_independent(g, set) {
         return false;
     }

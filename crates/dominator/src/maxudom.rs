@@ -17,7 +17,7 @@
 use crate::luby::draw_priorities;
 use crate::DominatorResult;
 use parfaclo_graph::{
-    bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, BipartiteNeighbors, VertexSubset,
+    bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, CsrBipartite, VertexSubset,
 };
 use parfaclo_matrixops::CostMeter;
 use parfaclo_trace as trace;
@@ -28,7 +28,7 @@ use rand_chacha::ChaCha8Rng;
 ///
 /// U-side nodes with no `V`-neighbours are always selected (they conflict with nothing,
 /// so maximality requires them). Deterministic for a fixed `seed`.
-pub fn max_u_dom<H: BipartiteNeighbors>(h: &H, seed: u64, meter: &CostMeter) -> DominatorResult {
+pub fn max_u_dom(h: &CsrBipartite, seed: u64, meter: &CostMeter) -> DominatorResult {
     let nu = h.nu();
     let nv = h.nv();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -92,12 +92,15 @@ pub fn max_u_dom<H: BipartiteNeighbors>(h: &H, seed: u64, meter: &CostMeter) -> 
 }
 
 /// Whether `u1 ≠ u2` share a `V`-side neighbour (adjacency in `H'`).
-fn share_v_neighbor<H: BipartiteNeighbors>(h: &H, u1: usize, u2: usize) -> bool {
-    u1 != u2 && h.any_neighbor_u(u1, &|v| h.any_neighbor_v(v, &|u| u == u2))
+fn share_v_neighbor(h: &CsrBipartite, u1: usize, u2: usize) -> bool {
+    u1 != u2
+        && h.neighbors_u(u1)
+            .iter()
+            .any(|&v| h.has_edge(u2, v as usize))
 }
 
 /// Checks that no two members of `set` share a `V`-side neighbour.
-pub fn is_u_dominator_independent<H: BipartiteNeighbors>(h: &H, set: &[usize]) -> bool {
+pub fn is_u_dominator_independent(h: &CsrBipartite, set: &[usize]) -> bool {
     for (idx, &a) in set.iter().enumerate() {
         for &b in &set[idx + 1..] {
             if share_v_neighbor(h, a, b) {
@@ -110,7 +113,7 @@ pub fn is_u_dominator_independent<H: BipartiteNeighbors>(h: &H, set: &[usize]) -
 
 /// Checks that `set` is a **maximal** U-dominator set: valid, and every U-node outside
 /// the set shares a `V`-neighbour with some member (so nothing can be added).
-pub fn is_maximal_u_dominator_set<H: BipartiteNeighbors>(h: &H, set: &[usize]) -> bool {
+pub fn is_maximal_u_dominator_set(h: &CsrBipartite, set: &[usize]) -> bool {
     if !is_u_dominator_independent(h, set) {
         return false;
     }
@@ -127,7 +130,6 @@ pub fn is_maximal_u_dominator_set<H: BipartiteNeighbors>(h: &H, set: &[usize]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_graph::CsrBipartite;
     use rand::Rng;
 
     fn meter() -> CostMeter {

@@ -1,5 +1,5 @@
 //! The Ligra-style frontier engine: `edge_map` and its `min`-combining and
-//! bipartite siblings over any [`Neighbors`] graph.
+//! bipartite siblings over [`CsrGraph`] and [`CsrBipartite`].
 //!
 //! Every primitive is deterministic by construction: direction switching
 //! (sparse *push* vs dense *pull*) is a pure function of frontier density and
@@ -11,62 +11,17 @@
 //! `Sequential` branch is its tests' reference.
 
 use crate::frontier::VertexSubset;
+use crate::{CsrBipartite, CsrGraph};
 use parfaclo_matrixops::{ExecPolicy, PAR_THRESHOLD};
 use rayon::prelude::*;
-
-/// Adjacency access for the frontier engine, implemented by
-/// [`crate::CsrGraph`]. The round-based solvers are written against this
-/// trait, and their checkers take any implementation.
-pub trait Neighbors: Sync {
-    /// Number of nodes.
-    fn n(&self) -> usize;
-    /// Number of undirected edges, in `O(1)`.
-    fn num_edges(&self) -> usize;
-    /// Degree of node `v`.
-    fn degree(&self, v: usize) -> usize;
-    /// Calls `f` on every neighbour of `v` in ascending order.
-    fn for_each_neighbor(&self, v: usize, f: &mut dyn FnMut(usize));
-    /// Whether any neighbour of `v` satisfies `pred` (may early-exit).
-    fn any_neighbor(&self, v: usize, pred: &dyn Fn(usize) -> bool) -> bool;
-}
-
-impl Neighbors for crate::CsrGraph {
-    fn n(&self) -> usize {
-        CsrGraphExt::n(self)
-    }
-    fn num_edges(&self) -> usize {
-        self.num_edges()
-    }
-    fn degree(&self, v: usize) -> usize {
-        self.degree(v)
-    }
-    fn for_each_neighbor(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        for &w in self.neighbors(v) {
-            f(w as usize);
-        }
-    }
-    fn any_neighbor(&self, v: usize, pred: &dyn Fn(usize) -> bool) -> bool {
-        self.neighbors(v).iter().any(|&w| pred(w as usize))
-    }
-}
-
-/// Private alias so the trait impl can reach the inherent `n()` without
-/// infinite recursion.
-trait CsrGraphExt {
-    fn n(&self) -> usize;
-}
-impl CsrGraphExt for crate::CsrGraph {
-    fn n(&self) -> usize {
-        crate::CsrGraph::n(self)
-    }
-}
 
 /// Ligra's direction heuristic, early-exiting so the sparse case never pays
 /// more than `O(|frontier|)` degree lookups: take the dense (pull) direction
 /// when `|frontier| + Σ deg(frontier) > m/20 + 1`. A pure function of the
-/// frontier *contents* and the graph — representation and thread count play
-/// no part, so the decision (and with it every downstream byte) is stable.
-fn use_dense_direction<G: Neighbors>(g: &G, frontier: &VertexSubset) -> bool {
+/// frontier *contents* and the graph — the frontier's representation and the
+/// thread count play no part, so the decision (and with it every downstream
+/// byte) is stable.
+fn use_dense_direction(g: &CsrGraph, frontier: &VertexSubset) -> bool {
     let threshold = (g.num_edges() / 20 + 1) as u64;
     let mut work = frontier.len() as u64;
     if work > threshold {
@@ -88,9 +43,13 @@ fn use_dense_direction<G: Neighbors>(g: &G, frontier: &VertexSubset) -> bool {
 /// sort-dedups the result; dense (pull) direction gathers per target vertex.
 /// Both produce the same member set, so downstream output never depends on
 /// which direction ran.
-pub fn edge_map<G, C>(g: &G, frontier: &VertexSubset, cond: C, policy: ExecPolicy) -> VertexSubset
+pub fn edge_map<C>(
+    g: &CsrGraph,
+    frontier: &VertexSubset,
+    cond: C,
+    policy: ExecPolicy,
+) -> VertexSubset
 where
-    G: Neighbors,
     C: Fn(usize) -> bool + Sync,
 {
     let n = g.n();
@@ -99,7 +58,7 @@ where
     }
     if use_dense_direction(g, frontier) {
         let mask = frontier.to_mask();
-        let one = |v: usize| cond(v) && g.any_neighbor(v, &|w| mask[w]);
+        let one = |v: usize| cond(v) && g.neighbors(v).iter().any(|&w| mask[w as usize]);
         let bits: Vec<bool> = if policy.run_parallel(n + g.num_edges()) {
             (0..n).into_par_iter().with_min_len(256).map(one).collect()
         } else {
@@ -108,7 +67,7 @@ where
         VertexSubset::from_mask_owned(bits)
     } else {
         let mut out: Vec<u32> = Vec::new();
-        frontier.for_each(|u| g.for_each_neighbor(u, &mut |w| out.push(w as u32)));
+        frontier.for_each(|u| out.extend_from_slice(g.neighbors(u)));
         out.sort_unstable();
         out.dedup();
         out.retain(|&v| cond(v as usize));
@@ -123,8 +82,8 @@ where
 /// This is the propagation primitive of the paper's Luby simulations: `min`
 /// is order-independent, so the result is identical whichever direction or
 /// schedule computes it.
-pub fn edge_map_min<G: Neighbors>(
-    g: &G,
+pub fn edge_map_min(
+    g: &CsrGraph,
     targets: &VertexSubset,
     values: &[u64],
     include_self: bool,
@@ -132,9 +91,10 @@ pub fn edge_map_min<G: Neighbors>(
     let n = g.n();
     debug_assert_eq!(values.len(), n);
     let gather = |v: usize| -> u64 {
-        let mut m = if include_self { values[v] } else { u64::MAX };
-        g.for_each_neighbor(v, &mut |w| m = m.min(values[w]));
-        m
+        let m = if include_self { values[v] } else { u64::MAX };
+        g.neighbors(v)
+            .iter()
+            .fold(m, |m, &w| m.min(values[w as usize]))
     };
     if targets.len() * 2 >= n {
         let mask = targets.to_mask();
@@ -163,65 +123,8 @@ pub fn edge_map_min<G: Neighbors>(
     }
 }
 
-/// Bipartite adjacency access for the frontier engine, with both directions
-/// of traversal, implemented by [`crate::CsrBipartite`].
-pub trait BipartiteNeighbors: Sync {
-    /// Number of U-side nodes.
-    fn nu(&self) -> usize;
-    /// Number of V-side nodes.
-    fn nv(&self) -> usize;
-    /// Number of edges.
-    fn num_edges(&self) -> usize;
-    /// Degree of U-side node `u`.
-    fn degree_u(&self, u: usize) -> usize;
-    /// Degree of V-side node `v`.
-    fn degree_v(&self, v: usize) -> usize;
-    /// Calls `f` on every V-side neighbour of `u` in ascending order.
-    fn for_each_neighbor_u(&self, u: usize, f: &mut dyn FnMut(usize));
-    /// Calls `f` on every U-side neighbour of `v` in ascending order.
-    fn for_each_neighbor_v(&self, v: usize, f: &mut dyn FnMut(usize));
-    /// Whether any V-side neighbour of `u` satisfies `pred`.
-    fn any_neighbor_u(&self, u: usize, pred: &dyn Fn(usize) -> bool) -> bool;
-    /// Whether any U-side neighbour of `v` satisfies `pred`.
-    fn any_neighbor_v(&self, v: usize, pred: &dyn Fn(usize) -> bool) -> bool;
-}
-
-impl BipartiteNeighbors for crate::CsrBipartite {
-    fn nu(&self) -> usize {
-        crate::CsrBipartite::nu(self)
-    }
-    fn nv(&self) -> usize {
-        crate::CsrBipartite::nv(self)
-    }
-    fn num_edges(&self) -> usize {
-        crate::CsrBipartite::num_edges(self)
-    }
-    fn degree_u(&self, u: usize) -> usize {
-        crate::CsrBipartite::degree_u(self, u)
-    }
-    fn degree_v(&self, v: usize) -> usize {
-        crate::CsrBipartite::degree_v(self, v)
-    }
-    fn for_each_neighbor_u(&self, u: usize, f: &mut dyn FnMut(usize)) {
-        for &v in self.neighbors_u(u) {
-            f(v as usize);
-        }
-    }
-    fn for_each_neighbor_v(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        for &u in self.neighbors_v(v) {
-            f(u as usize);
-        }
-    }
-    fn any_neighbor_u(&self, u: usize, pred: &dyn Fn(usize) -> bool) -> bool {
-        self.neighbors_u(u).iter().any(|&v| pred(v as usize))
-    }
-    fn any_neighbor_v(&self, v: usize, pred: &dyn Fn(usize) -> bool) -> bool {
-        self.neighbors_v(v).iter().any(|&u| pred(u as usize))
-    }
-}
-
 /// Bipartite `edgeMap`, `U → V`: the V-side set adjacent to `u_frontier`.
-pub fn bi_edge_map_u<H: BipartiteNeighbors>(h: &H, u_frontier: &VertexSubset) -> VertexSubset {
+pub fn bi_edge_map_u(h: &CsrBipartite, u_frontier: &VertexSubset) -> VertexSubset {
     let nv = h.nv();
     if u_frontier.is_empty() {
         return VertexSubset::empty(nv);
@@ -237,7 +140,7 @@ pub fn bi_edge_map_u<H: BipartiteNeighbors>(h: &H, u_frontier: &VertexSubset) ->
     });
     if heavy {
         let mask = u_frontier.to_mask();
-        let one = |v: usize| h.any_neighbor_v(v, &|u| mask[u]);
+        let one = |v: usize| h.neighbors_v(v).iter().any(|&u| mask[u as usize]);
         let bits: Vec<bool> = if nv + h.num_edges() >= PAR_THRESHOLD {
             (0..nv).into_par_iter().with_min_len(256).map(one).collect()
         } else {
@@ -246,7 +149,7 @@ pub fn bi_edge_map_u<H: BipartiteNeighbors>(h: &H, u_frontier: &VertexSubset) ->
         VertexSubset::from_mask_owned(bits)
     } else {
         let mut out: Vec<u32> = Vec::new();
-        u_frontier.for_each(|u| h.for_each_neighbor_u(u, &mut |v| out.push(v as u32)));
+        u_frontier.for_each(|u| out.extend_from_slice(h.neighbors_u(u)));
         out.sort_unstable();
         out.dedup();
         VertexSubset::from_sorted_ids(nv, out)
@@ -254,7 +157,7 @@ pub fn bi_edge_map_u<H: BipartiteNeighbors>(h: &H, u_frontier: &VertexSubset) ->
 }
 
 /// Bipartite `edgeMap`, `V → U`: the U-side set adjacent to `v_frontier`.
-pub fn bi_edge_map_v<H: BipartiteNeighbors>(h: &H, v_frontier: &VertexSubset) -> VertexSubset {
+pub fn bi_edge_map_v(h: &CsrBipartite, v_frontier: &VertexSubset) -> VertexSubset {
     let nu = h.nu();
     if v_frontier.is_empty() {
         return VertexSubset::empty(nu);
@@ -270,7 +173,7 @@ pub fn bi_edge_map_v<H: BipartiteNeighbors>(h: &H, v_frontier: &VertexSubset) ->
     });
     if heavy {
         let mask = v_frontier.to_mask();
-        let one = |u: usize| h.any_neighbor_u(u, &|v| mask[v]);
+        let one = |u: usize| h.neighbors_u(u).iter().any(|&v| mask[v as usize]);
         let bits: Vec<bool> = if nu + h.num_edges() >= PAR_THRESHOLD {
             (0..nu).into_par_iter().with_min_len(256).map(one).collect()
         } else {
@@ -279,7 +182,7 @@ pub fn bi_edge_map_v<H: BipartiteNeighbors>(h: &H, v_frontier: &VertexSubset) ->
         VertexSubset::from_mask_owned(bits)
     } else {
         let mut out: Vec<u32> = Vec::new();
-        v_frontier.for_each(|v| h.for_each_neighbor_v(v, &mut |u| out.push(u as u32)));
+        v_frontier.for_each(|v| out.extend_from_slice(h.neighbors_v(v)));
         out.sort_unstable();
         out.dedup();
         VertexSubset::from_sorted_ids(nu, out)
@@ -289,16 +192,12 @@ pub fn bi_edge_map_v<H: BipartiteNeighbors>(h: &H, v_frontier: &VertexSubset) ->
 /// Bipartite `min` gather into the V side: for `v ∈ v_targets`,
 /// `out[v] = min over U-neighbours u of u_values[u]` (`u64::MAX` when there
 /// are none); vertices outside the targets get `u64::MAX`.
-pub fn bi_min_into_v<H: BipartiteNeighbors>(
-    h: &H,
-    v_targets: &VertexSubset,
-    u_values: &[u64],
-) -> Vec<u64> {
+pub fn bi_min_into_v(h: &CsrBipartite, v_targets: &VertexSubset, u_values: &[u64]) -> Vec<u64> {
     let nv = h.nv();
     let gather = |v: usize| -> u64 {
-        let mut m = u64::MAX;
-        h.for_each_neighbor_v(v, &mut |u| m = m.min(u_values[u]));
-        m
+        h.neighbors_v(v)
+            .iter()
+            .fold(u64::MAX, |m, &u| m.min(u_values[u as usize]))
     };
     if v_targets.len() * 2 >= nv {
         let mask = v_targets.to_mask();
@@ -330,17 +229,17 @@ pub fn bi_min_into_v<H: BipartiteNeighbors>(
 /// Bipartite `min` gather back into the U side: for `u ∈ u_targets`,
 /// `out[u] = min(u_self[u], min over V-neighbours v of v_values[v])`;
 /// vertices outside the targets keep `u_self[u]`.
-pub fn bi_min_into_u<H: BipartiteNeighbors>(
-    h: &H,
+pub fn bi_min_into_u(
+    h: &CsrBipartite,
     u_targets: &VertexSubset,
     v_values: &[u64],
     u_self: &[u64],
 ) -> Vec<u64> {
     let nu = h.nu();
     let gather = |u: usize| -> u64 {
-        let mut m = u_self[u];
-        h.for_each_neighbor_u(u, &mut |v| m = m.min(v_values[v]));
-        m
+        h.neighbors_u(u)
+            .iter()
+            .fold(u_self[u], |m, &v| m.min(v_values[v as usize]))
     };
     if u_targets.len() * 2 >= nu {
         let mask = u_targets.to_mask();
@@ -372,7 +271,6 @@ pub fn bi_min_into_u<H: BipartiteNeighbors>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CsrGraph;
 
     /// Deterministic xorshift so the tests need no RNG dependency.
     struct XorShift(u64);
@@ -534,7 +432,6 @@ mod tests {
     /// seeds 5–8 build 120 x 100 graphs, which reach the parallel grain.
     #[test]
     fn bipartite_edge_maps_match_brute_force() {
-        use crate::CsrBipartite;
         for seed in 1..9 {
             let ((nu, nv), percent) = if seed < 5 {
                 ((25, 18), 12)
@@ -590,7 +487,6 @@ mod tests {
     /// adjacency matrix of the same edges.
     #[test]
     fn bipartite_min_gathers_match_dense_and_csr() {
-        use crate::CsrBipartite;
         let (nu, nv) = (12, 9);
         let edges = vec![(0, 0), (1, 0), (2, 3), (5, 8), (7, 3), (11, 0)];
         let h = CsrBipartite::from_edges(nu, nv, &edges);

@@ -28,6 +28,5 @@ pub mod frontier;
 pub use csr::{CsrBipartite, CsrGraph, GraphTooLarge};
 pub use engine::{
     bi_edge_map_u, bi_edge_map_v, bi_min_into_u, bi_min_into_v, edge_map, edge_map_min,
-    BipartiteNeighbors, Neighbors,
 };
 pub use frontier::VertexSubset;
