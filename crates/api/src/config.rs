@@ -55,9 +55,10 @@ pub struct RunConfig {
     /// the `|C| x |F|` matrix (`O(m)` memory, the historical default);
     /// `Implicit` stores only the points and computes distances on demand
     /// (`O(|C| + |F|)` memory — required for the 100k–1M-client presets);
-    /// `Spatial` adds deterministic exact kd-tree/grid indexes over the
-    /// points so nearest/range queries run sublinearly instead of as O(n)
-    /// sweeps (still `O(|C| + |F|)` memory — the backend that makes the
+    /// `Spatial` adds a deterministic exact uniform-grid index over 1-D to
+    /// 3-D points so nearest/range queries run sublinearly instead of as
+    /// O(n) sweeps; other dimensions keep a flat scan (still
+    /// `O(|C| + |F|)` memory — the backend that makes the
     /// 10M-point `xxlarge` preset practical). All backends produce
     /// byte-identical solver output for the same workload and seed, so this
     /// is a memory/latency knob, not a semantic one.

@@ -73,12 +73,12 @@ OPTIONS:
                         |C| x |F| matrix (O(m) memory); implicit stores only
                         the points and computes distances on demand
                         (O(|C|+|F|) memory, but every structured query is an
-                        O(n) sweep); spatial adds deterministic exact
-                        kd-tree/grid indexes over the points so nearest
-                        queries run sublinearly, and range queries too
-                        unless the grid's query window holds more than
-                        1/8 of the points, where the O(n) kernel sweep
-                        answers instead (O(|C|+|F|) memory — the
+                        O(n) sweep); spatial adds a deterministic exact
+                        uniform grid over 1-D to 3-D points (a flat scan
+                        above) so nearest queries run sublinearly, and
+                        range queries too unless the grid's query window
+                        holds more than 1/8 of the points, where the O(n)
+                        kernel sweep answers instead (O(|C|+|F|) memory — the
                         backend that makes xxlarge practical; the
                         clustering/dominator probes still need O(n²)
                         transients at any backend).

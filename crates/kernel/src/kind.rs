@@ -6,14 +6,13 @@
 //! reordering of its per-coordinate operations, see [`crate::block`]), so the
 //! values are bit-identical no matter which layer produced them.
 //!
-//! The pruning bounds ([`DistanceKind::box_lower_bound`],
-//! [`DistanceKind::axis_lower_bound`]) are *computed* lower bounds, not just
-//! mathematical ones: each bound is evaluated with the same shape of rounded
-//! IEEE operations as the distance itself (per-coordinate displacement →
-//! square/abs → left-to-right sum or max → optional sqrt). Because every one
-//! of those operations is monotone under rounding, the computed bound of a
-//! box/half-space never exceeds the computed distance of any point inside
-//! it. Searches therefore prune only on a **strict** `bound > best`
+//! The pruning bound [`DistanceKind::box_lower_bound`] is a *computed*
+//! lower bound, not just a mathematical one: it is evaluated with the same
+//! shape of rounded IEEE operations as the distance itself (per-coordinate
+//! displacement → square/abs → left-to-right sum or max → optional sqrt).
+//! Because every one of those operations is monotone under rounding, the
+//! computed bound of a box never exceeds the computed distance of any point
+//! inside it. Searches therefore prune only on a **strict** `bound > best`
 //! comparison and remain exact — including ties, which are always resolved
 //! towards the lowest point id.
 
@@ -23,7 +22,7 @@
 /// metric (it violates the triangle inequality) but is provided because the k-means
 /// objective of the paper sums squared distances; the k-means algorithms treat it as a
 /// cost function, never as a metric. It is still per-coordinate monotone, which is all
-/// the spatial pruning bounds need.
+/// the spatial pruning bound needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistanceKind {
     /// Standard L2 distance.
@@ -107,19 +106,6 @@ impl DistanceKind {
                 .sum(),
             DistanceKind::Manhattan => (0..q.len()).map(clamp).sum(),
             DistanceKind::Chebyshev => (0..q.len()).map(clamp).fold(0.0, f64::max),
-        }
-    }
-
-    /// Computed lower bound on the distance from `q` to any point beyond a
-    /// splitting plane at signed axis displacement `signed` (`q[axis] −
-    /// split`): the distance of a hypothetical point differing from `q` only
-    /// along that axis, computed with the same rounded operations.
-    #[inline]
-    pub fn axis_lower_bound(self, signed: f64) -> f64 {
-        match self {
-            DistanceKind::Euclidean => (signed * signed).sqrt(),
-            DistanceKind::SquaredEuclidean => signed * signed,
-            DistanceKind::Manhattan | DistanceKind::Chebyshev => signed.abs(),
         }
     }
 }
@@ -207,23 +193,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn axis_bound_matches_single_axis_distance() {
-        for m in [
-            DistanceKind::Euclidean,
-            DistanceKind::SquaredEuclidean,
-            DistanceKind::Manhattan,
-            DistanceKind::Chebyshev,
-        ] {
-            let signed = -1.5_f64;
-            assert_eq!(
-                m.axis_lower_bound(signed),
-                m.distance(&[0.0], &[1.5]),
-                "{m:?}"
-            );
         }
     }
 }

@@ -2,16 +2,15 @@
 //!
 //! This crate is the single source of arithmetic truth for every distance the
 //! workspace computes. It sits below both `parfaclo-metric` (which re-exports
-//! [`DistanceKind`]) and `parfaclo-spatial` (which re-exports it as
-//! `SpatialMetric`), so the dense matrix, the implicit oracle, the spatial
-//! indexes and every solver all run the **same operations in the same order**
-//! for a given point pair.
+//! [`DistanceKind`]) and `parfaclo-spatial` (which takes it as the index
+//! metric), so the dense matrix, the implicit oracle, the spatial indexes and
+//! every solver all run the **same operations in the same order** for a
+//! given point pair.
 //!
 //! Two layers:
 //!
 //! * [`DistanceKind`] — the scalar slice kernel plus the computed pruning
-//!   bounds the spatial indexes use ([`DistanceKind::box_lower_bound`],
-//!   [`DistanceKind::axis_lower_bound`]).
+//!   bound the spatial grid uses ([`DistanceKind::box_lower_bound`]).
 //! * [`SoaPoints`] + the [`block`] kernels — a structure-of-arrays layout
 //!   (one contiguous `Vec<f64>` per dimension) and blocked batch kernels
 //!   that compute one query point against a cache tile ([`block::TILE`]

@@ -18,9 +18,9 @@
 //! memory), an implicit geometric backend ([`oracle::ImplicitMetric`], distances
 //! computed on demand from stored points in `O(|C| + |F|)` memory — the
 //! production-scale path for 100k–1M clients), and an index-accelerated spatial
-//! backend ([`oracle::SpatialOracle`], the implicit storage plus deterministic
-//! exact kd-tree/grid indexes serving nearest/range queries sublinearly — the
-//! path to 10M clients). All produce bit-identical distances for the same point
+//! backend ([`oracle::SpatialOracle`], the implicit storage plus a deterministic
+//! exact uniform-grid index serving nearest/range queries sublinearly on 1-D
+//! to 3-D points — the path to 10M clients). All produce bit-identical distances for the same point
 //! set, so solver output is byte-identical under any backend.
 //!
 //! This crate provides those instance types, the geometric [`Point`] representation used

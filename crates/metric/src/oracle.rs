@@ -729,7 +729,7 @@ impl DistanceOracle for ImplicitMetric {
 ///
 /// The rule reads only the query and the index, never the thread count, and
 /// both sides honour the `cols_within` contract, so the answer is the same
-/// bits either way. The kd-tree and the flat index always query.
+/// bits either way. The flat index always queries.
 const SWEEP_SHARE: usize = 8;
 
 /// The index-accelerated backend: an [`ImplicitMetric`] plus one exact
@@ -785,8 +785,7 @@ impl SpatialOracle {
         // Index construction is the dominant cost of the spatial backend's
         // build path, so it gets its own phase under an installed tracer.
         let _span = parfaclo_trace::timing_span("spatial-index");
-        // `SpatialMetric` *is* `DistanceKind` (one shared kernel type), so
-        // the kind flows straight into the index.
+        // The index takes the same `DistanceKind` the metric computes with.
         let kind = metric.kind();
         let (from_coords, from_dim) = flatten(metric.from_points());
         let row_index = Arc::new(SpatialIndex::build(from_coords, from_dim, kind));

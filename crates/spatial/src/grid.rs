@@ -8,19 +8,19 @@
 //! blocked distance kernels in `parfaclo-kernel`. Pruning never trusts the *nominal* cell geometry
 //! (a point can land an ulp outside its nominal cell box): every non-empty
 //! cell stores the **exact** bounding box of the points it actually holds,
-//! and [`SpatialMetric::box_lower_bound`] against that box is a computed
+//! and [`DistanceKind::box_lower_bound`] against that box is a computed
 //! lower bound on every contained point's computed distance. Ring expansion
 //! stops against a deliberately slackened ring bound (factor 0.99), which
 //! costs at most one extra ring and removes any dependence on rounding
 //! details — queries are exact with lowest-id tie-breaking, matching a
 //! brute-force scan byte for byte.
 
-use crate::metric::SpatialMetric;
-use crate::query::{collect_slots, scan_slots, Accumulator, Best, KBest};
-use parfaclo_kernel::SoaPoints;
+use crate::query::{collect_slots, scan_slots, Best};
+use parfaclo_kernel::{DistanceKind, SoaPoints};
 
-/// The maximum dimension the grid supports (ring enumeration is written for
-/// up to three axes; higher dimensions go to the kd-tree).
+/// The maximum dimension the grid supports. Ring enumeration is written for
+/// up to three axes, and the workspace's generators make 1-D and 2-D
+/// points; higher dimensions go to the flat scan.
 pub const GRID_MAX_DIM: usize = 3;
 
 /// Safety slack for the ring-termination bound: rings are only abandoned
@@ -47,7 +47,7 @@ fn axis_cell(x: f64, lo: f64, cell: f64, count: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
     dim: usize,
-    metric: SpatialMetric,
+    metric: DistanceKind,
     /// Point coordinates in bucket (slot) order, one contiguous vector per
     /// axis — each cell's points are a contiguous slot run, so a cell scan
     /// is exactly one blocked-kernel tile pass.
@@ -80,7 +80,7 @@ impl UniformGrid {
     pub fn build(
         coords: Vec<f64>,
         dim: usize,
-        metric: SpatialMetric,
+        metric: DistanceKind,
         ids: Option<Vec<u32>>,
     ) -> Self {
         assert!(
@@ -320,7 +320,7 @@ impl UniformGrid {
         }
         let sep = RING_SLACK * self.cell * (ring - 1) as f64;
         match self.metric {
-            SpatialMetric::SquaredEuclidean => sep * sep,
+            DistanceKind::SquaredEuclidean => sep * sep,
             _ => sep,
         }
     }
@@ -359,29 +359,15 @@ impl UniformGrid {
         best.into_result()
     }
 
-    /// The `k` nearest indexed points to `q` in ascending `(distance, id)`
-    /// order (fewer when the index holds fewer than `k` points).
-    pub fn k_nearest(&self, q: &[f64], k: usize) -> Vec<(usize, f64)> {
-        assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        let mut best = KBest::new(k);
-        if k > 0 && !self.is_empty() {
-            self.search_rings(q, &mut best);
-        }
-        best.into_sorted()
-    }
-
-    /// The one ring expansion behind both nearest and k-nearest: shells of
-    /// increasing Chebyshev cell-offset around the query's cell, per-cell
-    /// exact-bbox pruning, until the conservative ring bound beats the
-    /// accumulator's distance to beat (or the grid is exhausted).
-    fn search_rings<A: Accumulator>(&self, q: &[f64], acc: &mut A) {
+    /// The ring expansion behind nearest: shells of increasing Chebyshev
+    /// cell-offset around the query's cell, per-cell exact-bbox pruning,
+    /// until the conservative ring bound beats the best distance so far (or
+    /// the grid is exhausted).
+    fn search_rings(&self, q: &[f64], best: &mut Best) {
         let center = self.query_cell(q);
         let max_ring = self.max_ring(&center);
         for ring in 0..=max_ring {
-            if acc
-                .bound_to_beat()
-                .is_some_and(|d| self.ring_bound(ring) > d)
-            {
+            if best.prunes(self.ring_bound(ring)) {
                 break;
             }
             self.for_ring_cells(&center, ring, |c| {
@@ -390,10 +376,10 @@ impl UniformGrid {
                     return;
                 }
                 let (blo, bhi) = self.cell_box(c);
-                if acc.prunes(self.metric.box_lower_bound(q, blo, bhi)) {
+                if best.prunes(self.metric.box_lower_bound(q, blo, bhi)) {
                     return;
                 }
-                scan_slots(self.metric, q, &self.soa, s0, s1, &self.slot_ids, acc);
+                scan_slots(self.metric, q, &self.soa, s0, s1, &self.slot_ids, best);
             });
         }
     }
@@ -425,7 +411,7 @@ impl UniformGrid {
         // distance metrics, `sqrt(radius)` for squared Euclidean. One extra
         // cell of margin absorbs bucket-assignment rounding.
         let reach = match self.metric {
-            SpatialMetric::SquaredEuclidean => radius.sqrt(),
+            DistanceKind::SquaredEuclidean => radius.sqrt(),
             _ => radius,
         };
         let win_lo: Vec<usize> = (0..self.dim)
@@ -487,16 +473,16 @@ impl UniformGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests_util::{brute_k_nearest, brute_nearest, brute_range, sample_coords};
+    use crate::tests_util::{brute_nearest, brute_range, sample_coords};
 
     #[test]
     fn matches_brute_force_across_dims_and_metrics() {
         for &dim in &[1usize, 2, 3] {
             for metric in [
-                SpatialMetric::Euclidean,
-                SpatialMetric::SquaredEuclidean,
-                SpatialMetric::Manhattan,
-                SpatialMetric::Chebyshev,
+                DistanceKind::Euclidean,
+                DistanceKind::SquaredEuclidean,
+                DistanceKind::Manhattan,
+                DistanceKind::Chebyshev,
             ] {
                 let coords = sample_coords(301, dim, 0x9A1D + dim as u64);
                 let grid = UniformGrid::build(coords.clone(), dim, metric, None);
@@ -505,11 +491,6 @@ mod tests {
                     assert_eq!(
                         grid.nearest(q),
                         brute_nearest(&coords, dim, metric, q),
-                        "dim {dim} {metric:?}"
-                    );
-                    assert_eq!(
-                        grid.k_nearest(q, 9),
-                        brute_k_nearest(&coords, dim, metric, q, 9),
                         "dim {dim} {metric:?}"
                     );
                     let r = metric.distance(q, &coords[..dim]);
@@ -526,38 +507,31 @@ mod tests {
     #[test]
     fn all_points_identical_is_one_degenerate_cell() {
         let coords = [3.5, -1.0].repeat(40);
-        let grid = UniformGrid::build(coords, 2, SpatialMetric::Euclidean, None);
+        let grid = UniformGrid::build(coords, 2, DistanceKind::Euclidean, None);
         assert_eq!(grid.nearest(&[3.5, -1.0]), Some((0, 0.0)));
         assert_eq!(grid.nearest(&[100.0, 100.0]).map(|(id, _)| id), Some(0));
         assert_eq!(grid.range(&[3.5, -1.0], 0.0).len(), 40);
-        assert_eq!(
-            grid.k_nearest(&[0.0, 0.0], 3)
-                .iter()
-                .map(|&(id, _)| id)
-                .collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
     }
 
     #[test]
     fn queries_far_outside_the_bounding_box() {
         let coords = sample_coords(120, 2, 7);
-        let grid = UniformGrid::build(coords.clone(), 2, SpatialMetric::Manhattan, None);
+        let grid = UniformGrid::build(coords.clone(), 2, DistanceKind::Manhattan, None);
         for q in [[-1e4, -1e4], [1e4, 0.0], [0.5, 1e6]] {
             assert_eq!(
                 grid.nearest(&q),
-                brute_nearest(&coords, 2, SpatialMetric::Manhattan, &q)
+                brute_nearest(&coords, 2, DistanceKind::Manhattan, &q)
             );
             assert_eq!(
                 grid.range(&q, 2e4),
-                brute_range(&coords, 2, SpatialMetric::Manhattan, &q, 2e4)
+                brute_range(&coords, 2, DistanceKind::Manhattan, &q, 2e4)
             );
         }
     }
 
     #[test]
     fn empty_grid_and_custom_ids() {
-        let empty = UniformGrid::build(Vec::new(), 2, SpatialMetric::Euclidean, None);
+        let empty = UniformGrid::build(Vec::new(), 2, DistanceKind::Euclidean, None);
         assert!(empty.is_empty());
         assert_eq!(empty.nearest(&[0.0, 0.0]), None);
         assert!(empty.range(&[0.0, 0.0], 1e9).is_empty());
@@ -565,7 +539,7 @@ mod tests {
         let grid = UniformGrid::build(
             vec![0.0, 5.0, 9.0],
             1,
-            SpatialMetric::Euclidean,
+            DistanceKind::Euclidean,
             Some(vec![30, 20, 10]),
         );
         assert_eq!(grid.nearest(&[8.0]), Some((10, 1.0)));
@@ -575,11 +549,11 @@ mod tests {
     #[test]
     fn rejects_unsupported_dimensions() {
         let r = std::panic::catch_unwind(|| {
-            UniformGrid::build(vec![0.0; 8], 4, SpatialMetric::Euclidean, None)
+            UniformGrid::build(vec![0.0; 8], 4, DistanceKind::Euclidean, None)
         });
         assert!(r.is_err(), "dim 4 must be rejected");
         let r = std::panic::catch_unwind(|| {
-            UniformGrid::build(Vec::new(), 0, SpatialMetric::Euclidean, None)
+            UniformGrid::build(Vec::new(), 0, DistanceKind::Euclidean, None)
         });
         assert!(r.is_err(), "dim 0 must be rejected");
     }

@@ -1,24 +1,23 @@
 //! The unified index: structure selection (the "query planner" for builds)
-//! and a flat-scan fallback.
+//! and the flat scan.
 //!
 //! [`SpatialIndex::build`] picks the structure from the input shape alone —
 //! a pure function of `(n, dim)`, so the choice is deterministic:
 //!
-//! * tiny sets (or zero-dimensional points) → [`Flat`] linear scan: below
-//!   ~64 points a scan beats any structure's constant factor;
-//! * dimensions 1–3 → [`UniformGrid`]: O(1)-ish bucket lookup, the common
-//!   case for the workspace's geometric generators;
-//! * higher dimensions → [`KdTree`]: median-split, still exact.
+//! * dimensions 1–3 with more than 64 points → [`UniformGrid`]: O(1)-ish
+//!   bucket lookup, the case every geometric generator in the workspace
+//!   produces;
+//! * everything else → [`Flat`] linear scan: below ~64 points a scan beats
+//!   the grid's constant factor, zero-dimensional points have no structure,
+//!   and no workload builds points above three dimensions.
 //!
-//! All three answer every query identically (exact, lowest-id ties), so the
+//! Both answer every query identically (exact, lowest-id ties), so the
 //! planner is a pure performance decision — asserted by the conformance
 //! tests in this crate.
 
 use crate::grid::{UniformGrid, GRID_MAX_DIM};
-use crate::kdtree::KdTree;
-use crate::metric::SpatialMetric;
-use crate::query::{collect_slots, scan_slots, Accumulator, Best, KBest};
-use parfaclo_kernel::SoaPoints;
+use crate::query::{collect_slots, scan_slots, Best};
+use parfaclo_kernel::{DistanceKind, SoaPoints};
 
 /// Point sets at or below this size are served by a flat scan.
 const FLAT_MAX: usize = 64;
@@ -52,14 +51,14 @@ pub(crate) fn checked_point_count(coords: &[f64], dim: usize, ids: Option<&[u32]
     n
 }
 
-/// Linear-scan fallback for tiny point sets (and dimension 0, where every
-/// distance is 0 and structure is meaningless). The whole set is one
-/// contiguous slot run through the blocked kernels — a flat index *is* a
-/// cache tile.
+/// Linear scan for tiny point sets, dimension 0 (where every distance is 0
+/// and structure is meaningless) and dimensions above 3. The whole set is
+/// one contiguous slot run through the blocked kernels — a flat index *is*
+/// a cache tile.
 #[derive(Debug, Clone)]
 pub struct Flat {
     dim: usize,
-    metric: SpatialMetric,
+    metric: DistanceKind,
     /// Slot-ordered coordinates; slot == original position.
     soa: SoaPoints,
     /// Caller id per slot (identity when no map was supplied).
@@ -71,7 +70,7 @@ impl Flat {
     pub fn build(
         coords: Vec<f64>,
         dim: usize,
-        metric: SpatialMetric,
+        metric: DistanceKind,
         ids: Option<Vec<u32>>,
     ) -> Self {
         let n = checked_point_count(&coords, dim, ids.as_deref());
@@ -87,9 +86,9 @@ impl Flat {
         self.slot_ids.len()
     }
 
-    /// The one scan behind both nearest and k-nearest.
-    fn scan_into<A: Accumulator>(&self, q: &[f64], acc: &mut A) {
+    fn nearest(&self, q: &[f64]) -> Option<(usize, f64)> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
+        let mut best = Best::new();
         scan_slots(
             self.metric,
             q,
@@ -97,22 +96,9 @@ impl Flat {
             0,
             self.len(),
             &self.slot_ids,
-            acc,
+            &mut best,
         );
-    }
-
-    fn nearest(&self, q: &[f64]) -> Option<(usize, f64)> {
-        let mut best = Best::new();
-        self.scan_into(q, &mut best);
         best.into_result()
-    }
-
-    fn k_nearest(&self, q: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut best = KBest::new(k);
-        if k > 0 {
-            self.scan_into(q, &mut best);
-        }
-        best.into_sorted()
     }
 
     fn range(&self, q: &[f64], radius: f64) -> Vec<usize> {
@@ -138,15 +124,13 @@ impl Flat {
 }
 
 /// A deterministic exact spatial index over a flat coordinate array:
-/// one of the three concrete structures behind one query surface.
+/// one of the two concrete structures behind one query surface.
 #[derive(Debug, Clone)]
 pub enum SpatialIndex {
-    /// Linear scan (tiny sets, dimension 0).
+    /// Linear scan (tiny sets, dimension 0, dimensions above 3).
     Flat(Flat),
     /// Uniform bucket grid (dimensions 1–3).
     Grid(UniformGrid),
-    /// Median-split kd-tree (higher dimensions).
-    Kd(KdTree),
 }
 
 impl SpatialIndex {
@@ -156,7 +140,7 @@ impl SpatialIndex {
     /// # Panics
     /// Panics if the coordinate count is not a multiple of `dim` or a
     /// coordinate is non-finite.
-    pub fn build(coords: Vec<f64>, dim: usize, metric: SpatialMetric) -> Self {
+    pub fn build(coords: Vec<f64>, dim: usize, metric: DistanceKind) -> Self {
         Self::build_with_ids(coords, dim, metric, None)
     }
 
@@ -167,16 +151,14 @@ impl SpatialIndex {
     pub fn build_with_ids(
         coords: Vec<f64>,
         dim: usize,
-        metric: SpatialMetric,
+        metric: DistanceKind,
         ids: Option<Vec<u32>>,
     ) -> Self {
         let n = checked_point_count(&coords, dim, ids.as_deref());
-        if n <= FLAT_MAX || dim == 0 {
+        if n <= FLAT_MAX || dim == 0 || dim > GRID_MAX_DIM {
             SpatialIndex::Flat(Flat::build(coords, dim, metric, ids))
-        } else if dim <= GRID_MAX_DIM {
-            SpatialIndex::Grid(UniformGrid::build(coords, dim, metric, ids))
         } else {
-            SpatialIndex::Kd(KdTree::build(coords, dim, metric, ids))
+            SpatialIndex::Grid(UniformGrid::build(coords, dim, metric, ids))
         }
     }
 
@@ -185,7 +167,6 @@ impl SpatialIndex {
         match self {
             SpatialIndex::Flat(f) => f.len(),
             SpatialIndex::Grid(g) => g.len(),
-            SpatialIndex::Kd(t) => t.len(),
         }
     }
 
@@ -199,7 +180,6 @@ impl SpatialIndex {
         match self {
             SpatialIndex::Flat(_) => "flat",
             SpatialIndex::Grid(_) => "grid",
-            SpatialIndex::Kd(_) => "kd",
         }
     }
 
@@ -209,17 +189,6 @@ impl SpatialIndex {
         match self {
             SpatialIndex::Flat(f) => f.nearest(q),
             SpatialIndex::Grid(g) => g.nearest(q),
-            SpatialIndex::Kd(t) => t.nearest(q),
-        }
-    }
-
-    /// The `k` nearest indexed points in ascending `(distance, id)` order
-    /// (fewer when the index holds fewer than `k`).
-    pub fn k_nearest(&self, q: &[f64], k: usize) -> Vec<(usize, f64)> {
-        match self {
-            SpatialIndex::Flat(f) => f.k_nearest(q, k),
-            SpatialIndex::Grid(g) => g.k_nearest(q, k),
-            SpatialIndex::Kd(t) => t.k_nearest(q, k),
         }
     }
 
@@ -229,17 +198,16 @@ impl SpatialIndex {
         match self {
             SpatialIndex::Flat(f) => f.range(q, radius),
             SpatialIndex::Grid(g) => g.range(q, radius),
-            SpatialIndex::Kd(t) => t.range(q, radius),
         }
     }
 
     /// [`SpatialIndex::range`], or `None` when the grid's query window
     /// holds more than `max_points` points, counted before any distance is
-    /// computed. The flat index and the kd-tree always answer.
+    /// computed. The flat index always answers.
     pub fn range_capped(&self, q: &[f64], radius: f64, max_points: usize) -> Option<Vec<usize>> {
         match self {
+            SpatialIndex::Flat(f) => Some(f.range(q, radius)),
             SpatialIndex::Grid(g) => g.range_capped(q, radius, max_points),
-            _ => Some(self.range(q, radius)),
         }
     }
 
@@ -249,7 +217,6 @@ impl SpatialIndex {
         match self {
             SpatialIndex::Flat(f) => f.memory_bytes(),
             SpatialIndex::Grid(g) => g.memory_bytes(),
-            SpatialIndex::Kd(t) => t.memory_bytes(),
         }
     }
 }
@@ -261,55 +228,47 @@ mod tests {
 
     #[test]
     fn planner_picks_by_size_and_dimension() {
-        let tiny = SpatialIndex::build(sample_coords(10, 2, 1), 2, SpatialMetric::Euclidean);
+        let tiny = SpatialIndex::build(sample_coords(10, 2, 1), 2, DistanceKind::Euclidean);
         assert_eq!(tiny.structure(), "flat");
-        let low = SpatialIndex::build(sample_coords(500, 2, 1), 2, SpatialMetric::Euclidean);
+        let low = SpatialIndex::build(sample_coords(500, 2, 1), 2, DistanceKind::Euclidean);
         assert_eq!(low.structure(), "grid");
-        let high = SpatialIndex::build(sample_coords(500, 10, 1), 10, SpatialMetric::Euclidean);
-        assert_eq!(high.structure(), "kd");
-        let zero_dim = SpatialIndex::build(Vec::new(), 0, SpatialMetric::Euclidean);
+        let high = SpatialIndex::build(sample_coords(500, 10, 1), 10, DistanceKind::Euclidean);
+        assert_eq!(high.structure(), "flat");
+        let zero_dim = SpatialIndex::build(Vec::new(), 0, DistanceKind::Euclidean);
         assert_eq!(zero_dim.structure(), "flat");
         assert!(zero_dim.is_empty());
     }
 
     #[test]
     fn structures_answer_identically() {
-        // Same point set through all three structures: every query agrees.
+        // Same point set through both structures: every query agrees.
         let dim = 2;
         let coords = sample_coords(300, dim, 99);
-        let metric = SpatialMetric::Euclidean;
+        let metric = DistanceKind::Euclidean;
         let flat = Flat::build(coords.clone(), dim, metric, None);
         let grid = UniformGrid::build(coords.clone(), dim, metric, None);
-        let kd = KdTree::build(coords.clone(), dim, metric, None);
         for q in sample_coords(25, dim, 7).chunks(dim) {
-            let f = flat.nearest(q);
-            assert_eq!(f, grid.nearest(q));
-            assert_eq!(f, kd.nearest(q));
-            let fk = flat.k_nearest(q, 5);
-            assert_eq!(fk, grid.k_nearest(q, 5));
-            assert_eq!(fk, kd.k_nearest(q, 5));
+            assert_eq!(flat.nearest(q), grid.nearest(q));
             let r = 12.5;
-            let fr = flat.range(q, r);
-            assert_eq!(fr, grid.range(q, r));
-            assert_eq!(fr, kd.range(q, r));
+            assert_eq!(flat.range(q, r), grid.range(q, r));
         }
     }
 
     #[test]
     fn rejects_malformed_inputs() {
         assert!(std::panic::catch_unwind(|| {
-            SpatialIndex::build(vec![1.0, 2.0, 3.0], 2, SpatialMetric::Euclidean)
+            SpatialIndex::build(vec![1.0, 2.0, 3.0], 2, DistanceKind::Euclidean)
         })
         .is_err());
         assert!(std::panic::catch_unwind(|| {
-            SpatialIndex::build(vec![1.0, f64::NAN], 2, SpatialMetric::Euclidean)
+            SpatialIndex::build(vec![1.0, f64::NAN], 2, DistanceKind::Euclidean)
         })
         .is_err());
         assert!(std::panic::catch_unwind(|| {
             SpatialIndex::build_with_ids(
                 vec![1.0, 2.0],
                 2,
-                SpatialMetric::Euclidean,
+                DistanceKind::Euclidean,
                 Some(vec![1, 2]),
             )
         })
@@ -318,7 +277,7 @@ mod tests {
 
     #[test]
     fn memory_bytes_counts_the_structure() {
-        let idx = SpatialIndex::build(sample_coords(200, 2, 3), 2, SpatialMetric::Euclidean);
+        let idx = SpatialIndex::build(sample_coords(200, 2, 3), 2, DistanceKind::Euclidean);
         // At least the coordinate copy itself.
         assert!(idx.memory_bytes() >= (200 * 2 * 8) as u64);
     }

@@ -2,63 +2,77 @@
 //!
 //! Deterministic, exact spatial indexes for the `parfaclo` workspace — the
 //! query subsystem that replaces the implicit distance oracle's O(n) linear
-//! sweeps with sublinear nearest / k-nearest / range queries, opening the
-//! 10M-point workloads the dense matrix and the plain sweeps cannot reach.
+//! sweeps with sublinear nearest and range queries, opening the 10M-point
+//! workloads the dense matrix and the plain sweeps cannot reach.
 //!
 //! ## Contract
 //!
 //! Every structure in this crate answers every query **exactly** as a
 //! brute-force scan would, byte for byte:
 //!
-//! * distances are computed with the same operations in the same order as
-//!   `parfaclo-metric`'s `Point::distance` (see [`SpatialMetric`]), so the
-//!   values are bit-identical to the dense matrix's entries;
+//! * distances are computed by `parfaclo-kernel`'s [`DistanceKind`], the
+//!   one slice kernel `parfaclo-metric`'s `Point::distance` also runs, so
+//!   the values are bit-identical to the dense matrix's entries;
 //! * ties are always broken towards the **lowest point id** — the same rule
 //!   the `DistanceOracle` sweeps document;
-//! * pruning uses *computed* lower bounds (monotone rounded arithmetic of
-//!   the same shape as the distance computation) compared **strictly**, so
-//!   no equal-distance candidate is ever skipped;
+//! * pruning uses *computed* lower bounds compared **strictly** (see
+//!   below), so no equal-distance candidate is ever skipped;
 //! * construction and traversal are pure functions of the input point set —
-//!   never of thread count: parallel builds only split recursion across
-//!   workers, the resulting structure is identical at any pool size.
+//!   never of thread count.
 //!
 //! Because of that contract, a solver routed through this crate emits
 //! canonical Run JSON byte-identical to the dense and implicit backends.
 //!
+//! ## Computed lower bounds
+//!
+//! The grid prunes with [`DistanceKind::box_lower_bound`], and that bound
+//! is a *computed* lower bound, not just a mathematical one: it is evaluated
+//! with the same shape of rounded IEEE operations as the distance itself
+//! (per-coordinate displacement → square/abs → left-to-right sum or max →
+//! optional sqrt). Because every one of those operations is monotone under
+//! rounding, the computed bound of a box never exceeds the computed
+//! distance of any point inside it. Searches therefore prune only on a
+//! **strict** `bound > best` comparison and remain exact — including ties,
+//! which are always resolved towards the lowest point id.
+//!
 //! ## Structures
 //!
-//! [`SpatialIndex::build`] picks automatically: a flat scan for tiny sets, a
-//! [`UniformGrid`] for dimensions 1–3 (the workspace's geometric
-//! generators), a median-split [`KdTree`] above that. Subset queries
-//! (nearest-in-set over, say, the currently open facilities) go through
-//! [`SpatialIndex::build_with_ids`], which indexes a point subset while
-//! reporting and tie-breaking on the caller's original ids.
+//! [`SpatialIndex::build`] picks from `(n, dim)` alone: a [`UniformGrid`]
+//! for dimensions 1–3 (the workspace's generators make 1-D and 2-D
+//! points), and a [`Flat`] scan for everything else — at most 64 points,
+//! dimension 0, or dimension above 3. No workload builds points above three
+//! dimensions, so none keeps a tree for them; the flat scan answers them
+//! exactly. Subset queries (nearest-in-set over, say, the currently open
+//! facilities) go through [`SpatialIndex::build_with_ids`], which indexes a
+//! point subset while reporting and tie-breaking on the caller's original
+//! ids.
+//!
+//! [`DistanceKind`]: parfaclo_kernel::DistanceKind
+//! [`DistanceKind::box_lower_bound`]: parfaclo_kernel::DistanceKind::box_lower_bound
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod grid;
 pub mod index;
-pub mod kdtree;
-pub mod metric;
 mod query;
 #[cfg(test)]
 pub(crate) mod tests_util;
 
 pub use grid::UniformGrid;
 pub use index::{Flat, SpatialIndex};
-pub use kdtree::KdTree;
-pub use metric::SpatialMetric;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests_util::{brute_k_nearest, brute_nearest, brute_range, sample_coords};
+    use crate::tests_util::{brute_nearest, brute_range, sample_coords};
+    use parfaclo_kernel::DistanceKind;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
     /// The workspace-style seeded property sweep: many seeds, every metric,
-    /// dimensions 1/2/3/10, duplicates injected, index vs brute force.
+    /// dimensions 1/2/3 (the grid) and 10 (the flat scan), duplicates
+    /// injected, index vs brute force.
     #[test]
     fn property_index_matches_brute_force() {
         for seed in 0..8u64 {
@@ -74,10 +88,10 @@ mod tests {
                     coords[dst * dim..(dst + 1) * dim].copy_from_slice(&from);
                 }
                 for metric in [
-                    SpatialMetric::Euclidean,
-                    SpatialMetric::SquaredEuclidean,
-                    SpatialMetric::Manhattan,
-                    SpatialMetric::Chebyshev,
+                    DistanceKind::Euclidean,
+                    DistanceKind::SquaredEuclidean,
+                    DistanceKind::Manhattan,
+                    DistanceKind::Chebyshev,
                 ] {
                     let idx = SpatialIndex::build(coords.clone(), dim, metric);
                     for _ in 0..6 {
@@ -89,15 +103,9 @@ mod tests {
                             "seed {seed} dim {dim} {metric:?} ({})",
                             idx.structure()
                         );
-                        let k = 1 + (seed as usize % 9);
-                        assert_eq!(
-                            idx.k_nearest(&q, k),
-                            brute_k_nearest(&coords, dim, metric, &q, k),
-                            "seed {seed} dim {dim} {metric:?} k {k}"
-                        );
                         let radius = rng.gen::<f64>() * 60.0;
                         let radius = match metric {
-                            SpatialMetric::SquaredEuclidean => radius * radius,
+                            DistanceKind::SquaredEuclidean => radius * radius,
                             _ => radius,
                         };
                         assert_eq!(
@@ -113,7 +121,7 @@ mod tests {
 
     /// The fully degenerate input: every point equidistant from the query
     /// (a circle) — ties everywhere; the lowest id must win and range must
-    /// return everyone, in every structure.
+    /// return everyone, in both structures.
     #[test]
     fn all_equidistant_points_tie_to_lowest_id() {
         let n = 200usize;
@@ -124,11 +132,10 @@ mod tests {
             })
             .collect();
         let q = [0.0, 0.0];
-        for metric in [SpatialMetric::Euclidean, SpatialMetric::SquaredEuclidean] {
+        for metric in [DistanceKind::Euclidean, DistanceKind::SquaredEuclidean] {
             for idx in [
                 SpatialIndex::Flat(Flat::build(coords.clone(), 2, metric, None)),
                 SpatialIndex::Grid(UniformGrid::build(coords.clone(), 2, metric, None)),
-                SpatialIndex::Kd(KdTree::build(coords.clone(), 2, metric, None)),
             ] {
                 let (id, _) = idx.nearest(&q).unwrap();
                 assert_eq!(
@@ -145,8 +152,6 @@ mod tests {
                     "{metric:?} {}",
                     idx.structure()
                 );
-                let k = idx.k_nearest(&q, 5);
-                assert_eq!(k, brute_k_nearest(&coords, 2, metric, &q, 5));
             }
         }
     }
@@ -157,7 +162,7 @@ mod tests {
     fn subset_index_matches_subset_scan() {
         let dim = 2;
         let coords = sample_coords(150, dim, 11);
-        let metric = SpatialMetric::Euclidean;
+        let metric = DistanceKind::Euclidean;
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for _ in 0..10 {
             let subset: Vec<u32> = (0..150u32).filter(|_| rng.gen::<f64>() < 0.3).collect();

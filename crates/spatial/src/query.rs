@@ -1,27 +1,26 @@
-//! Shared query state: running best / best-k accumulators with the
-//! canonical `(distance, id)` tie-breaking every index must honour, plus
-//! the one blocked scan every structure's contiguous point run (flat set,
-//! grid bucket, kd leaf) funnels through.
+//! Shared query state: the running nearest candidate with the canonical
+//! `(distance, id)` tie-breaking every index must honour, plus the one
+//! blocked scan every structure's contiguous point run (flat set, grid
+//! bucket) funnels through.
 
 use parfaclo_kernel::{block, DistanceKind, SoaPoints};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Streams the contiguous slot range `[start, end)` of `pts` through the
 /// blocked distance kernel — one stack tile at a time, no allocation —
-/// offering each `(distance, ids[slot])` to the accumulator in ascending
-/// slot order. Distances are bit-identical to the scalar
-/// `DistanceKind::distance` per point, and the accumulators' `(distance,
-/// id)` ordering is insensitive to visit order, so a structure that swaps
-/// its per-point loop for this scan changes no output byte.
-pub(crate) fn scan_slots<A: Accumulator>(
+/// offering each `(distance, ids[slot])` to `best` in ascending slot order.
+/// Distances are bit-identical to the scalar `DistanceKind::distance` per
+/// point, and [`Best`]'s `(distance, id)` ordering is insensitive to visit
+/// order, so a structure that swaps its per-point loop for this scan
+/// changes no output byte.
+pub(crate) fn scan_slots(
     metric: DistanceKind,
     q: &[f64],
     pts: &SoaPoints,
     start: usize,
     end: usize,
     ids: &[u32],
-    acc: &mut A,
+    best: &mut Best,
 ) {
     let mut buf = [0.0f64; block::TILE];
     let mut s = start;
@@ -29,7 +28,7 @@ pub(crate) fn scan_slots<A: Accumulator>(
         let len = block::TILE.min(end - s);
         block::dist_range(metric, q, pts, s, &mut buf[..len]);
         for (o, &d) in buf[..len].iter().enumerate() {
-            acc.consider(d, ids[s + o] as usize);
+            best.consider(d, ids[s + o] as usize);
         }
         s += len;
     }
@@ -96,28 +95,11 @@ fn cmp_entry(a: (f64, usize), b: (f64, usize)) -> Ordering {
         .then(a.1.cmp(&b.1))
 }
 
-/// One shared surface for the two query accumulators, so every index
-/// structure has exactly **one** traversal per shape (point scan, tree
-/// descent, ring expansion) instead of a nearest/k-nearest twin that could
-/// drift apart. The pruning rule lives here once: a subtree/cell may be
-/// skipped only when its computed lower bound **strictly** exceeds the
-/// distance to beat — an equal bound may still hide an equal-distance
-/// point with a lower id.
-pub(crate) trait Accumulator {
-    /// Offers a candidate point.
-    fn consider(&mut self, d: f64, id: usize);
-
-    /// The distance a new candidate must beat, if the accumulator is
-    /// saturated enough to prune at all (`None` ⇒ never prune yet).
-    fn bound_to_beat(&self) -> Option<f64>;
-
-    /// Whether a region with computed lower bound `bound` can be skipped.
-    fn prunes(&self, bound: f64) -> bool {
-        self.bound_to_beat().is_some_and(|d| bound > d)
-    }
-}
-
 /// Running nearest candidate: minimal `(distance, id)`.
+///
+/// The pruning rule lives here once: a cell may be skipped only when its
+/// computed lower bound **strictly** exceeds the distance to beat — an
+/// equal bound may still hide an equal-distance point with a lower id.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Best {
     d: f64,
@@ -141,11 +123,10 @@ impl Best {
             None
         }
     }
-}
 
-impl Accumulator for Best {
+    /// Offers a candidate point.
     #[inline]
-    fn consider(&mut self, d: f64, id: usize) {
+    pub(crate) fn consider(&mut self, d: f64, id: usize) {
         if !self.found || cmp_entry((d, id), (self.d, self.id)) == Ordering::Less {
             self.d = d;
             self.id = id;
@@ -153,88 +134,21 @@ impl Accumulator for Best {
         }
     }
 
+    /// The distance a new candidate must beat, once any candidate is held
+    /// (`None` ⇒ never prune yet).
     #[inline]
-    fn bound_to_beat(&self) -> Option<f64> {
+    pub(crate) fn bound_to_beat(&self) -> Option<f64> {
         if self.found {
             Some(self.d)
         } else {
             None
         }
     }
-}
 
-/// Max-heap entry ordered by `(distance, id)` so the *worst* kept candidate
-/// sits on top.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    d: f64,
-    id: usize,
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        cmp_entry((self.d, self.id), (other.d, other.id))
-    }
-}
-
-/// Running best-`k` candidates: the `k` minimal `(distance, id)` pairs.
-#[derive(Debug, Clone)]
-pub(crate) struct KBest {
-    k: usize,
-    heap: BinaryHeap<HeapEntry>,
-}
-
-impl KBest {
-    pub(crate) fn new(k: usize) -> Self {
-        KBest {
-            k,
-            heap: BinaryHeap::with_capacity(k.min(1 << 20)),
-        }
-    }
-
-    pub(crate) fn into_sorted(self) -> Vec<(usize, f64)> {
-        self.heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|e| (e.id, e.d))
-            .collect()
-    }
-}
-
-impl Accumulator for KBest {
+    /// Whether a region with computed lower bound `bound` can be skipped.
     #[inline]
-    fn consider(&mut self, d: f64, id: usize) {
-        if self.k == 0 {
-            return;
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(HeapEntry { d, id });
-        } else {
-            let worst = *self.heap.peek().expect("k >= 1 and heap full");
-            if cmp_entry((d, id), (worst.d, worst.id)) == Ordering::Less {
-                self.heap.pop();
-                self.heap.push(HeapEntry { d, id });
-            }
-        }
-    }
-
-    /// Worst kept distance once all `k` slots are held; underfull never
-    /// prunes.
-    #[inline]
-    fn bound_to_beat(&self) -> Option<f64> {
-        if self.k > 0 && self.heap.len() == self.k {
-            self.heap.peek().map(|w| w.d)
-        } else {
-            None
-        }
+    pub(crate) fn prunes(&self, bound: f64) -> bool {
+        self.bound_to_beat().is_some_and(|d| bound > d)
     }
 }
 
@@ -255,29 +169,5 @@ mod tests {
         b.consider(1.0, 7);
         assert!(b.prunes(1.5));
         assert!(!b.prunes(1.0), "equal bound must not prune (tie safety)");
-    }
-
-    #[test]
-    fn kbest_keeps_minimal_pairs_sorted() {
-        let mut kb = KBest::new(3);
-        for (d, id) in [(5.0, 0), (1.0, 4), (1.0, 2), (3.0, 1), (1.0, 9)] {
-            kb.consider(d, id);
-        }
-        assert!(kb.prunes(3.5));
-        assert!(!kb.prunes(1.0));
-        assert_eq!(kb.into_sorted(), vec![(2, 1.0), (4, 1.0), (9, 1.0)]);
-    }
-
-    #[test]
-    fn kbest_zero_and_underfull() {
-        let mut kb = KBest::new(0);
-        kb.consider(1.0, 1);
-        assert!(kb.into_sorted().is_empty());
-
-        let mut kb = KBest::new(5);
-        kb.consider(2.0, 1);
-        assert!(!kb.prunes(100.0), "underfull never prunes");
-        assert_eq!(kb.bound_to_beat(), None);
-        assert_eq!(kb.into_sorted(), vec![(1, 2.0)]);
     }
 }

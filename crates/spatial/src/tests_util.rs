@@ -1,7 +1,7 @@
 //! Brute-force reference implementations and deterministic samplers shared
 //! by the index test suites. Compiled only for tests.
 
-use crate::metric::SpatialMetric;
+use parfaclo_kernel::DistanceKind;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -20,7 +20,7 @@ fn point(coords: &[f64], dim: usize, pos: usize) -> &[f64] {
 pub fn brute_nearest(
     coords: &[f64],
     dim: usize,
-    metric: SpatialMetric,
+    metric: DistanceKind,
     q: &[f64],
 ) -> Option<(usize, f64)> {
     let n = coords.len() / dim.max(1);
@@ -29,28 +29,11 @@ pub fn brute_nearest(
         .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
 }
 
-/// Reference k-nearest: full sort by `(distance, id)`, first `k`.
-pub fn brute_k_nearest(
-    coords: &[f64],
-    dim: usize,
-    metric: SpatialMetric,
-    q: &[f64],
-    k: usize,
-) -> Vec<(usize, f64)> {
-    let n = coords.len() / dim.max(1);
-    let mut all: Vec<(usize, f64)> = (0..n)
-        .map(|pos| (pos, metric.distance(q, point(coords, dim, pos))))
-        .collect();
-    all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-    all.truncate(k);
-    all
-}
-
 /// Reference range: ascending ids with `d <= radius` (inclusive).
 pub fn brute_range(
     coords: &[f64],
     dim: usize,
-    metric: SpatialMetric,
+    metric: DistanceKind,
     q: &[f64],
     radius: f64,
 ) -> Vec<usize> {
