@@ -67,9 +67,8 @@ fn dominator_run(
     };
     let g = {
         let _span = trace::span("threshold-graph", Some(&meter));
-        CsrGraph::check_threshold_cap(inst.distances(), threshold)
+        let g = CsrGraph::try_from_threshold_oracle(inst.distances(), threshold)
             .map_err(|e| format!("{e}; pass a smaller --threshold"))?;
-        let g = CsrGraph::from_threshold_oracle(inst.distances(), threshold);
         meter.add_primitive(n * n);
         g
     };

@@ -6,7 +6,10 @@
 //! issues one `cols_within` range query per node — the queries run in
 //! parallel, and because every backend returns its hits in ascending column
 //! order (the contract `cols_within` documents and tests), the assembled
-//! arrays are byte-identical at any thread count.
+//! arrays are byte-identical at any thread count. The capped build
+//! ([`CsrGraph::try_from_threshold_oracle`]) runs the same queries once, in
+//! blocks, and refuses as soon as the rows it holds say the arrays would
+//! pass the scratch cap.
 //!
 //! [`DistanceOracle`]: parfaclo_metric::DistanceOracle
 
@@ -18,13 +21,19 @@ use rayon::prelude::*;
 /// are dropped.
 const BUILD_BYTES_PER_EDGE: u64 = 8;
 
-/// A threshold-graph build refused before it started, because its CSR
-/// arrays would pass the scratch cap.
+/// Rows per block of range queries in a capped threshold build whose
+/// complete graph would pass the cap: the running edge total is checked
+/// after each block.
+const BUILD_BLOCK: usize = 1024;
+
+/// A threshold-graph build refused partway, because the rows built so far
+/// already hold enough edges to take its CSR arrays past the scratch cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphTooLarge {
     n: usize,
     alpha: f64,
-    /// Directed edges counted when the count stopped: at least this many.
+    /// Directed edges in the rows built when the build stopped: the graph
+    /// holds at least this many.
     directed_edges: u64,
     cap_bytes: u64,
 }
@@ -110,41 +119,33 @@ impl CsrGraph {
     /// already sorted; on the spatial backend each query is sublinear, so the
     /// whole build is `O(n·query + m)` instead of `O(n²)`. The build holds
     /// 8 bytes per directed edge at its peak and refuses nothing; callers
-    /// that take `alpha` from their input ask
-    /// [`CsrGraph::check_threshold_cap`] first.
+    /// that take `alpha` from their input build through
+    /// [`CsrGraph::try_from_threshold_oracle`] instead.
     ///
     /// # Panics
     /// Panics if the oracle is not square or has `u32::MAX` or more rows.
     pub fn from_threshold_oracle(oracle: &Oracle, alpha: f64) -> Self {
-        let n = oracle.rows();
-        assert_eq!(n, oracle.cols(), "threshold graphs need a square oracle");
-        assert!((n as u64) < u32::MAX as u64, "CSR node ids are u32");
-        let rows: Vec<Vec<u32>> = (0..n)
-            .into_par_iter()
-            .with_min_len(16)
-            .map(|a| {
-                oracle
-                    .cols_within(a, alpha)
-                    .into_iter()
-                    .filter(|&b| b != a)
-                    .map(|b| b as u32)
-                    .collect()
-            })
-            .collect();
-        Self::from_rows(n, rows)
+        threshold_build(oracle, alpha, u64::MAX).expect("an uncapped build never refuses")
     }
 
-    /// Refuses, before any allocation that grows with the edges, a
-    /// [`CsrGraph::from_threshold_oracle`] build whose peak would pass
-    /// [`SCRATCH_BYTES_CAP`].
+    /// [`CsrGraph::from_threshold_oracle`], refused once its peak of 8
+    /// bytes per directed edge would pass [`SCRATCH_BYTES_CAP`].
     ///
-    /// When even the complete graph fits (`n·(n−1)·8` bytes within the cap,
-    /// so `n ≤ 23,170`) nothing is counted. Otherwise the row lengths are
-    /// counted in blocks of range queries, and the count stops as soon as
-    /// the running total passes the cap, so a refusal costs at most one
-    /// block of queries past the cap's worth of edges.
-    pub fn check_threshold_cap(oracle: &Oracle, alpha: f64) -> Result<(), GraphTooLarge> {
-        check_threshold_cap_at(oracle, alpha, SCRATCH_BYTES_CAP)
+    /// While even the complete graph fits (`n·(n−1)·8` bytes within the cap,
+    /// so `n ≤ 23,170`) the build is the same single parallel pass. Past
+    /// that, the rows are built in blocks of 1,024 range queries with a
+    /// running total of their lengths, and the build stops at the first
+    /// block that takes the total past the cap. Each query runs once either
+    /// way; a refusal has by then held up to half the cap in rows, which is
+    /// what an accepted build just under the cap holds too.
+    ///
+    /// # Errors
+    /// [`GraphTooLarge`] when the graph's CSR build would pass the cap.
+    ///
+    /// # Panics
+    /// As [`CsrGraph::from_threshold_oracle`].
+    pub fn try_from_threshold_oracle(oracle: &Oracle, alpha: f64) -> Result<Self, GraphTooLarge> {
+        threshold_build(oracle, alpha, SCRATCH_BYTES_CAP)
     }
 
     /// The subgraph of `self` that keeps neighbour `b` of `a` iff
@@ -225,33 +226,36 @@ impl CsrGraph {
     }
 }
 
-/// [`CsrGraph::check_threshold_cap`] against an explicit cap.
-fn check_threshold_cap_at(
-    oracle: &Oracle,
-    alpha: f64,
-    cap_bytes: u64,
-) -> Result<(), GraphTooLarge> {
-    const BLOCK: usize = 1024;
+/// The threshold build behind [`CsrGraph::from_threshold_oracle`] and
+/// [`CsrGraph::try_from_threshold_oracle`], against an explicit cap.
+fn threshold_build(oracle: &Oracle, alpha: f64, cap_bytes: u64) -> Result<CsrGraph, GraphTooLarge> {
     let n = oracle.rows();
+    assert_eq!(n, oracle.cols(), "threshold graphs need a square oracle");
+    assert!((n as u64) < u32::MAX as u64, "CSR node ids are u32");
     let complete = (n as u64)
         .saturating_mul(n.saturating_sub(1) as u64)
         .saturating_mul(BUILD_BYTES_PER_EDGE);
-    if complete <= cap_bytes {
-        return Ok(());
-    }
+    let block = if complete <= cap_bytes {
+        n.max(1)
+    } else {
+        BUILD_BLOCK
+    };
+    let mut rows: Vec<Vec<u32>> = Vec::with_capacity(n);
     let mut directed_edges = 0u64;
-    for start in (0..n).step_by(BLOCK) {
-        let degrees: Vec<u64> = (start..n.min(start + BLOCK))
+    for start in (0..n).step_by(block) {
+        let built: Vec<Vec<u32>> = (start..n.min(start + block))
             .into_par_iter()
+            .with_min_len(16)
             .map(|a| {
                 oracle
                     .cols_within(a, alpha)
-                    .iter()
-                    .filter(|&&b| b != a)
-                    .count() as u64
+                    .into_iter()
+                    .filter(|&b| b != a)
+                    .map(|b| b as u32)
+                    .collect()
             })
             .collect();
-        directed_edges += degrees.iter().sum::<u64>();
+        directed_edges += built.iter().map(|row| row.len() as u64).sum::<u64>();
         if directed_edges.saturating_mul(BUILD_BYTES_PER_EDGE) > cap_bytes {
             return Err(GraphTooLarge {
                 n,
@@ -260,8 +264,9 @@ fn check_threshold_cap_at(
                 cap_bytes,
             });
         }
+        rows.extend(built);
     }
-    Ok(())
+    Ok(CsrGraph::from_rows(n, rows))
 }
 
 /// A bipartite graph `H = (U, V, E)` in CSR form, stored from both sides so
@@ -492,21 +497,49 @@ mod tests {
     #[test]
     fn threshold_builds_past_the_cap_are_refused() {
         // 40 nodes on a line: the complete graph's 1,560 directed edges
-        // need 12,480 bytes, past a 4,000-byte cap, so the rows get counted.
+        // need 12,480 bytes, past a 4,000-byte cap, so the rows are built
+        // in blocks (here one block holds all 40).
         let o = line_oracle(40);
         // α = 1 is the path graph: 78 directed edges, 624 bytes.
-        assert_eq!(check_threshold_cap_at(&o, 1.0, 4_000), Ok(()));
-        // α = 20 holds 1,180 directed edges (9,440 bytes). The count stops
-        // after the first block of rows, having seen all of them.
-        let err = check_threshold_cap_at(&o, 20.0, 4_000).unwrap_err();
+        assert_eq!(
+            threshold_build(&o, 1.0, 4_000),
+            Ok(CsrGraph::from_threshold_oracle(&o, 1.0))
+        );
+        // α = 20 holds 1,180 directed edges (9,440 bytes), all in the first
+        // block of rows.
+        let err = threshold_build(&o, 20.0, 4_000).unwrap_err();
         assert_eq!(
             (err.n, err.directed_edges, err.cap_bytes),
             (40, 1_180, 4_000)
         );
         assert!(err.to_string().contains("past the"), "{err}");
-        // A cap that holds the complete graph skips the count.
-        assert_eq!(check_threshold_cap_at(&o, 1e9, 12_480), Ok(()));
-        assert_eq!(CsrGraph::check_threshold_cap(&o, 1e9), Ok(()));
+        // A cap that holds the complete graph builds it in one pass.
+        assert_eq!(
+            threshold_build(&o, 1e9, 12_480),
+            Ok(CsrGraph::from_threshold_oracle(&o, 1e9))
+        );
+        assert_eq!(
+            CsrGraph::try_from_threshold_oracle(&o, 1e9),
+            Ok(CsrGraph::from_threshold_oracle(&o, 1e9))
+        );
+    }
+
+    #[test]
+    fn capped_threshold_builds_sum_edges_across_blocks() {
+        use parfaclo_metric::gen::{self, GenParams};
+        use parfaclo_metric::Backend;
+        // 3,000 unit-spaced points on a line: α = 1 is the path graph, whose
+        // 5,998 directed edges (47,984 bytes) span three blocks of rows.
+        let inst = gen::build_clustering(GenParams::line(3_000, 3_000), Backend::Spatial)
+            .expect("instance");
+        let o = inst.distances();
+        let path = CsrGraph::from_threshold_oracle(o, 1.0);
+        assert_eq!(path.num_edges(), 2_999);
+        assert_eq!(threshold_build(o, 1.0, 48_000), Ok(path));
+        // The first block's 2,047 edges (16,376 bytes) fit a 20,000-byte
+        // cap; the second takes the total to 4,095 and stops the build.
+        let err = threshold_build(o, 1.0, 20_000).unwrap_err();
+        assert_eq!((err.n, err.directed_edges), (3_000, 4_095));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * the one graph representation — [`CsrGraph`] / [`CsrBipartite`]
 //!   (compressed sparse row, `O(n + m)` bytes, built deterministically in
 //!   parallel from `DistanceOracle::cols_within` range queries), with
-//!   [`CsrGraph::check_threshold_cap`] refusing a threshold build whose
-//!   arrays would pass `parfaclo_metric::SCRATCH_BYTES_CAP`;
+//!   [`CsrGraph::try_from_threshold_oracle`] refusing, partway through its
+//!   one pass, a threshold build whose arrays would pass
+//!   `parfaclo_metric::SCRATCH_BYTES_CAP`;
 //! * the frontier engine — [`VertexSubset`] (sparse id list / dense bitmap
 //!   with deterministic direction switching on a pure function of frontier
 //!   density, never thread count) and the [`edge_map`] / [`edge_map_min`]

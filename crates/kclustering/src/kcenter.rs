@@ -62,9 +62,9 @@ fn every_node(n: usize) -> KCenterSolution {
 /// probe at `t` is feasible, each search probes only below `t`, so every
 /// later graph is that probe's graph packed with [`CsrGraph::filter_within`]
 /// (GBBS's pack-between-rounds step) instead of a fresh build over all `n²`
-/// pairs. Until the first feasible probe each graph is built from the oracle,
-/// after [`CsrGraph::check_threshold_cap`] has let it through; a filtered
-/// graph is never larger than the one it filters.
+/// pairs. Until the first feasible probe each graph is built from the oracle
+/// by [`CsrGraph::try_from_threshold_oracle`], which refuses one past the
+/// scratch cap; a filtered graph is never larger than the one it filters.
 ///
 /// A prober is the search's `probe-search` phase: [`Prober::new`] opens the
 /// trace span and [`Prober::finish`] closes it before evaluating the radius.
@@ -120,15 +120,12 @@ impl<'a> Prober<'a> {
         let t = self.candidates[idx];
         let g = match &self.feasible {
             Some((_, _, nested)) => nested.filter_within(oracle, t),
-            None => {
-                CsrGraph::check_threshold_cap(oracle, t).map_err(|e| {
-                    format!(
-                        "probing radius {t}: {e}; solve on a coreset (--coreset eps:0.1) \
-                         or with a larger k"
-                    )
-                })?;
-                CsrGraph::from_threshold_oracle(oracle, t)
-            }
+            None => CsrGraph::try_from_threshold_oracle(oracle, t).map_err(|e| {
+                format!(
+                    "probing radius {t}: {e}; solve on a coreset (--coreset eps:0.1) \
+                     or with a larger k"
+                )
+            })?,
         };
         let n = self.inst.n();
         self.meter.add_primitive((n * n) as u64);
@@ -290,7 +287,7 @@ fn bucket_maxima(candidates: &[f64], mapping: BucketMapping) -> Vec<usize> {
 ///
 /// Instead of sorting all `n²` pairwise distances (refused beyond the 4 GiB
 /// scratch cap), the candidate set is the pairwise distances of a
-/// deterministic evenly-spaced sample of [`SKETCH_SAMPLE`] nodes, plus a
+/// deterministic evenly-spaced sample of `SKETCH_SAMPLE` (1,024) nodes, plus a
 /// diameter cap `2·max_j d(0, j)` (by the triangle inequality no threshold
 /// above the diameter can be infeasible, so the search space always contains
 /// a feasible candidate). Feasibility probing is coarse-to-fine in two
@@ -316,7 +313,7 @@ fn bucket_maxima(candidates: &[f64], mapping: BucketMapping) -> Vec<usize> {
 ///
 /// # Errors
 /// Returns `Err` when a probe graph built from the oracle would pass the
-/// 4 GiB scratch cap (see [`CsrGraph::check_threshold_cap`]).
+/// 4 GiB scratch cap (see [`CsrGraph::try_from_threshold_oracle`]).
 ///
 /// # Panics
 /// Panics if `k == 0` or the instance is empty.
