@@ -200,24 +200,30 @@ fn oracle_batch_entry_points_bit_equal_scalar_dist() {
 
 /// The whole registry, at sizes where every batch scan crosses multiple
 /// tile boundaries (`|C| > 2·TILE`, `|F| > TILE`): dense, implicit and
-/// spatial backends must produce byte-identical canonical records.
+/// spatial backends must produce byte-identical canonical records. The
+/// generated specs make 2-D points; the hand-built 4-D and 8-D point sets,
+/// which no generator makes, pin the spatial backend's path above three
+/// dimensions at the solver level.
 #[test]
 fn registry_output_is_backend_invariant_at_tile_crossing_sizes() {
-    use parfaclo_api::{Backend, RunConfig};
+    use parfaclo_api::{AnyInstance, Backend, ProblemKind, RunConfig};
     use parfaclo_bench::runner::{run_solver, GenSpec};
     use parfaclo_bench::standard_registry;
+    use parfaclo_metric::{ClusterInstance, FlInstance, Point};
 
     let registry = standard_registry();
+    // lp-rounding solves a full LP; its backend invariance is covered at
+    // small sizes in determinism_and_seeds.
+    let names: Vec<&str> = registry
+        .names()
+        .into_iter()
+        .filter(|&name| name != "lp-rounding")
+        .collect();
     for spec_str in ["uniform:n=131,nf=66", "clustered:n=140,nf=70,c=5"] {
         let spec = GenSpec::parse(spec_str).expect("valid spec");
         for seed in [3u64, 19] {
             let cfg = RunConfig::new(0.15).with_seed(seed).with_k(5);
-            for name in registry.names() {
-                // lp-rounding solves a full LP; its backend invariance is
-                // covered at small sizes in determinism_and_seeds.
-                if name == "lp-rounding" {
-                    continue;
-                }
+            for &name in &names {
                 let dense = run_solver(&registry, name, &spec, &cfg).expect(name);
                 for backend in [Backend::Implicit, Backend::Spatial] {
                     let other =
@@ -230,6 +236,59 @@ fn registry_output_is_backend_invariant_at_tile_crossing_sizes() {
                          (spec {spec_str}, seed {seed})"
                     );
                 }
+            }
+        }
+    }
+
+    // Both point sides hold more than 64 points (the flat index's size
+    // bound) and cross the tile bounds above.
+    let (nc, nf) = (2 * block::TILE + 12, block::TILE + 6);
+    for dim in [4usize, 8] {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xD1A + dim as u64);
+        let mut points = |n: usize| -> Vec<Point> {
+            (0..n)
+                .map(|_| Point::new((0..dim).map(|_| rng.gen_range(0.0..100.0)).collect()))
+                .collect()
+        };
+        let clients = points(nc);
+        let facilities = points(nf);
+        let costs: Vec<f64> = (0..nf).map(|_| rng.gen_range(1.0..200.0)).collect();
+        let instance = |problem: ProblemKind, backend: Backend| match problem {
+            ProblemKind::FacilityLocation => AnyInstance::Fl(
+                FlInstance::build(
+                    costs.clone(),
+                    clients.clone(),
+                    facilities.clone(),
+                    DistanceKind::Euclidean,
+                    backend,
+                )
+                .expect("facility-location instance"),
+            ),
+            ProblemKind::KClustering | ProblemKind::DominatorSet => AnyInstance::Cluster(
+                ClusterInstance::build(clients.clone(), DistanceKind::Euclidean, backend)
+                    .expect("clustering instance"),
+            ),
+        };
+        let cfg = RunConfig::new(0.15).with_seed(3).with_k(5);
+        for &name in &names {
+            let problem = registry.get(name).expect(name).problem();
+            let dense = registry
+                .run(name, &instance(problem, Backend::Dense), &cfg)
+                .expect(name);
+            for backend in [Backend::Implicit, Backend::Spatial] {
+                let other = registry
+                    .run(
+                        name,
+                        &instance(problem, backend),
+                        &cfg.clone().with_backend(backend),
+                    )
+                    .expect(name);
+                assert_eq!(
+                    dense.canonical_json(),
+                    other.canonical_json(),
+                    "solver '{name}' output differs between dense and {backend} \
+                     ({dim}-D points)"
+                );
             }
         }
     }
