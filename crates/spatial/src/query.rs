@@ -85,64 +85,44 @@ pub(crate) fn sort_ids_ascending(out: &mut Vec<usize>, n: usize) {
     }
 }
 
-/// Compares `(distance, id)` lexicographically. Distances are finite by the
-/// index construction invariants (finite coordinates in, finite distances
-/// out), so the `partial_cmp` never fails on well-formed inputs.
-#[inline]
-fn cmp_entry(a: (f64, usize), b: (f64, usize)) -> Ordering {
-    a.0.partial_cmp(&b.0)
-        .expect("index distances are never NaN")
-        .then(a.1.cmp(&b.1))
-}
-
-/// Running nearest candidate: minimal `(distance, id)`.
+/// Running nearest candidate: minimal `(distance, id)`, `None` until the
+/// first candidate.
 ///
 /// The pruning rule lives here once: a cell may be skipped only when its
 /// computed lower bound **strictly** exceeds the distance to beat — an
 /// equal bound may still hide an equal-distance point with a lower id.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Best {
-    d: f64,
-    id: usize,
-    found: bool,
-}
+pub(crate) struct Best(Option<(f64, usize)>);
 
 impl Best {
     pub(crate) fn new() -> Self {
-        Best {
-            d: f64::INFINITY,
-            id: usize::MAX,
-            found: false,
-        }
+        Best(None)
     }
 
     pub(crate) fn into_result(self) -> Option<(usize, f64)> {
-        if self.found {
-            Some((self.id, self.d))
-        } else {
-            None
-        }
+        self.0.map(|(d, id)| (id, d))
     }
 
-    /// Offers a candidate point.
+    /// Offers a candidate point, kept if it is lower in `(distance, id)`
+    /// order. Finite coordinates give distances that are never NaN, so the
+    /// `partial_cmp` never fails on well-formed inputs.
     #[inline]
     pub(crate) fn consider(&mut self, d: f64, id: usize) {
-        if !self.found || cmp_entry((d, id), (self.d, self.id)) == Ordering::Less {
-            self.d = d;
-            self.id = id;
-            self.found = true;
+        let better = self.0.map_or(true, |(best_d, best_id)| {
+            d.partial_cmp(&best_d)
+                .expect("index distances are never NaN")
+                .then(id.cmp(&best_id))
+                == Ordering::Less
+        });
+        if better {
+            self.0 = Some((d, id));
         }
     }
 
-    /// The distance a new candidate must beat, once any candidate is held
-    /// (`None` ⇒ never prune yet).
+    /// The distance a new candidate must beat (`None` ⇒ never prune yet).
     #[inline]
     pub(crate) fn bound_to_beat(&self) -> Option<f64> {
-        if self.found {
-            Some(self.d)
-        } else {
-            None
-        }
+        self.0.map(|(d, _)| d)
     }
 
     /// Whether a region with computed lower bound `bound` can be skipped.

@@ -206,7 +206,7 @@ fn oracle_batch_entry_points_bit_equal_scalar_dist() {
 /// dimensions at the solver level.
 #[test]
 fn registry_output_is_backend_invariant_at_tile_crossing_sizes() {
-    use parfaclo_api::{AnyInstance, Backend, ProblemKind, RunConfig};
+    use parfaclo_api::{AnyInstance, Backend, ProblemKind, Run, RunConfig};
     use parfaclo_bench::runner::{run_solver, GenSpec};
     use parfaclo_bench::standard_registry;
     use parfaclo_metric::{ClusterInstance, FlInstance, Point};
@@ -219,23 +219,25 @@ fn registry_output_is_backend_invariant_at_tile_crossing_sizes() {
         .into_iter()
         .filter(|&name| name != "lp-rounding")
         .collect();
+    let assert_invariant = |name: &str, input: &str, run: &dyn Fn(Backend) -> Run| {
+        let dense = run(Backend::Dense).canonical_json();
+        for backend in [Backend::Implicit, Backend::Spatial] {
+            assert_eq!(
+                dense,
+                run(backend).canonical_json(),
+                "solver '{name}' output differs between dense and {backend} ({input})"
+            );
+        }
+    };
     for spec_str in ["uniform:n=131,nf=66", "clustered:n=140,nf=70,c=5"] {
         let spec = GenSpec::parse(spec_str).expect("valid spec");
         for seed in [3u64, 19] {
             let cfg = RunConfig::new(0.15).with_seed(seed).with_k(5);
             for &name in &names {
-                let dense = run_solver(&registry, name, &spec, &cfg).expect(name);
-                for backend in [Backend::Implicit, Backend::Spatial] {
-                    let other =
-                        run_solver(&registry, name, &spec, &cfg.clone().with_backend(backend))
-                            .expect(name);
-                    assert_eq!(
-                        dense.canonical_json(),
-                        other.canonical_json(),
-                        "solver '{name}' output differs between dense and {backend} \
-                         (spec {spec_str}, seed {seed})"
-                    );
-                }
+                assert_invariant(name, &format!("spec {spec_str}, seed {seed}"), &|backend| {
+                    run_solver(&registry, name, &spec, &cfg.clone().with_backend(backend))
+                        .expect(name)
+                });
             }
         }
     }
@@ -272,24 +274,12 @@ fn registry_output_is_backend_invariant_at_tile_crossing_sizes() {
         let cfg = RunConfig::new(0.15).with_seed(3).with_k(5);
         for &name in &names {
             let problem = registry.get(name).expect(name).problem();
-            let dense = registry
-                .run(name, &instance(problem, Backend::Dense), &cfg)
-                .expect(name);
-            for backend in [Backend::Implicit, Backend::Spatial] {
-                let other = registry
-                    .run(
-                        name,
-                        &instance(problem, backend),
-                        &cfg.clone().with_backend(backend),
-                    )
-                    .expect(name);
-                assert_eq!(
-                    dense.canonical_json(),
-                    other.canonical_json(),
-                    "solver '{name}' output differs between dense and {backend} \
-                     ({dim}-D points)"
-                );
-            }
+            assert_invariant(name, &format!("{dim}-D points"), &|backend| {
+                let inst = instance(problem, backend);
+                registry
+                    .run(name, &inst, &cfg.clone().with_backend(backend))
+                    .expect(name)
+            });
         }
     }
 }
