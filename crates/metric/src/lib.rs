@@ -20,8 +20,9 @@
 //! production-scale path for 100k–1M clients), and an index-accelerated spatial
 //! backend ([`oracle::SpatialOracle`], the implicit storage plus a deterministic
 //! exact uniform-grid index serving nearest/range queries sublinearly on 1-D
-//! to 3-D points — the path to 10M clients). All produce bit-identical distances for the same point
-//! set, so solver output is byte-identical under any backend.
+//! to 3-D points — the path to 10M clients). All produce bit-identical
+//! distances for the same point set, so solver output is byte-identical under
+//! any backend.
 //!
 //! This crate provides those instance types, the geometric [`Point`] representation used
 //! to build them, a suite of synthetic [`gen`]erators standing in for the datasets the

@@ -13,11 +13,11 @@
 //!
 //! This crate implements, from scratch:
 //!
-//! * [`jms_greedy`](mod@jms_greedy) — the greedy algorithm of Jain et al. (J. ACM 2003): repeatedly open
-//!   the cheapest maximal star (1.861-approximation);
-//! * [`jain_vazirani`](mod@jain_vazirani) — the primal-dual 3-approximation of Jain & Vazirani (J. ACM
-//!   2001), implemented as an exact event-driven simulation of the continuous
-//!   dual-raising process;
+//! * [`jms_greedy`](mod@jms_greedy) — the greedy algorithm of Jain et al. (J. ACM
+//!   2003): repeatedly open the cheapest maximal star (1.861-approximation);
+//! * [`jain_vazirani`](mod@jain_vazirani) — the primal-dual 3-approximation of
+//!   Jain & Vazirani (J. ACM 2001), implemented as an exact event-driven
+//!   simulation of the continuous dual-raising process;
 //! * [`kcenter`] — Gonzalez's farthest-point 2-approximation and the sequential
 //!   Hochbaum–Shmoys bottleneck 2-approximation;
 //! * [`local_search`] — sequential swap-based local search for k-median and k-means

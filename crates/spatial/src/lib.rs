@@ -41,8 +41,8 @@
 //! for dimensions 1–3 (the workspace's generators make 1-D and 2-D
 //! points), and a [`Flat`] scan for everything else — at most 64 points,
 //! dimension 0, or dimension above 3. No workload builds points above three
-//! dimensions, so none keeps a tree for them; the flat scan answers them
-//! exactly. Subset queries (nearest-in-set over, say, the currently open
+//! dimensions, so the crate keeps no tree for them; the flat scan answers
+//! them exactly. Subset queries (nearest-in-set over, say, the currently open
 //! facilities) go through [`SpatialIndex::build_with_ids`], which indexes a
 //! point subset while reporting and tie-breaking on the caller's original
 //! ids.
