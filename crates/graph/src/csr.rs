@@ -21,9 +21,9 @@ use rayon::prelude::*;
 /// are dropped.
 const BUILD_BYTES_PER_EDGE: u64 = 8;
 
-/// Rows per block of range queries in a capped threshold build whose
+/// Most rows per block of range queries in a capped threshold build whose
 /// complete graph would pass the cap: the running edge total is checked
-/// after each block.
+/// after each block (see [`build_block`]).
 const BUILD_BLOCK: usize = 1024;
 
 /// A threshold-graph build refused partway, because the rows built so far
@@ -133,11 +133,14 @@ impl CsrGraph {
     ///
     /// While even the complete graph fits (`n·(n−1)·8` bytes within the cap,
     /// so `n ≤ 23,170`) the build is the same single parallel pass. Past
-    /// that, the rows are built in blocks of 1,024 range queries with a
-    /// running total of their lengths, and the build stops at the first
+    /// that, the rows are built in blocks of up to 1,024 range queries with
+    /// a running total of their lengths, and the build stops at the first
     /// block that takes the total past the cap. Each query runs once either
-    /// way; a refusal has by then held up to half the cap in rows, which is
-    /// what an accepted build just under the cap holds too.
+    /// way. A block is sized so that its rows hold at most half the cap
+    /// even when complete (fewer than 1,024 rows past `n = 524,288`), and
+    /// the rows before it hold at most half the cap, or the build would
+    /// have stopped; so a refusal's peak stays within the cap, the peak an
+    /// accepted build just under the cap reaches too.
     ///
     /// # Errors
     /// [`GraphTooLarge`] when the graph's CSR build would pass the cap.
@@ -232,14 +235,7 @@ fn threshold_build(oracle: &Oracle, alpha: f64, cap_bytes: u64) -> Result<CsrGra
     let n = oracle.rows();
     assert_eq!(n, oracle.cols(), "threshold graphs need a square oracle");
     assert!((n as u64) < u32::MAX as u64, "CSR node ids are u32");
-    let complete = (n as u64)
-        .saturating_mul(n.saturating_sub(1) as u64)
-        .saturating_mul(BUILD_BYTES_PER_EDGE);
-    let block = if complete <= cap_bytes {
-        n.max(1)
-    } else {
-        BUILD_BLOCK
-    };
+    let block = build_block(n, cap_bytes);
     let mut rows: Vec<Vec<u32>> = Vec::with_capacity(n);
     let mut directed_edges = 0u64;
     for start in (0..n).step_by(block) {
@@ -267,6 +263,20 @@ fn threshold_build(oracle: &Oracle, alpha: f64, cap_bytes: u64) -> Result<CsrGra
         rows.extend(built);
     }
     Ok(CsrGraph::from_rows(n, rows))
+}
+
+/// Rows per block of a threshold build on `n` nodes against `cap_bytes`:
+/// all `n` while the complete graph fits the cap; otherwise at most
+/// [`BUILD_BLOCK`], and few enough that a block of complete rows needs at
+/// most the cap at 8 bytes per edge, so its `u32` rows hold at most half
+/// of it. At least one row.
+fn build_block(n: usize, cap_bytes: u64) -> usize {
+    let row_bytes = (n.saturating_sub(1) as u64).saturating_mul(BUILD_BYTES_PER_EDGE);
+    if (n as u64).saturating_mul(row_bytes) <= cap_bytes {
+        n.max(1)
+    } else {
+        (cap_bytes / row_bytes).clamp(1, BUILD_BLOCK as u64) as usize
+    }
 }
 
 /// A bipartite graph `H = (U, V, E)` in CSR form, stored from both sides so
@@ -498,22 +508,22 @@ mod tests {
     fn threshold_builds_past_the_cap_are_refused() {
         // 40 nodes on a line: the complete graph's 1,560 directed edges
         // need 12,480 bytes, past a 4,000-byte cap, so the rows are built
-        // in blocks (here one block holds all 40).
+        // in blocks of 12 (a complete row needs 39 · 8 = 312 bytes).
         let o = line_oracle(40);
+        assert_eq!(build_block(40, 4_000), 12);
         // α = 1 is the path graph: 78 directed edges, 624 bytes.
         assert_eq!(
             threshold_build(&o, 1.0, 4_000),
             Ok(CsrGraph::from_threshold_oracle(&o, 1.0))
         );
-        // α = 20 holds 1,180 directed edges (9,440 bytes), all in the first
-        // block of rows.
+        // α = 20 holds 1,180 directed edges (9,440 bytes). The first block
+        // of rows holds 306 (2,448 bytes); the second takes the total to
+        // 740 and stops the build.
         let err = threshold_build(&o, 20.0, 4_000).unwrap_err();
-        assert_eq!(
-            (err.n, err.directed_edges, err.cap_bytes),
-            (40, 1_180, 4_000)
-        );
+        assert_eq!((err.n, err.directed_edges, err.cap_bytes), (40, 740, 4_000));
         assert!(err.to_string().contains("past the"), "{err}");
         // A cap that holds the complete graph builds it in one pass.
+        assert_eq!(build_block(40, 12_480), 40);
         assert_eq!(
             threshold_build(&o, 1e9, 12_480),
             Ok(CsrGraph::from_threshold_oracle(&o, 1e9))
@@ -528,18 +538,44 @@ mod tests {
     fn capped_threshold_builds_sum_edges_across_blocks() {
         use parfaclo_metric::gen::{self, GenParams};
         use parfaclo_metric::Backend;
-        // 3,000 unit-spaced points on a line: α = 1 is the path graph, whose
-        // 5,998 directed edges (47,984 bytes) span three blocks of rows.
+        // 3,000 unit-spaced points on a line. A complete row needs
+        // 2,999 · 8 = 23,992 bytes, so a 48,000-byte cap builds blocks of
+        // two rows and a 20,000-byte cap blocks of one.
         let inst = gen::build_clustering(GenParams::line(3_000, 3_000), Backend::Spatial)
             .expect("instance");
         let o = inst.distances();
+        assert_eq!(
+            (build_block(3_000, 48_000), build_block(3_000, 20_000)),
+            (2, 1)
+        );
+        // α = 1 is the path graph, whose 5,998 directed edges (47,984
+        // bytes) fit the larger cap across 1,500 blocks.
         let path = CsrGraph::from_threshold_oracle(o, 1.0);
         assert_eq!(path.num_edges(), 2_999);
         assert_eq!(threshold_build(o, 1.0, 48_000), Ok(path));
-        // The first block's 2,047 edges (16,376 bytes) fit a 20,000-byte
-        // cap; the second takes the total to 4,095 and stops the build.
+        // At 20,000 bytes the 1,251st row takes the total to 2,501 and
+        // stops the build.
         let err = threshold_build(o, 1.0, 20_000).unwrap_err();
-        assert_eq!((err.n, err.directed_edges), (3_000, 4_095));
+        assert_eq!((err.n, err.directed_edges), (3_000, 2_501));
+        // α = 1e9 joins every pair. The first block's two complete rows
+        // (5,998 edges, 47,984 bytes) fit the cap; the second block stops
+        // the build holding four rows, not 1,024.
+        let err = threshold_build(o, 1e9, 48_000).unwrap_err();
+        assert_eq!((err.n, err.directed_edges), (3_000, 11_996));
+    }
+
+    #[test]
+    fn a_block_of_complete_rows_holds_at_most_half_the_cap() {
+        // At the 4 GiB cap the complete graph fits up to n = 23,170, blocks
+        // keep 1,024 rows up to n = 524,289, and 10M points take 53.
+        let ns = [23_170, 23_171, 524_289, 10_000_000];
+        let blocks = ns.map(|n| build_block(n, SCRATCH_BYTES_CAP));
+        assert_eq!(blocks, [23_170, 1_024, 1_024, 53]);
+        for (n, block) in ns.into_iter().zip(blocks) {
+            assert!(block as u64 * (n as u64 - 1) * 4 <= SCRATCH_BYTES_CAP / 2);
+        }
+        assert_eq!([0, 1].map(|n| build_block(n, SCRATCH_BYTES_CAP)), [1, 1]);
+        assert_eq!(build_block(5, 0), 1);
     }
 
     #[test]
