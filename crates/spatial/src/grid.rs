@@ -457,7 +457,7 @@ impl UniformGrid {
                 );
             }
         }
-        crate::query::sort_ids_ascending(&mut out, self.slot_ids.len());
+        crate::query::sort_ids_ascending(&mut out);
         Some(out)
     }
 

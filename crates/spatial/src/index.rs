@@ -114,7 +114,7 @@ impl Flat {
             radius,
             &mut out,
         );
-        crate::query::sort_ids_ascending(&mut out, self.len());
+        crate::query::sort_ids_ascending(&mut out);
         out
     }
 

@@ -62,16 +62,23 @@ pub(crate) fn collect_slots(
     }
 }
 
-/// Sorts a set of distinct ids drawn from `0..n` into ascending order.
-/// Dense results (a range query whose radius covers most of the index) get
-/// a bitmask sweep — O(n) instead of O(m log m) — which matters at the
-/// million-point presets where late solver rounds collect nearly every id.
-pub(crate) fn sort_ids_ascending(out: &mut Vec<usize>, n: usize) {
-    if out.len() < 4096 || out.len() < n / 8 {
+/// Sorts a set of distinct ids into ascending order. Dense results (a
+/// range query whose hits fill at least 1/8 of `0..=max id`) get a bitmask
+/// sweep over that span — O(span) instead of O(m log m) — which matters at
+/// the million-point presets where late solver rounds collect nearly every
+/// id. The span comes from the hits, so a subset index whose caller ids run
+/// past its point count sorts them too.
+pub(crate) fn sort_ids_ascending(out: &mut Vec<usize>) {
+    let span = if out.len() < 4096 {
+        usize::MAX
+    } else {
+        out.iter().max().map_or(0, |&id| id + 1)
+    };
+    if out.len() < span / 8 {
         out.sort_unstable();
         return;
     }
-    let mut mask = vec![0u64; n / 64 + 1];
+    let mut mask = vec![0u64; span / 64 + 1];
     for &id in out.iter() {
         mask[id / 64] |= 1u64 << (id % 64);
     }
