@@ -510,7 +510,6 @@ mod tests {
         // need 12,480 bytes, past a 4,000-byte cap, so the rows are built
         // in blocks of 12 (a complete row needs 39 · 8 = 312 bytes).
         let o = line_oracle(40);
-        assert_eq!(build_block(40, 4_000), 12);
         // α = 1 is the path graph: 78 directed edges, 624 bytes.
         assert_eq!(
             threshold_build(&o, 1.0, 4_000),
@@ -523,7 +522,6 @@ mod tests {
         assert_eq!((err.n, err.directed_edges, err.cap_bytes), (40, 740, 4_000));
         assert!(err.to_string().contains("past the"), "{err}");
         // A cap that holds the complete graph builds it in one pass.
-        assert_eq!(build_block(40, 12_480), 40);
         assert_eq!(
             threshold_build(&o, 1e9, 12_480),
             Ok(CsrGraph::from_threshold_oracle(&o, 1e9))
@@ -544,10 +542,6 @@ mod tests {
         let inst = gen::build_clustering(GenParams::line(3_000, 3_000), Backend::Spatial)
             .expect("instance");
         let o = inst.distances();
-        assert_eq!(
-            (build_block(3_000, 48_000), build_block(3_000, 20_000)),
-            (2, 1)
-        );
         // α = 1 is the path graph, whose 5,998 directed edges (47,984
         // bytes) fit the larger cap across 1,500 blocks.
         let path = CsrGraph::from_threshold_oracle(o, 1.0);

@@ -15,7 +15,8 @@
 //! details — queries are exact with lowest-id tie-breaking, matching a
 //! brute-force scan byte for byte.
 
-use crate::query::{collect_slots, scan_slots, Best};
+use crate::index::{checked_point_count, Flat};
+use crate::query::{sort_ids_ascending, Best};
 use parfaclo_kernel::{DistanceKind, SoaPoints};
 
 /// The maximum dimension the grid supports. Ring enumeration is written for
@@ -46,15 +47,10 @@ fn axis_cell(x: f64, lo: f64, cell: f64, count: usize) -> usize {
 /// A uniform bucket grid over a flat coordinate array.
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
-    dim: usize,
-    metric: DistanceKind,
-    /// Point coordinates in bucket (slot) order, one contiguous vector per
-    /// axis — each cell's points are a contiguous slot run, so a cell scan
-    /// is exactly one blocked-kernel tile pass.
-    soa: SoaPoints,
-    /// Caller id per slot (identity permutation composed with the optional
-    /// caller map), ascending position order within each cell.
-    slot_ids: Vec<u32>,
+    /// The points in bucket (slot) order as a flat index, positions
+    /// ascending within each cell: a cell's points are one slot range of
+    /// it, so a cell scan is one blocked-kernel pass.
+    points: Flat,
     /// Bounding box of the whole point set.
     lo: Vec<f64>,
     /// Cell side length (equal on every axis); 1.0 for degenerate extents.
@@ -87,7 +83,7 @@ impl UniformGrid {
             (1..=GRID_MAX_DIM).contains(&dim),
             "uniform grid supports dimensions 1..={GRID_MAX_DIM}, got {dim}"
         );
-        let n = crate::index::checked_point_count(&coords, dim, ids.as_deref());
+        let n = checked_point_count(&coords, dim, ids.as_deref());
         // Whole-set bounding box.
         let mut lo = vec![f64::INFINITY; dim];
         let mut hi = vec![f64::NEG_INFINITY; dim];
@@ -165,10 +161,12 @@ impl UniformGrid {
             .collect();
 
         UniformGrid {
-            dim,
-            metric,
-            soa,
-            slot_ids,
+            points: Flat {
+                dim,
+                metric,
+                soa,
+                slot_ids,
+            },
             lo,
             cell,
             counts,
@@ -180,17 +178,17 @@ impl UniformGrid {
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.slot_ids.len()
+        self.points.len()
     }
 
     /// Whether the index holds no points.
     pub fn is_empty(&self) -> bool {
-        self.slot_ids.is_empty()
+        self.len() == 0
     }
 
     /// The (clamped) per-axis cell coordinates of a query point.
     fn query_cell(&self, q: &[f64]) -> Vec<usize> {
-        (0..self.dim)
+        (0..self.points.dim)
             .map(|a| axis_cell(q[a], self.lo[a], self.cell, self.counts[a]))
             .collect()
     }
@@ -215,7 +213,7 @@ impl UniformGrid {
         win_hi: &[usize],
         mut visit: impl FnMut(usize, usize) -> bool,
     ) {
-        let last_axis = self.dim - 1;
+        let last_axis = self.points.dim - 1;
         let width = win_hi[last_axis] - win_lo[last_axis];
         let mut cell = win_lo.to_vec();
         loop {
@@ -253,8 +251,8 @@ impl UniformGrid {
             visit(self.linear(center));
             return;
         }
-        let mut cell = vec![0usize; self.dim];
-        for face_axis in 0..self.dim {
+        let mut cell = vec![0usize; self.points.dim];
+        for face_axis in 0..self.points.dim {
             for negative_side in [true, false] {
                 let face_coord = if negative_side {
                     match center[face_axis].checked_sub(ring) {
@@ -286,7 +284,7 @@ impl UniformGrid {
                 loop {
                     visit(self.linear(&cell));
                     // Odometer over the non-face axes.
-                    let mut a = self.dim;
+                    let mut a = self.points.dim;
                     let mut done = true;
                     loop {
                         if a == 0 {
@@ -319,7 +317,7 @@ impl UniformGrid {
             return 0.0;
         }
         let sep = RING_SLACK * self.cell * (ring - 1) as f64;
-        match self.metric {
+        match self.points.metric {
             DistanceKind::SquaredEuclidean => sep * sep,
             _ => sep,
         }
@@ -327,7 +325,7 @@ impl UniformGrid {
 
     /// Largest ring that still intersects the grid from `center`.
     fn max_ring(&self, center: &[usize]) -> usize {
-        (0..self.dim)
+        (0..self.points.dim)
             .map(|a| center[a].max(self.counts[a] - 1 - center[a]))
             .max()
             .unwrap_or(0)
@@ -335,10 +333,10 @@ impl UniformGrid {
 
     #[inline]
     fn cell_box(&self, c: usize) -> (&[f64], &[f64]) {
-        let s = c * self.dim;
+        let s = c * self.points.dim;
         (
-            &self.cell_lo[s..s + self.dim],
-            &self.cell_hi[s..s + self.dim],
+            &self.cell_lo[s..s + self.points.dim],
+            &self.cell_hi[s..s + self.points.dim],
         )
     }
 
@@ -351,7 +349,7 @@ impl UniformGrid {
     /// The nearest indexed point to `q` (its caller id and distance), ties
     /// towards the lowest id; `None` when empty.
     pub fn nearest(&self, q: &[f64]) -> Option<(usize, f64)> {
-        assert_eq!(q.len(), self.dim, "query dimension mismatch");
+        assert_eq!(q.len(), self.points.dim, "query dimension mismatch");
         let mut best = Best::new();
         if !self.is_empty() {
             self.search_rings(q, &mut best);
@@ -376,10 +374,10 @@ impl UniformGrid {
                     return;
                 }
                 let (blo, bhi) = self.cell_box(c);
-                if best.prunes(self.metric.box_lower_bound(q, blo, bhi)) {
+                if best.prunes(self.points.metric.box_lower_bound(q, blo, bhi)) {
                     return;
                 }
-                scan_slots(self.metric, q, &self.soa, s0, s1, &self.slot_ids, best);
+                self.points.scan_slots(q, s0, s1, best);
             });
         }
     }
@@ -402,7 +400,7 @@ impl UniformGrid {
         radius: f64,
         max_points: usize,
     ) -> Option<Vec<usize>> {
-        assert_eq!(q.len(), self.dim, "query dimension mismatch");
+        assert_eq!(q.len(), self.points.dim, "query dimension mismatch");
         let mut out = Vec::new();
         if self.is_empty() || radius < 0.0 {
             return Some(out);
@@ -410,16 +408,16 @@ impl UniformGrid {
         // Per-axis displacement of an in-range point: `radius` for the
         // distance metrics, `sqrt(radius)` for squared Euclidean. One extra
         // cell of margin absorbs bucket-assignment rounding.
-        let reach = match self.metric {
+        let reach = match self.points.metric {
             DistanceKind::SquaredEuclidean => radius.sqrt(),
             _ => radius,
         };
-        let win_lo: Vec<usize> = (0..self.dim)
+        let win_lo: Vec<usize> = (0..self.points.dim)
             .map(|a| {
                 axis_cell(q[a] - reach, self.lo[a], self.cell, self.counts[a]).saturating_sub(1)
             })
             .collect();
-        let win_hi: Vec<usize> = (0..self.dim)
+        let win_hi: Vec<usize> = (0..self.points.dim)
             .map(|a| {
                 (axis_cell(q[a] + reach, self.lo[a], self.cell, self.counts[a]) + 1)
                     .min(self.counts[a] - 1)
@@ -442,31 +440,26 @@ impl UniformGrid {
                     continue;
                 }
                 let (blo, bhi) = self.cell_box(c);
-                if self.metric.box_lower_bound(q, blo, bhi) > radius {
+                if self.points.metric.box_lower_bound(q, blo, bhi) > radius {
                     continue;
                 }
-                collect_slots(
-                    self.metric,
-                    q,
-                    &self.soa,
-                    s0,
-                    s1,
-                    &self.slot_ids,
-                    radius,
-                    &mut out,
-                );
+                self.points.for_each_slot(q, s0, s1, |d, id| {
+                    if d <= radius {
+                        out.push(id);
+                    }
+                });
             }
         }
-        crate::query::sort_ids_ascending(&mut out);
+        sort_ids_ascending(&mut out);
         Some(out)
     }
 
     /// Estimated resident bytes of the index structure (slot-ordered
     /// coordinates, buckets, per-cell boxes, id map).
     pub fn memory_bytes(&self) -> u64 {
-        (self.soa.memory_bytes()
-            + (self.cell_lo.len() + self.cell_hi.len()) * std::mem::size_of::<f64>()
-            + (self.starts.len() + self.slot_ids.len()) * std::mem::size_of::<u32>()) as u64
+        self.points.memory_bytes()
+            + ((self.cell_lo.len() + self.cell_hi.len()) * std::mem::size_of::<f64>()
+                + self.starts.len() * std::mem::size_of::<u32>()) as u64
     }
 }
 

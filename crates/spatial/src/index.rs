@@ -16,8 +16,8 @@
 //! tests in this crate.
 
 use crate::grid::{UniformGrid, GRID_MAX_DIM};
-use crate::query::{collect_slots, scan_slots, Best};
-use parfaclo_kernel::{DistanceKind, SoaPoints};
+use crate::query::{sort_ids_ascending, Best};
+use parfaclo_kernel::{block, DistanceKind, SoaPoints};
 
 /// Point sets at or below this size are served by a flat scan.
 const FLAT_MAX: usize = 64;
@@ -54,19 +54,21 @@ pub(crate) fn checked_point_count(coords: &[f64], dim: usize, ids: Option<&[u32]
 /// Linear scan for tiny point sets, dimension 0 (where every distance is 0
 /// and structure is meaningless) and dimensions above 3. The whole set is
 /// one contiguous slot run through the blocked kernels — a flat index *is*
-/// a cache tile.
+/// a cache tile. The grid keeps its bucket-ordered points as one, each
+/// bucket a slot range of it.
 #[derive(Debug, Clone)]
 pub struct Flat {
-    dim: usize,
-    metric: DistanceKind,
-    /// Slot-ordered coordinates; slot == original position.
-    soa: SoaPoints,
-    /// Caller id per slot (identity when no map was supplied).
-    slot_ids: Vec<u32>,
+    pub(crate) dim: usize,
+    pub(crate) metric: DistanceKind,
+    /// Coordinates in slot order, one contiguous vector per axis.
+    pub(crate) soa: SoaPoints,
+    /// Caller id per slot.
+    pub(crate) slot_ids: Vec<u32>,
 }
 
 impl Flat {
-    /// Builds the flat index (see [`SpatialIndex::build`] for the contract).
+    /// Builds the flat index (see [`SpatialIndex::build`] for the contract);
+    /// slot == original position.
     pub fn build(
         coords: Vec<f64>,
         dim: usize,
@@ -82,43 +84,61 @@ impl Flat {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slot_ids.len()
+    }
+
+    /// Streams the slot range `[start, end)` through the blocked distance
+    /// kernel — one stack tile at a time, no allocation — calling
+    /// `visit(distance, caller id)` in ascending slot order. Distances are
+    /// bit-identical to the scalar `DistanceKind::distance` per point.
+    #[inline]
+    pub(crate) fn for_each_slot(
+        &self,
+        q: &[f64],
+        start: usize,
+        end: usize,
+        mut visit: impl FnMut(f64, usize),
+    ) {
+        let mut buf = [0.0f64; block::TILE];
+        let mut s = start;
+        while s < end {
+            let len = block::TILE.min(end - s);
+            block::dist_range(self.metric, q, &self.soa, s, &mut buf[..len]);
+            for (o, &d) in buf[..len].iter().enumerate() {
+                visit(d, self.slot_ids[s + o] as usize);
+            }
+            s += len;
+        }
+    }
+
+    /// Offers every point in the slot range `[start, end)` to `best`.
+    /// [`Best`]'s `(distance, id)` ordering is insensitive to visit order,
+    /// so the slot order a structure stores changes no answer.
+    pub(crate) fn scan_slots(&self, q: &[f64], start: usize, end: usize, best: &mut Best) {
+        self.for_each_slot(q, start, end, |d, id| best.consider(d, id));
     }
 
     fn nearest(&self, q: &[f64]) -> Option<(usize, f64)> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         let mut best = Best::new();
-        scan_slots(
-            self.metric,
-            q,
-            &self.soa,
-            0,
-            self.len(),
-            &self.slot_ids,
-            &mut best,
-        );
+        self.scan_slots(q, 0, self.len(), &mut best);
         best.into_result()
     }
 
     fn range(&self, q: &[f64], radius: f64) -> Vec<usize> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         let mut out = Vec::new();
-        collect_slots(
-            self.metric,
-            q,
-            &self.soa,
-            0,
-            self.len(),
-            &self.slot_ids,
-            radius,
-            &mut out,
-        );
-        crate::query::sort_ids_ascending(&mut out);
+        self.for_each_slot(q, 0, self.len(), |d, id| {
+            if d <= radius {
+                out.push(id);
+            }
+        });
+        sort_ids_ascending(&mut out);
         out
     }
 
-    fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         (self.soa.memory_bytes() + self.slot_ids.len() * std::mem::size_of::<u32>()) as u64
     }
 }

@@ -25,24 +25,21 @@
 //!
 //! ## Computed lower bounds
 //!
-//! The grid prunes with [`DistanceKind::box_lower_bound`], and that bound
-//! is a *computed* lower bound, not just a mathematical one: it is evaluated
-//! with the same shape of rounded IEEE operations as the distance itself
-//! (per-coordinate displacement → square/abs → left-to-right sum or max →
-//! optional sqrt). Because every one of those operations is monotone under
-//! rounding, the computed bound of a box never exceeds the computed
-//! distance of any point inside it. Searches therefore prune only on a
-//! **strict** `bound > best` comparison and remain exact — including ties,
-//! which are always resolved towards the lowest point id.
+//! The grid prunes with [`DistanceKind::box_lower_bound`], a *computed*
+//! lower bound: evaluated with the same shape of rounded, monotone IEEE
+//! operations as the distance itself (per-coordinate displacement →
+//! square/abs → left-to-right sum or max → optional sqrt), the bound of a
+//! box never exceeds the computed distance of any point inside it. Searches
+//! therefore prune only on a **strict** `bound > best` comparison and
+//! remain exact, ties included.
 //!
 //! ## Structures
 //!
 //! [`SpatialIndex::build`] picks from `(n, dim)` alone: a [`UniformGrid`]
 //! for dimensions 1–3 (the workspace's generators make 1-D and 2-D
 //! points), and a [`Flat`] scan for everything else — at most 64 points,
-//! dimension 0, or dimension above 3. No workload builds points above three
-//! dimensions, so the crate keeps no tree for them; the flat scan answers
-//! them exactly. Subset queries (nearest-in-set over, say, the currently open
+//! dimension 0, or dimension above 3, where no workload needs a tree.
+//! Subset queries (nearest-in-set over, say, the currently open
 //! facilities) go through [`SpatialIndex::build_with_ids`], which indexes a
 //! point subset while reporting and tie-breaking on the caller's original
 //! ids.

@@ -1,66 +1,10 @@
 //! Shared query state: the running nearest candidate with the canonical
-//! `(distance, id)` tie-breaking every index must honour, plus the one
-//! blocked scan every structure's contiguous point run (flat set, grid
-//! bucket) funnels through.
+//! `(distance, id)` tie-breaking every index must honour, and the sort
+//! every range query's hits go through. The one blocked scan both
+//! structures' contiguous point runs (flat set, grid bucket) funnel through
+//! is [`Flat`](crate::Flat)'s.
 
-use parfaclo_kernel::{block, DistanceKind, SoaPoints};
 use std::cmp::Ordering;
-
-/// Streams the contiguous slot range `[start, end)` of `pts` through the
-/// blocked distance kernel — one stack tile at a time, no allocation —
-/// offering each `(distance, ids[slot])` to `best` in ascending slot order.
-/// Distances are bit-identical to the scalar `DistanceKind::distance` per
-/// point, and [`Best`]'s `(distance, id)` ordering is insensitive to visit
-/// order, so a structure that swaps its per-point loop for this scan
-/// changes no output byte.
-pub(crate) fn scan_slots(
-    metric: DistanceKind,
-    q: &[f64],
-    pts: &SoaPoints,
-    start: usize,
-    end: usize,
-    ids: &[u32],
-    best: &mut Best,
-) {
-    let mut buf = [0.0f64; block::TILE];
-    let mut s = start;
-    while s < end {
-        let len = block::TILE.min(end - s);
-        block::dist_range(metric, q, pts, s, &mut buf[..len]);
-        for (o, &d) in buf[..len].iter().enumerate() {
-            best.consider(d, ids[s + o] as usize);
-        }
-        s += len;
-    }
-}
-
-/// Range-query twin of [`scan_slots`]: pushes `ids[slot]` for every point
-/// in `[start, end)` with distance `<= radius` (inclusive, like every range
-/// query in this crate), in ascending slot order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn collect_slots(
-    metric: DistanceKind,
-    q: &[f64],
-    pts: &SoaPoints,
-    start: usize,
-    end: usize,
-    ids: &[u32],
-    radius: f64,
-    out: &mut Vec<usize>,
-) {
-    let mut buf = [0.0f64; block::TILE];
-    let mut s = start;
-    while s < end {
-        let len = block::TILE.min(end - s);
-        block::dist_range(metric, q, pts, s, &mut buf[..len]);
-        for (o, &d) in buf[..len].iter().enumerate() {
-            if d <= radius {
-                out.push(ids[s + o] as usize);
-            }
-        }
-        s += len;
-    }
-}
 
 /// Sorts a set of distinct ids into ascending order. Dense results (a
 /// range query whose hits fill at least 1/8 of `0..=max id`) get a bitmask
