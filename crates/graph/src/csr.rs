@@ -530,6 +530,17 @@ mod tests {
             CsrGraph::try_from_threshold_oracle(&o, 1e9),
             Ok(CsrGraph::from_threshold_oracle(&o, 1e9))
         );
+        // At the 4 GiB cap the complete graph fits up to n = 23,170, blocks
+        // keep 1,024 rows up to n = 524,289, and 10M points take 53; a
+        // block of complete rows holds at most half the cap.
+        let ns = [23_170, 23_171, 524_289, 10_000_000];
+        let blocks = ns.map(|n| build_block(n, SCRATCH_BYTES_CAP));
+        assert_eq!(blocks, [23_170, 1_024, 1_024, 53]);
+        for (n, block) in ns.into_iter().zip(blocks) {
+            assert!(block as u64 * (n as u64 - 1) * 4 <= SCRATCH_BYTES_CAP / 2);
+        }
+        assert_eq!([0, 1].map(|n| build_block(n, SCRATCH_BYTES_CAP)), [1, 1]);
+        assert_eq!(build_block(5, 0), 1);
     }
 
     #[test]
@@ -556,20 +567,6 @@ mod tests {
         // the build holding four rows, not 1,024.
         let err = threshold_build(o, 1e9, 48_000).unwrap_err();
         assert_eq!((err.n, err.directed_edges), (3_000, 11_996));
-    }
-
-    #[test]
-    fn a_block_of_complete_rows_holds_at_most_half_the_cap() {
-        // At the 4 GiB cap the complete graph fits up to n = 23,170, blocks
-        // keep 1,024 rows up to n = 524,289, and 10M points take 53.
-        let ns = [23_170, 23_171, 524_289, 10_000_000];
-        let blocks = ns.map(|n| build_block(n, SCRATCH_BYTES_CAP));
-        assert_eq!(blocks, [23_170, 1_024, 1_024, 53]);
-        for (n, block) in ns.into_iter().zip(blocks) {
-            assert!(block as u64 * (n as u64 - 1) * 4 <= SCRATCH_BYTES_CAP / 2);
-        }
-        assert_eq!([0, 1].map(|n| build_block(n, SCRATCH_BYTES_CAP)), [1, 1]);
-        assert_eq!(build_block(5, 0), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::index::{checked_point_count, Flat};
 use crate::query::{sort_ids_ascending, Best};
-use parfaclo_kernel::{DistanceKind, SoaPoints};
+use parfaclo_kernel::DistanceKind;
 
 /// The maximum dimension the grid supports. Ring enumeration is written for
 /// up to three axes, and the workspace's generators make 1-D and 2-D
@@ -151,22 +151,10 @@ impl UniformGrid {
             }
         }
 
-        // Re-materialise the points in bucket order: slot `s` holds point
-        // `order[s]`, so every cell is a contiguous slot run for the
-        // blocked kernels, and `slot_ids` carries the caller ids along.
-        let soa = SoaPoints::from_flat_permuted(&coords, dim, &order);
-        let slot_ids: Vec<u32> = order
-            .iter()
-            .map(|&pos| ids.as_ref().map_or(pos, |v| v[pos as usize]))
-            .collect();
-
         UniformGrid {
-            points: Flat {
-                dim,
-                metric,
-                soa,
-                slot_ids,
-            },
+            // Re-materialised in bucket order, so every cell is a
+            // contiguous slot run for the blocked kernels.
+            points: Flat::permuted(&coords, dim, metric, &order, ids.as_deref()),
             lo,
             cell,
             counts,
@@ -188,7 +176,7 @@ impl UniformGrid {
 
     /// The (clamped) per-axis cell coordinates of a query point.
     fn query_cell(&self, q: &[f64]) -> Vec<usize> {
-        (0..self.points.dim)
+        (0..self.points.dim())
             .map(|a| axis_cell(q[a], self.lo[a], self.cell, self.counts[a]))
             .collect()
     }
@@ -213,7 +201,7 @@ impl UniformGrid {
         win_hi: &[usize],
         mut visit: impl FnMut(usize, usize) -> bool,
     ) {
-        let last_axis = self.points.dim - 1;
+        let last_axis = self.points.dim() - 1;
         let width = win_hi[last_axis] - win_lo[last_axis];
         let mut cell = win_lo.to_vec();
         loop {
@@ -251,8 +239,8 @@ impl UniformGrid {
             visit(self.linear(center));
             return;
         }
-        let mut cell = vec![0usize; self.points.dim];
-        for face_axis in 0..self.points.dim {
+        let mut cell = vec![0usize; self.points.dim()];
+        for face_axis in 0..self.points.dim() {
             for negative_side in [true, false] {
                 let face_coord = if negative_side {
                     match center[face_axis].checked_sub(ring) {
@@ -284,7 +272,7 @@ impl UniformGrid {
                 loop {
                     visit(self.linear(&cell));
                     // Odometer over the non-face axes.
-                    let mut a = self.points.dim;
+                    let mut a = self.points.dim();
                     let mut done = true;
                     loop {
                         if a == 0 {
@@ -325,7 +313,7 @@ impl UniformGrid {
 
     /// Largest ring that still intersects the grid from `center`.
     fn max_ring(&self, center: &[usize]) -> usize {
-        (0..self.points.dim)
+        (0..self.points.dim())
             .map(|a| center[a].max(self.counts[a] - 1 - center[a]))
             .max()
             .unwrap_or(0)
@@ -333,10 +321,10 @@ impl UniformGrid {
 
     #[inline]
     fn cell_box(&self, c: usize) -> (&[f64], &[f64]) {
-        let s = c * self.points.dim;
+        let s = c * self.points.dim();
         (
-            &self.cell_lo[s..s + self.points.dim],
-            &self.cell_hi[s..s + self.points.dim],
+            &self.cell_lo[s..s + self.points.dim()],
+            &self.cell_hi[s..s + self.points.dim()],
         )
     }
 
@@ -349,7 +337,7 @@ impl UniformGrid {
     /// The nearest indexed point to `q` (its caller id and distance), ties
     /// towards the lowest id; `None` when empty.
     pub fn nearest(&self, q: &[f64]) -> Option<(usize, f64)> {
-        assert_eq!(q.len(), self.points.dim, "query dimension mismatch");
+        assert_eq!(q.len(), self.points.dim(), "query dimension mismatch");
         let mut best = Best::new();
         if !self.is_empty() {
             self.search_rings(q, &mut best);
@@ -377,7 +365,8 @@ impl UniformGrid {
                 if best.prunes(self.points.metric.box_lower_bound(q, blo, bhi)) {
                     return;
                 }
-                self.points.scan_slots(q, s0, s1, best);
+                self.points
+                    .scan_slots(q, s0, s1, |d, id| best.consider(d, id));
             });
         }
     }
@@ -400,7 +389,7 @@ impl UniformGrid {
         radius: f64,
         max_points: usize,
     ) -> Option<Vec<usize>> {
-        assert_eq!(q.len(), self.points.dim, "query dimension mismatch");
+        assert_eq!(q.len(), self.points.dim(), "query dimension mismatch");
         let mut out = Vec::new();
         if self.is_empty() || radius < 0.0 {
             return Some(out);
@@ -412,12 +401,12 @@ impl UniformGrid {
             DistanceKind::SquaredEuclidean => radius.sqrt(),
             _ => radius,
         };
-        let win_lo: Vec<usize> = (0..self.points.dim)
+        let win_lo: Vec<usize> = (0..self.points.dim())
             .map(|a| {
                 axis_cell(q[a] - reach, self.lo[a], self.cell, self.counts[a]).saturating_sub(1)
             })
             .collect();
-        let win_hi: Vec<usize> = (0..self.points.dim)
+        let win_hi: Vec<usize> = (0..self.points.dim())
             .map(|a| {
                 (axis_cell(q[a] + reach, self.lo[a], self.cell, self.counts[a]) + 1)
                     .min(self.counts[a] - 1)
@@ -443,7 +432,7 @@ impl UniformGrid {
                 if self.points.metric.box_lower_bound(q, blo, bhi) > radius {
                     continue;
                 }
-                self.points.for_each_slot(q, s0, s1, |d, id| {
+                self.points.scan_slots(q, s0, s1, |d, id| {
                     if d <= radius {
                         out.push(id);
                     }

@@ -58,12 +58,11 @@ pub(crate) fn checked_point_count(coords: &[f64], dim: usize, ids: Option<&[u32]
 /// bucket a slot range of it.
 #[derive(Debug, Clone)]
 pub struct Flat {
-    pub(crate) dim: usize,
     pub(crate) metric: DistanceKind,
     /// Coordinates in slot order, one contiguous vector per axis.
-    pub(crate) soa: SoaPoints,
+    soa: SoaPoints,
     /// Caller id per slot.
-    pub(crate) slot_ids: Vec<u32>,
+    slot_ids: Vec<u32>,
 }
 
 impl Flat {
@@ -77,11 +76,33 @@ impl Flat {
     ) -> Self {
         let n = checked_point_count(&coords, dim, ids.as_deref());
         Flat {
-            dim,
             metric,
             soa: SoaPoints::from_flat(&coords, dim, n),
             slot_ids: ids.unwrap_or_else(|| (0..n as u32).collect()),
         }
+    }
+
+    /// The flat index of checked `coords` stored in slot order: slot `s`
+    /// holds position `order[s]` and that position's caller id.
+    pub(crate) fn permuted(
+        coords: &[f64],
+        dim: usize,
+        metric: DistanceKind,
+        order: &[u32],
+        ids: Option<&[u32]>,
+    ) -> Self {
+        Flat {
+            metric,
+            soa: SoaPoints::from_flat_permuted(coords, dim, order),
+            slot_ids: order
+                .iter()
+                .map(|&pos| ids.map_or(pos, |v| v[pos as usize]))
+                .collect(),
+        }
+    }
+
+    pub(crate) fn dim(&self) -> usize {
+        self.soa.dim()
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -91,9 +112,11 @@ impl Flat {
     /// Streams the slot range `[start, end)` through the blocked distance
     /// kernel — one stack tile at a time, no allocation — calling
     /// `visit(distance, caller id)` in ascending slot order. Distances are
-    /// bit-identical to the scalar `DistanceKind::distance` per point.
+    /// bit-identical to the scalar `DistanceKind::distance` per point, and
+    /// [`Best`]'s `(distance, id)` order is insensitive to visit order, so
+    /// the slot order a structure stores changes no answer.
     #[inline]
-    pub(crate) fn for_each_slot(
+    pub(crate) fn scan_slots(
         &self,
         q: &[f64],
         start: usize,
@@ -112,24 +135,17 @@ impl Flat {
         }
     }
 
-    /// Offers every point in the slot range `[start, end)` to `best`.
-    /// [`Best`]'s `(distance, id)` ordering is insensitive to visit order,
-    /// so the slot order a structure stores changes no answer.
-    pub(crate) fn scan_slots(&self, q: &[f64], start: usize, end: usize, best: &mut Best) {
-        self.for_each_slot(q, start, end, |d, id| best.consider(d, id));
-    }
-
     fn nearest(&self, q: &[f64]) -> Option<(usize, f64)> {
-        assert_eq!(q.len(), self.dim, "query dimension mismatch");
+        assert_eq!(q.len(), self.dim(), "query dimension mismatch");
         let mut best = Best::new();
-        self.scan_slots(q, 0, self.len(), &mut best);
+        self.scan_slots(q, 0, self.len(), |d, id| best.consider(d, id));
         best.into_result()
     }
 
     fn range(&self, q: &[f64], radius: f64) -> Vec<usize> {
-        assert_eq!(q.len(), self.dim, "query dimension mismatch");
+        assert_eq!(q.len(), self.dim(), "query dimension mismatch");
         let mut out = Vec::new();
-        self.for_each_slot(q, 0, self.len(), |d, id| {
+        self.scan_slots(q, 0, self.len(), |d, id| {
             if d <= radius {
                 out.push(id);
             }
