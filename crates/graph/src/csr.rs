@@ -137,7 +137,7 @@ impl CsrGraph {
     /// a running total of their lengths, and the build stops at the first
     /// block that takes the total past the cap. Each query runs once either
     /// way. A block is sized so that its rows hold at most half the cap
-    /// even when complete (fewer than 1,024 rows past `n = 524,288`), and
+    /// even when complete (fewer than 1,024 rows past `n = 524,289`), and
     /// the rows before it hold at most half the cap, or the build would
     /// have stopped; so a refusal's peak stays within the cap, the peak an
     /// accepted build just under the cap reaches too.
