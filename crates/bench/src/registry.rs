@@ -75,6 +75,41 @@ mod tests {
         assert!(registry.len() >= 14);
     }
 
+    /// The listing `parfaclo list` prints: every entry's name, problem,
+    /// guarantee label and paper reference. The golden corpus pins each
+    /// run's `guarantee` value, but not the exactness label or the
+    /// reference.
+    #[test]
+    fn listing_is_pinned() {
+        let listing: String = standard_registry()
+            .iter()
+            .map(|s| {
+                let (name, problem) = (s.name(), s.problem());
+                let (label, paper) = (s.guarantee_label(), s.paper_ref());
+                format!("{name} | {problem} | {label} | {paper}\n")
+            })
+            .collect();
+        assert_eq!(
+            listing,
+            "\
+gonzalez | k-clustering | 2 | Gonzalez 1985 (sequential baseline)
+greedy | facility-location | 3.722 + eps | Algorithm 4.1, Theorem 4.9
+hs-kcenter | k-clustering | 2 | Hochbaum & Shmoys 1985 (sequential baseline)
+jain-vazirani | facility-location | 3 | Jain & Vazirani, J. ACM 2001 (sequential baseline)
+jms-greedy | facility-location | 1.861 | Jain et al., J. ACM 2003 (sequential baseline)
+kcenter | k-clustering | 2 | Section 6.1, Theorem 6.1
+kmeans-ls | k-clustering | 81 + eps | Section 7, Theorem 7.1
+kmedian-ls | k-clustering | 5 + eps | Section 7, Theorem 7.1
+kmedian-seq | k-clustering | 5 + eps | Arya et al. 2004 (sequential baseline)
+local-search-fl | facility-location | 3 + eps | Section 7 (closing remark)
+lp-rounding | facility-location | 4 + eps | Section 6.2, Theorem 6.5
+maxdom | dominator-set | - | Section 3, Lemma 3.1
+mis | dominator-set | - | Algorithm 3.1 (Luby)
+primal-dual | facility-location | 3 + eps | Algorithm 5.1, Theorem 5.4
+"
+        );
+    }
+
     #[test]
     fn names_are_unique_and_sorted() {
         let registry = standard_registry();
