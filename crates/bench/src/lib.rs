@@ -1,11 +1,11 @@
-//! Harness for the unified `parfaclo` runner and the Criterion benches.
+//! Harness for the unified `parfaclo` runner.
 //!
 //! This crate owns the pieces that need visibility over every algorithm
 //! crate at once:
 //!
 //! * [`registry`] — assembly of the full solver [`parfaclo_api::Registry`]
-//!   (`standard_registry()`), the entry point for the CLI, the benches and
-//!   the cross-crate conformance tests;
+//!   (`standard_registry()`), the entry point for the CLI, the examples,
+//!   the repository benchmark and the cross-crate conformance tests;
 //! * [`runner`] — the engine behind the `parfaclo` binary: `--gen` spec
 //!   parsing, instance construction, solver dispatch, JSON emission;
 //! * the `parfaclo` binary itself (`src/bin/parfaclo.rs`), which replaces
