@@ -5,53 +5,58 @@
 //! Every algorithm in the reproduction — the three parallel facility-location
 //! algorithms of *Blelloch & Tangwongsan (SPAA 2010)*, the k-clustering
 //! algorithms, the dominator-set routines and the sequential baselines — is
-//! exposed behind one seam:
+//! a free function of its instance and one [`RunConfig`], exposed behind one
+//! seam:
 //!
-//! * [`Solver`] — the typed trait: an instance type and
-//!   `solve(&inst, &RunConfig) -> Result<Run, String>`;
+//! * [`SolverEntry`] — a solver as data: name, problem family, guarantee,
+//!   paper reference and a solve function
+//!   `fn(&inst, &RunConfig) -> Result<Run, String>`; its
+//!   [`run`](SolverEntry::run) is the one runner every solve goes through;
 //! * [`Run`] — the common result envelope (cost, certified lower bound,
 //!   rounds, work report, wall time, solver-specific extras) with a stable
 //!   JSON schema shared by every experiment;
 //! * [`RunConfig`] — the one builder-style configuration every solver reads
 //!   (ε, seed, thread count, ablation knobs, `k` for the clustering
 //!   solvers);
-//! * [`Registry`] — a string-keyed collection of type-erased solvers so
-//!   benches, tests and the `parfaclo` CLI can enumerate and select solvers
-//!   by name.
+//! * [`Registry`] — a string-keyed collection of entries so the tests and
+//!   the `parfaclo` CLI can enumerate and select solvers by name.
 //!
-//! The concrete algorithm crates implement [`Solver`] and the
-//! `parfaclo-bench` crate assembles the full registry
+//! Each algorithm crate exports its entries as a table
+//! (`parfaclo_core::solvers::SOLVERS`, …) and the `parfaclo-bench` crate
+//! assembles the full registry
 //! (`parfaclo_bench::registry::standard_registry`).
 //!
 //! ## Example
 //!
 //! ```
-//! use parfaclo_api::{ProblemKind, Registry, Run, RunConfig, Solver};
-//! use parfaclo_metric::FlInstance;
+//! use parfaclo_api::{AnyInstance, ProblemKind, Registry, Run, RunConfig, Solve, SolverEntry};
+//! use parfaclo_metric::{DistanceMatrix, FlInstance};
 //!
-//! /// A toy "solver" that opens every facility.
-//! struct OpenAll;
-//!
-//! impl Solver for OpenAll {
-//!     type Instance = FlInstance;
-//!
-//!     fn name(&self) -> &str { "open-all" }
-//!     fn problem(&self) -> ProblemKind { ProblemKind::FacilityLocation }
-//!
-//!     fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
-//!         let open: Vec<usize> = (0..inst.num_facilities()).collect();
-//!         let cost = inst.opening_cost(&open) + inst.connection_cost(&open);
-//!         Ok(Run::new(self.name(), self.problem())
-//!             .with_instance_size(inst.num_clients(), inst.m())
-//!             .with_cost(cost)
-//!             .with_selected(open)
-//!             .with_config_echo(cfg))
-//!     }
+//! /// A toy solve that opens every facility.
+//! fn open_all(inst: &FlInstance, _cfg: &RunConfig) -> Result<Run, String> {
+//!     let open: Vec<usize> = (0..inst.num_facilities()).collect();
+//!     let cost = inst.opening_cost(&open) + inst.connection_cost(&open);
+//!     Ok(Run::default().with_cost(cost).with_selected(open))
 //! }
 //!
 //! let mut registry = Registry::new();
-//! registry.register(Box::new(OpenAll));
+//! registry.register(SolverEntry {
+//!     name: "open-all",
+//!     problem: ProblemKind::FacilityLocation,
+//!     guarantee: 0.0,
+//!     exact: false,
+//!     paper_ref: "",
+//!     solve: Solve::Fl(open_all),
+//! });
 //! assert_eq!(registry.names(), vec!["open-all"]);
+//!
+//! let inst = AnyInstance::Fl(FlInstance::new(
+//!     vec![1.0],
+//!     DistanceMatrix::from_rows(2, 1, vec![0.5, 1.5]),
+//! ));
+//! let run = registry.run("open-all", &inst, &RunConfig::new(0.1).with_seed(7)).unwrap();
+//! assert_eq!((run.solver.as_str(), run.n, run.seed), ("open-all", 2, 7));
+//! assert_eq!(run.cost, 3.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -67,7 +72,7 @@ pub mod trial;
 pub use config::{GraphBackend, RunConfig, MAX_ROUNDS};
 pub use registry::Registry;
 pub use run::{ProblemKind, Run, RUN_SCHEMA};
-pub use solver::{AnyInstance, DynSolver, FromAnyInstance, SolveError, Solver};
+pub use solver::{AnyInstance, Solve, SolveError, SolverEntry};
 pub use trial::TrialStats;
 
 /// Re-export of the instance distance-backend selector so API consumers can
@@ -86,6 +91,6 @@ pub use parfaclo_metric::{BuildError, Coreset};
 pub use parfaclo_bucket::RadiusDeriver;
 
 /// Re-exports of the tracing subsystem so harnesses can install a
-/// [`Tracer`] (picked up by the registry wrapper and every instrumented
+/// [`Tracer`] (picked up by the registry runner and every instrumented
 /// solver phase) without depending on `parfaclo-trace` directly.
 pub use parfaclo_trace::{InstallGuard, PhaseSummary, TraceDetail, Tracer, TRACE_SCHEMA};

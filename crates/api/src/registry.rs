@@ -2,17 +2,17 @@
 
 use crate::config::RunConfig;
 use crate::run::Run;
-use crate::solver::{AnyInstance, DynSolver, SolveError};
+use crate::solver::{AnyInstance, SolveError, SolverEntry};
 use std::collections::BTreeMap;
 
-/// An ordered, string-keyed collection of type-erased solvers.
+/// An ordered, string-keyed collection of solver entries.
 ///
-/// Callers (the `parfaclo` CLI, benches, conformance tests) enumerate and
+/// Callers (the `parfaclo` CLI, the benchmark, conformance tests) enumerate and
 /// select solvers by name; iteration order is lexicographic so listings and
 /// sweeps are deterministic.
 #[derive(Default)]
 pub struct Registry {
-    solvers: BTreeMap<String, Box<dyn DynSolver>>,
+    solvers: BTreeMap<&'static str, SolverEntry>,
 }
 
 impl Registry {
@@ -21,25 +21,25 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds a solver under its own name.
+    /// Adds an entry under its own name.
     ///
     /// # Panics
     /// Panics if a solver with the same name is already registered —
     /// duplicate names are always a wiring bug.
-    pub fn register(&mut self, solver: Box<dyn DynSolver>) {
-        let name = solver.name().to_string();
-        let duplicate = self.solvers.insert(name.clone(), solver).is_some();
+    pub fn register(&mut self, entry: SolverEntry) {
+        let name = entry.name;
+        let duplicate = self.solvers.insert(name, entry).is_some();
         assert!(!duplicate, "duplicate solver name '{name}' in registry");
     }
 
     /// Looks up a solver by name.
-    pub fn get(&self, name: &str) -> Option<&dyn DynSolver> {
-        self.solvers.get(name).map(|b| b.as_ref())
+    pub fn get(&self, name: &str) -> Option<&SolverEntry> {
+        self.solvers.get(name)
     }
 
     /// All registered names, lexicographically sorted.
     pub fn names(&self) -> Vec<&str> {
-        self.solvers.keys().map(|k| k.as_str()).collect()
+        self.solvers.keys().copied().collect()
     }
 
     /// Number of registered solvers.
@@ -52,9 +52,9 @@ impl Registry {
         self.solvers.is_empty()
     }
 
-    /// Iterates over the solvers in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn DynSolver> {
-        self.solvers.values().map(|b| b.as_ref())
+    /// Iterates over the entries in name order.
+    pub fn iter(&self) -> impl Iterator<Item = &SolverEntry> {
+        self.solvers.values()
     }
 
     /// Convenience: looks up `name` and runs it on `inst`.
@@ -77,27 +77,17 @@ impl std::fmt::Debug for Registry {
 mod tests {
     use super::*;
     use crate::run::ProblemKind;
-    use crate::solver::Solver;
+    use crate::solver::Solve;
     use parfaclo_metric::{DistanceMatrix, FlInstance};
 
-    struct Dummy(&'static str);
-
-    impl Solver for Dummy {
-        type Instance = FlInstance;
-
-        fn name(&self) -> &str {
-            self.0
-        }
-
-        fn problem(&self) -> ProblemKind {
-            ProblemKind::FacilityLocation
-        }
-
-        fn solve(&self, _inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
-            Ok(Run::new(self.0, ProblemKind::FacilityLocation)
-                .with_cost(1.0)
-                .with_selected(vec![0])
-                .with_config_echo(cfg))
+    fn dummy(name: &'static str) -> SolverEntry {
+        SolverEntry {
+            name,
+            problem: ProblemKind::FacilityLocation,
+            guarantee: 0.0,
+            exact: false,
+            paper_ref: "",
+            solve: Solve::Fl(|_, _| Ok(Run::default().with_cost(1.0).with_selected(vec![0]))),
         }
     }
 
@@ -111,8 +101,8 @@ mod tests {
     #[test]
     fn names_are_sorted_and_lookup_works() {
         let mut r = Registry::new();
-        r.register(Box::new(Dummy("zeta")));
-        r.register(Box::new(Dummy("alpha")));
+        r.register(dummy("zeta"));
+        r.register(dummy("alpha"));
         assert_eq!(r.names(), vec!["alpha", "zeta"]);
         assert_eq!(r.len(), 2);
         assert!(r.get("alpha").is_some());
@@ -133,7 +123,7 @@ mod tests {
     #[should_panic(expected = "duplicate solver name")]
     fn duplicate_names_panic() {
         let mut r = Registry::new();
-        r.register(Box::new(Dummy("same")));
-        r.register(Box::new(Dummy("same")));
+        r.register(dummy("same"));
+        r.register(dummy("same"));
     }
 }

@@ -1,6 +1,5 @@
 //! The unified result envelope.
 
-use crate::config::RunConfig;
 use crate::json::{JsonObject, JsonValue};
 use crate::trial::TrialStats;
 use parfaclo_matrixops::CostReport;
@@ -78,10 +77,10 @@ pub struct Run {
     /// thread counts — so every canonical byte comparison also pins the
     /// work profile.
     pub work: CostReport,
-    /// Wall-clock milliseconds; stamped by the registry wrapper, excluded
+    /// Wall-clock milliseconds; stamped by the registry runner, excluded
     /// from [`Run::canonical_json`] so determinism comparisons stay exact.
     pub wall_ms: f64,
-    /// Worker threads the run executed on; stamped by the registry wrapper.
+    /// Worker threads the run executed on; stamped by the registry runner.
     /// Like `wall_ms` it is excluded from [`Run::canonical_json`]: thread
     /// count affects timing, never results, and the determinism tests
     /// compare runs across thread counts byte-for-byte.
@@ -94,12 +93,12 @@ pub struct Run {
     pub backend: Backend,
     /// Estimated resident bytes of the instance's distance storage (the
     /// oracle's `memory_bytes()`): `8·|C|·|F|` dense, `O(|C| + |F|)`
-    /// implicit. Stamped by the registry wrapper; excluded from
+    /// implicit. Stamped by the registry runner; excluded from
     /// [`Run::canonical_json`] alongside `backend`.
     pub memory_bytes: u64,
     /// Wall-clock milliseconds per top-level solver phase (orders-build,
     /// star-rounds, coreset-build, …), aggregated from the trace span tree
-    /// by the registry wrapper. Timing metadata like `wall_ms`: emitted in
+    /// by the registry runner. Timing metadata like `wall_ms`: emitted in
     /// [`Run::to_json`]'s timing section and excluded from
     /// [`Run::canonical_json`] — phase *topology* is workload-pure, but
     /// these are wall-clock durations.
@@ -118,12 +117,15 @@ pub struct Run {
     pub extra: Vec<(String, f64)>,
 }
 
-impl Run {
-    /// Starts an empty envelope for the given solver and problem family.
-    pub fn new(solver: &str, problem: ProblemKind) -> Self {
+impl Default for Run {
+    /// An empty envelope. A solve function starts from it and fills its
+    /// results; [`SolverEntry::run`](crate::SolverEntry::run) stamps the
+    /// solver's identity, the instance size, the configuration echo and the
+    /// timing metadata.
+    fn default() -> Self {
         Run {
-            solver: solver.to_string(),
-            problem,
+            solver: String::new(),
+            problem: ProblemKind::FacilityLocation,
             n: 0,
             m: 0,
             cost: 0.0,
@@ -145,14 +147,9 @@ impl Run {
             extra: Vec::new(),
         }
     }
+}
 
-    /// Records the instance dimensions.
-    pub fn with_instance_size(mut self, n: usize, m: usize) -> Self {
-        self.n = n;
-        self.m = m;
-        self
-    }
-
+impl Run {
     /// Records the objective value.
     pub fn with_cost(mut self, cost: f64) -> Self {
         self.cost = cost;
@@ -162,12 +159,6 @@ impl Run {
     /// Records the certified lower bound.
     pub fn with_lower_bound(mut self, lower_bound: f64) -> Self {
         self.lower_bound = lower_bound;
-        self
-    }
-
-    /// Records the promised approximation factor.
-    pub fn with_guarantee(mut self, guarantee: f64) -> Self {
-        self.guarantee = guarantee;
         self
     }
 
@@ -194,13 +185,6 @@ impl Run {
     /// Records the work report.
     pub fn with_work(mut self, work: CostReport) -> Self {
         self.work = work;
-        self
-    }
-
-    /// Echoes the ε and seed of the configuration into the envelope.
-    pub fn with_config_echo(mut self, cfg: &RunConfig) -> Self {
-        self.epsilon = cfg.epsilon;
-        self.seed = cfg.seed;
         self
     }
 
@@ -361,16 +345,21 @@ mod tests {
     use super::*;
 
     fn sample() -> Run {
-        Run::new("greedy", ProblemKind::FacilityLocation)
-            .with_instance_size(3, 6)
-            .with_cost(10.0)
-            .with_lower_bound(5.0)
-            .with_guarantee(3.722)
-            .with_selected(vec![2, 0])
-            .with_assignment(vec![0, 0, 2])
-            .with_rounds(4, 9)
-            .with_config_echo(&RunConfig::new(0.1).with_seed(7))
-            .with_extra("probes", 3.0)
+        Run {
+            solver: "greedy".to_string(),
+            n: 3,
+            m: 6,
+            guarantee: 3.722,
+            epsilon: 0.1,
+            seed: 7,
+            ..Run::default()
+        }
+        .with_cost(10.0)
+        .with_lower_bound(5.0)
+        .with_selected(vec![2, 0])
+        .with_assignment(vec![0, 0, 2])
+        .with_rounds(4, 9)
+        .with_extra("probes", 3.0)
     }
 
     #[test]
@@ -378,8 +367,6 @@ mod tests {
         let run = sample();
         assert_eq!(run.selected, vec![0, 2]);
         assert_eq!(run.certified_ratio(), Some(2.0));
-        assert_eq!(run.epsilon, 0.1);
-        assert_eq!(run.seed, 7);
         run.validate().expect("structurally valid");
     }
 
@@ -475,7 +462,7 @@ mod tests {
 
     #[test]
     fn no_certificate_means_no_ratio() {
-        let run = Run::new("x", ProblemKind::KClustering).with_cost(3.0);
+        let run = Run::default().with_cost(3.0);
         assert_eq!(run.certified_ratio(), None);
         assert!(run.to_json().contains("\"certified_ratio\":null"));
     }

@@ -1,4 +1,5 @@
-//! The typed [`Solver`] trait and its type-erased registry form.
+//! Registry entries: each solver as data, and the one runner that drives
+//! them.
 
 use crate::config::RunConfig;
 use crate::run::{ProblemKind, Run};
@@ -6,51 +7,6 @@ use parfaclo_metric::{Backend, BuildError, ClusterInstance, FlInstance};
 use parfaclo_trace as trace;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A solver for one problem family, with its native instance type.
-///
-/// This is the seam every algorithm in the workspace plugs into: the
-/// historical free functions (`greedy::parallel_greedy`,
-/// `kcenter::parallel_kcenter`, …) remain as the implementations, and the
-/// `Solver` impls are thin adapters that call them and repackage the result
-/// into the common [`Run`] envelope. Every solver reads the same
-/// [`RunConfig`], and so do the facility-location and local-search free
-/// functions.
-pub trait Solver {
-    /// The instance type consumed (`FlInstance`, `ClusterInstance`, …).
-    type Instance;
-
-    /// Stable registry name (kebab-case, e.g. `"primal-dual"`).
-    fn name(&self) -> &str;
-
-    /// The problem family this solver addresses.
-    fn problem(&self) -> ProblemKind;
-
-    /// The approximation factor the algorithm promises before the `+ ε`
-    /// (0 when no guarantee applies, e.g. heuristics).
-    fn guarantee(&self) -> f64 {
-        0.0
-    }
-
-    /// Whether [`Solver::guarantee`] is exact rather than paying the
-    /// paper's `+ ε` slack (true for the sequential baselines).
-    fn guarantee_is_exact(&self) -> bool {
-        false
-    }
-
-    /// Where in the paper (or the literature) the algorithm comes from.
-    fn paper_ref(&self) -> &str {
-        ""
-    }
-
-    /// Runs the solver.
-    ///
-    /// Returns `Err` with a human-readable reason when the run is infeasible
-    /// as configured — for example a threshold graph refusing an
-    /// allocation beyond its size cap — rather than panicking. The registry
-    /// surfaces this as [`SolveError::Infeasible`].
-    fn solve(&self, inst: &Self::Instance, cfg: &RunConfig) -> Result<Run, String>;
-}
 
 /// An instance of any problem family the registry can route.
 #[derive(Debug, Clone)]
@@ -105,31 +61,6 @@ impl AnyInstance {
     }
 }
 
-/// Projection from [`AnyInstance`] to a concrete instance type; the erased
-/// registry wrapper uses it to route instances to typed solvers.
-pub trait FromAnyInstance {
-    /// Borrows the concrete instance if the variant matches.
-    fn from_any(inst: &AnyInstance) -> Option<&Self>;
-}
-
-impl FromAnyInstance for FlInstance {
-    fn from_any(inst: &AnyInstance) -> Option<&Self> {
-        match inst {
-            AnyInstance::Fl(fl) => Some(fl),
-            _ => None,
-        }
-    }
-}
-
-impl FromAnyInstance for ClusterInstance {
-    fn from_any(inst: &AnyInstance) -> Option<&Self> {
-        match inst {
-            AnyInstance::Cluster(c) => Some(c),
-            _ => None,
-        }
-    }
-}
-
 /// Why a registry-level run could not be performed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveError {
@@ -180,63 +111,87 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Object-safe view of a solver, as stored in the registry.
+/// A solve function, typed by the instance it consumes.
 ///
-/// Blanket-implemented for every [`Solver`] whose instance type can be
-/// projected out of [`AnyInstance`]; `run` stamps wall time into the
-/// envelope.
-pub trait DynSolver {
-    /// Stable registry name.
-    fn name(&self) -> &str;
-    /// Problem family.
-    fn problem(&self) -> ProblemKind;
-    /// Promised approximation factor (0 if none).
-    fn guarantee(&self) -> f64;
-    /// Human-readable guarantee, e.g. `3.722 + eps`, `2` (exact) or `-`.
-    fn guarantee_label(&self) -> String;
-    /// Paper / literature reference.
-    fn paper_ref(&self) -> &str;
-    /// Routes the instance, runs the solver, stamps timing.
-    fn run(&self, inst: &AnyInstance, cfg: &RunConfig) -> Result<Run, SolveError>;
+/// A solve function fills only the results of its [`Run`] (cost,
+/// certificate, selection, assignment, rounds, work, extras); the entry's
+/// [`SolverEntry::run`] stamps the rest. It returns `Err` with a
+/// human-readable reason when the run is infeasible as configured — for
+/// example a threshold graph refusing an allocation beyond its size cap —
+/// rather than panicking; the registry surfaces this as
+/// [`SolveError::Infeasible`].
+#[derive(Clone, Copy)]
+pub enum Solve {
+    /// Consumes a facility-location instance.
+    Fl(fn(&FlInstance, &RunConfig) -> Result<Run, String>),
+    /// Consumes a clustering instance.
+    Cluster(fn(&ClusterInstance, &RunConfig) -> Result<Run, String>),
 }
 
-impl<S> DynSolver for S
-where
-    S: Solver,
-    S::Instance: FromAnyInstance,
-{
-    fn name(&self) -> &str {
-        Solver::name(self)
-    }
+/// One solver of the registry: who it is, what it promises, where it comes
+/// from, and its solve function.
+///
+/// Each algorithm crate exports its entries as a table (`solvers::SOLVERS`);
+/// every algorithm stays a free function of its instance and [`RunConfig`],
+/// and the solve functions only repackage its result into a [`Run`].
+#[derive(Clone, Copy)]
+pub struct SolverEntry {
+    /// Stable registry name (kebab-case, e.g. `"primal-dual"`).
+    pub name: &'static str,
+    /// The problem family this solver addresses.
+    pub problem: ProblemKind,
+    /// The approximation factor the algorithm promises before the `+ ε`
+    /// (0 when no guarantee applies, e.g. heuristics).
+    pub guarantee: f64,
+    /// Whether `guarantee` is exact rather than paying the paper's `+ ε`
+    /// slack (true for the sequential baselines).
+    pub exact: bool,
+    /// Where in the paper (or the literature) the algorithm comes from.
+    pub paper_ref: &'static str,
+    /// Runs the algorithm on its instance type.
+    pub solve: Solve,
+}
 
-    fn problem(&self) -> ProblemKind {
-        Solver::problem(self)
-    }
-
-    fn guarantee(&self) -> f64 {
-        Solver::guarantee(self)
-    }
-
-    fn guarantee_label(&self) -> String {
-        let g = Solver::guarantee(self);
-        if g <= 0.0 {
+impl SolverEntry {
+    /// Human-readable guarantee, e.g. `3.722 + eps`, `2` (exact) or `-`.
+    pub fn guarantee_label(&self) -> String {
+        if self.guarantee <= 0.0 {
             "-".to_string()
-        } else if Solver::guarantee_is_exact(self) {
-            format!("{g}")
+        } else if self.exact {
+            format!("{}", self.guarantee)
         } else {
-            format!("{g} + eps")
+            format!("{} + eps", self.guarantee)
         }
     }
 
-    fn paper_ref(&self) -> &str {
-        Solver::paper_ref(self)
+    /// Routes the instance to the solve function, runs it under the tracer
+    /// and thread pool, and stamps the envelope: the entry's identity
+    /// (solver, problem, guarantee), the instance size (`n`, `m`), the
+    /// configuration echo (ε, seed) and the timing metadata (wall time,
+    /// threads, backend, memory, phase walls).
+    pub fn run(&self, inst: &AnyInstance, cfg: &RunConfig) -> Result<Run, SolveError> {
+        match (self.solve, inst) {
+            (Solve::Fl(solve), AnyInstance::Fl(fl)) => {
+                self.run_routed(inst, cfg, || solve(fl, cfg))
+            }
+            (Solve::Cluster(solve), AnyInstance::Cluster(c)) => {
+                self.run_routed(inst, cfg, || solve(c, cfg))
+            }
+            _ => Err(SolveError::WrongInstanceKind {
+                solver: self.name.to_string(),
+                got: inst.describes(),
+            }),
+        }
     }
 
-    fn run(&self, inst: &AnyInstance, cfg: &RunConfig) -> Result<Run, SolveError> {
-        let typed = S::Instance::from_any(inst).ok_or_else(|| SolveError::WrongInstanceKind {
-            solver: Solver::name(self).to_string(),
-            got: inst.describes(),
-        })?;
+    /// [`SolverEntry::run`] past the routing: the one place the stamped
+    /// fields are set.
+    fn run_routed(
+        &self,
+        inst: &AnyInstance,
+        cfg: &RunConfig,
+        solve: impl FnOnce() -> Result<Run, String>,
+    ) -> Result<Run, SolveError> {
         // Every run executes under a tracer: the harness's, when one is
         // installed (`--trace` / `--progress` / the conformance tests),
         // else an ephemeral phase-level tracer, so `Run.phase_wall_ms` is
@@ -257,7 +212,7 @@ where
         // `install`). Either way the actual count is stamped into the
         // envelope's timing metadata.
         let start = Instant::now();
-        let root = trace::span(&format!("solve:{}", Solver::name(self)), None);
+        let root = trace::span(&format!("solve:{}", self.name), None);
         let root_index = root.index();
         let (solved, threads) = match cfg.threads {
             Some(n) => {
@@ -265,18 +220,22 @@ where
                     .num_threads(n)
                     .build()
                     .expect("thread pool construction is infallible");
-                (
-                    pool.install(|| self.solve(typed, cfg)),
-                    pool.current_num_threads(),
-                )
+                (pool.install(solve), pool.current_num_threads())
             }
-            None => (self.solve(typed, cfg), rayon::current_num_threads()),
+            None => (solve(), rayon::current_num_threads()),
         };
         drop(root);
         let mut run = solved.map_err(|reason| SolveError::Infeasible {
-            solver: Solver::name(self).to_string(),
+            solver: self.name.to_string(),
             reason,
         })?;
+        run.solver = self.name.to_string();
+        run.problem = self.problem;
+        run.guarantee = self.guarantee;
+        run.n = inst.n();
+        run.m = inst.m();
+        run.epsilon = cfg.epsilon;
+        run.seed = cfg.seed;
         run.wall_ms = start.elapsed().as_secs_f64() * 1e3;
         run.threads = threads;
         run.backend = inst.backend();
@@ -293,34 +252,21 @@ mod tests {
     use super::*;
     use parfaclo_metric::DistanceMatrix;
 
-    struct OpenAll;
-
-    impl Solver for OpenAll {
-        type Instance = FlInstance;
-
-        fn name(&self) -> &str {
-            "open-all"
-        }
-
-        fn problem(&self) -> ProblemKind {
-            ProblemKind::FacilityLocation
-        }
-
-        fn guarantee(&self) -> f64 {
-            1.5
-        }
-
-        fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
-            let open: Vec<usize> = (0..inst.num_facilities()).collect();
-            let cost = inst.opening_cost(&open) + inst.connection_cost(&open);
-            Ok(Run::new(Solver::name(self), Solver::problem(self))
-                .with_guarantee(Solver::guarantee(self))
-                .with_instance_size(inst.num_clients(), inst.m())
-                .with_cost(cost)
-                .with_selected(open)
-                .with_config_echo(cfg))
-        }
+    /// A toy solve that opens every facility.
+    fn open_all(inst: &FlInstance, _cfg: &RunConfig) -> Result<Run, String> {
+        let open: Vec<usize> = (0..inst.num_facilities()).collect();
+        let cost = inst.opening_cost(&open) + inst.connection_cost(&open);
+        Ok(Run::default().with_cost(cost).with_selected(open))
     }
+
+    const OPEN_ALL: SolverEntry = SolverEntry {
+        name: "open-all",
+        problem: ProblemKind::FacilityLocation,
+        guarantee: 1.5,
+        exact: false,
+        paper_ref: "",
+        solve: Solve::Fl(open_all),
+    };
 
     fn tiny_fl() -> FlInstance {
         FlInstance::new(
@@ -330,27 +276,28 @@ mod tests {
     }
 
     #[test]
-    fn dyn_solver_routes_and_stamps_timing() {
-        let solver: Box<dyn DynSolver> = Box::new(OpenAll);
+    fn entry_routes_and_stamps_timing() {
         let inst = AnyInstance::Fl(tiny_fl());
         let cfg = RunConfig::new(0.1).with_seed(3);
-        let run = solver.run(&inst, &cfg).expect("fl instance accepted");
+        let run = OPEN_ALL.run(&inst, &cfg).expect("fl instance accepted");
         assert_eq!(run.solver, "open-all");
+        assert_eq!(run.problem, ProblemKind::FacilityLocation);
         assert_eq!(run.cost, 34.0);
         assert_eq!(run.guarantee, 1.5);
-        assert_eq!(run.seed, 3);
+        assert_eq!((run.n, run.m), (3, 6));
+        assert_eq!((run.epsilon, run.seed), (0.1, 3));
         assert!(run.wall_ms >= 0.0);
+        assert_eq!(OPEN_ALL.guarantee_label(), "1.5 + eps");
     }
 
     #[test]
     fn wrong_instance_kind_is_rejected() {
-        let solver: Box<dyn DynSolver> = Box::new(OpenAll);
         let inst = AnyInstance::Cluster(ClusterInstance::new(DistanceMatrix::from_rows(
             2,
             2,
             vec![0.0, 1.0, 1.0, 0.0],
         )));
-        let err = solver.run(&inst, &RunConfig::default()).unwrap_err();
+        let err = OPEN_ALL.run(&inst, &RunConfig::default()).unwrap_err();
         assert!(matches!(err, SolveError::WrongInstanceKind { .. }));
         assert!(err.to_string().contains("open-all"));
     }

@@ -431,10 +431,10 @@ fn cmd_list(registry: &Registry) -> Result<(), String> {
     let table = Table::new(&["name", "problem", "guarantee", "paper"]);
     for solver in registry.iter() {
         table.row(&[
-            solver.name().to_string(),
-            solver.problem().to_string(),
+            solver.name.to_string(),
+            solver.problem.to_string(),
             solver.guarantee_label(),
-            solver.paper_ref().to_string(),
+            solver.paper_ref.to_string(),
         ]);
     }
     Ok(())
@@ -625,7 +625,7 @@ fn cmd_suite(registry: &Registry, opts: Options) -> Result<(), String> {
                 || n <= CLUSTER_SWEEP_LIMIT
                 || registry
                     .get(name)
-                    .is_some_and(|s| s.problem() == ProblemKind::FacilityLocation)
+                    .is_some_and(|s| s.problem == ProblemKind::FacilityLocation)
         })
         .collect();
     if names.len() < before && !opts.quiet {

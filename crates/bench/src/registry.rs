@@ -5,22 +5,14 @@
 //! the workspace — the three parallel facility-location algorithms of the
 //! paper plus the local-search extension, the parallel k-clustering
 //! algorithms, the dominator-set routines, and the sequential baselines —
-//! under their stable names. The `parfaclo` CLI, the Criterion benches and
-//! the cross-crate conformance tests all start from here.
+//! under their stable names. The `parfaclo` CLI, the examples, the
+//! repository benchmark and the cross-crate conformance tests all start
+//! from here.
 
 use parfaclo_api::Registry;
-use parfaclo_core::solvers::{
-    FlLocalSearchSolver, GreedySolver, LpRoundingSolver, PrimalDualSolver,
-};
-use parfaclo_dominator::solvers::{MaxDomSolver, MisSolver};
-use parfaclo_kclustering::solvers::{
-    KCenterSolver, KMeansLocalSearchSolver, KMedianLocalSearchSolver,
-};
-use parfaclo_seq_baselines::solvers::{
-    GonzalezSolver, HochbaumShmoysSolver, JainVaziraniSolver, JmsGreedySolver, SeqKMedianSolver,
-};
 
-/// Every solver in the workspace, registered under its stable name.
+/// Every solver in the workspace, registered under its stable name: the
+/// four algorithm crates' entry tables, chained.
 ///
 /// Names (by family):
 ///
@@ -33,25 +25,14 @@ use parfaclo_seq_baselines::solvers::{
 /// * dominator sets: `maxdom`, `mis`
 pub fn standard_registry() -> Registry {
     let mut registry = Registry::new();
-    // Parallel facility location (the paper's core).
-    registry.register(Box::new(GreedySolver));
-    registry.register(Box::new(PrimalDualSolver));
-    registry.register(Box::new(LpRoundingSolver));
-    registry.register(Box::new(FlLocalSearchSolver));
-    // Sequential facility-location baselines.
-    registry.register(Box::new(JmsGreedySolver));
-    registry.register(Box::new(JainVaziraniSolver));
-    // Parallel k-clustering.
-    registry.register(Box::new(KCenterSolver));
-    registry.register(Box::new(KMedianLocalSearchSolver));
-    registry.register(Box::new(KMeansLocalSearchSolver));
-    // Sequential k-clustering baselines.
-    registry.register(Box::new(GonzalezSolver));
-    registry.register(Box::new(HochbaumShmoysSolver));
-    registry.register(Box::new(SeqKMedianSolver));
-    // Dominator sets.
-    registry.register(Box::new(MaxDomSolver));
-    registry.register(Box::new(MisSolver));
+    for entry in parfaclo_core::solvers::SOLVERS
+        .iter()
+        .chain(parfaclo_kclustering::solvers::SOLVERS)
+        .chain(parfaclo_dominator::solvers::SOLVERS)
+        .chain(parfaclo_seq_baselines::solvers::SOLVERS)
+    {
+        registry.register(*entry);
+    }
     registry
 }
 
@@ -84,9 +65,8 @@ mod tests {
         let listing: String = standard_registry()
             .iter()
             .map(|s| {
-                let (name, problem) = (s.name(), s.problem());
-                let (label, paper) = (s.guarantee_label(), s.paper_ref());
-                format!("{name} | {problem} | {label} | {paper}\n")
+                let label = s.guarantee_label();
+                format!("{} | {} | {label} | {}\n", s.name, s.problem, s.paper_ref)
             })
             .collect();
         assert_eq!(

@@ -281,7 +281,7 @@ pub fn run_solver_cached(
     // boundary — so callers see one error type family for "could not build"
     // and "could not solve" alike.
     let inst = cache
-        .get(entry.problem())
+        .get(entry.problem)
         .map_err(|e| SolveError::from(e).to_string())?;
     entry.run(inst, cfg).map_err(|e| e.to_string())
 }

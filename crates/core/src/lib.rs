@@ -7,14 +7,11 @@
 //! Three algorithms are implemented, each with the preprocessing steps the paper uses to
 //! bound its round count and each instrumented with the work/round accounting of
 //! [`parfaclo_matrixops::CostMeter`]; a fourth (the Section 7 local-search extension)
-//! rides along. Every algorithm is exposed twice, and both forms read the same
-//! [`parfaclo_api::RunConfig`]:
-//!
-//! * as a free function (`greedy::parallel_greedy(&inst, &cfg)`, …) returning the rich
-//!   [`FlSolution`] record;
-//! * as a [`parfaclo_api::Solver`] implementation ([`solvers::GreedySolver`], …)
-//!   returning the unified [`parfaclo_api::Run`] envelope, which is what the solver
-//!   registry, the `parfaclo` CLI and the cross-solver tests consume.
+//! rides along. Every algorithm is a free function (`greedy::parallel_greedy(&inst,
+//! &cfg)`, …) of its instance and a [`parfaclo_api::RunConfig`], returning the rich
+//! [`FlSolution`] record. [`solvers::SOLVERS`] lists them as registry entries, whose
+//! solve functions repackage that record into the unified [`parfaclo_api::Run`]
+//! envelope the solver registry, the `parfaclo` CLI and the cross-solver tests consume.
 //!
 //! | Module | Solver name | Paper | Guarantee | Work bound |
 //! |--------|-------------|-------|-----------|-----------|
@@ -29,26 +26,7 @@
 //! subselection for greedy, `MaxUDom` for primal-dual and rounding) so the accounting
 //! arguments still go through.
 //!
-//! ## Quick example — unified API
-//!
-//! ```
-//! use parfaclo_api::{RunConfig, Solver};
-//! use parfaclo_core::solvers::{GreedySolver, PrimalDualSolver};
-//! use parfaclo_metric::gen::{self, GenParams};
-//!
-//! let inst = gen::facility_location(GenParams::uniform_square(40, 20).with_seed(1));
-//! let cfg = RunConfig::new(0.1).with_seed(7);
-//!
-//! let g = GreedySolver.solve(&inst, &cfg).unwrap();
-//! let pd = PrimalDualSolver.solve(&inst, &cfg).unwrap();
-//!
-//! // Both produce valid Run envelopes with certified lower bounds.
-//! g.validate().unwrap();
-//! assert!(g.cost >= pd.lower_bound - 1e-9);
-//! assert!(pd.cost <= (3.0 + 0.1 + 0.2) * pd.lower_bound + 1e-9);
-//! ```
-//!
-//! ## Quick example — free functions
+//! ## Quick example
 //!
 //! ```
 //! use parfaclo_api::RunConfig;
@@ -62,6 +40,7 @@
 //! let pd = primal_dual::parallel_primal_dual(&inst, &cfg).unwrap();
 //!
 //! assert!(g.cost >= pd.lower_bound - 1e-9);
+//! assert!(pd.cost <= (3.0 + 0.1 + 0.2) * pd.lower_bound + 1e-9);
 //! ```
 
 #![warn(missing_docs)]
@@ -79,4 +58,3 @@ pub mod stars;
 pub mod verify;
 
 pub use solution::FlSolution;
-pub use solvers::{FlLocalSearchSolver, GreedySolver, LpRoundingSolver, PrimalDualSolver};

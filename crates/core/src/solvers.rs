@@ -1,28 +1,59 @@
-//! [`Solver`] adapters for the parallel facility-location algorithms.
+//! Registry entries for the parallel facility-location algorithms.
 //!
 //! The free functions (`greedy::parallel_greedy`, …) remain the
-//! implementations and read the same [`RunConfig`]; the types here are thin
-//! adapters that call the algorithm and repackage the [`FlSolution`] into
-//! the unified [`Run`] envelope so the registry, the `parfaclo` CLI and the
-//! conformance tests can drive every algorithm uniformly.
+//! implementations and read the same [`RunConfig`]; the solve functions here
+//! are thin adapters that call the algorithm and repackage the
+//! [`FlSolution`] into the unified [`Run`] envelope so the registry, the
+//! `parfaclo` CLI and the conformance tests can drive every algorithm
+//! uniformly.
 
 use crate::solution::FlSolution;
 use crate::{greedy, local_search_fl, lp_rounding, primal_dual};
-use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
+use parfaclo_api::{ProblemKind, Run, RunConfig, Solve, SolverEntry};
 use parfaclo_lp::solve_facility_lp;
 use parfaclo_metric::FlInstance;
 use parfaclo_trace as trace;
 
+/// The parallel greedy (Algorithm 4.1), primal-dual (Algorithm 5.1) and LP
+/// rounding (Section 6.2) algorithms and the local-search extension.
+pub const SOLVERS: &[SolverEntry] = &[
+    SolverEntry {
+        name: "greedy",
+        problem: ProblemKind::FacilityLocation,
+        guarantee: 3.722,
+        exact: false,
+        paper_ref: "Algorithm 4.1, Theorem 4.9",
+        solve: Solve::Fl(solve_greedy),
+    },
+    SolverEntry {
+        name: "primal-dual",
+        problem: ProblemKind::FacilityLocation,
+        guarantee: 3.0,
+        exact: false,
+        paper_ref: "Algorithm 5.1, Theorem 5.4",
+        solve: Solve::Fl(solve_primal_dual),
+    },
+    SolverEntry {
+        name: "lp-rounding",
+        problem: ProblemKind::FacilityLocation,
+        guarantee: 4.0,
+        exact: false,
+        paper_ref: "Section 6.2, Theorem 6.5",
+        solve: Solve::Fl(solve_lp_rounding),
+    },
+    SolverEntry {
+        name: "local-search-fl",
+        problem: ProblemKind::FacilityLocation,
+        guarantee: 3.0,
+        exact: false,
+        paper_ref: "Section 7 (closing remark)",
+        solve: Solve::Fl(solve_local_search_fl),
+    },
+];
+
 /// Repackages an [`FlSolution`] into the unified envelope.
-fn fl_envelope(
-    solver: &(impl Solver + ?Sized),
-    inst: &FlInstance,
-    sol: FlSolution,
-    cfg: &RunConfig,
-) -> Run {
-    Run::new(Solver::name(solver), Solver::problem(solver))
-        .with_guarantee(Solver::guarantee(solver))
-        .with_instance_size(inst.num_clients(), inst.m())
+fn fl_envelope(sol: FlSolution, cfg: &RunConfig) -> Run {
+    Run::default()
         .with_cost(sol.cost)
         .with_lower_bound(sol.lower_bound)
         .with_selected(sol.open)
@@ -33,148 +64,59 @@ fn fl_envelope(
         .with_extra("connection_cost", sol.connection_cost)
         .with_extra("preprocess", cfg.preprocess as u8 as f64)
         .with_extra("subselection", cfg.subselection as u8 as f64)
-        .with_config_echo(cfg)
 }
 
-/// The parallel greedy algorithm (Algorithm 4.1) behind the unified API.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedySolver;
-
-impl Solver for GreedySolver {
-    type Instance = FlInstance;
-
-    fn name(&self) -> &str {
-        "greedy"
-    }
-
-    fn problem(&self) -> ProblemKind {
-        ProblemKind::FacilityLocation
-    }
-
-    fn guarantee(&self) -> f64 {
-        3.722
-    }
-
-    fn paper_ref(&self) -> &str {
-        "Algorithm 4.1, Theorem 4.9"
-    }
-
-    fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
-        let sol = greedy::parallel_greedy(inst, cfg);
-        Ok(fl_envelope(self, inst, sol, cfg))
-    }
+fn solve_greedy(inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
+    Ok(fl_envelope(greedy::parallel_greedy(inst, cfg), cfg))
 }
 
-/// The parallel primal-dual algorithm (Algorithm 5.1) behind the unified API.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrimalDualSolver;
-
-impl Solver for PrimalDualSolver {
-    type Instance = FlInstance;
-
-    fn name(&self) -> &str {
-        "primal-dual"
-    }
-
-    fn problem(&self) -> ProblemKind {
-        ProblemKind::FacilityLocation
-    }
-
-    fn guarantee(&self) -> f64 {
-        3.0
-    }
-
-    fn paper_ref(&self) -> &str {
-        "Algorithm 5.1, Theorem 5.4"
-    }
-
-    fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
-        let sol = primal_dual::parallel_primal_dual(inst, cfg).map_err(|e| e.to_string())?;
-        Ok(fl_envelope(self, inst, sol, cfg))
-    }
+fn solve_primal_dual(inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
+    let sol = primal_dual::parallel_primal_dual(inst, cfg).map_err(|e| e.to_string())?;
+    Ok(fl_envelope(sol, cfg))
 }
 
-/// Parallel LP rounding (Section 6.2) behind the unified API.
-///
-/// The paper's algorithm consumes an optimal fractional LP solution; this
-/// adapter solves the relaxation first (with the workspace's own simplex
-/// solver), so it is practical only for small/medium instances — the
-/// `O((nc·nf)³)`-ish simplex cost dominates well before the rounding does.
+/// LP rounding consumes an optimal fractional LP solution; this solves the
+/// relaxation first (with the workspace's own simplex solver), so it is
+/// practical only for small/medium instances — the `O((nc·nf)³)`-ish
+/// simplex cost dominates well before the rounding does.
 ///
 /// If the simplex solver fails, the run is reported infeasible. The
 /// facility-location relaxation of a well-formed instance is always feasible
 /// (open everything) and bounded (costs are non-negative), so this only
 /// occurs on numerically degenerate inputs — or, up front, when the dense
 /// tableau would exceed the scratch cap.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LpRoundingSolver;
-
-impl Solver for LpRoundingSolver {
-    type Instance = FlInstance;
-
-    fn name(&self) -> &str {
-        "lp-rounding"
-    }
-
-    fn problem(&self) -> ProblemKind {
-        ProblemKind::FacilityLocation
-    }
-
-    fn guarantee(&self) -> f64 {
-        4.0
-    }
-
-    fn paper_ref(&self) -> &str {
-        "Section 6.2, Theorem 6.5"
-    }
-
-    fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
-        let lp = {
-            let _span = trace::span("lp-solve", None);
-            solve_facility_lp(inst).map_err(|e| e.to_string())?
-        };
-        let sol = lp_rounding::parallel_lp_rounding(inst, &lp, cfg);
-        Ok(fl_envelope(self, inst, sol, cfg).with_extra("lp_value", lp.value()))
-    }
+fn solve_lp_rounding(inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
+    let lp = {
+        let _span = trace::span("lp-solve", None);
+        solve_facility_lp(inst).map_err(|e| e.to_string())?
+    };
+    let sol = lp_rounding::parallel_lp_rounding(inst, &lp, cfg);
+    Ok(fl_envelope(sol, cfg).with_extra("lp_value", lp.value()))
 }
 
-/// The parallel add/drop/swap local search for facility location (the
-/// Section 7 extension) behind the unified API.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlLocalSearchSolver;
-
-impl Solver for FlLocalSearchSolver {
-    type Instance = FlInstance;
-
-    fn name(&self) -> &str {
-        "local-search-fl"
-    }
-
-    fn problem(&self) -> ProblemKind {
-        ProblemKind::FacilityLocation
-    }
-
-    fn guarantee(&self) -> f64 {
-        3.0
-    }
-
-    fn paper_ref(&self) -> &str {
-        "Section 7 (closing remark)"
-    }
-
-    fn solve(&self, inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
-        let sol = local_search_fl::parallel_local_search_fl(inst, cfg);
-        Ok(fl_envelope(self, inst, sol, cfg))
-    }
+fn solve_local_search_fl(inst: &FlInstance, cfg: &RunConfig) -> Result<Run, String> {
+    Ok(fl_envelope(
+        local_search_fl::parallel_local_search_fl(inst, cfg),
+        cfg,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parfaclo_api::AnyInstance;
     use parfaclo_metric::gen::{self, GenParams};
 
     fn tiny() -> FlInstance {
         gen::facility_location(GenParams::uniform_square(12, 6).with_seed(3))
+    }
+
+    /// Runs the named entry of [`SOLVERS`] on `inst`.
+    fn run_entry(name: &str, inst: &FlInstance, cfg: &RunConfig) -> Run {
+        let entry = SOLVERS.iter().find(|e| e.name == name).expect(name);
+        entry
+            .run(&AnyInstance::Fl(inst.clone()), cfg)
+            .expect("feasible")
     }
 
     #[test]
@@ -182,7 +124,7 @@ mod tests {
         let inst = tiny();
         let cfg = RunConfig::new(0.1).with_seed(5);
         let direct = greedy::parallel_greedy(&inst, &cfg);
-        let run = GreedySolver.solve(&inst, &cfg).expect("feasible");
+        let run = run_entry("greedy", &inst, &cfg);
         assert_eq!(run.cost, direct.cost);
         assert_eq!(run.selected, direct.open);
         assert_eq!(run.lower_bound, direct.lower_bound);
@@ -193,14 +135,10 @@ mod tests {
 
     #[test]
     fn all_fl_adapters_produce_valid_runs() {
-        let inst = tiny();
+        let inst = AnyInstance::Fl(tiny());
         let cfg = RunConfig::new(0.2).with_seed(1);
-        for run in [
-            GreedySolver.solve(&inst, &cfg).expect("feasible"),
-            PrimalDualSolver.solve(&inst, &cfg).expect("feasible"),
-            LpRoundingSolver.solve(&inst, &cfg).expect("feasible"),
-            FlLocalSearchSolver.solve(&inst, &cfg).expect("feasible"),
-        ] {
+        for entry in SOLVERS {
+            let run = entry.run(&inst, &cfg).expect("feasible");
             run.validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", run.solver));
             assert_eq!(run.problem, ProblemKind::FacilityLocation);
@@ -213,7 +151,7 @@ mod tests {
     fn primal_dual_run_carries_certificate() {
         let inst = tiny();
         let cfg = RunConfig::new(0.1);
-        let run = PrimalDualSolver.solve(&inst, &cfg).expect("feasible");
+        let run = run_entry("primal-dual", &inst, &cfg);
         let ratio = run.certified_ratio().expect("primal-dual certifies");
         assert!(ratio >= 1.0 - 1e-9);
         assert!(ratio <= 3.0 + 0.4, "ratio {ratio} exceeds guarantee");

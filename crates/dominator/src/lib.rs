@@ -45,7 +45,6 @@ pub use luby::maximal_independent_set;
 pub use maxdom::max_dom;
 pub use maxudom::max_u_dom;
 pub use parfaclo_graph::{CsrBipartite, CsrGraph};
-pub use solvers::{MaxDomSolver, MisSolver};
 
 /// Result of a dominator-set (or MIS) computation.
 #[derive(Debug, Clone, PartialEq, Eq)]

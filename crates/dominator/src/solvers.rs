@@ -1,9 +1,9 @@
-//! [`Solver`] adapters for the dominator-set routines.
+//! Registry entries for the dominator-set routines.
 //!
 //! The dominator-set algorithms operate on graphs, while the unified runner
 //! deals in metric instances; following the way the paper's own callers use
 //! them (k-center's feasibility probe, primal-dual's conflict resolution),
-//! these adapters *threshold* a [`ClusterInstance`] into a CSR graph
+//! these solve functions *threshold* a [`ClusterInstance`] into a CSR graph
 //! (nodes adjacent when within distance `t`) and run the set computation on
 //! that. The threshold comes from [`RunConfig::threshold`], defaulting to
 //! the median distinct pairwise distance, and the reported "cost" is the
@@ -16,11 +16,33 @@
 use crate::luby::maximal_independent_set;
 use crate::maxdom::max_dom;
 use crate::DominatorResult;
-use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
+use parfaclo_api::{ProblemKind, Run, RunConfig, Solve, SolverEntry};
 use parfaclo_graph::CsrGraph;
 use parfaclo_matrixops::CostMeter;
 use parfaclo_metric::{ClusterInstance, DistanceOracle};
 use parfaclo_trace as trace;
+
+/// `MaxDom` (Section 3) and Luby's maximal independent set (the reference
+/// algorithm the dominator variants simulate) on the threshold graph of a
+/// metric instance.
+pub const SOLVERS: &[SolverEntry] = &[
+    SolverEntry {
+        name: "maxdom",
+        problem: ProblemKind::DominatorSet,
+        guarantee: 0.0,
+        exact: false,
+        paper_ref: "Section 3, Lemma 3.1",
+        solve: Solve::Cluster(solve_maxdom),
+    },
+    SolverEntry {
+        name: "mis",
+        problem: ProblemKind::DominatorSet,
+        guarantee: 0.0,
+        exact: false,
+        paper_ref: "Algorithm 3.1 (Luby)",
+        solve: Solve::Cluster(solve_mis),
+    },
+];
 
 /// The distance threshold used to build the graph: explicit if configured,
 /// otherwise the median of the distinct pairwise distances (deterministic,
@@ -47,7 +69,6 @@ pub(crate) fn resolve_threshold(inst: &ClusterInstance, cfg: &RunConfig) -> Resu
 /// Shared envelope for the set computations: threshold the instance into a
 /// graph, run `algorithm`, report the selected-set size as the cost.
 fn dominator_run(
-    solver: &(impl Solver + ?Sized),
     inst: &ClusterInstance,
     cfg: &RunConfig,
     algorithm: impl Fn(&CsrGraph, u64, &CostMeter) -> DominatorResult,
@@ -76,65 +97,21 @@ fn dominator_run(
         let _span = trace::span("luby-rounds", Some(&meter));
         algorithm(&g, cfg.seed, &meter)
     };
-    Ok(Run::new(Solver::name(solver), ProblemKind::DominatorSet)
-        .with_guarantee(Solver::guarantee(solver))
-        .with_instance_size(inst.n(), inst.n() * inst.n())
+    Ok(Run::default()
         .with_cost(result.selected.len() as f64)
         .with_selected(result.selected)
         .with_rounds(result.rounds, 0)
         .with_work(meter.report())
         .with_extra("threshold", threshold)
-        .with_extra("graph_edges", g.num_edges() as f64)
-        .with_config_echo(cfg))
+        .with_extra("graph_edges", g.num_edges() as f64))
 }
 
-/// `MaxDom` (Section 3) on the threshold graph of a metric instance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaxDomSolver;
-
-impl Solver for MaxDomSolver {
-    type Instance = ClusterInstance;
-
-    fn name(&self) -> &str {
-        "maxdom"
-    }
-
-    fn problem(&self) -> ProblemKind {
-        ProblemKind::DominatorSet
-    }
-
-    fn paper_ref(&self) -> &str {
-        "Section 3, Lemma 3.1"
-    }
-
-    fn solve(&self, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
-        dominator_run(self, inst, cfg, max_dom)
-    }
+fn solve_maxdom(inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
+    dominator_run(inst, cfg, max_dom)
 }
 
-/// Luby's maximal independent set on the threshold graph of a metric
-/// instance (the reference algorithm the dominator variants simulate).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MisSolver;
-
-impl Solver for MisSolver {
-    type Instance = ClusterInstance;
-
-    fn name(&self) -> &str {
-        "mis"
-    }
-
-    fn problem(&self) -> ProblemKind {
-        ProblemKind::DominatorSet
-    }
-
-    fn paper_ref(&self) -> &str {
-        "Algorithm 3.1 (Luby)"
-    }
-
-    fn solve(&self, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
-        dominator_run(self, inst, cfg, maximal_independent_set)
-    }
+fn solve_mis(inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
+    dominator_run(inst, cfg, maximal_independent_set)
 }
 
 #[cfg(test)]
@@ -142,10 +119,19 @@ mod tests {
     use super::*;
     use crate::luby::is_maximal_independent_set;
     use crate::maxdom::is_maximal_dominator_set;
+    use parfaclo_api::AnyInstance;
     use parfaclo_metric::gen::{self, GenParams};
 
     fn tiny() -> ClusterInstance {
         gen::clustering(GenParams::uniform_square(20, 20).with_seed(8))
+    }
+
+    /// Runs the named entry of [`SOLVERS`] on `inst`.
+    fn run_entry(name: &str, inst: &ClusterInstance, cfg: &RunConfig) -> Run {
+        let entry = SOLVERS.iter().find(|e| e.name == name).expect(name);
+        entry
+            .run(&AnyInstance::Cluster(inst.clone()), cfg)
+            .expect("feasible")
     }
 
     /// The threshold graph the solver runs on under `cfg`.
@@ -157,7 +143,7 @@ mod tests {
     fn maxdom_run_is_a_valid_dominator_set() {
         let inst = tiny();
         let cfg = RunConfig::new(0.1).with_seed(4);
-        let run = MaxDomSolver.solve(&inst, &cfg).expect("feasible");
+        let run = run_entry("maxdom", &inst, &cfg);
         run.validate().expect("valid envelope");
         assert!(is_maximal_dominator_set(
             &solver_graph(&inst, &cfg),
@@ -170,7 +156,7 @@ mod tests {
     fn explicit_threshold_is_respected() {
         let inst = tiny();
         let cfg = RunConfig::new(0.1).with_threshold(5.0);
-        let run = MaxDomSolver.solve(&inst, &cfg).expect("feasible");
+        let run = run_entry("maxdom", &inst, &cfg);
         assert_eq!(
             run.extra.iter().find(|(k, _)| k == "threshold").unwrap().1,
             5.0
@@ -181,7 +167,7 @@ mod tests {
     fn mis_is_independent_in_threshold_graph() {
         let inst = tiny();
         let cfg = RunConfig::new(0.1).with_seed(2);
-        let run = MisSolver.solve(&inst, &cfg).expect("feasible");
+        let run = run_entry("mis", &inst, &cfg);
         run.validate().expect("valid envelope");
         assert!(is_maximal_independent_set(
             &solver_graph(&inst, &cfg),
@@ -197,7 +183,7 @@ mod tests {
             RunConfig::new(0.1).with_seed(4),
             RunConfig::new(0.1).with_seed(4).with_threshold(5.0),
         ] {
-            let run = MaxDomSolver.solve(&inst, &cfg).expect("feasible");
+            let run = run_entry("maxdom", &inst, &cfg);
             // What the Luby rounds alone charge on the same graph.
             let rounds = CostMeter::new();
             max_dom(&solver_graph(&inst, &cfg), cfg.seed, &rounds);

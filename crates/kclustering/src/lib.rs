@@ -26,4 +26,3 @@ pub use kcenter::{
     parallel_kcenter, parallel_kcenter_derived, parallel_kcenter_sketched, KCenterSolution,
 };
 pub use local_search::{parallel_kmeans, parallel_kmedian, ClusterObjective, KClusterSolution};
-pub use solvers::{KCenterSolver, KMeansLocalSearchSolver, KMedianLocalSearchSolver};

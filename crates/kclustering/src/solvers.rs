@@ -1,34 +1,62 @@
-//! [`Solver`] adapters for the parallel k-clustering algorithms.
+//! Registry entries for the parallel k-clustering algorithms.
 //!
 //! As in `parfaclo-core`, the free functions remain the implementations;
-//! these types pass them the unified [`RunConfig`] (which carries `k`) and
-//! repackage the solutions into [`Run`] envelopes.
+//! the solve functions here pass them the unified [`RunConfig`] (which
+//! carries `k`) and repackage the solutions into [`Run`] envelopes.
 
 use crate::kcenter::parallel_kcenter_derived;
 use crate::local_search::{parallel_local_search, ClusterObjective};
-use parfaclo_api::{ProblemKind, Run, RunConfig, Solver};
+use parfaclo_api::{ProblemKind, Run, RunConfig, Solve, SolverEntry};
 use parfaclo_matrixops::{CostMeter, CostReport};
 use parfaclo_metric::coreset::{build_coreset, coreset_instance, Coreset, GridCoreset};
 use parfaclo_metric::{ClusterInstance, DistanceOracle, SCRATCH_BYTES_CAP};
 use parfaclo_trace as trace;
 
+/// The parallel k-center (Section 6.1) and the swap-based local searches
+/// for k-median and k-means (Section 7).
+pub const SOLVERS: &[SolverEntry] = &[
+    SolverEntry {
+        name: "kcenter",
+        problem: ProblemKind::KClustering,
+        guarantee: 2.0,
+        // Theorem 6.1 is a plain 2-approximation: the binary search runs
+        // over the exact distance set, no ε slack is paid.
+        exact: true,
+        paper_ref: "Section 6.1, Theorem 6.1",
+        solve: Solve::Cluster(solve_kcenter),
+    },
+    SolverEntry {
+        name: "kmedian-ls",
+        problem: ProblemKind::KClustering,
+        guarantee: 5.0,
+        exact: false,
+        paper_ref: "Section 7, Theorem 7.1",
+        solve: Solve::Cluster(solve_kmedian_ls),
+    },
+    SolverEntry {
+        name: "kmeans-ls",
+        problem: ProblemKind::KClustering,
+        guarantee: 81.0,
+        exact: false,
+        paper_ref: "Section 7, Theorem 7.1",
+        solve: Solve::Cluster(solve_kmeans_ls),
+    },
+];
+
 /// Builds the ε-grid coreset and its weighted sub-instance for a hierarchical
 /// solve, or explains why it cannot. Charges `meter` with the grid pass over
 /// the `n` points and the sub-instance's `cells²` distances.
 fn coreset_for(
-    solver_name: &str,
     inst: &ClusterInstance,
     eps: f64,
     k: usize,
     meter: &CostMeter,
 ) -> Result<(GridCoreset, ClusterInstance), String> {
-    let points = inst.points().ok_or_else(|| {
-        format!(
-            "solver '{solver_name}' with --coreset needs point geometry, but the instance \
-             carries none (a hand-written distance matrix); build the instance from points \
-             or use --backend implicit / --backend spatial"
-        )
-    })?;
+    let points = inst.points().ok_or(
+        "--coreset needs point geometry, but the instance carries none (a hand-written \
+         distance matrix); build the instance from points or use --backend implicit / \
+         --backend spatial",
+    )?;
     let cs = build_coreset(points, eps);
     meter.add_primitive(inst.n() as u64);
     // The sub-instance is a dense `cells × cells` matrix.
@@ -77,7 +105,6 @@ struct Hierarchical<S> {
 /// representatives, and make one batched full-set sweep that assigns every
 /// node and folds `cost(acc, node, distance)` from 0 in node order.
 fn hierarchical_solve<S>(
-    solver_name: &str,
     inst: &ClusterInstance,
     eps: f64,
     k: usize,
@@ -88,7 +115,7 @@ fn hierarchical_solve<S>(
     let outer = CostMeter::new();
     let (cs, sub_inst) = {
         let _span = trace::span("coreset-build", Some(&outer));
-        coreset_for(solver_name, inst, eps, k, &outer)?
+        coreset_for(inst, eps, k, &outer)?
     };
     let meter = CostMeter::new();
     let sub = {
@@ -120,92 +147,66 @@ fn hierarchical_solve<S>(
     })
 }
 
-/// The parallel Hochbaum–Shmoys k-center algorithm (Section 6.1) behind the
-/// unified API.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KCenterSolver;
-
-impl Solver for KCenterSolver {
-    type Instance = ClusterInstance;
-
-    fn name(&self) -> &str {
-        "kcenter"
-    }
-
-    fn problem(&self) -> ProblemKind {
-        ProblemKind::KClustering
-    }
-
-    fn guarantee(&self) -> f64 {
-        2.0
-    }
-
-    fn guarantee_is_exact(&self) -> bool {
-        // Theorem 6.1 is a plain 2-approximation: the binary search runs
-        // over the exact distance set, no ε slack is paid.
-        true
-    }
-
-    fn paper_ref(&self) -> &str {
-        "Section 6.1, Theorem 6.1"
-    }
-
-    fn solve(&self, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
-        if let Coreset::Eps(eps) = cfg.coreset {
-            let h = hierarchical_solve(
-                Solver::name(self),
-                inst,
-                eps,
-                cfg.k,
-                |sub, meter| parallel_kcenter_derived(sub, cfg, meter),
-                |sol| &sol.centers,
-                |radius, _, d| radius.max(d),
-            )?;
-            let sol = h.sub;
-            // No `with_lower_bound`: the sub-instance's certified threshold
-            // bounds the coreset optimum, not the full-set optimum.
-            return Ok(Run::new(Solver::name(self), ProblemKind::KClustering)
-                .with_guarantee(Solver::guarantee(self))
-                .with_instance_size(inst.n(), inst.n() * inst.n())
-                .with_cost(h.cost)
-                .with_selected(h.centers)
-                .with_assignment(h.assignment)
-                .with_rounds(sol.probes, sol.luby_rounds)
-                .with_work(sol.work + h.outer_work)
-                .with_extra("threshold", sol.threshold)
-                .with_extra("probes", sol.probes as f64)
-                .with_extra("k", cfg.k as f64)
-                .with_extra("coreset_cost", sol.radius)
-                .with_extra("coreset_size", h.coreset_size as f64)
-                .with_extra("coreset_eps", eps)
-                .with_config_echo(cfg));
-        }
-        let sol = parallel_kcenter_derived(inst, cfg, &CostMeter::new())?;
-        let assignment = {
-            let _span = trace::span("full-sweep", None);
-            inst.center_assignment(&sol.centers)
-        };
-        Ok(Run::new(Solver::name(self), ProblemKind::KClustering)
-            .with_guarantee(Solver::guarantee(self))
-            .with_instance_size(inst.n(), inst.n() * inst.n())
-            .with_cost(sol.radius)
-            // With the exact deriver this equals the settled threshold (the
-            // smallest feasible member of the complete distance set); the
-            // sketch deriver certifies via its largest infeasible probe
-            // instead (see `KCenterSolution::lower_bound`).
-            .with_lower_bound(sol.lower_bound)
-            .with_selected(sol.centers)
-            .with_assignment(assignment)
+/// The parallel Hochbaum–Shmoys k-center algorithm (Section 6.1), directly
+/// or, with [`Coreset::Eps`] configured, as the hierarchical solve.
+fn solve_kcenter(inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
+    if let Coreset::Eps(eps) = cfg.coreset {
+        let h = hierarchical_solve(
+            inst,
+            eps,
+            cfg.k,
+            |sub, meter| parallel_kcenter_derived(sub, cfg, meter),
+            |sol| &sol.centers,
+            |radius, _, d| radius.max(d),
+        )?;
+        let sol = h.sub;
+        // No `with_lower_bound`: the sub-instance's certified threshold
+        // bounds the coreset optimum, not the full-set optimum.
+        return Ok(Run::default()
+            .with_cost(h.cost)
+            .with_selected(h.centers)
+            .with_assignment(h.assignment)
             .with_rounds(sol.probes, sol.luby_rounds)
-            .with_work(sol.work)
+            .with_work(sol.work + h.outer_work)
             .with_extra("threshold", sol.threshold)
             .with_extra("probes", sol.probes as f64)
             .with_extra("k", cfg.k as f64)
-            .with_config_echo(cfg))
+            .with_extra("coreset_cost", sol.radius)
+            .with_extra("coreset_size", h.coreset_size as f64)
+            .with_extra("coreset_eps", eps));
     }
+    let sol = parallel_kcenter_derived(inst, cfg, &CostMeter::new())?;
+    let assignment = {
+        let _span = trace::span("full-sweep", None);
+        inst.center_assignment(&sol.centers)
+    };
+    Ok(Run::default()
+        .with_cost(sol.radius)
+        // With the exact deriver this equals the settled threshold (the
+        // smallest feasible member of the complete distance set); the
+        // sketch deriver certifies via its largest infeasible probe
+        // instead (see `KCenterSolution::lower_bound`).
+        .with_lower_bound(sol.lower_bound)
+        .with_selected(sol.centers)
+        .with_assignment(assignment)
+        .with_rounds(sol.probes, sol.luby_rounds)
+        .with_work(sol.work)
+        .with_extra("threshold", sol.threshold)
+        .with_extra("probes", sol.probes as f64)
+        .with_extra("k", cfg.k as f64))
 }
 
-/// Shared adapter for the swap-based local search under either objective.
+/// The parallel swap-based local search for k-median (Section 7).
+fn solve_kmedian_ls(inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
+    local_search_run(ClusterObjective::KMedian, inst, cfg)
+}
+
+/// The parallel swap-based local search for k-means (Section 7).
+fn solve_kmeans_ls(inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
+    local_search_run(ClusterObjective::KMeans, inst, cfg)
+}
+
+/// The swap-based local search under either objective.
 ///
 /// With [`Coreset::Eps`] configured this is the hierarchical solve: build
 /// the ε-grid coreset, run the swap search on the weighted sub-instance,
@@ -213,14 +214,12 @@ impl Solver for KCenterSolver {
 /// the true (full-set) cost. Both the coreset-internal and full-set costs
 /// land in the envelope (`extra.coreset_cost` / `cost`).
 fn local_search_run(
-    solver: &(impl Solver + ?Sized),
     objective: ClusterObjective,
     inst: &ClusterInstance,
     cfg: &RunConfig,
 ) -> Result<Run, String> {
     if let Coreset::Eps(eps) = cfg.coreset {
         let h = hierarchical_solve(
-            Solver::name(solver),
             inst,
             eps,
             cfg.k,
@@ -235,9 +234,7 @@ fn local_search_run(
             },
         )?;
         let sol = h.sub;
-        return Ok(Run::new(Solver::name(solver), ProblemKind::KClustering)
-            .with_guarantee(Solver::guarantee(solver))
-            .with_instance_size(inst.n(), inst.n() * inst.n())
+        return Ok(Run::default()
             .with_cost(h.cost)
             .with_selected(h.centers)
             .with_assignment(h.assignment)
@@ -247,8 +244,7 @@ fn local_search_run(
             .with_extra("k", cfg.k as f64)
             .with_extra("coreset_cost", sol.cost)
             .with_extra("coreset_size", h.coreset_size as f64)
-            .with_extra("coreset_eps", eps)
-            .with_config_echo(cfg));
+            .with_extra("coreset_eps", eps));
     }
     // The direct search seeds with exact k-center, which sorts all pairwise
     // distances; refuse before any n² work rather than panic inside it.
@@ -269,84 +265,33 @@ fn local_search_run(
         let _span = trace::span("full-sweep", None);
         inst.center_assignment(&sol.centers)
     };
-    Ok(Run::new(Solver::name(solver), ProblemKind::KClustering)
-        .with_guarantee(Solver::guarantee(solver))
-        .with_instance_size(inst.n(), inst.n() * inst.n())
+    Ok(Run::default()
         .with_cost(sol.cost)
         .with_selected(sol.centers)
         .with_assignment(assignment)
         .with_rounds(sol.rounds, 0)
         .with_work(sol.work)
         .with_extra("initial_cost", sol.initial_cost)
-        .with_extra("k", cfg.k as f64)
-        .with_config_echo(cfg))
-}
-
-/// The parallel swap-based local search for k-median (Section 7) behind the
-/// unified API.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KMedianLocalSearchSolver;
-
-impl Solver for KMedianLocalSearchSolver {
-    type Instance = ClusterInstance;
-
-    fn name(&self) -> &str {
-        "kmedian-ls"
-    }
-
-    fn problem(&self) -> ProblemKind {
-        ProblemKind::KClustering
-    }
-
-    fn guarantee(&self) -> f64 {
-        5.0
-    }
-
-    fn paper_ref(&self) -> &str {
-        "Section 7, Theorem 7.1"
-    }
-
-    fn solve(&self, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
-        local_search_run(self, ClusterObjective::KMedian, inst, cfg)
-    }
-}
-
-/// The parallel swap-based local search for k-means (Section 7) behind the
-/// unified API.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KMeansLocalSearchSolver;
-
-impl Solver for KMeansLocalSearchSolver {
-    type Instance = ClusterInstance;
-
-    fn name(&self) -> &str {
-        "kmeans-ls"
-    }
-
-    fn problem(&self) -> ProblemKind {
-        ProblemKind::KClustering
-    }
-
-    fn guarantee(&self) -> f64 {
-        81.0
-    }
-
-    fn paper_ref(&self) -> &str {
-        "Section 7, Theorem 7.1"
-    }
-
-    fn solve(&self, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
-        local_search_run(self, ClusterObjective::KMeans, inst, cfg)
-    }
+        .with_extra("k", cfg.k as f64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parfaclo_api::AnyInstance;
     use parfaclo_metric::gen::{self, GenParams};
 
     fn tiny() -> ClusterInstance {
         gen::clustering(GenParams::planted(24, 24, 4).with_seed(2))
+    }
+
+    /// Runs the named entry of [`SOLVERS`] on `inst`; a refusal comes back
+    /// as the registry prints it.
+    fn run_entry(name: &str, inst: &ClusterInstance, cfg: &RunConfig) -> Result<Run, String> {
+        let entry = SOLVERS.iter().find(|e| e.name == name).expect(name);
+        entry
+            .run(&AnyInstance::Cluster(inst.clone()), cfg)
+            .map_err(|e| e.to_string())
     }
 
     #[test]
@@ -355,7 +300,7 @@ mod tests {
         let cfg = RunConfig::new(0.1).with_seed(6).with_k(4);
         let direct = crate::kcenter::parallel_kcenter(&inst, 4, 6, &CostMeter::new())
             .expect("within the sort cap");
-        let run = KCenterSolver.solve(&inst, &cfg).expect("feasible");
+        let run = run_entry("kcenter", &inst, &cfg).expect("feasible");
         assert_eq!(run.cost, direct.radius);
         assert_eq!(run.selected, direct.centers);
         assert_eq!(run.lower_bound, direct.threshold);
@@ -367,13 +312,9 @@ mod tests {
         let inst = tiny();
         let cfg = RunConfig::new(0.2).with_seed(1).with_k(3);
         for run in [
-            KCenterSolver.solve(&inst, &cfg).expect("feasible"),
-            KMedianLocalSearchSolver
-                .solve(&inst, &cfg)
-                .expect("feasible"),
-            KMeansLocalSearchSolver
-                .solve(&inst, &cfg)
-                .expect("feasible"),
+            run_entry("kcenter", &inst, &cfg).expect("feasible"),
+            run_entry("kmedian-ls", &inst, &cfg).expect("feasible"),
+            run_entry("kmeans-ls", &inst, &cfg).expect("feasible"),
         ] {
             run.validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", run.solver));
@@ -391,13 +332,9 @@ mod tests {
             .with_k(3)
             .with_coreset(Coreset::Eps(0.05));
         for run in [
-            KCenterSolver.solve(&inst, &cfg).expect("feasible"),
-            KMedianLocalSearchSolver
-                .solve(&inst, &cfg)
-                .expect("feasible"),
-            KMeansLocalSearchSolver
-                .solve(&inst, &cfg)
-                .expect("feasible"),
+            run_entry("kcenter", &inst, &cfg).expect("feasible"),
+            run_entry("kmedian-ls", &inst, &cfg).expect("feasible"),
+            run_entry("kmeans-ls", &inst, &cfg).expect("feasible"),
         ] {
             run.validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", run.solver));
@@ -431,7 +368,7 @@ mod tests {
             .with_seed(1)
             .with_k(3)
             .with_coreset(Coreset::Eps(0.05));
-        let run = KCenterSolver.solve(&inst, &cfg).expect("feasible");
+        let run = run_entry("kcenter", &inst, &cfg).expect("feasible");
         // The sub-instance threshold certifies the coreset optimum only, so
         // the envelope must not advertise it as a full-set lower bound.
         assert_eq!(run.lower_bound, 0.0);
@@ -444,8 +381,9 @@ mod tests {
         let cfg = RunConfig::new(0.2)
             .with_k(1)
             .with_coreset(Coreset::Eps(0.1));
-        let err = KMedianLocalSearchSolver.solve(&inst, &cfg).unwrap_err();
+        let err = run_entry("kmedian-ls", &inst, &cfg).unwrap_err();
         assert!(err.contains("point geometry"), "{err}");
+        assert_eq!(err.matches("solver 'kmedian-ls'").count(), 1, "{err}");
     }
 
     #[test]
@@ -457,9 +395,9 @@ mod tests {
         let cfg = RunConfig::new(0.2)
             .with_k(4)
             .with_coreset(Coreset::Eps(1e-6));
-        let err = KMedianLocalSearchSolver.solve(&inst, &cfg).unwrap_err();
+        let err = run_entry("kmedian-ls", &inst, &cfg).unwrap_err();
         assert!(err.contains("larger epsilon"), "{err}");
-        let err = KCenterSolver.solve(&inst, &cfg).unwrap_err();
+        let err = run_entry("kcenter", &inst, &cfg).unwrap_err();
         assert!(err.contains("larger epsilon"), "{err}");
     }
 
@@ -470,7 +408,7 @@ mod tests {
         let cfg = RunConfig::new(0.2)
             .with_k(3)
             .with_coreset(Coreset::Eps(10.0));
-        let err = KMedianLocalSearchSolver.solve(&inst, &cfg).unwrap_err();
+        let err = run_entry("kmedian-ls", &inst, &cfg).unwrap_err();
         assert!(err.contains("fewer than k"), "{err}");
     }
 
@@ -482,14 +420,13 @@ mod tests {
         let params = GenParams::uniform_square(24_000, 1).with_seed(3);
         let inst = build_clustering(params, Backend::Implicit).expect("O(n) memory");
         let cfg = RunConfig::new(0.2).with_k(4);
-        let err = KMeansLocalSearchSolver.solve(&inst, &cfg).unwrap_err();
+        let err = run_entry("kmeans-ls", &inst, &cfg).unwrap_err();
         assert!(err.contains("--coreset eps:<f64>"), "{err}");
-        let err = KMedianLocalSearchSolver.solve(&inst, &cfg).unwrap_err();
+        let err = run_entry("kmedian-ls", &inst, &cfg).unwrap_err();
         assert!(err.contains("--coreset eps:<f64>"), "{err}");
         assert!(!err.contains("--radius-deriver"), "{err}");
         // The same instance is accepted once a coreset is configured.
-        let run = KMedianLocalSearchSolver
-            .solve(&inst, &cfg.with_coreset(Coreset::Eps(0.1)))
+        let run = run_entry("kmedian-ls", &inst, &cfg.with_coreset(Coreset::Eps(0.1)))
             .expect("hierarchical solve succeeds");
         assert_eq!(run.assignment.len(), inst.n());
     }
@@ -500,25 +437,22 @@ mod tests {
         let inst = gen::clustering(GenParams::uniform_square(60, 60).with_seed(3));
         let direct = RunConfig::new(0.1).with_seed(3).with_k(4);
         let coreset = direct.clone().with_coreset(Coreset::Eps(0.25));
-        type Solve = fn(&ClusterInstance, &RunConfig) -> Result<Run, String>;
-        let local: Solve = |inst, cfg| KMedianLocalSearchSolver.solve(inst, cfg);
-        let kcenter: Solve = |inst, cfg| KCenterSolver.solve(inst, cfg);
         for (solver, cfg, phases) in [
-            (local, &direct, &["swap-search"][..]),
+            ("kmedian-ls", &direct, &["swap-search"][..]),
             (
-                local,
+                "kmedian-ls",
                 &coreset,
                 &["coreset-build", "sub-solve", "full-sweep"][..],
             ),
             (
-                kcenter,
+                "kcenter",
                 &coreset,
                 &["coreset-build", "sub-solve", "full-sweep"][..],
             ),
         ] {
             let tracer = Arc::new(trace::Tracer::new(trace::TraceDetail::Phases));
             let guard = trace::install(Arc::clone(&tracer));
-            let run = solver(&inst, cfg).expect("feasible");
+            let run = run_entry(solver, &inst, cfg).expect("feasible");
             drop(guard);
             let summary = tracer.phase_summary();
             for &phase in phases {

@@ -37,6 +37,3 @@ pub use jain_vazirani::jain_vazirani;
 pub use jms_greedy::jms_greedy;
 pub use kcenter::{gonzalez_kcenter, hochbaum_shmoys_kcenter};
 pub use local_search::{lloyd_kmeans, local_search_kmeans, local_search_kmedian};
-pub use solvers::{
-    GonzalezSolver, HochbaumShmoysSolver, JainVaziraniSolver, JmsGreedySolver, SeqKMedianSolver,
-};

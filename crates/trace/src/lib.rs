@@ -38,7 +38,7 @@ pub const TRACE_SCHEMA: &str = "parfaclo.trace.v1";
 /// How much a tracer records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceDetail {
-    /// Spans only — cheap enough that the registry wrapper attaches one to
+    /// Spans only — cheap enough that the registry runner attaches one to
     /// every run for `phase_wall_ms` attribution.
     Phases,
     /// Spans plus per-round events. Round-event call sites compute frontier
@@ -219,7 +219,7 @@ impl Tracer {
 
     /// Wall-clock milliseconds per direct child phase of the span `root`,
     /// aggregated by name in first-encounter order. This is what the
-    /// registry wrapper stamps into `Run`'s timing metadata as
+    /// registry runner stamps into `Run`'s timing metadata as
     /// `phase_wall_ms`.
     pub fn phase_walls(&self, root: usize) -> Vec<(String, f64)> {
         let st = self.state.lock().expect("trace state poisoned");
@@ -467,7 +467,7 @@ fn fmt_num(x: f64) -> String {
 
 thread_local! {
     /// Installed tracers, innermost last. A stack so nested harnesses
-    /// (bench driving the registry wrapper) restore cleanly.
+    /// (bench driving the registry runner) restore cleanly.
     static CURRENT: RefCell<Vec<Arc<Tracer>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -527,7 +527,7 @@ pub struct Span<'a> {
 
 impl<'a> Span<'a> {
     /// The span's index in the tracer's span list, if one was recorded
-    /// (used by the registry wrapper to aggregate child phases).
+    /// (used by the registry runner to aggregate child phases).
     pub fn index(&self) -> Option<usize> {
         self.tracer.as_ref().map(|_| self.idx)
     }

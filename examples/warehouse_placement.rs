@@ -36,18 +36,18 @@ fn main() {
     let cfg = RunConfig::new(0.1).with_seed(1);
 
     for solver in registry.iter() {
-        if solver.problem() != ProblemKind::FacilityLocation {
+        if solver.problem != ProblemKind::FacilityLocation {
             continue;
         }
         // The LP-rounding solver solves the full LP relaxation with the
         // workspace's simplex substrate — polynomial but far too slow for a
         // 400x80 instance; it gets its own demo below.
-        if solver.name() == "lp-rounding" {
+        if solver.name == "lp-rounding" {
             continue;
         }
         let run = solver.run(&inst, &cfg).expect("facility-location instance");
         print_row(
-            solver.name(),
+            solver.name,
             run.cost,
             &format!(
                 "{} sites, {} rounds, {}",

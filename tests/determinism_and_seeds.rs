@@ -103,10 +103,10 @@ mod registry_conformance {
                 .unwrap_or_else(|e| panic!("solver '{name}' invalid run: {e}"));
             assert_eq!(run.solver, name, "solver name echo mismatch");
             assert_eq!(run.seed, 7, "seed echo mismatch for '{name}'");
-            let declared = registry.get(name).unwrap().guarantee();
+            let declared = registry.get(name).unwrap().guarantee;
             assert_eq!(
                 run.guarantee, declared,
-                "adapter for '{name}' did not stamp its declared guarantee"
+                "entry '{name}' did not stamp its declared guarantee"
             );
             assert!(run.wall_ms >= 0.0);
             // The JSON emission must succeed and carry the shared schema tag.
@@ -251,7 +251,7 @@ mod registry_conformance {
         let runs: Vec<_> = registry
             .names()
             .iter()
-            .filter(|name| registry.get(name).unwrap().problem() == ProblemKind::FacilityLocation)
+            .filter(|name| registry.get(name).unwrap().problem == ProblemKind::FacilityLocation)
             .map(|name| run_solver(&registry, name, &spec, &cfg).expect(name))
             .collect();
         assert!(runs.len() >= 5);

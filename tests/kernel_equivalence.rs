@@ -273,7 +273,7 @@ fn registry_output_is_backend_invariant_at_tile_crossing_sizes() {
         };
         let cfg = RunConfig::new(0.15).with_seed(3).with_k(5);
         for &name in &names {
-            let problem = registry.get(name).expect(name).problem();
+            let problem = registry.get(name).expect(name).problem;
             assert_invariant(name, &format!("{dim}-D points"), &|backend| {
                 let inst = instance(problem, backend);
                 registry

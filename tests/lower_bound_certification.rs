@@ -97,7 +97,7 @@ fn certify(name: &str, extra: &[ExtraCheck]) {
     };
     for case in 0..CASES {
         let mut rng = rng_for(case, salt);
-        let (inst, opt, k) = match solver.problem() {
+        let (inst, opt, k) = match solver.problem {
             ProblemKind::FacilityLocation => {
                 let inst = small_fl_instance(&mut rng);
                 let (_, opt) = lower_bounds::brute_force_facility_location(&inst);
@@ -179,8 +179,8 @@ fn every_guaranteed_solver_is_certified() {
     let registry = standard_registry();
     let guaranteed: Vec<&str> = registry
         .iter()
-        .filter(|s| s.guarantee() > 0.0)
-        .map(|s| s.name())
+        .filter(|s| s.guarantee > 0.0)
+        .map(|s| s.name)
         .collect();
     let mut certified = CERTIFIED.to_vec();
     certified.sort_unstable();

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 /// Runs one solver under a fresh rounds-level tracer and returns the
 /// canonical trace alongside the run (the tracer is ambient, so the
-/// registry wrapper parents every solver phase under its root span).
+/// registry runner parents every solver phase under its root span).
 fn canonical_trace(solver: &str, spec: &GenSpec, cfg: &RunConfig) -> String {
     let registry = standard_registry();
     let tracer = Arc::new(Tracer::new(TraceDetail::Rounds));
