@@ -14,8 +14,7 @@
 //! membership) are exact order-respecting scans: positions are visited in
 //! ascending order and ties resolve by a strict `<` (lowest position / id
 //! wins), matching the scalar `min_by (d, id)` convention used everywhere
-//! else. Sums ([`sum_gather`]) fold left-to-right in the caller's index
-//! order, exactly like the scalar `.map(dist).sum()` they replace.
+//! else.
 
 use crate::{DistanceKind, SoaPoints};
 
@@ -295,23 +294,6 @@ pub fn min_positive_in_range(
     found.then_some(best)
 }
 
-/// Sum of the distances from `q` to the gathered points `pts[idxs[j]]`,
-/// folded **left-to-right in `idxs` order** from `0.0` — bit-identical to
-/// the scalar `idxs.iter().map(|&i| dist(q, i)).sum()` it replaces (the
-/// distances themselves come from the blocked gather kernel; only their
-/// production is vectorized, never the fold).
-pub fn sum_gather<I: SoaIndex>(kind: DistanceKind, q: &[f64], pts: &SoaPoints, idxs: &[I]) -> f64 {
-    let mut buf = [0.0f64; TILE];
-    let mut sum = 0.0;
-    for chunk in idxs.chunks(TILE) {
-        dist_gather(kind, q, pts, chunk, &mut buf[..chunk.len()]);
-        for &d in &buf[..chunk.len()] {
-            sum += d;
-        }
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,26 +471,6 @@ mod tests {
             min_positive_in_range(DistanceKind::Euclidean, &q, &pts, 4, 0),
             None
         );
-    }
-
-    #[test]
-    fn sum_gather_folds_left_to_right_in_index_order() {
-        let n = 3 * TILE + 7;
-        let dim = 2;
-        let flat = coords(n, dim);
-        let pts = SoaPoints::from_flat(&flat, dim, n);
-        let q = [0.7, -0.3];
-        let idxs: Vec<usize> = (0..n).filter(|i| i % 2 == 0).rev().collect();
-        for kind in ALL {
-            let expect: f64 = idxs
-                .iter()
-                .map(|&i| scalar_dist(kind, &q, &flat, dim, i))
-                .sum();
-            assert_eq!(
-                sum_gather(kind, &q, &pts, &idxs).to_bits(),
-                expect.to_bits()
-            );
-        }
     }
 
     #[test]

@@ -97,40 +97,6 @@ impl SoaPoints {
         &self.dims[d]
     }
 
-    /// Distance from the slice point `q` to stored point `i` — bit-identical
-    /// to [`crate::DistanceKind::distance`] (same per-coordinate operations,
-    /// same left-to-right fold), just strided across the axes.
-    #[inline]
-    pub fn dist_one(&self, kind: crate::DistanceKind, q: &[f64], i: usize) -> f64 {
-        use crate::DistanceKind;
-        debug_assert_eq!(q.len(), self.dim(), "points must have equal dimension");
-        match kind {
-            DistanceKind::Euclidean => self.sq_one(q, i).sqrt(),
-            DistanceKind::SquaredEuclidean => self.sq_one(q, i),
-            DistanceKind::Manhattan => q
-                .iter()
-                .enumerate()
-                .map(|(d, &x)| (x - self.dims[d][i]).abs())
-                .sum(),
-            DistanceKind::Chebyshev => q
-                .iter()
-                .enumerate()
-                .map(|(d, &x)| (x - self.dims[d][i]).abs())
-                .fold(0.0, f64::max),
-        }
-    }
-
-    #[inline]
-    fn sq_one(&self, q: &[f64], i: usize) -> f64 {
-        q.iter()
-            .enumerate()
-            .map(|(d, &x)| {
-                let t = x - self.dims[d][i];
-                t * t
-            })
-            .sum()
-    }
-
     /// Heap bytes held by the coordinate vectors.
     pub fn memory_bytes(&self) -> usize {
         self.dims
@@ -143,14 +109,6 @@ impl SoaPoints {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DistanceKind;
-
-    const ALL: [DistanceKind; 4] = [
-        DistanceKind::Euclidean,
-        DistanceKind::SquaredEuclidean,
-        DistanceKind::Manhattan,
-        DistanceKind::Chebyshev,
-    ];
 
     fn flat(n: usize, dim: usize) -> Vec<f64> {
         (0..n * dim)
@@ -186,26 +144,10 @@ mod tests {
     }
 
     #[test]
-    fn dist_one_matches_scalar_kernel_bitwise() {
-        let coords = flat(9, 4);
-        let soa = SoaPoints::from_flat(&coords, 4, 9);
-        let q = [0.25, -3.0, 17.5, 0.0];
-        for kind in ALL {
-            for i in 0..9 {
-                let scalar = kind.distance(&q, &coords[i * 4..i * 4 + 4]);
-                assert_eq!(soa.dist_one(kind, &q, i).to_bits(), scalar.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn zero_dimensional_points_are_allowed() {
         let soa = SoaPoints::from_flat(&[], 0, 5);
         assert_eq!(soa.len(), 5);
         assert_eq!(soa.dim(), 0);
-        for kind in ALL {
-            assert_eq!(soa.dist_one(kind, &[], 3), 0.0);
-        }
     }
 
     #[test]

@@ -180,17 +180,6 @@ impl DistanceMatrix {
         &self.data
     }
 
-    /// The transpose of the matrix, built in parallel over the output rows.
-    pub fn transpose(&self) -> DistanceMatrix {
-        let rows = self.cols;
-        let cols = self.rows;
-        let data: Vec<f64> = (0..rows)
-            .into_par_iter()
-            .flat_map_iter(|r| (0..cols).map(move |c| self.get(c, r)))
-            .collect();
-        DistanceMatrix { rows, cols, data }
-    }
-
     /// Minimum entry of a row together with the column index attaining it.
     ///
     /// Ties are broken towards the smaller column index. Returns `None` for a matrix
@@ -259,17 +248,6 @@ mod tests {
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(1, 2), 6.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let m = small();
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.get(2, 0), 3.0);
-        assert_eq!(t.get(1, 1), 5.0);
-        assert_eq!(t.transpose(), m);
     }
 
     #[test]

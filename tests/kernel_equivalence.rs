@@ -132,7 +132,7 @@ fn blocked_kernels_bit_equal_scalar_at_tile_boundaries() {
                 let ref_within: Vec<usize> = (0..n).filter(|&i| scalar[i] <= radius).collect();
                 assert_eq!(within, ref_within, "collect dim {dim} n {n} {kind:?}");
 
-                // Exact reductions: max, min-positive, ordered sum.
+                // Exact reductions: max, min-positive.
                 let max = block::max_in_range(kind, &q, &pts, 0, n);
                 let ref_max = scalar.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
                 assert_eq!(max.to_bits(), ref_max.to_bits());
@@ -144,13 +144,6 @@ fn blocked_kernels_bit_equal_scalar_at_tile_boundaries() {
                         Some(acc.map_or(d, |a| a.min(d)))
                     });
                 assert_eq!(minp.map(f64::to_bits), ref_minp.map(f64::to_bits));
-                let sum = block::sum_gather(kind, &q, &pts, &idxs);
-                let ref_sum = idxs.iter().fold(0.0f64, |acc, &i| acc + scalar[i as usize]);
-                assert_eq!(
-                    sum.to_bits(),
-                    ref_sum.to_bits(),
-                    "sum dim {dim} n {n} {kind:?}"
-                );
             }
         }
     }
