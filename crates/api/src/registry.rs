@@ -7,9 +7,9 @@ use std::collections::BTreeMap;
 
 /// An ordered, string-keyed collection of solver entries.
 ///
-/// Callers (the `parfaclo` CLI, the benchmark, conformance tests) enumerate and
-/// select solvers by name; iteration order is lexicographic so listings and
-/// sweeps are deterministic.
+/// Callers (the `parfaclo` CLI, the benchmark, conformance tests) enumerate
+/// and select solvers by name; iteration order is lexicographic so listings
+/// and sweeps are deterministic.
 #[derive(Default)]
 pub struct Registry {
     solvers: BTreeMap<&'static str, SolverEntry>,
