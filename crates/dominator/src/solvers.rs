@@ -6,7 +6,8 @@
 //! these solve functions *threshold* a [`ClusterInstance`] into a CSR graph
 //! (nodes adjacent when within distance `t`) and run the set computation on
 //! that. The threshold comes from [`RunConfig::threshold`], defaulting to
-//! the median distinct pairwise distance, and the reported "cost" is the
+//! the median of the strict upper triangle plus one `+0.0` for the diagonal
+//! (found by selection, not a sort), and the reported "cost" is the
 //! selected-set size (the natural objective for maximal-set outputs).
 //!
 //! The CSR graph stores only the edges present, which is what lets the
@@ -45,14 +46,22 @@ pub const SOLVERS: &[SolverEntry] = &[
 ];
 
 /// The distance threshold used to build the graph: explicit if configured,
-/// otherwise the median of the distinct pairwise distances (deterministic,
-/// and dense enough to make the set computation non-trivial).
+/// otherwise the median of the strict upper triangle plus one `+0.0` for
+/// the diagonal, `keys[len / 2]` of its sorted
+/// [`DistanceOracle::half_matrix_keys`] (deterministic, and dense enough to
+/// make the set computation non-trivial). It equals the median distinct
+/// distance whenever no distance repeats. Deriving it charges `meter` one
+/// selection over the keys.
 ///
-/// Deriving the median materialises and sorts all pairwise distances, so on
-/// instances where that scratch would exceed 4 GiB an explicit
-/// `--threshold` is required (the whole point of the CSR graph at that
-/// scale is *not* to touch all `n²` pairs).
-pub(crate) fn resolve_threshold(inst: &ClusterInstance, cfg: &RunConfig) -> Result<f64, String> {
+/// Deriving the median materialises all pairwise distances, so on
+/// instances where a sort of them would exceed the 4 GiB scratch cap an
+/// explicit `--threshold` is required (the whole point of the CSR graph at
+/// that scale is *not* to touch all `n²` pairs).
+pub(crate) fn resolve_threshold(
+    inst: &ClusterInstance,
+    cfg: &RunConfig,
+    meter: &CostMeter,
+) -> Result<f64, String> {
     if let Some(t) = cfg.threshold {
         return Ok(t);
     }
@@ -62,8 +71,10 @@ pub(crate) fn resolve_threshold(inst: &ClusterInstance, cfg: &RunConfig) -> Resu
              for instances this large"
         )
     })?;
-    let distances = inst.distances().sorted_distinct_values();
-    Ok(distances[distances.len() / 2])
+    let mut keys = inst.distances().half_matrix_keys(0.0..=f64::INFINITY);
+    meter.add_primitive(keys.len() as u64);
+    let mid = keys.len() / 2;
+    Ok(f64::from_bits(*keys.select_nth_unstable(mid).1))
 }
 
 /// Shared envelope for the set computations: threshold the instance into a
@@ -75,16 +86,11 @@ fn dominator_run(
 ) -> Result<Run, String> {
     let meter = CostMeter::new();
     let n = inst.n() as u64;
-    // Both phases are charged as k-center charges the same steps: one sort
-    // of all n² distances when the threshold is derived, and n² for the
-    // graph build.
+    // Deriving the threshold charges one selection over the half-matrix
+    // keys, and the graph build n², as k-center charges each probe.
     let threshold = {
         let _span = trace::span("derive-threshold", Some(&meter));
-        let threshold = resolve_threshold(inst, cfg)?;
-        if cfg.threshold.is_none() {
-            meter.add_sort(n * n);
-        }
-        threshold
+        resolve_threshold(inst, cfg, &meter)?
     };
     let g = {
         let _span = trace::span("threshold-graph", Some(&meter));
@@ -136,7 +142,8 @@ mod tests {
 
     /// The threshold graph the solver runs on under `cfg`.
     fn solver_graph(inst: &ClusterInstance, cfg: &RunConfig) -> CsrGraph {
-        CsrGraph::from_threshold_oracle(inst.distances(), resolve_threshold(inst, cfg).unwrap())
+        let threshold = resolve_threshold(inst, cfg, &CostMeter::new()).unwrap();
+        CsrGraph::from_threshold_oracle(inst.distances(), threshold)
     }
 
     #[test]
@@ -176,6 +183,52 @@ mod tests {
     }
 
     #[test]
+    fn the_default_threshold_is_the_selected_half_matrix_median() {
+        use parfaclo_metric::{gen::build_clustering, Backend};
+        let at_threads = |threads, f: &(dyn Fn() -> f64 + Sync)| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(f)
+        };
+        let cfg = RunConfig::new(0.1);
+        let uniform = GenParams::uniform_square(150, 150).with_seed(3);
+        for params in [
+            uniform,
+            GenParams::grid(144, 144),
+            GenParams::line(120, 120),
+        ] {
+            // The sorted reference: the strict upper triangle plus one +0.0.
+            let dense = build_clustering(params, Backend::Dense).expect("instance");
+            let n = dense.n();
+            let mut keys: Vec<u64> = (0..n)
+                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                .map(|(a, b)| dense.dist(a, b).to_bits())
+                .chain([0])
+                .collect();
+            keys.sort_unstable();
+            let want = keys[keys.len() / 2];
+            for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
+                let inst = build_clustering(params, backend).expect("instance");
+                for threads in [1, 4] {
+                    let got = at_threads(threads, &|| {
+                        resolve_threshold(&inst, &cfg, &CostMeter::new()).unwrap()
+                    });
+                    let what = format!("{:?} {backend} {threads} threads", params.spatial);
+                    assert_eq!(got.to_bits(), want, "{what}");
+                }
+            }
+        }
+        // No distance repeats on a uniform instance, so the selected median
+        // is the median distinct distance the threshold used to be.
+        let inst = gen::clustering(uniform);
+        let distinct = inst.distances().sorted_distinct_values();
+        let selected = resolve_threshold(&inst, &cfg, &CostMeter::new()).unwrap();
+        assert_eq!(selected, distinct[distinct.len() / 2]);
+    }
+
+    #[test]
     fn threshold_derivation_and_graph_build_are_metered() {
         let inst = tiny();
         let n2 = (inst.n() * inst.n()) as u64;
@@ -189,14 +242,12 @@ mod tests {
             max_dom(&solver_graph(&inst, &cfg), cfg.seed, &rounds);
             let mut want = rounds.report();
             // The graph build charges n²; deriving the threshold charges one
-            // sort of the n² distances.
+            // selection over the n(n − 1)/2 + 1 half-matrix keys.
             want.primitive_calls += 1;
             want.element_ops += n2;
             if cfg.threshold.is_none() {
-                let sorts = CostMeter::new();
-                sorts.add_sort(n2);
-                want.sort_calls += 1;
-                want.element_ops += sorts.report().element_ops;
+                want.primitive_calls += 1;
+                want.element_ops += (n2 - inst.n() as u64) / 2 + 1;
             }
             assert_eq!(run.work, want, "threshold {:?}", cfg.threshold);
         }

@@ -3,18 +3,25 @@
 //! Hochbaum & Shmoys observed that k-center reduces to a bottleneck search: for a
 //! candidate radius `α`, build the threshold graph `H_α` (nodes adjacent when within
 //! distance `α`) and compute a maximal dominator set; if it has at most `k` nodes then
-//! `2α` is an achievable radius, and the smallest feasible `α` in the sorted distance
-//! set certifies a 2-approximation. The paper parallelises the probe with the in-place
-//! `MaxDom` algorithm of Section 3 and keeps the binary search over the `O(n²)` distinct
-//! distances, giving `O((n log n)²)` work overall.
+//! `2α` is an achievable radius, and the smallest feasible `α` among candidates that
+//! include the optimal radius certifies a 2-approximation. The paper parallelises the
+//! probe with the in-place `MaxDom` algorithm of Section 3 and binary-searches the
+//! `O(n²)` distinct distances, giving `O((n log n)²)` work overall.
+//!
+//! Theorem 6.1 needs the optimal radius among the candidates, not every distance. One
+//! farthest-first pass (Gonzalez) gives a radius `r` with `opt ≤ r ≤ 2·opt`, so the exact
+//! search gathers, sorts and probes only the distinct distances in `[r/2, r]` (see
+//! [`parallel_kcenter`]); only the `hs-kcenter` baseline still sorts every distance.
 
 use parfaclo_api::RunConfig;
 use parfaclo_bucket::{BucketMapping, RadiusDeriver};
 use parfaclo_dominator::max_dom;
 use parfaclo_graph::CsrGraph;
 use parfaclo_matrixops::{CostMeter, CostReport};
-use parfaclo_metric::{ClusterInstance, DistanceOracle, NodeId};
+use parfaclo_metric::oracle::distance_key;
+use parfaclo_metric::{ClusterInstance, DistanceOracle, NodeId, Point};
 use parfaclo_trace as trace;
+use rayon::prelude::*;
 
 /// Result of the parallel k-center algorithm.
 #[derive(Debug, Clone)]
@@ -25,15 +32,16 @@ pub struct KCenterSolution {
     pub radius: f64,
     /// The threshold distance `d_t` the search settled on. With the exact
     /// radius deriver the 2-approximation guarantee is `radius <= 2 * d_t`
-    /// and `d_t <= opt`; with the sketch deriver `d_t` is the smallest
-    /// *sampled* feasible candidate, which may exceed `opt`.
+    /// and `d_t <= opt`: `d_t` is the smallest candidate of the factor-2
+    /// bracket or follows an infeasible probe, and the bracket holds `opt`.
+    /// With the sketch deriver `d_t` is the smallest *sampled* feasible
+    /// candidate, which may exceed `opt`.
     pub threshold: f64,
-    /// A certified lower bound on the optimal radius: the largest probed
-    /// threshold whose dominator set had more than `k` nodes (`k + 1` points
-    /// pairwise further apart than any achievable radius), or the settled
-    /// threshold itself on the exact path (where it is the smallest feasible
-    /// member of the complete distance set). 0.0 when nothing infeasible was
-    /// probed and the exact certificate is unavailable.
+    /// A certified lower bound on the optimal radius: on the exact path the
+    /// settled threshold itself (`d_t <= opt`, see [`KCenterSolution::threshold`]);
+    /// on the sketch path the largest probed threshold whose dominator set
+    /// had more than `k` nodes (`k + 1` points pairwise further apart than
+    /// any achievable radius), or 0.0 when nothing infeasible was probed.
     pub lower_bound: f64,
     /// Number of feasibility probes (each probe is one `MaxDom` run).
     pub probes: usize,
@@ -58,7 +66,9 @@ fn every_node(n: usize) -> KCenterSolution {
 
 /// The feasibility probe both searches share: one `MaxDom` run per
 /// candidate radius on its CSR threshold graph, charged `n²` (the paper's
-/// cost model) and seeded by the candidate's index. The graphs nest: once a
+/// cost model) and seeded by the candidate's bits, so that any search
+/// probes a given radius with the same seed whatever its candidate list
+/// holds. The graphs nest: once a
 /// probe at `t` is feasible, each search probes only below `t`, so every
 /// later graph is that probe's graph packed with [`CsrGraph::filter_within`]
 /// (GBBS's pack-between-rounds step) instead of a fresh build over all `n²`
@@ -129,7 +139,7 @@ impl<'a> Prober<'a> {
         };
         let n = self.inst.n();
         self.meter.add_primitive((n * n) as u64);
-        let seed = self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9);
+        let seed = probe_seed(self.seed, t);
         let dom = max_dom(&g, seed, self.meter);
         self.luby_rounds += dom.rounds;
         Ok((dom.selected, g))
@@ -155,9 +165,11 @@ impl<'a> Prober<'a> {
         let (t_idx, centers) = match self.feasible.take() {
             Some((t_idx, centers, _)) => (t_idx, centers),
             None => {
-                // Unreachable: a search with nothing feasible below the
-                // largest candidate probes it, and its complete graph has a
-                // one-node dominator set. Keep that probe's set regardless.
+                // Unreachable on a metric: a search with nothing feasible
+                // below the largest candidate probes it, and it is feasible
+                // (the exact bracket's top is at least opt, the sketch's
+                // diameter cap gives a complete graph). Keep that probe's
+                // set regardless.
                 let last = self.candidates.len() - 1;
                 (last, self.max_dom_at(last, 1)?.0)
             }
@@ -175,10 +187,60 @@ impl<'a> Prober<'a> {
     }
 }
 
+/// The `MaxDom` seed of a probe at radius `t` in a search seeded `seed`.
+fn probe_seed(seed: u64, t: f64) -> u64 {
+    seed ^ t.to_bits().wrapping_mul(0x9E37_79B9)
+}
+
+/// Relative step below `r/2` at the bottom of the exact search's bracket
+/// (see [`bracket_floor`]); it covers points of up to about two million
+/// dimensions, and higher dimensions step further.
+const BRACKET_MARGIN: f64 = 1e-9;
+
+/// The smallest distance the exact search's bracket `[floor, r]` keeps
+/// under a farthest-first radius `r` on points of dimension `dim` (0 for
+/// a matrix without points).
+///
+/// In exact arithmetic the `k + 1` points behind `r` (see
+/// [`ClusterInstance::farthest_first`]) are pairwise at least `r` apart, so
+/// two of them, `p` and `q`, share an optimal cluster with center `c`, and
+/// the triangle inequality gives `opt ≥ r/2`. The kernel's distances are
+/// rounded: each is a fold of `dim` rounded per-coordinate terms (plus a
+/// square root), so with unit roundoff `u = 2⁻⁵³` its relative error is at
+/// most `γ = (dim + 2)·u` while no term leaves the normal range. The exact
+/// distances then give `r/(1 + γ) ≤ d(p, q) ≤ d(p, c) + d(c, q) ≤
+/// 2·opt/(1 − γ)`, so `opt ≥ (r/2)·(1 − γ)/(1 + γ) ≥ (r/2)·(1 − 2γ)`. The
+/// floor steps down by `max(BRACKET_MARGIN, 4γ)`, which covers `2γ` plus
+/// the `3u` that rounding the floor's own product can add, at any
+/// dimension (a matrix without points counts as dimension 0). Where a term
+/// could underflow (`r` below 1e-150) or a distance overflowed (`r = +∞`)
+/// the error model fails, and the floor is 0: every distance up to `r`.
+fn bracket_floor(r: f64, dim: usize) -> f64 {
+    if !(1e-150..f64::INFINITY).contains(&r) {
+        return 0.0;
+    }
+    // `f64::EPSILON` is `2u`, so this is `4γ`.
+    let margin = BRACKET_MARGIN.max(2.0 * (dim as f64 + 2.0) * f64::EPSILON);
+    0.5 * r * (1.0 - margin)
+}
+
 /// Runs the parallel Hochbaum–Shmoys k-center algorithm (Theorem 6.1): a
-/// binary search over the complete sorted set of distinct pairwise
-/// distances, one `MaxDom` probe per step on nested CSR threshold graphs
+/// binary search over the distinct pairwise distances in a factor-2
+/// bracket, one `MaxDom` probe per step on nested CSR threshold graphs
 /// (see [`CsrGraph::filter_within`]).
+///
+/// The bracket comes from one farthest-first pass
+/// ([`ClusterInstance::farthest_first`]): its radius `r` satisfies
+/// `opt ≤ r ≤ 2·opt`, so the candidates are the distinct distances in
+/// `[bracket_floor(r), r]`, gathered in one streaming pass over kernel rows
+/// ([`DistanceOracle::half_matrix_keys`]) and sorted; `r` is among them. The
+/// top of the bracket is feasible: at any `α ≥ opt` each optimal cluster
+/// holds at most one `MaxDom` node. The search settles on a threshold `t`
+/// that is either the smallest candidate or follows an infeasible probe,
+/// and `opt` is a candidate, so `t ≤ opt` certifies the lower bound and
+/// `radius ≤ 2·t` keeps the factor 2. The bracket assumes a metric, as the
+/// factor 2 of Theorem 6.1 already does. When `r = 0` every node coincides
+/// with a center, and the one candidate is `+0.0`.
 ///
 /// The search charges `meter`, which the caller owns, so a trace span the
 /// caller opens around the call counts that work; the returned `work` is
@@ -187,8 +249,9 @@ impl<'a> Prober<'a> {
 /// Deterministic for a fixed `seed`.
 ///
 /// # Errors
-/// Returns `Err` when deriving the candidate radii (a sort of all pairwise
-/// distances) would exceed the oracle's 4 GiB scratch cap.
+/// Returns `Err` when a sort of all pairwise distances would exceed the
+/// oracle's 4 GiB scratch cap (the refusal point of the full-sort search
+/// this one replaced, kept as is).
 ///
 /// # Panics
 /// Panics if `k == 0` or the instance is empty.
@@ -206,10 +269,8 @@ pub fn parallel_kcenter(
     }
     let start = meter.report();
 
-    // The candidate radii are the distinct pairwise distances, sorted.
-    // Deriving them materialises the pairwise distances, so past the
-    // oracle's 4 GiB scratch cap the run is refused with an explanation
-    // instead of exhausting memory.
+    // The candidate radii are the distinct pairwise distances in the
+    // farthest-first bracket, sorted.
     let oracle = inst.distances();
     let distances = {
         let _span = trace::span("derive-radii", Some(meter));
@@ -219,8 +280,18 @@ pub fn parallel_kcenter(
                  the candidate radii with --radius-deriver sketch"
             )
         })?;
-        meter.add_sort(oracle.len() as u64);
-        oracle.sorted_distinct_values()
+        let (centers, r) = inst.farthest_first(k);
+        meter.add_primitive((n * centers.len()) as u64);
+        let dim = inst.points().and_then(|p| p.first()).map_or(0, Point::dim);
+        let mut keys = oracle.half_matrix_keys(bracket_floor(r, dim)..=r);
+        meter.add_primitive((n * (n - 1) / 2) as u64);
+        // `r` is a distance, so on a symmetric oracle it is already a key;
+        // pushing it keeps the feasible top on any square matrix.
+        keys.push(distance_key(r));
+        keys.par_sort_unstable();
+        meter.add_sort(keys.len() as u64);
+        keys.dedup();
+        keys.into_iter().map(f64::from_bits).collect::<Vec<f64>>()
     };
 
     // Binary search for the smallest threshold whose dominator set has at most k nodes.
@@ -240,8 +311,8 @@ pub fn parallel_kcenter(
     }
     let sol = prober.finish(&start)?;
     Ok(KCenterSolution {
-        // The smallest feasible member of the complete distance set is at
-        // most the optimal radius (which is itself a feasible member).
+        // The settled threshold is at most the optimal radius, which is
+        // itself a candidate (see above).
         lower_bound: sol.threshold,
         ..sol
     })
@@ -411,8 +482,10 @@ pub fn parallel_kcenter_sketched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfaclo_metric::gen::{self, GenParams};
+    use parfaclo_metric::gen::{self, build_clustering, GenParams};
     use parfaclo_metric::lower_bounds::{self, ClusterObjective};
+    use parfaclo_metric::point::DistanceKind;
+    use parfaclo_metric::Backend;
     use parfaclo_seq_baselines::{gonzalez_kcenter, hochbaum_shmoys_kcenter};
 
     /// The exact search on a fresh meter.
@@ -515,25 +588,58 @@ mod tests {
         assert_eq!(a.radius, b.radius);
     }
 
-    /// The per-probe search the nested probes replaced: every probe builds
-    /// `H_α` from the oracle.
+    /// The points' dimension, or 0 for a matrix without points.
+    fn dim_of(inst: &ClusterInstance) -> usize {
+        inst.points().and_then(|p| p.first()).map_or(0, Point::dim)
+    }
+
+    /// The exact search's bracket derived independently: `r` from the
+    /// Gonzalez baseline's separately evaluated radius, the candidates from
+    /// the complete sorted distance set filtered to `[floor, r]`.
+    fn reference_bracket(inst: &ClusterInstance, k: usize) -> (f64, f64, Vec<f64>) {
+        let r = gonzalez_kcenter(inst, k).radius;
+        let lo = bracket_floor(r, dim_of(inst));
+        let candidates = inst
+            .distances()
+            .sorted_distinct_values()
+            .into_iter()
+            .filter(|d| (lo..=r).contains(d))
+            .collect();
+        (lo, r, candidates)
+    }
+
+    /// The per-probe search the nested probes replaced, over the same
+    /// bracket derived independently: every probe builds `H_α` from the
+    /// oracle.
     fn per_probe_reference(inst: &ClusterInstance, k: usize, seed: u64) -> KCenterSolution {
         let n = inst.n();
         let meter = CostMeter::new();
         if n <= k {
             return every_node(n);
         }
-        let distances = inst.distances().sorted_distinct_values();
-        meter.add_sort(inst.distances().len() as u64);
+        let (lo, r, distances) = reference_bracket(inst, k);
+        // The derivation's charges: the farthest-first pass, the streaming
+        // pass over the upper triangle, and a sort of the keys it kept (the
+        // diagonal's when the bracket holds 0, and `r` once more).
+        let gathered = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| (lo..=r).contains(&inst.dist(a, b)))
+            .count()
+            + usize::from(lo <= 0.0)
+            + 1;
+        meter.add_primitive((n * gonzalez_kcenter(inst, k).centers.len()) as u64);
+        meter.add_primitive((n * (n - 1) / 2) as u64);
+        meter.add_sort(gathered as u64);
         let (mut lo, mut hi) = (0usize, distances.len() - 1);
         let (mut probes, mut luby_rounds) = (0usize, 0usize);
         let mut best = None;
         while lo <= hi {
             let mid = (lo + hi) / 2;
             probes += 1;
-            let g = CsrGraph::from_threshold_oracle(inst.distances(), distances[mid]);
+            let t = distances[mid];
+            let g = CsrGraph::from_threshold_oracle(inst.distances(), t);
             meter.add_primitive((n * n) as u64);
-            let dom = max_dom(&g, seed ^ (mid as u64).wrapping_mul(0x9E37_79B9), &meter);
+            let dom = max_dom(&g, seed ^ t.to_bits().wrapping_mul(0x9E37_79B9), &meter);
             luby_rounds += dom.rounds;
             if dom.selected.len() <= k {
                 best = Some((mid, dom.selected));
@@ -575,15 +681,35 @@ mod tests {
             .install(f)
     }
 
+    /// Asserts that the exact search on `points` equals the per-probe
+    /// reference on every backend at 1 and 4 threads.
+    fn assert_matches_reference(
+        points: &[Point],
+        kind: DistanceKind,
+        k: usize,
+        seed: u64,
+        what: &str,
+    ) {
+        let build =
+            |backend| ClusterInstance::build(points.to_vec(), kind, backend).expect("instance");
+        let want = per_probe_reference(&build(Backend::Dense), k, seed);
+        for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
+            let inst = build(backend);
+            for threads in [1, 4] {
+                let got = at_threads(threads, || exact_kcenter(&inst, k, seed));
+                assert_same(&got, &want, &format!("{what} {backend} {threads} threads"));
+            }
+        }
+    }
+
     #[test]
     fn nested_probes_match_the_per_probe_reference() {
-        use parfaclo_metric::{gen::build_clustering, Backend};
         let workloads = [
             (GenParams::uniform_square(90, 90), 4),
             (GenParams::gaussian_clusters(120, 120, 5), 5),
             (GenParams::planted(64, 64, 8), 8),
             // Equal distances everywhere: many ties in the threshold graphs.
-            (GenParams::line(70, 70), 3),
+            (GenParams::line(300, 300), 3),
         ];
         for (w, (params, k)) in workloads.into_iter().enumerate() {
             for seed in 0..2u64 {
@@ -591,21 +717,115 @@ mod tests {
                 let dense_inst = build_clustering(params, Backend::Dense).expect("instance");
                 let want = per_probe_reference(&dense_inst, k, seed);
                 assert!(want.probes >= 5, "workload {w}: too few probes to nest");
-                for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
-                    let inst = build_clustering(params, backend).expect("instance");
-                    for threads in [1, 4] {
-                        let got = at_threads(threads, || exact_kcenter(&inst, k, seed));
-                        let what = format!("workload {w} seed {seed} {backend} {threads} threads");
-                        assert_same(&got, &want, &what);
-                    }
+                let points = dense_inst.points().expect("generated points");
+                let what = format!("workload {w} seed {seed}");
+                assert_matches_reference(points, params.distance, k, seed, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn the_bracket_holds_the_optimum_and_certifies_it() {
+        for kind in [
+            DistanceKind::Euclidean,
+            DistanceKind::Manhattan,
+            DistanceKind::Chebyshev,
+        ] {
+            for seed in 0..6 {
+                let params = GenParams {
+                    distance: kind,
+                    ..GenParams::uniform_square(13, 13).with_seed(seed)
+                };
+                let inst = gen::clustering(params);
+                for k in 1..4 {
+                    let what = format!("{kind:?} seed {seed} k {k}");
+                    let (_, opt) =
+                        lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
+                    let (centers, r) = inst.farthest_first(k);
+                    assert_eq!(r.to_bits(), inst.kcenter_cost(&centers).to_bits(), "{what}");
+                    let lo = bracket_floor(r, dim_of(&inst));
+                    assert!(
+                        lo <= opt && opt <= r,
+                        "{what}: opt {opt} outside [{lo}, {r}]"
+                    );
+                    let sol = exact_kcenter(&inst, k, seed);
+                    assert!(
+                        sol.lower_bound <= opt,
+                        "{what}: lower bound {}",
+                        sol.lower_bound
+                    );
+                    assert!(
+                        sol.radius <= 2.0 * sol.threshold,
+                        "{what}: radius {}",
+                        sol.radius
+                    );
+                    assert!(sol.centers.len() <= k, "{what}");
                 }
             }
         }
     }
 
     #[test]
+    fn degenerate_brackets_match_the_reference_and_certify() {
+        let spread: Vec<Point> = (0..13)
+            .map(|i| Point::xy(i as f64 * 1.5, ((i * i) % 7) as f64))
+            .collect();
+        let mut duplicated = spread[..7].to_vec();
+        duplicated.extend_from_slice(&spread[..6]);
+        let line = gen::clustering(GenParams::line(13, 13));
+        let cases = [
+            // Every point coincides: r = 0 and the one candidate is +0.0.
+            ("coincident", vec![Point::xy(2.0, -1.0); 9], 2),
+            // Fewer distinct locations than k: Gonzalez stops early at r = 0.
+            (
+                "two-locations",
+                [vec![Point::xy(0.0, 0.0); 5], vec![Point::xy(3.0, 4.0); 5]].concat(),
+                3,
+            ),
+            ("n-is-k-plus-1", spread[..5].to_vec(), 4),
+            ("duplicated", duplicated, 3),
+            ("line-ties", line.points().expect("points").to_vec(), 3),
+        ];
+        for (name, points, k) in cases {
+            let inst =
+                ClusterInstance::build(points.clone(), DistanceKind::Euclidean, Backend::Dense)
+                    .expect("instance");
+            let (_, opt) =
+                lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
+            for seed in 0..3 {
+                assert_matches_reference(&points, DistanceKind::Euclidean, k, seed, name);
+                let sol = exact_kcenter(&inst, k, seed);
+                assert!(
+                    sol.lower_bound <= opt,
+                    "{name}: lower bound {} opt {opt}",
+                    sol.lower_bound
+                );
+                assert!(
+                    sol.radius <= 2.0 * sol.threshold,
+                    "{name}: radius {}",
+                    sol.radius
+                );
+                assert!(sol.centers.len() <= k, "{name}");
+                if opt == 0.0 {
+                    assert_eq!((sol.threshold.to_bits(), sol.radius), (0, 0.0), "{name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_bracket_floor_steps_below_half_the_radius() {
+        assert_eq!(bracket_floor(0.0, 2), 0.0);
+        assert_eq!(bracket_floor(f64::INFINITY, 2), 0.0);
+        assert_eq!(bracket_floor(1e-200, 2), 0.0);
+        let r = 10.0;
+        assert!(bracket_floor(r, 2) < 5.0 && bracket_floor(r, 2) >= 5.0 * (1.0 - 2e-9));
+        // The margin grows with the dimension past the fixed one.
+        assert!(bracket_floor(r, 100_000_000) < bracket_floor(r, 2));
+    }
+
+    #[test]
     fn sketch_deriver_is_deterministic_and_backend_invariant() {
-        use parfaclo_metric::{gen::build_clustering, Backend};
         for seed in 0..4 {
             let params = GenParams::uniform_square(60, 60).with_seed(seed);
             let sketch = |backend, threads| {

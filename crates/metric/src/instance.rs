@@ -520,6 +520,49 @@ impl ClusterInstance {
             .fold(0.0, f64::max)
     }
 
+    /// Gonzalez's farthest-first traversal: start at node 0 and repeatedly
+    /// add the node farthest from the centers chosen so far (the last of
+    /// equally far nodes, as `Iterator::max_by` picks), until `min(k, n)`
+    /// centers are chosen or the farthest node is at distance 0 (every node
+    /// coincides with a center). Returns the centers and their radius `r`,
+    /// the largest distance from a node to its nearest center.
+    ///
+    /// Each new center's distances come from one kernel row
+    /// ([`DistanceOracle::row_range_into`]), so the traversal evaluates
+    /// `n` distances per center. On a metric `opt ≤ r ≤ 2·opt`: each center
+    /// was at least `r` from the earlier ones when it was added, so the
+    /// centers and the farthest node are `k + 1` points pairwise at least
+    /// `r` apart, two of which share an optimal cluster.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or the instance is empty.
+    pub fn farthest_first(&self, k: usize) -> (Vec<NodeId>, f64) {
+        let n = self.n();
+        assert!(k >= 1, "k must be at least 1");
+        assert!(n >= 1, "instance must be non-empty");
+        let mut dist_to_centers = vec![0.0f64; n];
+        self.oracle.row_range_into(0, 0, &mut dist_to_centers);
+        let mut centers = vec![0usize];
+        let mut row = vec![0.0f64; n];
+        while centers.len() < k.min(n) {
+            let (next, &d) = dist_to_centers
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .unwrap();
+            if d == 0.0 {
+                break;
+            }
+            centers.push(next);
+            self.oracle.row_range_into(next, 0, &mut row);
+            for (d, &e) in dist_to_centers.iter_mut().zip(&row) {
+                *d = d.min(e);
+            }
+        }
+        let radius = dist_to_centers.iter().copied().fold(0.0, f64::max);
+        (centers, radius)
+    }
+
     /// Node-to-center assignment mapping each node to its closest center.
     pub fn center_assignment(&self, centers: &[NodeId]) -> Vec<NodeId> {
         self.closest_center_all(centers)
@@ -705,5 +748,21 @@ mod tests {
             FlInstance::build(costs, pts, fac, DistanceKind::Euclidean, Backend::Spatial).unwrap();
         assert_eq!(fd.dist(1, 0).to_bits(), fs.dist(1, 0).to_bits());
         assert!(fd.client_points().is_some() && fs.facility_points().is_some());
+    }
+
+    #[test]
+    fn farthest_first_takes_the_last_farthest_node_and_stops_at_zero() {
+        let line: Vec<Point> = (0..6).map(|i| Point::xy(i as f64, 0.0)).collect();
+        for backend in [Backend::Dense, Backend::Implicit, Backend::Spatial] {
+            let inst =
+                ClusterInstance::build(line.clone(), DistanceKind::Euclidean, backend).unwrap();
+            // Nodes 2 and 3 are both 2 from {0, 5}; the last one wins.
+            assert_eq!(inst.farthest_first(3), (vec![0, 5, 3], 1.0), "{backend}");
+            let every = (vec![0, 5, 3, 4, 2, 1], 0.0);
+            assert_eq!(inst.farthest_first(9), every, "{backend}");
+            let same = vec![Point::xy(1.0, 1.0); 4];
+            let inst = ClusterInstance::build(same, DistanceKind::Euclidean, backend).unwrap();
+            assert_eq!(inst.farthest_first(3), (vec![0], 0.0), "{backend}");
+        }
     }
 }

@@ -38,6 +38,7 @@ use crate::point::{DistanceKind, Point};
 use parfaclo_kernel::{block, SoaPoints};
 use parfaclo_spatial::SpatialIndex;
 use rayon::prelude::*;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Which distance backend an instance carries. Stable string forms
@@ -259,21 +260,103 @@ pub trait DistanceOracle {
     ///   result is a pure function of the entries.
     fn min_positive_entry(&self) -> Option<f64>;
 
-    /// All distinct entry values, sorted ascending (the k-center binary
+    /// All distinct entry values, sorted ascending (the Hochbaum–Shmoys
     /// search's distance set `D`). `O(rows·cols)` time *and* transient
     /// memory under every backend (half of it on a point-backed square
-    /// oracle, which sorts only the upper triangle) — callers that need
-    /// bounded memory must ask [`DistanceOracle::check_distance_sort_cap`]
-    /// first.
+    /// oracle, which sorts only its [`DistanceOracle::half_matrix_keys`]) —
+    /// callers that need bounded memory must ask
+    /// [`DistanceOracle::check_distance_sort_cap`] first.
     fn sorted_distinct_values(&self) -> Vec<f64>;
+
+    /// The [`distance_key`]s of the strict upper triangle `d(r, c)`, `r < c`,
+    /// plus one `+0.0` for the diagonal, keeping those whose value lies in
+    /// `range`, in no particular order. On a symmetric oracle with a zero
+    /// diagonal (every clustering instance's) these keys hold every distinct
+    /// entry value, so sorting and deduping them gives the distinct values
+    /// in `range`, and selecting from them gives an order statistic of the
+    /// upper triangle.
+    ///
+    /// One streaming pass over kernel rows ([`DistanceOracle::row_range_into`]
+    /// in stack tiles, rows in parallel): `rows·(rows − 1)/2` distances, and
+    /// transient memory for the kept keys only. The default serves every
+    /// backend, so all of them gather the same keys.
+    ///
+    /// # Panics
+    /// Panics if the oracle is not square.
+    fn half_matrix_keys(&self, range: RangeInclusive<f64>) -> Vec<u64>
+    where
+        Self: Sync,
+    {
+        let n = self.rows();
+        assert_eq!(n, self.cols(), "half-matrix keys need a square oracle");
+        if n == 0 {
+            return Vec::new();
+        }
+        if *range.start() <= 0.0 && *range.end() == f64::INFINITY {
+            // Every key is kept, so each row fills its own slice of one
+            // exact-size buffer; keys[0] stays the diagonal's `+0.0`.
+            let mut keys = vec![0u64; n * (n - 1) / 2 + 1];
+            let mut row_slices: Vec<&mut [u64]> = Vec::with_capacity(n);
+            let mut rest = &mut keys[1..];
+            for r in 0..n {
+                let (row, tail) = std::mem::take(&mut rest).split_at_mut(n - 1 - r);
+                row_slices.push(row);
+                rest = tail;
+            }
+            row_slices
+                .par_iter_mut()
+                .enumerate()
+                .with_min_len(64)
+                .for_each(|(r, out)| {
+                    let mut at = 0;
+                    for_upper_row_tiles(self, r, |tile| {
+                        for (key, &d) in out[at..at + tile.len()].iter_mut().zip(tile) {
+                            *key = distance_key(d);
+                        }
+                        at += tile.len();
+                    });
+                });
+            return keys;
+        }
+        let rows: Vec<usize> = (0..n).collect();
+        let kept: Vec<Vec<u64>> = rows
+            .par_iter()
+            .with_min_len(64)
+            .map(|&r| {
+                let (lo, hi) = (*range.start(), *range.end());
+                let mut out = Vec::new();
+                let mut kept = [0u64; block::TILE];
+                for_upper_row_tiles(self, r, |tile| {
+                    // Branch-free compaction: every key is written, and the
+                    // cursor moves past the ones in range.
+                    let mut m = 0;
+                    for &d in tile {
+                        kept[m] = distance_key(d);
+                        m += usize::from((lo <= d) & (d <= hi));
+                    }
+                    out.extend_from_slice(&kept[..m]);
+                });
+                out
+            })
+            .collect();
+        let diagonal = range.contains(&0.0);
+        let mut keys =
+            Vec::with_capacity(usize::from(diagonal) + kept.iter().map(Vec::len).sum::<usize>());
+        if diagonal {
+            keys.push(0);
+        }
+        for row in kept {
+            keys.extend_from_slice(&row);
+        }
+        keys
+    }
 
     /// Refuses, with the reason, a sort of all `rows·cols` entries whose
     /// `8·rows·cols`-byte key buffer would exceed
     /// [`crate::SCRATCH_BYTES_CAP`] (n ≈ 23,170 on a square oracle) — the
     /// same 4 GiB ceiling as the dense adjacency matrix. Every caller that
-    /// derives candidate radii or a threshold from the full distance set
-    /// asks here before [`DistanceOracle::sorted_distinct_values`], so this
-    /// is the one place that knows the cap.
+    /// derives candidate radii or a threshold from the distance set asks
+    /// here first, so this is the one place that knows the cap.
     fn check_distance_sort_cap(&self) -> Result<(), String> {
         let bytes = (self.len() as u64).saturating_mul(8);
         if bytes > crate::SCRATCH_BYTES_CAP {
@@ -294,6 +377,33 @@ pub trait DistanceOracle {
 
     /// Which backend answers the queries.
     fn backend(&self) -> Backend;
+}
+
+/// The `u64` sort key of a non-negative distance: its `f64::to_bits`, with
+/// `−0.0` read as `+0.0` (a user-supplied matrix may hold it). On `+0.0`,
+/// positive finite values and `+∞` the `u64` order of the bit patterns is
+/// the `f64` order, so sorting, deduping or selecting keys does the same to
+/// the values, and equal values have equal keys.
+pub fn distance_key(d: f64) -> u64 {
+    // `−0.0 + 0.0` is `+0.0`, and adding `+0.0` leaves every other value
+    // as it is.
+    (d + 0.0).to_bits()
+}
+
+/// Streams the strict upper triangle of row `r`, `d(r, r + 1..cols)`, in
+/// stack tiles of kernel distances, ascending.
+fn for_upper_row_tiles<O: DistanceOracle + ?Sized>(
+    oracle: &O,
+    r: usize,
+    mut f: impl FnMut(&[f64]),
+) {
+    let cols = oracle.cols();
+    let mut buf = [0.0f64; block::TILE];
+    for start in (r + 1..cols).step_by(block::TILE) {
+        let tile = &mut buf[..block::TILE.min(cols - start)];
+        oracle.row_range_into(r, start, tile);
+        f(tile);
+    }
 }
 
 /// Runs `f` over `0..len` in deterministic blocks and combines the per-block
@@ -651,45 +761,31 @@ impl DistanceOracle for ImplicitMetric {
         if rows == 0 || cols == 0 {
             return Vec::new();
         }
-        // Sort `f64::to_bits` keys. Kernel distances are `+0.0`, positive
-        // finite or `+∞` (never `−0.0` or NaN), and on those the `u64` order
-        // of the bit patterns is the `f64` order, so sorting and deduping
-        // the keys equals sorting and deduping the values.
+        // Sort `distance_key`s, which order like the values.
         //
         // When both sides are one point set, `d(i, j)` and `d(j, i)` are the
         // same bits (`(a − b)` and `(b − a)` are exact negations) and every
-        // `d(i, i)` is `+0.0`, so the strict upper triangle plus one `+0.0`
-        // has the full matrix's distinct values: half the keys to fill and
-        // sort.
-        let mut keys: Vec<u64>;
-        let mut row_slices: Vec<(usize, &mut [u64])> = Vec::with_capacity(rows);
-        if self.sides_shared() {
-            keys = vec![0; rows * (rows - 1) / 2 + 1];
-            // keys[0] stays the diagonal's `+0.0`; row `r` fills `d(r, r + 1..)`.
-            let mut rest = &mut keys[1..];
-            for r in 0..rows {
-                let (row, tail) = std::mem::take(&mut rest).split_at_mut(rows - 1 - r);
-                row_slices.push((r + 1, row));
-                rest = tail;
-            }
+        // `d(i, i)` is `+0.0`, so the half-matrix keys have the full
+        // matrix's distinct values: half the keys to fill and sort.
+        let mut keys = if self.sides_shared() {
+            self.half_matrix_keys(0.0..=f64::INFINITY)
         } else {
-            keys = vec![0; rows * cols];
-            row_slices.extend(keys.chunks_mut(cols).map(|row| (0, row)));
-        }
-        row_slices
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(64)
-            .for_each(|(r, (col_start, out))| {
-                let mut buf = [0.0f64; block::TILE];
-                for (k, keys) in out.chunks_mut(block::TILE).enumerate() {
-                    let tile = &mut buf[..keys.len()];
-                    self.row_range_into(r, *col_start + k * block::TILE, tile);
-                    for (key, d) in keys.iter_mut().zip(tile.iter()) {
-                        *key = d.to_bits();
+            let mut keys = vec![0; rows * cols];
+            keys.par_chunks_mut(cols)
+                .enumerate()
+                .with_min_len(64)
+                .for_each(|(r, out)| {
+                    let mut buf = [0.0f64; block::TILE];
+                    for (k, keys) in out.chunks_mut(block::TILE).enumerate() {
+                        let tile = &mut buf[..keys.len()];
+                        self.row_range_into(r, k * block::TILE, tile);
+                        for (key, &d) in keys.iter_mut().zip(tile.iter()) {
+                            *key = distance_key(d);
+                        }
                     }
-                }
-            });
+                });
+            keys
+        };
         keys.par_sort_unstable();
         keys.dedup();
         keys.into_iter().map(f64::from_bits).collect()
@@ -1142,6 +1238,10 @@ impl DistanceOracle for Oracle {
 
     fn sorted_distinct_values(&self) -> Vec<f64> {
         delegate!(self, sorted_distinct_values())
+    }
+
+    fn half_matrix_keys(&self, range: RangeInclusive<f64>) -> Vec<u64> {
+        delegate!(self, half_matrix_keys(range))
     }
 
     fn memory_bytes(&self) -> u64 {
@@ -1629,6 +1729,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn half_matrix_keys_in_a_range_match_the_filtered_upper_triangle() {
+        let kinds = [
+            DistanceKind::Euclidean,
+            DistanceKind::Manhattan,
+            DistanceKind::Chebyshev,
+        ];
+        for (name, points) in distinct_value_point_sets() {
+            for kind in kinds {
+                let oracles = [
+                    Oracle::Dense(DistanceMatrix::pairwise(&points, kind)),
+                    Oracle::Implicit(ImplicitMetric::symmetric(points.clone(), kind)),
+                    Oracle::Spatial(SpatialOracle::symmetric(points.clone(), kind)),
+                ];
+                let n = points.len();
+                let values = full_matrix_sorted_distinct(&oracles[0]);
+                let at = |q: usize| values.get(q * values.len() / 4).copied().unwrap_or(0.0);
+                let ranges = [
+                    0.0..=f64::INFINITY,
+                    0.0..=0.0,
+                    at(1)..=at(3),
+                    at(2)..=f64::INFINITY,
+                    at(3)..=at(1),
+                ];
+                for range in ranges {
+                    let mut want: Vec<u64> = (0..n)
+                        .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                        .map(|(a, b)| oracles[0].dist(a, b))
+                        .chain((n > 0).then_some(0.0))
+                        .filter(|d| range.contains(d))
+                        .map(f64::to_bits)
+                        .collect();
+                    want.sort_unstable();
+                    for oracle in &oracles {
+                        for threads in [1, 4] {
+                            let mut got =
+                                at_threads(threads, || oracle.half_matrix_keys(range.clone()));
+                            got.sort_unstable();
+                            assert_eq!(
+                                got,
+                                want,
+                                "{name} {kind:?} {range:?} {:?} at {threads} threads",
+                                oracle.backend()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn half_matrix_keys_read_negative_zero_as_positive_zero() {
+        let m =
+            DistanceMatrix::from_rows(3, 3, vec![-0.0, -0.0, 1.0, -0.0, 0.0, 2.0, 1.0, 2.0, -0.0]);
+        let oracle = Oracle::Dense(m);
+        let mut keys = oracle.half_matrix_keys(0.0..=f64::INFINITY);
+        keys.sort_unstable();
+        assert_eq!(keys, vec![0, 0, 1.0f64.to_bits(), 2.0f64.to_bits()]);
+        let mut zeros = oracle.half_matrix_keys(-0.0..=0.0);
+        zeros.sort_unstable();
+        assert_eq!(zeros, vec![0, 0]);
+        assert_eq!(distance_key(-0.0), distance_key(0.0));
     }
 
     #[test]

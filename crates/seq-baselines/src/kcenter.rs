@@ -26,32 +26,14 @@ pub struct KCenterResult {
     pub radius: f64,
 }
 
-/// Gonzalez's farthest-point 2-approximation.
+/// Gonzalez's farthest-point 2-approximation
+/// ([`ClusterInstance::farthest_first`]), with the radius evaluated
+/// separately by [`ClusterInstance::kcenter_cost`].
 ///
 /// # Panics
 /// Panics if `k == 0` or the instance is empty.
 pub fn gonzalez_kcenter(inst: &ClusterInstance, k: usize) -> KCenterResult {
-    let n = inst.n();
-    assert!(k >= 1, "k must be at least 1");
-    assert!(n >= 1, "instance must be non-empty");
-    let k = k.min(n);
-
-    let mut centers = vec![0usize];
-    let mut dist_to_centers: Vec<f64> = (0..n).map(|j| inst.dist(j, 0)).collect();
-    while centers.len() < k {
-        let (next, &d) = dist_to_centers
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap();
-        if d == 0.0 {
-            break; // all remaining nodes coincide with a center
-        }
-        centers.push(next);
-        for (j, d) in dist_to_centers.iter_mut().enumerate() {
-            *d = d.min(inst.dist(j, next));
-        }
-    }
+    let (centers, _) = inst.farthest_first(k);
     let radius = inst.kcenter_cost(&centers);
     KCenterResult { centers, radius }
 }
