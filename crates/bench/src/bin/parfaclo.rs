@@ -13,6 +13,7 @@
 
 use parfaclo_api::{Backend, Coreset, ProblemKind, Registry, Run, RunConfig};
 use parfaclo_bench::bench::{compare, run_matrix, BenchArtifact, BenchMatrix};
+use parfaclo_bench::registry::solver_listing;
 use parfaclo_bench::runner::{
     run_solver, run_solver_cached, runs_to_json, table_header, table_row, GenSpec, InstanceCache,
 };
@@ -428,15 +429,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_list(registry: &Registry) -> Result<(), String> {
-    let table = Table::new(&["name", "problem", "guarantee", "paper"]);
-    for solver in registry.iter() {
-        table.row(&[
-            solver.name.to_string(),
-            solver.problem.to_string(),
-            solver.guarantee_label(),
-            solver.paper_ref.to_string(),
-        ]);
-    }
+    print!("{}", solver_listing(registry));
     Ok(())
 }
 

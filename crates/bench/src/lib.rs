@@ -54,34 +54,59 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates a table with the given column headers and prints the header row.
+    /// Creates a streaming table with the given column headers and prints
+    /// the header row. Each column is `max(header, 10)` characters wide, and
+    /// a longer cell widens its own row only.
     pub fn new(headers: &[&str]) -> Self {
         let headers: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
         let widths: Vec<usize> = headers.iter().map(|h| h.len().max(10)).collect();
         let t = Table { headers, widths };
-        t.print_header();
+        print!("{}", t.header());
         t
     }
 
-    fn print_header(&self) {
-        let cells: Vec<String> = self
-            .headers
-            .iter()
-            .zip(&self.widths)
-            .map(|(h, w)| format!("{h:>w$}"))
-            .collect();
-        println!("{}", cells.join("  "));
-        println!("{}", "-".repeat(cells.join("  ").len()));
+    /// Renders a whole table whose columns are each as wide as their widest
+    /// cell, header included, so that every column lines up: for a caller
+    /// that holds all its rows before it prints (`parfaclo list`).
+    ///
+    /// # Panics
+    /// Panics if a row's cell count differs from the header count.
+    pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
+        let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
+        for row in rows {
+            assert_eq!(row.len(), headers.len(), "row arity mismatch");
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.chars().count());
+            }
+        }
+        let headers = headers.iter().map(|s| s.to_string()).collect();
+        let t = Table { headers, widths };
+        let mut out = t.header();
+        for row in rows {
+            out += &t.line(row);
+        }
+        out
     }
 
-    /// Prints one row; the number of cells must match the number of headers.
-    pub fn row(&self, cells: &[String]) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
+    /// The header row and its dashed rule.
+    fn header(&self) -> String {
+        let header = self.line(&self.headers);
+        format!("{header}{}\n", "-".repeat(header.len() - 1))
+    }
+
+    /// One right-aligned row, newline-terminated.
+    fn line(&self, cells: &[String]) -> String {
         let cells: Vec<String> = cells
             .iter()
             .zip(&self.widths)
             .map(|(c, w)| format!("{c:>w$}"))
             .collect();
-        println!("{}", cells.join("  "));
+        format!("{}\n", cells.join("  "))
+    }
+
+    /// Prints one row; the number of cells must match the number of headers.
+    pub fn row(&self, cells: &[String]) {
+        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
+        print!("{}", self.line(cells));
     }
 }

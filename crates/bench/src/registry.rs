@@ -9,6 +9,7 @@
 //! repository benchmark and the cross-crate conformance tests all start
 //! from here.
 
+use crate::Table;
 use parfaclo_api::Registry;
 
 /// Every solver in the workspace, registered under its stable name: the
@@ -34,6 +35,23 @@ pub fn standard_registry() -> Registry {
         registry.register(*entry);
     }
     registry
+}
+
+/// The table `parfaclo list` prints: every entry's name, problem, guarantee
+/// label and paper reference, with each column sized to its widest cell.
+pub fn solver_listing(registry: &Registry) -> String {
+    let rows: Vec<Vec<String>> = registry
+        .iter()
+        .map(|entry| {
+            vec![
+                entry.name.to_string(),
+                entry.problem.to_string(),
+                entry.guarantee_label(),
+                entry.paper_ref.to_string(),
+            ]
+        })
+        .collect();
+    Table::render(&["name", "problem", "guarantee", "paper"], &rows)
 }
 
 #[cfg(test)]
@@ -98,5 +116,32 @@ primal-dual | facility-location | 3 + eps | Algorithm 5.1, Theorem 5.4
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn listing_columns_line_up() {
+        let registry = standard_registry();
+        let listing = solver_listing(&registry);
+        let lines: Vec<&str> = listing.lines().collect();
+        assert_eq!(lines.len(), registry.len() + 2);
+        // Right-aligned columns as wide as their widest cell: every line
+        // spans the same width, and each cell ends where its header does.
+        assert!(lines.iter().all(|l| l.len() == lines[0].len()), "{listing}");
+        assert!(lines[1].chars().all(|c| c == '-'));
+        let ends: Vec<usize> = ["name", "problem", "guarantee", "paper"]
+            .iter()
+            .map(|h| lines[0].find(h).expect("header") + h.len())
+            .collect();
+        for (line, entry) in lines[2..].iter().zip(registry.iter()) {
+            let cells = [
+                entry.name.to_string(),
+                entry.problem.to_string(),
+                entry.guarantee_label(),
+                entry.paper_ref.to_string(),
+            ];
+            for (cell, &end) in cells.iter().zip(&ends) {
+                assert_eq!(&line[end - cell.len()..end], cell, "{line}");
+            }
+        }
     }
 }
