@@ -139,7 +139,7 @@ impl<'a> Prober<'a> {
         };
         let n = self.inst.n();
         self.meter.add_primitive((n * n) as u64);
-        let seed = probe_seed(self.seed, t);
+        let seed = self.seed ^ t.to_bits().wrapping_mul(0x9E37_79B9);
         let dom = max_dom(&g, seed, self.meter);
         self.luby_rounds += dom.rounds;
         Ok((dom.selected, g))
@@ -185,11 +185,6 @@ impl<'a> Prober<'a> {
             work: self.meter.delta_since(start),
         })
     }
-}
-
-/// The `MaxDom` seed of a probe at radius `t` in a search seeded `seed`.
-fn probe_seed(seed: u64, t: f64) -> u64 {
-    seed ^ t.to_bits().wrapping_mul(0x9E37_79B9)
 }
 
 /// Relative step below `r/2` at the bottom of the exact search's bracket
@@ -811,6 +806,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_asymmetric_matrix_keeps_its_farthest_first_radius_as_a_candidate() {
+        // Farthest-first settles on r = d(2, 1) = 2, a lower-triangle entry
+        // with no upper-triangle distance in [1, 2]: without `r` itself the
+        // bracket would hold no candidate.
+        let m = parfaclo_metric::DistanceMatrix::from_rows(
+            3,
+            3,
+            vec![0.0, 9.0, 10.0, 9.0, 0.0, 8.0, 3.0, 2.0, 0.0],
+        );
+        let inst = ClusterInstance::new(m);
+        assert_eq!(inst.farthest_first(2), (vec![0, 2], 2.0));
+        let sol = exact_kcenter(&inst, 2, 0);
+        assert_eq!((sol.threshold, sol.probes), (2.0, 1));
+        assert!(sol.centers.len() <= 2);
     }
 
     #[test]
