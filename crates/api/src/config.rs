@@ -48,8 +48,8 @@ pub struct RunConfig {
     /// ignored by the facility-location solvers.
     pub k: usize,
     /// Distance threshold for the dominator-set solvers' threshold graph.
-    /// `None` derives a threshold from the instance (the median distinct
-    /// pairwise distance).
+    /// `None` derives a threshold from the instance (the median of the
+    /// strict upper triangle of distances plus one zero, by selection).
     pub threshold: Option<f64>,
     /// Which distance backend generated instances use: `Dense` materialises
     /// the `|C| x |F|` matrix (`O(m)` memory, the historical default);
@@ -64,8 +64,10 @@ pub struct RunConfig {
     /// is a memory/latency knob, not a semantic one.
     pub backend: Backend,
     /// How the k-center solver derives its candidate radii: `Exact` (the
-    /// default) sorts all `O(n²)` distinct pairwise distances and preserves
-    /// today's bytes (refused past the oracle's scratch cap); `Sketch`
+    /// default) sorts the distinct pairwise distances in a farthest-first
+    /// factor-2 bracket, which holds the optimal radius (refused where a
+    /// sort of all `O(n²)` distances would pass the oracle's scratch cap);
+    /// `Sketch`
     /// probes a deterministic seeded distance sample coarse-to-fine through
     /// geometric buckets, lifting k-center to the sparse/xlarge presets.
     /// Unlike `backend`, the sketch may probe different radii

@@ -86,12 +86,15 @@ OPTIONS:
                         Results are byte-identical in all cases [default: dense]
     --radius-deriver <d>
                         k-center candidate-radius derivation: exact sorts
-                        all n² pairwise distances (the paper's Theorem 6.1
-                        search; refused above the 4 GiB scratch cap);
-                        sketch derives candidates from a deterministic
-                        1024-node sample plus a diameter cap, probing
-                        coarse-to-fine — the deriver that lifts k-center
-                        to the sparse-large/sparse-xlarge/xlarge presets.
+                        the distinct pairwise distances in [r/2, r] for a
+                        farthest-first radius r, a range that holds the
+                        optimum (the paper's Theorem 6.1 search; refused
+                        where a sort of all n² distances would pass the
+                        4 GiB scratch cap); sketch derives candidates
+                        from a deterministic 1024-node sample plus a
+                        diameter cap, probing coarse-to-fine — the
+                        deriver that lifts k-center to the
+                        sparse-large/sparse-xlarge/xlarge presets.
                         sketch may settle on a different (sampled) radius
                         than exact                       [default: exact]
     --coreset <c>       Clustering coreset: off solves on the full
@@ -111,7 +114,10 @@ OPTIONS:
     --k <n>             Centers for clustering solvers   [default: 8]
     --threshold <f>     Dominator-set threshold (>= 0); maxdom and mis
                         build its compressed-sparse-row graph, refused
-                        when the build would pass 4 GiB [default: median]
+                        when the build would pass 4 GiB. The default is
+                        the median of the pairwise distances (the upper
+                        triangle plus one zero), found by selection and
+                        refused past n ≈ 23,170          [default: median]
     --threads <n>       Worker threads for the run (pool size); 1 is
                         the sequential run, and results are identical
                         at any count                     [default: ambient]

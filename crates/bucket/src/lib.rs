@@ -233,9 +233,10 @@ impl BucketQueue {
 /// How k-center derives its candidate radii.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RadiusDeriver {
-    /// The paper's derivation: sort all `O(n²)` distinct pairwise distances
-    /// and binary-search them. Exact 2-approximation certificate, refused
-    /// past the oracle's scratch cap. Preserves today's bytes.
+    /// The paper's derivation: binary-search the distinct pairwise distances
+    /// in a farthest-first factor-2 bracket, which holds the optimal radius.
+    /// Exact 2-approximation certificate, refused where a sort of all `n²`
+    /// distances would pass the oracle's scratch cap.
     #[default]
     Exact,
     /// Sampling/quantile-sketch derivation: candidate radii come from a

@@ -3,8 +3,9 @@
 //! Parallel k-clustering algorithms from *Blelloch & Tangwongsan (SPAA 2010)*:
 //!
 //! * [`kcenter`] — the parallel Hochbaum–Shmoys 2-approximation for **k-center**
-//!   (Section 6.1, Theorem 6.1): binary search over the sorted distance set, with the
-//!   dominator-set algorithm `MaxDom` as the feasibility probe.
+//!   (Section 6.1, Theorem 6.1): binary search over the distinct distances in a
+//!   farthest-first factor-2 bracket, with the dominator-set algorithm `MaxDom` as the
+//!   feasibility probe.
 //! * [`local_search`] — the parallel swap-based local search (Section 7, Theorem 7.1)
 //!   for **k-median** (`5 + ε`) and **k-means** (`81 + ε`): every candidate swap is
 //!   evaluated in parallel per round, the best improving swap (by at least a

@@ -160,9 +160,9 @@ fn swap_scores(
 /// meter plus the k-center seed's own.
 ///
 /// # Panics
-/// Panics if `cfg.k == 0`, the instance is empty, or the k-center seed's sort
-/// of all pairwise distances would exceed the 4 GiB scratch cap
-/// (`DistanceOracle::check_distance_sort_cap`, n ≈ 23,170); the
+/// Panics if `cfg.k == 0`, the instance is empty, or the k-center seed refuses
+/// the instance because a sort of all pairwise distances would exceed the
+/// 4 GiB scratch cap (`DistanceOracle::check_distance_sort_cap`, n ≈ 23,170); the
 /// `kmedian-ls` and `kmeans-ls` solvers refuse such instances up front.
 pub fn parallel_local_search(
     inst: &ClusterInstance,

@@ -246,8 +246,9 @@ fn local_search_run(
             .with_extra("coreset_size", h.coreset_size as f64)
             .with_extra("coreset_eps", eps));
     }
-    // The direct search seeds with exact k-center, which sorts all pairwise
-    // distances; refuse before any n² work rather than panic inside it.
+    // The direct search seeds with exact k-center, which refuses where a
+    // sort of all pairwise distances would pass the scratch cap; refuse
+    // before any n² work rather than panic inside it.
     inst.distances().check_distance_sort_cap().map_err(|e| {
         format!(
             "n = {}: the direct local search seeds with exact k-center, and {e}; \
