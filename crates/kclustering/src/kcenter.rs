@@ -219,6 +219,11 @@ fn bracket_floor(r: f64, dim: usize) -> f64 {
     0.5 * r * (1.0 - margin)
 }
 
+/// The points' dimension, or 0 for a matrix without points.
+fn dim_of(inst: &ClusterInstance) -> usize {
+    inst.points().and_then(|p| p.first()).map_or(0, Point::dim)
+}
+
 /// Runs the parallel Hochbaum–Shmoys k-center algorithm (Theorem 6.1): a
 /// binary search over the distinct pairwise distances in a factor-2
 /// bracket, one `MaxDom` probe per step on nested CSR threshold graphs
@@ -277,8 +282,7 @@ pub fn parallel_kcenter(
         })?;
         let (centers, r) = inst.farthest_first(k);
         meter.add_primitive((n * centers.len()) as u64);
-        let dim = inst.points().and_then(|p| p.first()).map_or(0, Point::dim);
-        let mut keys = oracle.half_matrix_keys(bracket_floor(r, dim)..=r);
+        let mut keys = oracle.half_matrix_keys(bracket_floor(r, dim_of(inst))..=r);
         meter.add_primitive((n * (n - 1) / 2) as u64);
         // `r` is a distance, so on a symmetric oracle it is already a key;
         // pushing it keeps the feasible top on any square matrix.
@@ -581,11 +585,6 @@ mod tests {
         let b = exact_kcenter(&inst, 3, 11);
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.radius, b.radius);
-    }
-
-    /// The points' dimension, or 0 for a matrix without points.
-    fn dim_of(inst: &ClusterInstance) -> usize {
-        inst.points().and_then(|p| p.first()).map_or(0, Point::dim)
     }
 
     /// The exact search's bracket derived independently: `r` from the

@@ -318,11 +318,10 @@ pub trait DistanceOracle {
                 });
             return keys;
         }
-        let rows: Vec<usize> = (0..n).collect();
-        let kept: Vec<Vec<u64>> = rows
-            .par_iter()
+        let kept: Vec<Vec<u64>> = (0..n)
+            .into_par_iter()
             .with_min_len(64)
-            .map(|&r| {
+            .map(|r| {
                 let (lo, hi) = (*range.start(), *range.end());
                 let mut out = Vec::new();
                 let mut kept = [0u64; block::TILE];
