@@ -67,11 +67,10 @@ pub struct RunConfig {
     /// default) sorts the distinct pairwise distances in a farthest-first
     /// factor-2 bracket, which holds the optimal radius (refused where a
     /// sort of all `O(n²)` distances would pass the oracle's scratch cap);
-    /// `Sketch`
-    /// probes a deterministic seeded distance sample coarse-to-fine through
-    /// geometric buckets, lifting k-center to the sparse/xlarge presets.
-    /// Unlike `backend`, the sketch may probe different radii
-    /// than the exact path, so it changes results (while keeping the
+    /// `Sketch` probes a deterministic seeded distance sample coarse-to-fine
+    /// through geometric buckets, lifting k-center to the sparse/xlarge
+    /// presets. Unlike `backend`, the sketch may probe different radii than
+    /// the exact path, so it changes results (while keeping the
     /// 2-approximation structure) — which is why it is opt-in per run.
     pub radius_deriver: RadiusDeriver,
     /// Coreset mode for the clustering solvers: `Off` (the default) solves

@@ -68,11 +68,10 @@ fn every_node(n: usize) -> KCenterSolution {
 /// candidate radius on its CSR threshold graph, charged `n²` (the paper's
 /// cost model) and seeded by the candidate's bits, so that any search
 /// probes a given radius with the same seed whatever its candidate list
-/// holds. The graphs nest: once a
-/// probe at `t` is feasible, each search probes only below `t`, so every
-/// later graph is that probe's graph packed with [`CsrGraph::filter_within`]
-/// (GBBS's pack-between-rounds step) instead of a fresh build over all `n²`
-/// pairs. Until the first feasible probe each graph is built from the oracle
+/// holds. The graphs nest: once a probe at `t` is feasible, each search
+/// probes only below `t`, so every later graph is that probe's graph packed
+/// with [`CsrGraph::filter_within`] (GBBS's pack-between-rounds step)
+/// instead of a fresh build over all `n²` pairs. Until the first feasible probe each graph is built from the oracle
 /// by [`CsrGraph::try_from_threshold_oracle`], which refuses one past the
 /// scratch cap; a filtered graph is never larger than the one it filters.
 ///
@@ -250,8 +249,8 @@ fn dim_of(inst: &ClusterInstance) -> usize {
 ///
 /// # Errors
 /// Returns `Err` when a sort of all pairwise distances would exceed the
-/// oracle's 4 GiB scratch cap (the refusal point of the full-sort search
-/// this one replaced, kept as is).
+/// oracle's 4 GiB scratch cap (n ≈ 23,170), although the bracket holds
+/// only part of them.
 ///
 /// # Panics
 /// Panics if `k == 0` or the instance is empty.
