@@ -71,7 +71,7 @@ pub(crate) fn resolve_threshold(
              for instances this large"
         )
     })?;
-    let mut keys = inst.distances().half_matrix_keys(0.0..=f64::INFINITY);
+    let mut keys = inst.distances().half_matrix_keys();
     meter.add_primitive(keys.len() as u64);
     let mid = keys.len() / 2;
     Ok(f64::from_bits(*keys.select_nth_unstable(mid).1))

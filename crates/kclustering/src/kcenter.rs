@@ -10,8 +10,9 @@
 //!
 //! Theorem 6.1 needs the optimal radius among the candidates, not every distance. One
 //! farthest-first pass (Gonzalez) gives a radius `r` with `opt ≤ r ≤ 2·opt`, so the exact
-//! search gathers, sorts and probes only the distinct distances in `[r/2, r]` (see
-//! [`parallel_kcenter`]); only the `hs-kcenter` baseline still sorts every distance.
+//! search sorts and probes only the distinct distances in `[r/2, r]`, a floor the
+//! farthest-first points certify by pigeonhole (see [`parallel_kcenter`]); only the
+//! `hs-kcenter` baseline still sorts every distance.
 
 use parfaclo_api::RunConfig;
 use parfaclo_bucket::{BucketMapping, RadiusDeriver};
@@ -32,13 +33,15 @@ pub struct KCenterSolution {
     pub radius: f64,
     /// The threshold distance `d_t` the search settled on. With the exact
     /// radius deriver the 2-approximation guarantee is `radius <= 2 * d_t`
-    /// and `d_t <= opt`: `d_t` is the smallest candidate of the factor-2
-    /// bracket or follows an infeasible probe, and the bracket holds `opt`.
-    /// With the sketch deriver `d_t` is the smallest *sampled* feasible
-    /// candidate, which may exceed `opt`.
+    /// on a metric and `d_t <= opt` on any symmetric matrix: `d_t` is the
+    /// smallest candidate of the bracket or follows an infeasible probe, and
+    /// the bracket holds `opt` (its floor is certified without the triangle
+    /// inequality, see [`parallel_kcenter`]). With the sketch deriver `d_t`
+    /// is the smallest *sampled* feasible candidate, which may exceed `opt`.
     pub threshold: f64,
     /// A certified lower bound on the optimal radius: on the exact path the
-    /// settled threshold itself (`d_t <= opt`, see [`KCenterSolution::threshold`]);
+    /// settled threshold itself (`d_t <= opt` on any symmetric matrix, metric
+    /// or not, see [`KCenterSolution::threshold`]);
     /// on the sketch path the largest probed threshold whose dominator set
     /// had more than `k` nodes (`k + 1` points pairwise further apart than
     /// any achievable radius), or 0.0 when nothing infeasible was probed.
@@ -191,24 +194,25 @@ impl<'a> Prober<'a> {
 /// dimensions, and higher dimensions step further.
 const BRACKET_MARGIN: f64 = 1e-9;
 
-/// The smallest distance the exact search's bracket `[floor, r]` keeps
-/// under a farthest-first radius `r` on points of dimension `dim` (0 for
-/// a matrix without points).
+/// The floor the exact search's bracket `[floor, r]` proposes under a
+/// farthest-first radius `r` on points of dimension `dim` (0 for a matrix
+/// without points), for [`certified_floor`] to check.
 ///
-/// In exact arithmetic the `k + 1` points behind `r` (see
+/// On a metric in exact arithmetic the `k + 1` points behind `r` (see
 /// [`ClusterInstance::farthest_first`]) are pairwise at least `r` apart, so
-/// two of them, `p` and `q`, share an optimal cluster with center `c`, and
-/// the triangle inequality gives `opt ≥ r/2`. The kernel's distances are
-/// rounded: each is a fold of `dim` rounded per-coordinate terms (plus a
-/// square root), so with unit roundoff `u = 2⁻⁵³` its relative error is at
-/// most `γ = (dim + 2)·u` while no term leaves the normal range. The exact
-/// distances then give `r/(1 + γ) ≤ d(p, q) ≤ d(p, c) + d(c, q) ≤
-/// 2·opt/(1 − γ)`, so `opt ≥ (r/2)·(1 − γ)/(1 + γ) ≥ (r/2)·(1 − 2γ)`. The
+/// no node lies closer than `r/2` to two of them, and the check passes at
+/// `r/2`. The kernel's distances are rounded: each is a fold of `dim`
+/// rounded per-coordinate terms (plus a square root), so with unit roundoff
+/// `u = 2⁻⁵³` its relative error is at most `γ = (dim + 2)·u` while no term
+/// leaves the normal range. If a node `c` had computed distances below `f`
+/// to two such points `p` and `q`, the exact distances would give
+/// `r/(1 + γ) ≤ d(p, q) ≤ d(p, c) + d(c, q) < 2·f/(1 − γ)`, which fails for
+/// `f ≤ (r/2)·(1 − γ)/(1 + γ)`, so any `f ≤ (r/2)·(1 − 2γ)` passes. The
 /// floor steps down by `max(BRACKET_MARGIN, 4γ)`, which covers `2γ` plus
-/// the `3u` that rounding the floor's own product can add, at any
-/// dimension (a matrix without points counts as dimension 0). Where a term
-/// could underflow (`r` below 1e-150) or a distance overflowed (`r = +∞`)
-/// the error model fails, and the floor is 0: every distance up to `r`.
+/// the `3u` that rounding the floor's own product can add, at any dimension
+/// (a matrix without points counts as dimension 0). Where a term could
+/// underflow (`r` below 1e-150) or a distance overflowed (`r = +∞`) the
+/// error model fails, and the floor is 0: every distance up to `r`.
 fn bracket_floor(r: f64, dim: usize) -> f64 {
     if !(1e-150..f64::INFINITY).contains(&r) {
         return 0.0;
@@ -216,6 +220,34 @@ fn bracket_floor(r: f64, dim: usize) -> f64 {
     // `f64::EPSILON` is `2u`, so this is `4γ`.
     let margin = BRACKET_MARGIN.max(2.0 * (dim as f64 + 2.0) * f64::EPSILON);
     0.5 * r * (1.0 - margin)
+}
+
+/// `floor` if the farthest-first `witnesses` (the centers and the farthest
+/// node, `k + 1` points) certify it as a lower bound on the optimal radius,
+/// and 0 otherwise. Reads one kernel row per witness.
+///
+/// The check is pigeonhole on the computed distances, with no triangle
+/// inequality: if no node `c` has two witnesses `w` with `d(w, c) < floor`,
+/// then any `k` centers leave some witness at least `floor` from all of
+/// them, so `opt ≥ floor`. On a metric it passes (see [`bracket_floor`]); on
+/// a matrix that breaks the triangle inequality it may fail, and the
+/// bracket then reaches down to 0, as a search over every distance would.
+fn certified_floor(inst: &ClusterInstance, witnesses: &[NodeId], floor: f64) -> f64 {
+    let n = inst.n();
+    let mut claimed = vec![false; n];
+    let mut row = vec![0.0f64; n];
+    for &w in witnesses {
+        inst.distances().row_range_into(w, 0, &mut row);
+        for (claimed, &d) in claimed.iter_mut().zip(&row) {
+            if d < floor {
+                if *claimed {
+                    return 0.0;
+                }
+                *claimed = true;
+            }
+        }
+    }
+    floor
 }
 
 /// The points' dimension, or 0 for a matrix without points.
@@ -229,17 +261,22 @@ fn dim_of(inst: &ClusterInstance) -> usize {
 /// (see [`CsrGraph::filter_within`]).
 ///
 /// The bracket comes from one farthest-first pass
-/// ([`ClusterInstance::farthest_first`]): its radius `r` satisfies
-/// `opt ≤ r ≤ 2·opt`, so the candidates are the distinct distances in
-/// `[bracket_floor(r), r]`, gathered in one streaming pass over kernel rows
-/// ([`DistanceOracle::half_matrix_keys`]) and sorted; `r` is among them. The
-/// top of the bracket is feasible: at any `α ≥ opt` each optimal cluster
-/// holds at most one `MaxDom` node. The search settles on a threshold `t`
-/// that is either the smallest candidate or follows an infeasible probe,
-/// and `opt` is a candidate, so `t ≤ opt` certifies the lower bound and
-/// `radius ≤ 2·t` keeps the factor 2. The bracket assumes a metric, as the
-/// factor 2 of Theorem 6.1 already does. When `r = 0` every node coincides
-/// with a center, and the one candidate is `+0.0`.
+/// ([`ClusterInstance::farthest_first`]): its radius `r` is the cost of `k`
+/// centers, so `opt ≤ r`, and on a metric `r ≤ 2·opt`. The candidates are
+/// the distinct distances in `[floor, r]`, kept from one streaming pass over
+/// the half matrix ([`DistanceOracle::half_matrix_keys`]) and sorted; `r` is
+/// among them. The floor is `r/2` stepped down by a relative margin that
+/// covers the kernel's rounding, when the `k + 1` farthest-first points
+/// certify `opt ≥ floor` by pigeonhole (no node lies below the floor from
+/// two of them; no triangle inequality needed), and 0 otherwise; on a
+/// metric the check passes. The top of the bracket is feasible: at any
+/// `α ≥ opt` each optimal cluster holds at most one `MaxDom` node. The
+/// search settles on a threshold `t` that is either the smallest candidate
+/// or follows an infeasible probe, and on a symmetric matrix `opt` is a
+/// candidate, so `t ≤ opt` certifies the lower bound on any symmetric
+/// matrix; on a metric `radius ≤ 2·t` keeps the factor 2 of Theorem 6.1.
+/// When `r = 0` every node coincides with a center, and the one candidate
+/// is `+0.0`.
 ///
 /// The search charges `meter`, which the caller owns, so a trace span the
 /// caller opens around the call counts that work; the returned `work` is
@@ -279,13 +316,19 @@ pub fn parallel_kcenter(
                  the candidate radii with --radius-deriver sketch"
             )
         })?;
-        let (centers, r) = inst.farthest_first(k);
+        let (centers, farthest, r) = inst.farthest_first(k);
         meter.add_primitive((n * centers.len()) as u64);
-        let mut keys = oracle.half_matrix_keys(bracket_floor(r, dim_of(inst))..=r);
+        let witnesses = [&centers[..], &[farthest]].concat();
+        let floor = certified_floor(inst, &witnesses, bracket_floor(r, dim_of(inst)));
+        meter.add_primitive((n * witnesses.len()) as u64);
+        let mut keys = oracle.half_matrix_keys();
         meter.add_primitive((n * (n - 1) / 2) as u64);
+        let bracket = distance_key(floor)..=distance_key(r);
+        keys.retain(|key| bracket.contains(key));
         // `r` is a distance, so on a symmetric oracle it is already a key;
         // pushing it keeps the feasible top on any square matrix.
         keys.push(distance_key(r));
+        keys.shrink_to_fit();
         keys.par_sort_unstable();
         meter.add_sort(keys.len() as u64);
         keys.dedup();
@@ -611,16 +654,19 @@ mod tests {
             return every_node(n);
         }
         let (lo, r, distances) = reference_bracket(inst, k);
-        // The derivation's charges: the farthest-first pass, the streaming
-        // pass over the upper triangle, and a sort of the keys it kept (the
-        // diagonal's when the bracket holds 0, and `r` once more).
+        // The derivation's charges: the farthest-first pass, the witness
+        // rows that certify the floor, the streaming pass over the upper
+        // triangle, and a sort of the keys it kept (the diagonal's when the
+        // bracket holds 0, and `r` once more).
         let gathered = (0..n)
             .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
             .filter(|&(a, b)| (lo..=r).contains(&inst.dist(a, b)))
             .count()
             + usize::from(lo <= 0.0)
             + 1;
-        meter.add_primitive((n * gonzalez_kcenter(inst, k).centers.len()) as u64);
+        let centers = gonzalez_kcenter(inst, k).centers.len();
+        meter.add_primitive((n * centers) as u64);
+        meter.add_primitive((n * (centers + 1)) as u64);
         meter.add_primitive((n * (n - 1) / 2) as u64);
         meter.add_sort(gathered as u64);
         let (mut lo, mut hi) = (0usize, distances.len() - 1);
@@ -734,7 +780,7 @@ mod tests {
                     let what = format!("{kind:?} seed {seed} k {k}");
                     let (_, opt) =
                         lower_bounds::brute_force_kclustering(&inst, k, ClusterObjective::KCenter);
-                    let (centers, r) = inst.farthest_first(k);
+                    let (centers, _, r) = inst.farthest_first(k);
                     assert_eq!(r.to_bits(), inst.kcenter_cost(&centers).to_bits(), "{what}");
                     let lo = bracket_floor(r, dim_of(&inst));
                     assert!(
@@ -817,10 +863,39 @@ mod tests {
             vec![0.0, 9.0, 10.0, 9.0, 0.0, 8.0, 3.0, 2.0, 0.0],
         );
         let inst = ClusterInstance::new(m);
-        assert_eq!(inst.farthest_first(2), (vec![0, 2], 2.0));
+        assert_eq!(inst.farthest_first(2), (vec![0, 1], 2, 2.0));
         let sol = exact_kcenter(&inst, 2, 0);
         assert_eq!((sol.threshold, sol.probes), (2.0, 1));
         assert!(sol.centers.len() <= 2);
+    }
+
+    #[test]
+    fn a_floor_the_witnesses_cannot_certify_falls_to_zero() {
+        // Symmetric but no metric: nodes 0 and 1 are 10 apart, and node 2 is
+        // 1 from each. Farthest-first from node 0 gives r = 10 with node 1
+        // farthest; node 2 is within 5 of both, so r/2 is no lower bound
+        // (opt is 1, center 2), and the bracket reaches down to 0.
+        let m = parfaclo_metric::DistanceMatrix::from_rows(
+            3,
+            3,
+            vec![0.0, 10.0, 1.0, 10.0, 0.0, 1.0, 1.0, 1.0, 0.0],
+        );
+        let inst = ClusterInstance::new(m);
+        assert_eq!(inst.farthest_first(1), (vec![0], 1, 10.0));
+        assert_eq!(certified_floor(&inst, &[0, 1], bracket_floor(10.0, 0)), 0.0);
+        let sol = exact_kcenter(&inst, 1, 0);
+        assert_eq!((sol.threshold, sol.lower_bound, sol.probes), (1.0, 1.0, 2));
+        assert_eq!(sol.centers.len(), 1);
+        // On a metric the witnesses certify the floor: the points 0, 10 and
+        // 5 on a line, k = 1, r = 10, opt = 5.
+        let line = [0.0, 10.0, 5.0].map(|x| Point::xy(x, 0.0)).to_vec();
+        let inst = ClusterInstance::build(line, DistanceKind::Euclidean, Backend::Dense)
+            .expect("instance");
+        let floor = bracket_floor(10.0, 2);
+        assert_eq!(certified_floor(&inst, &[0, 1], floor), floor);
+        let sol = exact_kcenter(&inst, 1, 0);
+        assert_eq!((sol.threshold, sol.lower_bound, sol.probes), (5.0, 5.0, 1));
+        assert!(sol.radius <= 2.0 * sol.threshold);
     }
 
     #[test]

@@ -524,43 +524,45 @@ impl ClusterInstance {
     /// add the node farthest from the centers chosen so far (the last of
     /// equally far nodes, as `Iterator::max_by` picks), until `min(k, n)`
     /// centers are chosen or the farthest node is at distance 0 (every node
-    /// coincides with a center). Returns the centers and their radius `r`,
-    /// the largest distance from a node to its nearest center.
+    /// coincides with a center). Returns the centers, the node farthest from
+    /// them (the one the traversal would add next) and its distance `r` to
+    /// its nearest center, which is the centers'
+    /// [`ClusterInstance::kcenter_cost`].
     ///
-    /// Each new center's distances come from one kernel row
-    /// ([`DistanceOracle::row_range_into`]), so the traversal evaluates
-    /// `n` distances per center. On a metric `opt ≤ r ≤ 2·opt`: each center
-    /// was at least `r` from the earlier ones when it was added, so the
-    /// centers and the farthest node are `k + 1` points pairwise at least
-    /// `r` apart, two of which share an optimal cluster.
+    /// A node `j`'s distance to a center `c` is `d(j, c)`, as in
+    /// [`ClusterInstance::kcenter_cost`], so each new center's distances
+    /// come from one kernel column ([`DistanceOracle::col_range_into`], the
+    /// row on a symmetric oracle) and the traversal evaluates `n` distances
+    /// per center. On a metric `opt ≤ r ≤ 2·opt`: each center was at least
+    /// `r` from the earlier ones when it was added, so the centers and the
+    /// farthest node are `k + 1` points pairwise at least `r` apart, two of
+    /// which share an optimal cluster.
     ///
     /// # Panics
     /// Panics if `k == 0` or the instance is empty.
-    pub fn farthest_first(&self, k: usize) -> (Vec<NodeId>, f64) {
+    pub fn farthest_first(&self, k: usize) -> (Vec<NodeId>, NodeId, f64) {
         let n = self.n();
         assert!(k >= 1, "k must be at least 1");
         assert!(n >= 1, "instance must be non-empty");
         let mut dist_to_centers = vec![0.0f64; n];
-        self.oracle.row_range_into(0, 0, &mut dist_to_centers);
+        self.oracle.col_range_into(0, 0, &mut dist_to_centers);
         let mut centers = vec![0usize];
-        let mut row = vec![0.0f64; n];
-        while centers.len() < k.min(n) {
-            let (next, &d) = dist_to_centers
+        let mut col = vec![0.0f64; n];
+        loop {
+            let (farthest, &r) = dist_to_centers
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
                 .unwrap();
-            if d == 0.0 {
-                break;
+            if centers.len() == k.min(n) || r == 0.0 {
+                return (centers, farthest, r);
             }
-            centers.push(next);
-            self.oracle.row_range_into(next, 0, &mut row);
-            for (d, &e) in dist_to_centers.iter_mut().zip(&row) {
+            centers.push(farthest);
+            self.oracle.col_range_into(farthest, 0, &mut col);
+            for (d, &e) in dist_to_centers.iter_mut().zip(&col) {
                 *d = d.min(e);
             }
         }
-        let radius = dist_to_centers.iter().copied().fold(0.0, f64::max);
-        (centers, radius)
     }
 
     /// Node-to-center assignment mapping each node to its closest center.
@@ -757,12 +759,20 @@ mod tests {
             let inst =
                 ClusterInstance::build(line.clone(), DistanceKind::Euclidean, backend).unwrap();
             // Nodes 2 and 3 are both 2 from {0, 5}; the last one wins.
-            assert_eq!(inst.farthest_first(3), (vec![0, 5, 3], 1.0), "{backend}");
-            let every = (vec![0, 5, 3, 4, 2, 1], 0.0);
+            assert_eq!(inst.farthest_first(2), (vec![0, 5], 3, 2.0), "{backend}");
+            assert_eq!(inst.farthest_first(3), (vec![0, 5, 3], 4, 1.0), "{backend}");
+            let every = (vec![0, 5, 3, 4, 2, 1], 5, 0.0);
             assert_eq!(inst.farthest_first(9), every, "{backend}");
             let same = vec![Point::xy(1.0, 1.0); 4];
             let inst = ClusterInstance::build(same, DistanceKind::Euclidean, backend).unwrap();
-            assert_eq!(inst.farthest_first(3), (vec![0], 0.0), "{backend}");
+            assert_eq!(inst.farthest_first(3), (vec![0], 3, 0.0), "{backend}");
         }
+        // On an asymmetric matrix a node's distance to a center is d(j, c),
+        // column c: column 0 is [0, 9, 3], so node 1 comes next, and node 2
+        // is then d(2, 1) = 2 from its nearest center, the centers' cost.
+        let m = DistanceMatrix::from_rows(3, 3, vec![0.0, 9.0, 10.0, 9.0, 0.0, 8.0, 3.0, 2.0, 0.0]);
+        let inst = ClusterInstance::new(m);
+        assert_eq!(inst.farthest_first(2), (vec![0, 1], 2, 2.0));
+        assert_eq!(inst.kcenter_cost(&[0, 1]), 2.0);
     }
 }

@@ -38,7 +38,6 @@ use crate::point::{DistanceKind, Point};
 use parfaclo_kernel::{block, SoaPoints};
 use parfaclo_spatial::SpatialIndex;
 use rayon::prelude::*;
-use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Which distance backend an instance carries. Stable string forms
@@ -269,21 +268,20 @@ pub trait DistanceOracle {
     fn sorted_distinct_values(&self) -> Vec<f64>;
 
     /// The [`distance_key`]s of the strict upper triangle `d(r, c)`, `r < c`,
-    /// plus one `+0.0` for the diagonal, keeping those whose value lies in
-    /// `range`, in no particular order. On a symmetric oracle with a zero
-    /// diagonal (every clustering instance's) these keys hold every distinct
-    /// entry value, so sorting and deduping them gives the distinct values
-    /// in `range`, and selecting from them gives an order statistic of the
-    /// upper triangle.
+    /// row by row, after one `+0.0` for the diagonal. On a symmetric oracle
+    /// with a zero diagonal (every clustering instance's) these keys hold
+    /// every distinct entry value, so sorting and deduping them gives the
+    /// distinct values, and selecting from them gives an order statistic of
+    /// the upper triangle.
     ///
     /// One streaming pass over kernel rows ([`DistanceOracle::row_range_into`]
-    /// in stack tiles, rows in parallel): `rows·(rows − 1)/2` distances, and
-    /// transient memory for the kept keys only. The default serves every
-    /// backend, so all of them gather the same keys.
+    /// in stack tiles, rows in parallel) into one exact-size buffer of
+    /// `rows·(rows − 1)/2 + 1` keys. The default serves every backend, so
+    /// all of them gather the same keys.
     ///
     /// # Panics
     /// Panics if the oracle is not square.
-    fn half_matrix_keys(&self, range: RangeInclusive<f64>) -> Vec<u64>
+    fn half_matrix_keys(&self) -> Vec<u64>
     where
         Self: Sync,
     {
@@ -292,61 +290,29 @@ pub trait DistanceOracle {
         if n == 0 {
             return Vec::new();
         }
-        if *range.start() <= 0.0 && *range.end() == f64::INFINITY {
-            // Every key is kept, so each row fills its own slice of one
-            // exact-size buffer; keys[0] stays the diagonal's `+0.0`.
-            let mut keys = vec![0u64; n * (n - 1) / 2 + 1];
-            let mut row_slices: Vec<&mut [u64]> = Vec::with_capacity(n);
-            let mut rest = &mut keys[1..];
-            for r in 0..n {
-                let (row, tail) = std::mem::take(&mut rest).split_at_mut(n - 1 - r);
-                row_slices.push(row);
-                rest = tail;
-            }
-            row_slices
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(64)
-                .for_each(|(r, out)| {
-                    let mut at = 0;
-                    for_upper_row_tiles(self, r, |tile| {
-                        for (key, &d) in out[at..at + tile.len()].iter_mut().zip(tile) {
-                            *key = distance_key(d);
-                        }
-                        at += tile.len();
-                    });
-                });
-            return keys;
+        // Each row fills its own slice; keys[0] stays the diagonal's `+0.0`.
+        let mut keys = vec![0u64; n * (n - 1) / 2 + 1];
+        let mut row_slices: Vec<&mut [u64]> = Vec::with_capacity(n);
+        let mut rest = &mut keys[1..];
+        for r in 0..n {
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(n - 1 - r);
+            row_slices.push(row);
+            rest = tail;
         }
-        let kept: Vec<Vec<u64>> = (0..n)
-            .into_par_iter()
+        row_slices
+            .par_iter_mut()
+            .enumerate()
             .with_min_len(64)
-            .map(|r| {
-                let (lo, hi) = (*range.start(), *range.end());
-                let mut out = Vec::new();
-                let mut kept = [0u64; block::TILE];
-                for_upper_row_tiles(self, r, |tile| {
-                    // Branch-free compaction: every key is written, and the
-                    // cursor moves past the ones in range.
-                    let mut m = 0;
-                    for &d in tile {
-                        kept[m] = distance_key(d);
-                        m += usize::from((lo <= d) & (d <= hi));
+            .for_each(|(r, out)| {
+                let mut buf = [0.0f64; block::TILE];
+                for (k, keys) in out.chunks_mut(block::TILE).enumerate() {
+                    let tile = &mut buf[..keys.len()];
+                    self.row_range_into(r, r + 1 + k * block::TILE, tile);
+                    for (key, &d) in keys.iter_mut().zip(tile.iter()) {
+                        *key = distance_key(d);
                     }
-                    out.extend_from_slice(&kept[..m]);
-                });
-                out
-            })
-            .collect();
-        let diagonal = range.contains(&0.0);
-        let mut keys =
-            Vec::with_capacity(usize::from(diagonal) + kept.iter().map(Vec::len).sum::<usize>());
-        if diagonal {
-            keys.push(0);
-        }
-        for row in kept {
-            keys.extend_from_slice(&row);
-        }
+                }
+            });
         keys
     }
 
@@ -387,22 +353,6 @@ pub fn distance_key(d: f64) -> u64 {
     // `−0.0 + 0.0` is `+0.0`, and adding `+0.0` leaves every other value
     // as it is.
     (d + 0.0).to_bits()
-}
-
-/// Streams the strict upper triangle of row `r`, `d(r, r + 1..cols)`, in
-/// stack tiles of kernel distances, ascending.
-fn for_upper_row_tiles<O: DistanceOracle + ?Sized>(
-    oracle: &O,
-    r: usize,
-    mut f: impl FnMut(&[f64]),
-) {
-    let cols = oracle.cols();
-    let mut buf = [0.0f64; block::TILE];
-    for start in (r + 1..cols).step_by(block::TILE) {
-        let tile = &mut buf[..block::TILE.min(cols - start)];
-        oracle.row_range_into(r, start, tile);
-        f(tile);
-    }
 }
 
 /// Runs `f` over `0..len` in deterministic blocks and combines the per-block
@@ -767,7 +717,7 @@ impl DistanceOracle for ImplicitMetric {
         // `d(i, i)` is `+0.0`, so the half-matrix keys have the full
         // matrix's distinct values: half the keys to fill and sort.
         let mut keys = if self.sides_shared() {
-            self.half_matrix_keys(0.0..=f64::INFINITY)
+            self.half_matrix_keys()
         } else {
             let mut keys = vec![0; rows * cols];
             keys.par_chunks_mut(cols)
@@ -1239,8 +1189,8 @@ impl DistanceOracle for Oracle {
         delegate!(self, sorted_distinct_values())
     }
 
-    fn half_matrix_keys(&self, range: RangeInclusive<f64>) -> Vec<u64> {
-        delegate!(self, half_matrix_keys(range))
+    fn half_matrix_keys(&self) -> Vec<u64> {
+        delegate!(self, half_matrix_keys())
     }
 
     fn memory_bytes(&self) -> u64 {
@@ -1731,7 +1681,7 @@ mod tests {
     }
 
     #[test]
-    fn half_matrix_keys_in_a_range_match_the_filtered_upper_triangle() {
+    fn half_matrix_keys_are_the_upper_triangle_in_row_order() {
         let kinds = [
             DistanceKind::Euclidean,
             DistanceKind::Manhattan,
@@ -1745,36 +1695,24 @@ mod tests {
                     Oracle::Spatial(SpatialOracle::symmetric(points.clone(), kind)),
                 ];
                 let n = points.len();
-                let values = full_matrix_sorted_distinct(&oracles[0]);
-                let at = |q: usize| values.get(q * values.len() / 4).copied().unwrap_or(0.0);
-                let ranges = [
-                    0.0..=f64::INFINITY,
-                    0.0..=0.0,
-                    at(1)..=at(3),
-                    at(2)..=f64::INFINITY,
-                    at(3)..=at(1),
-                ];
-                for range in ranges {
-                    let mut want: Vec<u64> = (0..n)
-                        .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-                        .map(|(a, b)| oracles[0].dist(a, b))
-                        .chain((n > 0).then_some(0.0))
-                        .filter(|d| range.contains(d))
-                        .map(f64::to_bits)
-                        .collect();
-                    want.sort_unstable();
-                    for oracle in &oracles {
-                        for threads in [1, 4] {
-                            let mut got =
-                                at_threads(threads, || oracle.half_matrix_keys(range.clone()));
-                            got.sort_unstable();
-                            assert_eq!(
-                                got,
-                                want,
-                                "{name} {kind:?} {range:?} {:?} at {threads} threads",
-                                oracle.backend()
-                            );
-                        }
+                let want: Vec<u64> = (n > 0)
+                    .then_some(0)
+                    .into_iter()
+                    .chain(
+                        (0..n)
+                            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                            .map(|(a, b)| oracles[0].dist(a, b).to_bits()),
+                    )
+                    .collect();
+                for oracle in &oracles {
+                    for threads in [1, 4] {
+                        let got = at_threads(threads, || oracle.half_matrix_keys());
+                        assert_eq!(
+                            got,
+                            want,
+                            "{name} {kind:?} {:?} at {threads} threads",
+                            oracle.backend()
+                        );
                     }
                 }
             }
@@ -1786,12 +1724,8 @@ mod tests {
         let m =
             DistanceMatrix::from_rows(3, 3, vec![-0.0, -0.0, 1.0, -0.0, 0.0, 2.0, 1.0, 2.0, -0.0]);
         let oracle = Oracle::Dense(m);
-        let mut keys = oracle.half_matrix_keys(0.0..=f64::INFINITY);
-        keys.sort_unstable();
+        let keys = oracle.half_matrix_keys();
         assert_eq!(keys, vec![0, 0, 1.0f64.to_bits(), 2.0f64.to_bits()]);
-        let mut zeros = oracle.half_matrix_keys(-0.0..=0.0);
-        zeros.sort_unstable();
-        assert_eq!(zeros, vec![0, 0]);
         assert_eq!(distance_key(-0.0), distance_key(0.0));
     }
 

@@ -33,7 +33,7 @@ pub struct KCenterResult {
 /// # Panics
 /// Panics if `k == 0` or the instance is empty.
 pub fn gonzalez_kcenter(inst: &ClusterInstance, k: usize) -> KCenterResult {
-    let (centers, _) = inst.farthest_first(k);
+    let (centers, _, _) = inst.farthest_first(k);
     let radius = inst.kcenter_cost(&centers);
     KCenterResult { centers, radius }
 }
